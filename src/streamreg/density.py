@@ -14,6 +14,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import quadrature
 from .errors import DegenerateDensityError, DomainError, StateError
+from .scheduler import fold, slot_counts
 
 
 class DensityState:
@@ -33,13 +34,6 @@ class DensityState:
             return 0
         return min(self.schedule.active_count(self.n), self.theta.size)
 
-    def copy(self):
-        dup = DensityState(self.basis, self.schedule)
-        dup.n = self.n
-        dup.theta = self.theta.copy()
-        dup.start = self.start.copy()
-        return dup
-
     def update(self, ts):
         """Fold one batch of predictor observations into the sketch.
 
@@ -54,27 +48,16 @@ class DensityState:
 
         n_old = self.n
         n_new = n_old + ts.size
-        n_slots = self.schedule.slot_count(n_new)
-        vals = basis_mod.eval_matrix(self.basis, n_slots, ts, check_domain=False)
-
-        n_existing = self.theta.size
-        if n_slots > n_existing:
-            starts = np.array(
-                [self.schedule.tau(j) for j in range(n_existing + 1, n_slots + 1)],
-                dtype=np.int64,
-            )
-            self.theta = np.concatenate([self.theta, np.zeros(starts.size)])
-            self.start = np.concatenate([self.start, starts])
-
-        counts_old = np.maximum(n_old - self.start + 1, 0)
-        counts_new = n_new - self.start + 1
-        sums = vals.T @ np.ones(ts.size)
-        # Slots opening mid-batch only see observations with index >= tau_j.
-        for j in range(n_slots):
-            if self.start[j] > n_old + 1:
-                sums[j] = vals[self.start[j] - n_old - 1 :, j].sum()
-        self.theta = (counts_old * self.theta + sums) / counts_new
-        self.n = n_new
+        start = self.schedule.extend(self.start, n_new)
+        vals = basis_mod.eval_matrix(self.basis, start.size, ts,
+                                     check_domain=False)
+        theta = np.concatenate([self.theta,
+                                np.zeros(start.size - self.theta.size)])
+        sums = fold(vals, np.ones(ts.size), start, n_old)
+        # a slot opened past n_new has no observation yet and keeps theta_j = 0
+        counts_new = np.maximum(slot_counts(start, n_new), 1)
+        self.theta = (slot_counts(start, n_old) * theta + sums) / counts_new
+        self.start, self.n = start, n_new
 
     def evaluate(self, t):
         """Raw series estimate f_hat(t) over the active slots."""
@@ -87,19 +70,23 @@ class DensityState:
         out = V @ self.theta[:p]
         return float(out[0]) if scalar else out
 
-    def _normalizer(self, n_nodes=None):
-        p = max(self.active_count, 1)
-        if n_nodes is None:
-            # the clipping kink limits quadrature accuracy, so use a dense rule
-            n_nodes = max(1 << 15, 8 * p)
-        x, w = quadrature.rule(self.basis.lo, self.basis.hi, n_nodes)
+    def _clipped(self, spec, n_nodes):
+        """Quadrature rule on the domain of ``spec`` with the clipped density
+        max(0, f_hat) at its nodes and that density's integral z."""
+        x, w = quadrature.rule(spec.lo, spec.hi, n_nodes)
         fx = np.maximum(self.evaluate(x), 0.0)
         z = float(np.dot(w, fx))
         if z <= 0.0:
             raise DegenerateDensityError(
                 "clipped density estimate integrates to zero"
             )
-        return z
+        return x, w, fx, z
+
+    def _normalizer(self, n_nodes=None):
+        if n_nodes is None:
+            # the clipping kink limits quadrature accuracy, so use a dense rule
+            n_nodes = max(1 << 15, 8 * self.active_count)
+        return self._clipped(self.basis, n_nodes)[3]
 
     def evaluate_normalized(self, t, n_nodes=None):
         """Clipped-and-renormalized density: max(0, f_hat) / int max(0, f_hat)."""
@@ -117,16 +104,9 @@ class DensityState:
         """
         if q < 1:
             raise ValueError("q must be >= 1")
-        p = self.active_count
         if n_nodes is None:
-            n_nodes = quadrature.node_count(q, p)
-        x, w = quadrature.rule(reg_basis.lo, reg_basis.hi, n_nodes)
-        fx = np.maximum(self.evaluate(x), 0.0)
-        z = float(np.dot(w, fx))
-        if z <= 0.0:
-            raise DegenerateDensityError(
-                "clipped density estimate integrates to zero"
-            )
+            n_nodes = quadrature.node_count(q, self.active_count)
+        x, w, fx, z = self._clipped(reg_basis, n_nodes)
         V = basis_mod.eval_matrix(reg_basis, q, x)
         H = V.T @ ((w * fx / z)[:, None] * V)
         return 0.5 * (H + H.T)

@@ -18,7 +18,7 @@ from scipy import linalg
 from . import basis as basis_mod
 from .density import DensityState
 from .errors import CheckpointError, DomainError, IllConditionedSystemError
-from .scheduler import SchedulerConfig
+from .scheduler import SchedulerConfig, fold, slot_counts
 
 CHECKPOINT_FORMAT = "streamreg-checkpoint-v1"
 
@@ -64,7 +64,7 @@ class OnePassRegressor:
         """Fold one batch of (t, y) pairs into the summary statistics.
 
         Validation happens before any mutation: a batch with out-of-domain
-        predictors is rejected atomically.
+        predictors or non-finite responses is rejected atomically.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -74,32 +74,19 @@ class OnePassRegressor:
             raise ValueError("t and y batches must have equal length")
         if not self.reg_basis.contains(ts):
             raise DomainError("batch contains t values outside the domain")
+        if not np.isfinite(ys).all():
+            raise ValueError("batch contains non-finite y values")
 
-        n_old = self.n
-        n_new = n_old + ts.size
-        n_slots = self.schedule.slot_count(n_new)
-        vals = basis_mod.eval_matrix(self.reg_basis, n_slots, ts,
+        n_new = self.n + ts.size
+        start = self.schedule.extend(self.start, n_new)
+        vals = basis_mod.eval_matrix(self.reg_basis, start.size, ts,
                                      check_domain=False)
-
-        n_existing = self.G.size
-        if n_slots > n_existing:
-            starts = np.array(
-                [self.schedule.tau(j) for j in range(n_existing + 1, n_slots + 1)],
-                dtype=np.int64,
-            )
-            self.G = np.concatenate([self.G, np.zeros(starts.size)])
-            self.start = np.concatenate([self.start, starts])
-
-        sums = vals.T @ ys
-        # A slot opening mid-batch accumulates from its own tau_j onward only.
-        for j in range(n_slots):
-            if self.start[j] > n_old + 1:
-                lo = self.start[j] - n_old - 1
-                sums[j] = np.dot(vals[lo:, j], ys[lo:])
-        self.G += sums
-        self.n = n_new
+        G = np.concatenate([self.G,
+                            np.zeros(start.size - self.G.size)])
+        G += fold(vals, ys, start, self.n)
         if self.density is not None:
             self.density.update(ts)
+        self.G, self.start, self.n = G, start, n_new
         self._coef_cache.clear()
 
     # ------------------------------------------------------------------
@@ -113,8 +100,8 @@ class OnePassRegressor:
         return min(self.schedule.active_count(self.n), self.G.size)
 
     def slot_counts(self):
-        """Per-slot sample counts n_j = n - tau_j + 1."""
-        return np.maximum(self.n - self.start + 1, 0)
+        """Per-slot sample counts n_j = max(n - tau_j + 1, 0)."""
+        return slot_counts(self.start, self.n)
 
     def gram(self, q):
         """Gram matrix of the first q basis functions at the current state."""
@@ -220,7 +207,7 @@ class OnePassRegressor:
         if isinstance(record, (str, bytes)):
             try:
                 record = json.loads(record)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON or bytes that are not text
                 raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
         try:
             if record["format"] != CHECKPOINT_FORMAT:

@@ -103,8 +103,6 @@ class Scenario:
     n: int = 100_000
     B: int = 100
     snr: float = 2.0
-    design: str = "uniform"
-    noise: str = "gaussian"
     seed: int = 0
     replicates: int = 100
     noiseless: bool = False
@@ -112,10 +110,6 @@ class Scenario:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
-        if self.design != "uniform":
-            raise ValueError("only the uniform design is supported")
-        if self.noise != "gaussian":
-            raise ValueError("only gaussian noise is supported")
         if min(self.n, self.B, self.replicates) < 1 or self.snr <= 0:
             raise ValueError("n, B, replicates must be positive; snr > 0")
 
@@ -337,9 +331,8 @@ def rate_experiment(sc, beta_hypothesis, checkpoints, fixed_h=1 / 3, **kwargs):
 
 
 SCENARIO_KEYS = {"target": str, "n": int, "B": int, "snr": float,
-                 "design": str, "noise": str, "seed": int,
-                 "replicates": int, "noiseless": lambda s: s.lower() in
-                 ("1", "true", "yes")}
+                 "seed": int, "replicates": int,
+                 "noiseless": lambda s: s.lower() in ("1", "true", "yes")}
 
 
 def load_scenario(path):

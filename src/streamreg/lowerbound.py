@@ -17,7 +17,6 @@ import numpy as np
 
 from .basis import BasisSpec, PenaltySpec
 from .engine import SCALAR_UNITS, OnePassRegressor
-from .errors import CheckpointError
 from .scheduler import SchedulerConfig
 
 DEFAULT_NOISE_SD = 0.02
@@ -133,12 +132,7 @@ def bob_decode(payload, k, beta=1.0, chi=1.0, M=1.0, c_K=0.1, rho=0.0):
     amplitude at the j-th bump center (strict inequality; exact ties
     decode to 0).
     """
-    try:
-        reg = OnePassRegressor.from_checkpoint(payload)
-    except CheckpointError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(f"undecodable payload: {exc}") from exc
+    reg = OnePassRegressor.from_checkpoint(payload)
     inst = HypercubeInstance(k=k, omega=(0,) * k, beta=beta, chi=chi,
                              M=M, c_K=c_K)
     values = reg.estimate(inst.centers, rho)

@@ -1,13 +1,28 @@
-"""Basis-activation schedule with pre-estimation start times.
+"""Basis-activation schedule with pre-estimation start times, and the slot
+ledger that every per-slot running sum follows.
 
 Basis function j is first used in the estimate at time S(j) = floor((C_q*j)^(1/h)),
 but its summary slot starts accumulating earlier, at tau_j = floor(c_circ*S(j)),
 so that by activation it has seen at least (1 - c_circ)*n observations.  The
 first q0 slots are live from the first observation.
+
+The ledger is the same for the regression sums G and the density sketch
+theta, so it is written once, here:
+
+- ``SchedulerConfig.extend`` opens slots: it appends tau_j for every slot the
+  schedule has opened by time n, giving a start vector of ``slot_count(n)``
+  entries.  Start vectors only grow.
+- ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0).
+- ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
+  per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
+  theta).  A slot that opens mid-batch, tau_j > n_old + 1, sums only from
+  its own tau_j onward.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Guards floor() against representation error in x**(1/h) for exact powers.
 _FLOOR_EPS = 1e-9
@@ -84,3 +99,30 @@ class SchedulerConfig:
         if self.cap_q is not None:
             j = min(j, self.cap_q)
         return j
+
+    def extend(self, start, n):
+        """Start vector ``start`` extended by tau_j of the slots open at time n."""
+        n_slots = self.slot_count(n)
+        if n_slots <= start.size:
+            return start
+        opened = [self.tau(j) for j in range(start.size + 1, n_slots + 1)]
+        return np.concatenate([start, np.array(opened, dtype=np.int64)])
+
+
+def slot_counts(start, n):
+    """Per-slot sample counts n_j = max(n - tau_j + 1, 0) at time n."""
+    return np.maximum(n - start + 1, 0)
+
+
+def fold(vals, w, start, n_old):
+    """Per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i over one batch.
+
+    Row i of ``vals`` holds phi_j(t_i) at the batch's i-th observation, whose
+    stream index is n_old + 1 + i; column j belongs to the slot starting at
+    ``start[j]``.
+    """
+    sums = vals.T @ w
+    for j in (start > n_old + 1).nonzero()[0]:
+        lo = start[j] - n_old - 1
+        sums[j] = np.dot(vals[lo:, j], w[lo:])
+    return sums

@@ -17,6 +17,8 @@ import socketserver
 import threading
 from dataclasses import dataclass
 
+import numpy as np
+
 from .basis import BasisSpec, PenaltySpec
 from .engine import OnePassRegressor
 from .errors import DomainError, StateError, StreamRegError
@@ -64,10 +66,10 @@ class StreamRegistry:
             return self._streams[stream_id]
 
     def ingest(self, stream_id, points):
-        if not points:
-            raise ValueError("points must be non-empty")
-        ts = [float(p[0]) for p in points]
-        ys = [float(p[1]) for p in points]
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
+            raise ValueError("points must be a non-empty list of [t, y] pairs")
+        ts, ys = np.ascontiguousarray(points.T)
         reg, lock = self._engine(stream_id, create=True)
         with lock:
             reg.ingest(ts, ys)

@@ -7,7 +7,7 @@ non-streaming fit on the first n0 observations.
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -15,7 +15,7 @@ import numpy as np
 from .engine import batch_fit
 from . import basis as basis_mod
 from .errors import IllConditionedSystemError, TuningError
-from .scheduler import _floor
+from .scheduler import SchedulerConfig
 
 DEFAULT_C_RHO_GRID = tuple(10.0 ** k for k in range(-3, 3))
 DEFAULT_H_GRID = (1 / 5, 1 / 4, 1 / 3, 2 / 5, 1 / 2)
@@ -60,16 +60,14 @@ def _min_gram_eigenvalue(spec, q):
     return float(np.min(np.linalg.eigvalsh(H)))
 
 
-def deployable(spec, h, n, C_q=0.5, q0=5, mem_cap=None):
+def deployable(spec, h, n, mem_cap=None):
     """Whether the basis count the schedule reaches by time n stays
     numerically identifiable (design-Gram eigenvalues above the floor)."""
-    q = max(q0, _floor(n ** h / C_q))
-    if mem_cap is not None:
-        q = min(q, max(1, mem_cap // 3))
+    q = SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n)
     return _min_gram_eigenvalue(spec, q) >= GRAM_EIG_FLOOR
 
 
-def cv_table(ts, ys, grid, penalty, spec, C_q=0.5, q0=5):
+def cv_table(ts, ys, grid, penalty, spec):
     """Cross-validation error for every grid point.
 
     Folds are assigned round-robin by arrival index so results are
@@ -88,7 +86,7 @@ def cv_table(ts, ys, grid, penalty, spec, C_q=0.5, q0=5):
     rows = []
     for C_rho in grid.C_rho_grid:
         for h in grid.h_grid:
-            q = max(q0, _floor(grid.n0 ** h / C_q))
+            q = SchedulerConfig(h=h).active_count(grid.n0)
             rho = rho_at(C_rho, h, grid.n0, grid.zeta)
             fold_cv = []
             try:
@@ -107,8 +105,7 @@ def cv_table(ts, ys, grid, penalty, spec, C_q=0.5, q0=5):
     return rows
 
 
-def cv_select(ts, ys, grid, penalty, spec, C_q=0.5, q0=5, n_deploy=None,
-              mem_cap=None):
+def cv_select(ts, ys, grid, penalty, spec, n_deploy=None, mem_cap=None):
     """Pick (C_rho, h) from the CV table.
 
     Selection is the one-standard-error rule: among grid points whose CV lies
@@ -118,11 +115,10 @@ def cv_select(ts, ys, grid, penalty, spec, C_q=0.5, q0=5, n_deploy=None,
     identifiable basis count by time n_deploy are marked infeasible first.
     Exact ties break toward larger rho, then smaller h.
     """
-    rows = cv_table(ts, ys, grid, penalty, spec, C_q=C_q, q0=q0)
+    rows = cv_table(ts, ys, grid, penalty, spec)
     if n_deploy is not None:
         for r in rows:
-            if not deployable(spec, r["h"], n_deploy, C_q=C_q, q0=q0,
-                              mem_cap=mem_cap):
+            if not deployable(spec, r["h"], n_deploy, mem_cap=mem_cap):
                 r["cv"] = float("inf")
     feasible = [r for r in rows if np.isfinite(r["cv"])]
     if not feasible:

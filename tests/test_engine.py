@@ -74,6 +74,15 @@ class TestIngest:
         assert eng.n == 1
         np.testing.assert_array_equal(eng.G, g_before)
 
+    def test_non_finite_y_rejected_atomically(self):
+        eng = make_engine(known=False)
+        eng.ingest([0.5, 0.25], [1.0, 2.0])
+        before = eng.checkpoint_json()
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                eng.ingest([0.2, 0.7], [1.0, bad])
+        assert eng.checkpoint_json() == before
+
     def test_length_mismatch_rejected(self):
         eng = make_engine()
         with pytest.raises(ValueError):
@@ -202,6 +211,9 @@ class TestCheckpoint:
             OnePassRegressor.from_checkpoint("{not json")
         with pytest.raises(CheckpointError):
             OnePassRegressor.from_checkpoint(json.dumps({"format": "other"}))
+        for garbage in (b"\xff", "null", "[]"):
+            with pytest.raises(CheckpointError):
+                OnePassRegressor.from_checkpoint(garbage)
         eng = make_engine(fixed_q=2)
         eng.ingest([0.5], [1.0])
         record = eng.checkpoint()

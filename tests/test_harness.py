@@ -64,8 +64,7 @@ class TestScenario:
             np.testing.assert_array_equal(ya, yb)
 
     def test_invalid_scenarios_rejected(self):
-        for kwargs in (dict(target="m9"), dict(design="normal"),
-                       dict(noise="laplace"), dict(n=0), dict(snr=0.0)):
+        for kwargs in (dict(target="m9"), dict(n=0), dict(snr=0.0)):
             with pytest.raises(ValueError):
                 Scenario(**kwargs)
 

@@ -1,8 +1,15 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
+from streamreg.engine import OnePassRegressor
 from streamreg.scheduler import SchedulerConfig, _floor
+
+UNIT = BasisSpec(0.0, 1.0)
 
 
 class TestFloor:
@@ -72,3 +79,42 @@ class TestSchedule:
                        dict(fixed_q=0)):
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
+
+
+def replay_ledger(sched, ts, ys):
+    """One-shot replay of the slot ledger over the whole retained stream."""
+    n = ts.size
+    start = np.array([sched.tau(j) for j in range(1, sched.slot_count(n) + 1)])
+    vals = eval_matrix(UNIT, start.size, ts)
+    G = np.array([vals[s - 1:, j] @ ys[s - 1:] for j, s in enumerate(start)])
+    theta = np.array([vals[s - 1:, j].sum() / (n - s + 1)
+                      for j, s in enumerate(start)])
+    return start, G, theta
+
+
+def assert_close_relative(actual, expected, rel):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rel * scale
+
+
+class TestLedger:
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=12),
+           mem_cap=st.sampled_from([None, 12, 30]),
+           seed=st.integers(0, 2 ** 16))
+    # one batch of 500 opens slots 6..20 strictly inside it
+    @example(sizes=[500], mem_cap=None, seed=0)
+    def test_batches_match_one_shot_replay(self, sizes, mem_cap, seed):
+        rng = np.random.default_rng(seed)
+        ts = rng.uniform(0, 1, sum(sizes))
+        ys = np.sin(5 * ts) + rng.normal(0, 0.3, ts.size)
+        sched = SchedulerConfig(mem_cap=mem_cap)
+        eng = OnePassRegressor(UNIT, PenaltySpec("roughness"), sched)
+        edges = np.cumsum([0] + sizes)
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            eng.ingest(ts[lo:hi], ys[lo:hi])
+        start, G, theta = replay_ledger(sched, ts, ys)
+        np.testing.assert_array_equal(eng.start, eng.density.start)
+        np.testing.assert_array_equal(eng.start, start)
+        assert_close_relative(eng.G, G, 1e-10)
+        assert_close_relative(eng.density.theta, theta, 1e-10)

@@ -71,6 +71,28 @@ class TestRegistry:
                                          "kind": "estimate"})
         assert resp["error"] == "request"
 
+    def test_non_finite_y_rejected(self, registry):
+        ingest_points(registry, "a", 20)
+        resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
+                                         "points": [[0.5, "nan"]]})
+        assert (resp["ok"], resp["error"]) == (False, "request")
+        stats = handle_request(registry, {"op": "query", "stream_id": "a",
+                                          "kind": "stats"})
+        assert stats["n"] == 20
+        est = handle_request(registry, {"op": "query", "stream_id": "a",
+                                        "kind": "estimate", "t": 0.5})
+        assert est["ok"] and np.isfinite(est["value"])
+
+    def test_malformed_points_rejected(self, registry):
+        for points in ([[0.5]], [[0.5, 1.0, 2.0]], [[0.1, 1.0], [0.2]], [],
+                       [0.5, 1.0], "0.5,1.0", [["a", "b"]], [{"t": 0.5}]):
+            resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
+                                             "points": points})
+            assert (resp["ok"], resp["error"]) == (False, "request"), points
+        missing = handle_request(registry, {"op": "query", "stream_id": "a",
+                                            "kind": "stats"})
+        assert missing["error"] == "not_found"
+
     def test_concurrent_ingest_is_consistent(self, registry):
         def worker(seed):
             ingest_points(registry, "shared", 200, seed=seed)
@@ -97,6 +119,21 @@ class TestSocketService:
             assert resp == {"ok": True, "n": 2}
             stats = client.request(op="query", stream_id="s", kind="stats")
             assert stats["n"] == 2
+            client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_short_point_keeps_connection_alive(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        server.serve_background()
+        try:
+            client = ServiceClient(*server.address)
+            bad = client.request(op="ingest", stream_id="s", points=[[0.5]])
+            assert (bad["ok"], bad["error"]) == (False, "request")
+            good = client.request(op="ingest", stream_id="s",
+                                  points=[[0.5, 1.0]])
+            assert good == {"ok": True, "n": 1}
             client.close()
         finally:
             server.shutdown()
