@@ -109,47 +109,50 @@ def eval_vector(spec, q, t):
     return eval_matrix(spec, q, t)[0]
 
 
-def second_derivative_matrix(spec, q, t, check_domain=True):
+def series(spec, coef, t):
+    """The series sum_j coef_j phi_j(t); a scalar t gives a float, an array
+    t an array."""
+    t = np.asarray(t, dtype=float)
+    out = eval_matrix(spec, coef.size, t) @ coef
+    return float(out[0]) if t.ndim == 0 else out
+
+
+def second_derivative_matrix(spec, q, t):
     """Evaluate phi_1''..phi_q'' at the points t."""
-    vals = eval_matrix(spec, q, t, check_domain=check_domain)
-    return vals * _curvature_factors(spec, q)[None, :]
-
-
-def _frequencies(spec, q):
-    """Angular frequency 2*k*pi/P per basis index (0 for the constant)."""
-    j = np.arange(1, q + 1)
-    k = j // 2
-    return 2.0 * np.pi * k / spec.period
+    return eval_matrix(spec, q, t) * _curvature_factors(spec, q)[None, :]
 
 
 def _curvature_factors(spec, q):
     # phi_j'' = -(2 k pi / P)^2 phi_j for the trig pair of frequency k
-    return -(_frequencies(spec, q) ** 2)
+    k = np.arange(1, q + 1) // 2
+    return -((2.0 * np.pi * k / spec.period) ** 2)
 
 
-def penalty_matrix(spec, penalty, q, n_nodes=None):
+def penalty_matrix(spec, penalty, q):
     """Penalty matrix W for the first q basis functions.
 
     Identity kind returns I_q.  Roughness kind returns the matrix of
-    integrated products of second derivatives over the data domain; this is
-    diagonal in closed form when the extension margin is zero, and computed
-    by quadrature otherwise.
+    integrated products of second derivatives over the data domain.  Since
+    phi_j'' = c_j phi_j with c_j = -(2 k pi / P)^2, that matrix is
+    (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix.
     """
     if q < 1:
         raise DomainError("basis count q must be >= 1")
     if penalty.kind == "identity":
         return np.eye(q)
-    if spec.extension_margin == 0.0:
-        return np.diag(_curvature_factors(spec, q) ** 2)
-    if n_nodes is None:
-        n_nodes = quadrature.node_count(q)
-    x, w = quadrature.rule(spec.lo, spec.hi, n_nodes)
-    D = second_derivative_matrix(spec, q, x)
-    W = D.T @ (w[:, None] * D)
+    c = _curvature_factors(spec, q)
+    W = (spec.hi - spec.lo) * c[:, None] * gram_uniform(spec, q) * c[None, :]
     return 0.5 * (W + W.T)
 
 
-def gram_uniform(spec, q, n_nodes=None):
+def weighted_gram(spec, q, x, w):
+    """sum_i w_i phi(x_i) phi(x_i)^T for phi = (phi_1..phi_q), symmetrized."""
+    V = eval_matrix(spec, q, x)
+    H = V.T @ (w[:, None] * V)
+    return 0.5 * (H + H.T)
+
+
+def gram_uniform(spec, q):
     """Gram matrix of phi_1..phi_q under the uniform density on [lo, hi].
 
     Exactly I_q / (hi - lo) when the margin is zero (orthonormal family on
@@ -158,33 +161,27 @@ def gram_uniform(spec, q, n_nodes=None):
     length = spec.hi - spec.lo
     if spec.extension_margin == 0.0:
         return np.eye(q) / length
-    if n_nodes is None:
-        n_nodes = quadrature.node_count(q)
-    x, w = quadrature.rule(spec.lo, spec.hi, n_nodes)
-    V = eval_matrix(spec, q, x)
-    H = V.T @ ((w / length)[:, None] * V)
-    return 0.5 * (H + H.T)
+    x, w = quadrature.rule(spec.lo, spec.hi, quadrature.node_count(q))
+    return weighted_gram(spec, q, x, w / length)
 
 
-def sup_sum_squares(spec, q, grid_size=10001):
+def sup_sum_squares(spec, q):
     """Max over a uniform grid of sum_{j<=q} phi_j(t)^2.
 
     Diagnostic for the basis-growth bound sup_t sum phi_j^2 <= C q^alpha.
     """
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    t = np.linspace(spec.lo, spec.hi, grid_size)
+    t = np.linspace(spec.lo, spec.hi, 10001)
     V = eval_matrix(spec, q, t)
     return float(np.max(np.sum(V * V, axis=1)))
 
 
-def projection_residual(m, spec, q, norm="L2", n_nodes=None, max_doublings=4):
+def projection_residual(m, spec, q, norm="L2", n_nodes=None):
     """Residual norm of m minus its projection onto span{phi_1..phi_q}.
 
     Coefficients are a_k = int m phi_k over the data domain; the residual is
     measured in L2 (quadrature) or sup norm (dense grid).  The computation
-    is repeated with doubled quadrature nodes until two consecutive values
-    agree to 1e-8.
+    is repeated with doubled quadrature nodes, at most four times, until two
+    consecutive values agree to 1e-8.
     """
     if norm not in ("L2", "sup"):
         raise ValueError("norm must be 'L2' or 'sup'")
@@ -204,7 +201,7 @@ def projection_residual(m, spec, q, norm="L2", n_nodes=None, max_doublings=4):
         return float(np.max(np.abs(np.asarray(m(grid), float) - Vg @ coef)))
 
     prev = residual(n_nodes)
-    for _ in range(max_doublings):
+    for _ in range(4):
         n_nodes *= 2
         cur = residual(n_nodes)
         if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):

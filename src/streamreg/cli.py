@@ -135,10 +135,7 @@ def _cmd_query(args):
     if args.kind == "estimate":
         values = reg.estimate(grid, rho)
     else:
-        if reg.density is None:
-            values = np.full(grid.size, 1.0 / (spec.hi - spec.lo))
-        else:
-            values = reg.density.evaluate_normalized(grid)
+        values = reg.density_at(grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", args.kind])

@@ -64,16 +64,12 @@ class DensityState:
         p = self.active_count
         if p < 1:
             raise StateError("density sketch has no active slot yet")
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        V = basis_mod.eval_matrix(self.basis, p, t)
-        out = V @ self.theta[:p]
-        return float(out[0]) if scalar else out
+        return basis_mod.series(self.basis, self.theta[:p], t)
 
-    def _clipped(self, spec, n_nodes):
-        """Quadrature rule on the domain of ``spec`` with the clipped density
-        max(0, f_hat) at its nodes and that density's integral z."""
-        x, w = quadrature.rule(spec.lo, spec.hi, n_nodes)
+    def _clipped(self, n_nodes):
+        """Quadrature rule on [lo, hi] with the clipped density max(0, f_hat)
+        at its nodes and that density's integral z."""
+        x, w = quadrature.rule(self.basis.lo, self.basis.hi, n_nodes)
         fx = np.maximum(self.evaluate(x), 0.0)
         z = float(np.dot(w, fx))
         if z <= 0.0:
@@ -82,21 +78,16 @@ class DensityState:
             )
         return x, w, fx, z
 
-    def _normalizer(self, n_nodes=None):
-        if n_nodes is None:
-            # the clipping kink limits quadrature accuracy, so use a dense rule
-            n_nodes = max(1 << 15, 8 * self.active_count)
-        return self._clipped(self.basis, n_nodes)[3]
-
-    def evaluate_normalized(self, t, n_nodes=None):
+    def evaluate_normalized(self, t):
         """Clipped-and-renormalized density: max(0, f_hat) / int max(0, f_hat)."""
-        z = self._normalizer(n_nodes)
+        # the clipping kink limits quadrature accuracy, so use a dense rule
+        z = self._clipped(max(1 << 15, 8 * self.active_count))[3]
         t = np.asarray(t, dtype=float)
         scalar = t.ndim == 0
         out = np.maximum(self.evaluate(np.atleast_1d(t)), 0.0) / z
         return float(out[0]) if scalar else out
 
-    def gram(self, reg_basis, q, n_nodes=None):
+    def gram(self, reg_basis, q):
         """Gram matrix H_q of the regression basis under the normalized density.
 
         Entries are int phi_j phi_l f_norm over the data domain by quadrature;
@@ -104,9 +95,5 @@ class DensityState:
         """
         if q < 1:
             raise ValueError("q must be >= 1")
-        if n_nodes is None:
-            n_nodes = quadrature.node_count(q, self.active_count)
-        x, w, fx, z = self._clipped(reg_basis, n_nodes)
-        V = basis_mod.eval_matrix(reg_basis, q, x)
-        H = V.T @ ((w * fx / z)[:, None] * V)
-        return 0.5 * (H + H.T)
+        x, w, fx, z = self._clipped(quadrature.node_count(q, self.active_count))
+        return basis_mod.weighted_gram(reg_basis, q, x, w * fx / z)

@@ -154,12 +154,20 @@ class OnePassRegressor:
 
     def estimate(self, t, rho):
         """Evaluate the current regression estimate at t (scalar or array)."""
-        coef = self.coefficients(rho)
+        return basis_mod.series(self.reg_basis, self.coefficients(rho), t)
+
+    def density_at(self, t):
+        """Predictor density at t (scalar or array): 1/(hi - lo) when it is
+        known to be uniform, the normalized sketch otherwise."""
+        if self.density is not None:
+            return self.density.evaluate_normalized(t)
+        spec = self.reg_basis
         t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        V = basis_mod.eval_matrix(self.reg_basis, coef.size, t)
-        out = V @ coef
-        return float(out[0]) if scalar else out
+        if not spec.contains(t):
+            raise DomainError(
+                f"evaluation points outside domain [{spec.lo}, {spec.hi}]")
+        value = 1.0 / (spec.hi - spec.lo)
+        return value if t.ndim == 0 else np.full(t.shape, value)
 
     def memory_footprint(self):
         """Exact count of reals held in the summary statistics."""
@@ -227,18 +235,31 @@ class OnePassRegressor:
             reg = cls(spec, penalty, schedule,
                       batch_size=record["batch_size"],
                       known_uniform_density=cfg["known_uniform_density"])
-            reg.n = int(record["n"])
-            reg.G = np.asarray(record["G"], dtype=float)
-            reg.start = np.asarray(record["start"], dtype=np.int64)
-            if reg.density is not None:
-                reg.density.n = reg.n
-                reg.density.theta = np.asarray(record["theta"], dtype=float)
-                reg.density.start = np.asarray(record["theta_start"],
-                                               dtype=np.int64)
-        except (KeyError, TypeError, ValueError) as exc:
+            n = record["n"]
+            G = np.asarray(record["G"], dtype=float)
+            start = np.asarray(record["start"], dtype=np.int64)
+            theta = np.asarray(record["theta"], dtype=float)
+            theta_start = np.asarray(record["theta_start"], dtype=np.int64)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
-        if reg.G.size != reg.start.size:
-            raise CheckpointError("checkpoint G/start length mismatch")
+        if type(n) is not int or n < 0:  # bool is an int subclass
+            raise CheckpointError(
+                f"checkpoint n must be a non-negative integer, got {n!r}")
+        no_slots = np.zeros(0, dtype=np.int64)
+        if not np.array_equal(
+                start, schedule.extend(no_slots, n) if n else no_slots):
+            raise CheckpointError("checkpoint start does not match the schedule")
+        sketch = no_slots if reg.density is None else start
+        if (G.shape, theta.shape) != (start.shape, sketch.shape) \
+                or not np.array_equal(theta_start, sketch):
+            raise CheckpointError("checkpoint G, theta or theta_start do not "
+                                  "match the slots")
+        if not (np.isfinite(G).all() and np.isfinite(theta).all()):
+            raise CheckpointError("checkpoint G or theta holds non-finite values")
+        reg.n, reg.G, reg.start = n, G, start
+        if reg.density is not None:
+            reg.density.n = reg.n
+            reg.density.theta, reg.density.start = theta, theta_start
         return reg
 
 

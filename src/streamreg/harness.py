@@ -35,6 +35,9 @@ _M3_GRID_LOG2 = 21
 
 EXTENSION_MARGINS = {"m1": 0.1, "m2": 0.1, "m3": 0.0}
 
+# Every experiment fits with the roughness penalty and a density sketch.
+PENALTY = PenaltySpec("roughness")
+
 REPORT_COLUMNS = ("method", "target", "n", "rmise", "q_mean",
                   "mem_units_mean", "wall_ms", "failures")
 
@@ -158,9 +161,9 @@ def rmise(ise_values):
     return float(np.sqrt(np.mean(ise_values)))
 
 
-def integrated_squared_error(predict, target, n_nodes=2048):
+def integrated_squared_error(predict, target):
     """int_0^1 (m - m_hat)^2 by quadrature; ``predict`` maps t-array to values."""
-    x, w = quadrature.rule(0.0, 1.0, n_nodes)
+    x, w = quadrature.rule(0.0, 1.0, 2048)
     fn = TARGETS[target] if isinstance(target, str) else target
     diff = fn(x) - predict(x)
     return float(np.dot(w, diff * diff))
@@ -197,12 +200,6 @@ class ExperimentReport:
             )
 
 
-def _scenario_basis(sc, margin=None):
-    if margin is None:
-        margin = EXTENSION_MARGINS[sc.target]
-    return BasisSpec(0.0, 1.0, extension_margin=margin)
-
-
 def _replicate_data(sc, replicate):
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, replicate]))
     ts = rng.uniform(0.0, 1.0, sc.n)
@@ -214,8 +211,7 @@ def _replicate_data(sc, replicate):
 
 
 def run_experiment(sc, checkpoints, method="streaming", grid=None,
-                   mem_cap=None, known_density=False, fixed_h=None,
-                   penalty=None, method_label=None):
+                   mem_cap=None, fixed_h=None, method_label=None):
     """Tune, stream, and record RMISE at each checkpoint.
 
     Every replicate selects (C_rho, h) by cross-validation on its warm-up
@@ -235,9 +231,7 @@ def run_experiment(sc, checkpoints, method="streaming", grid=None,
         grid = TuningGrid(n0=min(1000, sc.n))
     if fixed_h is not None:
         grid = replace(grid, h_grid=(fixed_h,))
-    if penalty is None:
-        penalty = PenaltySpec("roughness")
-    spec = _scenario_basis(sc)
+    spec = BasisSpec(0.0, 1.0, extension_margin=EXTENSION_MARGINS[sc.target])
 
     ise = {c: [] for c in checkpoints}
     q_sum = {c: 0.0 for c in checkpoints}
@@ -249,17 +243,16 @@ def run_experiment(sc, checkpoints, method="streaming", grid=None,
         ts, ys = _replicate_data(sc, r)
         try:
             C_rho, h, _ = cv_select(ts[: grid.n0], ys[: grid.n0], grid,
-                                    penalty, spec, n_deploy=sc.n,
+                                    PENALTY, spec, n_deploy=sc.n,
                                     mem_cap=mem_cap)
             sched = SchedulerConfig(h=h, mem_cap=mem_cap)
             if method == "streaming":
-                reg = OnePassRegressor(spec, penalty, sched, batch_size=sc.B,
-                                       known_uniform_density=known_density)
+                reg = OnePassRegressor(spec, PENALTY, sched, batch_size=sc.B)
                 for lo in range(0, sc.n, sc.B):
                     reg.ingest(ts[lo: lo + sc.B], ys[lo: lo + sc.B])
                     n_seen = reg.n
                     if n_seen in ise:
-                        rho = rho_at(C_rho, h, n_seen, grid.zeta)
+                        rho = rho_at(C_rho, h, n_seen, PENALTY.zeta)
                         ise[n_seen].append(integrated_squared_error(
                             lambda x: reg.estimate(x, rho), sc.target))
                         q_sum[n_seen] += reg.active_count
@@ -269,11 +262,10 @@ def run_experiment(sc, checkpoints, method="streaming", grid=None,
             else:
                 for c in checkpoints:
                     q = sched.active_count(c)
-                    rho = rho_at(C_rho, h, c, grid.zeta)
-                    coef = batch_fit(ts[:c], ys[:c], spec, q, rho, penalty)
+                    rho = rho_at(C_rho, h, c, PENALTY.zeta)
+                    coef = batch_fit(ts[:c], ys[:c], spec, q, rho, PENALTY)
                     ise[c].append(integrated_squared_error(
-                        lambda x: basis_mod.eval_matrix(spec, q, x) @ coef,
-                        sc.target))
+                        lambda x: basis_mod.series(spec, coef, x), sc.target))
                     q_sum[c] += q
                     mem_sum[c] += 0.0
         except StreamRegError:

@@ -79,14 +79,14 @@ def build_m_omega(inst):
     return m_omega
 
 
-def holder_constant_estimate(inst, grid_size=20001):
+def holder_constant_estimate(inst):
     """Finite-difference estimate of the order-beta Holder constant of m_omega.
 
     Used to confirm numerically that the chosen c_K keeps the encoded
     function within the smoothness class of parameter chi.
     """
     m = build_m_omega(inst)
-    t = np.linspace(0.0, 1.0, grid_size)
+    t = np.linspace(0.0, 1.0, 20001)
     v = m(t)
     dt = t[1] - t[0]
     nu = int(np.ceil(inst.beta)) - 1
@@ -94,9 +94,9 @@ def holder_constant_estimate(inst, grid_size=20001):
     return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))
 
 
-def _protocol_engine(mem_cap=None, h=1.0 / 3.0, batch_size=100):
+def _protocol_engine(mem_cap=None, batch_size=100):
     spec = BasisSpec(0.0, 1.0, extension_margin=0.0)
-    sched = SchedulerConfig(h=h, mem_cap=mem_cap)
+    sched = SchedulerConfig(h=1.0 / 3.0, mem_cap=mem_cap)
     return OnePassRegressor(spec, PenaltySpec("identity"), sched,
                             batch_size=batch_size,
                             known_uniform_density=True)
@@ -125,17 +125,17 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD,
     return reg.checkpoint_json(), reg.memory_footprint()
 
 
-def bob_decode(payload, k, beta=1.0, chi=1.0, M=1.0, c_K=0.1, rho=0.0):
+def bob_decode(payload, k, beta=1.0, chi=1.0, M=1.0, c_K=0.1):
     """Decode the bit vector from a received checkpoint.
 
-    Bit j is 1 iff the reconstructed estimate exceeds half the peak
-    amplitude at the j-th bump center (strict inequality; exact ties
+    Bit j is 1 iff the unpenalized reconstructed estimate exceeds half the
+    peak amplitude at the j-th bump center (strict inequality; exact ties
     decode to 0).
     """
     reg = OnePassRegressor.from_checkpoint(payload)
     inst = HypercubeInstance(k=k, omega=(0,) * k, beta=beta, chi=chi,
                              M=M, c_K=c_K)
-    values = reg.estimate(inst.centers, rho)
+    values = reg.estimate(inst.centers, 0.0)
     return tuple(int(v > inst.peak / 2.0) for v in values)
 
 

@@ -4,35 +4,28 @@ Trigonometric integrands need node counts proportional to the highest
 frequency involved, so callers size the rule via ``node_count``.
 """
 
-from functools import lru_cache
-
 import numpy as np
 
 NODES_PER_PANEL = 16
 
-
-@lru_cache(maxsize=8)
-def _reference_rule(order):
-    x, w = np.polynomial.legendre.leggauss(order)
-    return x, w
+_REF_X, _REF_W = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
 
-def rule(lo, hi, n_nodes, nodes_per_panel=NODES_PER_PANEL):
+def rule(lo, hi, n_nodes):
     """Nodes and weights of a composite Gauss-Legendre rule on [lo, hi].
 
-    The interval is split into equal panels of ``nodes_per_panel``-point
+    The interval is split into equal panels of ``NODES_PER_PANEL``-point
     Gauss rules; the total node count is rounded up to a whole number of
     panels.
     """
     if hi <= lo:
         raise ValueError("empty integration interval")
-    n_panels = max(1, -(-int(n_nodes) // nodes_per_panel))
-    xr, wr = _reference_rule(nodes_per_panel)
+    n_panels = max(1, -(-int(n_nodes) // NODES_PER_PANEL))
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * xr[None, :]).ravel()
-    w = (half[:, None] * wr[None, :]).ravel()
+    x = (mid[:, None] + half[:, None] * _REF_X[None, :]).ravel()
+    w = (half[:, None] * _REF_W[None, :]).ravel()
     return x, w
 
 

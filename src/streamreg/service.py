@@ -92,9 +92,7 @@ class StreamRegistry:
             if kind == "estimate":
                 return {"value": reg.estimate(float(t), self._rho(reg))}
             if kind == "density":
-                if reg.density is None:
-                    return {"value": 1.0 / (reg.reg_basis.hi - reg.reg_basis.lo)}
-                return {"value": reg.density.evaluate_normalized(float(t))}
+                return {"value": reg.density_at(float(t))}
             raise ValueError(f"unknown query kind {kind!r}")
 
     def _rho(self, reg):
@@ -106,6 +104,8 @@ class StreamRegistry:
 def handle_request(registry, request):
     """Dispatch one decoded request dict to a response dict."""
     try:
+        if not isinstance(request, dict):
+            raise ValueError("request must be a JSON object")
         op = request.get("op")
         if op == "ingest":
             result = registry.ingest(request["stream_id"], request["points"])

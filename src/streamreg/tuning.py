@@ -1,9 +1,11 @@
 """Semi data-driven selection of (C_rho, h) on a warm-up prefix.
 
 The penalty level follows the schedule rho = C_rho * n^(-((2*zeta-1)h+1)/2),
-which specializes to C_rho * n^(-(7h+1)/2) for the Fourier roughness penalty
-(zeta = 4).  The pair (C_rho, h) is chosen by J-fold cross-validation of the
-non-streaming fit on the first n0 observations.
+where zeta is the growth exponent of the penalty's spectrum, taken from
+``PenaltySpec.zeta``: the Fourier roughness penalty has zeta = 4, giving
+C_rho * n^(-(7h+1)/2), and the identity has zeta = 0.  The pair (C_rho, h) is
+chosen by J-fold cross-validation of the non-streaming fit on the first n0
+observations.
 """
 
 import csv
@@ -31,7 +33,6 @@ class TuningGrid:
     h_grid: tuple = DEFAULT_H_GRID
     J: int = 5
     n0: int = 1000
-    zeta: float = 4.0
 
     def __post_init__(self):
         if len(self.C_rho_grid) == 0 or len(self.h_grid) == 0:
@@ -87,7 +88,7 @@ def cv_table(ts, ys, grid, penalty, spec):
     for C_rho in grid.C_rho_grid:
         for h in grid.h_grid:
             q = SchedulerConfig(h=h).active_count(grid.n0)
-            rho = rho_at(C_rho, h, grid.n0, grid.zeta)
+            rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
             fold_cv = []
             try:
                 for j in range(grid.J):

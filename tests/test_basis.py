@@ -106,7 +106,7 @@ class TestSupSumSquares:
         assert sup_sum_squares(UNIT, 1) == pytest.approx(1.0)
 
     def test_trig_identity_q3(self):
-        assert sup_sum_squares(UNIT, 3, grid_size=10001) == pytest.approx(3.0, abs=1e-6)
+        assert sup_sum_squares(UNIT, 3) == pytest.approx(3.0, abs=1e-6)
 
     @pytest.mark.parametrize("k", [1, 2, 5, 10])
     def test_trig_identity_any_odd_q(self, k):

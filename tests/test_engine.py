@@ -220,6 +220,33 @@ class TestCheckpoint:
         del record["G"]
         with pytest.raises(CheckpointError):
             OnePassRegressor.from_checkpoint(record)
+        # records that parse but disagree with the schedule, with the sketch
+        # or with finiteness; the unmutated records load
+        sketch, known = make_engine(known=False), make_engine(known=True)
+        for eng in (sketch, known):
+            feed(eng, *sample(5000, 15, np.sin))
+        good, good_known = sketch.checkpoint(), known.checkpoint()
+        G, start = good["G"], good["start"]
+        theta, theta_start = good["theta"], good["theta_start"]
+        bad = [dict(n=-5), dict(n=4999.7), dict(n=True), dict(n=0),
+               dict(G=[float("nan")] + G[1:]),
+               dict(theta=theta[:-1] + [float("inf")]),
+               dict(theta=theta[:-1]),
+               dict(theta_start=theta_start[:-1]),
+               dict(theta_start=theta_start[:-1] + [theta_start[-1] + 1]),
+               dict(start=start[:-1] + [start[-1] + 1]),
+               dict(start=start[:-1] + [10 ** 30]),
+               dict(G=G[:-1], start=start[:-1], theta=theta[:-1],
+                    theta_start=theta_start[:-1])]
+        for fields in bad:
+            with pytest.raises(CheckpointError):
+                OnePassRegressor.from_checkpoint({**good, **fields})
+        for fields in (dict(theta=[0.0] * len(G)), dict(theta_start=start)):
+            with pytest.raises(CheckpointError):
+                OnePassRegressor.from_checkpoint({**good_known, **fields})
+        for record in (good, good_known, make_engine(known=False).checkpoint()):
+            assert OnePassRegressor.from_checkpoint(record).checkpoint() \
+                == record
 
 
 class TestBatchFit:

@@ -1,11 +1,15 @@
 import csv
 import json
+import socket
 import threading
 
 import numpy as np
 import pytest
 
+from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
+from streamreg.engine import OnePassRegressor
+from streamreg.scheduler import SchedulerConfig
 from streamreg.service import (ServiceClient, ServiceConfig, StreamRegistry,
                                StreamService, handle_request)
 
@@ -54,6 +58,22 @@ class TestRegistry:
         resp = handle_request(registry, {"op": "query", "stream_id": "a",
                                          "kind": "density", "t": 0.3})
         assert resp == {"ok": True, "value": 1.0}
+        outside = handle_request(registry, {"op": "query", "stream_id": "a",
+                                            "kind": "density", "t": 5.0})
+        assert (outside["ok"], outside["error"]) == (False, "validation")
+
+    def test_density_query_matches_sketch(self):
+        registry = StreamRegistry(ServiceConfig())
+        ts = np.random.default_rng(3).uniform(0, 1, 500)
+        handle_request(registry, {"op": "ingest", "stream_id": "a",
+                                  "points": np.c_[ts, np.sin(ts)].tolist()})
+        reg = OnePassRegressor(BasisSpec(0.0, 1.0), PenaltySpec("roughness"),
+                               SchedulerConfig())
+        reg.ingest(ts, np.sin(ts))
+        resp = handle_request(registry, {"op": "query", "stream_id": "a",
+                                         "kind": "density", "t": 0.3})
+        assert resp == {"ok": True,
+                        "value": reg.density.evaluate_normalized(0.3)}
 
     def test_error_kinds(self, registry):
         missing = handle_request(registry, {"op": "query", "stream_id": "x",
@@ -139,11 +159,29 @@ class TestSocketService:
             server.shutdown()
             server.server_close()
 
+    def test_non_object_line_keeps_connection_alive(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        server.serve_background()
+        try:
+            with socket.create_connection(server.address) as sock:
+                fh = sock.makefile("rwb")
+                for line in (b"[1, 2]", b'"x"', b"1"):
+                    fh.write(line + b"\n")
+                    fh.flush()
+                    resp = json.loads(fh.readline())
+                    assert (resp["ok"], resp["error"]) == (False, "request")
+                fh.write(b'{"op": "ingest", "stream_id": "s", '
+                         b'"points": [[0.5, 1.0]]}\n')
+                fh.flush()
+                assert json.loads(fh.readline()) == {"ok": True, "n": 1}
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_malformed_line_reports_error(self):
         server = StreamService(ServiceConfig())
         server.serve_background()
         try:
-            import socket
             host, port = server.address
             with socket.create_connection((host, port)) as sock:
                 fh = sock.makefile("rwb")
@@ -188,6 +226,33 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 11
         assert all(np.isfinite(float(r["estimate"])) for r in rows)
+        capsys.readouterr()
+
+    def test_query_density_of_sketch(self, tmp_path, capsys):
+        data, ckpt, out = (tmp_path / name
+                           for name in ("s.csv", "c.json", "d.csv"))
+        write_stream_csv(data)
+        main(["ingest-csv", "--input", str(data), "--checkpoint", str(ckpt)])
+        assert main(["query", "--checkpoint", str(ckpt), "--kind", "density",
+                     "--grid", "11", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [float(r["density"]) for r in csv.DictReader(fh)]
+        reg = OnePassRegressor.from_checkpoint(ckpt.read_text())
+        assert rows == reg.density.evaluate_normalized(
+            np.linspace(0.0, 1.0, 11)).tolist()
+        capsys.readouterr()
+
+    def test_query_density_known_uniform(self, tmp_path, capsys):
+        ckpt, out = tmp_path / "c.json", tmp_path / "d.csv"
+        reg = OnePassRegressor(BasisSpec(-1.0, 3.0), PenaltySpec("roughness"),
+                               SchedulerConfig(), known_uniform_density=True)
+        reg.ingest(np.linspace(-1.0, 3.0, 50), np.ones(50))
+        ckpt.write_text(reg.checkpoint_json())
+        assert main(["query", "--checkpoint", str(ckpt), "--kind", "density",
+                     "--grid", "7", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [float(r["density"]) for r in csv.DictReader(fh)]
+        assert rows == [0.25] * 7
         capsys.readouterr()
 
     def test_query_output_is_deterministic(self, tmp_path, capsys):

@@ -85,6 +85,13 @@ class TestCvTable:
             cv += resid @ resid
         assert rows[0]["cv"] == pytest.approx(cv, rel=1e-12)
 
+    def test_rho_follows_the_penalty_exponent(self):
+        ts, ys = noisy_sample(300, 4)
+        grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25, 1 / 3), n0=300)
+        for pen, zeta in ((ROUGH, 4.0), (IDENT, 0.0)):
+            for r in cv_table(ts, ys, grid, pen, UNIT):
+                assert r["rho"] == rho_at(r["C_rho"], r["h"], 300, zeta)
+
     def test_short_sample_rejected(self):
         ts, ys = noisy_sample(50, 2)
         with pytest.raises(ValueError):
