@@ -95,26 +95,32 @@ def eval_matrix(spec, q, t, check_domain=True):
     return out
 
 
-def eval_basis(spec, j, t):
-    """Evaluate a single basis function phi_j at t (scalar in, scalar out)."""
-    if j < 1:
-        raise DomainError("basis index j must be >= 1")
-    scalar = np.isscalar(t)
-    vals = eval_matrix(spec, j, t)[:, j - 1]
-    return float(vals[0]) if scalar else vals
-
-
-def eval_vector(spec, q, t):
-    """The column vector (phi_1(t), ..., phi_q(t)) for a scalar t."""
-    return eval_matrix(spec, q, t)[0]
-
-
 def series(spec, coef, t):
     """The series sum_j coef_j phi_j(t); a scalar t gives a float, an array
-    t an array."""
+    t an array of its shape.
+
+    An array is evaluated without the (len(t), q) basis matrix: with
+    c_0 = coef_1 / sqrt(2) and c_k = coef_{2k} - i coef_{2k+1}, the series is
+    sqrt(2/P) Re sum_k c_k z^k for z = exp(2 pi i (t - origin) / P), summed
+    by Horner's rule in z.  A scalar t keeps the basis-vector product.
+    """
     t = np.asarray(t, dtype=float)
-    out = eval_matrix(spec, coef.size, t) @ coef
-    return float(out[0]) if t.ndim == 0 else out
+    q = coef.size
+    if t.ndim == 0:
+        return float((eval_matrix(spec, q, t) @ coef)[0])
+    if q < 1:
+        raise DomainError("basis count q must be >= 1")
+    t = _check_points(spec, t)
+    c = np.zeros(q // 2 + 1, dtype=complex)
+    c[0] = coef[0] * np.sqrt(0.5)
+    c.real[1:] = coef[1::2]
+    c.imag[1:(q + 1) // 2] = -coef[2::2]
+    z = np.exp((2j * np.pi / spec.period) * (t - spec.origin))
+    acc = np.full(t.shape, c[-1])
+    for ck in c[-2::-1]:
+        acc *= z
+        acc += ck
+    return np.sqrt(2.0 / spec.period) * acc.real
 
 
 def second_derivative_matrix(spec, q, t):

@@ -26,6 +26,7 @@ class DensityState:
         self.n = 0
         self.theta = np.zeros(0)
         self.start = np.zeros(0, dtype=np.int64)
+        self._z = None  # normalizer of the clipped density; reset by update
 
     @property
     def active_count(self):
@@ -58,6 +59,7 @@ class DensityState:
         counts_new = np.maximum(slot_counts(start, n_new), 1)
         self.theta = (slot_counts(start, n_old) * theta + sums) / counts_new
         self.start, self.n = start, n_new
+        self._z = None
 
     def evaluate(self, t):
         """Raw series estimate f_hat(t) over the active slots."""
@@ -66,11 +68,11 @@ class DensityState:
             raise StateError("density sketch has no active slot yet")
         return basis_mod.series(self.basis, self.theta[:p], t)
 
-    def _clipped(self, n_nodes):
+    def _clipped(self, n_nodes, evaluate):
         """Quadrature rule on [lo, hi] with the clipped density max(0, f_hat)
-        at its nodes and that density's integral z."""
+        at its nodes, f_hat taken from ``evaluate``, and its integral z."""
         x, w = quadrature.rule(self.basis.lo, self.basis.hi, n_nodes)
-        fx = np.maximum(self.evaluate(x), 0.0)
+        fx = np.maximum(evaluate(x), 0.0)
         z = float(np.dot(w, fx))
         if z <= 0.0:
             raise DegenerateDensityError(
@@ -79,13 +81,16 @@ class DensityState:
         return x, w, fx, z
 
     def evaluate_normalized(self, t):
-        """Clipped-and-renormalized density: max(0, f_hat) / int max(0, f_hat)."""
-        # the clipping kink limits quadrature accuracy, so use a dense rule
-        z = self._clipped(max(1 << 15, 8 * self.active_count))[3]
-        t = np.asarray(t, dtype=float)
-        scalar = t.ndim == 0
-        out = np.maximum(self.evaluate(np.atleast_1d(t)), 0.0) / z
-        return float(out[0]) if scalar else out
+        """Clipped-and-renormalized density: max(0, f_hat) / int max(0, f_hat).
+
+        The normalizer is computed once per update and reused until the next.
+        """
+        if self._z is None:
+            # the clipping kink limits quadrature accuracy, so use a dense rule
+            self._z = self._clipped(max(1 << 15, 8 * self.active_count),
+                                    self.evaluate)[3]
+        out = np.maximum(self.evaluate(t), 0.0) / self._z
+        return float(out) if np.ndim(t) == 0 else out
 
     def gram(self, reg_basis, q):
         """Gram matrix H_q of the regression basis under the normalized density.
@@ -95,5 +100,13 @@ class DensityState:
         """
         if q < 1:
             raise ValueError("q must be >= 1")
-        x, w, fx, z = self._clipped(quadrature.node_count(q, self.active_count))
+        p = self.active_count
+        if p < 1:
+            raise StateError("density sketch has no active slot yet")
+        # The solved coefficients, and so every estimate, follow this matrix
+        # to the last bit, so f_hat is the basis-matrix product here, not the
+        # Horner sum that ``evaluate`` uses on arrays.
+        x, w, fx, z = self._clipped(
+            quadrature.node_count(q, p),
+            lambda x: basis_mod.eval_matrix(self.basis, p, x) @ self.theta[:p])
         return basis_mod.weighted_gram(reg_basis, q, x, w * fx / z)

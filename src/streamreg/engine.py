@@ -242,12 +242,15 @@ class OnePassRegressor:
             theta_start = np.asarray(record["theta_start"], dtype=np.int64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
-        if type(n) is not int or n < 0:  # bool is an int subclass
+        # bool is an int subclass; n must fit the int64 slot arithmetic
+        if type(n) is not int or not 0 <= n < 2 ** 63:
             raise CheckpointError(
-                f"checkpoint n must be a non-negative integer, got {n!r}")
+                f"checkpoint n must be an integer in [0, 2**63), got {n!r}")
+        # compare sizes first, so a huge n never builds its tau list
         no_slots = np.zeros(0, dtype=np.int64)
-        if not np.array_equal(
-                start, schedule.extend(no_slots, n) if n else no_slots):
+        if start.size != (schedule.slot_count(n) if n else 0) \
+                or not np.array_equal(
+                    start, schedule.extend(no_slots, n) if n else no_slots):
             raise CheckpointError("checkpoint start does not match the schedule")
         sketch = no_slots if reg.density is None else start
         if (G.shape, theta.shape) != (start.shape, sketch.shape) \

@@ -50,20 +50,6 @@ def m2(t):
     return np.abs(np.asarray(t, dtype=float) - 0.4)
 
 
-def m3_partial_sum(t, k_max=M3_TERMS, chunk=4096):
-    """Direct truncated series evaluation; oracle-grade but slow."""
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.full(t.shape, 1.0)  # j = 1 term
-    freqs = np.arange(1, k_max // 2 + 1)
-    for lo in range(0, freqs.size, chunk):
-        ks = freqs[lo: lo + chunk]
-        ang = 2.0 * np.pi * np.outer(t, ks)
-        c_coef = (2.0 * ks) ** -1.5
-        s_coef = np.where(2 * ks + 1 <= k_max, (2.0 * ks + 1.0) ** -1.5, 0.0)
-        out += np.cos(ang) @ c_coef + np.sin(ang) @ s_coef
-    return out
-
-
 _m3_table = None
 
 
@@ -134,23 +120,6 @@ def noise_sigma(sc):
     if sc.noiseless:
         return 0.0
     return float(np.sqrt(signal_power(sc.target) / sc.snr))
-
-
-def generate_stream(sc, rng=None):
-    """Yield (t, y) batches of size B; deterministic given the seed."""
-    if rng is None:
-        rng = np.random.default_rng(sc.seed)
-    sigma = noise_sigma(sc)
-    fn = TARGETS[sc.target]
-    produced = 0
-    while produced < sc.n:
-        size = min(sc.B, sc.n - produced)
-        ts = rng.uniform(0.0, 1.0, size)
-        ys = fn(ts)
-        if sigma > 0:
-            ys = ys + rng.normal(0.0, sigma, size)
-        produced += size
-        yield ts, ys
 
 
 def rmise(ise_values):

@@ -90,12 +90,17 @@ class SchedulerConfig:
         return max(1, q)
 
     def slot_count(self, n):
-        """Number of slots (active plus pre-estimating) open at time n."""
+        """Number of slots (active plus pre-estimating) open at time n: the
+        largest j >= q0 with tau(j) <= n, capped."""
         if self.fixed_q is not None:
             return self.fixed_q
-        j = max(1, self.q0)
+        # tau(j) <= n roughly when (C_q*j)^(1/h) < (n + 1)/c_circ; step from
+        # that root to the exact answer, which tau being monotone makes unique
+        j = max(self.q0, int(((n + 1) / self.c_circ) ** self.h / self.C_q))
         while self.tau(j + 1) <= n:
             j += 1
+        while j > self.q0 and self.tau(j) > n:
+            j -= 1
         if self.cap_q is not None:
             j = min(j, self.cap_q)
         return j

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from streamreg.basis import (BasisSpec, PenaltySpec, eval_basis, eval_matrix,
-                             eval_vector, gram_uniform, penalty_matrix,
-                             projection_residual, sup_sum_squares)
+from oracles import eval_basis, eval_vector
+from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix, gram_uniform,
+                             penalty_matrix, projection_residual, series,
+                             sup_sum_squares)
 from streamreg.errors import DomainError
 from streamreg import quadrature
 
@@ -162,3 +163,37 @@ class TestGramUniform:
         oracle = V.T @ (w[:, None] * V)
         np.testing.assert_allclose(H, oracle, atol=1e-8)
         assert np.linalg.eigvalsh(H).min() >= -1e-8
+
+
+class TestSeries:
+    """``series`` against the basis-matrix product it replaces."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 3.0)])
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("q", [1, 2, 3, 92, 93, 901])
+    def test_array_matches_matrix_oracle(self, lo, hi, margin, q):
+        spec = BasisSpec(lo, hi, extension_margin=margin)
+        rng = np.random.default_rng(q)
+        coef = rng.normal(size=q) / np.arange(1, q + 1)
+        t = np.concatenate([[lo, hi], rng.uniform(lo, hi, 500)])
+        oracle = eval_matrix(spec, q, t) @ coef
+        got = series(spec, coef, t)
+        assert got.shape == t.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
+    @pytest.mark.parametrize("q", [1, 2, 92, 93])
+    def test_scalar_is_byte_identical(self, spec, q):
+        coef = np.random.default_rng(q).normal(size=q)
+        for t in (0.0, 0.3, 1.0):
+            got = series(spec, coef, t)
+            assert type(got) is float
+            assert got == (eval_matrix(spec, q, t) @ coef)[0]
+
+    def test_out_of_domain_rejected(self):
+        coef = np.ones(5)
+        for t in ([0.5, 1.5], [-0.1], np.array([[0.2], [2.0]])):
+            with pytest.raises(DomainError):
+                series(UNIT, coef, t)
+        with pytest.raises(DomainError):
+            series(UNIT, np.zeros(0), [0.5])

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from streamreg import quadrature
-from streamreg.basis import BasisSpec, eval_matrix
+from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
 from streamreg.density import DensityState
+from streamreg.engine import OnePassRegressor
 from streamreg.errors import DegenerateDensityError, DomainError, StateError
 from streamreg.scheduler import SchedulerConfig
 
@@ -149,6 +152,37 @@ class TestNormalized:
             state.update(rng.beta(2, 3, 100))
         total = quadrature.integrate(state.evaluate_normalized, 0, 1, 1 << 16)
         assert total == pytest.approx(1.0, abs=1e-8)
+
+    def test_cached_normalizer_follows_every_ingest(self):
+        # the live engine reuses its normalizer between ingests; a reloaded
+        # copy computes it afresh
+        rng = np.random.default_rng(12)
+        eng = OnePassRegressor(UNIT, PenaltySpec("roughness"),
+                               SchedulerConfig())
+        grid = np.array([0.0, 0.3, 0.77, 1.0])
+        # 1-point batches, and batches that open slots strictly inside them
+        for size in [1] * 8 + [500, 1, 2000, 1, 7000]:
+            eng.ingest(rng.beta(2, 3, size), rng.normal(size=size))
+            copy = OnePassRegressor.from_checkpoint(eng.checkpoint_json())
+            for _ in range(2):
+                np.testing.assert_array_equal(eng.density_at(grid),
+                                              copy.density_at(grid))
+                assert eng.density_at(0.3) == copy.density_at(0.3)
+
+    def test_normalizer_builds_no_basis_matrix(self):
+        # a (32768 x q) basis matrix at q = 92 alone takes 24 MB
+        rng = np.random.default_rng(13)
+        state = make_state()
+        for _ in range(100):
+            state.update(rng.uniform(0, 1, 1000))
+        assert state.active_count == 92
+        tracemalloc.start()
+        try:
+            state.evaluate_normalized(0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestGram:

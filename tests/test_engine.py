@@ -229,6 +229,7 @@ class TestCheckpoint:
         G, start = good["G"], good["start"]
         theta, theta_start = good["theta"], good["theta_start"]
         bad = [dict(n=-5), dict(n=4999.7), dict(n=True), dict(n=0),
+               dict(n=10 ** 18), dict(n=10 ** 400),
                dict(G=[float("nan")] + G[1:]),
                dict(theta=theta[:-1] + [float("inf")]),
                dict(theta=theta[:-1]),

@@ -3,10 +3,11 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import generate_stream, m3_partial_sum
 from streamreg import quadrature
-from streamreg.harness import (ExperimentReport, Scenario, generate_stream,
+from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
-                               m2, m3, m3_partial_sum, noise_sigma,
+                               m2, m3, noise_sigma,
                                phase_transition_experiment, rate_experiment,
                                rmise, run_experiment, signal_power,
                                target_eval)

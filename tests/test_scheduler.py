@@ -1,3 +1,5 @@
+import bisect
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +81,52 @@ class TestSchedule:
                        dict(fixed_q=0)):
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
+
+
+class TauList:
+    """The explicit tau list tau(1), ..., tau(length), built on access."""
+
+    def __init__(self, sched, length):
+        self.sched, self.length = sched, length
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, i):
+        return self.sched.tau(i + 1)
+
+
+def slot_count_oracle(sched, taus, n):
+    """max{j >= q0 : tau(j) <= n} from a tau list, capped."""
+    j = max(sched.q0, bisect.bisect_right(taus, n))
+    return j if sched.cap_q is None else min(j, sched.cap_q)
+
+
+class TestSlotCountClosedForm:
+    CONFIGS = list(itertools.product(
+        (1 / 3, 0.4, 0.5), (None, 5, 30), ((0.5, 0.5, 5), (0.3, 0.8, 2))))
+
+    @pytest.mark.parametrize("h, mem_cap, shape", CONFIGS)
+    def test_agrees_with_tau_list(self, h, mem_cap, shape):
+        C_q, c_circ, q0 = shape
+        sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
+                                mem_cap=mem_cap)
+        taus = []
+        while not taus or taus[-1] <= 2_000_000:
+            taus.append(sched.tau(len(taus) + 1))
+        # every n up to 2e4, and both sides of every step up to 2e6
+        ns = set(range(20_001))
+        ns.update(n for tau in taus for n in (tau - 1, tau, tau + 1))
+        for n in sorted(ns):
+            assert sched.slot_count(n) == slot_count_oracle(sched, taus, n), n
+        # sampled n up to 1e15, at random points and on both sides of steps
+        lazy = TauList(sched, 10 ** 10)
+        rng = np.random.default_rng(0)
+        ns = [int(n) for n in 10.0 ** rng.uniform(6.3, 15, 100)]
+        steps = [bisect.bisect_right(lazy, n) for n in ns[:30]]
+        ns += [sched.tau(j) + d for j in steps for d in (-1, 0)]
+        for n in ns:
+            assert sched.slot_count(n) == slot_count_oracle(sched, lazy, n), n
 
 
 def replay_ledger(sched, ts, ys):

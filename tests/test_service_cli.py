@@ -178,6 +178,32 @@ class TestSocketService:
             server.shutdown()
             server.server_close()
 
+    def test_density_follows_ingest_over_tcp(self):
+        server = StreamService(ServiceConfig())
+        server.serve_background()
+        rng = np.random.default_rng(21)
+        try:
+            client = ServiceClient(*server.address)
+            fresh_batches = []
+            # skewed data, so the sketch is clipped and the normalizer moves
+            for size in (300, 700):
+                ts = rng.beta(2, 3, size)
+                client.request(op="ingest", stream_id="s",
+                               points=np.c_[ts, np.sin(ts)].tolist())
+                fresh_batches.append(ts)
+                resp = client.request(op="query", stream_id="s",
+                                      kind="density", t=0.3)
+                fresh = OnePassRegressor(BasisSpec(0.0, 1.0),
+                                         PenaltySpec("roughness"),
+                                         SchedulerConfig())
+                for batch in fresh_batches:
+                    fresh.ingest(batch, np.sin(batch))
+                assert resp == {"ok": True, "value": fresh.density_at(0.3)}
+            client.close()
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_malformed_line_reports_error(self):
         server = StreamService(ServiceConfig())
         server.serve_background()
