@@ -77,7 +77,14 @@ def _check_points(spec, t):
 
 
 def eval_matrix(spec, q, t, check_domain=True):
-    """Evaluate phi_1..phi_q at the points t; returns an (len(t), q) array."""
+    """Evaluate phi_1..phi_q at the points t; returns an (len(t), q) array.
+
+    The trig columns come from one complex exponential per point: with
+    z = exp(2 pi i (t - origin) / P), the powers z^k, k = 1..q/2, are a
+    cumulative product along the row, and (Re z^k, Im z^k) scaled by
+    sqrt(2/P) are (phi_{2k}, phi_{2k+1}).  Each row depends on its own t
+    only, so the result does not depend on how points are batched.
+    """
     if q < 1:
         raise DomainError("basis count q must be >= 1")
     t = _check_points(spec, t) if check_domain else np.atleast_1d(np.asarray(t, float))
@@ -85,13 +92,12 @@ def eval_matrix(spec, q, t, check_domain=True):
     out = np.empty((t.size, q))
     out[:, 0] = 1.0 / np.sqrt(P)
     if q > 1:
-        ks = np.arange(1, q // 2 + 1)
-        ang = (2.0 * np.pi / P) * np.outer(t - spec.origin, ks)
-        amp = np.sqrt(2.0 / P)
-        cos = amp * np.cos(ang)
-        sin = amp * np.sin(ang)
-        out[:, 1::2] = cos[:, : out[:, 1::2].shape[1]]
-        out[:, 2::2] = sin[:, : out[:, 2::2].shape[1]]
+        zk = np.empty((t.size, q // 2), dtype=complex)
+        zk[:] = np.exp((2j * np.pi / P) * (t - spec.origin))[:, None]
+        np.multiply.accumulate(zk, axis=1, out=zk)
+        # viewed as reals, a row of zk reads Re z, Im z, Re z^2, Im z^2, ...
+        np.multiply(zk.view(float)[:, :q - 1], np.sqrt(2.0 / P),
+                    out=out[:, 1:])
     return out
 
 

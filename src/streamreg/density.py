@@ -35,11 +35,13 @@ class DensityState:
             return 0
         return min(self.schedule.active_count(self.n), self.theta.size)
 
-    def update(self, ts):
+    def update(self, ts, vals=None):
         """Fold one batch of predictor observations into the sketch.
 
-        The batch is validated before any mutation, so a domain error leaves
-        the state unchanged.
+        ``vals`` is the sketch basis at ``ts`` with one column per slot the
+        batch leaves open, when the caller has already evaluated it; it is
+        evaluated here otherwise.  The batch is validated before any
+        mutation, so a domain error leaves the state unchanged.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if ts.size == 0:
@@ -50,8 +52,9 @@ class DensityState:
         n_old = self.n
         n_new = n_old + ts.size
         start = self.schedule.extend(self.start, n_new)
-        vals = basis_mod.eval_matrix(self.basis, start.size, ts,
-                                     check_domain=False)
+        if vals is None:
+            vals = basis_mod.eval_matrix(self.basis, start.size, ts,
+                                         check_domain=False)
         theta = np.concatenate([self.theta,
                                 np.zeros(start.size - self.theta.size)])
         sums = fold(vals, np.ones(ts.size), start, n_old)
@@ -68,11 +71,11 @@ class DensityState:
             raise StateError("density sketch has no active slot yet")
         return basis_mod.series(self.basis, self.theta[:p], t)
 
-    def _clipped(self, n_nodes, evaluate):
+    def _clipped(self, n_nodes):
         """Quadrature rule on [lo, hi] with the clipped density max(0, f_hat)
-        at its nodes, f_hat taken from ``evaluate``, and its integral z."""
+        at its nodes, and its integral z."""
         x, w = quadrature.rule(self.basis.lo, self.basis.hi, n_nodes)
-        fx = np.maximum(evaluate(x), 0.0)
+        fx = np.maximum(self.evaluate(x), 0.0)
         z = float(np.dot(w, fx))
         if z <= 0.0:
             raise DegenerateDensityError(
@@ -87,8 +90,7 @@ class DensityState:
         """
         if self._z is None:
             # the clipping kink limits quadrature accuracy, so use a dense rule
-            self._z = self._clipped(max(1 << 15, 8 * self.active_count),
-                                    self.evaluate)[3]
+            self._z = self._clipped(max(1 << 15, 8 * self.active_count))[3]
         out = np.maximum(self.evaluate(t), 0.0) / self._z
         return float(out) if np.ndim(t) == 0 else out
 
@@ -103,10 +105,5 @@ class DensityState:
         p = self.active_count
         if p < 1:
             raise StateError("density sketch has no active slot yet")
-        # The solved coefficients, and so every estimate, follow this matrix
-        # to the last bit, so f_hat is the basis-matrix product here, not the
-        # Horner sum that ``evaluate`` uses on arrays.
-        x, w, fx, z = self._clipped(
-            quadrature.node_count(q, p),
-            lambda x: basis_mod.eval_matrix(self.basis, p, x) @ self.theta[:p])
+        x, w, fx, z = self._clipped(quadrature.node_count(q, p))
         return basis_mod.weighted_gram(reg_basis, q, x, w * fx / z)

@@ -64,7 +64,8 @@ class OnePassRegressor:
         """Fold one batch of (t, y) pairs into the summary statistics.
 
         Validation happens before any mutation: a batch with out-of-domain
-        predictors or non-finite responses is rejected atomically.
+        predictors, non-finite responses, or responses so large that G
+        overflows is rejected atomically.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -83,9 +84,14 @@ class OnePassRegressor:
                                      check_domain=False)
         G = np.concatenate([self.G,
                             np.zeros(start.size - self.G.size)])
-        G += fold(vals, ys, start, self.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            G += fold(vals, ys, start, self.n)
+        if not np.isfinite(G).all():
+            raise ValueError("batch overflows the summary statistics")
         if self.density is not None:
-            self.density.update(ts)
+            # at margin 0 the sketch basis is the regression basis
+            self.density.update(
+                ts, vals if self.density.basis == self.reg_basis else None)
         self.G, self.start, self.n = G, start, n_new
         self._coef_cache.clear()
 
@@ -248,9 +254,14 @@ class OnePassRegressor:
                 f"checkpoint n must be an integer in [0, 2**63), got {n!r}")
         # compare sizes first, so a huge n never builds its tau list
         no_slots = np.zeros(0, dtype=np.int64)
-        if start.size != (schedule.slot_count(n) if n else 0) \
-                or not np.array_equal(
-                    start, schedule.extend(no_slots, n) if n else no_slots):
+        try:
+            consistent = start.size == (schedule.slot_count(n) if n else 0) \
+                and np.array_equal(
+                    start, schedule.extend(no_slots, n) if n else no_slots)
+        except OverflowError as exc:
+            raise CheckpointError(f"checkpoint schedule overflows: {exc}") \
+                from exc
+        if not consistent:
             raise CheckpointError("checkpoint start does not match the schedule")
         sketch = no_slots if reg.density is None else start
         if (G.shape, theta.shape) != (start.shape, sketch.shape) \

@@ -27,6 +27,11 @@ import numpy as np
 # Guards floor() against representation error in x**(1/h) for exact powers.
 _FLOOR_EPS = 1e-9
 
+# Activation and start time of a slot that never opens: a slot whose
+# activation time (C_q*j)^(1/h) overflows a float or reaches 2**63 lies past
+# every int64 stream position.
+NEVER = 2 ** 63
+
 
 def _floor(x):
     return int(math.floor(x + _FLOOR_EPS))
@@ -67,16 +72,22 @@ class SchedulerConfig:
         return max(1, self.mem_cap // 3)
 
     def S(self, j):
-        """Activation time of basis function j."""
+        """Activation time of basis function j (``NEVER`` past 2**63)."""
         if j < 1:
             raise ValueError("slot index must be >= 1")
-        return _floor((self.C_q * j) ** (1.0 / self.h))
+        try:
+            s = (self.C_q * j) ** (1.0 / self.h)
+        except OverflowError:
+            return NEVER
+        return NEVER if s >= NEVER else _floor(s)
 
     def tau(self, j):
-        """Pre-estimation start time of slot j (1 for the initial q0 slots)."""
+        """Pre-estimation start time of slot j (1 for the initial q0 slots,
+        ``NEVER`` for a slot that never opens)."""
         if j <= self.q0:
             return 1
-        return max(1, _floor(self.c_circ * self.S(j)))
+        s = self.S(j)
+        return NEVER if s == NEVER else max(1, _floor(self.c_circ * s))
 
     def active_count(self, n):
         """Number of basis functions participating in the estimate at time n."""
@@ -94,9 +105,11 @@ class SchedulerConfig:
         largest j >= q0 with tau(j) <= n, capped."""
         if self.fixed_q is not None:
             return self.fixed_q
-        # tau(j) <= n roughly when (C_q*j)^(1/h) < (n + 1)/c_circ; step from
-        # that root to the exact answer, which tau being monotone makes unique
-        j = max(self.q0, int(((n + 1) / self.c_circ) ** self.h / self.C_q))
+        # tau(j) <= n roughly when (C_q*j)^(1/h) < (n + 1)/c_circ, and never
+        # past (C_q*j)^(1/h) = 2**63; step from that root to the exact answer,
+        # which tau being monotone makes unique
+        s = min((n + 1) / self.c_circ, float(NEVER))
+        j = max(self.q0, int(s ** self.h / self.C_q))
         while self.tau(j + 1) <= n:
             j += 1
         while j > self.q0 and self.tau(j) > n:

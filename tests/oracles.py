@@ -6,9 +6,28 @@ kept here so the tests can compare against it.
 
 import numpy as np
 
-from streamreg.basis import eval_matrix
+from streamreg.basis import _check_points, eval_matrix
 from streamreg.errors import DomainError
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
+
+
+def eval_matrix_trig(spec, q, t, check_domain=True):
+    """``eval_matrix`` by one np.cos and one np.sin per basis column."""
+    if q < 1:
+        raise DomainError("basis count q must be >= 1")
+    t = _check_points(spec, t) if check_domain else np.atleast_1d(np.asarray(t, float))
+    P = spec.period
+    out = np.empty((t.size, q))
+    out[:, 0] = 1.0 / np.sqrt(P)
+    if q > 1:
+        ks = np.arange(1, q // 2 + 1)
+        ang = (2.0 * np.pi / P) * np.outer(t - spec.origin, ks)
+        amp = np.sqrt(2.0 / P)
+        cos = amp * np.cos(ang)
+        sin = amp * np.sin(ang)
+        out[:, 1::2] = cos[:, : out[:, 1::2].shape[1]]
+        out[:, 2::2] = sin[:, : out[:, 2::2].shape[1]]
+    return out
 
 
 def eval_basis(spec, j, t):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import eval_basis, eval_vector
+from oracles import eval_basis, eval_matrix_trig, eval_vector
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix, gram_uniform,
                              penalty_matrix, projection_residual, series,
                              sup_sum_squares)
@@ -46,6 +46,36 @@ class TestEval:
             eval_basis(UNIT, 0, 0.5)
         with pytest.raises(DomainError):
             eval_basis(UNIT, 2, 1.5)
+
+
+class TestEvalMatrix:
+    """The recurrence in ``eval_matrix`` against one cos/sin per column."""
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 3.0), (0.25, 0.5)])
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("q", [1, 2, 3, 92, 93, 901, 1801])
+    def test_matches_trig_oracle(self, lo, hi, margin, q):
+        spec = BasisSpec(lo, hi, extension_margin=margin)
+        t = np.concatenate([[lo, hi],
+                            np.random.default_rng(q).uniform(lo, hi, 300)])
+        got = eval_matrix(spec, q, t)
+        oracle = eval_matrix_trig(spec, q, t)
+        assert got.shape == oracle.shape == (t.size, q)
+        # the error of z^k grows with the frequency k of the column; at most
+        # 4e-15 * max(1, q // 2) * sqrt(2/P) over the whole matrix
+        k = np.maximum(np.arange(1, q + 1) // 2, 1)
+        assert np.all(np.abs(got - oracle)
+                      <= 4e-15 * k * np.sqrt(2.0 / spec.period))
+
+    @pytest.mark.parametrize("spec", [UNIT, EXTENDED, BasisSpec(-1.0, 3.0)])
+    @pytest.mark.parametrize("q", [1, 2, 92, 93, 901])
+    def test_rows_do_not_depend_on_the_batch(self, spec, q):
+        t = np.concatenate([[spec.lo, spec.hi],
+                            np.random.default_rng(q).uniform(spec.lo, spec.hi,
+                                                             200)])
+        batch = eval_matrix(spec, q, t)
+        alone = np.vstack([eval_matrix(spec, q, x) for x in t])
+        assert batch.tobytes() == alone.tobytes()
 
 
 class TestOrthonormality:

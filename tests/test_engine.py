@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
+from streamreg.density import DensityState
 from streamreg.engine import OnePassRegressor, batch_fit, SCALAR_UNITS
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
@@ -82,6 +83,40 @@ class TestIngest:
             with pytest.raises(ValueError):
                 eng.ingest([0.2, 0.7], [1.0, bad])
         assert eng.checkpoint_json() == before
+
+    def test_overflowing_y_rejected_atomically(self):
+        # each y is finite, but the slot sums overflow: in one batch of ten,
+        # or only once a second batch adds to the first
+        for known in (True, False):
+            eng = make_engine(known=known)
+            eng.ingest([0.5, 0.25], [1.0, 2.0])
+            before = eng.checkpoint_json()
+            with pytest.raises(ValueError):
+                eng.ingest([0.5] * 10, [1e308] * 10)
+            assert eng.checkpoint_json() == before
+            eng.ingest([0.5], [1e308])
+            before = eng.checkpoint_json()
+            with pytest.raises(ValueError):
+                eng.ingest([0.5], [1e308])
+            assert eng.checkpoint_json() == before
+            assert np.isfinite(eng.estimate(0.3, 1e-3))
+
+    def test_shared_basis_leaves_the_sketch_unchanged(self):
+        # at margin 0 the sketch folds the engine's own basis matrix; with a
+        # margin it must evaluate its unextended basis itself
+        ts = np.random.default_rng(16).beta(2, 3, 9000)
+        for margin in (0.0, 0.1):
+            spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+            eng = OnePassRegressor(spec, ROUGH, SchedulerConfig())
+            alone = DensityState(UNIT, SchedulerConfig())
+            # single points, then batches that open slots strictly inside
+            for lo, hi in [(0, 1), (1, 2), (2, 40), (40, 900), (900, 9000)]:
+                opens = eng.start.size
+                eng.ingest(ts[lo:hi], np.ones(hi - lo))
+                alone.update(ts[lo:hi])
+                np.testing.assert_array_equal(eng.density.theta, alone.theta)
+                np.testing.assert_array_equal(eng.density.start, alone.start)
+            assert eng.start.size > opens and eng.start[-1] > 900 + 1
 
     def test_length_mismatch_rejected(self):
         eng = make_engine()
@@ -205,6 +240,31 @@ class TestCheckpoint:
         np.testing.assert_array_equal(resumed.density.theta,
                                       full.density.theta)
         assert resumed.estimate(0.3, 1e-2) == full.estimate(0.3, 1e-2)
+
+    def test_small_h_runs_on_its_initial_slots(self):
+        # with h = 0.001 the activation time (C_q*j)^(1/h) of every slot past
+        # q0 overflows a float: those slots never open
+        eng = make_engine(known=False, h=0.001)
+        feed(eng, *sample(500, 17, np.cos))
+        np.testing.assert_array_equal(eng.start, np.ones(5, dtype=np.int64))
+        assert np.isfinite(eng.estimate(0.3, 1e-2))
+        payload = eng.checkpoint_json()
+        resumed = OnePassRegressor.from_checkpoint(payload)
+        assert resumed.checkpoint_json() == payload
+        feed(resumed, *sample(100, 18, np.cos))
+        assert resumed.start.size == 5
+
+    def test_small_h_checkpoint_loads(self):
+        # a record with h = 0.001, written without ever ingesting under it,
+        # loads; a schedule that overflows is a corrupt record
+        eng = make_engine(known=False)
+        feed(eng, *sample(10, 19, np.cos))
+        record = eng.checkpoint()
+        record["config"]["h"] = 0.001
+        assert OnePassRegressor.from_checkpoint(record).checkpoint() == record
+        record["config"]["C_q"] = 1e-320
+        with pytest.raises(CheckpointError):
+            OnePassRegressor.from_checkpoint(record)
 
     def test_corrupt_payload_raises(self):
         with pytest.raises(CheckpointError):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
 from streamreg.engine import OnePassRegressor
-from streamreg.scheduler import SchedulerConfig, _floor
+from streamreg.scheduler import NEVER, SchedulerConfig, _floor
 
 UNIT = BasisSpec(0.0, 1.0)
 
@@ -74,6 +74,15 @@ class TestSchedule:
         sched = SchedulerConfig(h=1 / 3)
         for n in (10 ** 3, 10 ** 6, 10 ** 9):
             assert sched.active_count(n) == math.floor(n ** (1 / 3) / 0.5 + 1e-9)
+
+    def test_slot_past_int64_never_opens(self):
+        # a slot whose activation time overflows a float (h = 0.001) or
+        # passes 2**63 (h = 1/2 near n = 2**63) never opens
+        for h, n, last in ((0.001, 10, 5), (0.001, 2 ** 63 - 1, 5),
+                           (0.5, 2 ** 63 - 1, 6074000999)):
+            sched = SchedulerConfig(h=h)
+            assert sched.slot_count(n) == last
+            assert sched.tau(last) <= n < sched.tau(last + 1) == NEVER
 
     def test_invalid_parameters_rejected(self):
         for kwargs in (dict(h=0.0), dict(h=1.5), dict(C_q=0.0),

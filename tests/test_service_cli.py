@@ -103,6 +103,21 @@ class TestRegistry:
                                         "kind": "estimate", "t": 0.5})
         assert est["ok"] and np.isfinite(est["value"])
 
+    def test_overflowing_y_rejected(self):
+        # finite y whose slot sums overflow must not reach G
+        registry = StreamRegistry(ServiceConfig())
+        ingest_points(registry, "a", 20)
+        reg = registry._engine("a", create=False)[0]
+        before = reg.checkpoint_json()
+        resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
+                                         "points": [[0.5, 1e308]] * 10})
+        assert (resp["ok"], resp["error"]) == (False, "request")
+        assert reg.checkpoint_json() == before
+        est = handle_request(registry, {"op": "query", "stream_id": "a",
+                                        "kind": "estimate", "t": 0.5})
+        assert est["ok"] and np.isfinite(est["value"])
+        OnePassRegressor.from_checkpoint(reg.checkpoint_json())
+
     def test_malformed_points_rejected(self, registry):
         for points in ([[0.5]], [[0.5, 1.0, 2.0]], [[0.1, 1.0], [0.2]], [],
                        [0.5, 1.0], "0.5,1.0", [["a", "b"]], [{"t": 0.5}]):
