@@ -1,4 +1,4 @@
-"""Orthonormal Fourier basis families, penalty matrices and basis diagnostics.
+"""Orthonormal Fourier basis families, Gram matrices and penalty matrices.
 
 The family is orthonormal on the (possibly extended) period
 ``[lo - margin, hi + margin]`` of length P:
@@ -12,12 +12,12 @@ integrals below taken) on the data domain [lo, hi] only, where they are no
 longer orthonormal; downstream Gram reconstruction accounts for that.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadrature
-from .errors import DomainError, QuadratureError
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,6 @@ def series(spec, coef, t):
     return np.sqrt(2.0 / spec.period) * acc.real
 
 
-def second_derivative_matrix(spec, q, t):
-    """Evaluate phi_1''..phi_q'' at the points t."""
-    return eval_matrix(spec, q, t) * _curvature_factors(spec, q)[None, :]
-
-
 def _curvature_factors(spec, q):
     # phi_j'' = -(2 k pi / P)^2 phi_j for the trig pair of frequency k
     k = np.arange(1, q + 1) // 2
@@ -157,68 +152,76 @@ def penalty_matrix(spec, penalty, q):
     return 0.5 * (W + W.T)
 
 
-def weighted_gram(spec, q, x, w):
-    """sum_i w_i phi(x_i) phi(x_i)^T for phi = (phi_1..phi_q), symmetrized."""
-    V = eval_matrix(spec, q, x)
-    H = V.T @ (w[:, None] * V)
-    return 0.5 * (H + H.T)
+def _powers(z, count):
+    """Rows z^0, ..., z^(count - 1): each row is the one above times z."""
+    out = np.empty((count, z.size), dtype=complex)
+    out[0] = 1.0
+    for a in range(1, count):
+        np.multiply(out[a - 1], z, out=out[a])
+    return out
+
+
+def moments(spec, M, x, w):
+    """Weighted Fourier moments mu_m = sum_i w_i z_i^m for m = 0..M, with
+    z = exp(2 pi i (x - origin) / P); the points x are not domain-checked.
+
+    With r = ceil(sqrt(M + 1)), z^(a + r b) = z^a (z^r)^b, so the moments
+    are one (r x r) complex product of the tables (z^r)^b and w z^a,
+    a, b = 0..r-1.  Every power is a product of the one z per point, the
+    way ``eval_matrix`` forms its columns.
+    """
+    r = math.isqrt(M) + 1
+    z = np.exp((2j * np.pi / spec.period) * (np.asarray(x, float) - spec.origin))
+    low = _powers(z, r + 1)
+    high = _powers(low[r], r)
+    return (high @ (low[:r] * w).T).ravel()[:M + 1]
+
+
+def gram_from_moments(spec, q, mu):
+    """Gram matrix sum_i w_i phi(x_i) phi(x_i)^T of phi_1..phi_q from the
+    moments mu_0..mu_{2 (q // 2)} of the same weights and points.
+
+    cos/sin products are sums and differences of the frequencies: with
+    K = q // 2, the Toeplitz T[k, l] = mu_{k-l} (mu_{-m} = conj mu_m) and
+    the Hankel Hk[k, l] = mu_{k+l} for k, l = 0..K give, times 1/P,
+    cos_k cos_l = Re(T + Hk), sin_k sin_l = Re(T - Hk),
+    cos_k sin_l = Im(Hk - T) and sin_k cos_l = Im(Hk + T).  phi_1 is the
+    k = 0 cosine scaled by 1/sqrt(2), and the k = 0 sine is dropped.  The
+    result is symmetric to the bit.
+    """
+    K = q // 2
+    k = np.arange(K + 1)
+    signed = np.concatenate([mu[K:0:-1].conj(), mu[:K + 1]])  # mu_{-K..K}
+    T = signed[k[:, None] - k[None, :] + K]
+    Hk = mu[k[:, None] + k[None, :]]
+    full = np.empty((K + 1, 2, K + 1, 2))
+    full[:, 0, :, 0] = T.real + Hk.real
+    full[:, 1, :, 1] = T.real - Hk.real
+    full[:, 0, :, 1] = Hk.imag - T.imag
+    full[:, 1, :, 0] = Hk.imag + T.imag
+    # rows and columns run c_0, s_0, c_1, s_1, ...; s_0 = 0 gives way to c_0
+    full = full.reshape(2 * K + 2, 2 * K + 2)
+    H = full[1:q + 1, 1:q + 1] / spec.period
+    H[0, 0] = 0.5 * full[0, 0] / spec.period
+    H[0, 1:] = H[1:, 0] = np.sqrt(0.5) * full[0, 2:q + 1] / spec.period
+    return H
 
 
 def gram_uniform(spec, q):
     """Gram matrix of phi_1..phi_q under the uniform density on [lo, hi].
 
     Exactly I_q / (hi - lo) when the margin is zero (orthonormal family on
-    the full period); quadrature over the data domain otherwise.
+    the full period).  Otherwise its moments are in closed form: with
+    L = hi - lo, margin a and omega = 2 pi / P, the interval runs from a to
+    P - a in t - origin, so mu_0 = 1 and, for m >= 1,
+    mu_m = (1/L) int z^m dt = -2 sin(omega m a) / (omega m L).
     """
     length = spec.hi - spec.lo
     if spec.extension_margin == 0.0:
         return np.eye(q) / length
-    x, w = quadrature.rule(spec.lo, spec.hi, quadrature.node_count(q))
-    return weighted_gram(spec, q, x, w / length)
-
-
-def sup_sum_squares(spec, q):
-    """Max over a uniform grid of sum_{j<=q} phi_j(t)^2.
-
-    Diagnostic for the basis-growth bound sup_t sum phi_j^2 <= C q^alpha.
-    """
-    t = np.linspace(spec.lo, spec.hi, 10001)
-    V = eval_matrix(spec, q, t)
-    return float(np.max(np.sum(V * V, axis=1)))
-
-
-def projection_residual(m, spec, q, norm="L2", n_nodes=None):
-    """Residual norm of m minus its projection onto span{phi_1..phi_q}.
-
-    Coefficients are a_k = int m phi_k over the data domain; the residual is
-    measured in L2 (quadrature) or sup norm (dense grid).  The computation
-    is repeated with doubled quadrature nodes, at most four times, until two
-    consecutive values agree to 1e-8.
-    """
-    if norm not in ("L2", "sup"):
-        raise ValueError("norm must be 'L2' or 'sup'")
-    if n_nodes is None:
-        n_nodes = quadrature.node_count(q)
-
-    def residual(nn):
-        x, w = quadrature.rule(spec.lo, spec.hi, nn)
-        V = eval_matrix(spec, q, x)
-        mv = np.asarray(m(x), dtype=float)
-        coef = V.T @ (w * mv)
-        if norm == "L2":
-            r = mv - V @ coef
-            return float(np.sqrt(max(np.dot(w, r * r), 0.0)))
-        grid = np.linspace(spec.lo, spec.hi, max(4096, 4 * nn) + 1)
-        Vg = eval_matrix(spec, q, grid)
-        return float(np.max(np.abs(np.asarray(m(grid), float) - Vg @ coef)))
-
-    prev = residual(n_nodes)
-    for _ in range(4):
-        n_nodes *= 2
-        cur = residual(n_nodes)
-        if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
-            return cur
-        prev = cur
-    raise QuadratureError(
-        f"projection residual did not stabilize (last values {prev}, q={q})"
-    )
+    m = np.arange(1, 2 * (q // 2) + 1)
+    mu = np.empty(m.size + 1, dtype=complex)
+    mu[0] = 1.0
+    mu[1:] = -np.sin((2.0 * np.pi * spec.extension_margin / spec.period) * m) \
+        * (spec.period / (np.pi * length * m))
+    return gram_from_moments(spec, q, mu)

@@ -106,4 +106,5 @@ class DensityState:
         if p < 1:
             raise StateError("density sketch has no active slot yet")
         x, w, fx, z = self._clipped(quadrature.node_count(q, p))
-        return basis_mod.weighted_gram(reg_basis, q, x, w * fx / z)
+        mu = basis_mod.moments(reg_basis, 2 * (q // 2), x, w * fx / z)
+        return basis_mod.gram_from_moments(reg_basis, q, mu)

@@ -79,21 +79,6 @@ def build_m_omega(inst):
     return m_omega
 
 
-def holder_constant_estimate(inst):
-    """Finite-difference estimate of the order-beta Holder constant of m_omega.
-
-    Used to confirm numerically that the chosen c_K keeps the encoded
-    function within the smoothness class of parameter chi.
-    """
-    m = build_m_omega(inst)
-    t = np.linspace(0.0, 1.0, 20001)
-    v = m(t)
-    dt = t[1] - t[0]
-    nu = int(np.ceil(inst.beta)) - 1
-    d = np.diff(v, n=nu) / dt ** nu if nu > 0 else v
-    return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))
-
-
 def _protocol_engine(mem_cap=None, batch_size=100):
     spec = BasisSpec(0.0, 1.0, extension_margin=0.0)
     sched = SchedulerConfig(h=1.0 / 3.0, mem_cap=mem_cap)

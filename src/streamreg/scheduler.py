@@ -53,6 +53,11 @@ class SchedulerConfig:
             raise ValueError("h must lie in (0, 1)")
         if self.C_q <= 0:
             raise ValueError("C_q must be positive")
+        # the slot count at n is about n^h / C_q; past 2**53 a float holds no
+        # exact slot index, and ``slot_count``'s root guess overflows or lies
+        # too far off to step from
+        if not float(NEVER) ** self.h / self.C_q < 2.0 ** 53:
+            raise ValueError("C_q is so small that the slot count overflows")
         if not 0 < self.c_circ < 1:
             raise ValueError("c_circ must lie in (0, 1)")
         if self.q0 < 1:

@@ -6,9 +6,11 @@ kept here so the tests can compare against it.
 
 import numpy as np
 
-from streamreg.basis import _check_points, eval_matrix
-from streamreg.errors import DomainError
+from streamreg import quadrature
+from streamreg.basis import _check_points, _curvature_factors, eval_matrix
+from streamreg.errors import DomainError, QuadratureError
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
+from streamreg.lowerbound import build_m_omega
 
 
 def eval_matrix_trig(spec, q, t, check_domain=True):
@@ -73,3 +75,77 @@ def generate_stream(sc, rng=None):
             ys = ys + rng.normal(0.0, sigma, size)
         produced += size
         yield ts, ys
+
+
+def second_derivative_matrix(spec, q, t):
+    """Evaluate phi_1''..phi_q'' at the points t."""
+    return eval_matrix(spec, q, t) * _curvature_factors(spec, q)[None, :]
+
+
+def weighted_gram(spec, q, x, w):
+    """sum_i w_i phi(x_i) phi(x_i)^T for phi = (phi_1..phi_q), symmetrized."""
+    V = eval_matrix(spec, q, x)
+    H = V.T @ (w[:, None] * V)
+    return 0.5 * (H + H.T)
+
+
+def sup_sum_squares(spec, q):
+    """Max over a uniform grid of sum_{j<=q} phi_j(t)^2.
+
+    Diagnostic for the basis-growth bound sup_t sum phi_j^2 <= C q^alpha.
+    """
+    t = np.linspace(spec.lo, spec.hi, 10001)
+    V = eval_matrix(spec, q, t)
+    return float(np.max(np.sum(V * V, axis=1)))
+
+
+def projection_residual(m, spec, q, norm="L2", n_nodes=None):
+    """Residual norm of m minus its projection onto span{phi_1..phi_q}.
+
+    Coefficients are a_k = int m phi_k over the data domain; the residual is
+    measured in L2 (quadrature) or sup norm (dense grid).  The computation
+    is repeated with doubled quadrature nodes, at most four times, until two
+    consecutive values agree to 1e-8.
+    """
+    if norm not in ("L2", "sup"):
+        raise ValueError("norm must be 'L2' or 'sup'")
+    if n_nodes is None:
+        n_nodes = quadrature.node_count(q)
+
+    def residual(nn):
+        x, w = quadrature.rule(spec.lo, spec.hi, nn)
+        V = eval_matrix(spec, q, x)
+        mv = np.asarray(m(x), dtype=float)
+        coef = V.T @ (w * mv)
+        if norm == "L2":
+            r = mv - V @ coef
+            return float(np.sqrt(max(np.dot(w, r * r), 0.0)))
+        grid = np.linspace(spec.lo, spec.hi, max(4096, 4 * nn) + 1)
+        Vg = eval_matrix(spec, q, grid)
+        return float(np.max(np.abs(np.asarray(m(grid), float) - Vg @ coef)))
+
+    prev = residual(n_nodes)
+    for _ in range(4):
+        n_nodes *= 2
+        cur = residual(n_nodes)
+        if abs(cur - prev) <= 1e-8 * max(1.0, abs(cur)):
+            return cur
+        prev = cur
+    raise QuadratureError(
+        f"projection residual did not stabilize (last values {prev}, q={q})"
+    )
+
+
+def holder_constant_estimate(inst):
+    """Finite-difference estimate of the order-beta Holder constant of m_omega.
+
+    Used to confirm numerically that the chosen c_K keeps the encoded
+    function within the smoothness class of parameter chi.
+    """
+    m = build_m_omega(inst)
+    t = np.linspace(0.0, 1.0, 20001)
+    v = m(t)
+    dt = t[1] - t[0]
+    nu = int(np.ceil(inst.beta)) - 1
+    d = np.diff(v, n=nu) / dt ** nu if nu > 0 else v
+    return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))

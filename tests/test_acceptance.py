@@ -25,8 +25,8 @@ import json
 
 import numpy as np
 
-from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
-                             penalty_matrix, second_derivative_matrix)
+from oracles import second_derivative_matrix
+from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix, penalty_matrix
 from streamreg.cli import main as cli_main
 from streamreg.density import DensityState
 from streamreg.engine import OnePassRegressor, batch_fit

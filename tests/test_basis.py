@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from oracles import eval_basis, eval_matrix_trig, eval_vector
-from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix, gram_uniform,
-                             penalty_matrix, projection_residual, series,
-                             sup_sum_squares)
+from oracles import (eval_basis, eval_matrix_trig, eval_vector,
+                     projection_residual, sup_sum_squares, weighted_gram)
+from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
+                             gram_from_moments, gram_uniform, moments,
+                             penalty_matrix, series)
 from streamreg.errors import DomainError
 from streamreg import quadrature
 
@@ -193,6 +194,75 @@ class TestGramUniform:
         oracle = V.T @ (w[:, None] * V)
         np.testing.assert_allclose(H, oracle, atol=1e-8)
         assert np.linalg.eigvalsh(H).min() >= -1e-8
+
+
+DOMAINS = [(0.0, 1.0), (-1.0, 3.0), (0.25, 0.5)]
+GRAM_QS = [1, 2, 3, 92, 93, 301, 600]
+
+
+def weighted_nodes(lo, hi, q, seed):
+    """The Gram quadrature's nodes on [lo, hi] with random positive weights."""
+    x, w = quadrature.rule(lo, hi, quadrature.node_count(q))
+    return x, w * np.random.default_rng(seed).uniform(0.0, 2.0, w.size)
+
+
+class TestMoments:
+    @pytest.mark.parametrize("M", [0, 1, 2, 3, 8, 9, 184, 600])
+    def test_matches_direct_sum(self, M):
+        # M + 1 = 1, 4 and 9 fill the r x r table exactly; the others do not
+        spec = BasisSpec(-1.0, 3.0, extension_margin=0.3)
+        x, w = weighted_nodes(-1.0, 3.0, 92, M)
+        m = np.arange(M + 1)
+        direct = np.exp((2j * np.pi / spec.period)
+                        * np.outer(m, x - spec.origin)) @ w
+        got = moments(spec, M, x, w)
+        assert got.shape == (M + 1,)
+        assert np.max(np.abs(got - direct)) <= 1e-15 * (M + 1) * w.sum()
+
+    @pytest.mark.parametrize("q", [3, 92, 301])
+    def test_node_order_does_not_matter(self, q):
+        x, w = weighted_nodes(0.0, 1.0, q, q)
+        H = gram_from_moments(EXTENDED, q, moments(EXTENDED, 2 * (q // 2), x, w))
+        for seed in range(3):
+            order = np.random.default_rng(seed).permutation(x.size)
+            Hp = gram_from_moments(EXTENDED, q, moments(
+                EXTENDED, 2 * (q // 2), x[order], w[order]))
+            assert np.max(np.abs(Hp - H)) <= 1e-15 * np.max(np.abs(H))
+
+
+class TestGramFromMoments:
+    @pytest.mark.parametrize("lo, hi", DOMAINS)
+    @pytest.mark.parametrize("margin", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("q", GRAM_QS)
+    def test_matches_dense_oracle(self, lo, hi, margin, q):
+        spec = BasisSpec(lo, hi, extension_margin=margin)
+        x, w = weighted_nodes(lo, hi, q, q)
+        H = gram_from_moments(spec, q, moments(spec, 2 * (q // 2), x, w))
+        oracle = weighted_gram(spec, q, x, w)
+        assert H.shape == (q, q)
+        np.testing.assert_array_equal(H, H.T)
+        assert np.max(np.abs(H - oracle)) <= 4e-15 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("lo, hi", DOMAINS)
+    @pytest.mark.parametrize("margin", [0.1, 0.3])
+    @pytest.mark.parametrize("q", GRAM_QS)
+    def test_uniform_closed_form_matches_fine_quadrature(self, lo, hi,
+                                                         margin, q):
+        # the oracle is a composite Gauss rule with 4x the Gram's nodes; its
+        # own error grows with q and with a short domain, so the bound is
+        # 1e-13 of max |H| rather than a few ulps
+        spec = BasisSpec(lo, hi, extension_margin=margin)
+        x, w = quadrature.rule(lo, hi, 4 * quadrature.node_count(q))
+        oracle = weighted_gram(spec, q, x, w / (hi - lo))
+        H = gram_uniform(spec, q)
+        np.testing.assert_array_equal(H, H.T)
+        assert np.max(np.abs(H - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("spec", [UNIT, EXTENDED, BasisSpec(-1.0, 3.0, 0.3)])
+    def test_penalty_is_symmetric_to_the_bit(self, spec):
+        for q in (1, 2, 7, 92, 93):
+            W = penalty_matrix(spec, PenaltySpec("roughness"), q)
+            np.testing.assert_array_equal(W, W.T)
 
 
 class TestSeries:

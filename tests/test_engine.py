@@ -175,6 +175,35 @@ class TestSolve:
             eng.solve_coefficients(0.0, gram=bad)
         assert exc_info.value.min_eigenvalue <= 0.0
 
+    def test_indefinite_gram_reports_negative_eigenvalue(self):
+        # Cholesky fails on an indefinite system; the error still carries
+        # the smallest eigenvalue (q0 = 2 keeps the warm-up ridge out of A)
+        eng = make_engine(fixed_q=2, q0=2)
+        eng.ingest([0.1, 0.6], [1.0, 2.0])
+        with pytest.raises(IllConditionedSystemError) as exc_info:
+            eng.solve_coefficients(0.0, gram=np.diag([1.0, -0.5]))
+        assert exc_info.value.min_eigenvalue == pytest.approx(-0.5)
+
+    @pytest.mark.parametrize("kappa", [1e8, 1e12])
+    def test_gate_follows_the_condition_number(self, kappa):
+        # an SPD Gram with spectrum 1 .. 1/kappa: its 1-norm rcond is
+        # within a factor q = 5 of 1/kappa, and RCOND_FLOOR = 1e-10 lies a
+        # factor 100 from either kappa
+        q = 5
+        eng = make_engine(fixed_q=q, q0=q)
+        feed(eng, *sample(50, 20, np.cos))
+        Q = np.linalg.qr(np.random.default_rng(21).normal(size=(q, q)))[0]
+        H = (Q * np.geomspace(1.0, 1.0 / kappa, q)) @ Q.T
+        H = 0.5 * (H + H.T)
+        if kappa > 1e10:
+            with pytest.raises(IllConditionedSystemError) as exc_info:
+                eng.solve_coefficients(0.0, gram=H)
+            assert 0.0 < exc_info.value.min_eigenvalue < 1e-10
+        else:
+            coef = eng.solve_coefficients(0.0, gram=H)
+            rhs = eng.G / eng.slot_counts()
+            np.testing.assert_allclose(H @ coef, rhs, rtol=0, atol=1e-6)
+
     def test_negative_rho_rejected(self):
         eng = make_engine(fixed_q=2)
         eng.ingest([0.1], [1.0])

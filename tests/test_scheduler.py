@@ -91,6 +91,18 @@ class TestSchedule:
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
 
+    def test_tiny_C_q_rejected_in_the_constructor(self):
+        # about (2**63)^h / C_q slots open by n = 2**63: with C_q = 1e-320
+        # that overflows a float, and with 1e-280 (or 1e-7 at h = 1/2) it is
+        # past 2**53, where slot_count's float root guess is off by more
+        # than it can step through
+        for h, C_q in ((1 / 3, 1e-320), (1 / 3, 1e-280), (0.5, 1e-7)):
+            with pytest.raises(ValueError):
+                SchedulerConfig(h=h, C_q=C_q)
+        sched = SchedulerConfig(C_q=1e-9)  # 2**21 / 1e-9 < 2**53 slots
+        assert sched.slot_count(1) == 1587401051
+        assert sched.tau(1587401051) <= 1 < sched.tau(1587401052)
+
 
 class TauList:
     """The explicit tau list tau(1), ..., tau(length), built on access."""
