@@ -47,8 +47,10 @@ class BasisSpec:
         return self.lo - self.extension_margin
 
     def contains(self, t):
+        """Whether every point of t lies in [lo, hi]: true for no points,
+        false for NaN (which np.min and np.max propagate)."""
         t = np.asarray(t)
-        return np.all((t >= self.lo) & (t <= self.hi))
+        return t.size == 0 or bool(self.lo <= t.min() and t.max() <= self.hi)
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,9 @@ class DensityState:
         if vals is None:
             vals = basis_mod.eval_matrix(self.basis, start.size, ts,
                                          check_domain=False)
-        theta = np.concatenate([self.theta,
-                                np.zeros(start.size - self.theta.size)])
+        theta = self.theta
+        if start.size > theta.size:
+            theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
         sums = fold(vals, np.ones(ts.size), start, n_old)
         # a slot opened past n_new has no observation yet and keeps theta_j = 0
         counts_new = np.maximum(slot_counts(start, n_new), 1)

@@ -85,10 +85,12 @@ class OnePassRegressor:
         start = self.schedule.extend(self.start, n_new)
         vals = basis_mod.eval_matrix(self.reg_basis, start.size, ts,
                                      check_domain=False)
-        G = np.concatenate([self.G,
-                            np.zeros(start.size - self.G.size)])
+        G = self.G
+        if start.size > G.size:
+            G = np.concatenate([G, np.zeros(start.size - G.size)])
+        # a new array: self.G stays untouched until the overflow check passes
         with np.errstate(over="ignore", invalid="ignore"):
-            G += fold(vals, ys, start, self.n)
+            G = G + fold(vals, ys, start, self.n)
         if not np.isfinite(G).all():
             raise ValueError("batch overflows the summary statistics")
         if self.density is not None:
@@ -281,16 +283,25 @@ class OnePassRegressor:
 
 def batch_fit(ts, ys, spec, q, rho, penalty):
     """Non-streaming baseline: (n^-1 Phi'Phi + rho W)^-1 (n^-1 Phi'Y)."""
+    H, rhs = normal_equations(spec, q, ts, ys)
+    W = basis_mod.penalty_matrix(spec, penalty, q)
+    return penalized_solve(H, W, rho, rhs)
+
+
+def normal_equations(spec, q, ts, ys):
+    """The batch system's n^-1 Phi'Phi and n^-1 Phi'Y."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = ts.size
     if n < 1:
         raise ValueError("empty sample")
     Phi = basis_mod.eval_matrix(spec, q, ts)
-    H = Phi.T @ Phi / n
-    W = basis_mod.penalty_matrix(spec, penalty, q)
+    return Phi.T @ Phi / n, Phi.T @ ys / n
+
+
+def penalized_solve(H, W, rho, rhs):
+    """The batch system's solution (H + rho W)^-1 rhs by Cholesky."""
     A = H + rho * W
-    rhs = Phi.T @ ys / n
     try:
         c, low = linalg.cho_factor(A, lower=True)
     except linalg.LinAlgError as exc:

@@ -13,7 +13,8 @@ against unit-bounded harmonics, so the truncation level is fixed once and
 shared by every consumer.  The truncated series is synthesized exactly on a
 dyadic grid by FFT and evaluated elsewhere by linear interpolation (the
 highest retained frequency is far below the grid Nyquist, keeping the
-interpolation error around 1e-5 in sup norm).
+interpolation error around 1e-5 in sup norm).  The grid nodes j/N are exact
+in binary, so the cell that holds t is floor(t N) and needs no search.
 """
 
 import csv
@@ -54,6 +55,7 @@ _m3_table = None
 
 
 def _m3_interp_table():
+    """m3 at the grid nodes j/N, j = 0..N, N = 2**_M3_GRID_LOG2."""
     global _m3_table
     if _m3_table is None:
         N = 1 << _M3_GRID_LOG2
@@ -63,14 +65,26 @@ def _m3_interp_table():
         coef[ks] = (2.0 * ks) ** -1.5 + 1j * np.where(
             2 * ks + 1 <= M3_TERMS, (2.0 * ks + 1.0) ** -1.5, 0.0)
         vals = np.real(np.fft.fft(coef))
-        grid = np.arange(N + 1) / N
-        _m3_table = (grid, np.append(vals, vals[0]))
+        _m3_table = np.append(vals, vals[0])
     return _m3_table
 
 
 def m3(t):
-    grid, vals = _m3_interp_table()
-    return np.interp(np.asarray(t, dtype=float), grid, vals)
+    """np.interp(t, j/N, table) with the cell index floor(t N) in place of
+    np.interp's binary search, and its arithmetic: slope (y_{j+1} - y_j) /
+    (x_{j+1} - x_j), value slope (t - x_j) + y_j, y_j at a node and at
+    t = 1, the end values outside [0, 1]."""
+    vals = _m3_interp_table()
+    cells = vals.size - 1
+    x = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    # NaN lands in the last cell and stays NaN
+    xj = np.floor(np.fmin(x * cells, cells - 1.0))
+    j = xj.astype(np.intp)
+    xj /= cells  # the node j/N, exact in binary
+    yj = vals[j]
+    out = (vals[j + 1] - yj) / (1.0 / cells) * (x - xj) + yj
+    out = np.where(x == xj, yj, out)
+    return np.where(x == 1.0, vals[cells], out)
 
 
 TARGETS = {"m1": m1, "m2": m2, "m3": m3}

@@ -11,7 +11,9 @@ theta, so it is written once, here:
 
 - ``SchedulerConfig.extend`` opens slots: it appends tau_j for every slot the
   schedule has opened by time n, giving a start vector of ``slot_count(n)``
-  entries.  Start vectors only grow.
+  entries.  Start vectors only grow.  Most batches open no slot: when the
+  vector is at the cap, or the next slot's tau lies past n, ``extend``
+  returns it unchanged after one ``tau`` lookup.
 - ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0).
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
@@ -31,6 +33,11 @@ _FLOOR_EPS = 1e-9
 # activation time (C_q*j)^(1/h) overflows a float or reaches 2**63 lies past
 # every int64 stream position.
 NEVER = 2 ** 63
+
+# Most slots a configuration may open at n = 1.  A stream's state grows with
+# its slot count, so a C_q near zero, or a huge q0 or fixed_q, would make the
+# first ingest allocate without bound (C_q = 1e-9 opens 1.6e9 slots).
+MAX_INITIAL_SLOTS = 1 << 16
 
 
 def _floor(x):
@@ -66,6 +73,9 @@ class SchedulerConfig:
             raise ValueError("mem_cap must be positive")
         if self.fixed_q is not None and self.fixed_q < 1:
             raise ValueError("fixed_q must be >= 1")
+        if self.slot_count(1) > MAX_INITIAL_SLOTS:
+            raise ValueError(
+                f"the schedule opens more than {MAX_INITIAL_SLOTS} slots at n = 1")
 
     @property
     def cap_q(self):
@@ -124,7 +134,14 @@ class SchedulerConfig:
         return j
 
     def extend(self, start, n):
-        """Start vector ``start`` extended by tau_j of the slots open at time n."""
+        """Start vector ``start`` extended by tau_j of the slots open at time n.
+
+        ``start`` must be the start vector at some earlier time, so it is
+        returned as is when it has reached the cap or its next slot opens
+        after n.
+        """
+        if start.size == self.cap_q or self.tau(start.size + 1) > n:
+            return start
         n_slots = self.slot_count(n)
         if n_slots <= start.size:
             return start

@@ -9,6 +9,11 @@ One request per line, one JSON response per line.  Requests:
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
 "message": text}.  Numbers survive the wire bit-exactly (JSON floats are
 emitted with shortest round-trip formatting).
+
+A request line longer than MAX_LINE_BYTES, or an ingest that would create a
+stream past MAX_STREAMS, gets a ``request`` error, so the memory a client
+can make the process hold stays bounded; the connection and every existing
+stream keep being served.
 """
 
 import json
@@ -24,6 +29,13 @@ from .engine import OnePassRegressor
 from .errors import DomainError, StateError, StreamRegError
 from .scheduler import SchedulerConfig
 from .tuning import rho_at
+
+# Longest request line read, in bytes without its newline; a 1000-point
+# ingest line is about 40 KB.
+MAX_LINE_BYTES = 1 << 20
+
+# Most streams one service holds.
+MAX_STREAMS = 1024
 
 
 @dataclass(frozen=True)
@@ -54,6 +66,9 @@ class StreamRegistry:
             if stream_id not in self._streams:
                 if not create:
                     return None
+                if len(self._streams) >= MAX_STREAMS:
+                    raise ValueError(
+                        f"the service holds its limit of {MAX_STREAMS} streams")
                 cfg = self.config
                 spec = BasisSpec(cfg.lo, cfg.hi,
                                  extension_margin=cfg.extension_margin)
@@ -126,18 +141,33 @@ def handle_request(registry, request):
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    def _skip_line(self):
+        """Discard the rest of an over-long line, one bounded read at a time."""
+        while True:
+            chunk = self.rfile.readline(MAX_LINE_BYTES)
+            if not chunk or chunk.endswith(b"\n"):
+                return
+
     def handle(self):
-        for raw in self.rfile:
-            raw = raw.strip()
+        while True:
+            raw = self.rfile.readline(MAX_LINE_BYTES + 1)
             if not raw:
-                continue
-            try:
-                request = json.loads(raw)
-            except json.JSONDecodeError as exc:
+                return
+            if len(raw) > MAX_LINE_BYTES and not raw.endswith(b"\n"):
+                self._skip_line()
                 response = {"ok": False, "error": "request",
-                            "message": f"bad JSON: {exc}"}
+                            "message": f"request line longer than "
+                                       f"{MAX_LINE_BYTES} bytes"}
+            elif not raw.strip():
+                continue
             else:
-                response = handle_request(self.server.registry, request)
+                try:
+                    request = json.loads(raw)
+                except ValueError as exc:  # bad JSON or bytes that are not text
+                    response = {"ok": False, "error": "request",
+                                "message": f"bad JSON: {exc}"}
+                else:
+                    response = handle_request(self.server.registry, request)
             self.wfile.write((json.dumps(response) + "\n").encode())
             self.wfile.flush()
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .engine import batch_fit
+from .engine import normal_equations, penalized_solve
 from . import basis as basis_mod
 from .errors import IllConditionedSystemError, TuningError
 from .scheduler import SchedulerConfig
@@ -74,7 +74,12 @@ def cv_table(ts, ys, grid, penalty, spec):
     Folds are assigned round-robin by arrival index so results are
     reproducible without storing a permutation.  A grid point whose fold fit
     fails the SPD factorization is assigned +inf.  Each row also carries the
-    fold-to-fold standard error of the CV sum.
+    fold-to-fold standard error of the CV sum.  Rows run over C_rho, then h,
+    in grid order.
+
+    Each fold's basis matrices and normal equations depend on h alone, so
+    they are formed once per (h, fold) and solved for every C_rho: each
+    solve is the one ``batch_fit`` makes.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -84,26 +89,40 @@ def cv_table(ts, ys, grid, penalty, spec):
     ys = ys[: grid.n0]
     folds = np.arange(grid.n0) % grid.J
 
-    rows = []
-    for C_rho in grid.C_rho_grid:
-        for h in grid.h_grid:
-            q = SchedulerConfig(h=h).active_count(grid.n0)
-            rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
-            fold_cv = []
-            try:
-                for j in range(grid.J):
-                    train = folds != j
-                    coef = batch_fit(ts[train], ys[train], spec, q, rho, penalty)
-                    V = basis_mod.eval_matrix(spec, q, ts[~train])
-                    resid = ys[~train] - V @ coef
-                    fold_cv.append(float(np.dot(resid, resid)))
-                cv = sum(fold_cv)
-                se = float(np.std(fold_cv, ddof=1) * np.sqrt(grid.J))
-            except IllConditionedSystemError:
+    columns = []  # columns[i][c]: grid point (C_rho_grid[c], h_grid[i])
+    for h in grid.h_grid:
+        q = SchedulerConfig(h=h).active_count(grid.n0)
+        W = basis_mod.penalty_matrix(spec, penalty, q)
+        rhos = [rho_at(C_rho, h, grid.n0, penalty.zeta)
+                for C_rho in grid.C_rho_grid]
+        fold_cv = [[] for _ in rhos]  # None once a fold fit has failed
+        for j in range(grid.J):
+            train = folds != j
+            H, rhs = normal_equations(spec, q, ts[train], ys[train])
+            V = basis_mod.eval_matrix(spec, q, ts[~train])
+            for c, rho in enumerate(rhos):
+                if fold_cv[c] is None:
+                    continue
+                try:
+                    coef = penalized_solve(H, W, rho, rhs)
+                except IllConditionedSystemError:
+                    fold_cv[c] = None
+                    continue
+                resid = ys[~train] - V @ coef
+                fold_cv[c].append(float(np.dot(resid, resid)))
+        column = []
+        for C_rho, rho, cvs in zip(grid.C_rho_grid, rhos, fold_cv):
+            if cvs is None:
                 cv, se = float("inf"), 0.0
-            rows.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
-                         "se": se})
-    return rows
+            else:
+                cv = sum(cvs)
+                se = float(np.std(cvs, ddof=1) * np.sqrt(grid.J))
+            column.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
+                           "se": se})
+        columns.append(column)
+    # by position, not value: the grids may repeat entries
+    return [column[c] for c in range(len(grid.C_rho_grid))
+            for column in columns]
 
 
 def cv_select(ts, ys, grid, penalty, spec, n_deploy=None, mem_cap=None):

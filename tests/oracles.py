@@ -9,8 +9,12 @@ import numpy as np
 from streamreg import quadrature
 from streamreg.basis import _check_points, _curvature_factors, eval_matrix
 from streamreg.errors import DomainError, QuadratureError
+from streamreg.engine import batch_fit
+from streamreg.errors import IllConditionedSystemError
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
-from streamreg.lowerbound import build_m_omega
+from streamreg.lowerbound import build_m_omega, bump_kernel
+from streamreg.scheduler import SchedulerConfig
+from streamreg.tuning import rho_at
 
 
 def eval_matrix_trig(spec, q, t, check_domain=True):
@@ -149,3 +153,52 @@ def holder_constant_estimate(inst):
     nu = int(np.ceil(inst.beta)) - 1
     d = np.diff(v, n=nu) / dt ** nu if nu > 0 else v
     return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))
+
+
+def build_m_omega_loop(inst):
+    """``build_m_omega`` summing every active bump at every point."""
+    amp = inst.c_K * inst.chi * inst.k ** (-inst.beta)
+    omega = np.asarray(inst.omega, dtype=float)
+    centers = inst.centers
+
+    def m_omega(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        total = np.zeros_like(t)
+        for w, tj in zip(omega, centers):
+            if w:
+                total += amp * bump_kernel(inst.k * (t - tj), inst.chi, inst.M)
+        return total
+
+    return m_omega
+
+
+def cv_table_by_batch_fit(ts, ys, grid, penalty, spec):
+    """``tuning.cv_table`` with one ``batch_fit`` per grid point and fold."""
+    ts = np.asarray(ts, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    if ts.size < grid.n0:
+        raise ValueError(f"warm-up requires at least n0={grid.n0} observations")
+    ts = ts[: grid.n0]
+    ys = ys[: grid.n0]
+    folds = np.arange(grid.n0) % grid.J
+
+    rows = []
+    for C_rho in grid.C_rho_grid:
+        for h in grid.h_grid:
+            q = SchedulerConfig(h=h).active_count(grid.n0)
+            rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
+            fold_cv = []
+            try:
+                for j in range(grid.J):
+                    train = folds != j
+                    coef = batch_fit(ts[train], ys[train], spec, q, rho, penalty)
+                    V = eval_matrix(spec, q, ts[~train])
+                    resid = ys[~train] - V @ coef
+                    fold_cv.append(float(np.dot(resid, resid)))
+                cv = sum(fold_cv)
+                se = float(np.std(fold_cv, ddof=1) * np.sqrt(grid.J))
+            except IllConditionedSystemError:
+                cv, se = float("inf"), 0.0
+            rows.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
+                         "se": se})
+    return rows

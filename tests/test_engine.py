@@ -84,6 +84,17 @@ class TestIngest:
                 eng.ingest([0.2, 0.7], [1.0, bad])
         assert eng.checkpoint_json() == before
 
+    def test_nan_t_rejected_atomically(self):
+        # the domain check is one min/max test, which NaN must still fail
+        for known in (True, False):
+            eng = make_engine(known=known)
+            eng.ingest([0.5, 0.25], [1.0, 2.0])
+            before = eng.checkpoint_json()
+            for bad in ([np.nan], [0.2, np.nan], [np.nan, 0.7, 1.5]):
+                with pytest.raises(DomainError):
+                    eng.ingest(bad, [1.0] * len(bad))
+                assert eng.checkpoint_json() == before
+
     def test_overflowing_y_rejected_atomically(self):
         # each y is finite, but the slot sums overflow: in one batch of ten,
         # or only once a second batch adds to the first

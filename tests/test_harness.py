@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import generate_stream, m3_partial_sum
-from streamreg import quadrature
+from streamreg import harness, quadrature
 from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
                                m2, m3, noise_sigma,
@@ -29,6 +29,29 @@ class TestTargets:
         # interpolation table against the slow chunked partial sum
         t = np.array([0.0, 0.1, 1 / 3, 0.55, 0.975])
         np.testing.assert_allclose(m3(t), m3_partial_sum(t), atol=2e-5)
+
+    def test_m3_is_np_interp_on_the_table(self):
+        # the direct cell index must give np.interp's bytes everywhere
+        vals = harness._m3_interp_table()
+        grid = np.arange(vals.size) / (vals.size - 1)
+        rng = np.random.default_rng(3)
+        cases = [
+            rng.uniform(0, 1, 200_000),
+            grid,
+            np.array([0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(0.0, 1.0),
+                      5e-324]),
+            np.nextafter(grid[1:-1:997], 0.0),
+            np.nextafter(grid[1:-1:997], 1.0),
+            np.array([-1e-300, -0.5, -3.0, -np.inf, 1.0 + 2 ** -52, 1.5,
+                      7.0, np.inf]),
+            rng.uniform(-1, 2, 10_000),
+        ]
+        for t in cases:
+            got = m3(t)
+            want = np.interp(t, grid, vals)
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          want.view(np.int64))
+        assert np.isnan(m3(np.array([np.nan]))).all()
 
     def test_m3_is_periodic(self):
         assert m3(0.0) == pytest.approx(m3(1.0), abs=1e-10)

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import holder_constant_estimate
-from streamreg import quadrature
+from oracles import build_m_omega_loop, holder_constant_estimate
+from streamreg import lowerbound, quadrature
 from streamreg.errors import CheckpointError
-from streamreg.lowerbound import (HypercubeInstance, alice_encode, bob_decode,
-                                  build_m_omega, bump_kernel, run_protocol)
+from streamreg.lowerbound import (DEFAULT_NOISE_SD, HypercubeInstance,
+                                  alice_encode, bob_decode, build_m_omega,
+                                  bump_kernel, run_protocol)
 
 
 class TestBumpKernel:
@@ -71,6 +72,74 @@ class TestEncodedFunction:
         for k in (2, 8):
             inst = HypercubeInstance(k=k, omega=(1,) * k)
             assert holder_constant_estimate(inst) <= inst.chi
+
+
+def assert_same_bytes(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def protocol_draws(k, n, trials, seed, batch=100):
+    """The (instance, batch points) pairs ``run_protocol`` draws, replayed
+    from its generator without running the engine."""
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        omega = tuple(int(b) for b in rng.integers(0, 2, k))
+        rng.integers(0, k)
+        batches = []
+        for _ in range(n // batch):
+            batches.append(rng.uniform(0.0, 1.0, batch))
+            rng.normal(0.0, DEFAULT_NOISE_SD, batch)
+        yield HypercubeInstance(k=k, omega=omega), batches
+
+
+class TestSingleBump:
+    def test_replay_follows_run_protocol(self, monkeypatch):
+        # the replay below must see the instances and points run_protocol
+        # feeds the encoder
+        seen = []
+
+        def recording(inst):
+            m = build_m_omega(inst)
+
+            def m_omega(t):
+                seen.append((inst, np.array(t)))
+                return m(t)
+            return m_omega
+
+        monkeypatch.setattr(lowerbound, "build_m_omega", recording)
+        run_protocol(k=8, n=1000, trials=3, seed=0)
+        replayed = [(inst, t) for inst, batches in protocol_draws(8, 1000, 3, 0)
+                    for t in batches]
+        assert len(seen) == len(replayed)
+        for (inst_a, t_a), (inst_b, t_b) in zip(seen, replayed):
+            assert inst_a == inst_b
+            assert_same_bytes(t_a, t_b)
+
+    def test_criterion_9_instances_match_the_bump_loop(self):
+        # criterion 9 runs k = 8, n = 1e5, 200 trials from seed 0 with and
+        # without a cap; the cap changes the engine, not the draws
+        for inst, batches in protocol_draws(8, 100_000, 200, 0):
+            t = np.concatenate(batches)
+            assert_same_bytes(build_m_omega(inst)(t),
+                              build_m_omega_loop(inst)(t))
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_edges_and_outside_points_match_the_bump_loop(self, k):
+        rng = np.random.default_rng(k)
+        edges = np.arange(k + 1) / k
+        centers = (np.arange(k) + 0.5) / k
+        t = np.concatenate([
+            [0.0, 1.0, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+            edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0),
+            centers, rng.uniform(0, 1, 1000),
+            [-1e-12, -0.3, -5.0, 1.0 + 1e-12, 1.2, 5.0, -np.inf, np.inf]])
+        for omega in ((1,) * k, tuple(rng.integers(0, 2, k)), (0,) * k):
+            inst = HypercubeInstance(k=k, omega=omega)
+            assert_same_bytes(build_m_omega(inst)(t),
+                              build_m_omega_loop(inst)(t))
+        inst = HypercubeInstance(k=k, omega=(1,) * k)
+        assert build_m_omega(inst)(np.array([np.nan]))[0] == 0.0
 
 
 class TestProtocolPieces:

@@ -1,5 +1,6 @@
 import bisect
 import itertools
+import json
 import math
 
 import numpy as np
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
 from streamreg.engine import OnePassRegressor
-from streamreg.scheduler import NEVER, SchedulerConfig, _floor
+from streamreg.errors import CheckpointError
+from streamreg.scheduler import (MAX_INITIAL_SLOTS, NEVER, SchedulerConfig,
+                                 _floor)
 
 UNIT = BasisSpec(0.0, 1.0)
 
@@ -99,9 +102,42 @@ class TestSchedule:
         for h, C_q in ((1 / 3, 1e-320), (1 / 3, 1e-280), (0.5, 1e-7)):
             with pytest.raises(ValueError):
                 SchedulerConfig(h=h, C_q=C_q)
-        sched = SchedulerConfig(C_q=1e-9)  # 2**21 / 1e-9 < 2**53 slots
-        assert sched.slot_count(1) == 1587401051
-        assert sched.tau(1587401051) <= 1 < sched.tau(1587401052)
+        # 2**21 / 1e-9 < 2**53 slots; uncapped, C_q = 1e-9 opens too many
+        # slots at n = 1 (test_huge_initial_slot_count_rejected)
+        sched = SchedulerConfig(C_q=1e-9, mem_cap=30)
+        assert sched.slot_count(1) == 10
+
+    def test_huge_initial_slot_count_rejected(self):
+        # C_q = 1e-9 opens 1 587 401 051 slots at n = 1; the first ingest
+        # would build a tau list that long
+        for kwargs in (dict(C_q=1e-9), dict(q0=10 ** 9),
+                       dict(fixed_q=10 ** 9),
+                       dict(fixed_q=MAX_INITIAL_SLOTS + 1),
+                       dict(q0=MAX_INITIAL_SLOTS + 1)):
+            with pytest.raises(ValueError):
+                SchedulerConfig(**kwargs)
+        assert SchedulerConfig(fixed_q=MAX_INITIAL_SLOTS).slot_count(1) \
+            == MAX_INITIAL_SLOTS
+        # a cap bounds the slot count whatever C_q is
+        assert SchedulerConfig(C_q=1e-9, mem_cap=30).slot_count(1) == 10
+
+    def test_huge_initial_slot_count_checkpoint_rejected(self):
+        record = OnePassRegressor(UNIT, PenaltySpec("roughness"),
+                                  SchedulerConfig()).checkpoint()
+        for key, value in (("C_q", 1e-9), ("q0", 10 ** 9),
+                           ("fixed_q", 10 ** 9)):
+            bad = json.loads(json.dumps(record))
+            bad["config"][key] = value
+            with pytest.raises(CheckpointError):
+                OnePassRegressor.from_checkpoint(json.dumps(bad))
+
+    def test_test_configs_stay_below_the_bound(self):
+        # every config the suite builds passes the constructor; these are
+        # the largest initial slot counts among them
+        for h, mem_cap, (C_q, c_circ, q0) in TestSlotCountClosedForm.CONFIGS:
+            sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
+                                    mem_cap=mem_cap)
+            assert sched.slot_count(1) <= MAX_INITIAL_SLOTS
 
 
 class TauList:
@@ -148,6 +184,29 @@ class TestSlotCountClosedForm:
         ns += [sched.tau(j) + d for j in steps for d in (-1, 0)]
         for n in ns:
             assert sched.slot_count(n) == slot_count_oracle(sched, lazy, n), n
+
+
+class TestExtend:
+    @pytest.mark.parametrize("h, mem_cap, shape",
+                             TestSlotCountClosedForm.CONFIGS)
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 200),
+                                    st.integers(1, 200_000)),
+                          min_size=1, max_size=20))
+    def test_incremental_equals_one_shot(self, h, mem_cap, shape, sizes):
+        # extend's early return (at the cap, or next slot past n) must
+        # leave the same start vector as building it at once
+        C_q, c_circ, q0 = shape
+        sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
+                                mem_cap=mem_cap)
+        start = np.zeros(0, dtype=np.int64)
+        n = 0
+        for size in sizes:
+            n += size
+            start = sched.extend(start, n)
+            one_shot = [sched.tau(j) for j in range(1, sched.slot_count(n) + 1)]
+            assert start.dtype == np.int64
+            np.testing.assert_array_equal(start, one_shot)
 
 
 def replay_ledger(sched, ts, ys):

@@ -10,8 +10,9 @@ from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
 from streamreg.engine import OnePassRegressor
 from streamreg.scheduler import SchedulerConfig
-from streamreg.service import (ServiceClient, ServiceConfig, StreamRegistry,
-                               StreamService, handle_request)
+from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceClient,
+                               ServiceConfig, StreamRegistry, StreamService,
+                               handle_request)
 
 
 @pytest.fixture
@@ -128,6 +129,25 @@ class TestRegistry:
                                             "kind": "stats"})
         assert missing["error"] == "not_found"
 
+    def test_stream_count_is_bounded(self, registry):
+        for i in range(MAX_STREAMS):
+            assert handle_request(registry, {
+                "op": "ingest", "stream_id": i, "points": [[0.5, 1.0]]})["ok"]
+        resp = handle_request(registry, {"op": "ingest", "stream_id": "new",
+                                         "points": [[0.5, 1.0]]})
+        assert (resp["ok"], resp["error"]) == (False, "request")
+        missing = handle_request(registry, {"op": "query", "stream_id": "new",
+                                            "kind": "stats"})
+        assert missing["error"] == "not_found"
+        # existing streams are still served
+        for i in (0, MAX_STREAMS - 1):
+            resp = handle_request(registry, {
+                "op": "ingest", "stream_id": i, "points": [[0.25, 2.0]]})
+            assert resp == {"ok": True, "n": 2}
+            est = handle_request(registry, {"op": "query", "stream_id": i,
+                                            "kind": "estimate", "t": 0.5})
+            assert est["ok"]
+
     def test_concurrent_ingest_is_consistent(self, registry):
         def worker(seed):
             ingest_points(registry, "shared", 200, seed=seed)
@@ -189,6 +209,34 @@ class TestSocketService:
                          b'"points": [[0.5, 1.0]]}\n')
                 fh.flush()
                 assert json.loads(fh.readline()) == {"ok": True, "n": 1}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_long_line_keeps_connection_alive(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        server.serve_background()
+        ingest = b'{"op": "ingest", "stream_id": "s", "points": [[0.5, 1.0]]}'
+        # a valid request padded past the limit, and one just within it
+        too_long = ingest[:-1] + b" " * (MAX_LINE_BYTES + 1 - len(ingest)) \
+            + b"}"
+        longest = ingest[:-1] + b" " * (MAX_LINE_BYTES - len(ingest)) + b"}"
+        assert (len(too_long), len(longest)) == (MAX_LINE_BYTES + 1,
+                                                 MAX_LINE_BYTES)
+        try:
+            with socket.create_connection(server.address) as sock:
+                fh = sock.makefile("rwb")
+                for line, n in ((too_long, None), (ingest, 1),
+                                (too_long * 3, None), (longest, 2),
+                                (b"\xff\xfe", None), (ingest, 3)):
+                    fh.write(line + b"\n")
+                    fh.flush()
+                    resp = json.loads(fh.readline())
+                    if n is None:
+                        assert (resp["ok"], resp["error"]) == (False,
+                                                               "request")
+                    else:
+                        assert resp == {"ok": True, "n": n}
         finally:
             server.shutdown()
             server.server_close()

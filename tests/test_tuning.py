@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from oracles import cv_table_by_batch_fit
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.tuning import (TuningGrid, cv_select, cv_table, rho_at,
                               write_tuning_report)
@@ -91,6 +92,34 @@ class TestCvTable:
         for pen, zeta in ((ROUGH, 4.0), (IDENT, 0.0)):
             for r in cv_table(ts, ys, grid, pen, UNIT):
                 assert r["rho"] == rho_at(r["C_rho"], r["h"], 300, zeta)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("penalty", [ROUGH, IDENT])
+    def test_rows_equal_one_batch_fit_per_grid_point(self, margin, penalty):
+        # the factor work shared across C_rho must not move a bit; the grids
+        # repeat entries, which rows must keep apart by position
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        ts, ys = noisy_sample(300, 8)
+        grid = TuningGrid(C_rho_grid=(1e-3, 0.1, 1e-3, 10.0),
+                          h_grid=(0.25, 0.4, 0.25), J=4, n0=300)
+        rows = cv_table(ts, ys, grid, penalty, spec)
+        assert rows == cv_table_by_batch_fit(ts, ys, grid, penalty, spec)
+        assert all(np.isfinite(r["cv"]) for r in rows)
+
+    def test_failed_fold_gives_inf_row(self):
+        # 10 training points for 21 extended-basis functions: with the
+        # smallest rho a fold's Cholesky fails, with the others it does not
+        spec = BasisSpec(0.0, 1.0, extension_margin=0.3)
+        rng = np.random.default_rng(7)
+        ts = rng.uniform(0, 1, 20)
+        ys = np.sin(6 * ts) + rng.normal(0, 0.3, 20)
+        grid = TuningGrid(C_rho_grid=(1e-12, 1e-6, 1.0), h_grid=(0.5, 0.8),
+                          J=2, n0=20)
+        rows = cv_table(ts, ys, grid, ROUGH, spec)
+        assert rows == cv_table_by_batch_fit(ts, ys, grid, ROUGH, spec)
+        assert [np.isinf(r["cv"]) for r in rows] == [
+            False, True, False, False, False, False]
+        assert rows[1]["se"] == 0.0
 
     def test_short_sample_rejected(self):
         ts, ys = noisy_sample(50, 2)
