@@ -22,16 +22,13 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Identifies an orthonormal basis family on a domain interval."""
+    """The Fourier basis on a domain interval, optionally extended by a margin."""
 
     lo: float
     hi: float
     extension_margin: float = 0.0
-    family: str = "fourier"
 
     def __post_init__(self):
-        if self.family != "fourier":
-            raise ValueError(f"unsupported basis family: {self.family!r}")
         if not self.lo < self.hi:
             raise ValueError("domain requires lo < hi")
         if self.extension_margin < 0:

@@ -12,7 +12,6 @@ from .errors import StreamRegError
 from .harness import (Scenario, load_scenario, phase_transition_experiment,
                       rate_experiment, run_experiment)
 from .lowerbound import run_protocol
-from .scheduler import SchedulerConfig
 from .service import ServiceConfig, StreamService
 from .tuning import TuningGrid, cv_select, rho_at, write_tuning_report
 
@@ -96,15 +95,33 @@ def _cmd_tune(args):
     return 0
 
 
+def _add_engine_args(p):
+    """Engine flags of ``ingest-csv`` and ``serve``, defaulting to
+    ``ServiceConfig``'s fields."""
+    p.add_argument("--lo", type=float, default=ServiceConfig.lo)
+    p.add_argument("--hi", type=float, default=ServiceConfig.hi)
+    p.add_argument("--margin", type=float,
+                   default=ServiceConfig.extension_margin)
+    p.add_argument("--penalty", default=ServiceConfig.penalty,
+                   choices=["identity", "roughness"])
+    p.add_argument("--h", type=float, default=ServiceConfig.h)
+    p.add_argument("--mem-cap", type=int, default=ServiceConfig.mem_cap)
+    p.add_argument("--batch-size", type=int,
+                   default=ServiceConfig.batch_size)
+
+
+def _engine_config(args):
+    return ServiceConfig(lo=args.lo, hi=args.hi, extension_margin=args.margin,
+                         penalty=args.penalty, h=args.h, mem_cap=args.mem_cap,
+                         batch_size=args.batch_size)
+
+
 def _cmd_ingest_csv(args):
-    spec = BasisSpec(args.lo, args.hi, extension_margin=args.margin)
-    sched = SchedulerConfig(h=args.h, mem_cap=args.mem_cap)
     if args.resume:
         with open(args.resume) as fh:
             reg = OnePassRegressor.from_checkpoint(fh.read())
     else:
-        reg = OnePassRegressor(spec, PenaltySpec(args.penalty), sched,
-                               batch_size=args.batch_size)
+        reg = _engine_config(args).engine()
     ts, ys = [], []
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -130,8 +147,8 @@ def _cmd_query(args):
         reg = OnePassRegressor.from_checkpoint(fh.read())
     spec = reg.reg_basis
     grid = np.linspace(spec.lo, spec.hi, args.grid)
-    rho = args.rho if args.rho is not None else rho_at(1.0, reg.schedule.h,
-                                                       max(reg.n, 1))
+    rho = args.rho if args.rho is not None else rho_at(
+        1.0, reg.schedule.h, max(reg.n, 1), reg.penalty.zeta)
     if args.kind == "estimate":
         values = reg.estimate(grid, rho)
     else:
@@ -146,12 +163,8 @@ def _cmd_query(args):
 
 
 def _cmd_serve(args):
-    config = ServiceConfig(lo=args.lo, hi=args.hi,
-                           extension_margin=args.margin,
-                           penalty=args.penalty, h=args.h,
-                           mem_cap=args.mem_cap,
-                           batch_size=args.batch_size)
-    server = StreamService(config, host=args.host, port=args.port)
+    server = StreamService(_engine_config(args), host=args.host,
+                           port=args.port)
     host, port = server.address
     print(f"serving on {host}:{port}")
     try:
@@ -207,14 +220,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--resume", help="resume from an existing checkpoint")
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=0.1)
-    p.add_argument("--penalty", default="roughness",
-                   choices=["identity", "roughness"])
-    p.add_argument("--h", type=float, default=1.0 / 3.0)
-    p.add_argument("--mem-cap", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=100)
+    _add_engine_args(p)
     p.set_defaults(func=_cmd_ingest_csv)
 
     p = sub.add_parser("query", help="evaluate a checkpoint on a grid")
@@ -229,14 +235,7 @@ def build_parser():
     p = sub.add_parser("serve", help="run the ndjson ingestion/query service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7071)
-    p.add_argument("--lo", type=float, default=0.0)
-    p.add_argument("--hi", type=float, default=1.0)
-    p.add_argument("--margin", type=float, default=0.0)
-    p.add_argument("--penalty", default="roughness",
-                   choices=["identity", "roughness"])
-    p.add_argument("--h", type=float, default=1.0 / 3.0)
-    p.add_argument("--mem-cap", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=100)
+    _add_engine_args(p)
     p.set_defaults(func=_cmd_serve)
 
     return parser

@@ -52,9 +52,7 @@ class OnePassRegressor:
         # The density sketch runs in the unextended family: running means of
         # basis evaluations estimate a density only when the family is
         # orthonormal on the data domain itself.
-        density_basis = basis_mod.BasisSpec(
-            reg_basis.lo, reg_basis.hi, extension_margin=0.0,
-            family=reg_basis.family)
+        density_basis = basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi)
         self.density = None if known_uniform_density else DensityState(
             density_basis, schedule)
         self._coef_cache = {}
@@ -201,7 +199,7 @@ class OnePassRegressor:
             "n": self.n,
             "batch_size": self.batch_size,
             "config": {
-                "family": self.reg_basis.family,
+                "family": "fourier",
                 "lo": self.reg_basis.lo,
                 "hi": self.reg_basis.hi,
                 "extension_margin": self.reg_basis.extension_margin,
@@ -236,10 +234,12 @@ class OnePassRegressor:
                 raise CheckpointError(
                     f"unknown checkpoint format {record.get('format')!r}")
             cfg = record["config"]
+            if cfg["family"] != "fourier":
+                raise CheckpointError(
+                    f"unsupported basis family {cfg['family']!r}")
             spec = basis_mod.BasisSpec(
                 lo=cfg["lo"], hi=cfg["hi"],
                 extension_margin=cfg["extension_margin"],
-                family=cfg["family"],
             )
             penalty = basis_mod.PenaltySpec(kind=cfg["penalty"])
             schedule = SchedulerConfig(

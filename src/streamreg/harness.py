@@ -55,17 +55,22 @@ _m3_table = None
 
 
 def _m3_interp_table():
-    """m3 at the grid nodes j/N, j = 0..N, N = 2**_M3_GRID_LOG2."""
+    """m3 at the grid nodes j/N, j = 0..N, N = 2**_M3_GRID_LOG2: for
+    m3 = 1 + sum_k a_k cos(2 pi k t) + b_k sin(2 pi k t), the inverse real
+    FFT of the half spectrum X_0 = N, X_k = (N/2)(a_k - i b_k)."""
     global _m3_table
     if _m3_table is None:
         N = 1 << _M3_GRID_LOG2
         ks = np.arange(1, M3_TERMS // 2 + 1)
-        coef = np.zeros(N, dtype=complex)
-        coef[0] = 1.0
-        coef[ks] = (2.0 * ks) ** -1.5 + 1j * np.where(
+        spectrum = np.zeros(N // 2 + 1, dtype=complex)
+        spectrum[0] = N
+        spectrum.real[ks] = (N / 2) * (2.0 * ks) ** -1.5
+        spectrum.imag[ks] = -(N / 2) * np.where(
             2 * ks + 1 <= M3_TERMS, (2.0 * ks + 1.0) ** -1.5, 0.0)
-        vals = np.real(np.fft.fft(coef))
-        _m3_table = np.append(vals, vals[0])
+        table = np.empty(N + 1)
+        np.fft.irfft(spectrum, N, out=table[:N])
+        table[N] = table[0]
+        _m3_table = table
     return _m3_table
 
 
@@ -108,7 +113,6 @@ class Scenario:
     snr: float = 2.0
     seed: int = 0
     replicates: int = 100
-    noiseless: bool = False
 
     def __post_init__(self):
         if self.target not in TARGETS:
@@ -131,8 +135,6 @@ def signal_power(target):
 
 def noise_sigma(sc):
     """Noise standard deviation implied by the scenario's SNR convention."""
-    if sc.noiseless:
-        return 0.0
     return float(np.sqrt(signal_power(sc.target) / sc.snr))
 
 
@@ -186,15 +188,12 @@ class ExperimentReport:
 def _replicate_data(sc, replicate):
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, replicate]))
     ts = rng.uniform(0.0, 1.0, sc.n)
-    ys = TARGETS[sc.target](ts)
-    sigma = noise_sigma(sc)
-    if sigma > 0:
-        ys = ys + rng.normal(0.0, sigma, sc.n)
+    ys = TARGETS[sc.target](ts) + rng.normal(0.0, noise_sigma(sc), sc.n)
     return ts, ys
 
 
-def run_experiment(sc, checkpoints, method="streaming", grid=None,
-                   mem_cap=None, fixed_h=None, method_label=None):
+def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
+                   fixed_h=None, method_label=None):
     """Tune, stream, and record RMISE at each checkpoint.
 
     Every replicate selects (C_rho, h) by cross-validation on its warm-up
@@ -210,8 +209,7 @@ def run_experiment(sc, checkpoints, method="streaming", grid=None,
         raise ValueError("checkpoints must be non-empty and <= n")
     if any(c % sc.B for c in checkpoints):
         raise ValueError("checkpoints must align with batch boundaries")
-    if grid is None:
-        grid = TuningGrid(n0=min(1000, sc.n))
+    grid = TuningGrid(n0=min(1000, sc.n))
     if fixed_h is not None:
         grid = replace(grid, h_grid=(fixed_h,))
     spec = BasisSpec(0.0, 1.0, extension_margin=EXTENSION_MARGINS[sc.target])
@@ -306,8 +304,7 @@ def rate_experiment(sc, beta_hypothesis, checkpoints, fixed_h=1 / 3, **kwargs):
 
 
 SCENARIO_KEYS = {"target": str, "n": int, "B": int, "snr": float,
-                 "seed": int, "replicates": int,
-                 "noiseless": lambda s: s.lower() in ("1", "true", "yes")}
+                 "seed": int, "replicates": int}
 
 
 def load_scenario(path):

@@ -21,26 +21,28 @@ from .scheduler import SchedulerConfig
 
 DEFAULT_NOISE_SD = 0.02
 
+# Points per batch Alice streams through the engine.
+BATCH_SIZE = 100
 
-def bump_kernel(t, chi=1.0, M=1.0):
-    """Smooth bump supported on (-1/2, 1/2) with peak K(0) = M/chi."""
+
+def bump_kernel(t):
+    """Smooth bump supported on (-1/2, 1/2) with peak K(0) = 1."""
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     inside = np.abs(t) < 0.5
     u = t[inside]
-    out[inside] = (M / chi) * np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
     return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
 class HypercubeInstance:
-    """One index-problem instance: the secret bits and bump geometry."""
+    """One index-problem instance: the secret bits and bump geometry.  The
+    kernel peak M is 1 and the Holder constant chi cancels from the peak."""
 
     k: int
     omega: tuple
     beta: float = 1.0
-    chi: float = 1.0
-    M: float = 1.0
     c_K: float = 0.1
 
     def __post_init__(self):
@@ -48,8 +50,8 @@ class HypercubeInstance:
             raise ValueError("k must be >= 1")
         if len(self.omega) != self.k or any(b not in (0, 1) for b in self.omega):
             raise ValueError("omega must be a k-length bit vector")
-        if min(self.beta, self.chi, self.M, self.c_K) <= 0:
-            raise ValueError("beta, chi, M, c_K must be positive")
+        if min(self.beta, self.c_K) <= 0:
+            raise ValueError("beta and c_K must be positive")
 
     @property
     def centers(self):
@@ -58,8 +60,8 @@ class HypercubeInstance:
 
     @property
     def peak(self):
-        """Single-bump peak amplitude a_k = c_K * chi * k^(-beta) * K(0)."""
-        return self.c_K * self.chi * self.k ** (-self.beta) * (self.M / self.chi)
+        """Single-bump peak amplitude a_k = c_K * k^(-beta) * K(0)."""
+        return self.c_K * self.k ** (-self.beta)
 
 
 def build_m_omega(inst):
@@ -71,7 +73,7 @@ def build_m_omega(inst):
     0, so the interval chosen for a t on the edge does not matter.
     """
     k = inst.k
-    amp = inst.c_K * inst.chi * k ** (-inst.beta)
+    amp = inst.c_K * k ** (-inst.beta)
     omega = np.asarray(inst.omega, dtype=float)
     centers = inst.centers
 
@@ -79,22 +81,20 @@ def build_m_omega(inst):
         t = np.atleast_1d(np.asarray(t, dtype=float))
         # fmax/fmin send NaN to bump 0, where it evaluates to 0 as before
         j = np.fmin(np.fmax(np.floor(k * t), 0.0), k - 1.0).astype(np.intp)
-        return amp * bump_kernel(k * (t - centers[j]), inst.chi, inst.M) \
-            * omega[j]
+        return amp * bump_kernel(k * (t - centers[j])) * omega[j]
 
     return m_omega
 
 
-def _protocol_engine(mem_cap=None, batch_size=100):
+def _protocol_engine(mem_cap):
     spec = BasisSpec(0.0, 1.0, extension_margin=0.0)
     sched = SchedulerConfig(h=1.0 / 3.0, mem_cap=mem_cap)
     return OnePassRegressor(spec, PenaltySpec("identity"), sched,
-                            batch_size=batch_size,
+                            batch_size=BATCH_SIZE,
                             known_uniform_density=True)
 
 
-def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD,
-                 batch_size=100):
+def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     """Stream n noisy samples of m_omega and return the channel payload.
 
     The payload is the engine checkpoint: exactly the memory footprint,
@@ -103,10 +103,10 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD,
     if n < 1:
         raise ValueError("n must be >= 1")
     m = build_m_omega(inst)
-    reg = _protocol_engine(mem_cap=mem_cap, batch_size=batch_size)
+    reg = _protocol_engine(mem_cap)
     remaining = n
     while remaining > 0:
-        size = min(batch_size, remaining)
+        size = min(BATCH_SIZE, remaining)
         ts = rng.uniform(0.0, 1.0, size)
         ys = m(ts)
         if noise_sd > 0:
@@ -116,7 +116,7 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD,
     return reg.checkpoint_json(), reg.memory_footprint()
 
 
-def bob_decode(payload, k, beta=1.0, chi=1.0, M=1.0, c_K=0.1):
+def bob_decode(payload, k, beta=1.0, c_K=0.1):
     """Decode the bit vector from a received checkpoint.
 
     Bit j is 1 iff the unpenalized reconstructed estimate exceeds half the
@@ -124,8 +124,7 @@ def bob_decode(payload, k, beta=1.0, chi=1.0, M=1.0, c_K=0.1):
     decode to 0).
     """
     reg = OnePassRegressor.from_checkpoint(payload)
-    inst = HypercubeInstance(k=k, omega=(0,) * k, beta=beta, chi=chi,
-                             M=M, c_K=c_K)
+    inst = HypercubeInstance(k=k, omega=(0,) * k, beta=beta, c_K=c_K)
     values = reg.estimate(inst.centers, 0.0)
     return tuple(int(v > inst.peak / 2.0) for v in values)
 
@@ -147,8 +146,8 @@ class ProtocolReport:
                 writer.writerow(r)
 
 
-def run_protocol(k, n, trials, seed=0, beta=1.0, chi=1.0, M=1.0, c_K=0.1,
-                 mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
+def run_protocol(k, n, trials, seed=0, beta=1.0, c_K=0.1, mem_cap=None,
+                 noise_sd=DEFAULT_NOISE_SD):
     """Sample random (omega, index) instances and measure per-bit error.
 
     Each trial draws omega uniformly from {0,1}^k and one query index,
@@ -164,8 +163,7 @@ def run_protocol(k, n, trials, seed=0, beta=1.0, chi=1.0, M=1.0, c_K=0.1,
     for trial in range(trials):
         omega = tuple(int(b) for b in rng.integers(0, 2, k))
         j = int(rng.integers(0, k))
-        inst = HypercubeInstance(k=k, omega=omega, beta=beta, chi=chi,
-                                 M=M, c_K=c_K)
+        inst = HypercubeInstance(k=k, omega=omega, beta=beta, c_K=c_K)
         payload, units = alice_encode(inst, n, rng, mem_cap=mem_cap,
                                       noise_sd=noise_sd)
         record = json.loads(payload)
@@ -174,7 +172,7 @@ def run_protocol(k, n, trials, seed=0, beta=1.0, chi=1.0, M=1.0, c_K=0.1,
                          + SCALAR_UNITS)
         if payload_units != units:
             raise RuntimeError("channel payload does not match footprint")
-        decoded = bob_decode(payload, k, beta=beta, chi=chi, M=M, c_K=c_K)
+        decoded = bob_decode(payload, k, beta=beta, c_K=c_K)
         correct = int(decoded[j] == omega[j])
         errors += 1 - correct
         report.rows.append([trial, k, n, units, j, correct])

@@ -35,6 +35,6 @@ def integrate(f, lo, hi, n_nodes):
     return float(np.dot(w, f(x)))
 
 
-def node_count(q, p=0):
-    """Default node count for integrands built from q (+p) basis functions."""
+def node_count(q, p):
+    """Default node count for integrands built from q + p basis functions."""
     return max(512, 8 * (q + p))

@@ -40,7 +40,8 @@ MAX_STREAMS = 1024
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """Per-service engine configuration applied to every new stream."""
+    """Engine configuration: the service applies it to every new stream, and
+    ``streamreg ingest-csv`` to the stream it starts."""
 
     lo: float = 0.0
     hi: float = 1.0
@@ -51,6 +52,15 @@ class ServiceConfig:
     mem_cap: int | None = None
     known_uniform_density: bool = False
     batch_size: int = 100
+
+    def engine(self):
+        """A fresh engine with this configuration."""
+        return OnePassRegressor(
+            BasisSpec(self.lo, self.hi, extension_margin=self.extension_margin),
+            PenaltySpec(self.penalty),
+            SchedulerConfig(h=self.h, mem_cap=self.mem_cap),
+            batch_size=self.batch_size,
+            known_uniform_density=self.known_uniform_density)
 
 
 class StreamRegistry:
@@ -69,15 +79,8 @@ class StreamRegistry:
                 if len(self._streams) >= MAX_STREAMS:
                     raise ValueError(
                         f"the service holds its limit of {MAX_STREAMS} streams")
-                cfg = self.config
-                spec = BasisSpec(cfg.lo, cfg.hi,
-                                 extension_margin=cfg.extension_margin)
-                sched = SchedulerConfig(h=cfg.h, mem_cap=cfg.mem_cap)
-                reg = OnePassRegressor(
-                    spec, PenaltySpec(cfg.penalty), sched,
-                    batch_size=cfg.batch_size,
-                    known_uniform_density=cfg.known_uniform_density)
-                self._streams[stream_id] = (reg, threading.Lock())
+                self._streams[stream_id] = (self.config.engine(),
+                                            threading.Lock())
             return self._streams[stream_id]
 
     def ingest(self, stream_id, points):
@@ -111,9 +114,8 @@ class StreamRegistry:
             raise ValueError(f"unknown query kind {kind!r}")
 
     def _rho(self, reg):
-        if reg.n < 1:
-            return rho_at(self.config.C_rho, self.config.h, 1)
-        return rho_at(self.config.C_rho, self.config.h, reg.n)
+        return rho_at(self.config.C_rho, self.config.h, max(reg.n, 1),
+                      reg.penalty.zeta)
 
 
 def handle_request(registry, request):
@@ -193,7 +195,7 @@ class StreamService(socketserver.ThreadingTCPServer):
 
 
 class ServiceClient:
-    """Minimal ndjson client used by tests and the CLI."""
+    """Minimal blocking ndjson client; the tests drive the service with it."""
 
     def __init__(self, host, port):
         self._sock = socket.create_connection((host, port))

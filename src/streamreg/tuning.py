@@ -61,7 +61,7 @@ def _min_gram_eigenvalue(spec, q):
     return float(np.min(np.linalg.eigvalsh(H)))
 
 
-def deployable(spec, h, n, mem_cap=None):
+def deployable(spec, h, n, mem_cap):
     """Whether the basis count the schedule reaches by time n stays
     numerically identifiable (design-Gram eigenvalues above the floor)."""
     q = SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n)
@@ -138,7 +138,7 @@ def cv_select(ts, ys, grid, penalty, spec, n_deploy=None, mem_cap=None):
     rows = cv_table(ts, ys, grid, penalty, spec)
     if n_deploy is not None:
         for r in rows:
-            if not deployable(spec, r["h"], n_deploy, mem_cap=mem_cap):
+            if not deployable(spec, r["h"], n_deploy, mem_cap):
                 r["cv"] = float("inf")
     feasible = [r for r in rows if np.isfinite(r["cv"])]
     if not feasible:

@@ -114,7 +114,7 @@ def projection_residual(m, spec, q, norm="L2", n_nodes=None):
     if norm not in ("L2", "sup"):
         raise ValueError("norm must be 'L2' or 'sup'")
     if n_nodes is None:
-        n_nodes = quadrature.node_count(q)
+        n_nodes = quadrature.node_count(q, 0)
 
     def residual(nn):
         x, w = quadrature.rule(spec.lo, spec.hi, nn)
@@ -144,7 +144,7 @@ def holder_constant_estimate(inst):
     """Finite-difference estimate of the order-beta Holder constant of m_omega.
 
     Used to confirm numerically that the chosen c_K keeps the encoded
-    function within the smoothness class of parameter chi.
+    function within the smoothness class of Holder constant chi = 1.
     """
     m = build_m_omega(inst)
     t = np.linspace(0.0, 1.0, 20001)
@@ -157,7 +157,7 @@ def holder_constant_estimate(inst):
 
 def build_m_omega_loop(inst):
     """``build_m_omega`` summing every active bump at every point."""
-    amp = inst.c_K * inst.chi * inst.k ** (-inst.beta)
+    amp = inst.c_K * inst.k ** (-inst.beta)
     omega = np.asarray(inst.omega, dtype=float)
     centers = inst.centers
 
@@ -166,7 +166,7 @@ def build_m_omega_loop(inst):
         total = np.zeros_like(t)
         for w, tj in zip(omega, centers):
             if w:
-                total += amp * bump_kernel(inst.k * (t - tj), inst.chi, inst.M)
+                total += amp * bump_kernel(inst.k * (t - tj))
         return total
 
     return m_omega

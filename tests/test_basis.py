@@ -202,7 +202,7 @@ GRAM_QS = [1, 2, 3, 92, 93, 301, 600]
 
 def weighted_nodes(lo, hi, q, seed):
     """The Gram quadrature's nodes on [lo, hi] with random positive weights."""
-    x, w = quadrature.rule(lo, hi, quadrature.node_count(q))
+    x, w = quadrature.rule(lo, hi, quadrature.node_count(q, 0))
     return x, w * np.random.default_rng(seed).uniform(0.0, 2.0, w.size)
 
 
@@ -252,7 +252,7 @@ class TestGramFromMoments:
         # own error grows with q and with a short domain, so the bound is
         # 1e-13 of max |H| rather than a few ulps
         spec = BasisSpec(lo, hi, extension_margin=margin)
-        x, w = quadrature.rule(lo, hi, 4 * quadrature.node_count(q))
+        x, w = quadrature.rule(lo, hi, 4 * quadrature.node_count(q, 0))
         oracle = weighted_gram(spec, q, x, w / (hi - lo))
         H = gram_uniform(spec, q)
         np.testing.assert_array_equal(H, H.T)

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
 from streamreg.density import DensityState
@@ -281,6 +283,34 @@ class TestCheckpoint:
                                       full.density.theta)
         assert resumed.estimate(0.3, 1e-2) == full.estimate(0.3, 1e-2)
 
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 400), min_size=2, max_size=16),
+           cut=st.integers(1, 15), margin=st.sampled_from([0.0, 0.1]),
+           mem_cap=st.sampled_from([None, 30]), sketch=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    def test_resume_at_any_batch_cut_is_byte_exact(self, sizes, cut, margin,
+                                                   mem_cap, sketch, seed):
+        cut = min(cut, len(sizes) - 1)
+        ts, ys = sample(sum(sizes), seed, lambda t: np.sin(6 * t))
+        batches = np.split(np.arange(ts.size), np.cumsum(sizes)[:-1])
+
+        def engine():
+            return OnePassRegressor(
+                BasisSpec(0.0, 1.0, extension_margin=margin), ROUGH,
+                SchedulerConfig(mem_cap=mem_cap),
+                known_uniform_density=not sketch)
+
+        def ingest(eng, part):
+            for idx in part:
+                eng.ingest(ts[idx], ys[idx])
+            return eng
+
+        full = ingest(engine(), batches).checkpoint_json()
+        half = ingest(engine(), batches[:cut]).checkpoint_json()
+        resumed = ingest(OnePassRegressor.from_checkpoint(half),
+                         batches[cut:])
+        assert resumed.checkpoint_json() == full
+
     def test_small_h_runs_on_its_initial_slots(self):
         # with h = 0.001 the activation time (C_q*j)^(1/h) of every slot past
         # q0 overflows a float: those slots never open
@@ -318,6 +348,10 @@ class TestCheckpoint:
         eng.ingest([0.5], [1.0])
         record = eng.checkpoint()
         del record["G"]
+        with pytest.raises(CheckpointError):
+            OnePassRegressor.from_checkpoint(record)
+        record = eng.checkpoint()
+        record["config"]["family"] = "legendre"
         with pytest.raises(CheckpointError):
             OnePassRegressor.from_checkpoint(record)
         # records that parse but disagree with the schedule, with the sketch

@@ -1,9 +1,13 @@
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from oracles import generate_stream, m3_partial_sum
+import streamreg
 from streamreg import harness, quadrature
 from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
@@ -11,7 +15,6 @@ from streamreg.harness import (ExperimentReport, Scenario,
                                phase_transition_experiment, rate_experiment,
                                rmise, run_experiment, signal_power,
                                target_eval)
-from streamreg.tuning import TuningGrid
 
 
 class TestTargets:
@@ -53,6 +56,29 @@ class TestTargets:
                                           want.view(np.int64))
         assert np.isnan(m3(np.array([np.nan]))).all()
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads the peak RSS from /proc")
+    def test_m3_table_build_stays_near_its_size(self):
+        # the table is (2**21 + 1) float64s, 16 MB; the build may hold about
+        # as much again in temporaries.  VmHWM is the peak RSS of the
+        # process's own address space; getrusage's peak would start from
+        # the forking test process's RSS and hide the growth.
+        code = ("from streamreg import harness\n"
+                "def peak_kb():\n"
+                "    for line in open('/proc/self/status'):\n"
+                "        if line.startswith('VmHWM:'):\n"
+                "            return int(line.split()[1])\n"
+                "before = peak_kb()\n"
+                "harness._m3_interp_table()\n"
+                "print((peak_kb() - before) / 1024)\n")
+        env = {**os.environ, "NUMPY_MADVISE_HUGEPAGE": "0",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(
+                   streamreg.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert float(out.stdout) <= 64.0
+
     def test_m3_is_periodic(self):
         assert m3(0.0) == pytest.approx(m3(1.0), abs=1e-10)
 
@@ -76,7 +102,6 @@ class TestScenario:
         power = (0.4 ** 3 + 0.6 ** 3) / 3.0
         assert signal_power("m2") == pytest.approx(power, abs=1e-10)
         assert noise_sigma(sc) == pytest.approx(np.sqrt(power / 2.0))
-        assert noise_sigma(Scenario(noiseless=True)) == 0.0
 
     def test_stream_is_deterministic_and_sized(self):
         sc = Scenario(target="m1", n=250, B=100, seed=7)
@@ -95,11 +120,9 @@ class TestScenario:
     def test_load_scenario_round_trip(self, tmp_path):
         path = tmp_path / "scenario.txt"
         path.write_text(
-            "target = m2\nn = 5000\n# comment\nsnr = 4.0\nseed = 3\n"
-            "noiseless = true\n")
+            "target = m2\nn = 5000\n# comment\nsnr = 4.0\nseed = 3\n")
         sc = load_scenario(path)
-        assert sc == Scenario(target="m2", n=5000, snr=4.0, seed=3,
-                              noiseless=True)
+        assert sc == Scenario(target="m2", n=5000, snr=4.0, seed=3)
         path.write_text("bogus = 1\n")
         with pytest.raises(ValueError):
             load_scenario(path)
@@ -132,27 +155,23 @@ class TestReport:
         assert "logscale" in (tmp_path / "plot.gp").read_text()
 
 
-SMALL_GRID = TuningGrid(C_rho_grid=(1e-2, 1.0), h_grid=(1 / 3,), n0=500)
-
-
 class TestRunExperiment:
     def test_rmise_decreases_with_n(self):
         sc = Scenario(target="m1", n=4000, B=100, seed=1, replicates=4)
-        rpt = run_experiment(sc, [500, 4000], grid=SMALL_GRID)
+        rpt = run_experiment(sc, [500, 4000])
         values = rpt.column("rmise")
         assert values[1] < values[0]
         assert rpt.failures == 0
 
     def test_batch_oracle_runs(self):
         sc = Scenario(target="m1", n=2000, B=100, seed=2, replicates=2)
-        rpt = run_experiment(sc, [2000], method="batch_oracle",
-                             grid=SMALL_GRID)
+        rpt = run_experiment(sc, [2000], method="batch_oracle")
         assert rpt.rows[0]["method"] == "batch_oracle"
         assert np.isfinite(rpt.rows[0]["rmise"])
 
     def test_mem_cap_bounds_reported_units(self):
         sc = Scenario(target="m1", n=4000, B=100, seed=3, replicates=2)
-        rpt = run_experiment(sc, [4000], grid=SMALL_GRID, mem_cap=30)
+        rpt = run_experiment(sc, [4000], mem_cap=30)
         assert rpt.rows[0]["mem_units_mean"] <= 30 + 16
 
     def test_checkpoint_validation(self):
@@ -166,16 +185,15 @@ class TestRunExperiment:
 
     def test_deterministic_given_seed(self):
         sc = Scenario(target="m2", n=1500, B=100, seed=4, replicates=2)
-        a = run_experiment(sc, [1500], grid=SMALL_GRID)
-        b = run_experiment(sc, [1500], grid=SMALL_GRID)
+        a = run_experiment(sc, [1500])
+        b = run_experiment(sc, [1500])
         assert a.rows[0]["rmise"] == b.rows[0]["rmise"]
 
 
 class TestCompositeExperiments:
     def test_phase_transition_labels(self):
         sc = Scenario(target="m1", n=2000, B=100, seed=5, replicates=2)
-        rpt = phase_transition_experiment(sc, [None, 30], [1000, 2000],
-                                          grid=SMALL_GRID)
+        rpt = phase_transition_experiment(sc, [None, 30], [1000, 2000])
         labels = set(rpt.column("method"))
         assert labels == {"streaming_uncapped", "streaming_cap30"}
 
@@ -187,7 +205,7 @@ class TestCompositeExperiments:
     def test_rate_experiment_slope_sign(self):
         sc = Scenario(target="m3", n=10_000, B=100, seed=6, replicates=3)
         slope, hyp, rpt, skipped = rate_experiment(
-            sc, 1.0, [100, 1000, 10_000], grid=SMALL_GRID)
+            sc, 1.0, [100, 1000, 10_000])
         assert hyp == pytest.approx(-1.0 / 3.0)
         assert not skipped
         assert slope < 0

@@ -20,7 +20,10 @@ class TestBumpKernel:
         assert bump_kernel(np.array([0.49999]))[0] < 1e-6
 
     def test_scaling(self):
-        assert bump_kernel(0.0, chi=2.0, M=3.0) == pytest.approx(1.5)
+        # the encoded bump's peak is c_K k^-beta times the kernel's peak 1
+        inst = HypercubeInstance(k=4, omega=(0, 1, 0, 0), beta=2.0, c_K=0.3)
+        assert inst.peak == 0.3 * 4 ** -2.0
+        assert build_m_omega(inst)(inst.centers[1])[0] == inst.peak
 
     def test_symmetry_and_smooth_decay(self):
         t = np.linspace(0, 0.49, 50)
@@ -71,7 +74,7 @@ class TestEncodedFunction:
         # c_K = 0.1 was sized so the encoded function stays in the class
         for k in (2, 8):
             inst = HypercubeInstance(k=k, omega=(1,) * k)
-            assert holder_constant_estimate(inst) <= inst.chi
+            assert holder_constant_estimate(inst) <= 1.0
 
 
 def assert_same_bytes(a, b):

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from streamreg import cli
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
 from streamreg.engine import OnePassRegressor
@@ -13,6 +14,7 @@ from streamreg.scheduler import SchedulerConfig
 from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceClient,
                                ServiceConfig, StreamRegistry, StreamService,
                                handle_request)
+from streamreg.tuning import rho_at
 
 
 @pytest.fixture
@@ -147,6 +149,19 @@ class TestRegistry:
             est = handle_request(registry, {"op": "query", "stream_id": i,
                                             "kind": "estimate", "t": 0.5})
             assert est["ok"]
+
+    def test_rho_follows_the_penalty(self):
+        # identity penalty: zeta = 0, so rho = n^(-1/3) at h = 1/3
+        for penalty, zeta in (("identity", 0.0), ("roughness", 4.0)):
+            registry = StreamRegistry(ServiceConfig(penalty=penalty))
+            ingest_points(registry, "a", 1000)
+            stats = handle_request(registry, {"op": "query", "stream_id": "a",
+                                              "kind": "stats"})
+            assert stats["rho"] == rho_at(1.0, 1 / 3, 1000, zeta)
+            est = handle_request(registry, {"op": "query", "stream_id": "a",
+                                            "kind": "estimate", "t": 0.3})
+            reg = registry._engine("a", create=False)[0]
+            assert est["value"] == reg.estimate(0.3, stats["rho"])
 
     def test_concurrent_ingest_is_consistent(self, registry):
         def worker(seed):
@@ -316,6 +331,44 @@ class TestCli:
         assert len(rows) == 11
         assert all(np.isfinite(float(r["estimate"])) for r in rows)
         capsys.readouterr()
+
+    def test_query_rho_follows_the_penalty(self, tmp_path, capsys):
+        data, ckpt, out = (tmp_path / name
+                           for name in ("s.csv", "c.json", "q.csv"))
+        write_stream_csv(data, n=1000)
+        assert main(["ingest-csv", "--input", str(data), "--checkpoint",
+                     str(ckpt), "--penalty", "identity"]) == 0
+        assert main(["query", "--checkpoint", str(ckpt), "--grid", "11",
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [float(r["estimate"]) for r in csv.DictReader(fh)]
+        reg = OnePassRegressor.from_checkpoint(ckpt.read_text())
+        rho = rho_at(1.0, 1 / 3, 1000, 0.0)
+        assert rows == reg.estimate(np.linspace(0.0, 1.0, 11), rho).tolist()
+        capsys.readouterr()
+
+    def test_default_ingest_stays_solvable(self, tmp_path, capsys):
+        # past n = 2e4 the active q passes 50, where an extended basis
+        # makes the penalized system singular; the default margin is 0
+        data, ckpt, out = (tmp_path / name
+                           for name in ("s.csv", "c.json", "q.csv"))
+        write_stream_csv(data, n=20_000)
+        assert main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt)]) == 0
+        assert main(["query", "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 101
+        assert all(np.isfinite(float(r["estimate"])) for r in rows)
+        capsys.readouterr()
+
+    def test_engine_flags_default_to_service_config(self):
+        parser = cli.build_parser()
+        for argv in (["serve"], ["ingest-csv", "--input", "in.csv",
+                                 "--checkpoint", "out.json"]):
+            assert cli._engine_config(parser.parse_args(argv)) \
+                == ServiceConfig()
 
     def test_query_density_of_sketch(self, tmp_path, capsys):
         data, ckpt, out = (tmp_path / name
