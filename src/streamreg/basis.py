@@ -151,8 +151,20 @@ def penalty_matrix(spec, penalty, q):
     return 0.5 * (W + W.T)
 
 
+# From K = SPLIT_MIN on, ``Powers`` keeps z^0..z^K as two tables of about
+# sqrt(K) rows rather than one of K + 1 rows: below it the second table and
+# the complex matrix product cost more than they save (the crossover lay
+# between K = 10 and 24 at 100 and 1000 points).
+SPLIT_MIN = 16
+
+
 def _powers(z, count):
-    """Rows z^0, ..., z^(count - 1): each row is the one above times z."""
+    """Rows z^0, ..., z^(count - 1): each row is the one above times z.
+
+    One multiply per row: ``np.multiply.accumulate`` down the rows forms
+    the same products but took up to 5 times as long (100 to 5000 points,
+    3 to 17 rows) and rounded differently.
+    """
     out = np.empty((count, z.size), dtype=complex)
     out[0] = 1.0
     for a in range(1, count):
@@ -160,20 +172,72 @@ def _powers(z, count):
     return out
 
 
+class Powers:
+    """The powers z^k, k = 0..q // 2, of z = exp(2 pi i (t - origin) / P) at
+    the points t, enough for phi_1..phi_q; the points are not domain-checked.
+
+    With K = q // 2 >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
+    z^a (z^r)^b, so two short tables hold every power: ``low``, rows z^a for
+    a = 0..r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
+    ``low`` holds z^0..z^K and there is no ``high``; at K = 0 there is no
+    table at all.  Every power is a product of the one z per point, the way
+    ``eval_matrix`` forms its columns, and each sum below reads only the
+    tables and its own weights, so it does not depend on what else the
+    tables served.
+    """
+
+    def __init__(self, spec, q, t):
+        self.q, self.period = q, spec.period
+        self.K = K = q // 2
+        self.r = K + 1 if K < SPLIT_MIN else math.isqrt(K) + 1
+        self.low = self.high = None
+        if K == 0:
+            return
+        z = np.exp((2j * np.pi / spec.period)
+                   * (np.asarray(t, float) - spec.origin))
+        if K < SPLIT_MIN:
+            self.low = _powers(z, K + 1)
+        else:
+            self.low = _powers(z, self.r + 1)
+            self.high = _powers(self.low[self.r], K // self.r + 1)
+
+    def moments(self, w):
+        """Weighted moments mu_k = sum_i w_i z_i^k for k = 0..K."""
+        if self.low is None:
+            return np.array([w.sum()], dtype=complex)
+        if self.high is None:
+            return self.low @ w
+        # row b, column a of the product is mu_{a + r b}
+        return (self.high @ (self.low[:self.r] * w).T).ravel()[:self.K + 1]
+
+    def sums(self, w):
+        """Per-function sums sum_i w_i phi_j(t_i) for j = 1..q: phi_1 from
+        Re mu_0, and (phi_{2k}, phi_{2k+1}) from (Re mu_k, Im mu_k)."""
+        if self.low is None:
+            return np.array([w.sum() / math.sqrt(self.period)])
+        mu = self.moments(w)
+        out = np.empty(self.q)
+        out[0] = mu[0].real / math.sqrt(self.period)
+        np.multiply(mu[1:].view(float)[:self.q - 1],
+                    math.sqrt(2.0 / self.period), out=out[1:])
+        return out
+
+    def suffix_sum(self, j, w, lo):
+        """Entry j of ``sums``, phi_{j+1}, over the points from index lo on."""
+        k = (j + 1) // 2
+        if k == 0:
+            return w[lo:].sum() / math.sqrt(self.period)
+        zk = self.low[k % self.r, lo:]
+        if self.high is not None:
+            zk = zk * self.high[k // self.r, lo:]
+        mu = np.dot(zk, w[lo:])
+        return math.sqrt(2.0 / self.period) * (mu.real if j % 2 else mu.imag)
+
+
 def moments(spec, M, x, w):
     """Weighted Fourier moments mu_m = sum_i w_i z_i^m for m = 0..M, with
-    z = exp(2 pi i (x - origin) / P); the points x are not domain-checked.
-
-    With r = ceil(sqrt(M + 1)), z^(a + r b) = z^a (z^r)^b, so the moments
-    are one (r x r) complex product of the tables (z^r)^b and w z^a,
-    a, b = 0..r-1.  Every power is a product of the one z per point, the
-    way ``eval_matrix`` forms its columns.
-    """
-    r = math.isqrt(M) + 1
-    z = np.exp((2j * np.pi / spec.period) * (np.asarray(x, float) - spec.origin))
-    low = _powers(z, r + 1)
-    high = _powers(low[r], r)
-    return (high @ (low[:r] * w).T).ravel()[:M + 1]
+    z = exp(2 pi i (x - origin) / P); the points x are not domain-checked."""
+    return Powers(spec, 2 * M, x).moments(w)
 
 
 def gram_from_moments(spec, q, mu):

@@ -2,13 +2,14 @@
 
 import argparse
 import csv
+import math
 import sys
 
 import numpy as np
 
 from .basis import BasisSpec, PenaltySpec
 from .engine import OnePassRegressor
-from .errors import StreamRegError
+from .errors import InputError, StreamRegError
 from .harness import (Scenario, load_scenario, phase_transition_experiment,
                       rate_experiment, run_experiment)
 from .lowerbound import run_protocol
@@ -95,51 +96,86 @@ def _cmd_tune(args):
     return 0
 
 
+# Engine flags of ``ingest-csv`` and ``serve``: flag, ServiceConfig field
+# and argparse keywords.  A flag left out is absent from the parsed
+# arguments, and its field keeps the ``ServiceConfig`` default.
+ENGINE_FLAGS = (
+    ("--lo", "lo", {"type": float}),
+    ("--hi", "hi", {"type": float}),
+    ("--margin", "extension_margin", {"type": float}),
+    ("--penalty", "penalty", {"choices": ["identity", "roughness"]}),
+    ("--h", "h", {"type": float}),
+    ("--mem-cap", "mem_cap", {"type": int}),
+    ("--batch-size", "batch_size", {"type": int}),
+)
+
+
 def _add_engine_args(p):
-    """Engine flags of ``ingest-csv`` and ``serve``, defaulting to
-    ``ServiceConfig``'s fields."""
-    p.add_argument("--lo", type=float, default=ServiceConfig.lo)
-    p.add_argument("--hi", type=float, default=ServiceConfig.hi)
-    p.add_argument("--margin", type=float,
-                   default=ServiceConfig.extension_margin)
-    p.add_argument("--penalty", default=ServiceConfig.penalty,
-                   choices=["identity", "roughness"])
-    p.add_argument("--h", type=float, default=ServiceConfig.h)
-    p.add_argument("--mem-cap", type=int, default=ServiceConfig.mem_cap)
-    p.add_argument("--batch-size", type=int,
-                   default=ServiceConfig.batch_size)
+    for flag, field, kwargs in ENGINE_FLAGS:
+        p.add_argument(flag, dest=field, default=argparse.SUPPRESS, **kwargs)
 
 
 def _engine_config(args):
-    return ServiceConfig(lo=args.lo, hi=args.hi, extension_margin=args.margin,
-                         penalty=args.penalty, h=args.h, mem_cap=args.mem_cap,
-                         batch_size=args.batch_size)
+    return ServiceConfig(**{field: getattr(args, field)
+                            for _, field, _ in ENGINE_FLAGS
+                            if hasattr(args, field)})
+
+
+def _csv_points(fh, spec):
+    """(line, t, y) for each data row of a ``t,y`` CSV, rejecting a row that
+    is not two numbers, a t outside [lo, hi] and a non-finite y."""
+    reader = csv.reader(fh)
+    if next(reader, None) != ["t", "y"]:
+        raise InputError("expected CSV header 't,y'")
+    for row in reader:
+        if not row:
+            continue
+        try:
+            t, y = map(float, row)
+        except ValueError:
+            raise InputError(f"line {reader.line_num}: expected two "
+                             f"numbers, got {','.join(row)!r}") from None
+        if not spec.lo <= t <= spec.hi:
+            raise InputError(f"line {reader.line_num}: t = {t!r} lies "
+                             f"outside the domain [{spec.lo}, {spec.hi}]")
+        if not math.isfinite(y):
+            raise InputError(
+                f"line {reader.line_num}: y = {y!r} is not finite")
+        yield reader.line_num, t, y
 
 
 def _cmd_ingest_csv(args):
+    given = [flag for flag, field, _ in ENGINE_FLAGS if hasattr(args, field)]
+    if args.resume and given:
+        raise InputError(f"{', '.join(given)} cannot be combined with "
+                         "--resume: a resumed stream keeps its checkpoint's "
+                         "configuration")
     if args.resume:
         with open(args.resume) as fh:
             reg = OnePassRegressor.from_checkpoint(fh.read())
     else:
         reg = _engine_config(args).engine()
-    ts, ys = [], []
     with open(args.input, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["t", "y"]:
-            print("expected CSV header 't,y'", file=sys.stderr)
-            return 1
-        for row in reader:
-            ts.append(float(row["t"]))
-            ys.append(float(row["y"]))
-            if len(ts) == args.batch_size:
-                reg.ingest(ts, ys)
-                ts, ys = [], []
-    if ts:
-        reg.ingest(ts, ys)
+        batch = []
+        for point in _csv_points(fh, reg.reg_basis):
+            batch.append(point)
+            if len(batch) == reg.batch_size:
+                _ingest_rows(reg, batch)
+                batch = []
+    if batch:
+        _ingest_rows(reg, batch)
     with open(args.checkpoint, "w") as fh:
         fh.write(reg.checkpoint_json())
     print(f"ingested {reg.n} observations; checkpoint at {args.checkpoint}")
     return 0
+
+
+def _ingest_rows(reg, batch):
+    lines, ts, ys = zip(*batch)
+    try:
+        reg.ingest(ts, ys)
+    except ValueError as exc:  # every row passed, so the sums overflowed
+        raise InputError(f"lines {lines[0]}-{lines[-1]}: {exc}") from None
 
 
 def _cmd_query(args):

@@ -35,30 +35,30 @@ class DensityState:
             return 0
         return min(self.schedule.active_count(self.n), self.theta.size)
 
-    def update(self, ts, vals=None):
+    def update(self, ts, ledger=None):
         """Fold one batch of predictor observations into the sketch.
 
-        ``vals`` is the sketch basis at ``ts`` with one column per slot the
-        batch leaves open, when the caller has already evaluated it; it is
-        evaluated here otherwise.  The batch is validated before any
+        ``ledger`` is ``(start, sums)`` when an engine has already validated
+        the batch, extended the start vector to the batch's end and folded
+        the sketch basis over it with weight 1 (``scheduler.fold``).
+        Without it, the batch is validated and folded here, before any
         mutation, so a domain error leaves the state unchanged.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if ts.size == 0:
-            raise ValueError("batch must be non-empty")
-        if not self.basis.contains(ts):
-            raise DomainError("batch contains t values outside the domain")
-
+        if ledger is None:
+            ts = np.atleast_1d(np.asarray(ts, dtype=float))
+            if ts.size == 0:
+                raise ValueError("batch must be non-empty")
+            if not self.basis.contains(ts):
+                raise DomainError("batch contains t values outside the domain")
+            start = self.schedule.extend(self.start, self.n + ts.size)
+            ledger = start, fold(basis_mod.Powers(self.basis, start.size, ts),
+                                 np.ones(ts.size), start, self.n)
+        start, sums = ledger
         n_old = self.n
-        n_new = n_old + ts.size
-        start = self.schedule.extend(self.start, n_new)
-        if vals is None:
-            vals = basis_mod.eval_matrix(self.basis, start.size, ts,
-                                         check_domain=False)
+        n_new = n_old + len(ts)
         theta = self.theta
         if start.size > theta.size:
             theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
-        sums = fold(vals, np.ones(ts.size), start, n_old)
         # a slot opened past n_new has no observation yet and keeps theta_j = 0
         counts_new = np.maximum(slot_counts(start, n_new), 1)
         self.theta = (slot_counts(start, n_old) * theta + sums) / counts_new

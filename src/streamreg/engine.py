@@ -11,6 +11,8 @@ is solved for the active slots only.
 """
 
 import json
+import math
+import numbers
 
 import numpy as np
 from scipy import linalg
@@ -35,6 +37,40 @@ WARMUP_RHO_FLOOR = 1e-8
 # q lambda_max/lambda_min, and the estimate never undershoots 1/kappa_1, so
 # the gate matches the eigenvalue-ratio test within a factor of about q.
 RCOND_FLOOR = 1e-10
+
+
+def _is_number(v):
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
+def _is_real(v):
+    return _is_number(v) and math.isfinite(v)
+
+
+def _is_count(v):
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+# The test a checkpoint's value of each config field must pass: a value the
+# constructors would coerce or misread (5.0 for q0, "yes" for a flag, inf
+# for a bound) is a corrupt record, not a configuration.
+CONFIG_CHECKS = {
+    "family": lambda v: v == "fourier",
+    "lo": _is_real, "hi": _is_real, "extension_margin": _is_real,
+    "penalty": lambda v: isinstance(v, str),
+    "h": _is_real, "C_q": _is_real, "c_circ": _is_real, "q0": _is_count,
+    "mem_cap": lambda v: v is None or _is_count(v),
+    "fixed_q": lambda v: v is None or _is_count(v),
+    "known_uniform_density": lambda v: isinstance(v, bool),
+}
+
+
+def _array(values, valid, dtype):
+    """A checkpoint vector: a list whose every entry passes ``valid``."""
+    if not isinstance(values, list) or not all(map(valid, values)):
+        raise CheckpointError("a vector holds a value of the wrong type")
+    return np.array(values, dtype=dtype)
 
 
 class OnePassRegressor:
@@ -81,20 +117,21 @@ class OnePassRegressor:
 
         n_new = self.n + ts.size
         start = self.schedule.extend(self.start, n_new)
-        vals = basis_mod.eval_matrix(self.reg_basis, start.size, ts,
-                                     check_domain=False)
+        powers = basis_mod.Powers(self.reg_basis, start.size, ts)
         G = self.G
         if start.size > G.size:
             G = np.concatenate([G, np.zeros(start.size - G.size)])
         # a new array: self.G stays untouched until the overflow check passes
         with np.errstate(over="ignore", invalid="ignore"):
-            G = G + fold(vals, ys, start, self.n)
+            G = G + fold(powers, ys, start, self.n)
         if not np.isfinite(G).all():
             raise ValueError("batch overflows the summary statistics")
         if self.density is not None:
             # at margin 0 the sketch basis is the regression basis
-            self.density.update(
-                ts, vals if self.density.basis == self.reg_basis else None)
+            if self.density.basis != self.reg_basis:
+                powers = basis_mod.Powers(self.density.basis, start.size, ts)
+            self.density.update(ts, (start, fold(powers, np.ones(ts.size),
+                                                 start, self.n)))
         self.G, self.start, self.n = G, start, n_new
         self._coef_cache.clear()
 
@@ -234,9 +271,13 @@ class OnePassRegressor:
                 raise CheckpointError(
                     f"unknown checkpoint format {record.get('format')!r}")
             cfg = record["config"]
-            if cfg["family"] != "fourier":
+            for key, valid in CONFIG_CHECKS.items():
+                if not valid(cfg[key]):
+                    raise CheckpointError(f"config {key} = {cfg[key]!r}")
+            if not (_is_count(record["batch_size"])
+                    and record["batch_size"] >= 1):
                 raise CheckpointError(
-                    f"unsupported basis family {cfg['family']!r}")
+                    f"batch_size = {record['batch_size']!r}")
             spec = basis_mod.BasisSpec(
                 lo=cfg["lo"], hi=cfg["hi"],
                 extension_margin=cfg["extension_margin"],
@@ -250,10 +291,10 @@ class OnePassRegressor:
                       batch_size=record["batch_size"],
                       known_uniform_density=cfg["known_uniform_density"])
             n = record["n"]
-            G = np.asarray(record["G"], dtype=float)
-            start = np.asarray(record["start"], dtype=np.int64)
-            theta = np.asarray(record["theta"], dtype=float)
-            theta_start = np.asarray(record["theta_start"], dtype=np.int64)
+            G = _array(record["G"], _is_number, float)
+            start = _array(record["start"], _is_count, np.int64)
+            theta = _array(record["theta"], _is_number, float)
+            theta_start = _array(record["theta_start"], _is_count, np.int64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
         # bool is an int subclass; n must fit the int64 slot arithmetic

@@ -35,3 +35,7 @@ class TuningError(StreamRegError, RuntimeError):
 
 class CheckpointError(StreamRegError, ValueError):
     """A checkpoint record is malformed or inconsistent."""
+
+
+class InputError(StreamRegError, ValueError):
+    """A command's input file is malformed, or its flags contradict it."""

@@ -17,8 +17,12 @@ theta, so it is written once, here:
 - ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0).
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
-  theta).  A slot that opens mid-batch, tau_j > n_old + 1, sums only from
-  its own tau_j onward.
+  theta).  It reads the batch's Fourier power tables (``basis.Powers``),
+  never a basis matrix: every slot first takes its whole-batch sum from the
+  weighted moments, then a slot that opens mid-batch, tau_j > n_old + 1,
+  replaces it by the sum from its own tau_j onward, taking z^k for that
+  suffix from the same tables.  The engine extends the start vector once
+  per batch and folds G and the sketch from it, so both follow one ledger.
 """
 
 import math
@@ -154,15 +158,13 @@ def slot_counts(start, n):
     return np.maximum(n - start + 1, 0)
 
 
-def fold(vals, w, start, n_old):
+def fold(powers, w, start, n_old):
     """Per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i over one batch.
 
-    Row i of ``vals`` holds phi_j(t_i) at the batch's i-th observation, whose
-    stream index is n_old + 1 + i; column j belongs to the slot starting at
-    ``start[j]``.
+    ``powers`` is the batch's ``basis.Powers`` for one slot per entry of
+    ``start``; the batch's i-th observation has stream index n_old + 1 + i.
     """
-    sums = vals.T @ w
+    sums = powers.sums(w)
     for j in (start > n_old + 1).nonzero()[0]:
-        lo = start[j] - n_old - 1
-        sums[j] = np.dot(vals[lo:, j], w[lo:])
+        sums[j] = powers.suffix_sum(j, w, start[j] - n_old - 1)
     return sums

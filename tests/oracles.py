@@ -36,6 +36,17 @@ def eval_matrix_trig(spec, q, t, check_domain=True):
     return out
 
 
+def fold(vals, w, start, n_old):
+    """``scheduler.fold`` from the batch's basis matrix: row i of ``vals``
+    holds phi_j(t_i) at stream index n_old + 1 + i, column j the slot that
+    starts at ``start[j]``."""
+    sums = vals.T @ w
+    for j in (start > n_old + 1).nonzero()[0]:
+        lo = start[j] - n_old - 1
+        sums[j] = np.dot(vals[lo:, j], w[lo:])
+    return sums
+
+
 def eval_basis(spec, j, t):
     """Evaluate a single basis function phi_j at t (scalar in, scalar out)."""
     if j < 1:

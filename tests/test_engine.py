@@ -1,8 +1,11 @@
+import copy
+import functools
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
@@ -261,6 +264,93 @@ class TestMemory:
         assert eng.G.size <= 10
 
 
+@functools.cache
+def checkpoint_bases():
+    """Valid records to mutate: with and without the sketch, with a margin
+    and a memory cap, and before any data."""
+    sketch, known = make_engine(known=False), make_engine(known=True)
+    capped = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
+                              ROUGH, SchedulerConfig(mem_cap=30))
+    for eng in (sketch, known, capped):
+        feed(eng, *sample(3000, 20, np.sin))
+    return {"sketch": sketch.checkpoint(), "known": known.checkpoint(),
+            "capped": capped.checkpoint(),
+            "empty": make_engine(known=False).checkpoint()}
+
+
+def mutate(record, path, value):
+    """``record`` with one field changed: ``path`` names it, and a last step
+    of "+" or "-" appends ``value`` to a list or drops its last entry."""
+    record = copy.deepcopy(record)
+    *parents, last = path
+    target = record
+    for key in parents:
+        target = target[key]
+    if last == "+" or (isinstance(last, int) and not target):
+        target.append(value)
+    elif last == "-":
+        if target:
+            target.pop()
+    elif isinstance(last, int):
+        target[last % len(target)] = value
+    else:
+        target[last] = value
+    return record
+
+
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+BIG_INTS = st.integers(-2 ** 70, 2 ** 70)
+# JSON values that are not numbers
+NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                        st.lists(st.integers(0, 3), max_size=2),
+                        st.dictionaries(st.text(max_size=2), st.integers(0, 3),
+                                        max_size=1))
+# Values of the wrong JSON type for each kind of config field
+WRONG = {
+    "real": st.one_of(NOT_NUMBERS, NON_FINITE),
+    "count": st.one_of(NOT_NUMBERS, FLOATS),
+    "optional count": st.one_of(NOT_NUMBERS.filter(lambda v: v is not None),
+                                FLOATS),
+    "flag": st.one_of(NOT_NUMBERS.filter(lambda v: type(v) is not bool),
+                      BIG_INTS, FLOATS),
+    "text": st.one_of(NOT_NUMBERS.filter(lambda v: type(v) is not str),
+                      BIG_INTS, FLOATS),
+}
+CONFIG_KINDS = {"family": "text", "lo": "real", "hi": "real",
+                "extension_margin": "real", "penalty": "text", "h": "real",
+                "C_q": "real", "c_circ": "real", "q0": "count",
+                "mem_cap": "optional count", "fixed_q": "optional count",
+                "known_uniform_density": "flag"}
+ARRAYS = ("G", "theta", "start", "theta_start")
+INDEX = st.integers(0, 10 ** 4)
+
+MUTATIONS = st.one_of(
+    st.tuples(st.just(("n",)),
+              st.one_of(st.integers(max_value=-1),
+                        st.integers(min_value=2 ** 63, max_value=2 ** 70),
+                        st.integers(0, 10 ** 7), FLOATS, NOT_NUMBERS)),
+    st.tuples(st.just(("batch_size",)),
+              st.one_of(st.integers(max_value=0), FLOATS, NOT_NUMBERS)),
+    st.tuples(st.just(("format",)), st.one_of(st.text(max_size=8),
+                                              BIG_INTS, NOT_NUMBERS)),
+    st.tuples(st.just(("config", "family")), st.one_of(
+        st.text(max_size=8).filter(lambda v: v != "fourier"),
+        WRONG["text"])),
+    *[st.tuples(st.just(("config", key)), WRONG[kind])
+      for key, kind in CONFIG_KINDS.items()],
+    # one entry of a slot vector: another start, or a value of a wrong type
+    st.tuples(st.tuples(st.sampled_from(["start", "theta_start"]), INDEX),
+              st.one_of(BIG_INTS, FLOATS, NOT_NUMBERS)),
+    st.tuples(st.tuples(st.sampled_from(["G", "theta"]), INDEX),
+              st.one_of(NON_FINITE, NOT_NUMBERS)),
+    # one vector one entry longer or shorter
+    st.tuples(st.tuples(st.sampled_from(ARRAYS), st.just("+")),
+              st.one_of(st.integers(1, 10 ** 6), st.floats(-1e3, 1e3))),
+    st.tuples(st.tuples(st.sampled_from(ARRAYS), st.just("-")), st.none()),
+)
+
+
 class TestCheckpoint:
     def test_round_trip_is_byte_exact(self):
         ts, ys = sample(1500, 12, lambda t: np.cos(t))
@@ -310,6 +400,38 @@ class TestCheckpoint:
         resumed = ingest(OnePassRegressor.from_checkpoint(half),
                          batches[cut:])
         assert resumed.checkpoint_json() == full
+
+    @settings(max_examples=400, deadline=None)
+    @given(base=st.sampled_from(["capped", "empty", "known", "sketch"]),
+           mutation=MUTATIONS)
+    # records that loaded, raised a TypeError or hung before the config
+    # values and vector entries had their types checked
+    @example(base="capped", mutation=(("batch_size",), 0))
+    @example(base="sketch", mutation=(("config", "q0"), 1e20))
+    @example(base="sketch", mutation=(("config", "q0"), 5.0))
+    @example(base="empty", mutation=(("config", "mem_cap"), 5.0))
+    @example(base="known", mutation=(("config", "known_uniform_density"), 1))
+    @example(base="sketch", mutation=(("config", "extension_margin"),
+                                      math.nan))
+    @example(base="known", mutation=(("config", "lo"), -math.inf))
+    @example(base="sketch", mutation=(("start", 0), 1.0))
+    @example(base="sketch", mutation=(("G", 0), "1"))
+    @example(base="sketch", mutation=(("theta", 0), True))
+    def test_single_field_mutation_is_rejected(self, base, mutation):
+        record = checkpoint_bases()[base]
+        path, value = mutation
+        bad = mutate(record, path, value)
+        if json.dumps(bad) == json.dumps(record):
+            return  # not a change
+        schedule = SchedulerConfig(**{key: record["config"][key] for key in (
+            "h", "C_q", "c_circ", "q0", "mem_cap", "fixed_q")})
+        if path == ("n",) and type(value) is int and 0 < value < 2 ** 63 \
+                and schedule.slot_count(value) == len(record["start"]):
+            return  # an n the schedule gives the same slots
+        with pytest.raises(CheckpointError):
+            OnePassRegressor.from_checkpoint(bad)
+        with pytest.raises(CheckpointError):
+            OnePassRegressor.from_checkpoint(json.dumps(bad))
 
     def test_small_h_runs_on_its_initial_slots(self):
         # with h = 0.001 the activation time (C_q*j)^(1/h) of every slot past

@@ -8,11 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
+from oracles import fold as matrix_fold
+from streamreg.basis import (SPLIT_MIN, BasisSpec, PenaltySpec, Powers,
+                             eval_matrix)
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import CheckpointError
 from streamreg.scheduler import (MAX_INITIAL_SLOTS, NEVER, SchedulerConfig,
-                                 _floor)
+                                 _floor, fold)
 
 UNIT = BasisSpec(0.0, 1.0)
 
@@ -246,3 +248,36 @@ class TestLedger:
         np.testing.assert_array_equal(eng.start, start)
         assert_close_relative(eng.G, G, 1e-10)
         assert_close_relative(eng.density.theta, theta, 1e-10)
+
+
+class TestFold:
+    # slot counts at the table boundaries: K = 0 (no table), the last K with
+    # one table and the first with two, and K = r^2 - 1, r^2 where r steps
+    BOUNDARY_S = (1, 2 * SPLIT_MIN - 1, 2 * SPLIT_MIN, 2 * SPLIT_MIN + 1,
+                  48, 49, 50, 51, 2 * 99, 2 * 100 + 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(s=st.one_of(st.integers(1, 400), st.sampled_from(BOUNDARY_S)),
+           m=st.integers(1, 1000), margin=st.sampled_from([0.0, 0.1]),
+           unit_weight=st.booleans(), n_old=st.integers(0, 10 ** 6),
+           opening=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
+    @example(s=1, m=1, margin=0.0, unit_weight=False, n_old=0, opening=1.0,
+             seed=0)
+    @example(s=400, m=1000, margin=0.1, unit_weight=False, n_old=7,
+             opening=0.5, seed=1)
+    def test_matches_the_basis_matrix_fold(self, s, m, margin, unit_weight,
+                                           n_old, opening, seed):
+        # a share ``opening`` of the slots, slot 1 among them, opens
+        # somewhere inside the batch or after it; the rest before it
+        rng = np.random.default_rng(seed)
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        ts = rng.uniform(0.0, 1.0, m)
+        w = np.ones(m) if unit_weight else \
+            np.sin(6 * ts) + rng.normal(0.0, 0.3, m)
+        start = np.where(rng.uniform(size=s) < opening,
+                         n_old + 1 + rng.integers(0, m + 2, s),
+                         rng.integers(1, n_old + 2, s)).astype(np.int64)
+        got = fold(Powers(spec, s, ts), w, start, n_old)
+        want = matrix_fold(eval_matrix(spec, s, ts), w, start, n_old)
+        assert got.shape == (s,)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -434,6 +434,52 @@ class TestCli:
         assert full_ck.read_text() == part_ck.read_text()
         capsys.readouterr()
 
+    def test_resume_rejects_engine_flags(self, tmp_path, capsys):
+        # a resumed stream keeps the checkpoint's configuration, so a flag
+        # that would change it is an error, not silently dropped
+        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
+        write_stream_csv(data, n=50)
+        assert main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt)]) == 0
+        before = ckpt.read_text()
+        capsys.readouterr()
+        for flags in (["--penalty", "identity", "--margin", "0.1",
+                       "--batch-size", "7"], ["--lo", "0.0"],
+                      ["--mem-cap", "30"]):
+            assert main(["ingest-csv", "--input", str(data), "--resume",
+                         str(ckpt), "--checkpoint", str(ckpt), *flags]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and flags[0] in err
+            assert ckpt.read_text() == before
+        assert main(["ingest-csv", "--input", str(data), "--resume",
+                     str(ckpt), "--checkpoint", str(ckpt)]) == 0
+        assert json.loads(ckpt.read_text())["n"] == 100
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("row, message", [
+        ("0.5,abc", "expected two numbers"), ("0.5", "expected two numbers"),
+        ("0.5,1,2", "expected two numbers"), ("0.5,nan", "not finite"),
+        ("0.5,-inf", "not finite"), ("1.5,1", "outside the domain"),
+        ("nan,1", "outside the domain")])
+    def test_bad_row_reports_its_line(self, tmp_path, capsys, row, message):
+        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
+        data.write_text(f"t,y\n0.1,2.0\n\n{row}\n0.2,1.0\n")
+        code = main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: line 4: ") and message in err
+        assert not ckpt.exists()
+
+    def test_overflowing_batch_reports_its_lines(self, tmp_path, capsys):
+        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
+        data.write_text("t,y\n" + "0.5,1e308\n" * 3)
+        code = main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("error: lines 2-4: ")
+        assert not ckpt.exists()
+
     def test_bad_header_fails(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
         data.write_text("x,y\n0.1,2.0\n")
