@@ -13,11 +13,33 @@ longer orthonormal; downstream Gram reconstruction accounts for that.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+
+
+def is_real(v):
+    """A finite real number: an int or a float, not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def is_count(v):
+    """An integer, not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def require(valid, what, config, *names):
+    """Raise ValueError for the first field of ``config`` among ``names``
+    whose value fails ``valid``.  Type checks run before range checks, which
+    a NaN passes and a string breaks."""
+    for name in names:
+        value = getattr(config, name)
+        if not valid(value):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -29,6 +51,8 @@ class BasisSpec:
     extension_margin: float = 0.0
 
     def __post_init__(self):
+        require(is_real, "a finite number", self, "lo", "hi",
+                "extension_margin")
         if not self.lo < self.hi:
             raise ValueError("domain requires lo < hi")
         if self.extension_margin < 0:
@@ -75,7 +99,7 @@ def _check_points(spec, t):
     return t
 
 
-def eval_matrix(spec, q, t, check_domain=True):
+def eval_matrix(spec, q, t):
     """Evaluate phi_1..phi_q at the points t; returns an (len(t), q) array.
 
     The trig columns come from one complex exponential per point: with
@@ -86,7 +110,7 @@ def eval_matrix(spec, q, t, check_domain=True):
     """
     if q < 1:
         raise DomainError("basis count q must be >= 1")
-    t = _check_points(spec, t) if check_domain else np.atleast_1d(np.asarray(t, float))
+    t = _check_points(spec, t)
     P = spec.period
     out = np.empty((t.size, q))
     out[:, 0] = 1.0 / np.sqrt(P)

@@ -116,9 +116,12 @@ def _add_engine_args(p):
 
 
 def _engine_config(args):
-    return ServiceConfig(**{field: getattr(args, field)
-                            for _, field, _ in ENGINE_FLAGS
-                            if hasattr(args, field)})
+    try:
+        return ServiceConfig(**{field: getattr(args, field)
+                                for _, field, _ in ENGINE_FLAGS
+                                if hasattr(args, field)})
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
 
 
 def _csv_points(fh, spec):

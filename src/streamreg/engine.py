@@ -10,9 +10,8 @@ Gram matrix is rebuilt on the fly from the sketch and the penalized system
 is solved for the active slots only.
 """
 
+import dataclasses
 import json
-import math
-import numbers
 
 import numpy as np
 from scipy import linalg
@@ -39,37 +38,16 @@ WARMUP_RHO_FLOOR = 1e-8
 RCOND_FLOOR = 1e-10
 
 
-def _is_number(v):
-    """A JSON number: an int or a float, not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool)
-
-
-def _is_real(v):
-    return _is_number(v) and math.isfinite(v)
-
-
-def _is_count(v):
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
-# The test a checkpoint's value of each config field must pass: a value the
-# constructors would coerce or misread (5.0 for q0, "yes" for a flag, inf
-# for a bound) is a corrupt record, not a configuration.
-CONFIG_CHECKS = {
-    "family": lambda v: v == "fourier",
-    "lo": _is_real, "hi": _is_real, "extension_margin": _is_real,
-    "penalty": lambda v: isinstance(v, str),
-    "h": _is_real, "C_q": _is_real, "c_circ": _is_real, "q0": _is_count,
-    "mem_cap": lambda v: v is None or _is_count(v),
-    "fixed_q": lambda v: v is None or _is_count(v),
-    "known_uniform_density": lambda v: isinstance(v, bool),
-}
+def _from_fields(cls, record):
+    """The dataclass ``cls`` built from its fields' entries in ``record``."""
+    return cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
 
 
 def _array(values, valid, dtype):
     """A checkpoint vector: a list whose every entry passes ``valid``."""
     if not isinstance(values, list) or not all(map(valid, values)):
-        raise CheckpointError("a vector holds a value of the wrong type")
+        raise CheckpointError(
+            "a vector holds a value of the wrong type or a non-finite one")
     return np.array(values, dtype=dtype)
 
 
@@ -78,10 +56,16 @@ class OnePassRegressor:
 
     def __init__(self, reg_basis, penalty, schedule, batch_size=100,
                  known_uniform_density=False):
+        if not (basis_mod.is_count(batch_size) and batch_size >= 1):
+            raise ValueError(
+                f"batch_size must be an integer >= 1, got {batch_size!r}")
+        if not isinstance(known_uniform_density, bool):
+            raise ValueError(f"known_uniform_density must be a bool, got "
+                             f"{known_uniform_density!r}")
         self.reg_basis = reg_basis
         self.penalty = penalty
         self.schedule = schedule
-        self.batch_size = int(batch_size)
+        self.batch_size = batch_size
         self.n = 0
         self.G = np.zeros(0)
         self.start = np.zeros(0, dtype=np.int64)
@@ -155,12 +139,8 @@ class OnePassRegressor:
             return basis_mod.gram_uniform(self.reg_basis, q)
         return self.density.gram(self.reg_basis, q)
 
-    def solve_coefficients(self, rho, gram=None):
-        """Solve the penalized system for the currently active slots.
-
-        ``gram`` is a test hook substituting an externally supplied Gram
-        matrix for the density-reconstructed one.
-        """
+    def solve_coefficients(self, rho):
+        """Solve the penalized system for the currently active slots."""
         if rho < 0:
             raise ValueError("rho must be >= 0")
         q = self.active_count
@@ -171,9 +151,7 @@ class OnePassRegressor:
             raise IllConditionedSystemError("an active slot has no data yet")
         if self.n < self.schedule.q0:
             rho = max(rho, WARMUP_RHO_FLOOR)
-        H = self.gram(q) if gram is None else np.asarray(gram, dtype=float)
-        if H.shape != (q, q):
-            raise ValueError(f"gram matrix must be {q}x{q}")
+        H = self.gram(q)
         W = basis_mod.penalty_matrix(self.reg_basis, self.penalty, q)
         A = H + rho * W
         rhs = self.G[:q] / counts
@@ -212,9 +190,7 @@ class OnePassRegressor:
             return self.density.evaluate_normalized(t)
         spec = self.reg_basis
         t = np.asarray(t, dtype=float)
-        if not spec.contains(t):
-            raise DomainError(
-                f"evaluation points outside domain [{spec.lo}, {spec.hi}]")
+        basis_mod._check_points(spec, t)
         value = 1.0 / (spec.hi - spec.lo)
         return value if t.ndim == 0 else np.full(t.shape, value)
 
@@ -235,18 +211,14 @@ class OnePassRegressor:
             "format": CHECKPOINT_FORMAT,
             "n": self.n,
             "batch_size": self.batch_size,
+            # fixed_q is always null: the v1 format keeps the key, and
+            # from_checkpoint refuses any other value
             "config": {
                 "family": "fourier",
-                "lo": self.reg_basis.lo,
-                "hi": self.reg_basis.hi,
-                "extension_margin": self.reg_basis.extension_margin,
+                **dataclasses.asdict(self.reg_basis),
                 "penalty": self.penalty.kind,
-                "h": self.schedule.h,
-                "C_q": self.schedule.C_q,
-                "c_circ": self.schedule.c_circ,
-                "q0": self.schedule.q0,
-                "mem_cap": self.schedule.mem_cap,
-                "fixed_q": self.schedule.fixed_q,
+                **dataclasses.asdict(self.schedule),
+                "fixed_q": None,
                 "known_uniform_density": self.density is None,
             },
             "G": self.G.tolist(),
@@ -271,30 +243,23 @@ class OnePassRegressor:
                 raise CheckpointError(
                     f"unknown checkpoint format {record.get('format')!r}")
             cfg = record["config"]
-            for key, valid in CONFIG_CHECKS.items():
-                if not valid(cfg[key]):
-                    raise CheckpointError(f"config {key} = {cfg[key]!r}")
-            if not (_is_count(record["batch_size"])
-                    and record["batch_size"] >= 1):
+            if cfg["family"] != "fourier" or cfg["fixed_q"] is not None:
                 raise CheckpointError(
-                    f"batch_size = {record['batch_size']!r}")
-            spec = basis_mod.BasisSpec(
-                lo=cfg["lo"], hi=cfg["hi"],
-                extension_margin=cfg["extension_margin"],
-            )
-            penalty = basis_mod.PenaltySpec(kind=cfg["penalty"])
-            schedule = SchedulerConfig(
-                h=cfg["h"], C_q=cfg["C_q"], c_circ=cfg["c_circ"],
-                q0=cfg["q0"], mem_cap=cfg["mem_cap"], fixed_q=cfg["fixed_q"],
-            )
-            reg = cls(spec, penalty, schedule,
+                    f"config family = {cfg['family']!r}, fixed_q = "
+                    f"{cfg['fixed_q']!r}: a v1 record holds 'fourier' and "
+                    f"null")
+            # the constructors reject every value of a wrong type or range
+            schedule = _from_fields(SchedulerConfig, cfg)
+            reg = cls(_from_fields(basis_mod.BasisSpec, cfg),
+                      basis_mod.PenaltySpec(cfg["penalty"]), schedule,
                       batch_size=record["batch_size"],
                       known_uniform_density=cfg["known_uniform_density"])
             n = record["n"]
-            G = _array(record["G"], _is_number, float)
-            start = _array(record["start"], _is_count, np.int64)
-            theta = _array(record["theta"], _is_number, float)
-            theta_start = _array(record["theta_start"], _is_count, np.int64)
+            G = _array(record["G"], basis_mod.is_real, float)
+            start = _array(record["start"], basis_mod.is_count, np.int64)
+            theta = _array(record["theta"], basis_mod.is_real, float)
+            theta_start = _array(record["theta_start"], basis_mod.is_count,
+                                 np.int64)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
         # bool is an int subclass; n must fit the int64 slot arithmetic
@@ -313,8 +278,6 @@ class OnePassRegressor:
                 or not np.array_equal(theta_start, sketch):
             raise CheckpointError("checkpoint G, theta or theta_start do not "
                                   "match the slots")
-        if not (np.isfinite(G).all() and np.isfinite(theta).all()):
-            raise CheckpointError("checkpoint G or theta holds non-finite values")
         reg.n, reg.G, reg.start = n, G, start
         if reg.density is not None:
             reg.density.n = reg.n

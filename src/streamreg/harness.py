@@ -95,14 +95,6 @@ def m3(t):
 TARGETS = {"m1": m1, "m2": m2, "m3": m3}
 
 
-def target_eval(target, t):
-    """Evaluate a named target (or a callable custom target)."""
-    scalar = np.isscalar(t)
-    fn = TARGETS[target] if isinstance(target, str) else target
-    out = fn(np.atleast_1d(np.asarray(t, dtype=float)))
-    return float(out[0]) if scalar else out
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One simulation setting: target, stream shape, noise and seeding."""

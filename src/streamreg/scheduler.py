@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .basis import is_count, is_real, require
+
 # Guards floor() against representation error in x**(1/h) for exact powers.
 _FLOOR_EPS = 1e-9
 
@@ -39,8 +41,8 @@ _FLOOR_EPS = 1e-9
 NEVER = 2 ** 63
 
 # Most slots a configuration may open at n = 1.  A stream's state grows with
-# its slot count, so a C_q near zero, or a huge q0 or fixed_q, would make the
-# first ingest allocate without bound (C_q = 1e-9 opens 1.6e9 slots).
+# its slot count, so a C_q near zero, or a huge q0, would make the first
+# ingest allocate without bound (C_q = 1e-9 opens 1.6e9 slots).
 MAX_INITIAL_SLOTS = 1 << 16
 
 
@@ -57,9 +59,12 @@ class SchedulerConfig:
     c_circ: float = 0.5
     q0: int = 5
     mem_cap: int | None = None  # None means unconstrained
-    fixed_q: int | None = None  # test hook: pin the slot count permanently
 
     def __post_init__(self):
+        require(is_real, "a finite number", self, "h", "C_q", "c_circ")
+        require(is_count, "an integer", self, "q0")
+        require(lambda v: v is None or is_count(v), "None or an integer",
+                self, "mem_cap")
         if not 0 < self.h < 1:
             raise ValueError("h must lie in (0, 1)")
         if self.C_q <= 0:
@@ -75,8 +80,6 @@ class SchedulerConfig:
             raise ValueError("q0 must be >= 1")
         if self.mem_cap is not None and self.mem_cap < 1:
             raise ValueError("mem_cap must be positive")
-        if self.fixed_q is not None and self.fixed_q < 1:
-            raise ValueError("fixed_q must be >= 1")
         if self.slot_count(1) > MAX_INITIAL_SLOTS:
             raise ValueError(
                 f"the schedule opens more than {MAX_INITIAL_SLOTS} slots at n = 1")
@@ -84,8 +87,6 @@ class SchedulerConfig:
     @property
     def cap_q(self):
         """Largest slot index the memory cap allows (q = min(s/3, ...))."""
-        if self.fixed_q is not None:
-            return self.fixed_q
         if self.mem_cap is None:
             return None
         return max(1, self.mem_cap // 3)
@@ -112,8 +113,6 @@ class SchedulerConfig:
         """Number of basis functions participating in the estimate at time n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if self.fixed_q is not None:
-            return self.fixed_q
         q = max(self.q0, _floor(n ** self.h / self.C_q))
         if self.cap_q is not None:
             q = min(q, self.cap_q)
@@ -122,8 +121,6 @@ class SchedulerConfig:
     def slot_count(self, n):
         """Number of slots (active plus pre-estimating) open at time n: the
         largest j >= q0 with tau(j) <= n, capped."""
-        if self.fixed_q is not None:
-            return self.fixed_q
         # tau(j) <= n roughly when (C_q*j)^(1/h) < (n + 1)/c_circ, and never
         # past (C_q*j)^(1/h) = 2**63; step from that root to the exact answer,
         # which tau being monotone makes unique

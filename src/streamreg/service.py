@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import BasisSpec, PenaltySpec
+from .basis import BasisSpec, PenaltySpec, is_real, require
 from .engine import OnePassRegressor
 from .errors import DomainError, StateError, StreamRegError
 from .scheduler import SchedulerConfig
@@ -52,6 +52,12 @@ class ServiceConfig:
     mem_cap: int | None = None
     known_uniform_density: bool = False
     batch_size: int = 100
+
+    def __post_init__(self):
+        require(is_real, "a finite number", self, "C_rho")
+        if self.C_rho <= 0:
+            raise ValueError("C_rho must be positive")
+        self.engine()  # the engine's constructors check every other field
 
     def engine(self):
         """A fresh engine with this configuration."""

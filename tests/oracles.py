@@ -17,11 +17,11 @@ from streamreg.scheduler import SchedulerConfig
 from streamreg.tuning import rho_at
 
 
-def eval_matrix_trig(spec, q, t, check_domain=True):
+def eval_matrix_trig(spec, q, t):
     """``eval_matrix`` by one np.cos and one np.sin per basis column."""
     if q < 1:
         raise DomainError("basis count q must be >= 1")
-    t = _check_points(spec, t) if check_domain else np.atleast_1d(np.asarray(t, float))
+    t = _check_points(spec, t)
     P = spec.period
     out = np.empty((t.size, q))
     out[:, 0] = 1.0 / np.sqrt(P)

@@ -102,20 +102,21 @@ def test_criterion_02_closed_form_agreement():
     ts = rng.uniform(0.0, 1.0, n)
     ys = np.sin(2.0 * np.pi * ts) + rng.normal(0.0, 0.2, n)
     unit = BasisSpec(0.0, 1.0)
-    eng = OnePassRegressor(unit, ROUGH, SchedulerConfig(fixed_q=q, q0=q),
+    eng = OnePassRegressor(unit, ROUGH, SchedulerConfig(q0=q, mem_cap=3 * q),
                            known_uniform_density=True)
     feed(eng, ts, ys, 100)
     projection = eval_matrix(unit, q, ts).T @ ys / n
     ok = rel_close(eng.coefficients(0.0), projection, 1e-10)
 
     ext = BasisSpec(0.0, 1.0, extension_margin=0.1)
-    eng2 = OnePassRegressor(ext, ROUGH, SchedulerConfig(fixed_q=q, q0=q),
+    eng2 = OnePassRegressor(ext, ROUGH, SchedulerConfig(q0=q, mem_cap=3 * q),
                             known_uniform_density=True)
     feed(eng2, ts, ys, 100)
     Phi = eval_matrix(ext, q, ts)
     H_emp = Phi.T @ Phi / n
+    eng2.gram = lambda q: H_emp
     for rho in (0.0, 1e-3, 0.5):
-        streamed = eng2.solve_coefficients(rho, gram=H_emp)
+        streamed = eng2.solve_coefficients(rho)
         batched = batch_fit(ts, ys, ext, q, rho, ROUGH)
         ok &= rel_close(streamed, batched, 1e-10)
     verdict(2, "closed-form agreement", ok)

@@ -31,12 +31,12 @@ def replay_theta(state, stream):
 
 class TestUpdate:
     def test_constant_slot_averages_to_one(self):
-        state = make_state(fixed_q=1)
+        state = make_state(q0=1, mem_cap=3)
         state.update([0.1, 0.5, 0.9, 0.3, 0.7])
         np.testing.assert_allclose(state.theta, [1.0])
 
     def test_running_mean_arithmetic(self):
-        state = make_state(fixed_q=1)
+        state = make_state(q0=1, mem_cap=3)
         state.theta = np.array([0.4])
         state.start = np.array([1], dtype=np.int64)
         state.n = 10
@@ -78,13 +78,13 @@ class TestUpdate:
 
 class TestEvaluate:
     def test_uniform_single_slot(self):
-        state = make_state(fixed_q=1)
+        state = make_state(q0=1, mem_cap=3)
         state.update(np.linspace(0.05, 0.95, 19))
         for t in (0.0, 0.33, 1.0):
             assert state.evaluate(t) == pytest.approx(1.0)
 
     def test_direct_series_evaluation(self):
-        state = make_state(fixed_q=2)
+        state = make_state(q0=2, mem_cap=6)
         state.theta = np.array([1.0, 0.5])
         state.start = np.array([1, 1], dtype=np.int64)
         state.n = 10
@@ -97,7 +97,7 @@ class TestEvaluate:
 
     def test_uniform_density_sup_error(self):
         rng = np.random.default_rng(11)
-        state = make_state(fixed_q=9)
+        state = make_state(q0=9, mem_cap=27)
         for _ in range(100):
             state.update(rng.uniform(0, 1, 100))
         grid = np.linspace(0, 1, 501)
@@ -106,7 +106,7 @@ class TestEvaluate:
 
 class TestNormalized:
     def test_already_a_density(self):
-        state = make_state(fixed_q=1)
+        state = make_state(q0=1, mem_cap=3)
         state.update(np.linspace(0.01, 0.99, 50))
         assert state.evaluate_normalized(0.4) == pytest.approx(1.0, abs=1e-9)
 
@@ -115,7 +115,7 @@ class TestNormalized:
         # in a 2-slot Fourier span, so drive the formula through a stub state.
         class Ramp(DensityState):
             def __init__(self):
-                super().__init__(UNIT, SchedulerConfig(fixed_q=1))
+                super().__init__(UNIT, SchedulerConfig(q0=1, mem_cap=3))
                 self.n = 1
                 self.theta = np.array([1.0])
                 self.start = np.array([1], dtype=np.int64)
@@ -134,7 +134,7 @@ class TestNormalized:
     def test_everywhere_nonpositive_is_degenerate(self):
         class Negative(DensityState):
             def __init__(self):
-                super().__init__(UNIT, SchedulerConfig(fixed_q=1))
+                super().__init__(UNIT, SchedulerConfig(q0=1, mem_cap=3))
                 self.n = 1
                 self.theta = np.array([1.0])
                 self.start = np.array([1], dtype=np.int64)
@@ -200,7 +200,7 @@ class TestGram:
 
         class Flat(DensityState):
             def __init__(self):
-                super().__init__(UNIT, SchedulerConfig(fixed_q=1))
+                super().__init__(UNIT, SchedulerConfig(q0=1, mem_cap=3))
                 self.n = 1
                 self.theta = np.array([1.0])
                 self.start = np.array([1], dtype=np.int64)

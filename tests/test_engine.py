@@ -14,6 +14,7 @@ from streamreg.engine import OnePassRegressor, batch_fit, SCALAR_UNITS
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
 from streamreg.scheduler import SchedulerConfig
+from streamreg.service import ServiceConfig
 
 UNIT = BasisSpec(0.0, 1.0)
 ROUGH = PenaltySpec("roughness")
@@ -147,16 +148,17 @@ class TestIngest:
 
 class TestSolve:
     def test_matches_batch_fit_when_all_slots_full(self):
-        # with fixed_q <= q0 every slot starts at observation 1, so the
+        # with the cap at q0 every slot starts at observation 1, so the
         # streaming statistics coincide with the batch moments exactly
         ts, ys = sample(500, 4, lambda t: np.exp(t))
         ys += np.random.default_rng(5).normal(0, 0.1, ts.size)
-        eng = make_engine(fixed_q=5)
+        eng = make_engine(q0=5, mem_cap=15)
         feed(eng, ts, ys, batch=50)
         Phi = eval_matrix(UNIT, 5, ts)
         H = Phi.T @ Phi / ts.size
+        eng.gram = lambda q: H
         for rho in (0.0, 1e-3, 0.5):
-            streamed = eng.solve_coefficients(rho, gram=H)
+            streamed = eng.solve_coefficients(rho)
             batched = batch_fit(ts, ys, UNIT, 5, rho, ROUGH)
             np.testing.assert_allclose(streamed, batched, rtol=1e-10,
                                        atol=1e-12)
@@ -166,7 +168,7 @@ class TestSolve:
         # uniform Gram known, rho = 0 recovers it up to sampling error
         ts, _ = sample(5000, 6, lambda t: t)
         ys = np.sqrt(2.0) * np.cos(2 * np.pi * ts)
-        eng = make_engine(fixed_q=5)
+        eng = make_engine(q0=5, mem_cap=15)
         feed(eng, ts, ys)
         coef = eng.solve_coefficients(0.0)
         grid = np.linspace(0, 1, 401)
@@ -177,27 +179,28 @@ class TestSolve:
 
     def test_penalty_shrinks_high_harmonics(self):
         ts, ys = sample(2000, 7, lambda t: np.sqrt(2) * np.cos(6 * np.pi * t))
-        eng = make_engine(fixed_q=9)
+        eng = make_engine(q0=9, mem_cap=27)
         feed(eng, ts, ys)
         small = eng.solve_coefficients(1e-6)
         large = eng.solve_coefficients(1e-1)
         assert abs(large[5]) < abs(small[5])
 
     def test_singular_gram_raises_with_diagnostic(self):
-        eng = make_engine(fixed_q=2)
+        eng = make_engine(q0=2, mem_cap=6)
         eng.ingest([0.1, 0.6], [1.0, 2.0])
-        bad = np.zeros((2, 2))
+        eng.gram = lambda q: np.zeros((2, 2))
         with pytest.raises(IllConditionedSystemError) as exc_info:
-            eng.solve_coefficients(0.0, gram=bad)
+            eng.solve_coefficients(0.0)
         assert exc_info.value.min_eigenvalue <= 0.0
 
     def test_indefinite_gram_reports_negative_eigenvalue(self):
         # Cholesky fails on an indefinite system; the error still carries
         # the smallest eigenvalue (q0 = 2 keeps the warm-up ridge out of A)
-        eng = make_engine(fixed_q=2, q0=2)
+        eng = make_engine(q0=2, mem_cap=6)
         eng.ingest([0.1, 0.6], [1.0, 2.0])
+        eng.gram = lambda q: np.diag([1.0, -0.5])
         with pytest.raises(IllConditionedSystemError) as exc_info:
-            eng.solve_coefficients(0.0, gram=np.diag([1.0, -0.5]))
+            eng.solve_coefficients(0.0)
         assert exc_info.value.min_eigenvalue == pytest.approx(-0.5)
 
     @pytest.mark.parametrize("kappa", [1e8, 1e12])
@@ -206,22 +209,23 @@ class TestSolve:
         # within a factor q = 5 of 1/kappa, and RCOND_FLOOR = 1e-10 lies a
         # factor 100 from either kappa
         q = 5
-        eng = make_engine(fixed_q=q, q0=q)
+        eng = make_engine(q0=q, mem_cap=3 * q)
         feed(eng, *sample(50, 20, np.cos))
         Q = np.linalg.qr(np.random.default_rng(21).normal(size=(q, q)))[0]
         H = (Q * np.geomspace(1.0, 1.0 / kappa, q)) @ Q.T
         H = 0.5 * (H + H.T)
+        eng.gram = lambda q: H
         if kappa > 1e10:
             with pytest.raises(IllConditionedSystemError) as exc_info:
-                eng.solve_coefficients(0.0, gram=H)
+                eng.solve_coefficients(0.0)
             assert 0.0 < exc_info.value.min_eigenvalue < 1e-10
         else:
-            coef = eng.solve_coefficients(0.0, gram=H)
+            coef = eng.solve_coefficients(0.0)
             rhs = eng.G / eng.slot_counts()
             np.testing.assert_allclose(H @ coef, rhs, rtol=0, atol=1e-6)
 
     def test_negative_rho_rejected(self):
-        eng = make_engine(fixed_q=2)
+        eng = make_engine(q0=2, mem_cap=6)
         eng.ingest([0.1], [1.0])
         with pytest.raises(ValueError):
             eng.solve_coefficients(-1.0)
@@ -233,7 +237,7 @@ class TestSolve:
 
     def test_cache_invalidated_by_ingest(self):
         ts, ys = sample(200, 8, lambda t: t)
-        eng = make_engine(fixed_q=3)
+        eng = make_engine(q0=3, mem_cap=9)
         feed(eng, ts, ys)
         first = eng.estimate(0.5, 1e-3)
         eng.ingest([0.9, 0.1], [5.0, -5.0])
@@ -322,6 +326,22 @@ CONFIG_KINDS = {"family": "text", "lo": "real", "hi": "real",
                 "C_q": "real", "c_circ": "real", "q0": "count",
                 "mem_cap": "optional count", "fixed_q": "optional count",
                 "known_uniform_density": "flag"}
+# Each constructor's fields, by kind: every WRONG value of its kind must be
+# refused by the constructor itself, not first by a checkpoint loader
+FIELD_KINDS = {
+    BasisSpec: {"lo": "real", "hi": "real", "extension_margin": "real"},
+    SchedulerConfig: {"h": "real", "C_q": "real", "c_circ": "real",
+                      "q0": "count", "mem_cap": "optional count"},
+    OnePassRegressor: {"batch_size": "count",
+                       "known_uniform_density": "flag"},
+    ServiceConfig: {"lo": "real", "hi": "real", "extension_margin": "real",
+                    "penalty": "text", "h": "real", "C_rho": "real",
+                    "mem_cap": "optional count",
+                    "known_uniform_density": "flag", "batch_size": "count"},
+}
+REQUIRED = {BasisSpec: dict(lo=0.0, hi=1.0),
+            OnePassRegressor: dict(reg_basis=UNIT, penalty=ROUGH,
+                                   schedule=SchedulerConfig())}
 ARRAYS = ("G", "theta", "start", "theta_start")
 INDEX = st.integers(0, 10 ** 4)
 
@@ -351,7 +371,43 @@ MUTATIONS = st.one_of(
 )
 
 
+# A checkpoint of a sketch engine with margin 0.1 and mem_cap = 30 after
+# three seeded batches (``golden_engine``), as the v1 format writes it:
+# slots 6 to 10 open inside the second batch, and the third runs at the
+# cap of 10 slots.
+GOLDEN_CHECKPOINT = (
+    '{"format": "streamreg-checkpoint-v1", "n": 467, "batch_size": 100, '
+    '"config": {"family": "fourier", "lo": 0.0, "hi": 1.0, '
+    '"extension_margin": 0.1, "penalty": "roughness", "h": '
+    '0.3333333333333333, "C_q": 0.5, "c_circ": 0.5, "q0": 5, "mem_cap": '
+    '30, "fixed_q": null, "known_uniform_density": false}, "G": '
+    '[-24.798102612754352, -29.971948285689457, 325.535425829872, '
+    '60.82007464549258, -76.12343876312397, -3.2840604656328596, '
+    '-46.720449671999006, -21.797301344648265, 11.112356459565046, '
+    '7.1770402639126045], "start": [1, 1, 1, 1, 1, 13, 21, 32, 45, 62], '
+    '"theta": [1.0, 0.02681997890786989, -0.08979983430970225, '
+    '-0.014197633045420733, -0.006234677844181923, -0.008669259296501652, '
+    '0.07266640297893986, 0.08472204936732596, 0.04482620564833045, '
+    '-0.03475863300728113], "theta_start": [1, 1, 1, 1, 1, 13, 21, 32, '
+    '45, 62]}')
+
+
+def golden_engine():
+    rng = np.random.default_rng(1010)
+    eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1), ROUGH,
+                           SchedulerConfig(mem_cap=30))
+    for size in (7, 60, 400):
+        ts = rng.uniform(0, 1, size)
+        eng.ingest(ts, np.sin(6 * ts) + rng.normal(0, 0.3, size))
+    return eng
+
+
 class TestCheckpoint:
+    def test_golden_checkpoint_is_byte_exact(self):
+        assert golden_engine().checkpoint_json() == GOLDEN_CHECKPOINT
+        resumed = OnePassRegressor.from_checkpoint(GOLDEN_CHECKPOINT)
+        assert resumed.checkpoint_json() == GOLDEN_CHECKPOINT
+
     def test_round_trip_is_byte_exact(self):
         ts, ys = sample(1500, 12, lambda t: np.cos(t))
         eng = make_engine(known=False)
@@ -424,7 +480,7 @@ class TestCheckpoint:
         if json.dumps(bad) == json.dumps(record):
             return  # not a change
         schedule = SchedulerConfig(**{key: record["config"][key] for key in (
-            "h", "C_q", "c_circ", "q0", "mem_cap", "fixed_q")})
+            "h", "C_q", "c_circ", "q0", "mem_cap")})
         if path == ("n",) and type(value) is int and 0 < value < 2 ** 63 \
                 and schedule.slot_count(value) == len(record["start"]):
             return  # an n the schedule gives the same slots
@@ -466,7 +522,7 @@ class TestCheckpoint:
         for garbage in (b"\xff", "null", "[]"):
             with pytest.raises(CheckpointError):
                 OnePassRegressor.from_checkpoint(garbage)
-        eng = make_engine(fixed_q=2)
+        eng = make_engine(q0=2, mem_cap=6)
         eng.ingest([0.5], [1.0])
         record = eng.checkpoint()
         del record["G"]
@@ -474,6 +530,11 @@ class TestCheckpoint:
             OnePassRegressor.from_checkpoint(record)
         record = eng.checkpoint()
         record["config"]["family"] = "legendre"
+        with pytest.raises(CheckpointError):
+            OnePassRegressor.from_checkpoint(record)
+        # the format keeps a fixed_q key, and only null is a configuration
+        record = eng.checkpoint()
+        record["config"]["fixed_q"] = 2
         with pytest.raises(CheckpointError):
             OnePassRegressor.from_checkpoint(record)
         # records that parse but disagree with the schedule, with the sketch
@@ -504,6 +565,24 @@ class TestCheckpoint:
         for record in (good, good_known, make_engine(known=False).checkpoint()):
             assert OnePassRegressor.from_checkpoint(record).checkpoint() \
                 == record
+
+
+class TestConstructors:
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(*[
+        st.tuples(st.just(cls), st.just(field), WRONG[kind])
+        for cls, kinds in FIELD_KINDS.items()
+        for field, kind in kinds.items()]))
+    # values that the constructors took before they checked types
+    @example(case=(SchedulerConfig, "q0", 1e20))
+    @example(case=(SchedulerConfig, "C_q", math.inf))
+    @example(case=(BasisSpec, "extension_margin", math.nan))
+    @example(case=(OnePassRegressor, "batch_size", 7.5))
+    @example(case=(ServiceConfig, "C_rho", math.nan))
+    def test_wrong_field_value_is_rejected(self, case):
+        cls, field, value = case
+        with pytest.raises((ValueError, TypeError)):
+            cls(**{**REQUIRED.get(cls, {}), field: value})
 
 
 class TestBatchFit:

@@ -13,8 +13,7 @@ from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
                                m2, m3, noise_sigma,
                                phase_transition_experiment, rate_experiment,
-                               rmise, run_experiment, signal_power,
-                               target_eval)
+                               rmise, run_experiment, signal_power)
 
 
 class TestTargets:
@@ -89,10 +88,6 @@ class TestTargets:
         expected = 1.0 + np.sum(js ** -3.0) / 2.0
         got = quadrature.integrate(lambda x: m3(x) ** 2, 0, 1, 1 << 16)
         assert got == pytest.approx(expected, abs=1e-4)
-
-    def test_target_eval_scalar_and_callable(self):
-        assert target_eval("m2", 0.4) == 0.0
-        assert target_eval(lambda t: 2 * t, 0.5) == 1.0
 
 
 class TestScenario:

@@ -12,7 +12,7 @@ import pathlib
 
 import streamreg
 
-OPTION_LIMIT = 66
+OPTION_LIMIT = 63
 
 
 def _is_dataclass(node):

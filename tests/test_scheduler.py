@@ -69,8 +69,8 @@ class TestSchedule:
         assert sched.active_count(10 ** 9) == 10
         assert sched.slot_count(10 ** 9) == 10
 
-    def test_fixed_q_overrides_growth(self):
-        sched = SchedulerConfig(fixed_q=3)
+    def test_cap_at_q0_pins_the_slot_count(self):
+        sched = SchedulerConfig(q0=3, mem_cap=9)
         assert sched.active_count(10 ** 6) == 3
         assert sched.slot_count(10 ** 6) == 3
         assert sched.tau(2) == 1
@@ -91,8 +91,14 @@ class TestSchedule:
 
     def test_invalid_parameters_rejected(self):
         for kwargs in (dict(h=0.0), dict(h=1.5), dict(C_q=0.0),
-                       dict(c_circ=-1.0), dict(q0=0), dict(mem_cap=0),
-                       dict(fixed_q=0)):
+                       dict(c_circ=-1.0), dict(q0=0), dict(mem_cap=0)):
+            with pytest.raises(ValueError):
+                SchedulerConfig(**kwargs)
+
+    def test_float_counts_rejected_at_once(self):
+        # a float q0 made the constructor's slot_count(1) step j + 1 == j
+        # forever at 1e20
+        for kwargs in (dict(q0=1e20), dict(q0=5.0), dict(mem_cap=30.0)):
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
 
@@ -113,13 +119,12 @@ class TestSchedule:
         # C_q = 1e-9 opens 1 587 401 051 slots at n = 1; the first ingest
         # would build a tau list that long
         for kwargs in (dict(C_q=1e-9), dict(q0=10 ** 9),
-                       dict(fixed_q=10 ** 9),
-                       dict(fixed_q=MAX_INITIAL_SLOTS + 1),
                        dict(q0=MAX_INITIAL_SLOTS + 1)):
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
-        assert SchedulerConfig(fixed_q=MAX_INITIAL_SLOTS).slot_count(1) \
-            == MAX_INITIAL_SLOTS
+        assert SchedulerConfig(
+            q0=MAX_INITIAL_SLOTS,
+            mem_cap=3 * MAX_INITIAL_SLOTS).slot_count(1) == MAX_INITIAL_SLOTS
         # a cap bounds the slot count whatever C_q is
         assert SchedulerConfig(C_q=1e-9, mem_cap=30).slot_count(1) == 10
 

@@ -456,6 +456,28 @@ class TestCli:
         assert json.loads(ckpt.read_text())["n"] == 100
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--h", "2", "h"), ("--margin", "nan", "extension_margin"),
+        ("--lo", "inf", "lo"), ("--batch-size", "0", "batch_size")])
+    def test_invalid_engine_flag_is_an_error(self, tmp_path, capsys, flag,
+                                             value, field):
+        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
+        write_stream_csv(data, n=50)
+        code = main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt), flag, value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must ")
+        assert not ckpt.exists()
+
+    def test_serve_rejects_an_invalid_flag_before_binding(self, monkeypatch,
+                                                          capsys):
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(cli, "StreamService", bind)
+        assert main(["serve", "--h", "2", "--port", "0"]) == 1
+        assert capsys.readouterr().err == "error: h must lie in (0, 1)\n"
+
     @pytest.mark.parametrize("row, message", [
         ("0.5,abc", "expected two numbers"), ("0.5", "expected two numbers"),
         ("0.5,1,2", "expected two numbers"), ("0.5,nan", "not finite"),
