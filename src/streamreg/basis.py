@@ -22,9 +22,14 @@ from .errors import DomainError
 
 
 def is_real(v):
-    """A finite real number: an int or a float, not a bool."""
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) \
-        and math.isfinite(v)
+    """A finite real number: an int or a float, not a bool.  An int past the
+    float range fails: it has no float value."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def is_count(v):

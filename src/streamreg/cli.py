@@ -19,11 +19,20 @@ from .tuning import TuningGrid, cv_select, rho_at, write_tuning_report
 USAGE_ERROR = 2
 
 
+def _from_input(build, *args, **kwargs):
+    """``build`` called on user input: its ValueError becomes an InputError."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
+
+
 def _scenario_from_args(args):
     if getattr(args, "config", None):
-        return load_scenario(args.config)
-    return Scenario(target=args.target, n=args.n, B=args.batch_size,
-                    snr=args.snr, seed=args.seed, replicates=args.replicates)
+        return _from_input(load_scenario, args.config)
+    return _from_input(Scenario, target=args.target, n=args.n,
+                       B=args.batch_size, snr=args.snr, seed=args.seed,
+                       replicates=args.replicates)
 
 
 def _add_scenario_args(p):
@@ -41,7 +50,8 @@ def _add_scenario_args(p):
 
 def _cmd_simulate(args):
     sc = _scenario_from_args(args)
-    report = run_experiment(sc, args.checkpoints, method=args.method)
+    report = _from_input(run_experiment, sc, args.checkpoints,
+                         method=args.method)
     report.write_csv(args.out)
     report.write_gnuplot(args.out + ".gp", args.out)
     print(f"wrote {args.out} ({len(report.rows)} rows, "
@@ -51,8 +61,8 @@ def _cmd_simulate(args):
 
 def _cmd_rate(args):
     sc = _scenario_from_args(args)
-    slope, hypothesized, report, skipped = rate_experiment(
-        sc, args.beta, args.checkpoints)
+    slope, hypothesized, report, skipped = _from_input(
+        rate_experiment, sc, args.beta, args.checkpoints)
     report.write_csv(args.out)
     if skipped:
         print("slope test skipped: RMISE numerically zero")
@@ -65,16 +75,17 @@ def _cmd_rate(args):
 def _cmd_phase(args):
     sc = _scenario_from_args(args)
     caps = [None if c <= 0 else c for c in args.mem_caps]
-    report = phase_transition_experiment(sc, caps, args.checkpoints)
+    report = _from_input(phase_transition_experiment, sc, caps,
+                         args.checkpoints)
     report.write_csv(args.out)
     print(f"wrote {args.out} ({len(report.rows)} rows)")
     return 0
 
 
 def _cmd_protocol(args):
-    report = run_protocol(args.k, args.n, args.trials, seed=args.seed,
-                          beta=args.beta, c_K=args.c_K,
-                          mem_cap=args.mem_cap, noise_sd=args.noise_sd)
+    report = _from_input(run_protocol, args.k, args.n, args.trials,
+                         seed=args.seed, beta=args.beta, c_K=args.c_K,
+                         mem_cap=args.mem_cap, noise_sd=args.noise_sd)
     report.write_csv(args.out)
     print(f"per-bit error rate {report.error_rate:.4f}, "
           f"transmitted {report.transmitted_units} units per trial")
@@ -84,7 +95,7 @@ def _cmd_protocol(args):
 def _cmd_tune(args):
     sc = _scenario_from_args(args)
     rng = np.random.default_rng(sc.seed)
-    grid = TuningGrid(n0=min(args.n0, sc.n))
+    grid = _from_input(TuningGrid, n0=min(args.n0, sc.n))
     from .harness import EXTENSION_MARGINS, TARGETS, noise_sigma
     ts = rng.uniform(0.0, 1.0, grid.n0)
     ys = TARGETS[sc.target](ts) + rng.normal(0.0, noise_sigma(sc), grid.n0)
@@ -116,12 +127,9 @@ def _add_engine_args(p):
 
 
 def _engine_config(args):
-    try:
-        return ServiceConfig(**{field: getattr(args, field)
-                                for _, field, _ in ENGINE_FLAGS
-                                if hasattr(args, field)})
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    return _from_input(ServiceConfig, **{field: getattr(args, field)
+                                         for _, field, _ in ENGINE_FLAGS
+                                         if hasattr(args, field)})
 
 
 def _csv_points(fh, spec):

@@ -13,56 +13,34 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import quadrature
-from .errors import DegenerateDensityError, DomainError, StateError
-from .scheduler import fold, slot_counts
+from .errors import DegenerateDensityError, StateError
+from .scheduler import slot_counts
 
 
 class DensityState:
-    """One-pass orthogonal-series sketch of the predictor density."""
+    """One-pass orthogonal-series sketch of the predictor density: theta
+    only.  The owning engine holds the slot ledger, validates and folds each
+    batch (``update``) and sets ``active_count``."""
 
-    def __init__(self, basis, schedule):
+    def __init__(self, basis):
         self.basis = basis
-        self.schedule = schedule
-        self.n = 0
         self.theta = np.zeros(0)
-        self.start = np.zeros(0, dtype=np.int64)
+        self.active_count = 0  # slots in the estimate; set by the engine
         self._z = None  # normalizer of the clipped density; reset by update
 
-    @property
-    def active_count(self):
-        """Number of slots currently contributing to the density estimate."""
-        if self.n < 1:
-            return 0
-        return min(self.schedule.active_count(self.n), self.theta.size)
+    def update(self, start, sums, n_old, n_new):
+        """Fold one batch's weight-1 slot sums into the running means.
 
-    def update(self, ts, ledger=None):
-        """Fold one batch of predictor observations into the sketch.
-
-        ``ledger`` is ``(start, sums)`` when an engine has already validated
-        the batch, extended the start vector to the batch's end and folded
-        the sketch basis over it with weight 1 (``scheduler.fold``).
-        Without it, the batch is validated and folded here, before any
-        mutation, so a domain error leaves the state unchanged.
+        ``start`` is the engine's start vector at n_new, and ``sums`` the
+        batch's per-slot sums over observations n_old+1, ..., n_new
+        (``scheduler.fold``).
         """
-        if ledger is None:
-            ts = np.atleast_1d(np.asarray(ts, dtype=float))
-            if ts.size == 0:
-                raise ValueError("batch must be non-empty")
-            if not self.basis.contains(ts):
-                raise DomainError("batch contains t values outside the domain")
-            start = self.schedule.extend(self.start, self.n + ts.size)
-            ledger = start, fold(basis_mod.Powers(self.basis, start.size, ts),
-                                 np.ones(ts.size), start, self.n)
-        start, sums = ledger
-        n_old = self.n
-        n_new = n_old + len(ts)
         theta = self.theta
         if start.size > theta.size:
             theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
         # a slot opened past n_new has no observation yet and keeps theta_j = 0
         counts_new = np.maximum(slot_counts(start, n_new), 1)
         self.theta = (slot_counts(start, n_old) * theta + sums) / counts_new
-        self.start, self.n = start, n_new
         self._z = None
 
     def evaluate(self, t):

@@ -2,8 +2,10 @@
 
 The state carried across batches is one real per summary slot: the vector G
 with G_j = sum_{i >= tau_j} phi_j(T_i) * Y_i, the slot start times, and (when
-the predictor density is unknown) the density sketch.  At query time the
-Gram matrix is rebuilt on the fly from the sketch and the penalized system
+the predictor density is unknown) the density sketch theta.  G and theta
+share one slot ledger (n, the start vector), which the engine alone holds.
+At query time the Gram matrix is rebuilt on the fly from the sketch and the
+penalized system
 
     (H_q + rho*W) a = N_q^{-1} G_q,       N_q = diag(n_1, ..., n_q)
 
@@ -23,8 +25,8 @@ from .scheduler import SchedulerConfig, fold, slot_counts
 
 CHECKPOINT_FORMAT = "streamreg-checkpoint-v1"
 
-# Scalar counters retained alongside the summary vectors (n, B, density n,
-# and the slot-count scalar); part of the reported memory footprint.
+# Scalars of a v1 checkpoint record counted in the memory footprint beside
+# its vectors G, start, theta and theta_start.
 SCALAR_UNITS = 4
 
 # Warm-up ridge floor keeping the system SPD before q0 observations arrive.
@@ -74,7 +76,7 @@ class OnePassRegressor:
         # orthonormal on the data domain itself.
         density_basis = basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi)
         self.density = None if known_uniform_density else DensityState(
-            density_basis, schedule)
+            density_basis)
         self._coef_cache = {}
 
     # ------------------------------------------------------------------
@@ -114,9 +116,11 @@ class OnePassRegressor:
             # at margin 0 the sketch basis is the regression basis
             if self.density.basis != self.reg_basis:
                 powers = basis_mod.Powers(self.density.basis, start.size, ts)
-            self.density.update(ts, (start, fold(powers, np.ones(ts.size),
-                                                 start, self.n)))
+            self.density.update(start, fold(powers, np.ones(ts.size), start,
+                                            self.n), self.n, n_new)
         self.G, self.start, self.n = G, start, n_new
+        if self.density is not None:
+            self.density.active_count = self.active_count
         self._coef_cache.clear()
 
     # ------------------------------------------------------------------
@@ -195,10 +199,11 @@ class OnePassRegressor:
         return value if t.ndim == 0 else np.full(t.shape, value)
 
     def memory_footprint(self):
-        """Exact count of reals held in the summary statistics."""
+        """Exact count of the reals in the v1 checkpoint record: G, start,
+        theta, theta_start (the sketch's copy of start) and SCALAR_UNITS."""
         units = self.G.size + self.start.size + SCALAR_UNITS
         if self.density is not None:
-            units += self.density.theta.size + self.density.start.size
+            units += self.density.theta.size + self.start.size
         return int(units)
 
     # ------------------------------------------------------------------
@@ -225,7 +230,7 @@ class OnePassRegressor:
             "start": self.start.tolist(),
             "theta": [] if self.density is None else self.density.theta.tolist(),
             "theta_start": [] if self.density is None
-            else self.density.start.tolist(),
+            else self.start.tolist(),
         }
 
     def checkpoint_json(self):
@@ -280,8 +285,8 @@ class OnePassRegressor:
                                   "match the slots")
         reg.n, reg.G, reg.start = n, G, start
         if reg.density is not None:
-            reg.density.n = reg.n
-            reg.density.theta, reg.density.start = theta, theta_start
+            reg.density.theta = theta
+            reg.density.active_count = reg.active_count
         return reg
 
 

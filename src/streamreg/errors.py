@@ -9,10 +9,6 @@ class DomainError(StreamRegError, ValueError):
     """A basis index or evaluation point is outside its valid range."""
 
 
-class QuadratureError(StreamRegError, ArithmeticError):
-    """Numerical integration failed to stabilize under node doubling."""
-
-
 class DegenerateDensityError(StreamRegError, ArithmeticError):
     """The clipped density estimate is non-positive everywhere."""
 

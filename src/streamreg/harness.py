@@ -25,7 +25,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from . import quadrature
-from .basis import BasisSpec, PenaltySpec
+from .basis import BasisSpec, PenaltySpec, is_count, is_real, require
 from .engine import OnePassRegressor, batch_fit
 from .errors import StreamRegError
 from .scheduler import SchedulerConfig
@@ -109,6 +109,8 @@ class Scenario:
     def __post_init__(self):
         if self.target not in TARGETS:
             raise ValueError(f"unknown target {self.target!r}")
+        require(is_count, "an integer", self, "n", "B", "seed", "replicates")
+        require(is_real, "a finite number", self, "snr")
         if min(self.n, self.B, self.replicates) < 1 or self.snr <= 0:
             raise ValueError("n, B, replicates must be positive; snr > 0")
 

@@ -157,6 +157,8 @@ def run_protocol(k, n, trials, seed=0, beta=1.0, c_K=0.1, mem_cap=None,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     rng = np.random.default_rng(seed)
     report = ProtocolReport()
     errors = 0

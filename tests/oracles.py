@@ -8,9 +8,9 @@ import numpy as np
 
 from streamreg import quadrature
 from streamreg.basis import _check_points, _curvature_factors, eval_matrix
-from streamreg.errors import DomainError, QuadratureError
 from streamreg.engine import batch_fit
-from streamreg.errors import IllConditionedSystemError
+from streamreg.errors import (DomainError, IllConditionedSystemError,
+                              StreamRegError)
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
 from streamreg.lowerbound import build_m_omega, bump_kernel
 from streamreg.scheduler import SchedulerConfig
@@ -112,6 +112,10 @@ def sup_sum_squares(spec, q):
     t = np.linspace(spec.lo, spec.hi, 10001)
     V = eval_matrix(spec, q, t)
     return float(np.max(np.sum(V * V, axis=1)))
+
+
+class QuadratureError(StreamRegError, ArithmeticError):
+    """Numerical integration failed to stabilize under node doubling."""
 
 
 def projection_residual(m, spec, q, norm="L2", n_nodes=None):

@@ -28,7 +28,6 @@ import numpy as np
 from oracles import second_derivative_matrix
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix, penalty_matrix
 from streamreg.cli import main as cli_main
-from streamreg.density import DensityState
 from streamreg.engine import OnePassRegressor, batch_fit
 from streamreg.harness import (Scenario, phase_transition_experiment,
                                rate_experiment, run_experiment)
@@ -80,7 +79,7 @@ def test_criterion_01_replay_equivalence():
 
         dvals = eval_matrix(eng.density.basis, eng.density.theta.size, ts)
         th_replay = np.array([
-            np.mean(dvals[eng.density.start[j] - 1:, j])
+            np.mean(dvals[eng.start[j] - 1:, j])
             for j in range(eng.density.theta.size)
         ])
         ok &= rel_close(eng.density.theta, th_replay, 1e-10)
@@ -262,19 +261,18 @@ def test_criterion_10_density_sketch():
         for rep in range(10):
             rng = np.random.default_rng(np.random.SeedSequence([123, rep]))
             ts = rng.uniform(0.0, 1.0, n)
-            state = DensityState(spec, SchedulerConfig(h=0.2))
-            for lo in range(0, n, 100):
-                state.update(ts[lo:lo + 100])
-            sups.append(float(np.max(np.abs(state.evaluate(grid) - 1.0))))
+            eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.2))
+            feed(eng, ts, np.zeros(n), 100)
+            sups.append(float(np.max(np.abs(eng.density.evaluate(grid)
+                                            - 1.0))))
         errors.append(float(np.mean(sups)))
     monotone = errors[0] >= errors[1] >= errors[2]
 
     rng = np.random.default_rng(7)
     ts = rng.uniform(0.0, 1.0, 100_000)
-    state = DensityState(spec, SchedulerConfig(h=0.2))
-    for lo in range(0, 100_000, 1_000):
-        state.update(ts[lo:lo + 1_000])
-    mass = integrate(state.evaluate_normalized, 0.0, 1.0, 1 << 16)
+    eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.2))
+    feed(eng, ts, np.zeros(ts.size), 1_000)
+    mass = integrate(eng.density.evaluate_normalized, 0.0, 1.0, 1 << 16)
     print(f"  sup errors {errors[0]:.4f} -> {errors[1]:.4f} -> "
           f"{errors[2]:.4f}, normalized mass {mass:.10f}")
     verdict(10, "density sketch",

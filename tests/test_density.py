@@ -13,118 +13,123 @@ from streamreg.scheduler import SchedulerConfig
 UNIT = BasisSpec(0.0, 1.0)
 
 
-def make_state(**sched_kwargs):
-    return DensityState(UNIT, SchedulerConfig(**sched_kwargs))
+def make_engine(**sched_kwargs):
+    """An engine whose sketch the tests drive: the engine owns the ledger."""
+    return OnePassRegressor(UNIT, PenaltySpec("roughness"),
+                            SchedulerConfig(**sched_kwargs))
 
 
-def replay_theta(state, stream):
+def feed(eng, ts):
+    """Ingest the predictors ts with y = 0; the sketch reads t only."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    eng.ingest(ts, np.zeros(ts.size))
+
+
+def stub(evaluate):
+    """A one-slot sketch whose raw estimate is ``evaluate``."""
+    state = DensityState(UNIT)
+    state.theta = np.array([1.0])
+    state.active_count = 1
+    state.evaluate = evaluate
+    return state
+
+
+def replay_theta(eng, stream):
     """Independent recomputation of every slot mean from the retained stream."""
     ts = np.concatenate(stream)
     n = ts.size
-    vals = eval_matrix(state.basis, state.theta.size, ts)
-    out = np.empty(state.theta.size)
-    for j in range(state.theta.size):
-        lo = state.start[j] - 1
+    theta = eng.density.theta
+    vals = eval_matrix(eng.density.basis, theta.size, ts)
+    out = np.empty(theta.size)
+    for j in range(theta.size):
+        lo = eng.start[j] - 1
         out[j] = vals[lo:, j].sum() / (n - lo)
     return out
 
 
 class TestUpdate:
     def test_constant_slot_averages_to_one(self):
-        state = make_state(q0=1, mem_cap=3)
-        state.update([0.1, 0.5, 0.9, 0.3, 0.7])
-        np.testing.assert_allclose(state.theta, [1.0])
+        eng = make_engine(q0=1, mem_cap=3)
+        feed(eng, [0.1, 0.5, 0.9, 0.3, 0.7])
+        np.testing.assert_allclose(eng.density.theta, [1.0])
 
     def test_running_mean_arithmetic(self):
-        state = make_state(q0=1, mem_cap=3)
+        # theta_1 = 0.4 over 10 points, then a synthetic slot sum of 6 over
+        # the next 5: (10 * 0.4 + 6) / 15
+        state = DensityState(UNIT)
         state.theta = np.array([0.4])
-        state.start = np.array([1], dtype=np.int64)
-        state.n = 10
-        # psi_1 = 1 on [0,1]: a batch of 5 contributes slot-sum 5, but force 6
-        # by replaying the formula directly with a synthetic batch sum
-        counts_old, batch_sum, n_new = 10, 6.0, 15
-        expected = (counts_old * 0.4 + batch_sum) / n_new
-        assert expected == pytest.approx(2.0 / 3.0)
+        state.update(np.array([1], dtype=np.int64), np.array([6.0]), 10, 15)
+        np.testing.assert_allclose(state.theta, [2.0 / 3.0], rtol=1e-15)
 
     def test_replay_oracle_mixed_batches(self):
         rng = np.random.default_rng(3)
-        state = make_state()
+        eng = make_engine()
         stream = []
         for _ in range(60):
             batch = rng.uniform(0, 1, rng.integers(1, 40))
             stream.append(batch)
-            state.update(batch)
-        expected = replay_theta(state, stream)
-        np.testing.assert_allclose(state.theta, expected, rtol=1e-10, atol=1e-12)
+            feed(eng, batch)
+        expected = replay_theta(eng, stream)
+        np.testing.assert_allclose(eng.density.theta, expected, rtol=1e-10,
+                                   atol=1e-12)
 
     def test_out_of_domain_batch_rejected_atomically(self):
-        state = make_state()
-        state.update([0.2, 0.4])
-        before = (state.n, state.theta.copy())
+        eng = make_engine()
+        feed(eng, [0.2, 0.4])
+        before = (eng.n, eng.density.theta.copy())
         with pytest.raises(DomainError):
-            state.update([0.5, 1.5])
-        assert state.n == before[0]
-        np.testing.assert_array_equal(state.theta, before[1])
+            feed(eng, [0.5, 1.5])
+        assert eng.n == before[0]
+        np.testing.assert_array_equal(eng.density.theta, before[1])
 
     def test_slot_count_stays_bounded(self):
         rng = np.random.default_rng(4)
-        state = make_state()
+        eng = make_engine()
         for _ in range(200):
-            state.update(rng.uniform(0, 1, 50))
-        p = state.schedule.active_count(state.n)
-        assert state.theta.size <= 4 * p
-        assert state.theta.size == state.start.size
+            feed(eng, rng.uniform(0, 1, 50))
+        p = eng.schedule.active_count(eng.n)
+        assert eng.density.active_count == p
+        assert eng.density.theta.size <= 4 * p
+        assert eng.density.theta.size == eng.start.size
 
 
 class TestEvaluate:
     def test_uniform_single_slot(self):
-        state = make_state(q0=1, mem_cap=3)
-        state.update(np.linspace(0.05, 0.95, 19))
+        eng = make_engine(q0=1, mem_cap=3)
+        feed(eng, np.linspace(0.05, 0.95, 19))
         for t in (0.0, 0.33, 1.0):
-            assert state.evaluate(t) == pytest.approx(1.0)
+            assert eng.density.evaluate(t) == pytest.approx(1.0)
 
     def test_direct_series_evaluation(self):
-        state = make_state(q0=2, mem_cap=6)
+        state = DensityState(UNIT)
         state.theta = np.array([1.0, 0.5])
-        state.start = np.array([1, 1], dtype=np.int64)
-        state.n = 10
+        state.active_count = 2
         assert state.evaluate(0.0) == pytest.approx(1.0 + 0.5 * np.sqrt(2))
 
     def test_no_active_slot_errors(self):
-        state = make_state()
         with pytest.raises(StateError):
-            state.evaluate(0.5)
+            make_engine().density.evaluate(0.5)
 
     def test_uniform_density_sup_error(self):
         rng = np.random.default_rng(11)
-        state = make_state(q0=9, mem_cap=27)
+        eng = make_engine(q0=9, mem_cap=27)
         for _ in range(100):
-            state.update(rng.uniform(0, 1, 100))
+            feed(eng, rng.uniform(0, 1, 100))
         grid = np.linspace(0, 1, 501)
-        assert np.max(np.abs(state.evaluate(grid) - 1.0)) < 0.15
+        assert np.max(np.abs(eng.density.evaluate(grid) - 1.0)) < 0.15
 
 
 class TestNormalized:
     def test_already_a_density(self):
-        state = make_state(q0=1, mem_cap=3)
-        state.update(np.linspace(0.01, 0.99, 50))
-        assert state.evaluate_normalized(0.4) == pytest.approx(1.0, abs=1e-9)
+        eng = make_engine(q0=1, mem_cap=3)
+        feed(eng, np.linspace(0.01, 0.99, 50))
+        assert eng.density.evaluate_normalized(0.4) == pytest.approx(1.0,
+                                                                    abs=1e-9)
 
     def test_clipped_linear_analytic(self):
         # f_hat(t) = 2t - 0.5 = 0.5*phi_1 + c*phi_3-style ramp is not exactly
         # in a 2-slot Fourier span, so drive the formula through a stub state.
-        class Ramp(DensityState):
-            def __init__(self):
-                super().__init__(UNIT, SchedulerConfig(q0=1, mem_cap=3))
-                self.n = 1
-                self.theta = np.array([1.0])
-                self.start = np.array([1], dtype=np.int64)
-
-            def evaluate(self, t):
-                t = np.asarray(t, dtype=float)
-                return 2.0 * t - 0.5
-
-        state = Ramp()
+        state = stub(lambda t: 2.0 * np.asarray(t, dtype=float) - 0.5)
         # positive part integrates to (2t-0.5) on [0.25, 1]: 9/16
         t = np.array([0.0, 0.25, 0.75, 1.0])
         expected = np.maximum(2 * t - 0.5, 0.0) / (9.0 / 16.0)
@@ -132,25 +137,17 @@ class TestNormalized:
                                    atol=1e-8)
 
     def test_everywhere_nonpositive_is_degenerate(self):
-        class Negative(DensityState):
-            def __init__(self):
-                super().__init__(UNIT, SchedulerConfig(q0=1, mem_cap=3))
-                self.n = 1
-                self.theta = np.array([1.0])
-                self.start = np.array([1], dtype=np.int64)
-
-            def evaluate(self, t):
-                return -np.ones_like(np.asarray(t, dtype=float))
-
+        state = stub(lambda t: -np.ones_like(np.asarray(t, dtype=float)))
         with pytest.raises(DegenerateDensityError):
-            Negative().evaluate_normalized(0.5)
+            state.evaluate_normalized(0.5)
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(5)
-        state = make_state()
+        eng = make_engine()
         for _ in range(30):
-            state.update(rng.beta(2, 3, 100))
-        total = quadrature.integrate(state.evaluate_normalized, 0, 1, 1 << 16)
+            feed(eng, rng.beta(2, 3, 100))
+        total = quadrature.integrate(eng.density.evaluate_normalized, 0, 1,
+                                     1 << 16)
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_cached_normalizer_follows_every_ingest(self):
@@ -172,13 +169,13 @@ class TestNormalized:
     def test_normalizer_builds_no_basis_matrix(self):
         # a (32768 x q) basis matrix at q = 92 alone takes 24 MB
         rng = np.random.default_rng(13)
-        state = make_state()
+        eng = make_engine()
         for _ in range(100):
-            state.update(rng.uniform(0, 1, 1000))
-        assert state.active_count == 92
+            feed(eng, rng.uniform(0, 1, 1000))
+        assert eng.density.active_count == 92
         tracemalloc.start()
         try:
-            state.evaluate_normalized(0.5)
+            eng.density.evaluate_normalized(0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -188,27 +185,17 @@ class TestNormalized:
 class TestGram:
     def test_uniform_data_close_to_identity(self):
         rng = np.random.default_rng(8)
-        state = make_state()
+        eng = make_engine()
         for _ in range(200):
-            state.update(rng.uniform(0, 1, 100))
-        H = state.gram(UNIT, 3)
+            feed(eng, rng.uniform(0, 1, 100))
+        H = eng.density.gram(UNIT, 3)
         np.testing.assert_allclose(H, np.eye(3), atol=0.08)
         np.testing.assert_allclose(H, H.T, atol=1e-12)
 
     def test_extended_basis_matches_quadrature_oracle(self):
         ext = BasisSpec(0.0, 1.0, extension_margin=0.1)
-
-        class Flat(DensityState):
-            def __init__(self):
-                super().__init__(UNIT, SchedulerConfig(q0=1, mem_cap=3))
-                self.n = 1
-                self.theta = np.array([1.0])
-                self.start = np.array([1], dtype=np.int64)
-
-            def evaluate(self, t):
-                return np.ones_like(np.asarray(t, dtype=float))
-
-        H = Flat().gram(ext, 2)
+        flat = stub(lambda t: np.ones_like(np.asarray(t, dtype=float)))
+        H = flat.gram(ext, 2)
         x, w = quadrature.rule(0.0, 1.0, 4096)
         V = eval_matrix(ext, 2, x)
         oracle = V.T @ (w[:, None] * V)
@@ -216,9 +203,9 @@ class TestGram:
 
     def test_gram_is_psd(self):
         rng = np.random.default_rng(9)
-        state = make_state()
+        eng = make_engine()
         for _ in range(20):
-            state.update(rng.beta(0.5, 0.5, 50))
+            feed(eng, rng.beta(0.5, 0.5, 50))
         for q in (2, 6, 11):
-            H = state.gram(UNIT, q)
+            H = eng.density.gram(UNIT, q)
             assert np.linalg.eigvalsh(H).min() >= -1e-8

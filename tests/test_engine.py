@@ -9,7 +9,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
-from streamreg.density import DensityState
 from streamreg.engine import OnePassRegressor, batch_fit, SCALAR_UNITS
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
@@ -119,21 +118,20 @@ class TestIngest:
             assert np.isfinite(eng.estimate(0.3, 1e-3))
 
     def test_shared_basis_leaves_the_sketch_unchanged(self):
-        # at margin 0 the sketch folds the engine's own basis matrix; with a
-        # margin it must evaluate its unextended basis itself
+        # at margin 0 the sketch folds the engine's own power tables; with a
+        # margin it must evaluate its unextended basis itself, to the same bits
         ts = np.random.default_rng(16).beta(2, 3, 9000)
-        for margin in (0.0, 0.1):
-            spec = BasisSpec(0.0, 1.0, extension_margin=margin)
-            eng = OnePassRegressor(spec, ROUGH, SchedulerConfig())
-            alone = DensityState(UNIT, SchedulerConfig())
-            # single points, then batches that open slots strictly inside
-            for lo, hi in [(0, 1), (1, 2), (2, 40), (40, 900), (900, 9000)]:
-                opens = eng.start.size
-                eng.ingest(ts[lo:hi], np.ones(hi - lo))
-                alone.update(ts[lo:hi])
-                np.testing.assert_array_equal(eng.density.theta, alone.theta)
-                np.testing.assert_array_equal(eng.density.start, alone.start)
-            assert eng.start.size > opens and eng.start[-1] > 900 + 1
+        shared = OnePassRegressor(UNIT, ROUGH, SchedulerConfig())
+        own = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
+                               ROUGH, SchedulerConfig())
+        # single points, then batches that open slots strictly inside
+        for lo, hi in [(0, 1), (1, 2), (2, 40), (40, 900), (900, 9000)]:
+            opens = own.start.size
+            shared.ingest(ts[lo:hi], np.zeros(hi - lo))
+            own.ingest(ts[lo:hi], np.zeros(hi - lo))
+            np.testing.assert_array_equal(own.density.theta,
+                                          shared.density.theta)
+        assert own.start.size > opens and own.start[-1] > 900 + 1
 
     def test_length_mismatch_rejected(self):
         eng = make_engine()
@@ -257,7 +255,7 @@ class TestMemory:
         eng = make_engine(known=False)
         feed(eng, ts, ys)
         expected = (eng.G.size + eng.start.size + eng.density.theta.size
-                    + eng.density.start.size + SCALAR_UNITS)
+                    + len(eng.checkpoint()["theta_start"]) + SCALAR_UNITS)
         assert eng.memory_footprint() == expected
 
     def test_capped_engine_stays_under_budget(self):
@@ -312,7 +310,8 @@ NOT_NUMBERS = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                                         max_size=1))
 # Values of the wrong JSON type for each kind of config field
 WRONG = {
-    "real": st.one_of(NOT_NUMBERS, NON_FINITE),
+    # an int past the float range has no float value
+    "real": st.one_of(NOT_NUMBERS, NON_FINITE, st.just(10 ** 400)),
     "count": st.one_of(NOT_NUMBERS, FLOATS),
     "optional count": st.one_of(NOT_NUMBERS.filter(lambda v: v is not None),
                                 FLOATS),
@@ -579,6 +578,7 @@ class TestConstructors:
     @example(case=(BasisSpec, "extension_margin", math.nan))
     @example(case=(OnePassRegressor, "batch_size", 7.5))
     @example(case=(ServiceConfig, "C_rho", math.nan))
+    @example(case=(BasisSpec, "hi", 10 ** 400))
     def test_wrong_field_value_is_rejected(self, case):
         cls, field, value = case
         with pytest.raises((ValueError, TypeError)):

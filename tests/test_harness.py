@@ -108,7 +108,11 @@ class TestScenario:
             np.testing.assert_array_equal(ya, yb)
 
     def test_invalid_scenarios_rejected(self):
-        for kwargs in (dict(target="m9"), dict(n=0), dict(snr=0.0)):
+        # out of range, then of the wrong type or not finite
+        for kwargs in (dict(target="m9"), dict(n=0), dict(snr=0.0),
+                       dict(snr=float("nan")), dict(snr=float("inf")),
+                       dict(snr="2"), dict(n=1000.5), dict(B=True),
+                       dict(seed=1.5), dict(replicates=2.0)):
             with pytest.raises(ValueError):
                 Scenario(**kwargs)
 

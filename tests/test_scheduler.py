@@ -249,7 +249,8 @@ class TestLedger:
         for lo, hi in zip(edges[:-1], edges[1:]):
             eng.ingest(ts[lo:hi], ys[lo:hi])
         start, G, theta = replay_ledger(sched, ts, ys)
-        np.testing.assert_array_equal(eng.start, eng.density.start)
+        record = eng.checkpoint()
+        assert record["theta_start"] == record["start"]
         np.testing.assert_array_equal(eng.start, start)
         assert_close_relative(eng.G, G, 1e-10)
         assert_close_relative(eng.density.theta, theta, 1e-10)

@@ -469,6 +469,22 @@ class TestCli:
         assert capsys.readouterr().err.startswith(f"error: {field} must ")
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--snr", "0"], "snr > 0"),
+        (["simulate", "--checkpoints", "50"], "batch boundaries"),
+        (["rate", "--checkpoints", "100", "1000"], "2 decades"),
+        (["phase", "--checkpoints", "200000"], "<= n"),
+        (["tune", "--n0", "1"], "at least J"),
+        (["protocol", "--trials", "0"], "trials must be >= 1"),
+        (["protocol", "--k", "0"], "k must be >= 1")])
+    def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
+                                                 message):
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_serve_rejects_an_invalid_flag_before_binding(self, monkeypatch,
                                                           capsys):
         def bind(*args, **kwargs):
