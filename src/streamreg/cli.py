@@ -3,6 +3,7 @@
 import argparse
 import csv
 import math
+import signal
 import sys
 
 import numpy as np
@@ -212,13 +213,17 @@ def _cmd_query(args):
 def _cmd_serve(args):
     server = StreamService(_engine_config(args), host=args.host,
                            port=args.port)
+    # SIGINT stops the server even when it was started with SIGINT ignored,
+    # as a non-interactive shell starts a background job
+    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
     host, port = server.address
-    print(f"serving on {host}:{port}")
+    print(f"serving on {host}:{port}", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
     finally:
+        signal.signal(signal.SIGINT, previous)
         server.server_close()
     return 0
 

@@ -155,26 +155,8 @@ class OnePassRegressor:
             raise IllConditionedSystemError("an active slot has no data yet")
         if self.n < self.schedule.q0:
             rho = max(rho, WARMUP_RHO_FLOOR)
-        H = self.gram(q)
         W = basis_mod.penalty_matrix(self.reg_basis, self.penalty, q)
-        A = H + rho * W
-        rhs = self.G[:q] / counts
-        # A Cholesky factorization can succeed on a system that is singular
-        # to working precision and silently return garbage, so gate on
-        # LAPACK's estimate of the reciprocal 1-norm condition number too.
-        try:
-            c, low = linalg.cho_factor(A, lower=True)
-            rcond = linalg.lapack.dpocon(c, np.linalg.norm(A, 1), uplo="L")[0]
-        except linalg.LinAlgError:
-            rcond = 0.0
-        if rcond <= RCOND_FLOOR:
-            min_eig = float(linalg.eigvalsh(A)[0])
-            raise IllConditionedSystemError(
-                f"penalized Gram system is numerically singular "
-                f"(min eigenvalue {min_eig:.3e})",
-                min_eigenvalue=min_eig,
-            )
-        return linalg.cho_solve((c, low), rhs)
+        return penalized_solve(self.gram(q), W, rho, self.G[:q] / counts)
 
     def coefficients(self, rho):
         """Cached coefficient solve; the cache clears on every ingest."""
@@ -298,25 +280,37 @@ def batch_fit(ts, ys, spec, q, rho, penalty):
 
 
 def normal_equations(spec, q, ts, ys):
-    """The batch system's n^-1 Phi'Phi and n^-1 Phi'Y."""
+    """The batch system's n^-1 Phi'Phi and n^-1 Phi'Y from one ``Powers``
+    table of the sample, with no n x q basis matrix."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = ts.size
     if n < 1:
         raise ValueError("empty sample")
-    Phi = basis_mod.eval_matrix(spec, q, ts)
-    return Phi.T @ Phi / n, Phi.T @ ys / n
+    if q < 1:
+        raise DomainError("basis count q must be >= 1")
+    powers = basis_mod.Powers(spec, 2 * q, basis_mod._check_points(spec, ts))
+    H = basis_mod.gram_from_moments(spec, q, powers.moments(np.ones(n)))
+    return H / n, powers.sums(ys)[:q] / n
 
 
 def penalized_solve(H, W, rho, rhs):
-    """The batch system's solution (H + rho W)^-1 rhs by Cholesky."""
+    """(H + rho W)^-1 rhs by Cholesky, for the engine, batch and CV fits.
+
+    A Cholesky factorization can succeed on a system that is singular to
+    working precision and silently return garbage, so gate on LAPACK's
+    estimate of the reciprocal 1-norm condition number too."""
     A = H + rho * W
     try:
         c, low = linalg.cho_factor(A, lower=True)
-    except linalg.LinAlgError as exc:
-        min_eig = float(np.min(linalg.eigvalsh(A)))
+        rcond = linalg.lapack.dpocon(c, np.linalg.norm(A, 1), uplo="L")[0]
+    except linalg.LinAlgError:
+        rcond = 0.0
+    if rcond <= RCOND_FLOOR:
+        min_eig = float(linalg.eigvalsh(A)[0])
         raise IllConditionedSystemError(
-            f"batch system is not SPD (min eigenvalue {min_eig:.3e})",
+            f"penalized Gram system is numerically singular "
+            f"(min eigenvalue {min_eig:.3e})",
             min_eigenvalue=min_eig,
-        ) from exc
+        )
     return linalg.cho_solve((c, low), rhs)

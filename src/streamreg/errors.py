@@ -18,7 +18,7 @@ class StateError(StreamRegError, RuntimeError):
 
 
 class IllConditionedSystemError(StreamRegError, ArithmeticError):
-    """The penalized Gram system admits no SPD factorization."""
+    """The penalized system is not SPD or is numerically singular."""
 
     def __init__(self, message, min_eigenvalue=None):
         super().__init__(message)

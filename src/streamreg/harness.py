@@ -39,6 +39,9 @@ EXTENSION_MARGINS = {"m1": 0.1, "m2": 0.1, "m3": 0.0}
 # Every experiment fits with the roughness penalty and a density sketch.
 PENALTY = PenaltySpec("roughness")
 
+# The rate experiment fixes the slot growth q ~ n^RATE_H rather than tuning it.
+RATE_H = 1 / 3
+
 REPORT_COLUMNS = ("method", "target", "n", "rmise", "q_mean",
                   "mem_units_mean", "wall_ms", "failures")
 
@@ -242,7 +245,6 @@ def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
                     ise[c].append(integrated_squared_error(
                         lambda x: basis_mod.series(spec, coef, x), sc.target))
                     q_sum[c] += q
-                    mem_sum[c] += 0.0
         except StreamRegError:
             failures += 1
 
@@ -278,8 +280,9 @@ def phase_transition_experiment(sc, mem_caps, checkpoints, **kwargs):
     return report
 
 
-def rate_experiment(sc, beta_hypothesis, checkpoints, fixed_h=1 / 3, **kwargs):
-    """Least-squares slope of log RMISE vs log n against -beta/(2*beta+1).
+def rate_experiment(sc, beta_hypothesis, checkpoints, **kwargs):
+    """Least-squares slope of log RMISE vs log n against -beta/(2*beta+1),
+    with the slot growth fixed at h = RATE_H.
 
     Returns (slope, hypothesized_slope, report, skipped); the slope test is
     skipped when the RMISE values are numerically zero.
@@ -288,7 +291,7 @@ def rate_experiment(sc, beta_hypothesis, checkpoints, fixed_h=1 / 3, **kwargs):
     if len(checkpoints) < 3 or checkpoints[-1] < 100 * checkpoints[0]:
         raise ValueError("need >= 3 checkpoints spanning >= 2 decades")
     report = run_experiment(sc, checkpoints, method="streaming",
-                            fixed_h=fixed_h, **kwargs)
+                            fixed_h=RATE_H, **kwargs)
     values = np.asarray(report.column("rmise"), dtype=float)
     hypothesized = -beta_hypothesis / (2.0 * beta_hypothesis + 1.0)
     if np.any(values <= 1e-12):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, PenaltySpec
+from .basis import BasisSpec, PenaltySpec, is_real
 from .engine import SCALAR_UNITS, OnePassRegressor
 from .scheduler import SchedulerConfig
 
@@ -94,6 +94,12 @@ def _protocol_engine(mem_cap):
                             known_uniform_density=True)
 
 
+def _check_noise_sd(noise_sd):
+    if not (is_real(noise_sd) and noise_sd >= 0):
+        raise ValueError(
+            f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
+
+
 def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     """Stream n noisy samples of m_omega and return the channel payload.
 
@@ -102,6 +108,7 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _check_noise_sd(noise_sd)
     m = build_m_omega(inst)
     reg = _protocol_engine(mem_cap)
     remaining = n
@@ -159,6 +166,7 @@ def run_protocol(k, n, trials, seed=0, beta=1.0, c_K=0.1, mem_cap=None,
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
+    _check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     report = ProtocolReport()
     errors = 0

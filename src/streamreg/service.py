@@ -8,7 +8,8 @@ One request per line, one JSON response per line.  Requests:
 
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
 "message": text}.  Numbers survive the wire bit-exactly (JSON floats are
-emitted with shortest round-trip formatting).
+emitted with shortest round-trip formatting).  A reply that would hold NaN
+or inf, which JSON cannot, is sent as a ``non_finite`` error instead.
 
 A request line longer than MAX_LINE_BYTES, or an ingest that would create a
 stream past MAX_STREAMS, gets a ``request`` error, so the memory a client
@@ -17,7 +18,6 @@ stream keep being served.
 """
 
 import json
-import socket
 import socketserver
 import threading
 from dataclasses import dataclass
@@ -176,7 +176,13 @@ class _Handler(socketserver.StreamRequestHandler):
                                 "message": f"bad JSON: {exc}"}
                 else:
                     response = handle_request(self.server.registry, request)
-            self.wfile.write((json.dumps(response) + "\n").encode())
+            try:
+                line = json.dumps(response, allow_nan=False)
+            except ValueError:  # NaN or inf, which JSON cannot hold
+                line = json.dumps({"ok": False, "error": "non_finite",
+                                   "message": "the reply holds a non-finite "
+                                              "number"})
+            self.wfile.write((line + "\n").encode())
             self.wfile.flush()
 
 
@@ -199,22 +205,3 @@ class StreamService(socketserver.ThreadingTCPServer):
         thread.start()
         return thread
 
-
-class ServiceClient:
-    """Minimal blocking ndjson client; the tests drive the service with it."""
-
-    def __init__(self, host, port):
-        self._sock = socket.create_connection((host, port))
-        self._file = self._sock.makefile("rwb")
-
-    def request(self, **payload):
-        self._file.write((json.dumps(payload) + "\n").encode())
-        self._file.flush()
-        line = self._file.readline()
-        if not line:
-            raise ConnectionError("service closed the connection")
-        return json.loads(line)
-
-    def close(self):
-        self._file.close()
-        self._sock.close()

@@ -72,14 +72,14 @@ def cv_table(ts, ys, grid, penalty, spec):
     """Cross-validation error for every grid point.
 
     Folds are assigned round-robin by arrival index so results are
-    reproducible without storing a permutation.  A grid point whose fold fit
-    fails the SPD factorization is assigned +inf.  Each row also carries the
-    fold-to-fold standard error of the CV sum.  Rows run over C_rho, then h,
-    in grid order.
+    reproducible without storing a permutation.  A grid point with a fold
+    system that ``penalized_solve`` refuses, as the engine would, is
+    assigned +inf.  Each row also carries the fold-to-fold standard error of
+    the CV sum.  Rows run over C_rho, then h, in grid order.
 
-    Each fold's basis matrices and normal equations depend on h alone, so
-    they are formed once per (h, fold) and solved for every C_rho: each
-    solve is the one ``batch_fit`` makes.
+    Each fold's normal equations (from Fourier moments) and held-out basis
+    matrix depend on h alone, so they are formed once per (h, fold) and
+    solved for every C_rho: each solve is the one ``batch_fit`` makes.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)

@@ -202,7 +202,7 @@ def test_criterion_07_rate_slope():
     sc = Scenario(target="m3", n=100_000, B=100, snr=2.0,
                   replicates=20, seed=0)
     slope, hypothesized, report, skipped = rate_experiment(
-        sc, 1.0, [1_000, 10_000, 100_000], fixed_h=1.0 / 3.0)
+        sc, 1.0, [1_000, 10_000, 100_000])
     print(f"  slope={slope:.4f} (hypothesized {hypothesized:.4f})")
     ok = (not skipped and report.failures == 0
           and -0.50 <= slope <= -0.20)

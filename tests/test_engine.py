@@ -9,7 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
-from streamreg.engine import OnePassRegressor, batch_fit, SCALAR_UNITS
+from oracles import weighted_gram
+from streamreg.engine import (OnePassRegressor, SCALAR_UNITS, batch_fit,
+                              normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
 from streamreg.scheduler import SchedulerConfig
@@ -205,7 +207,8 @@ class TestSolve:
     def test_gate_follows_the_condition_number(self, kappa):
         # an SPD Gram with spectrum 1 .. 1/kappa: its 1-norm rcond is
         # within a factor q = 5 of 1/kappa, and RCOND_FLOOR = 1e-10 lies a
-        # factor 100 from either kappa
+        # factor 100 from either kappa; the engine's solve and the batch
+        # path's (the one batch_fit and the CV table make) gate alike
         q = 5
         eng = make_engine(q0=q, mem_cap=3 * q)
         feed(eng, *sample(50, 20, np.cos))
@@ -213,14 +216,16 @@ class TestSolve:
         H = (Q * np.geomspace(1.0, 1.0 / kappa, q)) @ Q.T
         H = 0.5 * (H + H.T)
         eng.gram = lambda q: H
-        if kappa > 1e10:
-            with pytest.raises(IllConditionedSystemError) as exc_info:
-                eng.solve_coefficients(0.0)
-            assert 0.0 < exc_info.value.min_eigenvalue < 1e-10
-        else:
-            coef = eng.solve_coefficients(0.0)
-            rhs = eng.G / eng.slot_counts()
-            np.testing.assert_allclose(H @ coef, rhs, rtol=0, atol=1e-6)
+        rhs = eng.G / eng.slot_counts()
+        for solve in (eng.solve_coefficients,
+                      lambda rho: penalized_solve(H, np.eye(q), rho, rhs)):
+            if kappa > 1e10:
+                with pytest.raises(IllConditionedSystemError) as exc_info:
+                    solve(0.0)
+                assert 0.0 < exc_info.value.min_eigenvalue < 1e-10
+            else:
+                coef = solve(0.0)
+                np.testing.assert_allclose(H @ coef, rhs, rtol=0, atol=1e-6)
 
     def test_negative_rho_rejected(self):
         eng = make_engine(q0=2, mem_cap=6)
@@ -599,3 +604,30 @@ class TestBatchFit:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             batch_fit([], [], UNIT, 3, 0.0, ROUGH)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("q", [1, 2, 3, 92, 93])
+    def test_normal_equations_match_the_basis_matrix(self, margin, q):
+        # 64 points keep the dense oracle's own rounding below the bound,
+        # and y > 0 makes the largest entry of Phi'Y / n the size of its terms
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        rng = np.random.default_rng(q)
+        ts = rng.uniform(0, 1, 64)
+        ys = rng.uniform(1, 2, 64)
+        H, rhs = normal_equations(spec, q, ts, ys)
+        H_oracle = weighted_gram(spec, q, ts, np.full(64, 1 / 64))
+        rhs_oracle = eval_matrix(spec, q, ts).T @ ys / 64
+        assert H.shape == (q, q) and rhs.shape == (q,)
+        np.testing.assert_array_equal(H, H.T)
+        assert np.max(np.abs(H - H_oracle)) <= 4e-15 * np.max(np.abs(H_oracle))
+        assert np.max(np.abs(rhs - rhs_oracle)) \
+            <= 4e-15 * np.max(np.abs(rhs_oracle))
+
+    def test_normal_equations_reject_bad_input(self):
+        with pytest.raises(ValueError, match="empty sample"):
+            normal_equations(UNIT, 3, [], [])
+        with pytest.raises(DomainError):
+            normal_equations(UNIT, 0, [0.5], [1.0])
+        for t in (1.5, -0.1, math.nan):
+            with pytest.raises(DomainError):
+                normal_equations(UNIT, 3, [0.5, t], [1.0, 1.0])

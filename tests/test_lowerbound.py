@@ -171,6 +171,17 @@ class TestProtocolPieces:
         assert narrow < wide
         assert narrow == 2 * 1 + 4  # one slot survives a cap of 5
 
+    @pytest.mark.parametrize("noise_sd", [-1.0, float("nan"), float("inf")])
+    def test_invalid_noise_rejected_before_the_first_draw(self, noise_sd):
+        inst = HypercubeInstance(k=2, omega=(0, 1))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="noise_sd"):
+            alice_encode(inst, 200, rng, noise_sd=noise_sd)
+        with pytest.raises(ValueError, match="noise_sd"):
+            run_protocol(k=2, n=200, trials=1, noise_sd=noise_sd)
+        assert rng.bit_generator.state == state
+
     def test_garbage_payload_raises(self):
         with pytest.raises(CheckpointError):
             bob_decode("definitely not a checkpoint", 4)

@@ -12,7 +12,7 @@ import pathlib
 
 import streamreg
 
-OPTION_LIMIT = 62
+OPTION_LIMIT = 61
 
 
 def _is_dataclass(node):

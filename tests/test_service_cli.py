@@ -1,6 +1,11 @@
 import csv
 import json
+import os
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -11,10 +16,29 @@ from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
 from streamreg.engine import OnePassRegressor
 from streamreg.scheduler import SchedulerConfig
-from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceClient,
-                               ServiceConfig, StreamRegistry, StreamService,
-                               handle_request)
+from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceConfig,
+                               StreamRegistry, StreamService, handle_request)
 from streamreg.tuning import rho_at
+
+
+class ServiceClient:
+    """Minimal blocking ndjson client."""
+
+    def __init__(self, host, port):
+        self._sock = socket.create_connection((host, port))
+        self._file = self._sock.makefile("rwb")
+
+    def request(self, **payload):
+        self._file.write((json.dumps(payload) + "\n").encode())
+        self._file.flush()
+        line = self._file.readline()
+        if not line:
+            raise ConnectionError("service closed the connection")
+        return json.loads(line)
+
+    def close(self):
+        self._file.close()
+        self._sock.close()
 
 
 @pytest.fixture
@@ -282,6 +306,33 @@ class TestSocketService:
             server.shutdown()
             server.server_close()
 
+    def test_non_finite_reply_is_an_error(self, monkeypatch):
+        # no input is known to make an estimate non-finite, so one is
+        # injected; bare NaN is not JSON, so the reply names the error
+        monkeypatch.setattr(OnePassRegressor, "estimate",
+                            lambda self, t, rho: float("nan"))
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        server.serve_background()
+        try:
+            with socket.create_connection(server.address) as sock:
+                fh = sock.makefile("rwb")
+                for request in (
+                        {"op": "ingest", "stream_id": "s",
+                         "points": [[0.5, 1.0]]},
+                        {"op": "query", "stream_id": "s",
+                         "kind": "estimate", "t": 0.5},
+                        {"op": "query", "stream_id": "s", "kind": "stats"}):
+                    fh.write((json.dumps(request) + "\n").encode())
+                    fh.flush()
+                ingest, estimate, stats = (fh.readline() for _ in range(3))
+            assert json.loads(ingest) == {"ok": True, "n": 1}
+            reply = json.loads(estimate, parse_constant=pytest.fail)
+            assert (reply["ok"], reply["error"]) == (False, "non_finite")
+            assert json.loads(stats)["n"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_malformed_line_reports_error(self):
         server = StreamService(ServiceConfig())
         server.serve_background()
@@ -476,7 +527,9 @@ class TestCli:
         (["phase", "--checkpoints", "200000"], "<= n"),
         (["tune", "--n0", "1"], "at least J"),
         (["protocol", "--trials", "0"], "trials must be >= 1"),
-        (["protocol", "--k", "0"], "k must be >= 1")])
+        (["protocol", "--k", "0"], "k must be >= 1"),
+        (["protocol", "--noise-sd", "-1"], "noise_sd must be"),
+        (["protocol", "--noise-sd", "nan"], "noise_sd must be")])
     def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "out.csv"
@@ -493,6 +546,31 @@ class TestCli:
         monkeypatch.setattr(cli, "StreamService", bind)
         assert main(["serve", "--h", "2", "--port", "0"]) == 1
         assert capsys.readouterr().err == "error: h must lie in (0, 1)\n"
+
+    def test_serve_stops_on_sigint_when_started_ignoring_it(self):
+        # a non-interactive shell starts a background job with SIGINT
+        # ignored, and an ignored signal stays ignored across exec
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        launch = ("import os, signal, sys; "
+                  "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                  "os.execv(sys.executable, [sys.executable, '-m', "
+                  "'streamreg.cli', 'serve', '--port', '0'])")
+        proc = subprocess.Popen([sys.executable, "-c", launch], env=env,
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.DEVNULL)
+        try:
+            # the banner reaches a pipe without -u
+            ready, _, _ = select.select([proc.stdout], [], [], 10)
+            assert ready, "no banner within 10 s"
+            assert proc.stdout.readline().startswith(b"serving on ")
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
 
     @pytest.mark.parametrize("row, message", [
         ("0.5,abc", "expected two numbers"), ("0.5", "expected two numbers"),

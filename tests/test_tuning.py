@@ -107,8 +107,10 @@ class TestCvTable:
         assert all(np.isfinite(r["cv"]) for r in rows)
 
     def test_failed_fold_gives_inf_row(self):
-        # 10 training points for 21 extended-basis functions: with the
-        # smallest rho a fold's Cholesky fails, with the others it does not
+        # 10 training points for 21 extended-basis functions (h = 0.8): with
+        # the smallest rho a fold's Cholesky fails, with C_rho = 1e-6 both
+        # fold systems factor but have rcond below RCOND_FLOOR (about 7e-14),
+        # and with C_rho = 1 they are solved; every h = 0.5 point is solved
         spec = BasisSpec(0.0, 1.0, extension_margin=0.3)
         rng = np.random.default_rng(7)
         ts = rng.uniform(0, 1, 20)
@@ -118,8 +120,8 @@ class TestCvTable:
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         assert rows == cv_table_by_batch_fit(ts, ys, grid, ROUGH, spec)
         assert [np.isinf(r["cv"]) for r in rows] == [
-            False, True, False, False, False, False]
-        assert rows[1]["se"] == 0.0
+            False, True, False, True, False, False]
+        assert rows[1]["se"] == rows[3]["se"] == 0.0
 
     def test_short_sample_rejected(self):
         ts, ys = noisy_sample(50, 2)
