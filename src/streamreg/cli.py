@@ -214,11 +214,13 @@ def _cmd_serve(args):
     server = StreamService(_engine_config(args), host=args.host,
                            port=args.port)
     # SIGINT stops the server even when it was started with SIGINT ignored,
-    # as a non-interactive shell starts a background job
-    previous = signal.signal(signal.SIGINT, signal.default_int_handler)
-    host, port = server.address
-    print(f"serving on {host}:{port}", flush=True)
+    # as a non-interactive shell starts a background job; the handler goes in
+    # inside the try, so a SIGINT sent on seeing the banner is caught
+    previous = signal.getsignal(signal.SIGINT)
     try:
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        host, port = server.address
+        print(f"serving on {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass

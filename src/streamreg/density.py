@@ -7,6 +7,13 @@ The sketch keeps one running mean per basis slot,
 where slots beyond the initial q0 open at their scheduled pre-estimation
 time tau_j.  The density estimate at time n uses the active slots only:
 f_hat(t) = sum_{j<=p} theta_j psi_j(t).
+
+Queries use the clipped and renormalized max(0, f_hat) / z.  The sketch
+family is orthonormal on [lo, hi] (no extension margin), so every basis
+function but the constant integrates to zero there: when f_hat >= 0 is
+proven (``certified``), clipping is the identity, z = theta_1 sqrt(P) and
+the Fourier moments of the normalized density are read off theta.  An
+uncertified sketch integrates max(0, f_hat) by quadrature.
 """
 
 import numpy as np
@@ -26,7 +33,9 @@ class DensityState:
         self.basis = basis
         self.theta = np.zeros(0)
         self.active_count = 0  # slots in the estimate; set by the engine
-        self._z = None  # normalizer of the clipped density; reset by update
+        # normalizer of the clipped density and the non-negativity
+        # certificate, computed on first use after each update
+        self._z = self._certified = None
 
     def update(self, start, sums, n_old, n_new):
         """Fold one batch's weight-1 slot sums into the running means.
@@ -41,7 +50,7 @@ class DensityState:
         # a slot opened past n_new has no observation yet and keeps theta_j = 0
         counts_new = np.maximum(slot_counts(start, n_new), 1)
         self.theta = (slot_counts(start, n_old) * theta + sums) / counts_new
-        self._z = None
+        self._z = self._certified = None
 
     def evaluate(self, t):
         """Raw series estimate f_hat(t) over the active slots."""
@@ -49,6 +58,43 @@ class DensityState:
         if p < 1:
             raise StateError("density sketch has no active slot yet")
         return basis_mod.series(self.basis, self.theta[:p], t)
+
+    def certified(self):
+        """Whether f_hat >= 0 on all of [lo, hi] is proven; decided on first
+        use after each update.
+
+        With K = p // 2, f_hat is a trigonometric polynomial of degree K in
+        x = 2 pi (t - lo) / P.  One inverse real FFT evaluates it on
+        N = max(4096, 64 K) equispaced points, and every x lies within pi / N
+        of one of them.  Bernstein's inequality, sup |f_hat'| <= K sup |f_hat|
+        in x (Zygmund, *Trigonometric Series*, ch. X), then gives
+        sup |f_hat| <= M / (1 - pi K / N) for the grid maximum M of |f_hat|,
+        and f_hat >= 0 wherever the grid minimum exceeds pi K / N times that.
+        Both grid figures are widened by N eps times the coefficients' l1
+        norm, which covers the rounding of the FFT and of ``evaluate``.
+        """
+        if self._certified is None:
+            p = self.active_count
+            self._certified = (p >= 1 and self.basis.extension_margin == 0.0
+                               and self._nonnegative(p))
+        return self._certified
+
+    def _nonnegative(self, p):
+        K = p // 2
+        N = max(4096, 64 * K)
+        P = self.basis.period
+        theta = self.theta[:p]
+        # irfft(N c, N)_j = c_0 + 2 Re sum_k c_k exp(2 pi i j k / N) = f_hat
+        c = np.zeros(K + 1, dtype=complex)
+        c[0] = theta[0] / np.sqrt(P)
+        c.real[1:] = theta[1::2] / np.sqrt(2.0 * P)
+        c.imag[1:(p + 1) // 2] = -theta[2::2] / np.sqrt(2.0 * P)
+        vals = np.fft.irfft(N * c, N)
+        l1 = abs(c[0]) + 2.0 * np.abs(c[1:]).sum()
+        slack = N * np.finfo(float).eps * l1
+        step = np.pi * K / N
+        sup = (np.abs(vals).max() + slack) / (1.0 - step)
+        return bool(vals.min() - slack > step * sup)
 
     def _clipped(self, n_nodes):
         """Quadrature rule on [lo, hi] with the clipped density max(0, f_hat)
@@ -65,25 +111,44 @@ class DensityState:
     def evaluate_normalized(self, t):
         """Clipped-and-renormalized density: max(0, f_hat) / int max(0, f_hat).
 
-        The normalizer is computed once per update and reused until the next.
+        The normalizer is computed once per update and reused until the next:
+        theta_1 sqrt(P) for a certified sketch, a quadrature otherwise.
         """
         if self._z is None:
-            # the clipping kink limits quadrature accuracy, so use a dense rule
-            self._z = self._clipped(max(1 << 15, 8 * self.active_count))[3]
+            if self.certified():
+                self._z = float(self.theta[0]) * np.sqrt(self.basis.period)
+            else:
+                # the clipping kink limits quadrature accuracy: a dense rule
+                self._z = self._clipped(max(1 << 15, 8 * self.active_count))[3]
         out = np.maximum(self.evaluate(t), 0.0) / self._z
         return float(out) if np.ndim(t) == 0 else out
 
     def gram(self, reg_basis, q):
         """Gram matrix H_q of the regression basis under the normalized density.
 
-        Entries are int phi_j phi_l f_norm over the data domain by quadrature;
-        using the clipped normalized density keeps the result PSD.
+        Entries are int phi_j phi_l f_norm over the data domain, built from
+        the Fourier moments mu_m = int z^m f_norm.  When the regression basis
+        is the sketch's own and the sketch is certified, mu_0 = 1 and
+        mu_m = (theta_{2m} + i theta_{2m+1}) / (sqrt(2) theta_1) up to m = K,
+        zero past it.  Otherwise a quadrature of the clipped normalized
+        density gives them, which keeps the result PSD.
         """
         if q < 1:
             raise ValueError("q must be >= 1")
         p = self.active_count
         if p < 1:
             raise StateError("density sketch has no active slot yet")
-        x, w, fx, z = self._clipped(quadrature.node_count(q, p))
-        mu = basis_mod.moments(reg_basis, 2 * (q // 2), x, w * fx / z)
+        M = 2 * (q // 2)
+        if reg_basis == self.basis and self.certified():
+            K = min(p // 2, M)
+            theta = self.theta[:p]
+            sin = theta[2:2 * K + 1:2]  # one short of K when p is even
+            mu = np.zeros(M + 1, dtype=complex)
+            mu.real[1:K + 1] = theta[1:2 * K + 1:2]
+            mu.imag[1:sin.size + 1] = sin
+            mu /= np.sqrt(2.0) * float(theta[0])
+            mu[0] = 1.0
+        else:
+            x, w, fx, z = self._clipped(quadrature.node_count(q, p))
+            mu = basis_mod.moments(reg_basis, M, x, w * fx / z)
         return basis_mod.gram_from_moments(reg_basis, q, mu)

@@ -7,9 +7,12 @@ One request per line, one JSON response per line.  Requests:
     {"op": "query", "stream_id": s, "kind": "stats"}
 
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
-"message": text}.  Numbers survive the wire bit-exactly (JSON floats are
-emitted with shortest round-trip formatting).  A reply that would hold NaN
-or inf, which JSON cannot, is sent as a ``non_finite`` error instead.
+"message": text}.  A ``stats`` reply holds n, q_active, memory_units, rho
+and density_certified: whether the density sketch is proven non-negative,
+so that its queries need no quadrature (null for a known-uniform density).
+Numbers survive the wire bit-exactly (JSON floats are emitted with shortest
+round-trip formatting).  A reply that would hold NaN or inf, which JSON
+cannot, is sent as a ``non_finite`` error instead.
 
 A request line longer than MAX_LINE_BYTES, or an ingest that would create a
 stream past MAX_STREAMS, gets a ``request`` error, so the memory a client
@@ -107,8 +110,11 @@ class StreamRegistry:
         with lock:
             if kind == "stats":
                 rho = self._rho(reg)
+                certified = (None if reg.density is None
+                             else reg.density.certified())
                 return {"n": reg.n, "q_active": reg.active_count,
-                        "memory_units": reg.memory_footprint(), "rho": rho}
+                        "memory_units": reg.memory_footprint(), "rho": rho,
+                        "density_certified": certified}
             if t is None:
                 raise ValueError(f"query kind {kind!r} requires t")
             if reg.n < 1:

@@ -2,9 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamreg import quadrature
-from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
+from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
+                             gram_from_moments, moments)
 from streamreg.density import DensityState
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import DegenerateDensityError, DomainError, StateError
@@ -26,11 +29,14 @@ def feed(eng, ts):
 
 
 def stub(evaluate):
-    """A one-slot sketch whose raw estimate is ``evaluate``."""
+    """A sketch whose raw estimate is ``evaluate``.  Its theta, 1 + sqrt(2)
+    cos(2 pi t) with minimum 1 - sqrt(2), fails the certificate, so every
+    normalizer and Gram goes through ``evaluate`` by quadrature."""
     state = DensityState(UNIT)
-    state.theta = np.array([1.0])
-    state.active_count = 1
+    state.theta = np.array([1.0, 1.0])
+    state.active_count = 2
     state.evaluate = evaluate
+    assert not state.certified()
     return state
 
 
@@ -167,12 +173,14 @@ class TestNormalized:
                 assert eng.density_at(0.3) == copy.density_at(0.3)
 
     def test_normalizer_builds_no_basis_matrix(self):
-        # a (32768 x q) basis matrix at q = 92 alone takes 24 MB
+        # a (32768 x q) basis matrix at q = 92 alone takes 24 MB; Beta(2, 3)
+        # data leave the sketch uncertified, so the quadrature runs
         rng = np.random.default_rng(13)
         eng = make_engine()
         for _ in range(100):
-            feed(eng, rng.uniform(0, 1, 1000))
+            feed(eng, rng.beta(2, 3, 1000))
         assert eng.density.active_count == 92
+        assert not eng.density.certified()
         tracemalloc.start()
         try:
             eng.density.evaluate_normalized(0.5)
@@ -209,3 +217,113 @@ class TestGram:
         for q in (2, 6, 11):
             H = eng.density.gram(UNIT, q)
             assert np.linalg.eigvalsh(H).min() >= -1e-8
+
+
+def sketch_of(draw, seed):
+    """The sketch of a 1e5-point stream drawn 1000 points at a time."""
+    rng = np.random.default_rng(seed)
+    eng = make_engine()
+    for _ in range(100):
+        feed(eng, draw(rng))
+    assert eng.density.active_count == 92
+    return eng.density
+
+
+def quadrature_z(state, n_nodes):
+    """int max(0, f_hat) over [0, 1] by the composite Gauss rule."""
+    x, w = quadrature.rule(0.0, 1.0, n_nodes)
+    return float(np.dot(w, np.maximum(state.evaluate(x), 0.0)))
+
+
+def quadrature_gram(state, q):
+    """The Gram under the clipped normalized density by quadrature."""
+    p = state.active_count
+    x, w = quadrature.rule(0.0, 1.0, quadrature.node_count(q, p))
+    fx = np.maximum(state.evaluate(x), 0.0)
+    mu = moments(UNIT, 2 * (q // 2), x, w * fx / float(np.dot(w, fx)))
+    return gram_from_moments(UNIT, q, mu)
+
+
+@pytest.fixture(scope="module")
+def uniform_sketch():
+    return sketch_of(lambda rng: rng.uniform(0, 1, 1000), 31)
+
+
+@pytest.fixture(scope="module")
+def beta_sketch():
+    return sketch_of(lambda rng: rng.beta(2, 3, 1000), 32)
+
+
+class TestCertificate:
+    def test_uniform_is_certified_and_beta_is_not(self, uniform_sketch,
+                                                  beta_sketch):
+        assert uniform_sketch.certified() is True
+        assert beta_sketch.certified() is False
+        # the Beta(2, 3) sketch dips below zero near t = 1
+        assert beta_sketch.evaluate(np.linspace(0, 1, 4097)).min() < 0
+
+    def test_certified_closed_forms_match_quadrature(self, uniform_sketch):
+        state = uniform_sketch
+        z = float(state.theta[0])  # theta_1 sqrt(P) with P = 1
+        assert z == pytest.approx(quadrature_z(state, 1 << 15), rel=1e-13)
+        grid = np.linspace(0, 1, 257)
+        np.testing.assert_array_equal(state.evaluate_normalized(grid),
+                                      np.maximum(state.evaluate(grid), 0) / z)
+        for q in (1, 2, 3, 92, 93, 200):
+            H = state.gram(UNIT, q)
+            np.testing.assert_array_equal(H, H.T)
+            assert np.max(np.abs(H - quadrature_gram(state, q))) < 1e-13
+
+    def test_uncertified_sketch_keeps_the_quadrature_to_the_bit(
+            self, beta_sketch):
+        state = beta_sketch
+        p = state.active_count
+        z = quadrature_z(state, max(1 << 15, 8 * p))
+        grid = np.linspace(0, 1, 257)
+        np.testing.assert_array_equal(state.evaluate_normalized(grid),
+                                      np.maximum(state.evaluate(grid), 0) / z)
+        for q in (1, 2, 3, 92, 93):
+            np.testing.assert_array_equal(state.gram(UNIT, q),
+                                          quadrature_gram(state, q))
+
+    def test_certified_queries_build_no_quadrature_rule(self, monkeypatch):
+        calls = []
+        rule = quadrature.rule
+
+        def counted(*args):
+            calls.append(args)
+            return rule(*args)
+
+        monkeypatch.setattr(quadrature, "rule", counted)
+        # a fresh sketch: the module fixtures may have cached a normalizer
+        state = sketch_of(lambda rng: rng.uniform(0, 1, 1000), 33)
+        state.evaluate_normalized(0.3)
+        state.evaluate_normalized(np.linspace(0, 1, 11))
+        state.gram(UNIT, 92)
+        assert calls == []
+        # an extended regression basis keeps its quadrature Gram
+        state.gram(BasisSpec(0.0, 1.0, extension_margin=0.1), 5)
+        assert len(calls) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(p=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
+           offset=st.floats(-0.02, 0.1))
+    def test_certificate_is_sound(self, p, seed, offset):
+        # random coefficients, shifted so that the minimum over a grid sits
+        # at ``offset`` times the spread of the values
+        rng = np.random.default_rng(seed)
+        probe = DensityState(UNIT)
+        probe.theta = rng.normal(size=p) / np.arange(1, p + 1)
+        probe.active_count = p
+        vals = probe.evaluate(np.linspace(0, 1, 4097))
+        theta = probe.theta.copy()
+        theta[0] += offset * (np.ptp(vals) or 1.0) - vals.min()
+        state = DensityState(UNIT)
+        state.theta, state.active_count = theta, p
+        if not state.certified():
+            return
+        assert state.evaluate(np.linspace(0, 1, 1 << 16)).min() >= 0
+        z = float(theta[0])
+        assert abs(z - quadrature_z(state, max(1 << 15, 8 * p))) <= 1e-12 * z
+        assert state.evaluate_normalized(0.5) == max(state.evaluate(0.5),
+                                                     0.0) / z

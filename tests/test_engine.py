@@ -608,15 +608,19 @@ class TestBatchFit:
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     @pytest.mark.parametrize("q", [1, 2, 3, 92, 93])
     def test_normal_equations_match_the_basis_matrix(self, margin, q):
-        # 64 points keep the dense oracle's own rounding below the bound,
-        # and y > 0 makes the largest entry of Phi'Y / n the size of its terms
+        # both dense oracles sum in long double, so 1e4 points stay within
+        # the bound (in double they rounded to 3e-15 and 9e-14 of their
+        # largest entries); y > 0 makes the largest entry of Phi'Y / n the
+        # size of its terms
+        n = 10_000
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         rng = np.random.default_rng(q)
-        ts = rng.uniform(0, 1, 64)
-        ys = rng.uniform(1, 2, 64)
+        ts = rng.uniform(0, 1, n)
+        ys = rng.uniform(1, 2, n)
         H, rhs = normal_equations(spec, q, ts, ys)
-        H_oracle = weighted_gram(spec, q, ts, np.full(64, 1 / 64))
-        rhs_oracle = eval_matrix(spec, q, ts).T @ ys / 64
+        H_oracle = weighted_gram(spec, q, ts, np.full(n, 1 / n))
+        rhs_oracle = (eval_matrix(spec, q, ts).astype(np.longdouble).T
+                      @ ys / n).astype(float)
         assert H.shape == (q, q) and rhs.shape == (q,)
         np.testing.assert_array_equal(H, H.T)
         assert np.max(np.abs(H - H_oracle)) <= 4e-15 * np.max(np.abs(H_oracle))

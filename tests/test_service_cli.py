@@ -306,6 +306,30 @@ class TestSocketService:
             server.shutdown()
             server.server_close()
 
+    def test_stats_report_the_density_certificate(self):
+        rng = np.random.default_rng(22)
+        draws = {"uniform": lambda: rng.uniform(0, 1, 1000),
+                 "beta": lambda: rng.beta(2, 3, 1000)}
+        for known, want in ((False, {"uniform": True, "beta": False}),
+                            (True, {"uniform": None, "beta": None})):
+            server = StreamService(ServiceConfig(known_uniform_density=known))
+            server.serve_background()
+            try:
+                client = ServiceClient(*server.address)
+                for stream, draw in draws.items():
+                    for _ in range(10):
+                        ts = draw()
+                        client.request(op="ingest", stream_id=stream,
+                                       points=np.c_[ts, np.sin(ts)].tolist())
+                    stats = client.request(op="query", stream_id=stream,
+                                           kind="stats")
+                    assert stats["n"] == 10_000
+                    assert stats["density_certified"] is want[stream]
+                client.close()
+            finally:
+                server.shutdown()
+                server.server_close()
+
     def test_non_finite_reply_is_an_error(self, monkeypatch):
         # no input is known to make an estimate non-finite, so one is
         # injected; bare NaN is not JSON, so the reply names the error
@@ -557,20 +581,23 @@ class TestCli:
                   "signal.signal(signal.SIGINT, signal.SIG_IGN); "
                   "os.execv(sys.executable, [sys.executable, '-m', "
                   "'streamreg.cli', 'serve', '--port', '0'])")
-        proc = subprocess.Popen([sys.executable, "-c", launch], env=env,
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.DEVNULL)
-        try:
-            # the banner reaches a pipe without -u
-            ready, _, _ = select.select([proc.stdout], [], [], 10)
-            assert ready, "no banner within 10 s"
-            assert proc.stdout.readline().startswith(b"serving on ")
-            proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
-        finally:
-            proc.kill()
-            proc.wait()
-            proc.stdout.close()
+        # a SIGINT sent the moment the banner arrives must still stop the
+        # server cleanly; repeat, since a race shows only now and then
+        for _ in range(5):
+            proc = subprocess.Popen([sys.executable, "-c", launch], env=env,
+                                    stdout=subprocess.PIPE,
+                                    stderr=subprocess.DEVNULL)
+            try:
+                # the banner reaches a pipe without -u
+                ready, _, _ = select.select([proc.stdout], [], [], 10)
+                assert ready, "no banner within 10 s"
+                assert proc.stdout.readline().startswith(b"serving on ")
+                proc.send_signal(signal.SIGINT)
+                assert proc.wait(timeout=10) == 0
+            finally:
+                proc.kill()
+                proc.wait()
+                proc.stdout.close()
 
     @pytest.mark.parametrize("row, message", [
         ("0.5,abc", "expected two numbers"), ("0.5", "expected two numbers"),
