@@ -169,14 +169,19 @@ def penalty_matrix(spec, penalty, q):
     Identity kind returns I_q.  Roughness kind returns the matrix of
     integrated products of second derivatives over the data domain.  Since
     phi_j'' = c_j phi_j with c_j = -(2 k pi / P)^2, that matrix is
-    (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix.
+    (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix.  At
+    margin 0, H = I_q / (hi - lo) and W is diagonal; its diagonal is formed
+    with the same roundings as the dense product.
     """
     if q < 1:
         raise DomainError("basis count q must be >= 1")
     if penalty.kind == "identity":
         return np.eye(q)
     c = _curvature_factors(spec, q)
-    W = (spec.hi - spec.lo) * c[:, None] * gram_uniform(spec, q) * c[None, :]
+    length = spec.hi - spec.lo
+    if spec.extension_margin == 0.0:
+        return np.diag(((length * c) * (1.0 / length)) * c)
+    W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
     return 0.5 * (W + W.T)
 
 

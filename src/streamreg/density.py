@@ -45,11 +45,20 @@ class DensityState:
         (``scheduler.fold``).
         """
         theta = self.theta
-        if start.size > theta.size:
-            theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
-        # a slot opened past n_new has no observation yet and keeps theta_j = 0
-        counts_new = np.maximum(slot_counts(start, n_new), 1)
-        self.theta = (slot_counts(start, n_old) * theta + sums) / counts_new
+        if start.size == theta.size:
+            # no slot opened: every tau_j <= n_old, so both counts are
+            # positive and need no clamp
+            counts_new = (n_new + 1) - start
+            self.theta = ((counts_new - (n_new - n_old)) * theta
+                          + sums) / counts_new
+        else:
+            theta = np.concatenate([theta,
+                                    np.zeros(start.size - theta.size)])
+            # a slot opened past n_new has no observation yet and keeps
+            # theta_j = 0
+            counts_new = np.maximum(slot_counts(start, n_new), 1)
+            self.theta = (slot_counts(start, n_old) * theta
+                          + sums) / counts_new
         self._z = self._certified = None
 
     def evaluate(self, t):

@@ -299,18 +299,23 @@ def penalized_solve(H, W, rho, rhs):
 
     A Cholesky factorization can succeed on a system that is singular to
     working precision and silently return garbage, so gate on LAPACK's
-    estimate of the reciprocal 1-norm condition number too."""
+    estimate of the reciprocal 1-norm condition number too.  The LAPACK
+    routines are called directly, without scipy's checking wrappers, so a
+    non-finite system is refused here, before anything is factored."""
     A = H + rho * W
-    try:
-        c, low = linalg.cho_factor(A, lower=True)
-        rcond = linalg.lapack.dpocon(c, np.linalg.norm(A, 1), uplo="L")[0]
-    except linalg.LinAlgError:
-        rcond = 0.0
-    if rcond <= RCOND_FLOOR:
+    anorm = np.abs(A).sum(0).max()  # np.linalg.norm(A, 1)
+    # a NaN or inf in A makes its 1-norm NaN or inf (as does a finite A too
+    # large for its 1-norm to be a double, which no Cholesky would survive)
+    if not (np.isfinite(anorm) and np.isfinite(rhs).all()):
+        raise ValueError("penalized system holds a NaN or inf")
+    c, info = linalg.lapack.dpotrf(A, lower=1, clean=0)
+    rcond = linalg.lapack.dpocon(c, anorm, uplo="L")[0] if info == 0 else 0.0
+    # a NaN rcond fails the gate too
+    if not rcond > RCOND_FLOOR:
         min_eig = float(linalg.eigvalsh(A)[0])
         raise IllConditionedSystemError(
             f"penalized Gram system is numerically singular "
             f"(min eigenvalue {min_eig:.3e})",
             min_eigenvalue=min_eig,
         )
-    return linalg.cho_solve((c, low), rhs)
+    return linalg.lapack.dpotrs(c, rhs, lower=1)[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, PenaltySpec, is_real
+from .basis import BasisSpec, PenaltySpec, is_count, is_real
 from .engine import SCALAR_UNITS, OnePassRegressor
 from .scheduler import SchedulerConfig
 
@@ -23,6 +23,11 @@ DEFAULT_NOISE_SD = 0.02
 
 # Points per batch Alice streams through the engine.
 BATCH_SIZE = 100
+
+# Batches Alice draws before evaluating m_omega on all of their points at
+# once: the fixed cost of one evaluation is shared by this many batches,
+# and her buffers stay this size whatever n is.
+BLOCK_BATCHES = 64
 
 
 def bump_kernel(t):
@@ -106,20 +111,29 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     The payload is the engine checkpoint: exactly the memory footprint,
     nothing else crosses the channel.  Returns (payload_json, unit_count).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not (is_count(n) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     _check_noise_sd(noise_sd)
     m = build_m_omega(inst)
     reg = _protocol_engine(mem_cap)
-    remaining = n
-    while remaining > 0:
-        size = min(BATCH_SIZE, remaining)
-        ts = rng.uniform(0.0, 1.0, size)
-        ys = m(ts)
+    block = BLOCK_BATCHES * BATCH_SIZE
+    ts, noise = np.empty(min(n, block)), np.zeros(min(n, block))
+    for first in range(0, n, block):
+        t, e = ts[:n - first], noise[:n - first]
+        # one batch's draws after another's, as when each batch is streamed
+        # as it is drawn: its points, then its noise
+        for lo in range(0, t.size, BATCH_SIZE):
+            size = min(BATCH_SIZE, t.size - lo)
+            t[lo:lo + size] = rng.uniform(0.0, 1.0, size)
+            if noise_sd > 0:
+                e[lo:lo + size] = rng.normal(0.0, noise_sd, size)
+        # m_omega and the noise act point by point, so one call per block
+        # gives each batch the values a call of its own would
+        ys = m(t)
         if noise_sd > 0:
-            ys = ys + rng.normal(0.0, noise_sd, size)
-        reg.ingest(ts, ys)
-        remaining -= size
+            ys += e
+        for lo in range(0, t.size, BATCH_SIZE):
+            reg.ingest(t[lo:lo + BATCH_SIZE], ys[lo:lo + BATCH_SIZE])
     return reg.checkpoint_json(), reg.memory_footprint()
 
 

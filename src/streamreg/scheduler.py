@@ -162,6 +162,7 @@ def fold(powers, w, start, n_old):
     ``start``; the batch's i-th observation has stream index n_old + 1 + i.
     """
     sums = powers.sums(w)
-    for j in (start > n_old + 1).nonzero()[0]:
+    # start is non-decreasing, so the slots opening mid-batch are a suffix
+    for j in range(start.searchsorted(n_old + 1, side="right"), start.size):
         sums[j] = powers.suffix_sum(j, w, start[j] - n_old - 1)
     return sums

@@ -7,13 +7,16 @@ kept here so the tests can compare against it.
 import numpy as np
 
 from streamreg import quadrature
-from streamreg.basis import _check_points, _curvature_factors, eval_matrix
+from streamreg.basis import (Powers, _check_points, _curvature_factors,
+                             eval_matrix, gram_uniform)
 from streamreg.engine import batch_fit
 from streamreg.errors import (DomainError, IllConditionedSystemError,
                               StreamRegError)
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
-from streamreg.lowerbound import build_m_omega, bump_kernel
-from streamreg.scheduler import SchedulerConfig
+from streamreg.lowerbound import (BATCH_SIZE, DEFAULT_NOISE_SD,
+                                  _protocol_engine, build_m_omega,
+                                  bump_kernel)
+from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.tuning import rho_at
 
 
@@ -45,6 +48,59 @@ def fold(vals, w, start, n_old):
         lo = start[j] - n_old - 1
         sums[j] = np.dot(vals[lo:, j], w[lo:])
     return sums
+
+
+def fold_scan(powers, w, start, n_old):
+    """``scheduler.fold`` with a full scan of ``start`` for the slots that
+    open mid-batch, for any start vector, monotone or not."""
+    sums = powers.sums(w)
+    for j in (start > n_old + 1).nonzero()[0]:
+        sums[j] = powers.suffix_sum(j, w, start[j] - n_old - 1)
+    return sums
+
+
+def update_theta(theta, start, sums, n_old, n_new):
+    """``DensityState.update`` as the general running-mean recursion, with
+    both slot counts clamped whether or not a slot opened; returns theta."""
+    if start.size > theta.size:
+        theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
+    counts_new = np.maximum(slot_counts(start, n_new), 1)
+    return (slot_counts(start, n_old) * theta + sums) / counts_new
+
+
+def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
+    """``OnePassRegressor.ingest`` of one valid batch by ``fold_scan`` and
+    ``update_theta``.  ``state`` is (n, start, G, theta), theta None without
+    a sketch; returns the state after the batch."""
+    n, start, G, theta = state
+    n_new = n + ts.size
+    start = schedule.extend(start, n_new)
+    powers = Powers(reg_basis, start.size, ts)
+    G = np.concatenate([G, np.zeros(start.size - G.size)]) \
+        + fold_scan(powers, ys, start, n)
+    if theta is not None:
+        powers = Powers(density_basis, start.size, ts)
+        theta = update_theta(theta, start,
+                             fold_scan(powers, np.ones(ts.size), start, n),
+                             n, n_new)
+    return n_new, start, G, theta
+
+
+def alice_encode_per_batch(inst, n, rng, mem_cap=None,
+                           noise_sd=DEFAULT_NOISE_SD):
+    """``lowerbound.alice_encode`` evaluating m_omega once per batch."""
+    m = build_m_omega(inst)
+    reg = _protocol_engine(mem_cap)
+    remaining = n
+    while remaining > 0:
+        size = min(BATCH_SIZE, remaining)
+        ts = rng.uniform(0.0, 1.0, size)
+        ys = m(ts)
+        if noise_sd > 0:
+            ys = ys + rng.normal(0.0, noise_sd, size)
+        reg.ingest(ts, ys)
+        remaining -= size
+    return reg.checkpoint_json(), reg.memory_footprint()
 
 
 def eval_basis(spec, j, t):
@@ -90,6 +146,14 @@ def generate_stream(sc, rng=None):
             ys = ys + rng.normal(0.0, sigma, size)
         produced += size
         yield ts, ys
+
+
+def roughness_penalty_dense(spec, q):
+    """``penalty_matrix``'s roughness W as the dense product
+    (hi - lo) diag(c) H diag(c) of the uniform Gram H, symmetrized."""
+    c = _curvature_factors(spec, q)
+    W = (spec.hi - spec.lo) * c[:, None] * gram_uniform(spec, q) * c[None, :]
+    return 0.5 * (W + W.T)
 
 
 def second_derivative_matrix(spec, q, t):

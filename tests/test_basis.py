@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import (eval_basis, eval_matrix_trig, eval_vector,
-                     projection_residual, sup_sum_squares, weighted_gram)
+                     projection_residual, roughness_penalty_dense,
+                     sup_sum_squares, weighted_gram)
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
                              gram_from_moments, gram_uniform, moments,
                              penalty_matrix, series)
@@ -118,6 +119,16 @@ class TestPenaltyMatrix:
                 fl = eval_matrix(EXTENDED, l, x)[:, l - 1] * (2 * kl * np.pi / P) ** 2
                 oracle[j - 1, l - 1] = np.dot(w, fj * fl)
         np.testing.assert_allclose(W, oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("spec", [UNIT, BasisSpec(-2.5, 7.3),
+                                      BasisSpec(0.0, 0.3), EXTENDED])
+    def test_roughness_matches_the_dense_product_to_the_bit(self, spec):
+        # at margin 0 the diagonal is formed without the q x q product
+        for q in range(1, 301) if spec.extension_margin == 0 else (1, 92):
+            W = penalty_matrix(spec, PenaltySpec("roughness"), q)
+            want = roughness_penalty_dense(spec, q)
+            assert np.array_equal(W, want)
+            assert W.tobytes() == want.tobytes()  # signed zeros too
 
     @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
     @pytest.mark.parametrize("kind", ["identity", "roughness"])

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import linalg
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
 from oracles import weighted_gram
@@ -226,6 +227,35 @@ class TestSolve:
             else:
                 coef = solve(0.0)
                 np.testing.assert_allclose(H @ coef, rhs, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 3)])
+    def test_non_finite_system_is_refused(self, bad, at):
+        # the solve calls LAPACK without scipy's finiteness checks, so it
+        # refuses a NaN or inf in H or in the right-hand side itself, with
+        # a ValueError and no coefficients
+        q = 5
+        eng = make_engine(q0=q, mem_cap=3 * q)
+        feed(eng, *sample(50, 20, np.cos))
+        H = np.eye(q)
+        H[at] = H[at[::-1]] = bad
+        eng.gram = lambda q: H
+        for solve in (eng.solve_coefficients, eng.coefficients,
+                      lambda rho: penalized_solve(H, np.eye(q), rho,
+                                                  np.ones(q))):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                solve(1e-3)
+        assert eng._coef_cache == {}
+        rhs = np.ones(q)
+        rhs[at[1]] = bad
+        with pytest.raises(ValueError, match="NaN or inf"):
+            penalized_solve(np.eye(q), np.eye(q), 1e-3, rhs)
+
+    def test_nan_rcond_fails_the_gate(self, monkeypatch):
+        monkeypatch.setattr(linalg.lapack, "dpocon",
+                            lambda *args, **kwargs: (np.nan, 0))
+        with pytest.raises(IllConditionedSystemError):
+            penalized_solve(np.eye(3), np.eye(3), 0.0, np.ones(3))
 
     def test_negative_rho_rejected(self):
         eng = make_engine(q0=2, mem_cap=6)

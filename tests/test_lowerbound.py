@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import build_m_omega_loop, holder_constant_estimate
+from oracles import (alice_encode_per_batch, build_m_omega_loop,
+                     holder_constant_estimate)
 from streamreg import lowerbound, quadrature
 from streamreg.errors import CheckpointError
-from streamreg.lowerbound import (DEFAULT_NOISE_SD, HypercubeInstance,
+from streamreg.lowerbound import (BATCH_SIZE, BLOCK_BATCHES,
+                                  DEFAULT_NOISE_SD, HypercubeInstance,
                                   alice_encode, bob_decode, build_m_omega,
                                   bump_kernel, run_protocol)
 
@@ -90,34 +92,59 @@ def protocol_draws(k, n, trials, seed, batch=100):
         omega = tuple(int(b) for b in rng.integers(0, 2, k))
         rng.integers(0, k)
         batches = []
-        for _ in range(n // batch):
-            batches.append(rng.uniform(0.0, 1.0, batch))
-            rng.normal(0.0, DEFAULT_NOISE_SD, batch)
+        for lo in range(0, n, batch):
+            size = min(batch, n - lo)
+            batches.append(rng.uniform(0.0, 1.0, size))
+            rng.normal(0.0, DEFAULT_NOISE_SD, size)
         yield HypercubeInstance(k=k, omega=omega), batches
 
 
 class TestSingleBump:
     def test_replay_follows_run_protocol(self, monkeypatch):
         # the replay below must see the instances and points run_protocol
-        # feeds the encoder
-        seen = []
+        # feeds the encoder.  Alice evaluates m_omega once per block of
+        # batches, so each trial's evaluated points, concatenated, must be
+        # its replayed batches' points end to end.  n spans two full
+        # blocks, then a partial one that ends in a short batch.
+        trials = []  # [instance, evaluated point arrays] per encoder call
 
         def recording(inst):
             m = build_m_omega(inst)
+            trials.append((inst, []))
 
             def m_omega(t):
-                seen.append((inst, np.array(t)))
+                trials[-1][1].append(np.array(t))
                 return m(t)
             return m_omega
 
+        n = 2 * BLOCK_BATCHES * BATCH_SIZE + 250
         monkeypatch.setattr(lowerbound, "build_m_omega", recording)
-        run_protocol(k=8, n=1000, trials=3, seed=0)
-        replayed = [(inst, t) for inst, batches in protocol_draws(8, 1000, 3, 0)
-                    for t in batches]
-        assert len(seen) == len(replayed)
-        for (inst_a, t_a), (inst_b, t_b) in zip(seen, replayed):
+        run_protocol(k=8, n=n, trials=3, seed=0)
+        replayed = list(protocol_draws(8, n, 3, 0))
+        assert len(trials) == len(replayed)
+        for (inst_a, seen), (inst_b, batches) in zip(trials, replayed):
             assert inst_a == inst_b
-            assert_same_bytes(t_a, t_b)
+            assert len(seen) == 3
+            assert_same_bytes(np.concatenate(seen), np.concatenate(batches))
+
+    @pytest.mark.parametrize("n", [1050, 10_000,
+                                   2 * BLOCK_BATCHES * BATCH_SIZE])
+    @pytest.mark.parametrize("noise_sd", [0.0, DEFAULT_NOISE_SD])
+    @pytest.mark.parametrize("mem_cap", [None, 5])
+    def test_payload_matches_the_per_batch_encoder(self, n, noise_sd,
+                                                   mem_cap):
+        # block evaluation changes no byte of the payload, and leaves the
+        # generator where batch-by-batch evaluation does; 1050 ends in a
+        # short batch inside the first block, 1e4 in a partial second
+        # block (of 64 batches), the last on a block boundary
+        inst = HypercubeInstance(k=8, omega=(1, 0, 1, 1, 0, 0, 1, 0))
+        rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
+        got = alice_encode(inst, n, rng_a, mem_cap=mem_cap,
+                           noise_sd=noise_sd)
+        want = alice_encode_per_batch(inst, n, rng_b, mem_cap=mem_cap,
+                                      noise_sd=noise_sd)
+        assert got == want
+        assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
     def test_criterion_9_instances_match_the_bump_loop(self):
         # criterion 9 runs k = 8, n = 1e5, 200 trials from seed 0 with and
@@ -180,6 +207,16 @@ class TestProtocolPieces:
             alice_encode(inst, 200, rng, noise_sd=noise_sd)
         with pytest.raises(ValueError, match="noise_sd"):
             run_protocol(k=2, n=200, trials=1, noise_sd=noise_sd)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("n", [0, -5, 1000.0, True, "100"])
+    def test_invalid_n_rejected_before_the_first_draw(self, n):
+        # the encoder slices its block buffers by n, so n must be an integer
+        inst = HypercubeInstance(k=2, omega=(0, 1))
+        rng = np.random.default_rng(3)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="n must be an integer"):
+            alice_encode(inst, n, rng)
         assert rng.bit_generator.state == state
 
     def test_garbage_payload_raises(self):

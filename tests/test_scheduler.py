@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fold as matrix_fold
+from oracles import fold_scan, ledger_step
 from streamreg.basis import (SPLIT_MIN, BasisSpec, PenaltySpec, Powers,
                              eval_matrix)
 from streamreg.engine import OnePassRegressor
@@ -273,17 +274,75 @@ class TestFold:
              opening=0.5, seed=1)
     def test_matches_the_basis_matrix_fold(self, s, m, margin, unit_weight,
                                            n_old, opening, seed):
-        # a share ``opening`` of the slots, slot 1 among them, opens
-        # somewhere inside the batch or after it; the rest before it
+        # a share ``opening`` of the slots, slot 1 among them when all
+        # open, opens somewhere inside the batch or after it; the rest
+        # before it.  Sorted, as every start vector is.
         rng = np.random.default_rng(seed)
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         ts = rng.uniform(0.0, 1.0, m)
         w = np.ones(m) if unit_weight else \
             np.sin(6 * ts) + rng.normal(0.0, 0.3, m)
-        start = np.where(rng.uniform(size=s) < opening,
-                         n_old + 1 + rng.integers(0, m + 2, s),
-                         rng.integers(1, n_old + 2, s)).astype(np.int64)
-        got = fold(Powers(spec, s, ts), w, start, n_old)
+        start = np.sort(np.where(rng.uniform(size=s) < opening,
+                                 n_old + 1 + rng.integers(0, m + 2, s),
+                                 rng.integers(1, n_old + 2, s)).astype(np.int64))
+        powers = Powers(spec, s, ts)
+        got = fold(powers, w, start, n_old)
         want = matrix_fold(eval_matrix(spec, s, ts), w, start, n_old)
         assert got.shape == (s,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got.tobytes() == fold_scan(powers, w, start, n_old).tobytes()
+
+
+class TestLeanLedger:
+    """The engine's fold (the suffix of mid-batch slots found by bisection)
+    and sketch update (no clamps when no slot opens) against ``fold_scan``
+    and ``update_theta``, byte for byte after every batch."""
+
+    @staticmethod
+    def mid_batch_openings(sizes, margin, sketch, mem_cap, seed):
+        """Run both ledgers over batches of ``sizes``; return the most
+        slots one batch opened strictly inside it."""
+        rng = np.random.default_rng(seed)
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        sched = SchedulerConfig(mem_cap=mem_cap)
+        eng = OnePassRegressor(spec, PenaltySpec("roughness"), sched,
+                               known_uniform_density=not sketch)
+        state = (0, np.zeros(0, dtype=np.int64), np.zeros(0),
+                 np.zeros(0) if sketch else None)
+        most = 0
+        for size in sizes:
+            ts = rng.uniform(0.0, 1.0, size)
+            ys = np.sin(5 * ts) + rng.normal(0.0, 0.3, size)
+            n_old = eng.n
+            eng.ingest(ts, ys)
+            state = ledger_step(spec, UNIT, sched, state, ts, ys)
+            n, start, G, theta = state
+            assert eng.n == n
+            for got, want in ((eng.start, start), (eng.G, G)) + (
+                    ((eng.density.theta, theta),) if sketch else ()):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            most = max(most, int(np.count_nonzero(start > n_old + 1)))
+        return most
+
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=15),
+           margin=st.sampled_from([0.0, 0.1]), sketch=st.booleans(),
+           mem_cap=st.sampled_from([None, 30]), seed=st.integers(0, 2 ** 16))
+    # batches start one point before tau = 13 and 45 and on tau = 21 and 32,
+    # at either side of the first slot that opens mid-batch
+    @example(sizes=[11, 9, 11, 12, 20], margin=0.0, sketch=True,
+             mem_cap=None, seed=0)
+    def test_matches_the_full_scan_ledger(self, sizes, margin, sketch,
+                                          mem_cap, seed):
+        self.mid_batch_openings(sizes, margin, sketch, mem_cap, seed)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("sketch", [True, False])
+    @pytest.mark.parametrize("mem_cap", [None, 30])
+    def test_batches_opening_several_slots(self, margin, sketch, mem_cap):
+        # the first 400 points open slots 6 to 10 (cap 30) or 6 to 18
+        # strictly inside the batch
+        most = self.mid_batch_openings([400, 1, 399, 400, 250], margin,
+                                       sketch, mem_cap, 0)
+        assert most >= 5
