@@ -54,11 +54,9 @@ class DensityState:
         else:
             theta = np.concatenate([theta,
                                     np.zeros(start.size - theta.size)])
-            # a slot opened past n_new has no observation yet and keeps
-            # theta_j = 0
-            counts_new = np.maximum(slot_counts(start, n_new), 1)
+            # every open slot has tau_j <= n_new, so its new count is >= 1
             self.theta = (slot_counts(start, n_old) * theta
-                          + sums) / counts_new
+                          + sums) / slot_counts(start, n_new)
         self._z = self._certified = None
 
     def evaluate(self, t):

@@ -150,9 +150,8 @@ class OnePassRegressor:
         q = self.active_count
         if q < 1:
             raise IllConditionedSystemError("no active basis function yet")
+        # every open slot has tau_j <= n, so every count is at least 1
         counts = self.slot_counts()[:q]
-        if np.any(counts < 1):
-            raise IllConditionedSystemError("an active slot has no data yet")
         if self.n < self.schedule.q0:
             rho = max(rho, WARMUP_RHO_FLOOR)
         W = basis_mod.penalty_matrix(self.reg_basis, self.penalty, q)
@@ -299,9 +298,10 @@ def penalized_solve(H, W, rho, rhs):
 
     A Cholesky factorization can succeed on a system that is singular to
     working precision and silently return garbage, so gate on LAPACK's
-    estimate of the reciprocal 1-norm condition number too.  The LAPACK
-    routines are called directly, without scipy's checking wrappers, so a
-    non-finite system is refused here, before anything is factored."""
+    estimate of the reciprocal 1-norm condition number too; a refusal
+    reports dpotrf's failure or that estimate.  The LAPACK routines are
+    called directly, without scipy's checking wrappers, so a non-finite
+    system is refused here, before anything is factored."""
     A = H + rho * W
     anorm = np.abs(A).sum(0).max()  # np.linalg.norm(A, 1)
     # a NaN or inf in A makes its 1-norm NaN or inf (as does a finite A too
@@ -309,13 +309,13 @@ def penalized_solve(H, W, rho, rhs):
     if not (np.isfinite(anorm) and np.isfinite(rhs).all()):
         raise ValueError("penalized system holds a NaN or inf")
     c, info = linalg.lapack.dpotrf(A, lower=1, clean=0)
-    rcond = linalg.lapack.dpocon(c, anorm, uplo="L")[0] if info == 0 else 0.0
+    if info != 0:
+        raise IllConditionedSystemError(
+            "penalized Gram system is not positive definite")
+    rcond = linalg.lapack.dpocon(c, anorm, uplo="L")[0]
     # a NaN rcond fails the gate too
     if not rcond > RCOND_FLOOR:
-        min_eig = float(linalg.eigvalsh(A)[0])
         raise IllConditionedSystemError(
             f"penalized Gram system is numerically singular "
-            f"(min eigenvalue {min_eig:.3e})",
-            min_eigenvalue=min_eig,
-        )
+            f"(rcond {rcond:.3e} <= {RCOND_FLOOR:g})")
     return linalg.lapack.dpotrs(c, rhs, lower=1)[0]

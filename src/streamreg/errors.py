@@ -20,10 +20,6 @@ class StateError(StreamRegError, RuntimeError):
 class IllConditionedSystemError(StreamRegError, ArithmeticError):
     """The penalized system is not SPD or is numerically singular."""
 
-    def __init__(self, message, min_eigenvalue=None):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-
 
 class TuningError(StreamRegError, RuntimeError):
     """Cross-validation could not produce a feasible tuning pair."""

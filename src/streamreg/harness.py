@@ -18,6 +18,7 @@ in binary, so the cell that holds t is floor(t N) and needs no search.
 """
 
 import csv
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -54,27 +55,22 @@ def m2(t):
     return np.abs(np.asarray(t, dtype=float) - 0.4)
 
 
-_m3_table = None
-
-
+@functools.cache
 def _m3_interp_table():
     """m3 at the grid nodes j/N, j = 0..N, N = 2**_M3_GRID_LOG2: for
     m3 = 1 + sum_k a_k cos(2 pi k t) + b_k sin(2 pi k t), the inverse real
     FFT of the half spectrum X_0 = N, X_k = (N/2)(a_k - i b_k)."""
-    global _m3_table
-    if _m3_table is None:
-        N = 1 << _M3_GRID_LOG2
-        ks = np.arange(1, M3_TERMS // 2 + 1)
-        spectrum = np.zeros(N // 2 + 1, dtype=complex)
-        spectrum[0] = N
-        spectrum.real[ks] = (N / 2) * (2.0 * ks) ** -1.5
-        spectrum.imag[ks] = -(N / 2) * np.where(
-            2 * ks + 1 <= M3_TERMS, (2.0 * ks + 1.0) ** -1.5, 0.0)
-        table = np.empty(N + 1)
-        np.fft.irfft(spectrum, N, out=table[:N])
-        table[N] = table[0]
-        _m3_table = table
-    return _m3_table
+    N = 1 << _M3_GRID_LOG2
+    ks = np.arange(1, M3_TERMS // 2 + 1)
+    spectrum = np.zeros(N // 2 + 1, dtype=complex)
+    spectrum[0] = N
+    spectrum.real[ks] = (N / 2) * (2.0 * ks) ** -1.5
+    spectrum.imag[ks] = -(N / 2) * np.where(
+        2 * ks + 1 <= M3_TERMS, (2.0 * ks + 1.0) ** -1.5, 0.0)
+    table = np.empty(N + 1)
+    np.fft.irfft(spectrum, N, out=table[:N])
+    table[N] = table[0]
+    return table
 
 
 def m3(t):
@@ -118,16 +114,11 @@ class Scenario:
             raise ValueError("n, B, replicates must be positive; snr > 0")
 
 
-_signal_power_cache = {}
-
-
+@functools.cache
 def signal_power(target):
     """E|m(T)|^2 under the uniform design, by quadrature."""
-    if target not in _signal_power_cache:
-        fn = TARGETS[target]
-        _signal_power_cache[target] = quadrature.integrate(
-            lambda x: fn(x) ** 2, 0.0, 1.0, 4096)
-    return _signal_power_cache[target]
+    fn = TARGETS[target]
+    return quadrature.integrate(lambda x: fn(x) ** 2, 0.0, 1.0, 4096)
 
 
 def noise_sigma(sc):
@@ -161,8 +152,8 @@ class ExperimentReport:
     def add(self, **row):
         self.rows.append({k: row.get(k) for k in REPORT_COLUMNS})
 
-    def column(self, name, method=None):
-        return [r[name] for r in self.rows if method is None or r["method"] == method]
+    def column(self, name):
+        return [r[name] for r in self.rows]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -190,7 +181,7 @@ def _replicate_data(sc, replicate):
 
 
 def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
-                   fixed_h=None, method_label=None):
+                   fixed_h=None):
     """Tune, stream, and record RMISE at each checkpoint.
 
     Every replicate selects (C_rho, h) by cross-validation on its warm-up
@@ -249,12 +240,11 @@ def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
             failures += 1
 
     wall_ms = (time.perf_counter() - t0) * 1000.0
-    label = method_label or method
     report = ExperimentReport(failures=failures)
     for c in checkpoints:
         n_ok = len(ise[c])
         report.add(
-            method=label, target=sc.target, n=c,
+            method=method, target=sc.target, n=c,
             rmise=rmise(ise[c]) if n_ok else float("nan"),
             q_mean=q_sum[c] / n_ok if n_ok else float("nan"),
             mem_units_mean=mem_sum[c] / n_ok if n_ok else float("nan"),
@@ -264,7 +254,7 @@ def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
     return report
 
 
-def phase_transition_experiment(sc, mem_caps, checkpoints, **kwargs):
+def phase_transition_experiment(sc, mem_caps, checkpoints):
     """Run the experiment once per memory cap (None = unconstrained).
 
     A constant cap should make the RMISE curve plateau while the uncapped
@@ -273,14 +263,13 @@ def phase_transition_experiment(sc, mem_caps, checkpoints, **kwargs):
     report = ExperimentReport()
     for cap in mem_caps:
         label = "streaming_uncapped" if cap is None else f"streaming_cap{cap}"
-        part = run_experiment(sc, checkpoints, method="streaming",
-                              mem_cap=cap, method_label=label, **kwargs)
-        report.rows.extend(part.rows)
+        part = run_experiment(sc, checkpoints, mem_cap=cap)
+        report.rows.extend({**row, "method": label} for row in part.rows)
         report.failures += part.failures
     return report
 
 
-def rate_experiment(sc, beta_hypothesis, checkpoints, **kwargs):
+def rate_experiment(sc, beta_hypothesis, checkpoints):
     """Least-squares slope of log RMISE vs log n against -beta/(2*beta+1),
     with the slot growth fixed at h = RATE_H.
 
@@ -290,8 +279,7 @@ def rate_experiment(sc, beta_hypothesis, checkpoints, **kwargs):
     checkpoints = sorted(int(c) for c in checkpoints)
     if len(checkpoints) < 3 or checkpoints[-1] < 100 * checkpoints[0]:
         raise ValueError("need >= 3 checkpoints spanning >= 2 decades")
-    report = run_experiment(sc, checkpoints, method="streaming",
-                            fixed_h=RATE_H, **kwargs)
+    report = run_experiment(sc, checkpoints, fixed_h=RATE_H)
     values = np.asarray(report.column("rmise"), dtype=float)
     hypothesized = -beta_hypothesis / (2.0 * beta_hypothesis + 1.0)
     if np.any(values <= 1e-12):

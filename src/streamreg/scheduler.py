@@ -144,8 +144,6 @@ class SchedulerConfig:
         if start.size == self.cap_q or self.tau(start.size + 1) > n:
             return start
         n_slots = self.slot_count(n)
-        if n_slots <= start.size:
-            return start
         opened = [self.tau(j) for j in range(start.size + 1, n_slots + 1)]
         return np.concatenate([start, np.array(opened, dtype=np.int64)])
 

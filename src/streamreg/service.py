@@ -14,10 +14,11 @@ Numbers survive the wire bit-exactly (JSON floats are emitted with shortest
 round-trip formatting).  A reply that would hold NaN or inf, which JSON
 cannot, is sent as a ``non_finite`` error instead.
 
-A request line longer than MAX_LINE_BYTES, or an ingest that would create a
-stream past MAX_STREAMS, gets a ``request`` error, so the memory a client
-can make the process hold stays bounded; the connection and every existing
-stream keep being served.
+A stream exists once its first batch has been accepted: a refused first
+ingest leaves no stream behind.  A request line longer than MAX_LINE_BYTES,
+or an ingest that would create a stream past MAX_STREAMS, gets a ``request``
+error, so the memory a client can make the process hold stays bounded; the
+connection and every existing stream keep being served.
 """
 
 import json
@@ -73,37 +74,44 @@ class ServiceConfig:
 
 
 class StreamRegistry:
-    """Thread-safe map of stream_id -> engine; per-stream serialization."""
+    """Thread-safe map of stream_id -> engine; per-stream serialization.
+    A new stream_id is entered only with the engine that accepted its first
+    batch."""
 
     def __init__(self, config):
         self.config = config
         self._streams = {}
         self._lock = threading.Lock()
 
-    def _engine(self, stream_id, create):
+    def _engine(self, stream_id):
         with self._lock:
-            if stream_id not in self._streams:
-                if not create:
-                    return None
-                if len(self._streams) >= MAX_STREAMS:
-                    raise ValueError(
-                        f"the service holds its limit of {MAX_STREAMS} streams")
-                self._streams[stream_id] = (self.config.engine(),
-                                            threading.Lock())
-            return self._streams[stream_id]
+            return self._streams.get(stream_id)
 
     def ingest(self, stream_id, points):
         points = np.asarray(points, dtype=float)
         if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
             raise ValueError("points must be a non-empty list of [t, y] pairs")
         ts, ys = np.ascontiguousarray(points.T)
-        reg, lock = self._engine(stream_id, create=True)
+        entry = self._engine(stream_id)
+        if entry is None:
+            reg = self.config.engine()
+            reg.ingest(ts, ys)
+            with self._lock:
+                entry = self._streams.get(stream_id)
+                if entry is None:
+                    if len(self._streams) >= MAX_STREAMS:
+                        raise ValueError(f"the service holds its limit of "
+                                         f"{MAX_STREAMS} streams")
+                    self._streams[stream_id] = (reg, threading.Lock())
+                    return {"n": reg.n}
+            # another request entered the stream meanwhile: join it
+        reg, lock = entry
         with lock:
             reg.ingest(ts, ys)
             return {"n": reg.n}
 
-    def query(self, stream_id, kind, t=None):
-        entry = self._engine(stream_id, create=False)
+    def query(self, stream_id, kind, t):
+        entry = self._engine(stream_id)
         if entry is None:
             raise KeyError(f"unknown stream {stream_id!r}")
         reg, lock = entry
@@ -117,8 +125,6 @@ class StreamRegistry:
                         "density_certified": certified}
             if t is None:
                 raise ValueError(f"query kind {kind!r} requires t")
-            if reg.n < 1:
-                raise StateError("stream has no data yet (warm-up)")
             if kind == "estimate":
                 return {"value": reg.estimate(float(t), self._rho(reg))}
             if kind == "density":
@@ -126,7 +132,7 @@ class StreamRegistry:
             raise ValueError(f"unknown query kind {kind!r}")
 
     def _rho(self, reg):
-        return rho_at(self.config.C_rho, self.config.h, max(reg.n, 1),
+        return rho_at(self.config.C_rho, self.config.h, reg.n,
                       reg.penalty.zeta)
 
 
@@ -205,9 +211,4 @@ class StreamService(socketserver.ThreadingTCPServer):
     @property
     def address(self):
         return self.server_address
-
-    def serve_background(self):
-        thread = threading.Thread(target=self.serve_forever, daemon=True)
-        thread.start()
-        return thread
 

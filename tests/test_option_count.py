@@ -12,7 +12,7 @@ import pathlib
 
 import streamreg
 
-OPTION_LIMIT = 61
+OPTION_LIMIT = 57
 
 
 def _is_dataclass(node):

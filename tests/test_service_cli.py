@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import os
 import select
@@ -39,6 +40,11 @@ class ServiceClient:
     def close(self):
         self._file.close()
         self._sock.close()
+
+
+def serve_background(server):
+    """Run ``server.serve_forever`` on a daemon thread."""
+    threading.Thread(target=server.serve_forever, daemon=True).start()
 
 
 @pytest.fixture
@@ -134,7 +140,7 @@ class TestRegistry:
         # finite y whose slot sums overflow must not reach G
         registry = StreamRegistry(ServiceConfig())
         ingest_points(registry, "a", 20)
-        reg = registry._engine("a", create=False)[0]
+        reg = registry._engine("a")[0]
         before = reg.checkpoint_json()
         resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
                                          "points": [[0.5, 1e308]] * 10})
@@ -174,6 +180,59 @@ class TestRegistry:
                                             "kind": "estimate", "t": 0.5})
             assert est["ok"]
 
+    def test_refused_first_ingest_creates_no_stream(self, registry):
+        resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
+                                         "points": [[2.0, 1.0]]})
+        assert (resp["ok"], resp["error"]) == (False, "validation")
+        stats = handle_request(registry, {"op": "query", "stream_id": "a",
+                                          "kind": "stats"})
+        assert (stats["ok"], stats["error"]) == (False, "not_found")
+        assert registry._streams == {}
+
+    def test_refused_first_ingests_leave_room_for_new_streams(self,
+                                                              registry):
+        for i in range(MAX_STREAMS + 1):
+            resp = handle_request(registry, {
+                "op": "ingest", "stream_id": i, "points": [[2.0, 1.0]]})
+            assert (resp["ok"], resp["error"]) == (False, "validation")
+        resp = handle_request(registry, {"op": "ingest", "stream_id": "new",
+                                         "points": [[0.5, 1.0]]})
+        assert resp == {"ok": True, "n": 1}
+
+    def test_concurrent_first_ingests_keep_both_batches(self, registry,
+                                                        monkeypatch):
+        # the first two engine ingests wait for each other, so both first
+        # batches of the new stream are validated at once; the one that
+        # loses the race to enter the stream must join it, not be lost
+        meet = threading.Barrier(2, timeout=5)
+        calls = itertools.count()
+        ingest = OnePassRegressor.ingest
+
+        def meeting_ingest(self, ts, ys):
+            if next(calls) < 2:
+                meet.wait()
+            ingest(self, ts, ys)
+
+        monkeypatch.setattr(OnePassRegressor, "ingest", meeting_ingest)
+        replies = []
+
+        def first_ingest(n, seed):
+            replies.append(ingest_points(registry, "new", n, seed=seed))
+
+        threads = [threading.Thread(target=first_ingest, args=(n, s))
+                   for s, n in enumerate((100, 150))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+        # the stream's first reply counts its own batch, the other both
+        assert all(r["ok"] for r in replies)
+        assert sorted(r["n"] for r in replies) in ([100, 250], [150, 250])
+        stats = handle_request(registry, {"op": "query", "stream_id": "new",
+                                          "kind": "stats"})
+        assert stats["n"] == 250
+
     def test_rho_follows_the_penalty(self):
         # identity penalty: zeta = 0, so rho = n^(-1/3) at h = 1/3
         for penalty, zeta in (("identity", 0.0), ("roughness", 4.0)):
@@ -184,27 +243,35 @@ class TestRegistry:
             assert stats["rho"] == rho_at(1.0, 1 / 3, 1000, zeta)
             est = handle_request(registry, {"op": "query", "stream_id": "a",
                                             "kind": "estimate", "t": 0.3})
-            reg = registry._engine("a", create=False)[0]
+            reg = registry._engine("a")[0]
             assert est["value"] == reg.estimate(0.3, stats["rho"])
 
     def test_concurrent_ingest_is_consistent(self, registry):
+        # "shared" is new, so the first batches race to enter the stream
         def worker(seed):
             ingest_points(registry, "shared", 200, seed=seed)
 
-        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,))
+                       for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
         stats = handle_request(registry, {"op": "query", "stream_id": "shared",
                                           "kind": "stats"})
-        assert stats["n"] == 800
+        assert stats["n"] == 1600
 
 
 class TestSocketService:
     def test_round_trip_over_tcp(self):
         server = StreamService(ServiceConfig(known_uniform_density=True))
-        server.serve_background()
+        serve_background(server)
         try:
             host, port = server.address
             client = ServiceClient(host, port)
@@ -220,7 +287,7 @@ class TestSocketService:
 
     def test_short_point_keeps_connection_alive(self):
         server = StreamService(ServiceConfig(known_uniform_density=True))
-        server.serve_background()
+        serve_background(server)
         try:
             client = ServiceClient(*server.address)
             bad = client.request(op="ingest", stream_id="s", points=[[0.5]])
@@ -235,7 +302,7 @@ class TestSocketService:
 
     def test_non_object_line_keeps_connection_alive(self):
         server = StreamService(ServiceConfig(known_uniform_density=True))
-        server.serve_background()
+        serve_background(server)
         try:
             with socket.create_connection(server.address) as sock:
                 fh = sock.makefile("rwb")
@@ -254,7 +321,7 @@ class TestSocketService:
 
     def test_long_line_keeps_connection_alive(self):
         server = StreamService(ServiceConfig(known_uniform_density=True))
-        server.serve_background()
+        serve_background(server)
         ingest = b'{"op": "ingest", "stream_id": "s", "points": [[0.5, 1.0]]}'
         # a valid request padded past the limit, and one just within it
         too_long = ingest[:-1] + b" " * (MAX_LINE_BYTES + 1 - len(ingest)) \
@@ -282,7 +349,7 @@ class TestSocketService:
 
     def test_density_follows_ingest_over_tcp(self):
         server = StreamService(ServiceConfig())
-        server.serve_background()
+        serve_background(server)
         rng = np.random.default_rng(21)
         try:
             client = ServiceClient(*server.address)
@@ -313,7 +380,7 @@ class TestSocketService:
         for known, want in ((False, {"uniform": True, "beta": False}),
                             (True, {"uniform": None, "beta": None})):
             server = StreamService(ServiceConfig(known_uniform_density=known))
-            server.serve_background()
+            serve_background(server)
             try:
                 client = ServiceClient(*server.address)
                 for stream, draw in draws.items():
@@ -336,7 +403,7 @@ class TestSocketService:
         monkeypatch.setattr(OnePassRegressor, "estimate",
                             lambda self, t, rho: float("nan"))
         server = StreamService(ServiceConfig(known_uniform_density=True))
-        server.serve_background()
+        serve_background(server)
         try:
             with socket.create_connection(server.address) as sock:
                 fh = sock.makefile("rwb")
@@ -359,7 +426,7 @@ class TestSocketService:
 
     def test_malformed_line_reports_error(self):
         server = StreamService(ServiceConfig())
-        server.serve_background()
+        serve_background(server)
         try:
             host, port = server.address
             with socket.create_connection((host, port)) as sock:
@@ -648,6 +715,45 @@ class TestCli:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert sum(int(r["selected"]) for r in rows) == 1
+
+    def test_rate_command(self, tmp_path, capsys):
+        out = tmp_path / "rate.csv"
+        code = main(["rate", "--target", "m1", "--n", "20000",
+                     "--replicates", "1", "--checkpoints", "200", "2000",
+                     "20000", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.startswith("log-log RMISE slope ")
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["n"]) for r in rows] == [200, 2000, 20000]
+
+    def test_phase_command(self, tmp_path, capsys):
+        out = tmp_path / "phase.csv"
+        code = main(["phase", "--target", "m1", "--n", "20000",
+                     "--replicates", "1", "--checkpoints", "2000", "20000",
+                     "--mem-caps", "30", "0", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == f"wrote {out} (4 rows)\n"
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["method"] for r in rows] == ["streaming_cap30"] * 2 \
+            + ["streaming_uncapped"] * 2
+
+    def test_config_file_matches_the_flags(self, tmp_path, capsys):
+        config = tmp_path / "scenario.txt"
+        config.write_text("# tuning scenario\ntarget = m2\nn = 800\n"
+                          "snr = 4.0\nseed = 3  # not the default\n")
+        outs = [tmp_path / f"{name}.csv" for name in ("config", "flags",
+                                                      "defaults")]
+        for out, flags in zip(outs, (
+                ["--config", str(config)],
+                ["--target", "m2", "--n", "800", "--snr", "4", "--seed", "3"],
+                [])):
+            assert main(["tune", "--n0", "500", *flags,
+                         "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() != outs[2].read_bytes()
+        capsys.readouterr()
 
     def test_simulate_command(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
