@@ -8,14 +8,16 @@ import sys
 
 import numpy as np
 
-from .basis import BasisSpec, PenaltySpec
+from .basis import BasisSpec
 from .engine import OnePassRegressor
 from .errors import InputError, StreamRegError
-from .harness import (Scenario, load_scenario, phase_transition_experiment,
+from .harness import (EXTENSION_MARGINS, PENALTY, Scenario, _replicate_data,
+                      load_scenario, phase_transition_experiment,
                       rate_experiment, run_experiment)
 from .lowerbound import run_protocol
 from .service import ServiceConfig, StreamService
-from .tuning import TuningGrid, cv_select, rho_at, write_tuning_report
+from .tuning import (TuningGrid, cv_select, cv_table, rho_at,
+                     write_tuning_report)
 
 USAGE_ERROR = 2
 
@@ -95,22 +97,20 @@ def _cmd_protocol(args):
 
 def _cmd_tune(args):
     sc = _scenario_from_args(args)
-    rng = np.random.default_rng(sc.seed)
     grid = _from_input(TuningGrid, n0=min(args.n0, sc.n))
-    from .harness import EXTENSION_MARGINS, TARGETS, noise_sigma
-    ts = rng.uniform(0.0, 1.0, grid.n0)
-    ys = TARGETS[sc.target](ts) + rng.normal(0.0, noise_sigma(sc), grid.n0)
     spec = BasisSpec(0.0, 1.0, EXTENSION_MARGINS[sc.target])
-    C_rho, h, rows = cv_select(ts, ys, grid, PenaltySpec("roughness"), spec)
-    write_tuning_report(args.out, rows, (C_rho, h))
-    print(f"selected C_rho={C_rho:g}, h={h:g} "
-          f"(rho at n0: {rho_at(C_rho, h, grid.n0):.3e})")
+    rows = cv_table(*_replicate_data(sc, 0), grid, PENALTY, spec)
+    pick = cv_select(rows, spec, n_deploy=sc.n)
+    write_tuning_report(args.out, rows, pick)
+    print(f"selected C_rho={pick['C_rho']:g}, h={pick['h']:g} "
+          f"(rho at n0: {pick['rho']:.3e})")
     return 0
 
 
-# Engine flags of ``ingest-csv`` and ``serve``: flag, ServiceConfig field
-# and argparse keywords.  A flag left out is absent from the parsed
-# arguments, and its field keeps the ``ServiceConfig`` default.
+# Engine flags of ``ingest-csv``: flag, ServiceConfig field and argparse
+# keywords.  ``serve`` takes all but the last, ``--batch-size``: the service
+# folds the batch each request carries.  A flag left out is absent from the
+# parsed arguments, and its field keeps the ``ServiceConfig`` default.
 ENGINE_FLAGS = (
     ("--lo", "lo", {"type": float}),
     ("--hi", "hi", {"type": float}),
@@ -122,8 +122,8 @@ ENGINE_FLAGS = (
 )
 
 
-def _add_engine_args(p):
-    for flag, field, kwargs in ENGINE_FLAGS:
+def _add_engine_args(p, flags):
+    for flag, field, kwargs in flags:
         p.add_argument(flag, dest=field, default=argparse.SUPPRESS, **kwargs)
 
 
@@ -191,6 +191,11 @@ def _ingest_rows(reg, batch):
 
 
 def _cmd_query(args):
+    if args.grid < 1:
+        raise InputError(f"--grid must be >= 1, got {args.grid}")
+    if args.rho is not None and not 0 <= args.rho < math.inf:
+        raise InputError(f"--rho must be a finite number >= 0, "
+                         f"got {args.rho!r}")
     with open(args.checkpoint) as fh:
         reg = OnePassRegressor.from_checkpoint(fh.read())
     spec = reg.reg_basis
@@ -274,7 +279,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--resume", help="resume from an existing checkpoint")
-    _add_engine_args(p)
+    _add_engine_args(p, ENGINE_FLAGS)
     p.set_defaults(func=_cmd_ingest_csv)
 
     p = sub.add_parser("query", help="evaluate a checkpoint on a grid")
@@ -289,7 +294,7 @@ def build_parser():
     p = sub.add_parser("serve", help="run the ndjson ingestion/query service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7071)
-    _add_engine_args(p)
+    _add_engine_args(p, ENGINE_FLAGS[:-1])
     p.set_defaults(func=_cmd_serve)
 
     return parser

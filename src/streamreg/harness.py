@@ -30,7 +30,7 @@ from .basis import BasisSpec, PenaltySpec, is_count, is_real, require
 from .engine import OnePassRegressor, batch_fit
 from .errors import StreamRegError
 from .scheduler import SchedulerConfig
-from .tuning import TuningGrid, cv_select, rho_at
+from .tuning import TuningGrid, cv_select, cv_table, rho_at
 
 M3_TERMS = 100_000
 _M3_GRID_LOG2 = 21
@@ -180,15 +180,19 @@ def _replicate_data(sc, replicate):
     return ts, ys
 
 
-def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
+def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
                    fixed_h=None):
-    """Tune, stream, and record RMISE at each checkpoint.
+    """Tune each replicate once, stream it once per memory cap, and record
+    RMISE at each checkpoint.
 
-    Every replicate selects (C_rho, h) by cross-validation on its warm-up
-    prefix (one pass total: the warm-up observations are streamed as well),
-    then ingests the full stream, snapshotting the estimate at every
-    checkpoint.  ``method`` selects the streaming engine or the non-streaming
-    baseline refit on all retained data.
+    Every replicate builds one CV table on its warm-up prefix (one pass
+    total: the warm-up observations are streamed as well).  For each cap in
+    ``mem_caps`` (None = unconstrained) it selects (C_rho, h) from that
+    table under the cap's deployability screen and ingests the full stream,
+    snapshotting the estimate at every checkpoint.  ``method`` selects the
+    streaming engine or the non-streaming baseline refit on all retained
+    data.  Rows are grouped by cap in the order given; a replicate whose
+    tuning or stream fails is counted under that cap.
     """
     if method not in ("streaming", "batch_oracle"):
         raise ValueError(f"unknown method {method!r}")
@@ -197,75 +201,75 @@ def run_experiment(sc, checkpoints, method="streaming", mem_cap=None,
         raise ValueError("checkpoints must be non-empty and <= n")
     if any(c % sc.B for c in checkpoints):
         raise ValueError("checkpoints must align with batch boundaries")
+    caps = list(mem_caps)
+    if not caps:
+        raise ValueError("mem_caps must be non-empty")
     grid = TuningGrid(n0=min(1000, sc.n))
     if fixed_h is not None:
         grid = replace(grid, h_grid=(fixed_h,))
     spec = BasisSpec(0.0, 1.0, extension_margin=EXTENSION_MARGINS[sc.target])
 
-    ise = {c: [] for c in checkpoints}
-    q_sum = {c: 0.0 for c in checkpoints}
-    mem_sum = {c: 0.0 for c in checkpoints}
-    failures = 0
+    # (ISE, active count, memory units) of each replicate, per cap and
+    # checkpoint
+    fits = {(k, c): [] for k in range(len(caps)) for c in checkpoints}
+    failures = [0] * len(caps)
     t0 = time.perf_counter()
 
     for r in range(sc.replicates):
         ts, ys = _replicate_data(sc, r)
-        try:
-            C_rho, h, _ = cv_select(ts[: grid.n0], ys[: grid.n0], grid,
-                                    PENALTY, spec, n_deploy=sc.n,
-                                    mem_cap=mem_cap)
-            sched = SchedulerConfig(h=h, mem_cap=mem_cap)
-            if method == "streaming":
-                reg = OnePassRegressor(spec, PENALTY, sched, batch_size=sc.B)
-                for lo in range(0, sc.n, sc.B):
-                    reg.ingest(ts[lo: lo + sc.B], ys[lo: lo + sc.B])
-                    n_seen = reg.n
-                    if n_seen in ise:
-                        rho = rho_at(C_rho, h, n_seen, PENALTY.zeta)
-                        ise[n_seen].append(integrated_squared_error(
-                            lambda x: reg.estimate(x, rho), sc.target))
-                        q_sum[n_seen] += reg.active_count
-                        mem_sum[n_seen] += reg.memory_footprint()
-                    if n_seen >= checkpoints[-1]:
-                        break
-            else:
-                for c in checkpoints:
-                    q = sched.active_count(c)
-                    rho = rho_at(C_rho, h, c, PENALTY.zeta)
-                    coef = batch_fit(ts[:c], ys[:c], spec, q, rho, PENALTY)
-                    ise[c].append(integrated_squared_error(
-                        lambda x: basis_mod.series(spec, coef, x), sc.target))
-                    q_sum[c] += q
-        except StreamRegError:
-            failures += 1
+        rows = cv_table(ts, ys, grid, PENALTY, spec)
+        for k, cap in enumerate(caps):
+            try:
+                pick = cv_select(rows, spec, n_deploy=sc.n, mem_cap=cap)
+                C_rho, h = pick["C_rho"], pick["h"]
+                sched = SchedulerConfig(h=h, mem_cap=cap)
+                if method == "streaming":
+                    reg = OnePassRegressor(spec, PENALTY, sched,
+                                           batch_size=sc.B)
+                    for lo in range(0, checkpoints[-1], sc.B):
+                        reg.ingest(ts[lo: lo + sc.B], ys[lo: lo + sc.B])
+                        if reg.n in checkpoints:
+                            rho = rho_at(C_rho, h, reg.n, PENALTY.zeta)
+                            fits[k, reg.n].append((integrated_squared_error(
+                                lambda x: reg.estimate(x, rho), sc.target),
+                                reg.active_count, reg.memory_footprint()))
+                else:
+                    for c in checkpoints:
+                        q = sched.active_count(c)
+                        rho = rho_at(C_rho, h, c, PENALTY.zeta)
+                        coef = batch_fit(ts[:c], ys[:c], spec, q, rho, PENALTY)
+                        fits[k, c].append((integrated_squared_error(
+                            lambda x: basis_mod.series(spec, coef, x),
+                            sc.target), q, 0))
+            except StreamRegError:
+                failures[k] += 1
 
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    report = ExperimentReport(failures=failures)
-    for c in checkpoints:
-        n_ok = len(ise[c])
-        report.add(
-            method=method, target=sc.target, n=c,
-            rmise=rmise(ise[c]) if n_ok else float("nan"),
-            q_mean=q_sum[c] / n_ok if n_ok else float("nan"),
-            mem_units_mean=mem_sum[c] / n_ok if n_ok else float("nan"),
-            wall_ms=round(wall_ms / len(checkpoints), 3),
-            failures=failures,
-        )
+    n_rows = len(caps) * len(checkpoints)
+    wall_ms = round((time.perf_counter() - t0) * 1000.0 / n_rows, 3)
+    report = ExperimentReport(failures=sum(failures))
+    for k in range(len(caps)):
+        for c in checkpoints:
+            err, q, mem = (np.transpose(fits[k, c]) if fits[k, c]
+                           else [[np.nan]] * 3)
+            report.add(method=method, target=sc.target, n=c,
+                       rmise=rmise(err), q_mean=float(np.mean(q)),
+                       mem_units_mean=float(np.mean(mem)), wall_ms=wall_ms,
+                       failures=failures[k])
     return report
 
 
 def phase_transition_experiment(sc, mem_caps, checkpoints):
-    """Run the experiment once per memory cap (None = unconstrained).
+    """Run the experiment under each memory cap (None = unconstrained).
 
     A constant cap should make the RMISE curve plateau while the uncapped
     run keeps improving; both curves are emitted for comparison.
     """
-    report = ExperimentReport()
-    for cap in mem_caps:
-        label = "streaming_uncapped" if cap is None else f"streaming_cap{cap}"
-        part = run_experiment(sc, checkpoints, mem_cap=cap)
-        report.rows.extend({**row, "method": label} for row in part.rows)
-        report.failures += part.failures
+    report = run_experiment(sc, checkpoints, mem_caps=mem_caps)
+    per_cap = len(report.rows) // len(mem_caps)
+    for i, row in enumerate(report.rows):
+        cap = mem_caps[i // per_cap]
+        row["method"] = ("streaming_uncapped" if cap is None
+                         else f"streaming_cap{cap}")
     return report
 
 

@@ -16,6 +16,7 @@ import numpy as np
 
 from .engine import normal_equations, penalized_solve
 from . import basis as basis_mod
+from .basis import is_count, is_real, require
 from .errors import IllConditionedSystemError, TuningError
 from .scheduler import SchedulerConfig
 
@@ -27,6 +28,13 @@ DEFAULT_H_GRID = (1 / 5, 1 / 4, 1 / 3, 2 / 5, 1 / 2)
 GRAM_EIG_FLOOR = 1e-8
 
 
+def _entries(valid):
+    """Test that a grid is a non-empty tuple or list of entries that pass
+    ``valid``."""
+    return lambda grid: (isinstance(grid, (tuple, list)) and len(grid) > 0
+                         and all(map(valid, grid)))
+
+
 @dataclass(frozen=True)
 class TuningGrid:
     C_rho_grid: tuple = DEFAULT_C_RHO_GRID
@@ -35,12 +43,13 @@ class TuningGrid:
     n0: int = 1000
 
     def __post_init__(self):
-        if len(self.C_rho_grid) == 0 or len(self.h_grid) == 0:
-            raise ValueError("tuning grids must be non-empty")
-        if any(c <= 0 for c in self.C_rho_grid):
-            raise ValueError("C_rho grid entries must be positive")
-        if any(not 0 < h < 1 for h in self.h_grid):
-            raise ValueError("h grid entries must lie in (0, 1)")
+        require(_entries(lambda c: is_real(c) and c > 0),
+                "a non-empty sequence of finite numbers > 0", self,
+                "C_rho_grid")
+        require(_entries(lambda h: is_real(h) and 0 < h < 1),
+                "a non-empty sequence of finite numbers in (0, 1)", self,
+                "h_grid")
+        require(is_count, "an integer", self, "J", "n0")
         if self.J < 2:
             raise ValueError("J must be >= 2")
         if self.n0 < self.J:
@@ -125,36 +134,31 @@ def cv_table(ts, ys, grid, penalty, spec):
             for column in columns]
 
 
-def cv_select(ts, ys, grid, penalty, spec, n_deploy=None, mem_cap=None):
-    """Pick (C_rho, h) from the CV table.
+def cv_select(rows, spec, n_deploy=None, mem_cap=None):
+    """The row of a ``cv_table`` that sets (C_rho, h).
 
     Selection is the one-standard-error rule: among grid points whose CV lies
     within one fold-to-fold standard error of the minimum, take the most
     regularized one (largest rho, then smallest h).  When ``n_deploy`` is
     given, grid points whose schedule would outgrow the numerically
-    identifiable basis count by time n_deploy are marked infeasible first.
-    Exact ties break toward larger rho, then smaller h.
+    identifiable basis count by time n_deploy are left out first.  The rows
+    are not changed, so one table serves every memory cap.  Exact ties break
+    toward larger rho, then smaller h.
     """
-    rows = cv_table(ts, ys, grid, penalty, spec)
-    if n_deploy is not None:
-        for r in rows:
-            if not deployable(spec, r["h"], n_deploy, mem_cap):
-                r["cv"] = float("inf")
-    feasible = [r for r in rows if np.isfinite(r["cv"])]
+    feasible = [r for r in rows if np.isfinite(r["cv"]) and (
+        n_deploy is None or deployable(spec, r["h"], n_deploy, mem_cap))]
     if not feasible:
         raise TuningError("no feasible tuning: every grid point failed")
     best = min(feasible, key=lambda r: (r["cv"], -r["rho"], r["h"]))
     within = [r for r in feasible if r["cv"] <= best["cv"] + best["se"]]
-    pick = max(within, key=lambda r: (r["rho"], -r["h"]))
-    return pick["C_rho"], pick["h"], rows
+    return max(within, key=lambda r: (r["rho"], -r["h"]))
 
 
 def write_tuning_report(path, rows, selected):
-    """CSV report of the CV table with the argmin row flagged."""
-    c_sel, h_sel = selected
+    """CSV report of the CV table with the ``selected`` row flagged."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["C_rho", "h", "rho", "cv", "selected"])
         for r in rows:
-            flag = int(r["C_rho"] == c_sel and r["h"] == h_sel)
-            writer.writerow([r["C_rho"], r["h"], r["rho"], r["cv"], flag])
+            writer.writerow([r["C_rho"], r["h"], r["rho"], r["cv"],
+                             int(r is selected)])

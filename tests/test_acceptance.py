@@ -24,6 +24,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from oracles import second_derivative_matrix
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix, penalty_matrix
@@ -167,6 +168,7 @@ def test_criterion_04_memory_ledger():
     verdict(4, "memory ledger", ok)
 
 
+@pytest.mark.slow
 def test_criterion_05_consistency_and_efficiency():
     """Smooth target, SNR 2, batches of 100, 20 replicates: the streaming
     RMISE at n = 1e5 is at most a third of the value at n = 1e3, and at
@@ -185,6 +187,7 @@ def test_criterion_05_consistency_and_efficiency():
     verdict(5, "consistency and efficiency", ok)
 
 
+@pytest.mark.slow
 def test_criterion_06_basis_count():
     """The tuner settles on roughly twenty active basis functions for the
     piecewise-cubic target at n = 1e5 (mean over 20 replicates in [12, 30])."""
@@ -196,6 +199,7 @@ def test_criterion_06_basis_count():
     verdict(6, "basis count", report.failures == 0 and 12 <= q_mean <= 30)
 
 
+@pytest.mark.slow
 def test_criterion_07_rate_slope():
     """Rough target with q ~ n^(1/3): the log-log RMISE slope over
     n in {1e3, 1e4, 1e5} (20 replicates) lies in [-0.50, -0.20]."""
@@ -209,6 +213,7 @@ def test_criterion_07_rate_slope():
     verdict(7, "rate slope", ok)
 
 
+@pytest.mark.slow
 def test_criterion_08_phase_transition():
     """A 30-unit cap freezes the rough-target error between n = 1e4 and
     n = 1e5 (relative change <= 0.1) while the uncapped run improves by at
@@ -230,6 +235,7 @@ def test_criterion_08_phase_transition():
     verdict(8, "phase transition", ok)
 
 
+@pytest.mark.slow
 def test_criterion_09_lowerbound_protocol():
     """Index problem, k = 8 bits, n = 1e5, 200 trials: per-bit error at most
     0.1 with unconstrained memory, at least 0.25 when the engine is capped

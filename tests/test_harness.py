@@ -8,7 +8,7 @@ import pytest
 
 from oracles import generate_stream, m3_partial_sum
 import streamreg
-from streamreg import harness, quadrature
+from streamreg import harness, quadrature, tuning
 from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
                                m2, m3, noise_sigma,
@@ -170,7 +170,7 @@ class TestRunExperiment:
 
     def test_mem_cap_bounds_reported_units(self):
         sc = Scenario(target="m1", n=4000, B=100, seed=3, replicates=2)
-        rpt = run_experiment(sc, [4000], mem_cap=30)
+        rpt = run_experiment(sc, [4000], mem_caps=[30])
         assert rpt.rows[0]["mem_units_mean"] <= 30 + 16
 
     def test_checkpoint_validation(self):
@@ -195,6 +195,46 @@ class TestCompositeExperiments:
         rpt = phase_transition_experiment(sc, [None, 30], [1000, 2000])
         labels = set(rpt.column("method"))
         assert labels == {"streaming_uncapped", "streaming_cap30"}
+
+    def test_each_replicate_is_drawn_and_tuned_once(self, monkeypatch):
+        calls = {"data": 0, "cv_table": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        table = counted("cv_table", tuning.cv_table)
+        monkeypatch.setattr(tuning, "cv_table", table)
+        monkeypatch.setattr(harness, "cv_table", table, raising=False)
+        monkeypatch.setattr(harness, "_replicate_data",
+                            counted("data", harness._replicate_data))
+        sc = Scenario(target="m1", n=2000, B=100, seed=5, replicates=3)
+        rpt = phase_transition_experiment(sc, [None, 30], [1000, 2000])
+        assert calls == {"data": 3, "cv_table": 3}
+        assert rpt.column("method") == ["streaming_uncapped"] * 2 \
+            + ["streaming_cap30"] * 2
+
+    @pytest.mark.parametrize("caps", [[None, 30], [30, None]])
+    def test_caps_share_a_table_without_sharing_a_screen(self, caps):
+        # at margin 0.1 and n = 2e4 the uncapped screen removes h >= 1/3
+        # and the cap-30 screen removes nothing; both replicates of this
+        # seed pick h = 1/3 under the cap, so a screen that leaked from one
+        # cap into the next would change the cap-30 rows
+        sc = Scenario(target="m1", n=20_000, B=100, seed=2, replicates=2)
+        both = run_experiment(sc, [2000, 20_000], mem_caps=caps)
+
+        def rows(report):
+            return [{k: v for k, v in r.items() if k != "wall_ms"}
+                    for r in report.rows]
+
+        alone = [rows(run_experiment(sc, [2000, 20_000], mem_caps=[cap]))
+                 for cap in caps]
+        assert rows(both) == alone[0] + alone[1]
+        assert both.failures == 0
+        by_cap = dict(zip(caps, alone))
+        assert by_cap[30][1]["q_mean"] != by_cap[None][1]["q_mean"]
 
     def test_rate_experiment_validates_span(self):
         sc = Scenario(target="m3", n=10_000, B=100)

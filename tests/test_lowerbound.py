@@ -146,6 +146,7 @@ class TestSingleBump:
         assert got == want
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
 
+    @pytest.mark.slow
     def test_criterion_9_instances_match_the_bump_loop(self):
         # criterion 9 runs k = 8, n = 1e5, 200 trials from seed 0 with and
         # without a cap; the cap changes the engine, not the draws

@@ -12,14 +12,15 @@ import threading
 import numpy as np
 import pytest
 
-from streamreg import cli
+from streamreg import cli, harness
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
 from streamreg.engine import OnePassRegressor
+from streamreg.harness import Scenario
 from streamreg.scheduler import SchedulerConfig
 from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceConfig,
                                StreamRegistry, StreamService, handle_request)
-from streamreg.tuning import rho_at
+from streamreg.tuning import TuningGrid, cv_select, cv_table, rho_at
 
 
 class ServiceClient:
@@ -629,6 +630,36 @@ class TestCli:
         assert err.startswith("error: ") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "-1"], "--grid must be >= 1"),
+        (["--grid", "0"], "--grid must be >= 1"),
+        (["--rho", "-1"], "--rho must be a finite number >= 0"),
+        (["--rho", "nan"], "--rho must be a finite number >= 0"),
+        (["--rho", "inf"], "--rho must be a finite number >= 0")])
+    def test_invalid_query_flag_is_an_error(self, tmp_path, capsys, flags,
+                                            message):
+        data, ckpt, out = (tmp_path / name
+                           for name in ("s.csv", "c.json", "q.csv"))
+        write_stream_csv(data, n=200)
+        assert main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["query", "--checkpoint", str(ckpt), *flags,
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_serve_takes_no_batch_size(self, monkeypatch, capsys):
+        # the service folds the batch each request carries and writes no
+        # checkpoint, so no stream would read the flag
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(cli, "StreamService", bind)
+        assert main(["serve", "--batch-size", "7", "--port", "0"]) == 2
+        assert "--batch-size" in capsys.readouterr().err
+
     def test_serve_rejects_an_invalid_flag_before_binding(self, monkeypatch,
                                                           capsys):
         def bind(*args, **kwargs):
@@ -638,6 +669,7 @@ class TestCli:
         assert main(["serve", "--h", "2", "--port", "0"]) == 1
         assert capsys.readouterr().err == "error: h must lie in (0, 1)\n"
 
+    @pytest.mark.slow
     def test_serve_stops_on_sigint_when_started_ignoring_it(self):
         # a non-interactive shell starts a background job with SIGINT
         # ignored, and an ignored signal stays ignored across exec
@@ -715,6 +747,26 @@ class TestCli:
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert sum(int(r["selected"]) for r in rows) == 1
+
+    def test_tune_reports_what_simulate_runs(self, tmp_path, capsys):
+        # replicate 0's warm-up prefix, screened for deployment to n as
+        # ``simulate`` screens it
+        out = tmp_path / "tuning.csv"
+        assert main(["tune", "--target", "m1", "--seed", "0",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "selected C_rho=1, h=0.25 ")
+        with open(out) as fh:
+            chosen = [r for r in csv.DictReader(fh) if r["selected"] == "1"]
+        sc = Scenario(target="m1", seed=0)
+        spec = BasisSpec(0.0, 1.0, harness.EXTENSION_MARGINS["m1"])
+        ts, ys = harness._replicate_data(sc, 0)
+        pick = cv_select(cv_table(ts[:1000], ys[:1000], TuningGrid(),
+                                  harness.PENALTY, spec),
+                         spec, n_deploy=sc.n)
+        assert [{k: float(v) for k, v in r.items() if k != "selected"}
+                for r in chosen] == [{k: pick[k] for k in
+                                      ("C_rho", "h", "rho", "cv")}]
 
     def test_rate_command(self, tmp_path, capsys):
         out = tmp_path / "rate.csv"

@@ -1,3 +1,4 @@
+import copy
 import csv
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import cv_table_by_batch_fit
 from streamreg.basis import BasisSpec, PenaltySpec
+from streamreg.errors import TuningError
 from streamreg.tuning import (TuningGrid, cv_select, cv_table, rho_at,
                               write_tuning_report)
 
@@ -51,6 +53,16 @@ class TestGridValidation:
         dict(h_grid=(1.5,)),
         dict(J=1),
         dict(n0=3, J=5),
+        dict(C_rho_grid=(float("nan"),)),
+        dict(C_rho_grid=(1.0, float("inf"))),
+        dict(C_rho_grid=("1.0",)),
+        dict(C_rho_grid=1.0),
+        dict(h_grid=(float("nan"),)),
+        dict(h_grid=(0.25, "0.5")),
+        dict(h_grid=(True,)),
+        dict(J=2.5),
+        dict(J="5"),
+        dict(n0=1000.0),
     ])
     def test_bad_grids_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -144,32 +156,60 @@ class TestSelect:
         # the most aggressive penalty in the grid
         ts, ys = noisy_sample(1000, 4, sigma=0.2)
         grid = TuningGrid(C_rho_grid=(1e-3, 1e2), h_grid=(0.25,))
-        C_rho, h, rows = cv_select(ts, ys, grid, ROUGH, UNIT)
-        assert h == 0.25
+        rows = cv_table(ts, ys, grid, ROUGH, UNIT)
+        pick = cv_select(rows, UNIT)
+        assert pick["h"] == 0.25
         heavy = next(r for r in rows if r["C_rho"] == 1e2)
         light = next(r for r in rows if r["C_rho"] == 1e-3)
         assert light["cv"] < heavy["cv"]
-        assert C_rho == 1e-3
+        assert pick is light
 
     def test_tie_breaks_toward_more_regularization(self):
         # duplicated grid entries produce exact ties; the larger rho wins,
         # then the smaller h
         ts, ys = noisy_sample(200, 5)
         grid = TuningGrid(C_rho_grid=(1.0, 1.0), h_grid=(0.25, 0.25), n0=200)
-        C_rho, h, rows = cv_select(ts, ys, grid, ROUGH, UNIT)
+        rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         cvs = [r["cv"] for r in rows]
         assert max(cvs) - min(cvs) == 0.0
-        assert (C_rho, h) == (1.0, 0.25)
+        pick = cv_select(rows, UNIT)
+        assert (pick["C_rho"], pick["h"]) == (1.0, 0.25)
 
     def test_report_round_trips(self, tmp_path):
         ts, ys = noisy_sample(200, 6)
         grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25,), n0=200)
-        C_rho, h, rows = cv_select(ts, ys, grid, ROUGH, UNIT)
+        rows = cv_table(ts, ys, grid, ROUGH, UNIT)
+        pick = cv_select(rows, UNIT)
         path = tmp_path / "tuning.csv"
-        write_tuning_report(path, rows, (C_rho, h))
+        write_tuning_report(path, rows, pick)
         with open(path) as fh:
             records = list(csv.DictReader(fh))
         assert len(records) == len(rows)
         assert sum(int(r["selected"]) for r in records) == 1
         chosen = next(r for r in records if r["selected"] == "1")
-        assert float(chosen["C_rho"]) == C_rho
+        assert float(chosen["C_rho"]) == pick["C_rho"]
+
+    def test_screen_leaves_the_rows_unchanged(self):
+        # at margin 0.1 the design Gram degenerates once q passes about 39,
+        # so deploying to n = 1e5 screens out every h above 0.2 uncapped
+        # and none under a 30-unit cap; the rows must serve both screens
+        spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
+        ts, ys = noisy_sample(500, 9)
+        grid = TuningGrid(C_rho_grid=(1e-3, 1.0), h_grid=(0.2, 0.5), n0=500)
+        rows = cv_table(ts, ys, grid, ROUGH, spec)
+        before = copy.deepcopy(rows)
+        assert cv_select(rows, spec)["h"] == 0.5
+        assert cv_select(rows, spec, n_deploy=100_000)["h"] == 0.2
+        assert rows == before
+        assert cv_select(rows, spec, n_deploy=100_000, mem_cap=30) \
+            is cv_select(rows, spec)
+        assert rows == before
+
+    def test_nothing_deployable_is_a_tuning_error(self):
+        spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
+        ts, ys = noisy_sample(500, 9)
+        grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.5,), n0=500)
+        rows = cv_table(ts, ys, grid, ROUGH, spec)
+        with pytest.raises(TuningError):
+            cv_select(rows, spec, n_deploy=100_000)
+        assert np.isfinite(rows[0]["cv"])
