@@ -101,7 +101,7 @@ def _cmd_tune(args):
     spec = BasisSpec(0.0, 1.0, EXTENSION_MARGINS[sc.target])
     rows = cv_table(*_replicate_data(sc, 0), grid, PENALTY, spec)
     pick = cv_select(rows, spec, n_deploy=sc.n)
-    write_tuning_report(args.out, rows, pick)
+    write_tuning_report(args.out, rows, pick, spec, sc.n)
     print(f"selected C_rho={pick['C_rho']:g}, h={pick['h']:g} "
           f"(rho at n0: {pick['rho']:.3e})")
     return 0

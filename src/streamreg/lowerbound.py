@@ -21,12 +21,13 @@ from .scheduler import SchedulerConfig
 
 DEFAULT_NOISE_SD = 0.02
 
-# Points per batch Alice streams through the engine.
+# Points per batch Alice draws: each batch's points, then its noise.
 BATCH_SIZE = 100
 
-# Batches Alice draws before evaluating m_omega on all of their points at
-# once: the fixed cost of one evaluation is shared by this many batches,
-# and her buffers stay this size whatever n is.
+# Batches Alice draws before evaluating m_omega on all of their points and
+# folding them into the engine in one call: the fixed cost of an evaluation
+# and of an ``ingest`` is shared by this many batches, and her buffers stay
+# this size whatever n is.
 BLOCK_BATCHES = 64
 
 
@@ -128,12 +129,13 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
             if noise_sd > 0:
                 e[lo:lo + size] = rng.normal(0.0, noise_sd, size)
         # m_omega and the noise act point by point, so one call per block
-        # gives each batch the values a call of its own would
+        # gives each batch the values a call of its own would; the engine's
+        # ledger is a function of n alone, so one ingest per block moves
+        # only the rounding of G
         ys = m(t)
         if noise_sd > 0:
             ys += e
-        for lo in range(0, t.size, BATCH_SIZE):
-            reg.ingest(t[lo:lo + BATCH_SIZE], ys[lo:lo + BATCH_SIZE])
+        reg.ingest(t, ys)
     return reg.checkpoint_json(), reg.memory_footprint()
 
 

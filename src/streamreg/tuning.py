@@ -154,11 +154,18 @@ def cv_select(rows, spec, n_deploy=None, mem_cap=None):
     return max(within, key=lambda r: (r["rho"], -r["h"]))
 
 
-def write_tuning_report(path, rows, selected):
-    """CSV report of the CV table with the ``selected`` row flagged."""
+def write_tuning_report(path, rows, selected, spec, n_deploy):
+    """CSV report of the CV table with the ``selected`` row flagged.
+
+    Each row also carries its fold standard error and whether it passes
+    ``cv_select``'s deployment screen at ``n_deploy`` (uncapped), so the
+    one-standard-error pick can be checked from the file alone.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["C_rho", "h", "rho", "cv", "selected"])
+        writer.writerow(["C_rho", "h", "rho", "cv", "se", "deployable",
+                         "selected"])
         for r in rows:
-            writer.writerow([r["C_rho"], r["h"], r["rho"], r["cv"],
+            writer.writerow([r["C_rho"], r["h"], r["rho"], r["cv"], r["se"],
+                             int(deployable(spec, r["h"], n_deploy, None)),
                              int(r is selected)])

@@ -4,6 +4,8 @@ Each is a slow, direct form of something the package computes another way,
 kept here so the tests can compare against it.
 """
 
+import math
+
 import numpy as np
 
 from streamreg import quadrature
@@ -86,9 +88,56 @@ def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
     return n_new, start, G, theta
 
 
+# unit roundoff of a float64
+U = np.finfo(float).eps / 2
+
+
+def fold_rounding(sizes, slots, steps):
+    """gamma_m = m u / (1 - m u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 3.1) bounding, to first order in u,
+    the rounding of one per-slot running sum that ``engine.ingest`` folds
+    from calls of ``sizes`` points with at most ``slots`` slots open,
+    relative to sum_i s |z_i^k w_i| = sum_i s |w_i| over the slot's points,
+    where s is the scale sqrt(2/P) (1/sqrt(P) for phi_1) and Re or Im of
+    s z_i^k w_i is the slot's term.
+
+    The exact value it is measured from is the sum on the same computed
+    z_i = exp(2 pi i (t_i - origin) / P): every partition computes z_i by
+    the same elementwise expression.  m adds up, for a call of m_c points:
+
+    - sqrt(5) K, K = slots // 2: z^k, k <= K, is a chain of at most K
+      complex products of z_i (``Powers``: z^a, (z^r)^b and their
+      product), each within sqrt(5) u (Brent, Percival and Zimmermann,
+      *Math. Comp.* 76, 2007);
+    - 1 for the real product z^a w_i;
+    - 2 m_c for the sum: each real part of a complex dot product of m_c
+      terms is a sum of 2 m_c real products, whatever their order;
+    - 1 for the scale sqrt(2/P) or 1/sqrt(P);
+    - ``steps`` per call for the running sum across calls: one for G's
+      G + sums, three for the sketch's implied sum n_j theta_j, which
+      ``DensityState.update`` forms by a product, a sum and a quotient.
+    """
+    m = (math.sqrt(5.0) * (slots // 2) + 2.0 * max(sizes) + 2.0
+         + steps * len(sizes))
+    return m * U / (1.0 - m * U)
+
+
+def partition_tolerance(w, start, period, steps, sizes_a, sizes_b):
+    """Per-slot bound on |a_j - b_j| for one running sum folded from one
+    stream of weights ``w`` in calls of ``sizes_a`` and of ``sizes_b``
+    points: both sides' ``fold_rounding`` times
+    sqrt(2/P) sum_{i >= tau_j} |w_i|."""
+    gamma = (fold_rounding(sizes_a, start.size, steps)
+             + fold_rounding(sizes_b, start.size, steps))
+    abs_w = np.abs(w)
+    return gamma * math.sqrt(2.0 / period) * np.array(
+        [math.fsum(abs_w[tau - 1:]) for tau in start])
+
+
 def alice_encode_per_batch(inst, n, rng, mem_cap=None,
                            noise_sd=DEFAULT_NOISE_SD):
-    """``lowerbound.alice_encode`` evaluating m_omega once per batch."""
+    """``lowerbound.alice_encode`` evaluating m_omega and calling
+    ``ingest`` once per batch."""
     m = build_m_omega(inst)
     reg = _protocol_engine(mem_cap)
     remaining = n

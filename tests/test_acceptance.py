@@ -187,7 +187,6 @@ def test_criterion_05_consistency_and_efficiency():
     verdict(5, "consistency and efficiency", ok)
 
 
-@pytest.mark.slow
 def test_criterion_06_basis_count():
     """The tuner settles on roughly twenty active basis functions for the
     piecewise-cubic target at n = 1e5 (mean over 20 replicates in [12, 30])."""
@@ -199,7 +198,6 @@ def test_criterion_06_basis_count():
     verdict(6, "basis count", report.failures == 0 and 12 <= q_mean <= 30)
 
 
-@pytest.mark.slow
 def test_criterion_07_rate_slope():
     """Rough target with q ~ n^(1/3): the log-log RMISE slope over
     n in {1e3, 1e4, 1e5} (20 replicates) lies in [-0.50, -0.20]."""

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import linalg
 
 from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
-from oracles import weighted_gram
+from oracles import partition_tolerance, weighted_gram
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               batch_fit, normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
@@ -62,6 +62,54 @@ class TestIngest:
         feed(b, ts, ys, batch=17)
         np.testing.assert_allclose(a.G, b.G, rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(a.start, b.start)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("sketch", [False, True])
+    @pytest.mark.parametrize("mem_cap", [None, 30])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 16))
+    def test_partition_moves_only_the_rounding(self, margin, sketch, mem_cap,
+                                               data, n, seed):
+        # the ledger (n, start) is a function of n alone, so cutting one
+        # stream into other calls moves G and theta by no more than the
+        # rounding both call sequences explain; within one partition a
+        # resume at any call boundary stays byte-exact
+        ts, ys = sample(n, seed, lambda t: np.sin(6 * t))
+        ys += np.random.default_rng(seed).normal(0, 0.5, n)
+        cuts = st.sets(st.integers(1, n - 1), max_size=8) if n > 1 \
+            else st.just(set())
+        parts = [np.split(np.arange(n), sorted(data.draw(cuts)))
+                 for _ in range(2)]
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+
+        def engine():
+            return OnePassRegressor(spec, ROUGH,
+                                    SchedulerConfig(mem_cap=mem_cap),
+                                    known_uniform_density=not sketch)
+
+        a, b = engine(), engine()
+        marks = []  # a's checkpoint after each call
+        for idx in parts[0]:
+            a.ingest(ts[idx], ys[idx])
+            marks.append(a.checkpoint_json())
+        for idx in parts[1]:
+            b.ingest(ts[idx], ys[idx])
+        assert a.n == b.n == n
+        assert a.start.tolist() == b.start.tolist()
+        sizes = [[idx.size for idx in part] for part in parts]
+        tol = partition_tolerance(ys, a.start, spec.period, 1, *sizes)
+        assert np.all(np.abs(a.G - b.G) <= tol)
+        if sketch:
+            tol = partition_tolerance(np.ones(n), a.start,
+                                      a.density.basis.period, 3, *sizes)
+            assert np.all(np.abs(a.density.theta - b.density.theta)
+                          <= tol / a.slot_counts())
+        for cut in range(1, len(parts[0])):
+            resumed = OnePassRegressor.from_checkpoint(marks[cut - 1])
+            for idx in parts[0][cut:]:
+                resumed.ingest(ts[idx], ys[idx])
+            assert resumed.checkpoint_json() == marks[-1]
 
     def test_mid_batch_slot_opening(self):
         # slot 6 opens at tau(6) = floor(0.5 * floor((3)^3)) = 13; feed 20

@@ -181,6 +181,10 @@ class TestRunExperiment:
             run_experiment(sc, [2000])
         with pytest.raises(ValueError):
             run_experiment(sc, [150])
+        # a checkpoint below 1 would reach the engine as an empty call
+        for bad in ([0, 1000], [-100, 1000]):
+            with pytest.raises(ValueError, match="checkpoints must be >= 1"):
+                run_experiment(sc, bad)
 
     def test_deterministic_given_seed(self):
         sc = Scenario(target="m2", n=1500, B=100, seed=4, replicates=2)

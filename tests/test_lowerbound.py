@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import (alice_encode_per_batch, build_m_omega_loop,
-                     holder_constant_estimate)
+                     holder_constant_estimate, partition_tolerance)
 from streamreg import lowerbound, quadrature
 from streamreg.errors import CheckpointError
 from streamreg.lowerbound import (BATCH_SIZE, BLOCK_BATCHES,
@@ -133,18 +133,38 @@ class TestSingleBump:
     @pytest.mark.parametrize("mem_cap", [None, 5])
     def test_payload_matches_the_per_batch_encoder(self, n, noise_sd,
                                                    mem_cap):
-        # block evaluation changes no byte of the payload, and leaves the
-        # generator where batch-by-batch evaluation does; 1050 ends in a
-        # short batch inside the first block, 1e4 in a partial second
+        # one ingest per block moves only the rounding of G: the record's n,
+        # config and start, the units and the generator's state are the
+        # per-batch encoder's to the byte, G lies within the rounding both
+        # call sequences explain, and Bob reads the same bits.  1050 ends
+        # in a short batch inside the first block, 1e4 in a partial second
         # block (of 64 batches), the last on a block boundary
         inst = HypercubeInstance(k=8, omega=(1, 0, 1, 1, 0, 0, 1, 0))
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        got = alice_encode(inst, n, rng_a, mem_cap=mem_cap,
-                           noise_sd=noise_sd)
-        want = alice_encode_per_batch(inst, n, rng_b, mem_cap=mem_cap,
+        got, got_units = alice_encode(inst, n, rng_a, mem_cap=mem_cap,
                                       noise_sd=noise_sd)
-        assert got == want
+        want, want_units = alice_encode_per_batch(
+            inst, n, rng_b, mem_cap=mem_cap, noise_sd=noise_sd)
+        assert got_units == want_units
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
+        assert bob_decode(got, inst.k) == bob_decode(want, inst.k)
+        a, b = json.loads(got), json.loads(want)
+        G_a, G_b = np.array(a.pop("G")), np.array(b.pop("G"))
+        assert a == b
+        # the responses both encoders folded, drawn again batch by batch
+        rng, m, ys = np.random.default_rng(11), build_m_omega(inst), []
+        for lo in range(0, n, BATCH_SIZE):
+            size = min(BATCH_SIZE, n - lo)
+            y = m(rng.uniform(0.0, 1.0, size))
+            ys.append(y + rng.normal(0.0, noise_sd, size) if noise_sd > 0
+                      else y)
+        block = BLOCK_BATCHES * BATCH_SIZE
+        tol = partition_tolerance(
+            np.concatenate(ys), np.array(a["start"]), 1.0, 1,
+            [min(block, n - lo) for lo in range(0, n, block)],
+            [min(BATCH_SIZE, n - lo) for lo in range(0, n, BATCH_SIZE)])
+        assert G_a.shape == G_b.shape
+        assert np.all(np.abs(G_a - G_b) <= tol)
 
     @pytest.mark.slow
     def test_criterion_9_instances_match_the_bump_loop(self):

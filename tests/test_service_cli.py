@@ -621,7 +621,11 @@ class TestCli:
         (["protocol", "--trials", "0"], "trials must be >= 1"),
         (["protocol", "--k", "0"], "k must be >= 1"),
         (["protocol", "--noise-sd", "-1"], "noise_sd must be"),
-        (["protocol", "--noise-sd", "nan"], "noise_sd must be")])
+        (["protocol", "--noise-sd", "nan"], "noise_sd must be"),
+        (["simulate", "--checkpoints", "0", "1000"],
+         "checkpoints must be >= 1"),
+        (["simulate", "--checkpoints", "-100", "1000"],
+         "checkpoints must be >= 1")])
     def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "out.csv"
@@ -765,8 +769,37 @@ class TestCli:
                                   harness.PENALTY, spec),
                          spec, n_deploy=sc.n)
         assert [{k: float(v) for k, v in r.items() if k != "selected"}
-                for r in chosen] == [{k: pick[k] for k in
-                                      ("C_rho", "h", "rho", "cv")}]
+                for r in chosen] == [{**{k: pick[k] for k in
+                                         ("C_rho", "h", "rho", "cv", "se")},
+                                      "deployable": 1.0}]
+
+    def test_tune_report_shows_why_the_pick_won(self, tmp_path, capsys):
+        # from the file alone: every row with a lower cv than the pick is
+        # screened out for deployment to n, or lies in the one-standard-
+        # error band of the best deployable row but is less regularized;
+        # the pick is the most regularized row of that band
+        out = tmp_path / "tuning.csv"
+        assert main(["tune", "--target", "m1", "--seed", "0",
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        with open(out) as fh:
+            rows = [{k: float(v) for k, v in r.items()}
+                    for r in csv.DictReader(fh)]
+        chosen, = [r for r in rows if r["selected"]]
+        ok = [r for r in rows if r["deployable"] and np.isfinite(r["cv"])]
+        best = min(ok, key=lambda r: (r["cv"], -r["rho"], r["h"]))
+        band = [r for r in ok if r["cv"] <= best["cv"] + best["se"]]
+
+        def regularization(r):
+            return r["rho"], -r["h"]
+
+        assert chosen is max(band, key=regularization)
+        lower = [r for r in rows if r["cv"] < chosen["cv"]]
+        assert any(not r["deployable"] for r in lower)
+        assert any(r["deployable"] for r in lower)
+        for r in lower:
+            assert not r["deployable"] or (
+                r in band and regularization(r) < regularization(chosen))
 
     def test_rate_command(self, tmp_path, capsys):
         out = tmp_path / "rate.csv"

@@ -181,13 +181,15 @@ class TestSelect:
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         pick = cv_select(rows, UNIT)
         path = tmp_path / "tuning.csv"
-        write_tuning_report(path, rows, pick)
+        write_tuning_report(path, rows, pick, UNIT, 200)
         with open(path) as fh:
             records = list(csv.DictReader(fh))
         assert len(records) == len(rows)
         assert sum(int(r["selected"]) for r in records) == 1
         chosen = next(r for r in records if r["selected"] == "1")
         assert float(chosen["C_rho"]) == pick["C_rho"]
+        assert [float(r["se"]) for r in records] == [r["se"] for r in rows]
+        assert [r["deployable"] for r in records] == ["1", "1"]
 
     def test_screen_leaves_the_rows_unchanged(self):
         # at margin 0.1 the design Gram degenerates once q passes about 39,
