@@ -66,12 +66,16 @@ def _cmd_rate(args):
     sc = _scenario_from_args(args)
     slope, hypothesized, report, skipped = _from_input(
         rate_experiment, sc, args.beta, args.checkpoints)
+    empty = [str(r["n"]) for r in report.rows if math.isnan(r["rmise"])]
+    if empty:
+        raise StreamRegError(f"{report.failures} of {sc.replicates} "
+                             f"replicates failed, leaving no RMISE to fit a "
+                             f"slope to at n = {', '.join(empty)}")
     report.write_csv(args.out)
-    if skipped:
-        print("slope test skipped: RMISE numerically zero")
-    else:
-        print(f"log-log RMISE slope {slope:.4f} "
+    result = ("slope test skipped: RMISE numerically zero" if skipped else
+              f"log-log RMISE slope {slope:.4f} "
               f"(hypothesized {hypothesized:.4f})")
+    print(f"{result}, {report.failures} failed replicates")
     return 0
 
 
@@ -100,7 +104,7 @@ def _cmd_tune(args):
     grid = _from_input(TuningGrid, n0=min(args.n0, sc.n))
     spec = BasisSpec(0.0, 1.0, EXTENSION_MARGINS[sc.target])
     rows = cv_table(*_replicate_data(sc, 0), grid, PENALTY, spec)
-    pick = cv_select(rows, spec, n_deploy=sc.n)
+    pick = cv_select(rows, spec, sc.n, None)
     write_tuning_report(args.out, rows, pick, spec, sc.n)
     print(f"selected C_rho={pick['C_rho']:g}, h={pick['h']:g} "
           f"(rho at n0: {pick['rho']:.3e})")

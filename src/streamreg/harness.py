@@ -210,6 +210,8 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
         raise ValueError("checkpoints must be non-empty and <= n")
     if checkpoints[0] < 1:
         raise ValueError(f"checkpoints must be >= 1, got {checkpoints[0]}")
+    if len(set(checkpoints)) < len(checkpoints):
+        raise ValueError("checkpoints must be distinct")
     if any(c % sc.B for c in checkpoints):
         raise ValueError("checkpoints must align with batch boundaries")
     caps = list(mem_caps)
@@ -296,8 +298,8 @@ def rate_experiment(sc, beta_hypothesis, checkpoints):
     skipped when the RMISE values are numerically zero.
     """
     checkpoints = sorted(int(c) for c in checkpoints)
-    if len(checkpoints) < 3 or checkpoints[-1] < 100 * checkpoints[0]:
-        raise ValueError("need >= 3 checkpoints spanning >= 2 decades")
+    if len(set(checkpoints)) < 3 or checkpoints[-1] < 100 * checkpoints[0]:
+        raise ValueError("need >= 3 distinct checkpoints over >= 2 decades")
     report = run_experiment(sc, checkpoints, fixed_h=RATE_H)
     values = np.asarray(report.column("rmise"), dtype=float)
     hypothesized = -beta_hypothesis / (2.0 * beta_hypothesis + 1.0)

@@ -86,67 +86,63 @@ def cv_table(ts, ys, grid, penalty, spec):
     assigned +inf.  Each row also carries the fold-to-fold standard error of
     the CV sum.  Rows run over C_rho, then h, in grid order.
 
-    Each fold's normal equations (from Fourier moments) and held-out basis
-    matrix depend on h alone, so they are formed once per (h, fold) and
-    solved for every C_rho: each solve is the one ``batch_fit`` makes.
+    Each fold is reduced once, at the grid's largest q, to its size and its
+    unscaled Phi'Phi, Phi'y and y'y; a smaller q reads the leading blocks.
+    A grid point fits each fold's complement on the other folds' summed
+    system over their size, the system ``batch_fit`` solves, and scores the
+    held-out fold from its own sums as y'y - 2 a'Phi'y + a'Phi'Phi a, so no
+    basis matrix is built.
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ts.size < grid.n0:
         raise ValueError(f"warm-up requires at least n0={grid.n0} observations")
-    ts = ts[: grid.n0]
-    ys = ys[: grid.n0]
-    folds = np.arange(grid.n0) % grid.J
+    qs = [SchedulerConfig(h=h).active_count(grid.n0) for h in grid.h_grid]
+    Q, J = max(qs), grid.J
+    m, yy = np.empty(J), np.empty(J)
+    A, b = np.empty((J, Q, Q)), np.empty((J, Q))
+    for j in range(J):
+        t, y = ts[j:grid.n0:J], ys[j:grid.n0:J]
+        H, rhs = normal_equations(spec, Q, t, y)
+        m[j], A[j], b[j], yy[j] = t.size, H * t.size, rhs * t.size, y @ y
+    # fold j's training system: the other folds' sums over their size
+    n_train = grid.n0 - m
+    H_train = (A.sum(0) - A) / n_train[:, None, None]
+    rhs_train = (b.sum(0) - b) / n_train[:, None]
+    Ws = [basis_mod.penalty_matrix(spec, penalty, q) for q in qs]
 
-    columns = []  # columns[i][c]: grid point (C_rho_grid[c], h_grid[i])
-    for h in grid.h_grid:
-        q = SchedulerConfig(h=h).active_count(grid.n0)
-        W = basis_mod.penalty_matrix(spec, penalty, q)
-        rhos = [rho_at(C_rho, h, grid.n0, penalty.zeta)
-                for C_rho in grid.C_rho_grid]
-        fold_cv = [[] for _ in rhos]  # None once a fold fit has failed
-        for j in range(grid.J):
-            train = folds != j
-            H, rhs = normal_equations(spec, q, ts[train], ys[train])
-            V = basis_mod.eval_matrix(spec, q, ts[~train])
-            for c, rho in enumerate(rhos):
-                if fold_cv[c] is None:
-                    continue
-                try:
-                    coef = penalized_solve(H, W, rho, rhs)
-                except IllConditionedSystemError:
-                    fold_cv[c] = None
-                    continue
-                resid = ys[~train] - V @ coef
-                fold_cv[c].append(float(np.dot(resid, resid)))
-        column = []
-        for C_rho, rho, cvs in zip(grid.C_rho_grid, rhos, fold_cv):
-            if cvs is None:
-                cv, se = float("inf"), 0.0
-            else:
+    rows = []
+    for C_rho in grid.C_rho_grid:
+        for h, q, W in zip(grid.h_grid, qs, Ws):
+            rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
+            try:
+                cvs = []
+                for j in range(J):
+                    a = penalized_solve(H_train[j, :q, :q], W, rho,
+                                        rhs_train[j, :q])
+                    cvs.append(float(yy[j] - 2.0 * (a @ b[j, :q])
+                                     + a @ A[j, :q, :q] @ a))
                 cv = sum(cvs)
                 se = float(np.std(cvs, ddof=1) * np.sqrt(grid.J))
-            column.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
-                           "se": se})
-        columns.append(column)
-    # by position, not value: the grids may repeat entries
-    return [column[c] for c in range(len(grid.C_rho_grid))
-            for column in columns]
+            except IllConditionedSystemError:
+                cv, se = float("inf"), 0.0
+            rows.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
+                         "se": se})
+    return rows
 
 
-def cv_select(rows, spec, n_deploy=None, mem_cap=None):
-    """The row of a ``cv_table`` that sets (C_rho, h).
+def cv_select(rows, spec, n_deploy, mem_cap):
+    """The row of a ``cv_table`` that sets (C_rho, h) for deployment to
+    ``n_deploy`` under ``mem_cap`` (None = unconstrained).
 
-    Selection is the one-standard-error rule: among grid points whose CV lies
-    within one fold-to-fold standard error of the minimum, take the most
-    regularized one (largest rho, then smallest h).  When ``n_deploy`` is
-    given, grid points whose schedule would outgrow the numerically
-    identifiable basis count by time n_deploy are left out first.  The rows
-    are not changed, so one table serves every memory cap.  Exact ties break
-    toward larger rho, then smaller h.
+    Grid points whose schedule would outgrow the numerically identifiable
+    basis count by time n_deploy are left out; among the rest whose CV lies
+    within one fold-to-fold standard error of the minimum, the most
+    regularized one wins (largest rho, then smallest h; exact ties too).
+    The rows are not changed, so one table serves every memory cap.
     """
-    feasible = [r for r in rows if np.isfinite(r["cv"]) and (
-        n_deploy is None or deployable(spec, r["h"], n_deploy, mem_cap))]
+    feasible = [r for r in rows if np.isfinite(r["cv"])
+                and deployable(spec, r["h"], n_deploy, mem_cap)]
     if not feasible:
         raise TuningError("no feasible tuning: every grid point failed")
     best = min(feasible, key=lambda r: (r["cv"], -r["rho"], r["h"]))

@@ -10,8 +10,8 @@ import numpy as np
 
 from streamreg import quadrature
 from streamreg.basis import (Powers, _check_points, _curvature_factors,
-                             eval_matrix, gram_uniform)
-from streamreg.engine import batch_fit
+                             eval_matrix, gram_uniform, penalty_matrix)
+from streamreg.engine import batch_fit, normal_equations, penalized_solve
 from streamreg.errors import (DomainError, IllConditionedSystemError,
                               StreamRegError)
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
@@ -340,3 +340,107 @@ def cv_table_by_batch_fit(ts, ys, grid, penalty, spec):
             rows.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
                          "se": se})
     return rows
+
+
+def gamma(m):
+    """gamma_m = m u / (1 - m u) (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., sec. 3.1)."""
+    return m * U / (1.0 - m * U)
+
+
+def cv_tolerance(ts, ys, grid, penalty, spec):
+    """Per-row bounds (on cv, on se) on how far ``tuning.cv_table`` and
+    ``cv_table_by_batch_fit`` may differ, in row order; None for a row whose
+    fold systems the oracle refuses.
+
+    Both tables fit fold j's complement (n_t points) by ``penalized_solve``
+    and score fold j (m points): the table from the fold's own sums as
+    y'y - 2 a'b + a'Aa, with A = Phi_j'Phi_j and b = Phi_j'y_j, the oracle
+    from the residuals y_j - Phi_j a.  Both read the same computed
+    z_i = exp(2 pi i (t_i - origin) / P), and |phi_k| <= s = sqrt(2/P).  To
+    first order in u, with Q the grid's largest q:
+
+    - each side's training Gram entry is within eps_H = gamma_c s^2 n0 / n_t
+      and each rhs entry within gamma_c s sum_i |y_i| / n_t (i over all n0
+      points) of the exact sums on those z_i, c = sqrt(5) Q + 2 n0 + J + 8:
+      powers z^k are chains of at most Q complex products, each within
+      sqrt(5) u; a moment's real part is a sum of at most 2 n0 real
+      products; the table scales each fold's sums by m, adds the J folds
+      and subtracts fold j (J + 1 roundings of partial sums no larger than
+      the sums over all n0 points) and divides by n_t, and
+      ``gram_from_moments`` adds two moments and divides by P;
+    - each side's solve then satisfies (M + dM) a = rhs + e, M = H + rho W,
+      with ||dM|| <= q eps_H + gamma_2 || |H| + rho |W| || (forming M) +
+      gamma_{3q+1} q ||M|| (Cholesky: |dM| <= gamma_{3q+1} |R'||R|, Higham
+      thm. 10.4, and || |R'||R| || <= || |R| ||^2 <= q ||R||^2 = q ||M||), and
+      ||e|| <= sqrt(q) times the rhs bound, so the two coefficient vectors
+      differ by at most delta = 2 ||M^-1|| (||dM|| ||a|| + ||e||) /
+      (1 - ||M^-1|| ||dM||), norms 2-norms;
+    - that moves fold j's exact score by at most g delta + ||A|| delta^2,
+      g = 2 ||A a - b||, the score's gradient;
+    - the score's own rounding is the cancellation in y'y - 2 a'b + a'Aa:
+      at most gamma_c' (y'y + 2 s ||a||_1 sum_j |y| + m s^2 ||a||_1^2) per
+      side, each term the sum of absolute values its sum rounds against,
+      c' = sqrt(5) Q + 2 m + 2 q + 8 (z^k chains, the fold sums of at most
+      2 m real products, their scaling by m, the q- and q^2-term products
+      and the final two operations); the oracle's residual sum, with
+      |phi_k(t_i)| rounded within (sqrt(5) q / 2 + 1) u, rounds by at most
+      twice that, so three times covers both sides.
+
+    The CV sum adds J rounded values (gamma_J cv per side).  The standard
+    error is sqrt(J / (J - 1)) times the norm of the deviations from the
+    fold mean, a projection, so it moves by at most sqrt(J / (J - 1)) times
+    the 2-norm of the per-fold bounds, plus its own rounding, gamma_{2J+6}
+    sqrt(J / (J - 1)) sum_j cv_j per side (the mean, J deviations, their
+    squares and sum, one division, two square roots and the product).
+    """
+    ts = np.asarray(ts, dtype=float)[:grid.n0]
+    ys = np.asarray(ys, dtype=float)[:grid.n0]
+    J = grid.J
+    folds = np.arange(grid.n0) % J
+    qs = [SchedulerConfig(h=h).active_count(grid.n0) for h in grid.h_grid]
+    Q = max(qs)
+    s = math.sqrt(2.0 / spec.period)
+    eps = gamma(math.sqrt(5.0) * Q + 2 * grid.n0 + J + 8)
+    tols = []
+    for C_rho in grid.C_rho_grid:
+        for h, q in zip(grid.h_grid, qs):
+            rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
+            W = penalty_matrix(spec, penalty, q)
+            per_fold, cvs = [], []
+            try:
+                for j in range(J):
+                    train = folds != j
+                    H, rhs = normal_equations(spec, q, ts[train], ys[train])
+                    a = penalized_solve(H, W, rho, rhs)
+                    M = H + rho * W
+                    lam = np.linalg.eigvalsh(M)
+                    n_t = np.count_nonzero(train)
+                    dM = (q * eps * s * s * grid.n0 / n_t
+                          + gamma(2) * np.linalg.norm(np.abs(H)
+                                                      + rho * np.abs(W), 2)
+                          + gamma(3 * q + 1) * q * lam[-1])
+                    e = math.sqrt(q) * eps * s * np.abs(ys).sum() / n_t
+                    growth = dM / lam[0] if lam[0] > 0 else math.inf
+                    delta = (2.0 * (dM * np.linalg.norm(a) + e) / lam[0]
+                             / (1.0 - growth) if growth < 1 else math.inf)
+                    V = eval_matrix(spec, q, ts[~train])
+                    y = ys[~train]
+                    m = y.size
+                    A, b = V.T @ V, V.T @ y
+                    g = 2.0 * np.linalg.norm(A @ a - b)
+                    a1 = np.abs(a).sum()
+                    c = gamma(math.sqrt(5.0) * Q + 2 * m + 2 * q + 8)
+                    scale = y @ y + 2 * s * a1 * np.abs(y).sum() \
+                        + m * s * s * a1 * a1
+                    per_fold.append(g * delta + 3.0 * c * scale
+                                    + np.linalg.norm(A, 2) * delta ** 2)
+                    cvs.append(float(np.sum((y - V @ a) ** 2)))
+            except IllConditionedSystemError:
+                tols.append(None)
+                continue
+            spread = math.sqrt(J / (J - 1))
+            tols.append((sum(per_fold) + 2 * gamma(J) * sum(cvs),
+                         spread * (np.linalg.norm(per_fold)
+                                   + 2 * gamma(2 * J + 6) * sum(cvs))))
+    return tols

@@ -185,6 +185,9 @@ class TestRunExperiment:
         for bad in ([0, 1000], [-100, 1000]):
             with pytest.raises(ValueError, match="checkpoints must be >= 1"):
                 run_experiment(sc, bad)
+        # a repeated checkpoint would write the same row twice
+        with pytest.raises(ValueError, match="checkpoints must be distinct"):
+            run_experiment(sc, [500, 1000, 500])
 
     def test_deterministic_given_seed(self):
         sc = Scenario(target="m2", n=1500, B=100, seed=4, replicates=2)
@@ -244,6 +247,9 @@ class TestCompositeExperiments:
         sc = Scenario(target="m3", n=10_000, B=100)
         with pytest.raises(ValueError):
             rate_experiment(sc, 1.0, [1000, 2000, 4000])
+        # three checkpoints but two distinct n: the fit would double a point
+        with pytest.raises(ValueError, match="3 distinct checkpoints"):
+            rate_experiment(sc, 1.0, [100, 100, 10_000])
 
     def test_rate_experiment_slope_sign(self):
         sc = Scenario(target="m3", n=10_000, B=100, seed=6, replicates=3)

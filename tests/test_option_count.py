@@ -12,7 +12,7 @@ import pathlib
 
 import streamreg
 
-OPTION_LIMIT = 57
+OPTION_LIMIT = 55
 
 
 def _is_dataclass(node):

@@ -20,6 +20,7 @@ from streamreg.harness import Scenario
 from streamreg.scheduler import SchedulerConfig
 from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceConfig,
                                StreamRegistry, StreamService, handle_request)
+from streamreg.errors import TuningError
 from streamreg.tuning import TuningGrid, cv_select, cv_table, rho_at
 
 
@@ -625,7 +626,11 @@ class TestCli:
         (["simulate", "--checkpoints", "0", "1000"],
          "checkpoints must be >= 1"),
         (["simulate", "--checkpoints", "-100", "1000"],
-         "checkpoints must be >= 1")])
+         "checkpoints must be >= 1"),
+        (["simulate", "--target", "m1", "--n", "2000", "--replicates", "1",
+          "--checkpoints", "1000", "1000"], "checkpoints must be distinct"),
+        (["rate", "--checkpoints", "100", "100", "10000"],
+         "3 distinct checkpoints")])
     def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "out.csv"
@@ -767,7 +772,7 @@ class TestCli:
         ts, ys = harness._replicate_data(sc, 0)
         pick = cv_select(cv_table(ts[:1000], ys[:1000], TuningGrid(),
                                   harness.PENALTY, spec),
-                         spec, n_deploy=sc.n)
+                         spec, sc.n, None)
         assert [{k: float(v) for k, v in r.items() if k != "selected"}
                 for r in chosen] == [{**{k: pick[k] for k in
                                          ("C_rho", "h", "rho", "cv", "se")},
@@ -802,15 +807,55 @@ class TestCli:
                 r in band and regularization(r) < regularization(chosen))
 
     def test_rate_command(self, tmp_path, capsys):
+        # m3 has no extension margin, so h = 1/3 deploys to n = 2e4
         out = tmp_path / "rate.csv"
-        code = main(["rate", "--target", "m1", "--n", "20000",
+        code = main(["rate", "--target", "m3", "--n", "20000",
                      "--replicates", "1", "--checkpoints", "200", "2000",
                      "20000", "--out", str(out)])
         assert code == 0
-        assert capsys.readouterr().out.startswith("log-log RMISE slope ")
+        printed = capsys.readouterr().out
+        assert printed.startswith("log-log RMISE slope ")
+        assert printed.endswith(", 0 failed replicates\n")
         with open(out) as fh:
             rows = list(csv.DictReader(fh))
         assert [int(r["n"]) for r in rows] == [200, 2000, 20000]
+        assert all(np.isfinite(float(r["rmise"])) for r in rows)
+
+    def test_rate_without_an_rmise_is_an_error(self, tmp_path, capsys):
+        # at margin 0.1 the deployment screen refuses h = 1/3 once q passes
+        # the identifiable count (q = 43 at n = 1e4), so every replicate
+        # fails and no slope exists
+        out = tmp_path / "rate.csv"
+        assert main(["rate", "--target", "m1", "--n", "10000",
+                     "--replicates", "1", "--checkpoints", "100", "1000",
+                     "10000", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 1 of 1 replicates failed, leaving no RMISE to fit a "
+            "slope to at n = 100, 1000, 10000\n")
+        assert not out.exists()
+
+    def test_rate_reports_failed_replicates(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the first replicate's tuning fails; the second one's slope stands
+        calls = []
+
+        def first_fails(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 1:
+                raise TuningError("no feasible tuning")
+            return cv_select(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "cv_select", first_fails)
+        out = tmp_path / "rate.csv"
+        assert main(["rate", "--target", "m3", "--n", "10000",
+                     "--replicates", "2", "--checkpoints", "100", "1000",
+                     "10000", "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert printed.startswith("log-log RMISE slope ")
+        assert printed.endswith(", 1 failed replicates\n")
+        assert len(calls) == 2
 
     def test_phase_command(self, tmp_path, capsys):
         out = tmp_path / "phase.csv"

@@ -3,8 +3,10 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import cv_table_by_batch_fit
+from oracles import cv_table_by_batch_fit, cv_tolerance
+from streamreg import basis, tuning
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.errors import TuningError
 from streamreg.tuning import (TuningGrid, cv_select, cv_table, rho_at,
@@ -20,6 +22,36 @@ def noisy_sample(n, seed, sigma=0.3):
     ts = rng.uniform(0, 1, n)
     ys = np.sqrt(2) * np.cos(2 * np.pi * ts) + rng.normal(0, sigma, n)
     return ts, ys
+
+
+def picked(rows, spec, n_deploy):
+    """Position of ``cv_select``'s uncapped pick, None if it refuses."""
+    try:
+        pick = cv_select(rows, spec, n_deploy, None)
+    except TuningError:
+        return None
+    return next(i for i, r in enumerate(rows) if r is pick)
+
+
+def assert_matches_oracle(ts, ys, grid, penalty, spec):
+    """``cv_table`` against one ``batch_fit`` per grid point and fold: the
+    same grid points and inf rows (se 0 there), cv and se within the
+    derived ``cv_tolerance``, and the same pick when deploying to n0."""
+    rows = cv_table(ts, ys, grid, penalty, spec)
+    want = cv_table_by_batch_fit(ts, ys, grid, penalty, spec)
+    tols = cv_tolerance(ts, ys, grid, penalty, spec)
+    assert [np.isinf(r["cv"]) for r in rows] \
+        == [np.isinf(r["cv"]) for r in want] == [t is None for t in tols]
+    for got, ref, tol in zip(rows, want, tols):
+        assert [got[k] for k in ("C_rho", "h", "rho")] \
+            == [ref[k] for k in ("C_rho", "h", "rho")]
+        if tol is None:
+            assert got["se"] == ref["se"] == 0.0
+        else:
+            assert abs(got["cv"] - ref["cv"]) <= tol[0]
+            assert abs(got["se"] - ref["se"]) <= tol[1]
+    assert picked(rows, spec, grid.n0) == picked(want, spec, grid.n0)
+    return rows
 
 
 class TestRhoSchedule:
@@ -108,15 +140,53 @@ class TestCvTable:
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     @pytest.mark.parametrize("penalty", [ROUGH, IDENT])
     def test_rows_equal_one_batch_fit_per_grid_point(self, margin, penalty):
-        # the factor work shared across C_rho must not move a bit; the grids
+        # fold sums and leading blocks move only the rounding; the grids
         # repeat entries, which rows must keep apart by position
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         ts, ys = noisy_sample(300, 8)
         grid = TuningGrid(C_rho_grid=(1e-3, 0.1, 1e-3, 10.0),
                           h_grid=(0.25, 0.4, 0.25), J=4, n0=300)
-        rows = cv_table(ts, ys, grid, penalty, spec)
-        assert rows == cv_table_by_batch_fit(ts, ys, grid, penalty, spec)
+        rows = assert_matches_oracle(ts, ys, grid, penalty, spec)
         assert all(np.isfinite(r["cv"]) for r in rows)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("penalty", [ROUGH, IDENT])
+    @settings(max_examples=25, deadline=None)
+    @given(n0=st.integers(20, 300), J=st.integers(2, 6),
+           seed=st.integers(0, 2 ** 16),
+           C_rho_grid=st.lists(st.sampled_from([10.0 ** k
+                                                for k in range(-8, 3)]),
+                               min_size=1, max_size=3),
+           h_grid=st.lists(st.floats(0.1, 0.8), min_size=1, max_size=3))
+    def test_rows_match_the_batch_fit_oracle(self, margin, penalty, n0, J,
+                                             seed, C_rho_grid, h_grid):
+        # grids up to h = 0.8 on 20 points reach q past n_t, so some rows
+        # are refused and must be refused alike
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        ts, ys = noisy_sample(n0, seed)
+        grid = TuningGrid(C_rho_grid=C_rho_grid, h_grid=h_grid, J=J, n0=n0)
+        assert_matches_oracle(ts, ys, grid, penalty, spec)
+
+    def test_each_fold_is_reduced_once(self, monkeypatch):
+        # the default grid on a 1000-point warm-up: one normal_equations
+        # call per fold and no basis matrix
+        calls = {"normal_equations": 0, "eval_matrix": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(tuning, "normal_equations",
+                            counted("normal_equations",
+                                    tuning.normal_equations))
+        monkeypatch.setattr(basis, "eval_matrix",
+                            counted("eval_matrix", basis.eval_matrix))
+        ts, ys = noisy_sample(1000, 10)
+        rows = cv_table(ts, ys, TuningGrid(), ROUGH, UNIT)
+        assert len(rows) == 30
+        assert calls == {"normal_equations": 5, "eval_matrix": 0}
 
     def test_failed_fold_gives_inf_row(self):
         # 10 training points for 21 extended-basis functions (h = 0.8): with
@@ -129,8 +199,7 @@ class TestCvTable:
         ys = np.sin(6 * ts) + rng.normal(0, 0.3, 20)
         grid = TuningGrid(C_rho_grid=(1e-12, 1e-6, 1.0), h_grid=(0.5, 0.8),
                           J=2, n0=20)
-        rows = cv_table(ts, ys, grid, ROUGH, spec)
-        assert rows == cv_table_by_batch_fit(ts, ys, grid, ROUGH, spec)
+        rows = assert_matches_oracle(ts, ys, grid, ROUGH, spec)
         assert [np.isinf(r["cv"]) for r in rows] == [
             False, True, False, True, False, False]
         assert rows[1]["se"] == rows[3]["se"] == 0.0
@@ -157,7 +226,7 @@ class TestSelect:
         ts, ys = noisy_sample(1000, 4, sigma=0.2)
         grid = TuningGrid(C_rho_grid=(1e-3, 1e2), h_grid=(0.25,))
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
-        pick = cv_select(rows, UNIT)
+        pick = cv_select(rows, UNIT, 1000, None)  # margin 0 admits every row
         assert pick["h"] == 0.25
         heavy = next(r for r in rows if r["C_rho"] == 1e2)
         light = next(r for r in rows if r["C_rho"] == 1e-3)
@@ -172,14 +241,14 @@ class TestSelect:
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         cvs = [r["cv"] for r in rows]
         assert max(cvs) - min(cvs) == 0.0
-        pick = cv_select(rows, UNIT)
+        pick = cv_select(rows, UNIT, 200, None)
         assert (pick["C_rho"], pick["h"]) == (1.0, 0.25)
 
     def test_report_round_trips(self, tmp_path):
         ts, ys = noisy_sample(200, 6)
         grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25,), n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
-        pick = cv_select(rows, UNIT)
+        pick = cv_select(rows, UNIT, 200, None)
         path = tmp_path / "tuning.csv"
         write_tuning_report(path, rows, pick, UNIT, 200)
         with open(path) as fh:
@@ -194,17 +263,18 @@ class TestSelect:
     def test_screen_leaves_the_rows_unchanged(self):
         # at margin 0.1 the design Gram degenerates once q passes about 39,
         # so deploying to n = 1e5 screens out every h above 0.2 uncapped
-        # and none under a 30-unit cap; the rows must serve both screens
+        # and none under a 30-unit cap, nor (q <= 20) at n = 100; the rows
+        # must serve every screen
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
         ts, ys = noisy_sample(500, 9)
         grid = TuningGrid(C_rho_grid=(1e-3, 1.0), h_grid=(0.2, 0.5), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         before = copy.deepcopy(rows)
-        assert cv_select(rows, spec)["h"] == 0.5
-        assert cv_select(rows, spec, n_deploy=100_000)["h"] == 0.2
+        admit_all = cv_select(rows, spec, 100, None)
+        assert admit_all["h"] == 0.5
+        assert cv_select(rows, spec, 100_000, None)["h"] == 0.2
         assert rows == before
-        assert cv_select(rows, spec, n_deploy=100_000, mem_cap=30) \
-            is cv_select(rows, spec)
+        assert cv_select(rows, spec, 100_000, 30) is admit_all
         assert rows == before
 
     def test_nothing_deployable_is_a_tuning_error(self):
@@ -213,5 +283,5 @@ class TestSelect:
         grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.5,), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         with pytest.raises(TuningError):
-            cv_select(rows, spec, n_deploy=100_000)
+            cv_select(rows, spec, 100_000, None)
         assert np.isfinite(rows[0]["cv"])
