@@ -122,19 +122,22 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     for first in range(0, n, block):
         t, e = ts[:n - first], noise[:n - first]
         # one batch's draws after another's, as when each batch is streamed
-        # as it is drawn: its points, then its noise
+        # as it is drawn: its points, then its noise.  uniform(0, 1) is
+        # 0 + 1 u and normal(0, s) is 0 + s z, so drawing u and z in place
+        # and scaling z once per block gives the same draws and bits
         for lo in range(0, t.size, BATCH_SIZE):
-            size = min(BATCH_SIZE, t.size - lo)
-            t[lo:lo + size] = rng.uniform(0.0, 1.0, size)
+            hi = min(lo + BATCH_SIZE, t.size)
+            rng.random(out=t[lo:hi])
             if noise_sd > 0:
-                e[lo:lo + size] = rng.normal(0.0, noise_sd, size)
+                rng.standard_normal(out=e[lo:hi])
         # m_omega and the noise act point by point, so one call per block
         # gives each batch the values a call of its own would; the engine's
         # ledger is a function of n alone, so one ingest per block moves
-        # only the rounding of G
+        # only the rounding of G.  s z may be -0.0 where 0 + s z is +0.0;
+        # adding it to m_omega >= +0 gives the same sum
         ys = m(t)
         if noise_sd > 0:
-            ys += e
+            ys += noise_sd * e
         reg.ingest(t, ys)
     return reg.checkpoint_json(), reg.memory_footprint()
 

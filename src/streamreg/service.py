@@ -6,6 +6,14 @@ One request per line, one JSON response per line.  Requests:
     {"op": "query", "stream_id": s, "kind": "estimate"|"density", "t": x}
     {"op": "query", "stream_id": s, "kind": "stats"}
 
+Requests must be strict JSON (RFC 8259), decoded by orjson: ``NaN``,
+``Infinity``, a number that overflows a double, bytes that are not UTF-8, a
+lone surrogate and nesting deeper than MAX_DEPTH levels are ``request``
+errors ("bad JSON").  A stream_id is a string or an integer (not a bool);
+anything else is a ``request`` error before any stream is read or created.
+Integers outside [-2**63, 2**64) decode as floats, so they are refused as
+ids rather than sharing a stream with a nearby float.
+
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
 "message": text}.  A ``stats`` reply holds n, q_active, memory_units, rho
 and density_certified: whether the density sketch is proven non-negative,
@@ -22,11 +30,13 @@ connection and every existing stream keep being served.
 """
 
 import json
+import reprlib
 import socketserver
 import threading
 from dataclasses import dataclass
 
 import numpy as np
+import orjson
 
 from .basis import BasisSpec, PenaltySpec, is_real, require
 from .engine import OnePassRegressor
@@ -40,6 +50,17 @@ MAX_LINE_BYTES = 1 << 20
 
 # Most streams one service holds.
 MAX_STREAMS = 1024
+
+# Deepest array or object nesting a request line may have.  orjson builds the
+# decoded objects recursively, so a deeper valid line would exhaust the
+# handler thread's stack: one 300 000 levels deep ends the process.
+MAX_DEPTH = 4096
+
+# Every byte but brackets and quotes, and each bracket's step in depth.
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+_DEPTH_STEP = np.zeros(256, dtype=np.intp)
+_DEPTH_STEP[list(b"[{")] = 1
+_DEPTH_STEP[list(b"]}")] = -1
 
 
 @dataclass(frozen=True)
@@ -129,11 +150,40 @@ class StreamRegistry:
                 return {"value": reg.estimate(float(t), self._rho(reg))}
             if kind == "density":
                 return {"value": reg.density_at(float(t))}
-            raise ValueError(f"unknown query kind {kind!r}")
+            raise ValueError(f"unknown query kind {reprlib.repr(kind)}")
 
     def _rho(self, reg):
         return rho_at(self.config.C_rho, self.config.h, reg.n,
                       reg.penalty.zeta)
+
+
+def _nesting_depth(raw):
+    """Deepest array or object nesting of a JSON text, not counting brackets
+    inside strings; exact for valid JSON, the only text orjson turns into
+    objects."""
+    # without escaped backslashes, then escaped quotes, every quote left
+    # opens or closes a string
+    marks = raw.replace(b"\\\\", b"").replace(b'\\"', b"")
+    outside = b"".join(marks.translate(None, _NOT_MARKS).split(b'"')[::2])
+    steps = _DEPTH_STEP[np.frombuffer(outside, dtype=np.uint8)]
+    return int(np.cumsum(steps).max(initial=0))
+
+
+def decode_request(raw):
+    """Decode one request line (bytes) as strict JSON; ValueError if it is
+    not, or if it nests deeper than MAX_DEPTH levels."""
+    # each level takes two bytes, so a short line cannot nest too deep
+    if len(raw) > 2 * MAX_DEPTH and _nesting_depth(raw) > MAX_DEPTH:
+        raise ValueError(f"nested deeper than {MAX_DEPTH} levels")
+    return orjson.loads(raw)
+
+
+def _stream_id(request):
+    stream_id = request["stream_id"]
+    if isinstance(stream_id, bool) or not isinstance(stream_id, (str, int)):
+        raise ValueError(f"stream_id must be a string or an integer, not "
+                         f"{type(stream_id).__name__}")
+    return stream_id
 
 
 def handle_request(registry, request):
@@ -143,12 +193,13 @@ def handle_request(registry, request):
             raise ValueError("request must be a JSON object")
         op = request.get("op")
         if op == "ingest":
-            result = registry.ingest(request["stream_id"], request["points"])
+            result = registry.ingest(_stream_id(request), request["points"])
         elif op == "query":
-            result = registry.query(request["stream_id"], request["kind"],
+            result = registry.query(_stream_id(request), request["kind"],
                                     request.get("t"))
         else:
-            raise ValueError(f"unknown op {op!r}")
+            # reprlib bounds the text of a long or deeply nested value
+            raise ValueError(f"unknown op {reprlib.repr(op)}")
         return {"ok": True, **result}
     except KeyError as exc:
         return {"ok": False, "error": "not_found", "message": str(exc)}
@@ -182,8 +233,8 @@ class _Handler(socketserver.StreamRequestHandler):
                 continue
             else:
                 try:
-                    request = json.loads(raw)
-                except ValueError as exc:  # bad JSON or bytes that are not text
+                    request = decode_request(raw)
+                except ValueError as exc:  # not strict JSON, or nested too deep
                     response = {"ok": False, "error": "request",
                                 "message": f"bad JSON: {exc}"}
                 else:

@@ -66,6 +66,8 @@ def rho_at(C_rho, h, n, zeta=4.0):
 
 @lru_cache(maxsize=64)
 def _min_gram_eigenvalue(spec, q):
+    if spec.extension_margin == 0.0:  # gram_uniform is I_q / (hi - lo)
+        return 1.0 / (spec.hi - spec.lo)
     H = np.asarray(basis_mod.gram_uniform(spec, q))
     return float(np.min(np.linalg.eigvalsh(H)))
 

@@ -11,15 +11,17 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from streamreg import cli, harness
+from streamreg import cli, harness, service
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
 from streamreg.engine import OnePassRegressor
 from streamreg.harness import Scenario
 from streamreg.scheduler import SchedulerConfig
-from streamreg.service import (MAX_LINE_BYTES, MAX_STREAMS, ServiceConfig,
-                               StreamRegistry, StreamService, handle_request)
+from streamreg.service import (MAX_DEPTH, MAX_LINE_BYTES, MAX_STREAMS,
+                               ServiceConfig, StreamRegistry, StreamService,
+                               decode_request, handle_request)
 from streamreg.errors import TuningError
 from streamreg.tuning import TuningGrid, cv_select, cv_table, rho_at
 
@@ -270,6 +272,63 @@ class TestRegistry:
         assert stats["n"] == 1600
 
 
+def nesting_depth(value):
+    """Array or object nesting of a decoded JSON value."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return 1 + max(map(nesting_depth, value), default=0)
+    return 0
+
+
+# strings full of the characters the depth scan must see through
+_tricky_text = st.text(alphabet='[]{}"\\a\u00e9\n', max_size=8)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _tricky_text
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(_tricky_text, kids, max_size=4),
+    max_leaves=30)
+
+
+class TestDecodeRequest:
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(allow_nan=False,
+                                              allow_infinity=False),
+                                    st.floats(allow_nan=False,
+                                              allow_infinity=False)),
+                          min_size=1, max_size=20),
+           fmt=st.sampled_from([repr, "%.17g".__mod__, "%.25g".__mod__]))
+    def test_finite_doubles_decode_to_the_bits_json_gives(self, pairs, fmt):
+        # so state, replies and checkpoints are those the stdlib decoder
+        # gave; "%.25g" also writes integers past 2**64, which orjson
+        # decodes as floats and json as ints
+        points = ", ".join(f"[{fmt(t)}, {fmt(y)}]" for t, y in pairs)
+        line = (f'{{"op": "ingest", "stream_id": "s", '
+                f'"points": [{points}]}}\n').encode()
+        got, want = decode_request(line), json.loads(line)
+        assert got.keys() == want.keys()
+        assert (got["op"], got["stream_id"]) == (want["op"], want["stream_id"])
+        assert (np.asarray(got["points"], dtype=float).view(np.uint64)
+                == np.asarray(want["points"], dtype=float).view(np.uint64)
+                ).all()
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=json_values, ensure_ascii=st.booleans())
+    def test_depth_scan_counts_only_structure(self, value, ensure_ascii):
+        line = json.dumps(value, ensure_ascii=ensure_ascii).encode()
+        assert service._nesting_depth(line) == nesting_depth(value)
+
+    def test_depth_limit(self):
+        line = b"[" * MAX_DEPTH + b"]" * MAX_DEPTH
+        value, depth = decode_request(line), 1
+        while value:
+            value, depth = value[0], depth + 1
+        assert depth == MAX_DEPTH
+        with pytest.raises(ValueError, match="nested deeper"):
+            decode_request(b"[" + line + b"]")
+
+
 class TestSocketService:
     def test_round_trip_over_tcp(self):
         server = StreamService(ServiceConfig(known_uniform_density=True))
@@ -422,6 +481,80 @@ class TestSocketService:
             reply = json.loads(estimate, parse_constant=pytest.fail)
             assert (reply["ok"], reply["error"]) == (False, "non_finite")
             assert json.loads(stats)["n"] == 1
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_stream_id_is_a_string_or_an_integer(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        serve_background(server)
+        ingest = b'{"op": "ingest", "stream_id": %s, "points": [[0.5, 1.0]]}'
+        stats = b'{"op": "query", "stream_id": %s, "kind": "stats"}'
+        try:
+            with socket.create_connection(server.address) as sock:
+                fh = sock.makefile("rwb")
+
+                def send(line):
+                    fh.write(line + b"\n")
+                    fh.flush()
+                    return json.loads(fh.readline())
+
+                # 2**64 and 2**64 + 1 decode to one float, so they would
+                # share a stream
+                for bad in (b"true", b"1.5", b"null", b"[1]",
+                            b"18446744073709551616", b"18446744073709551617"):
+                    for line in (ingest % bad, stats % bad):
+                        resp = send(line)
+                        assert (resp["ok"], resp["error"]) == (False,
+                                                               "request")
+                assert server.registry._streams == {}
+                good = (b"0", b"1023", b"-9223372036854775808",
+                        b"18446744073709551615", b'"1"')
+                for sid in good:
+                    assert send(ingest % sid) == {"ok": True, "n": 1}
+                    assert send(stats % sid)["n"] == 1
+                assert set(server.registry._streams) == {
+                    0, 1023, -2 ** 63, 2 ** 64 - 1, "1"}
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_non_strict_json_is_a_request_error(self):
+        server = StreamService(ServiceConfig())
+        serve_background(server)
+        ingest = b'{"op": "ingest", "stream_id": "s", "points": [[0.5, %s]]}'
+        # past MAX_DEPTH, and deep enough that decoding it would exhaust the
+        # handler thread's stack
+        deep = b"[" * 300_000 + b"]" * 300_000
+        try:
+            with socket.create_connection(server.address) as sock:
+                fh = sock.makefile("rwb")
+
+                def send(line):
+                    fh.write(line + b"\n")
+                    fh.flush()
+                    return json.loads(fh.readline())
+
+                assert send(ingest % b"1.0") == {"ok": True, "n": 1}
+                reg = server.registry._engine("s")[0]
+                before = reg.checkpoint_json()
+                for line in (ingest % b"NaN", ingest % b"Infinity",
+                             ingest % b"-Infinity", ingest % b"1e400",
+                             b'{"op": "ingest", "stream_id": "\\ud800", '
+                             b'"points": [[0.5, 1.0]]}',
+                             ingest % deep):
+                    resp = send(line)
+                    assert (resp["ok"], resp["error"]) == (False, "request")
+                    assert resp["message"].startswith("bad JSON"), line[:80]
+                    assert reg.checkpoint_json() == before
+                # nested as deep as a request may be, a value is refused
+                # like any other bad field
+                op = b"[" * (MAX_DEPTH - 1) + b"]" * (MAX_DEPTH - 1)
+                resp = send(b'{"op": %s}' % op)
+                assert (resp["ok"], resp["error"]) == (False, "request")
+                assert resp["message"].startswith("unknown op")
+                assert set(server.registry._streams) == {"s"}
+                assert send(ingest % b"2.0") == {"ok": True, "n": 2}
         finally:
             server.shutdown()
             server.server_close()

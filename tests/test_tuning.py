@@ -1,5 +1,6 @@
 import copy
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from oracles import cv_table_by_batch_fit, cv_tolerance
 from streamreg import basis, tuning
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.errors import TuningError
-from streamreg.tuning import (TuningGrid, cv_select, cv_table, rho_at,
-                              write_tuning_report)
+from streamreg.tuning import (TuningGrid, cv_select, cv_table, deployable,
+                              rho_at, write_tuning_report)
 
 UNIT = BasisSpec(0.0, 1.0)
 ROUGH = PenaltySpec("roughness")
@@ -285,3 +286,23 @@ class TestSelect:
         with pytest.raises(TuningError):
             cv_select(rows, spec, 100_000, None)
         assert np.isfinite(rows[0]["cv"])
+
+
+class TestDeployable:
+    @pytest.mark.parametrize("length", [1e-3, 0.7, 1.0, 3.0, 2.5e4])
+    def test_margin_zero_matches_the_gram_spectrum(self, length):
+        spec = BasisSpec(-0.5, -0.5 + length)
+        for q in (1, 2, 3, 92, 633):
+            H = basis.gram_uniform(spec, q)
+            assert tuning._min_gram_eigenvalue(spec, q) == \
+                np.min(np.linalg.eigvalsh(H))
+
+    def test_margin_zero_builds_no_gram(self):
+        # h = 0.8 reaches q = 20 000 at n = 1e5: a 3.2 GB Gram if built
+        tracemalloc.start()
+        try:
+            assert deployable(UNIT, 0.8, 100_000, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
