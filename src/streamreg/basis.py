@@ -12,6 +12,8 @@ integrals below taken) on the data domain [lo, hi] only, where they are no
 longer orthonormal; downstream Gram reconstruction accounts for that.
 """
 
+import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -129,30 +131,48 @@ def eval_matrix(spec, q, t):
     return out
 
 
+def _packed(coef):
+    """Horner coefficients of a series: c_0 = coef_1 / sqrt(2) and
+    c_k = coef_{2k} + i coef_{2k+1} for k = 1..q // 2 (0 past coef_q), as
+    one complex array whose real view is the coefficients, shifted."""
+    q = coef.size
+    c = np.zeros(2 * (q // 2) + 2)
+    c[0] = coef[0] * math.sqrt(0.5)
+    c[2:q + 1] = coef[1:]
+    return c.view(complex)
+
+
 def series(spec, coef, t):
     """The series sum_j coef_j phi_j(t); a scalar t gives a float, an array
     t an array of its shape.
 
-    An array is evaluated without the (len(t), q) basis matrix: with
-    c_0 = coef_1 / sqrt(2) and c_k = coef_{2k} - i coef_{2k+1}, the series is
-    sqrt(2/P) Re sum_k c_k z^k for z = exp(2 pi i (t - origin) / P), summed
-    by Horner's rule in z.  A scalar t keeps the basis-vector product.
+    No basis matrix is built: with c_0 = coef_1 / sqrt(2) and
+    c_k = coef_{2k} + i coef_{2k+1}, the series is sqrt(2/P) Re sum_k c_k w^k
+    for w = exp(-2 pi i (t - origin) / P), summed by Horner's rule in w.  An
+    array is summed in numpy, a scalar in Python ``complex`` arithmetic.
+    Horner's rule differs from the basis-vector product by rounding only: a
+    few q u times sqrt(2/P) sum_j |coef_j| at most (u the unit roundoff).
     """
-    t = np.asarray(t, dtype=float)
-    q = coef.size
-    if t.ndim == 0:
-        return float((eval_matrix(spec, q, t) @ coef)[0])
-    if q < 1:
+    if coef.size < 1:
         raise DomainError("basis count q must be >= 1")
+    t = np.asarray(t, dtype=float)
+    if t.ndim == 0:
+        x = float(t)
+        if not spec.lo <= x <= spec.hi:  # NaN fails too
+            raise DomainError(
+                f"evaluation point outside domain [{spec.lo}, {spec.hi}]")
+        w = cmath.exp((-2j * math.pi / spec.period) * (x - spec.origin))
+        c = _packed(coef).tolist()
+        acc = c.pop()
+        for ck in reversed(c):
+            acc = acc * w + ck
+        return math.sqrt(2.0 / spec.period) * acc.real
     t = _check_points(spec, t)
-    c = np.zeros(q // 2 + 1, dtype=complex)
-    c[0] = coef[0] * np.sqrt(0.5)
-    c.real[1:] = coef[1::2]
-    c.imag[1:(q + 1) // 2] = -coef[2::2]
-    z = np.exp((2j * np.pi / spec.period) * (t - spec.origin))
+    c = _packed(coef)
+    w = np.exp((-2j * np.pi / spec.period) * (t - spec.origin))
     acc = np.full(t.shape, c[-1])
     for ck in c[-2::-1]:
-        acc *= z
+        acc *= w
         acc += ck
     return np.sqrt(2.0 / spec.period) * acc.real
 
@@ -163,8 +183,9 @@ def _curvature_factors(spec, q):
     return -((2.0 * np.pi * k / spec.period) ** 2)
 
 
+@functools.lru_cache(maxsize=8)
 def penalty_matrix(spec, penalty, q):
-    """Penalty matrix W for the first q basis functions.
+    """Penalty matrix W for the first q basis functions, read-only.
 
     Identity kind returns I_q.  Roughness kind returns the matrix of
     integrated products of second derivatives over the data domain.  Since
@@ -172,17 +193,25 @@ def penalty_matrix(spec, penalty, q):
     (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix.  At
     margin 0, H = I_q / (hi - lo) and W is diagonal; its diagonal is formed
     with the same roundings as the dense product.
+
+    W depends on its arguments only, so the last 8 are kept: every solve
+    after an ingest asks for the same one.  Callers build new arrays from
+    W rather than writing into it.
     """
     if q < 1:
         raise DomainError("basis count q must be >= 1")
     if penalty.kind == "identity":
-        return np.eye(q)
-    c = _curvature_factors(spec, q)
-    length = spec.hi - spec.lo
-    if spec.extension_margin == 0.0:
-        return np.diag(((length * c) * (1.0 / length)) * c)
-    W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
-    return 0.5 * (W + W.T)
+        W = np.eye(q)
+    else:
+        c = _curvature_factors(spec, q)
+        length = spec.hi - spec.lo
+        if spec.extension_margin == 0.0:
+            W = np.diag(((length * c) * (1.0 / length)) * c)
+        else:
+            W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
+            W = 0.5 * (W + W.T)
+    W.flags.writeable = False
+    return W
 
 
 # From K = SPLIT_MIN on, ``Powers`` keeps z^0..z^K as two tables of about

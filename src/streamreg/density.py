@@ -12,9 +12,13 @@ Queries use the clipped and renormalized max(0, f_hat) / z.  The sketch
 family is orthonormal on [lo, hi] (no extension margin), so every basis
 function but the constant integrates to zero there: when f_hat >= 0 is
 proven (``certified``), clipping is the identity, z = theta_1 sqrt(P) and
-the Fourier moments of the normalized density are read off theta.  An
-uncertified sketch integrates max(0, f_hat) by quadrature.
+the Fourier moments of the normalized density are read off theta.  The
+proof is O(p) for a near-uniform sketch, whose constant term outweighs the
+l1 norm of the others; an FFT grid test decides the rest.  An uncertified
+sketch integrates max(0, f_hat) by quadrature.
 """
+
+import math
 
 import numpy as np
 
@@ -22,6 +26,8 @@ from . import basis as basis_mod
 from . import quadrature
 from .errors import DegenerateDensityError, StateError
 from .scheduler import slot_counts
+
+_EPS = float(np.finfo(float).eps)
 
 
 class DensityState:
@@ -68,13 +74,22 @@ class DensityState:
 
     def certified(self):
         """Whether f_hat >= 0 on all of [lo, hi] is proven; decided on first
-        use after each update.
+        use after each update, as a ``bool``.
 
-        With K = p // 2, f_hat is a trigonometric polynomial of degree K in
-        x = 2 pi (t - lo) / P.  One inverse real FFT evaluates it on
-        N = max(4096, 64 K) equispaced points, and every x lies within pi / N
-        of one of them.  Bernstein's inequality, sup |f_hat'| <= K sup |f_hat|
-        in x (Zygmund, *Trigonometric Series*, ch. X), then gives
+        Two sufficient tests; the sketch is certified when either passes.
+
+        The coefficient bound, O(p): every |phi_j| <= sqrt(2/P) for j >= 2,
+        so f_hat(t) >= (theta_1 - sqrt(2) sum_{j>=2} |theta_j|) / sqrt(P)
+        everywhere.  That figure must exceed 8 p eps times the coefficients'
+        l1 norm, which covers the rounding of the sum and of ``evaluate``'s
+        Horner's rule.  A near-uniform sketch passes it.
+
+        The grid test, when the bound fails: with K = p // 2, f_hat is a
+        trigonometric polynomial of degree K in x = 2 pi (t - lo) / P.  One
+        inverse real FFT evaluates it on N = max(4096, 64 K) equispaced
+        points, and every x lies within pi / N of one of them.  Bernstein's
+        inequality, sup |f_hat'| <= K sup |f_hat| in x (Zygmund,
+        *Trigonometric Series*, ch. X), then gives
         sup |f_hat| <= M / (1 - pi K / N) for the grid maximum M of |f_hat|,
         and f_hat >= 0 wherever the grid minimum exceeds pi K / N times that.
         Both grid figures are widened by N eps times the coefficients' l1
@@ -82,9 +97,16 @@ class DensityState:
         """
         if self._certified is None:
             p = self.active_count
-            self._certified = (p >= 1 and self.basis.extension_margin == 0.0
-                               and self._nonnegative(p))
+            self._certified = bool(
+                p >= 1 and self.basis.extension_margin == 0.0
+                and (self._bounded_below(p) or self._nonnegative(p)))
         return self._certified
+
+    def _bounded_below(self, p):
+        theta = self.theta[:p]
+        first, rest = float(theta[0]), float(np.abs(theta[1:]).sum())
+        slack = 8 * p * _EPS * (abs(first) + rest)
+        return first - math.sqrt(2.0) * rest > slack
 
     def _nonnegative(self, p):
         K = p // 2
@@ -98,7 +120,7 @@ class DensityState:
         c.imag[1:(p + 1) // 2] = -theta[2::2] / np.sqrt(2.0 * P)
         vals = np.fft.irfft(N * c, N)
         l1 = abs(c[0]) + 2.0 * np.abs(c[1:]).sum()
-        slack = N * np.finfo(float).eps * l1
+        slack = N * _EPS * l1
         step = np.pi * K / N
         sup = (np.abs(vals).max() + slack) / (1.0 - step)
         return bool(vals.min() - slack > step * sup)

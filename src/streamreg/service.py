@@ -12,7 +12,10 @@ lone surrogate and nesting deeper than MAX_DEPTH levels are ``request``
 errors ("bad JSON").  A stream_id is a string or an integer (not a bool);
 anything else is a ``request`` error before any stream is read or created.
 Integers outside [-2**63, 2**64) decode as floats, so they are refused as
-ids rather than sharing a stream with a nearby float.
+ids rather than sharing a stream with a nearby float.  The entries of each
+[t, y] pair and a query's t must be JSON numbers, and t a finite one: a
+string or a boolean is a ``request`` error too, and the stream is left as it
+was.
 
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
 "message": text}.  A ``stats`` reply holds n, q_active, memory_units, rho
@@ -62,6 +65,9 @@ _DEPTH_STEP = np.zeros(256, dtype=np.intp)
 _DEPTH_STEP[list(b"[{")] = 1
 _DEPTH_STEP[list(b"]}")] = -1
 
+# The types of a JSON number once decoded; bool, a subclass of int, is not one.
+_NUMBERS = frozenset((int, float))
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -109,10 +115,7 @@ class StreamRegistry:
             return self._streams.get(stream_id)
 
     def ingest(self, stream_id, points):
-        points = np.asarray(points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
-            raise ValueError("points must be a non-empty list of [t, y] pairs")
-        ts, ys = np.ascontiguousarray(points.T)
+        ts, ys = _columns(points)
         entry = self._engine(stream_id)
         if entry is None:
             reg = self.config.engine()
@@ -144,8 +147,9 @@ class StreamRegistry:
                 return {"n": reg.n, "q_active": reg.active_count,
                         "memory_units": reg.memory_footprint(), "rho": rho,
                         "density_certified": certified}
-            if t is None:
-                raise ValueError(f"query kind {kind!r} requires t")
+            if not is_real(t):
+                raise ValueError(f"query kind {reprlib.repr(kind)} requires "
+                                 f"t, a finite number")
             if kind == "estimate":
                 return {"value": reg.estimate(float(t), self._rho(reg))}
             if kind == "density":
@@ -155,6 +159,25 @@ class StreamRegistry:
     def _rho(self, reg):
         return rho_at(self.config.C_rho, self.config.h, reg.n,
                       reg.penalty.zeta)
+
+
+def _columns(points):
+    """The t and y columns of a non-empty list of [t, y] pairs whose entries
+    are numbers: ints or floats, not bools or strings.  ValueError for
+    anything else."""
+    try:
+        # strict: pairs of unequal length raise rather than truncate
+        ts, ys = zip(*points, strict=True)
+    except (TypeError, ValueError):
+        raise ValueError("points must be a non-empty list of [t, y] "
+                         "pairs") from None
+    if not {*map(type, ts), *map(type, ys)} <= _NUMBERS:
+        raise ValueError("point entries must be numbers")
+    try:
+        return (np.fromiter(ts, float, len(ts)),
+                np.fromiter(ys, float, len(ys)))
+    except OverflowError:  # an int past the float range
+        raise ValueError("point entries must be finite numbers") from None
 
 
 def _nesting_depth(raw):

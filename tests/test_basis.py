@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (eval_basis, eval_matrix_trig, eval_vector,
                      projection_residual, roughness_penalty_dense,
@@ -129,6 +131,27 @@ class TestPenaltyMatrix:
             want = roughness_penalty_dense(spec, q)
             assert np.array_equal(W, want)
             assert W.tobytes() == want.tobytes()  # signed zeros too
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("kind", ["identity", "roughness"])
+    def test_memo_equals_a_fresh_build_and_is_read_only(self, margin, kind):
+        spec, pen = BasisSpec(0.0, 1.0, margin), PenaltySpec(kind)
+        for q in (1, 2, 7, 92, 93):
+            W = penalty_matrix(spec, pen, q)
+            assert penalty_matrix(spec, pen, q) is W
+            fresh = penalty_matrix.__wrapped__(spec, pen, q)
+            assert W.tobytes() == fresh.tobytes()
+            with pytest.raises(ValueError):
+                W[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                W += 0.0
+
+    def test_memo_holds_at_most_eight(self):
+        assert penalty_matrix.cache_info().maxsize == 8
+        for q in range(1, 40):
+            for spec in (UNIT, EXTENDED):
+                penalty_matrix(spec, PenaltySpec("roughness"), q)
+                assert penalty_matrix.cache_info().currsize <= 8
 
     @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
     @pytest.mark.parametrize("kind", ["identity", "roughness"])
@@ -292,14 +315,59 @@ class TestSeries:
         assert got.shape == t.shape
         assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
+    @staticmethod
+    def horner_gap(spec, coef, t):
+        """The scalar series' distance from the basis-vector product, and
+        its bound.  Horner's rule and the product each round within about
+        2 q u sqrt(2/P) ||coef||_1 (the complex products and the powers
+        z^k); the bound, 8 q u, covers both."""
+        got = series(spec, coef, t)
+        assert type(got) is float
+        want = (eval_matrix(spec, coef.size, t) @ coef)[0]
+        u = np.finfo(float).eps / 2
+        return abs(got - want), (8 * coef.size * u * np.sqrt(2.0 / spec.period)
+                                 * np.abs(coef).sum())
+
     @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
     @pytest.mark.parametrize("q", [1, 2, 92, 93])
-    def test_scalar_is_byte_identical(self, spec, q):
+    def test_scalar_within_the_horner_bound(self, spec, q):
         coef = np.random.default_rng(q).normal(size=q)
         for t in (0.0, 0.3, 1.0):
-            got = series(spec, coef, t)
-            assert type(got) is float
-            assert got == (eval_matrix(spec, q, t) @ coef)[0]
+            gap, bound = self.horner_gap(spec, coef, t)
+            assert gap <= bound
+
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1),
+           domain=st.sampled_from([(0.0, 1.0), (-1.0, 3.0), (2.5, 2.75)]),
+           margin=st.sampled_from([0.0, 0.1]),
+           where=st.one_of(st.sampled_from(["lo", "hi"]),
+                           st.floats(0.0, 1.0)))
+    def test_scalar_horner_bound_property(self, q, seed, domain, margin,
+                                          where):
+        lo, hi = domain
+        spec = BasisSpec(lo, hi, extension_margin=margin)
+        t = {"lo": lo, "hi": hi}.get(where)
+        if t is None:
+            t = min(lo + where * (hi - lo), hi)
+        coef = np.random.default_rng(seed).normal(size=q)
+        gap, bound = self.horner_gap(spec, coef, t)
+        assert gap <= bound
+
+    @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
+    def test_scalar_matches_the_array_branch(self, spec):
+        coef = np.random.default_rng(5).normal(size=93)
+        t = np.array([0.0, 0.3, 1.0])
+        scalars = [series(spec, coef, x) for x in t]
+        np.testing.assert_allclose(scalars, series(spec, coef, t),
+                                   rtol=0, atol=1e-13)
+        assert series(spec, coef, np.float64(0.3)) == scalars[1]
+        assert series(spec, coef, np.array(0.3)) == scalars[1]
+
+    @pytest.mark.parametrize("t", [float("nan"), -0.1, 1.5, float("inf"),
+                                   -float("inf"), np.float64("nan")])
+    def test_scalar_outside_the_domain_rejected(self, t):
+        with pytest.raises(DomainError):
+            series(UNIT, np.ones(5), t)
 
     def test_out_of_domain_rejected(self):
         coef = np.ones(5)

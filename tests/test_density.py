@@ -305,6 +305,46 @@ class TestCertificate:
         state.gram(BasisSpec(0.0, 1.0, extension_margin=0.1), 5)
         assert len(calls) == 1
 
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           offset=st.one_of(st.floats(-1e-11, 1e-11), st.floats(-0.5, 0.5)),
+           decay=st.booleans(), aligned=st.booleans())
+    def test_coefficient_bound_is_sound(self, p, seed, offset, decay,
+                                        aligned):
+        # theta_1 sits ``offset`` (relative) from the bound's threshold
+        # sqrt(2) sum_{j>=2} |theta_j|; the bound's slack, 8 p eps of the
+        # l1 norm, is under 1.1e-12 of it for p <= 300
+        rng = np.random.default_rng(seed)
+        rest = rng.normal(size=p - 1)
+        if decay:
+            rest /= np.arange(2, p + 1)
+        if aligned:
+            # negative cosines only: f_hat(lo) is the bound itself, so a
+            # negative offset makes f_hat(lo) < 0
+            rest[0::2] = -np.abs(rest[0::2])
+            rest[1::2] = 0.0
+        edge = np.sqrt(2.0) * np.abs(rest).sum()
+        first = edge * (1.0 + offset) if p > 1 else offset
+        state = DensityState(UNIT)
+        state.theta = np.concatenate([[first], rest])
+        state.active_count = p
+        certified = state.certified()
+        assert type(certified) is bool
+        if state._nonnegative(p):  # certified today stays certified
+            assert certified
+        if certified:
+            assert state.evaluate(np.linspace(0, 1, 1 << 16)).min() >= 0
+        if offset > 1e-11:  # clear of the slack: the bound alone decides
+            assert certified and state._bounded_below(p)
+
+    def test_bound_certifies_uniform_and_both_tests_refuse_beta(
+            self, uniform_sketch, beta_sketch):
+        assert uniform_sketch._bounded_below(uniform_sketch.active_count)
+        p = beta_sketch.active_count
+        assert not beta_sketch._bounded_below(p)
+        assert not beta_sketch._nonnegative(p)
+        assert beta_sketch.certified() is False
+
     @settings(max_examples=200, deadline=None)
     @given(p=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),
            offset=st.floats(-0.02, 0.1))

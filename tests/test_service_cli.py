@@ -129,16 +129,59 @@ class TestRegistry:
         assert resp["error"] == "request"
 
     def test_non_finite_y_rejected(self, registry):
+        # strict JSON cannot carry a NaN, so it is sent in-process
         ingest_points(registry, "a", 20)
+        before = registry._engine("a")[0].checkpoint_json()
+        with pytest.raises(ValueError, match="non-finite"):
+            registry.ingest("a", [[0.5, float("nan")]])
         resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
-                                         "points": [[0.5, "nan"]]})
+                                         "points": [[0.5, float("nan")]]})
         assert (resp["ok"], resp["error"]) == (False, "request")
+        assert registry._engine("a")[0].checkpoint_json() == before
         stats = handle_request(registry, {"op": "query", "stream_id": "a",
                                           "kind": "stats"})
         assert stats["n"] == 20
         est = handle_request(registry, {"op": "query", "stream_id": "a",
                                         "kind": "estimate", "t": 0.5})
         assert est["ok"] and np.isfinite(est["value"])
+
+    @pytest.mark.parametrize("points", [
+        [[0.5, "1.0"]], [["0.5", 1.0]], [[0.5, True]], [[False, 1.0]],
+        [[0.5, None]], [[0.5, [1.0]]], [[0.5, {"y": 1.0}]], "ab",
+        {"ab": 1.0, "cd": 2.0}, [[0.1, 1.0], [0.2]],
+        [[0.1, 1.0, 2.0], [0.2, 3.0]], [[0.5, 10 ** 400]],
+        [[0.2, 1.0], [0.5, True]]])
+    def test_non_numbers_in_points_rejected(self, registry, points):
+        # each is refused whole: a known stream keeps its bytes, and a new
+        # stream_id stays unknown
+        ingest_points(registry, "a", 20)
+        before = registry._engine("a")[0].checkpoint_json()
+        for stream_id in ("a", "new"):
+            resp = handle_request(registry, {"op": "ingest",
+                                             "stream_id": stream_id,
+                                             "points": points})
+            assert (resp["ok"], resp["error"]) == (False, "request")
+        assert registry._engine("a")[0].checkpoint_json() == before
+        assert registry._engine("new") is None
+
+    def test_integer_entries_are_numbers(self, registry):
+        resp = handle_request(registry, {"op": "ingest", "stream_id": "a",
+                                         "points": [[0, 1], [1, -2.5]]})
+        assert resp == {"ok": True, "n": 2}
+
+    @pytest.mark.parametrize("kind", ["estimate", "density"])
+    @pytest.mark.parametrize("t", ["0.5", True, False, None, [0.5],
+                                   float("nan"), float("inf"), 10 ** 400])
+    def test_query_t_must_be_a_finite_number(self, registry, kind, t):
+        ingest_points(registry, "a", 200)
+        before = registry._engine("a")[0].checkpoint_json()
+        resp = handle_request(registry, {"op": "query", "stream_id": "a",
+                                         "kind": kind, "t": t})
+        assert (resp["ok"], resp["error"]) == (False, "request")
+        assert registry._engine("a")[0].checkpoint_json() == before
+        for good in (0, 1, 0.5):
+            assert handle_request(registry, {"op": "query", "stream_id": "a",
+                                             "kind": kind, "t": good})["ok"]
 
     def test_overflowing_y_rejected(self):
         # finite y whose slot sums overflow must not reach G
@@ -553,6 +596,11 @@ class TestSocketService:
                 resp = send(b'{"op": %s}' % op)
                 assert (resp["ok"], resp["error"]) == (False, "request")
                 assert resp["message"].startswith("unknown op")
+                # so is such a kind on a query that lacks t
+                resp = send(b'{"op": "query", "stream_id": "s", "kind": %s}'
+                            % op)
+                assert (resp["ok"], resp["error"]) == (False, "request")
+                assert "requires t" in resp["message"]
                 assert set(server.registry._streams) == {"s"}
                 assert send(ingest % b"2.0") == {"ok": True, "n": 2}
         finally:
