@@ -311,25 +311,45 @@ def gram_from_moments(spec, q, mu):
     K = q // 2, the Toeplitz T[k, l] = mu_{k-l} (mu_{-m} = conj mu_m) and
     the Hankel Hk[k, l] = mu_{k+l} for k, l = 0..K give, times 1/P,
     cos_k cos_l = Re(T + Hk), sin_k sin_l = Re(T - Hk),
-    cos_k sin_l = Im(Hk - T) and sin_k cos_l = Im(Hk + T).  phi_1 is the
-    k = 0 cosine scaled by 1/sqrt(2), and the k = 0 sine is dropped.  The
-    result is symmetric to the bit.
+    cos_k sin_l = Im(Hk - T) and sin_k cos_l = Im(Hk + T).  Rows and
+    columns of this bordered matrix run c_0, s_0, c_1, s_1, ...; phi_1 is
+    the k = 0 cosine scaled by 1/sqrt(2), and the k = 0 sine is dropped.
+    The result is symmetric to the bit.
+
+    No complex Toeplitz or Hankel array is built.  Along row 2k + r the
+    Toeplitz terms run (Re T, -Im T) for r = 0, (Im T, Re T) for r = 1, at
+    k - l for l = 0, 1, ..., and the Hankel terms (Re Hk, Im Hk) or
+    (Im Hk, -Re Hk) at k + l.  So each row is one real addition of two
+    contiguous windows of four short real vectors, and the rows of one r are
+    strided views of them.  Then come the division by P and phi_1's
+    scalings, as in the complex assembly.  A difference is the sum with the
+    negated term, and negation is exact, so every entry has the complex
+    assembly's bits (``tests/oracles.gram_from_moments``).
     """
     K = q // 2
-    k = np.arange(K + 1)
+    n = 2 * K + 1
+    P = spec.period
     signed = np.concatenate([mu[K:0:-1].conj(), mu[:K + 1]])  # mu_{-K..K}
-    T = signed[k[:, None] - k[None, :] + K]
-    Hk = mu[k[:, None] + k[None, :]]
-    full = np.empty((K + 1, 2, K + 1, 2))
-    full[:, 0, :, 0] = T.real + Hk.real
-    full[:, 1, :, 1] = T.real - Hk.real
-    full[:, 0, :, 1] = Hk.imag - T.imag
-    full[:, 1, :, 0] = Hk.imag + T.imag
-    # rows and columns run c_0, s_0, c_1, s_1, ...; s_0 = 0 gives way to c_0
-    full = full.reshape(2 * K + 2, 2 * K + 2)
-    H = full[1:q + 1, 1:q + 1] / spec.period
-    H[0, 0] = 0.5 * full[0, 0] / spec.period
-    H[0, 1:] = H[1:, 0] = np.sqrt(0.5) * full[0, 2:q + 1] / spec.period
+    rev = signed[::-1]  # mu_{K..-K}
+    V = np.empty((4, n), dtype=complex)
+    V[0] = rev.conj()  # (Re T, -Im T)
+    V[1].real, V[1].imag = rev.imag, rev.real  # (Im T, Re T)
+    V[2] = mu[:n]  # (Re Hk, Im Hk)
+    V[3].real, V[3].imag = mu[:n].imag, -mu[:n].real  # (Im Hk, -Re Hk)
+    V = V.reshape(-1).view(float)
+    e = V.itemsize
+    full = np.empty((q + 1, q + 1))
+    for r in (0, 1):
+        # row 2k + r reads V[r] from 2 (K - k) and V[2 + r] from 2k
+        rows = (q - r) // 2 + 1
+        T = np.ndarray((rows, q + 1), float, V, (2 * n * r + 2 * K) * e,
+                       (-2 * e, e))
+        Hk = np.ndarray((rows, q + 1), float, V, 2 * n * (2 + r) * e,
+                        (2 * e, e))
+        np.add(T, Hk, out=full[r::2])
+    H = full[1:, 1:] / P
+    H[0, 0] = 0.5 * full[0, 0] / P
+    H[0, 1:] = H[1:, 0] = np.sqrt(0.5) * full[0, 2:] / P
     return H
 
 

@@ -102,11 +102,34 @@ class DensityState:
                 and (self._bounded_below(p) or self._nonnegative(p)))
         return self._certified
 
-    def _bounded_below(self, p):
+    def _coefficient_sums(self, p):
+        """theta_1 and sum_{j>=2} |theta_j| over the first p slots."""
         theta = self.theta[:p]
-        first, rest = float(theta[0]), float(np.abs(theta[1:]).sum())
+        return float(theta[0]), float(np.abs(theta[1:]).sum())
+
+    def _bounded_below(self, p):
+        first, rest = self._coefficient_sums(p)
         slack = 8 * p * _EPS * (abs(first) + rest)
         return first - math.sqrt(2.0) * rest > slack
+
+    def bounds(self):
+        """An interval (f_lo, f_hi), f_lo > 0, holding the normalized
+        density f_hat / (theta_1 sqrt(P)) on [lo, hi], or None.
+
+        The coefficient bound gives it for a certified sketch:
+        f_lo, f_hi = (theta_1 -/+ sqrt(2) sum_{j>=2} |theta_j|) / (theta_1 P).
+        It is None when the sketch is not certified, or when that f_lo is
+        not positive, as for most sketches the grid test alone certifies.
+        The figures are rounded, by a few p eps times f_hi.
+        """
+        if not self.certified():
+            return None
+        first, rest = self._coefficient_sums(self.active_count)
+        spread = math.sqrt(2.0) * rest
+        if not first > spread:
+            return None
+        scale = first * self.basis.period
+        return (first - spread) / scale, (first + spread) / scale
 
     def _nonnegative(self, p):
         K = p // 2

@@ -14,6 +14,7 @@ is solved for the active slots only.
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 from scipy import linalg
@@ -37,7 +38,13 @@ WARMUP_RHO_FLOOR = 1e-8
 # solved.  For symmetric A of order q, lambda_max/lambda_min <= kappa_1 <=
 # q lambda_max/lambda_min, and the estimate never undershoots 1/kappa_1, so
 # the gate matches the eigenvalue-ratio test within a factor of about q.
+# dpocon runs unless a conditioning certificate stands in for it: a proven
+# bound kappa on kappa_2 of the system, widened by 8 (q + 1)^2 u of its
+# largest eigenvalue for rounding, with q kappa below 1 / RCOND_FLOOR, so
+# that dpocon could not have refused it (see ``penalized_solve``).
 RCOND_FLOOR = 1e-10
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _from_fields(cls, record):
@@ -78,6 +85,9 @@ class OnePassRegressor:
         self.density = None if known_uniform_density else DensityState(
             density_basis)
         self._coef_cache = {}
+        # for the ``stats`` query only; neither is checkpointed
+        self.last_solve = None  # the gate record of the last solve
+        self.coef_cache_hits = 0
 
     # ------------------------------------------------------------------
     # ingestion
@@ -138,10 +148,26 @@ class OnePassRegressor:
         return slot_counts(self.start, self.n)
 
     def gram(self, q):
-        """Gram matrix of the first q basis functions at the current state."""
+        """Gram matrix H of the first q basis functions at the current
+        state, and an interval (lo, hi) proven to hold its eigenvalues, or
+        None.
+
+        At margin 0 the family is orthonormal on the domain, so
+        H = int phi phi^T f, and by the Rayleigh quotient its eigenvalues lie
+        between the least and the greatest value of the design density f
+        (Grenander and Szego, *Toeplitz Forms and Their Applications*,
+        1958): 1/(hi - lo) when f is known to be uniform, and
+        ``DensityState.bounds`` for a sketch.  The interval goes with the H
+        it describes to ``penalized_solve``.
+        """
+        spec = self.reg_basis
+        margin_zero = spec.extension_margin == 0.0
         if self.density is None:
-            return basis_mod.gram_uniform(self.reg_basis, q)
-        return self.density.gram(self.reg_basis, q)
+            f = 1.0 / (spec.hi - spec.lo)
+            return (basis_mod.gram_uniform(spec, q),
+                    (f, f) if margin_zero else None)
+        return (self.density.gram(spec, q),
+                self.density.bounds() if margin_zero else None)
 
     def solve_coefficients(self, rho):
         """Solve the penalized system for the currently active slots."""
@@ -155,12 +181,17 @@ class OnePassRegressor:
         if self.n < self.schedule.q0:
             rho = max(rho, WARMUP_RHO_FLOOR)
         W = basis_mod.penalty_matrix(self.reg_basis, self.penalty, q)
-        return penalized_solve(self.gram(q), W, rho, self.G[:q] / counts)
+        H, spectrum = self.gram(q)
+        coef, self.last_solve = penalized_solve(H, W, rho,
+                                                self.G[:q] / counts, spectrum)
+        return coef
 
     def coefficients(self, rho):
         """Cached coefficient solve; the cache clears on every ingest."""
         key = float(rho)
-        if key not in self._coef_cache:
+        if key in self._coef_cache:
+            self.coef_cache_hits += 1
+        else:
             self._coef_cache[key] = self.solve_coefficients(rho)
         return self._coef_cache[key]
 
@@ -275,7 +306,7 @@ def batch_fit(ts, ys, spec, q, rho, penalty):
     """Non-streaming baseline: (n^-1 Phi'Phi + rho W)^-1 (n^-1 Phi'Y)."""
     H, rhs = normal_equations(spec, q, ts, ys)
     W = basis_mod.penalty_matrix(spec, penalty, q)
-    return penalized_solve(H, W, rho, rhs)
+    return penalized_solve(H, W, rho, rhs, None)[0]
 
 
 def normal_equations(spec, q, ts, ys):
@@ -293,29 +324,72 @@ def normal_equations(spec, q, ts, ys):
     return H / n, powers.sums(ys)[:q] / n
 
 
-def penalized_solve(H, W, rho, rhs):
-    """(H + rho W)^-1 rhs by Cholesky, for the engine, batch and CV fits.
+def _kappa_bound(spectrum, W, rho):
+    """An upper bound on kappa_2(H + rho W) as LAPACK sees it, from an
+    interval (lo, hi) holding the eigenvalues of H, for a PSD W; inf when
+    there is no interval or it proves nothing."""
+    if spectrum is None or not rho >= 0.0:
+        return math.inf
+    lo, hi = spectrum
+    hi = hi + rho * float(W.trace())  # lambda_max(W) <= tr W, W being PSD
+    # the rounding of H, A and the interval, dpotrf's backward error and
+    # that of the solves in dpocon: each under 2 q (q + 1) u ||A||_2
+    delta = 8 * (W.shape[0] + 1) ** 2 * _EPS * hi
+    return (hi + delta) / (lo - delta) if lo > delta else math.inf
+
+
+def penalized_solve(H, W, rho, rhs, spectrum):
+    """(H + rho W)^-1 rhs by Cholesky, for the engine, batch and CV fits,
+    and the record of the gate that admitted the system.
 
     A Cholesky factorization can succeed on a system that is singular to
-    working precision and silently return garbage, so gate on LAPACK's
-    estimate of the reciprocal 1-norm condition number too; a refusal
-    reports dpotrf's failure or that estimate.  The LAPACK routines are
-    called directly, without scipy's checking wrappers, so a non-finite
-    system is refused here, before anything is factored."""
+    working precision and silently return garbage, so the system must also
+    be shown to be well conditioned.  ``spectrum`` is an interval (lo, hi)
+    proven to hold the eigenvalues of H, or None.  With W PSD, those of
+    A = H + rho W lie in [lo, hi + rho tr W].  Widen that interval by
+    delta = 8 (q + 1)^2 u (hi + rho tr W), u the unit roundoff.  Delta
+    covers the rounding of H, of A and of the interval itself, the backward
+    error of dpotrf, |dA| <= gamma_{q+1} |R^T| |R| with
+    || |R^T| |R| ||_2 <= q ||A||_2 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, Thm 10.3), and that of the triangular
+    solves inside dpocon.  Then kappa = (hi + rho tr W + delta) / (lo -
+    delta) bounds kappa_2 of the matrix LAPACK factors.  dpocon's estimate
+    never undershoots 1/kappa_1 >= 1/(q kappa_2) (Higham, ch. 15), so when
+    q kappa < 1 / RCOND_FLOOR it could not refuse the system: it is skipped
+    with the 1-norm it needs, and the record is
+    {"gate": "certificate", "kappa_bound": kappa}.  Otherwise LAPACK's
+    estimate of the reciprocal 1-norm condition number gates the solve, and
+    the record is {"gate": "dpocon", "rcond": rcond}.  So the certificate
+    refuses no system that dpocon accepts, and accepts none it refuses.
+
+    A refusal reports dpotrf's failure or dpocon's estimate.  The LAPACK
+    routines are called directly, without scipy's checking wrappers, so a
+    non-finite system is refused here, before anything is factored."""
     A = H + rho * W
-    anorm = np.abs(A).sum(0).max()  # np.linalg.norm(A, 1)
-    # a NaN or inf in A makes its 1-norm NaN or inf (as does a finite A too
-    # large for its 1-norm to be a double, which no Cholesky would survive)
-    if not (np.isfinite(anorm) and np.isfinite(rhs).all()):
+    kappa = _kappa_bound(spectrum, W, rho)
+    certified = A.shape[0] * kappa < 1.0 / RCOND_FLOOR
+    if certified:
+        finite = np.isfinite(A).all()
+    else:
+        anorm = np.abs(A).sum(0).max()  # np.linalg.norm(A, 1)
+        # a NaN or inf in A makes its 1-norm NaN or inf (as does a finite A
+        # too large for its 1-norm to be a double, which no Cholesky would
+        # survive)
+        finite = np.isfinite(anorm)
+    if not (finite and np.isfinite(rhs).all()):
         raise ValueError("penalized system holds a NaN or inf")
     c, info = linalg.lapack.dpotrf(A, lower=1, clean=0)
     if info != 0:
         raise IllConditionedSystemError(
             "penalized Gram system is not positive definite")
-    rcond = linalg.lapack.dpocon(c, anorm, uplo="L")[0]
-    # a NaN rcond fails the gate too
-    if not rcond > RCOND_FLOOR:
-        raise IllConditionedSystemError(
-            f"penalized Gram system is numerically singular "
-            f"(rcond {rcond:.3e} <= {RCOND_FLOOR:g})")
-    return linalg.lapack.dpotrs(c, rhs, lower=1)[0]
+    if certified:
+        gate = {"gate": "certificate", "kappa_bound": kappa}
+    else:
+        rcond = float(linalg.lapack.dpocon(c, anorm, uplo="L")[0])
+        # a NaN rcond fails the gate too
+        if not rcond > RCOND_FLOOR:
+            raise IllConditionedSystemError(
+                f"penalized Gram system is numerically singular "
+                f"(rcond {rcond:.3e} <= {RCOND_FLOOR:g})")
+        gate = {"gate": "dpocon", "rcond": rcond}
+    return linalg.lapack.dpotrs(c, rhs, lower=1)[0], gate

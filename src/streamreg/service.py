@@ -18,9 +18,16 @@ string or a boolean is a ``request`` error too, and the stream is left as it
 was.
 
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
-"message": text}.  A ``stats`` reply holds n, q_active, memory_units, rho
-and density_certified: whether the density sketch is proven non-negative,
-so that its queries need no quadrature (null for a known-uniform density).
+"message": text}.  A ``stats`` reply holds n, q_active, p_active (the
+sketch's active slots; null for a known-uniform density), pending_slots
+(slots opened but not yet active), memory_units, rho, density_certified
+(whether the density sketch is proven non-negative, so that its queries
+need no quadrature; null for a known-uniform density), last_solve and
+coef_cache_hits.  last_solve is the gate record of the stream's last
+coefficient solve, {"gate": "certificate", "kappa_bound": x} or
+{"gate": "dpocon", "rcond": x}, or null before the first one;
+coef_cache_hits counts the estimates answered from the coefficient cache.
+Neither is checkpointed.
 Numbers survive the wire bit-exactly (JSON floats are emitted with shortest
 round-trip formatting).  A reply that would hold NaN or inf, which JSON
 cannot, is sent as a ``non_finite`` error instead.
@@ -142,11 +149,16 @@ class StreamRegistry:
         with lock:
             if kind == "stats":
                 rho = self._rho(reg)
-                certified = (None if reg.density is None
-                             else reg.density.certified())
+                sketch = reg.density
                 return {"n": reg.n, "q_active": reg.active_count,
+                        "p_active": None if sketch is None
+                        else sketch.active_count,
+                        "pending_slots": reg.G.size - reg.active_count,
                         "memory_units": reg.memory_footprint(), "rho": rho,
-                        "density_certified": certified}
+                        "density_certified": None if sketch is None
+                        else sketch.certified(),
+                        "last_solve": reg.last_solve and dict(reg.last_solve),
+                        "coef_cache_hits": reg.coef_cache_hits}
             if not is_real(t):
                 raise ValueError(f"query kind {reprlib.repr(kind)} requires "
                                  f"t, a finite number")

@@ -121,7 +121,7 @@ def cv_table(ts, ys, grid, penalty, spec):
                 cvs = []
                 for j in range(J):
                     a = penalized_solve(H_train[j, :q, :q], W, rho,
-                                        rhs_train[j, :q])
+                                        rhs_train[j, :q], None)[0]
                     cvs.append(float(yy[j] - 2.0 * (a @ b[j, :q])
                                      + a @ A[j, :q, :q] @ a))
                 cv = sum(cvs)

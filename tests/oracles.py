@@ -227,6 +227,30 @@ def weighted_gram(spec, q, x, w):
     return (0.5 * (H + H.T)).astype(float)
 
 
+def gram_from_moments(spec, q, mu):
+    """``basis.gram_from_moments`` by its complex assembly: the Toeplitz
+    T[k, l] = mu_{k-l} (mu_{-m} = conj mu_m) and the Hankel Hk[k, l] =
+    mu_{k+l} as complex arrays, their real and imaginary sums and
+    differences in a 4-D array, then the division by P and phi_1's
+    scalings.  The gathered assembly must have its bits."""
+    K = q // 2
+    k = np.arange(K + 1)
+    signed = np.concatenate([mu[K:0:-1].conj(), mu[:K + 1]])  # mu_{-K..K}
+    T = signed[k[:, None] - k[None, :] + K]
+    Hk = mu[k[:, None] + k[None, :]]
+    full = np.empty((K + 1, 2, K + 1, 2))
+    full[:, 0, :, 0] = T.real + Hk.real
+    full[:, 1, :, 1] = T.real - Hk.real
+    full[:, 0, :, 1] = Hk.imag - T.imag
+    full[:, 1, :, 0] = Hk.imag + T.imag
+    # rows and columns run c_0, s_0, c_1, s_1, ...; s_0 = 0 gives way to c_0
+    full = full.reshape(2 * K + 2, 2 * K + 2)
+    H = full[1:q + 1, 1:q + 1] / spec.period
+    H[0, 0] = 0.5 * full[0, 0] / spec.period
+    H[0, 1:] = H[1:, 0] = np.sqrt(0.5) * full[0, 2:q + 1] / spec.period
+    return H
+
+
 def sup_sum_squares(spec, q):
     """Max over a uniform grid of sum_{j<=q} phi_j(t)^2.
 
@@ -412,7 +436,7 @@ def cv_tolerance(ts, ys, grid, penalty, spec):
                 for j in range(J):
                     train = folds != j
                     H, rhs = normal_equations(spec, q, ts[train], ys[train])
-                    a = penalized_solve(H, W, rho, rhs)
+                    a = penalized_solve(H, W, rho, rhs, None)[0]
                     M = H + rho * W
                     lam = np.linalg.eigvalsh(M)
                     n_t = np.count_nonzero(train)

@@ -87,7 +87,7 @@ def test_criterion_01_replay_equivalence():
 
         q = eng.active_count
         counts = n - eng.start[:q] + 1
-        A = eng.gram(q) + 0.05 * penalty_matrix(spec, ROUGH, q)
+        A = eng.gram(q)[0] + 0.05 * penalty_matrix(spec, ROUGH, q)
         coef_replay = np.linalg.solve(A, g_replay[:q] / counts)
         ok &= rel_close(eng.coefficients(0.05), coef_replay, 1e-10)
     verdict(1, "replay equivalence", ok)
@@ -114,7 +114,7 @@ def test_criterion_02_closed_form_agreement():
     feed(eng2, ts, ys, 100)
     Phi = eval_matrix(ext, q, ts)
     H_emp = Phi.T @ Phi / n
-    eng2.gram = lambda q: H_emp
+    eng2.gram = lambda q: (H_emp, None)
     for rho in (0.0, 1e-3, 0.5):
         streamed = eng2.solve_coefficients(rho)
         batched = batch_fit(ts, ys, ext, q, rho, ROUGH)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import (eval_basis, eval_matrix_trig, eval_vector,
                      projection_residual, roughness_penalty_dense,
                      sup_sum_squares, weighted_gram)
@@ -276,6 +277,22 @@ class TestGramFromMoments:
         assert H.shape == (q, q)
         np.testing.assert_array_equal(H, H.T)
         assert np.max(np.abs(H - oracle)) <= 4e-15 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("spec", [UNIT, BasisSpec(-2.0, 3.5),
+                                      EXTENDED, BasisSpec(-2.0, 3.5, 0.1)])
+    def test_gathers_have_the_complex_assembly_bits(self, spec):
+        # random complex moments, mu_0 included and some exactly zero, so
+        # signed zeros and a non-real mu_0 are covered too
+        rng = np.random.default_rng(2101)
+        for q in range(1, 131):
+            mu = rng.normal(size=2 * (q // 2) + 1) \
+                + 1j * rng.normal(size=2 * (q // 2) + 1)
+            mu[rng.random(mu.size) < 0.2] *= 0.0
+            H = gram_from_moments(spec, q, mu)
+            oracle = oracles.gram_from_moments(spec, q, mu)
+            assert H.shape == oracle.shape == (q, q)
+            assert H.flags.c_contiguous
+            assert H.tobytes() == oracle.tobytes(), q
 
     @pytest.mark.parametrize("lo, hi", DOMAINS)
     @pytest.mark.parametrize("margin", [0.1, 0.3])

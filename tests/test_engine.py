@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from streamreg.basis import BasisSpec, PenaltySpec, eval_matrix
+from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
+                             penalty_matrix)
 from oracles import partition_tolerance, weighted_gram
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               batch_fit, normal_equations, penalized_solve)
@@ -206,7 +207,7 @@ class TestSolve:
         feed(eng, ts, ys, batch=50)
         Phi = eval_matrix(UNIT, 5, ts)
         H = Phi.T @ Phi / ts.size
-        eng.gram = lambda q: H
+        eng.gram = lambda q: (H, None)
         for rho in (0.0, 1e-3, 0.5):
             streamed = eng.solve_coefficients(rho)
             batched = batch_fit(ts, ys, UNIT, 5, rho, ROUGH)
@@ -238,7 +239,7 @@ class TestSolve:
     def test_singular_gram_raises_with_diagnostic(self):
         eng = make_engine(q0=2, mem_cap=6)
         eng.ingest([0.1, 0.6], [1.0, 2.0])
-        eng.gram = lambda q: np.zeros((2, 2))
+        eng.gram = lambda q: (np.zeros((2, 2)), None)
         with pytest.raises(IllConditionedSystemError,
                            match="not positive definite"):
             eng.solve_coefficients(0.0)
@@ -248,7 +249,7 @@ class TestSolve:
         # (q0 = 2 keeps the warm-up ridge out of A)
         eng = make_engine(q0=2, mem_cap=6)
         eng.ingest([0.1, 0.6], [1.0, 2.0])
-        eng.gram = lambda q: np.diag([1.0, -0.5])
+        eng.gram = lambda q: (np.diag([1.0, -0.5]), None)
         with pytest.raises(IllConditionedSystemError,
                            match="not positive definite"):
             eng.solve_coefficients(0.0)
@@ -264,7 +265,7 @@ class TestSolve:
         monkeypatch.setattr(linalg, "eigvalsh", eigvalsh)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         with pytest.raises(IllConditionedSystemError):
-            penalized_solve(H, np.zeros((3, 3)), 0.0, np.ones(3))
+            penalized_solve(H, np.zeros((3, 3)), 0.0, np.ones(3), None)
 
     @pytest.mark.parametrize("kappa", [1e8, 1e12])
     def test_gate_follows_the_condition_number(self, kappa):
@@ -278,10 +279,11 @@ class TestSolve:
         Q = np.linalg.qr(np.random.default_rng(21).normal(size=(q, q)))[0]
         H = (Q * np.geomspace(1.0, 1.0 / kappa, q)) @ Q.T
         H = 0.5 * (H + H.T)
-        eng.gram = lambda q: H
+        eng.gram = lambda q: (H, None)
         rhs = eng.G / eng.slot_counts()
         for solve in (eng.solve_coefficients,
-                      lambda rho: penalized_solve(H, np.eye(q), rho, rhs)):
+                      lambda rho: penalized_solve(H, np.eye(q), rho, rhs,
+                                                  None)[0]):
             if kappa > 1e10:
                 with pytest.raises(IllConditionedSystemError) as exc_info:
                     solve(0.0)
@@ -302,23 +304,27 @@ class TestSolve:
         feed(eng, *sample(50, 20, np.cos))
         H = np.eye(q)
         H[at] = H[at[::-1]] = bad
-        eng.gram = lambda q: H
+        eng.gram = lambda q: (H, None)
+        # a certificate, here a false one, skips dpocon but not this check
         for solve in (eng.solve_coefficients, eng.coefficients,
                       lambda rho: penalized_solve(H, np.eye(q), rho,
-                                                  np.ones(q))):
+                                                  np.ones(q), None),
+                      lambda rho: penalized_solve(H, np.eye(q), rho,
+                                                  np.ones(q), (1.0, 1.0))):
             with pytest.raises(ValueError, match="NaN or inf"):
                 solve(1e-3)
         assert eng._coef_cache == {}
         rhs = np.ones(q)
         rhs[at[1]] = bad
-        with pytest.raises(ValueError, match="NaN or inf"):
-            penalized_solve(np.eye(q), np.eye(q), 1e-3, rhs)
+        for spectrum in (None, (1.0, 1.0)):
+            with pytest.raises(ValueError, match="NaN or inf"):
+                penalized_solve(np.eye(q), np.eye(q), 1e-3, rhs, spectrum)
 
     def test_nan_rcond_fails_the_gate(self, monkeypatch):
         monkeypatch.setattr(linalg.lapack, "dpocon",
                             lambda *args, **kwargs: (np.nan, 0))
         with pytest.raises(IllConditionedSystemError):
-            penalized_solve(np.eye(3), np.eye(3), 0.0, np.ones(3))
+            penalized_solve(np.eye(3), np.eye(3), 0.0, np.ones(3), None)
 
     def test_negative_rho_rejected(self):
         eng = make_engine(q0=2, mem_cap=6)
@@ -345,6 +351,103 @@ class TestSolve:
         feed(eng, ts, ys)
         fit = eng.estimate(np.array([0.25, 0.75]), 1e-2)
         assert np.all(np.isfinite(fit))
+
+
+def certificate_system(known, kind, q, lo, length, theta):
+    """An engine's (H, spectrum) and W at q: known-uniform, or a sketch
+    holding ``theta`` over q active slots."""
+    spec = BasisSpec(lo, lo + length)
+    eng = OnePassRegressor(spec, PenaltySpec(kind), SchedulerConfig(),
+                           known_uniform_density=known)
+    if not known:
+        eng.density.theta = theta
+        eng.density.active_count = q
+    return *eng.gram(q), penalty_matrix(spec, PenaltySpec(kind), q)
+
+
+class TestConditioningCertificate:
+    @settings(max_examples=400, deadline=None)
+    @given(known=st.booleans(), kind=st.sampled_from(["identity",
+                                                      "roughness"]),
+           q=st.integers(1, 120), log_rho=st.floats(-12.0, 2.0),
+           lo=st.floats(-5.0, 5.0), log_length=st.floats(-1.0, 2.0),
+           log_gap=st.floats(-13.0, 0.0), aligned=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_certificate_is_sound(self, known, kind, q, log_rho, lo,
+                                  log_length, log_gap, aligned, seed):
+        # sketches whose coefficient bound holds by a relative gap down to
+        # 1e-13, so q kappa runs past 1 / RCOND_FLOOR; aligned cosines put
+        # the density's minimum on the bound itself, so the bound is tight
+        rng = np.random.default_rng(seed)
+        theta = np.zeros(q)
+        theta[0] = 10.0 ** rng.uniform(-3.0, 3.0)
+        if q > 1:
+            rest = rng.exponential(size=q - 1) * rng.choice([-1.0, 1.0],
+                                                            size=q - 1)
+            if aligned:
+                rest[1::2] = 0.0  # sines
+                rest = -np.abs(rest)
+            theta[1:] = rest * (theta[0] * (1.0 - 10.0 ** log_gap)
+                                / (np.sqrt(2.0) * np.abs(rest).sum()))
+        H, spectrum, W = certificate_system(known, kind, q, lo,
+                                            10.0 ** log_length, theta)
+        rho = 10.0 ** log_rho
+        rhs = rng.normal(size=q)
+        try:
+            coef, gate = penalized_solve(H, W, rho, rhs, spectrum)
+        except IllConditionedSystemError:
+            gate = None
+        if gate is None or gate["gate"] != "certificate":
+            return
+        # dpocon, had it run, would have passed the system
+        gated, record = penalized_solve(H, W, rho, rhs, None)
+        assert record["rcond"] > RCOND_FLOOR
+        assert gated.tobytes() == coef.tobytes()
+        lam = np.linalg.eigvalsh(H + rho * W)
+        assert 0.0 < lam[0] and lam[-1] / lam[0] <= gate["kappa_bound"]
+
+    @pytest.mark.parametrize("known", [True, False])
+    @pytest.mark.parametrize("kind", ["identity", "roughness"])
+    @pytest.mark.parametrize("q", [1, 2, 92, 120])
+    def test_near_uniform_systems_skip_dpocon(self, monkeypatch, known,
+                                              kind, q):
+        theta = np.full(q, 0.3 / q)
+        theta[0] = 1.0
+        H, spectrum, W = certificate_system(known, kind, q, 0.0, 1.0, theta)
+        monkeypatch.setattr(linalg.lapack, "dpocon", None)  # not called
+        coef, gate = penalized_solve(H, W, 1e-6, np.ones(q), spectrum)
+        assert gate["gate"] == "certificate"
+        assert gate["kappa_bound"] * q < 1.0 / RCOND_FLOOR
+
+    @pytest.mark.parametrize("q", [1, 5, 100])
+    def test_gate_threshold_is_q_kappa(self, q):
+        # spectrum(H) = {1} and one penalty eigenvalue w: the bound is
+        # (1 + w + delta) / (1 - delta), and the certificate stands in for
+        # dpocon only while q times it stays below 1 / RCOND_FLOOR
+        for factor, gate in [(0.5, "certificate"), (2.0, "dpocon")]:
+            W = np.zeros((q, q))
+            W[-1, -1] = factor / (q * RCOND_FLOOR)
+            coef, record = penalized_solve(np.eye(q), W, 1.0, np.ones(q),
+                                           (1.0, 1.0))
+            assert record["gate"] == gate
+            if gate == "certificate":
+                assert q * record["kappa_bound"] < 1.0 / RCOND_FLOOR
+                assert record["kappa_bound"] >= 1.0 + W[-1, -1]
+
+    def test_certificate_needs_margin_zero(self):
+        eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
+                               ROUGH, SchedulerConfig(),
+                               known_uniform_density=True)
+        assert eng.gram(5)[1] is None
+
+    def test_grid_certified_sketch_proves_no_spectrum(self):
+        # a bump whose coefficient bound fails but the grid test passes
+        eng = make_engine(known=False)
+        eng.density.theta = np.array([1.0, 0.6, 0.0, 0.2, 0.0])
+        eng.density.active_count = 5
+        assert eng.density.certified()
+        H, spectrum = eng.gram(5)
+        assert spectrum is None
 
 
 class TestMemory:

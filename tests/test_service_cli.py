@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from streamreg import cli, harness, service
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.cli import main
-from streamreg.engine import OnePassRegressor
+from streamreg.engine import RCOND_FLOOR, OnePassRegressor
 from streamreg.harness import Scenario
 from streamreg.scheduler import SchedulerConfig
 from streamreg.service import (MAX_DEPTH, MAX_LINE_BYTES, MAX_STREAMS,
@@ -73,6 +73,60 @@ class TestRegistry:
         assert stats["ok"] and stats["n"] == 50
         assert stats["q_active"] >= 1
         assert stats["memory_units"] > 0
+
+    @pytest.mark.parametrize("config, gate, p_active", [
+        (ServiceConfig(known_uniform_density=True), "certificate", False),
+        (ServiceConfig(), "certificate", True),  # a certified sketch
+        (ServiceConfig(extension_margin=0.1), "dpocon", True)])
+    def test_stats_report_slots_solves_and_cache_hits(self, config, gate,
+                                                      p_active):
+        registry = StreamRegistry(config)
+
+        def stats():
+            reply = handle_request(registry, {"op": "query", "stream_id": "a",
+                                              "kind": "stats"})
+            json.dumps(reply, allow_nan=False)  # the wire can carry it
+            return reply
+
+        def estimate():
+            reply = handle_request(registry, {"op": "query", "stream_id": "a",
+                                              "kind": "estimate", "t": 0.5})
+            assert reply["ok"], reply
+
+        ingest_points(registry, "a", 700)
+        reg = registry._engine("a")[0]
+        first = stats()
+        assert first["last_solve"] is None and first["coef_cache_hits"] == 0
+        assert first["p_active"] == (reg.active_count if p_active else None)
+        assert first["pending_slots"] == \
+            reg.schedule.slot_count(700) - reg.active_count > 0
+        record = reg.checkpoint_json()
+        estimate()
+        estimate()
+        estimate()
+        second = stats()
+        assert reg.checkpoint_json() == record  # none of it is checkpointed
+        assert second["coef_cache_hits"] == 2
+        solve = dict(second["last_solve"])
+        assert set(solve) == {"gate", "kappa_bound" if gate == "certificate"
+                              else "rcond"}
+        assert solve["gate"] == gate
+        assert {type(v) for k, v in solve.items() if k != "gate"} == {float}
+        if gate == "certificate":
+            assert 1.0 <= solve["kappa_bound"] \
+                < 1.0 / (RCOND_FLOOR * reg.active_count)
+        else:
+            assert RCOND_FLOOR < solve["rcond"] <= 1.0
+        # the reply holds a copy: changing it changes nothing in the stream
+        second["last_solve"]["gate"] = "changed"
+        assert stats()["last_solve"] == solve
+        # an ingest clears the cache but not the record of the last solve
+        ingest_points(registry, "a", 100, seed=1)
+        third = stats()
+        assert third["last_solve"] == solve
+        assert third["coef_cache_hits"] == 2
+        estimate()
+        assert stats()["coef_cache_hits"] == 2
 
     def test_streams_are_isolated(self, registry):
         ingest_points(registry, "a", 30)
