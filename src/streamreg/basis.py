@@ -244,40 +244,58 @@ class Powers:
     a = 0..r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
     ``low`` holds z^0..z^K and there is no ``high``; at K = 0 there is no
     table at all.  Every power is a product of the one z per point, the way
-    ``eval_matrix`` forms its columns, and each sum below reads only the
-    tables and its own weights, so it does not depend on what else the
-    tables served.
+    ``eval_matrix`` forms its columns.
+
+    The sums below build no array of the tables' size, so they read the
+    tables in an order.  ``w`` None stands for unit weights (the density
+    sketch's): their sums read the tables as they are and keep them.  The
+    ``moments`` or ``sums`` of any other weight vector is the tables' last
+    read, after every ``suffix_sum`` it needs: it weights the rows
+    z^0..z^(r-1) in place and drops both tables, so a later read fails
+    instead of reading weighted powers.  Either way the product gets the
+    operands of ``high @ (low[:r] * w).T``: a row weighted in place has the
+    bits of a weighted copy, and a power times 1 keeps its bits.  So no sum
+    depends on what else the tables served
+    (``tests/oracles.moments_out_of_place``).
     """
 
     def __init__(self, spec, q, t):
-        self.q, self.period = q, spec.period
+        t = np.asarray(t, float)
+        self.q, self.period, self.size = q, spec.period, t.size
         self.K = K = q // 2
         self.r = K + 1 if K < SPLIT_MIN else math.isqrt(K) + 1
         self.low = self.high = None
         if K == 0:
             return
-        z = np.exp((2j * np.pi / spec.period)
-                   * (np.asarray(t, float) - spec.origin))
+        z = (2j * np.pi / spec.period) * (t - spec.origin)
+        np.exp(z, out=z)
         if K < SPLIT_MIN:
             self.low = _powers(z, K + 1)
         else:
             self.low = _powers(z, self.r + 1)
+            del z  # high takes its z^r from low
             self.high = _powers(self.low[self.r], K // self.r + 1)
 
     def moments(self, w):
-        """Weighted moments mu_k = sum_i w_i z_i^k for k = 0..K."""
-        if self.low is None:
-            return np.array([w.sum()], dtype=complex)
-        if self.high is None:
-            return self.low @ w
+        """Weighted moments mu_k = sum_i w_i z_i^k for k = 0..K; a w other
+        than None is the tables' last read."""
+        low, high = self.low, self.high
+        if w is not None:
+            del self.low, self.high
+        if low is None:
+            return np.array([self.size if w is None else w.sum()],
+                            dtype=complex)
+        if high is None:
+            return low @ (np.ones(self.size) if w is None else w)
+        low = low[:self.r]
+        if w is not None:
+            low *= w
         # row b, column a of the product is mu_{a + r b}
-        return (self.high @ (self.low[:self.r] * w).T).ravel()[:self.K + 1]
+        return (high @ low.T).ravel()[:self.K + 1]
 
     def sums(self, w):
         """Per-function sums sum_i w_i phi_j(t_i) for j = 1..q: phi_1 from
         Re mu_0, and (phi_{2k}, phi_{2k+1}) from (Re mu_k, Im mu_k)."""
-        if self.low is None:
-            return np.array([w.sum() / math.sqrt(self.period)])
         mu = self.moments(w)
         out = np.empty(self.q)
         out[0] = mu[0].real / math.sqrt(self.period)
@@ -289,11 +307,13 @@ class Powers:
         """Entry j of ``sums``, phi_{j+1}, over the points from index lo on."""
         k = (j + 1) // 2
         if k == 0:
-            return w[lo:].sum() / math.sqrt(self.period)
+            total = max(self.size - lo, 0) if w is None else w[lo:].sum()
+            return total / math.sqrt(self.period)
         zk = self.low[k % self.r, lo:]
         if self.high is not None:
             zk = zk * self.high[k // self.r, lo:]
-        mu = np.dot(zk, w[lo:])
+        # unit weights as the complex ones np.dot would cast them to
+        mu = np.dot(zk, np.ones(zk.size, complex) if w is None else w[lo:])
         return math.sqrt(2.0 / self.period) * (mu.real if j % 2 else mu.imag)
 
 

@@ -114,6 +114,12 @@ class OnePassRegressor:
         n_new = self.n + ts.size
         start = self.schedule.extend(self.start, n_new)
         powers = basis_mod.Powers(self.reg_basis, start.size, ts)
+        theta_sums = None
+        if self.density is not None and self.density.basis == self.reg_basis:
+            # at margin 0 the sketch basis is the regression basis: the
+            # sketch's unit weights read the shared tables before G's fold
+            # weights them in place
+            theta_sums = fold(powers, None, start, self.n)
         G = self.G
         if start.size > G.size:
             G = np.concatenate([G, np.zeros(start.size - G.size)])
@@ -123,11 +129,10 @@ class OnePassRegressor:
         if not np.isfinite(G).all():
             raise ValueError("batch overflows the summary statistics")
         if self.density is not None:
-            # at margin 0 the sketch basis is the regression basis
-            if self.density.basis != self.reg_basis:
-                powers = basis_mod.Powers(self.density.basis, start.size, ts)
-            self.density.update(start, fold(powers, np.ones(ts.size), start,
-                                            self.n), self.n, n_new)
+            if theta_sums is None:
+                own = basis_mod.Powers(self.density.basis, start.size, ts)
+                theta_sums = fold(own, None, start, self.n)
+            self.density.update(start, theta_sums, self.n, n_new)
         self.G, self.start, self.n = G, start, n_new
         if self.density is not None:
             self.density.active_count = self.active_count
@@ -320,7 +325,8 @@ def normal_equations(spec, q, ts, ys):
     if q < 1:
         raise DomainError("basis count q must be >= 1")
     powers = basis_mod.Powers(spec, 2 * q, basis_mod._check_points(spec, ts))
-    H = basis_mod.gram_from_moments(spec, q, powers.moments(np.ones(n)))
+    # the unit weights read the tables in place before ys weights them
+    H = basis_mod.gram_from_moments(spec, q, powers.moments(None))
     return H / n, powers.sums(ys)[:q] / n
 
 
@@ -365,7 +371,8 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     A refusal reports dpotrf's failure or dpocon's estimate.  The LAPACK
     routines are called directly, without scipy's checking wrappers, so a
     non-finite system is refused here, before anything is factored."""
-    A = H + rho * W
+    A = np.multiply(W, rho)  # H + rho W with one temporary, to the bit
+    A += H
     kappa = _kappa_bound(spectrum, W, rho)
     certified = A.shape[0] * kappa < 1.0 / RCOND_FLOOR
     if certified:

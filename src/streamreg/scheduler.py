@@ -18,11 +18,14 @@ theta, so it is written once, here:
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
   theta).  It reads the batch's Fourier power tables (``basis.Powers``),
-  never a basis matrix: every slot first takes its whole-batch sum from the
-  weighted moments, then a slot that opens mid-batch, tau_j > n_old + 1,
-  replaces it by the sum from its own tau_j onward, taking z^k for that
-  suffix from the same tables.  The engine extends the start vector once
-  per batch and folds G and the sketch from it, so both follow one ledger.
+  never a basis matrix: a slot that opens mid-batch, tau_j > n_old + 1,
+  first takes its sum from its own tau_j onward, z^k for that suffix from
+  the tables; then every other slot takes its whole-batch sum from the
+  moments.  The sketch's unit weights read the tables as they are; G's
+  moments are the tables' last read and weight them by y in place.  So at
+  margin 0, where the two share one set of tables, the engine folds the
+  sketch first.  It extends the start vector once per batch and folds G
+  and the sketch from it, so both follow one ledger.
 """
 
 import math
@@ -158,9 +161,14 @@ def fold(powers, w, start, n_old):
 
     ``powers`` is the batch's ``basis.Powers`` for one slot per entry of
     ``start``; the batch's i-th observation has stream index n_old + 1 + i.
+    ``w`` None stands for unit weights.  The slots that open mid-batch take
+    their suffix sums first, since a weight vector's whole-batch sums are
+    the tables' last read.
     """
-    sums = powers.sums(w)
     # start is non-decreasing, so the slots opening mid-batch are a suffix
-    for j in range(start.searchsorted(n_old + 1, side="right"), start.size):
-        sums[j] = powers.suffix_sum(j, w, start[j] - n_old - 1)
+    first = start.searchsorted(n_old + 1, side="right")
+    suffix = [powers.suffix_sum(j, w, start[j] - n_old - 1)
+              for j in range(first, start.size)]
+    sums = powers.sums(w)
+    sums[first:] = suffix
     return sums

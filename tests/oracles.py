@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from streamreg import quadrature
+from streamreg import basis, quadrature
 from streamreg.basis import (Powers, _check_points, _curvature_factors,
                              eval_matrix, gram_uniform, penalty_matrix)
 from streamreg.engine import batch_fit, normal_equations, penalized_solve
@@ -52,10 +52,47 @@ def fold(vals, w, start, n_old):
     return sums
 
 
+def moments_out_of_place(powers, w):
+    """``Powers.moments(w)`` from a weighted copy of the tables, as
+    ``high @ (low[:r] * w).T``: the tables are read, never written or
+    dropped, so any number of weights can share them."""
+    low, high = powers.low, powers.high
+    if low is None:
+        return np.array([w.sum()], dtype=complex)
+    if high is None:
+        return low @ w
+    return (high @ (low[:powers.r] * w).T).ravel()[:powers.K + 1]
+
+
+def sums_out_of_place(powers, w):
+    """``Powers.sums(w)`` from ``moments_out_of_place``."""
+    P = powers.period
+    if powers.low is None:
+        return np.array([w.sum() / math.sqrt(P)])
+    mu = moments_out_of_place(powers, w)
+    out = np.empty(powers.q)
+    out[0] = mu[0].real / math.sqrt(P)
+    np.multiply(mu[1:].view(float)[:powers.q - 1], math.sqrt(2.0 / P),
+                out=out[1:])
+    return out
+
+
+def normal_equations_out_of_place(spec, q, ts, ys):
+    """``engine.normal_equations`` with the unit and the y weights each
+    taking its moments from its own weighted copy of one set of tables."""
+    n = ts.size
+    powers = Powers(spec, 2 * q, ts)
+    H = basis.gram_from_moments(spec, q,
+                                moments_out_of_place(powers, np.ones(n)))
+    return H / n, sums_out_of_place(powers, ys)[:q] / n
+
+
 def fold_scan(powers, w, start, n_old):
     """``scheduler.fold`` with a full scan of ``start`` for the slots that
-    open mid-batch, for any start vector, monotone or not."""
-    sums = powers.sums(w)
+    open mid-batch, for any start vector, monotone or not, and each weight
+    vector's whole-batch sums from a weighted copy of the tables
+    (``sums_out_of_place``), so it leaves ``powers`` as it found it."""
+    sums = sums_out_of_place(powers, w)
     for j in (start > n_old + 1).nonzero()[0]:
         sums[j] = powers.suffix_sum(j, w, start[j] - n_old - 1)
     return sums
@@ -72,8 +109,10 @@ def update_theta(theta, start, sums, n_old, n_new):
 
 def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
     """``OnePassRegressor.ingest`` of one valid batch by ``fold_scan`` and
-    ``update_theta``.  ``state`` is (n, start, G, theta), theta None without
-    a sketch; returns the state after the batch."""
+    ``update_theta``: G first, then the sketch's unit weights, each from
+    its own weighted copy of the tables.  ``state`` is (n, start, G,
+    theta), theta None without a sketch; returns the state after the
+    batch."""
     n, start, G, theta = state
     n_new = n + ts.size
     start = schedule.extend(start, n_new)

@@ -3,6 +3,7 @@ import functools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
+from streamreg.basis import (BasisSpec, PenaltySpec, Powers, eval_matrix,
                              penalty_matrix)
-from oracles import partition_tolerance, weighted_gram
+from oracles import (normal_equations_out_of_place, partition_tolerance,
+                     weighted_gram)
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               batch_fit, normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
@@ -38,6 +40,25 @@ def sample(n, seed, fn):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0, 1, n)
     return ts, fn(ts)
+
+
+def traced_peak(fn, *args):
+    """Most bytes that ``fn(*args)`` held at once beyond what was held
+    before it, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def table_bytes(spec, q, m):
+    """Bytes of the two power tables ``Powers(spec, q, t)`` builds for m
+    points, K = q // 2 >= SPLIT_MIN."""
+    p = Powers(spec, q, np.zeros(0))
+    return 16 * m * (p.r + 1 + p.K // p.r + 1)
 
 
 class TestIngest:
@@ -123,6 +144,34 @@ class TestIngest:
         vals = eval_matrix(UNIT, eng.G.size, ts)
         assert eng.start[5] == 13
         assert eng.G[5] == pytest.approx(np.dot(vals[12:, 5], ys[12:]), rel=1e-12)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("sketch", [True, False])
+    def test_one_call_allocates_only_its_tables(self, margin, sketch):
+        # a 2000-point call at n = 98 000 under h = 0.4 folds 263 slots,
+        # two of which open inside it; its tables z^0..z^12 and
+        # (z^12)^0..(z^12)^10 take 750 KiB
+        m = 2000
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.4),
+                               known_uniform_density=not sketch)
+        ts, ys = sample(100_000, 21, lambda t: np.sin(5 * t))
+        feed(eng, ts[:-m], ys[:-m], batch=m)
+        slots = eng.start.size
+        peak = traced_peak(eng.ingest, ts[-m:], ys[-m:])
+        s = eng.start.size
+        assert (slots, s) == (261, 263)
+        # Beside one set of tables a call holds, at any one time, either
+        # at most two complex m-vectors (z while the first table is built,
+        # as the second is built from the first; a suffix sum's z^k and
+        # its weights as complex) or, while G's weights go into the table
+        # in place, numpy's ufunc buffers: one of np.getbufsize() elements
+        # for y cast to complex and one for its broadcast over the rows.
+        # The rest is O(s): the new start vector, G, the sketch's and the
+        # call's per-slot sums.  A weighted copy of z^0..z^11,
+        # 16 r m = 375 KiB, breaks the bound.
+        beside = max(2 * 16 * m, 2 * 16 * np.getbufsize())
+        assert peak <= table_bytes(spec, s, m) + beside + 4 * 8 * s
 
     def test_domain_violation_is_atomic(self):
         eng = make_engine()
@@ -325,6 +374,25 @@ class TestSolve:
                             lambda *args, **kwargs: (np.nan, 0))
         with pytest.raises(IllConditionedSystemError):
             penalized_solve(np.eye(3), np.eye(3), 0.0, np.ones(3), None)
+
+    @pytest.mark.parametrize("q", [1, 92, 200])
+    def test_system_has_the_bits_of_h_plus_rho_w(self, q):
+        # H with signed zeros off the diagonal: A = rho W, then A += H,
+        # must factor the matrix H + rho W gives, to the bit
+        rng = np.random.default_rng(q)
+        B = rng.normal(size=(q, q))
+        H = B @ B.T / q + np.eye(q)
+        H[rng.uniform(size=(q, q)) < 0.2] = 0.0
+        H = np.where(rng.uniform(size=(q, q)) < 0.5, H, -H)
+        H = np.triu(H) + np.triu(H, 1).T + q * np.eye(q)
+        rhs = rng.normal(size=q)
+        for W, rho in ((penalty_matrix(UNIT, ROUGH, q), 1e-7),
+                       (penalty_matrix(BasisSpec(0.0, 1.0, 0.1), ROUGH, q),
+                        1e-9), (np.eye(q), 0.0)):
+            c = linalg.lapack.dpotrf(H + rho * W, lower=1, clean=0)[0]
+            want = linalg.lapack.dpotrs(c, rhs, lower=1)[0]
+            got = penalized_solve(H, W, rho, rhs, None)[0]
+            assert got.tobytes() == want.tobytes()
 
     def test_negative_rho_rejected(self):
         eng = make_engine(q0=2, mem_cap=6)
@@ -822,6 +890,30 @@ class TestBatchFit:
         assert np.max(np.abs(H - H_oracle)) <= 4e-15 * np.max(np.abs(H_oracle))
         assert np.max(np.abs(rhs - rhs_oracle)) \
             <= 4e-15 * np.max(np.abs(rhs_oracle))
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("q", [1, 2, 15, 16, 92, 93])
+    def test_normal_equations_have_the_out_of_place_bits(self, margin, q):
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        ts, ys = sample(3000, q, lambda t: np.sin(5 * t))
+        ys[::7] = 0.0
+        got = normal_equations(spec, q, ts, ys)
+        want = normal_equations_out_of_place(spec, q, ts, ys)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_batch_fit_holds_one_set_of_tables(self):
+        # n = 1e5, q = 92: Powers(spec, 184) holds z^0..z^10 and
+        # (z^10)^0..(z^10)^9, 32 MiB.  The only other n-length array held
+        # beside them is z, while the first table is built; the unit
+        # weights read the tables in place and the y weights go into them
+        # through numpy's ufunc buffers, two of np.getbufsize() complex
+        # elements, far less than z.  A weighted copy of z^0..z^9 beside
+        # them, 16 r n = 15 MiB, breaks the bound.
+        n, q = 100_000, 92
+        ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
+        peak = traced_peak(batch_fit, ts, ys, UNIT, q, 1e-6, ROUGH)
+        assert peak <= table_bytes(UNIT, 2 * q, n) + 16 * n
 
     def test_normal_equations_reject_bad_input(self):
         with pytest.raises(ValueError, match="empty sample"):

@@ -285,12 +285,20 @@ class TestFold:
         start = np.sort(np.where(rng.uniform(size=s) < opening,
                                  n_old + 1 + rng.integers(0, m + 2, s),
                                  rng.integers(1, n_old + 2, s)).astype(np.int64))
+        # a weight vector's fold is its tables' last read, so the oracle
+        # gets tables of its own
+        scan = fold_scan(Powers(spec, s, ts), w, start, n_old)
         powers = Powers(spec, s, ts)
+        if unit_weight:
+            # unit weights (None) read the tables in place and keep them
+            assert fold(powers, None, start, n_old).tobytes() == scan.tobytes()
         got = fold(powers, w, start, n_old)
         want = matrix_fold(eval_matrix(spec, s, ts), w, start, n_old)
         assert got.shape == (s,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert got.tobytes() == fold_scan(powers, w, start, n_old).tobytes()
+        assert got.tobytes() == scan.tobytes()
+        with pytest.raises(AttributeError):
+            powers.sums(None)
 
 
 class TestLeanLedger:
@@ -299,12 +307,12 @@ class TestLeanLedger:
     and ``update_theta``, byte for byte after every batch."""
 
     @staticmethod
-    def mid_batch_openings(sizes, margin, sketch, mem_cap, seed):
+    def mid_batch_openings(sizes, margin, sketch, mem_cap, seed, h=1 / 3):
         """Run both ledgers over batches of ``sizes``; return the most
         slots one batch opened strictly inside it."""
         rng = np.random.default_rng(seed)
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
-        sched = SchedulerConfig(mem_cap=mem_cap)
+        sched = SchedulerConfig(h=h, mem_cap=mem_cap)
         eng = OnePassRegressor(spec, PenaltySpec("roughness"), sched,
                                known_uniform_density=not sketch)
         state = (0, np.zeros(0, dtype=np.int64), np.zeros(0),
@@ -336,6 +344,37 @@ class TestLeanLedger:
     def test_matches_the_full_scan_ledger(self, sizes, margin, sketch,
                                           mem_cap, seed):
         self.mid_batch_openings(sizes, margin, sketch, mem_cap, seed)
+
+    # The engine folds G and the sketch from tables it reads in place and
+    # weights in place; the ledger folds each weight from its own weighted
+    # copy (``oracles.sums_out_of_place``).  Calls of up to 3000 points
+    # under h = 0.4 pass K = SPLIT_MIN uncapped (a first call of 3000
+    # points ends with 64 slots, K = 32) and stay below it at cap 30
+    # (10 slots, K = 5).
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3000), min_size=1, max_size=8),
+           h=st.sampled_from([1 / 3, 0.4]),
+           margin=st.sampled_from([0.0, 0.1]), sketch=st.booleans(),
+           mem_cap=st.sampled_from([None, 30]), seed=st.integers(0, 2 ** 16))
+    @example(sizes=[3000, 1, 2999, 3000], h=0.4, margin=0.0, sketch=True,
+             mem_cap=None, seed=0)
+    @example(sizes=[3000, 1, 2999, 3000], h=0.4, margin=0.1, sketch=True,
+             mem_cap=30, seed=0)
+    def test_large_calls_match_the_out_of_place_ledger(self, sizes, h, margin,
+                                                       sketch, mem_cap, seed):
+        self.mid_batch_openings(sizes, margin, sketch, mem_cap, seed, h)
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("sketch", [True, False])
+    @pytest.mark.parametrize("mem_cap", [None, 30])
+    def test_large_calls_open_slots_on_both_sides_of_the_split(
+            self, margin, sketch, mem_cap):
+        # the first call opens slots 6 to 10 (cap 30) or 6 to 64 inside it
+        most = self.mid_batch_openings([3000, 3000, 3000], margin, sketch,
+                                       mem_cap, 1, 0.4)
+        slots = SchedulerConfig(h=0.4, mem_cap=mem_cap).slot_count(9000)
+        assert most >= 5
+        assert (slots // 2 >= SPLIT_MIN) == (mem_cap is None)
 
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     @pytest.mark.parametrize("sketch", [True, False])
