@@ -11,10 +11,11 @@ import numpy as np
 from .basis import BasisSpec
 from .engine import OnePassRegressor
 from .errors import InputError, StreamRegError
-from .harness import (EXTENSION_MARGINS, PENALTY, Scenario, _replicate_data,
-                      load_scenario, phase_transition_experiment,
-                      rate_experiment, run_experiment)
-from .lowerbound import run_protocol
+from .harness import (EXTENSION_MARGINS, PENALTY, TARGETS, Scenario,
+                      _replicate_data, load_scenario,
+                      phase_transition_experiment, rate_experiment,
+                      run_experiment)
+from .lowerbound import DEFAULT_NOISE_SD, HypercubeInstance, run_protocol
 from .service import ServiceConfig, StreamService
 from .tuning import (TuningGrid, cv_select, cv_table, rho_at,
                      write_tuning_report)
@@ -40,12 +41,13 @@ def _scenario_from_args(args):
 
 def _add_scenario_args(p):
     p.add_argument("--config", help="scenario key=value file")
-    p.add_argument("--target", default="m1", choices=["m1", "m2", "m3"])
-    p.add_argument("--n", type=int, default=100_000)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--snr", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--replicates", type=int, default=100)
+    p.add_argument("--target", default=Scenario.target,
+                   choices=sorted(TARGETS))
+    p.add_argument("--n", type=int, default=Scenario.n)
+    p.add_argument("--batch-size", type=int, default=Scenario.B)
+    p.add_argument("--snr", type=float, default=Scenario.snr)
+    p.add_argument("--seed", type=int, default=Scenario.seed)
+    p.add_argument("--replicates", type=int, default=Scenario.replicates)
     p.add_argument("--checkpoints", type=int, nargs="+",
                    default=[1000, 10_000, 100_000])
     p.add_argument("--out", default="report.csv")
@@ -228,7 +230,7 @@ def _cmd_serve(args):
     previous = signal.getsignal(signal.SIGINT)
     try:
         signal.signal(signal.SIGINT, signal.default_int_handler)
-        host, port = server.address
+        host, port = server.server_address
         print(f"serving on {host}:{port}", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
@@ -267,16 +269,17 @@ def build_parser():
     p.add_argument("--n", type=int, default=100_000)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--beta", type=float, default=1.0)
-    p.add_argument("--c-K", dest="c_K", type=float, default=0.1)
+    p.add_argument("--beta", type=float, default=HypercubeInstance.beta)
+    p.add_argument("--c-K", dest="c_K", type=float,
+                   default=HypercubeInstance.c_K)
     p.add_argument("--mem-cap", type=int, default=None)
-    p.add_argument("--noise-sd", type=float, default=0.02)
+    p.add_argument("--noise-sd", type=float, default=DEFAULT_NOISE_SD)
     p.add_argument("--out", default="protocol.csv")
     p.set_defaults(func=_cmd_protocol)
 
     p = sub.add_parser("tune", help="cross-validated (C_rho, h) selection")
     _add_scenario_args(p)
-    p.add_argument("--n0", type=int, default=1000)
+    p.add_argument("--n0", type=int, default=TuningGrid.n0)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser("ingest-csv", help="stream a t,y CSV into a checkpoint")

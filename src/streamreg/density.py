@@ -25,7 +25,6 @@ import numpy as np
 from . import basis as basis_mod
 from . import quadrature
 from .errors import DegenerateDensityError, StateError
-from .scheduler import slot_counts
 
 _EPS = float(np.finfo(float).eps)
 
@@ -51,18 +50,15 @@ class DensityState:
         (``scheduler.fold``).
         """
         theta = self.theta
-        if start.size == theta.size:
-            # no slot opened: every tau_j <= n_old, so both counts are
-            # positive and need no clamp
-            counts_new = (n_new + 1) - start
-            self.theta = ((counts_new - (n_new - n_old)) * theta
-                          + sums) / counts_new
-        else:
+        if start.size > theta.size:
             theta = np.concatenate([theta,
                                     np.zeros(start.size - theta.size)])
-            # every open slot has tau_j <= n_new, so its new count is >= 1
-            self.theta = (slot_counts(start, n_old) * theta
-                          + sums) / slot_counts(start, n_new)
+        # every open slot has tau_j <= n_new, so its new count is >= 1; a
+        # slot that opened past n_old + 1 has a negative old count, clamped
+        # to 0 so that its zero keeps the sign of its sum
+        counts_new = (n_new + 1) - start
+        self.theta = (np.maximum(counts_new - (n_new - n_old), 0) * theta
+                      + sums) / counts_new
         self._z = self._certified = None
 
     def evaluate(self, t):

@@ -148,10 +148,6 @@ class OnePassRegressor:
             return 0
         return min(self.schedule.active_count(self.n), self.G.size)
 
-    def slot_counts(self):
-        """Per-slot sample counts n_j = max(n - tau_j + 1, 0)."""
-        return slot_counts(self.start, self.n)
-
     def gram(self, q):
         """Gram matrix H of the first q basis functions at the current
         state, and an interval (lo, hi) proven to hold its eigenvalues, or
@@ -182,7 +178,7 @@ class OnePassRegressor:
         if q < 1:
             raise IllConditionedSystemError("no active basis function yet")
         # every open slot has tau_j <= n, so every count is at least 1
-        counts = self.slot_counts()[:q]
+        counts = slot_counts(self.start, self.n)[:q]
         if self.n < self.schedule.q0:
             rho = max(rho, WARMUP_RHO_FLOOR)
         W = basis_mod.penalty_matrix(self.reg_basis, self.penalty, q)

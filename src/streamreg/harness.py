@@ -20,7 +20,7 @@ in binary, so the cell that holds t is floor(t N) and needs no search.
 import csv
 import functools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -297,6 +297,9 @@ def rate_experiment(sc, beta_hypothesis, checkpoints):
     Returns (slope, hypothesized_slope, report, skipped); the slope test is
     skipped when the RMISE values are numerically zero.
     """
+    if not (is_real(beta_hypothesis) and beta_hypothesis > 0):
+        raise ValueError(f"beta must be a finite number > 0, got "
+                         f"{beta_hypothesis!r}")
     checkpoints = sorted(int(c) for c in checkpoints)
     if len(set(checkpoints)) < 3 or checkpoints[-1] < 100 * checkpoints[0]:
         raise ValueError("need >= 3 distinct checkpoints over >= 2 decades")
@@ -309,8 +312,7 @@ def rate_experiment(sc, beta_hypothesis, checkpoints):
     return slope, hypothesized, report, False
 
 
-SCENARIO_KEYS = {"target": str, "n": int, "B": int, "snr": float,
-                 "seed": int, "replicates": int}
+SCENARIO_KEYS = {f.name: f.type for f in fields(Scenario)}
 
 
 def load_scenario(path):

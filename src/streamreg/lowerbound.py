@@ -79,7 +79,7 @@ def build_m_omega(inst):
     0, so the interval chosen for a t on the edge does not matter.
     """
     k = inst.k
-    amp = inst.c_K * k ** (-inst.beta)
+    amp = inst.peak
     omega = np.asarray(inst.omega, dtype=float)
     centers = inst.centers
 
@@ -100,13 +100,7 @@ def _protocol_engine(mem_cap):
                             known_uniform_density=True)
 
 
-def _check_noise_sd(noise_sd):
-    if not (is_real(noise_sd) and noise_sd >= 0):
-        raise ValueError(
-            f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
-
-
-def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
+def alice_encode(inst, n, rng, mem_cap, noise_sd):
     """Stream n noisy samples of m_omega and return the channel payload.
 
     The payload is the engine checkpoint: exactly the memory footprint,
@@ -114,7 +108,9 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     """
     if not (is_count(n) and n >= 1):
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    _check_noise_sd(noise_sd)
+    if not (is_real(noise_sd) and noise_sd >= 0):
+        raise ValueError(
+            f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
     m = build_m_omega(inst)
     reg = _protocol_engine(mem_cap)
     block = BLOCK_BATCHES * BATCH_SIZE
@@ -142,7 +138,7 @@ def alice_encode(inst, n, rng, mem_cap=None, noise_sd=DEFAULT_NOISE_SD):
     return reg.checkpoint_json(), reg.memory_footprint()
 
 
-def bob_decode(payload, k, beta=1.0, c_K=0.1):
+def bob_decode(payload, k, beta, c_K):
     """Decode the bit vector from a received checkpoint.
 
     Bit j is 1 iff the unpenalized reconstructed estimate exceeds half the
@@ -160,8 +156,16 @@ class ProtocolReport:
     """Per-trial protocol outcomes plus summary statistics."""
 
     rows: list = field(default_factory=list)
-    error_rate: float = 0.0
-    transmitted_units: int = 0
+
+    @property
+    def error_rate(self):
+        """Share of trials whose decoded bit was wrong."""
+        return sum(1 - r[5] for r in self.rows) / len(self.rows)
+
+    @property
+    def transmitted_units(self):
+        """Units one trial shipped (the same in every trial)."""
+        return self.rows[-1][3]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -172,7 +176,8 @@ class ProtocolReport:
                 writer.writerow(r)
 
 
-def run_protocol(k, n, trials, seed=0, beta=1.0, c_K=0.1, mem_cap=None,
+def run_protocol(k, n, trials, seed=0, beta=HypercubeInstance.beta,
+                 c_K=HypercubeInstance.c_K, mem_cap=None,
                  noise_sd=DEFAULT_NOISE_SD):
     """Sample random (omega, index) instances and measure per-bit error.
 
@@ -185,26 +190,20 @@ def run_protocol(k, n, trials, seed=0, beta=1.0, c_K=0.1, mem_cap=None,
         raise ValueError("trials must be >= 1")
     if k < 1:
         raise ValueError("k must be >= 1")
-    _check_noise_sd(noise_sd)
     rng = np.random.default_rng(seed)
     report = ProtocolReport()
-    errors = 0
     for trial in range(trials):
         omega = tuple(int(b) for b in rng.integers(0, 2, k))
         j = int(rng.integers(0, k))
         inst = HypercubeInstance(k=k, omega=omega, beta=beta, c_K=c_K)
-        payload, units = alice_encode(inst, n, rng, mem_cap=mem_cap,
-                                      noise_sd=noise_sd)
+        payload, units = alice_encode(inst, n, rng, mem_cap, noise_sd)
         record = json.loads(payload)
         payload_units = (len(record["G"]) + len(record["start"])
                          + len(record["theta"]) + len(record["theta_start"])
                          + SCALAR_UNITS)
         if payload_units != units:
             raise RuntimeError("channel payload does not match footprint")
-        decoded = bob_decode(payload, k, beta=beta, c_K=c_K)
-        correct = int(decoded[j] == omega[j])
-        errors += 1 - correct
-        report.rows.append([trial, k, n, units, j, correct])
-        report.transmitted_units = units
-    report.error_rate = errors / trials
+        decoded = bob_decode(payload, k, beta, c_K)
+        report.rows.append([trial, k, n, units, j,
+                            int(decoded[j] == omega[j])])
     return report

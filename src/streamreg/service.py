@@ -83,11 +83,11 @@ class ServiceConfig:
 
     lo: float = 0.0
     hi: float = 1.0
-    extension_margin: float = 0.0
-    penalty: str = "roughness"
-    h: float = 1.0 / 3.0
+    extension_margin: float = BasisSpec.extension_margin
+    penalty: str = PenaltySpec.kind
+    h: float = SchedulerConfig.h
     C_rho: float = 1.0
-    mem_cap: int | None = None
+    mem_cap: int | None = SchedulerConfig.mem_cap
     known_uniform_density: bool = False
     batch_size: int = 100
 
@@ -293,8 +293,3 @@ class StreamService(socketserver.ThreadingTCPServer):
     def __init__(self, config, host="127.0.0.1", port=0):
         super().__init__((host, port), _Handler)
         self.registry = StreamRegistry(config)
-
-    @property
-    def address(self):
-        return self.server_address
-

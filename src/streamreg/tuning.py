@@ -143,10 +143,17 @@ def cv_select(rows, spec, n_deploy, mem_cap):
     regularized one wins (largest rho, then smallest h; exact ties too).
     The rows are not changed, so one table serves every memory cap.
     """
-    feasible = [r for r in rows if np.isfinite(r["cv"])
-                and deployable(spec, r["h"], n_deploy, mem_cap)]
+    fitted = [r for r in rows if np.isfinite(r["cv"])]
+    if not fitted:
+        raise TuningError("no feasible tuning: every grid point failed "
+                          "cross-validation")
+    feasible = [r for r in fitted
+                if deployable(spec, r["h"], n_deploy, mem_cap)]
     if not feasible:
-        raise TuningError("no feasible tuning: every grid point failed")
+        raise TuningError(
+            f"no feasible tuning: every grid point that cross-validated "
+            f"outgrows the identifiable basis count by n_deploy = "
+            f"{n_deploy} under mem_cap = {mem_cap}")
     best = min(feasible, key=lambda r: (r["cv"], -r["rho"], r["h"]))
     within = [r for r in feasible if r["cv"] <= best["cv"] + best["se"]]
     return max(within, key=lambda r: (r["rho"], -r["h"]))

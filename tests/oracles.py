@@ -15,9 +15,8 @@ from streamreg.engine import batch_fit, normal_equations, penalized_solve
 from streamreg.errors import (DomainError, IllConditionedSystemError,
                               StreamRegError)
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
-from streamreg.lowerbound import (BATCH_SIZE, DEFAULT_NOISE_SD,
-                                  _protocol_engine, build_m_omega,
-                                  bump_kernel)
+from streamreg.lowerbound import (BATCH_SIZE, _protocol_engine,
+                                  build_m_omega, bump_kernel)
 from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.tuning import rho_at
 
@@ -107,6 +106,18 @@ def update_theta(theta, start, sums, n_old, n_new):
     return (slot_counts(start, n_old) * theta + sums) / counts_new
 
 
+def update_theta_two_branch(theta, start, sums, n_old, n_new):
+    """``DensityState.update`` as two branches; returns theta.  When no slot
+    opened, every tau_j <= n_old and both counts are unclamped; otherwise
+    theta is zero-padded and both counts are ``slot_counts``."""
+    if start.size == theta.size:
+        counts_new = (n_new + 1) - start
+        return ((counts_new - (n_new - n_old)) * theta + sums) / counts_new
+    theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
+    return (slot_counts(start, n_old) * theta
+            + sums) / slot_counts(start, n_new)
+
+
 def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
     """``OnePassRegressor.ingest`` of one valid batch by ``fold_scan`` and
     ``update_theta``: G first, then the sketch's unit weights, each from
@@ -173,8 +184,7 @@ def partition_tolerance(w, start, period, steps, sizes_a, sizes_b):
         [math.fsum(abs_w[tau - 1:]) for tau in start])
 
 
-def alice_encode_per_batch(inst, n, rng, mem_cap=None,
-                           noise_sd=DEFAULT_NOISE_SD):
+def alice_encode_per_batch(inst, n, rng, mem_cap, noise_sd):
     """``lowerbound.alice_encode`` evaluating m_omega and calling
     ``ingest`` once per batch."""
     m = build_m_omega(inst)

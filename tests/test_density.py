@@ -2,9 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import update_theta_two_branch
 from streamreg import quadrature
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
                              gram_from_moments, moments)
@@ -66,6 +67,49 @@ class TestUpdate:
         state.theta = np.array([0.4])
         state.update(np.array([1], dtype=np.int64), np.array([6.0]), 10, 15)
         np.testing.assert_allclose(state.theta, [2.0 / 3.0], rtol=1e-15)
+
+    def test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum(self):
+        # slot 2 opens at tau = 13 inside a batch of observations 11..15:
+        # its old count is 0, not 10 - 13 + 1 = -2, so its zero adds to a
+        # -0.0 sum as +0.0, as the two-branch update gives
+        state = DensityState(UNIT)
+        state.theta = np.array([0.4])
+        args = (np.array([1, 13], dtype=np.int64), np.array([6.0, -0.0]),
+                10, 15)
+        want = update_theta_two_branch(state.theta, *args)
+        state.update(*args)
+        assert state.theta.tobytes() == want.tobytes()
+        assert str(state.theta[1]) == "0.0"
+
+    # first batches, batches that open slots strictly inside them, and
+    # batches at the cap of 30 units (10 slots), which open none
+    @settings(max_examples=40, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 400), min_size=1, max_size=10),
+           margin=st.sampled_from([0.0, 0.1]),
+           mem_cap=st.sampled_from([None, 30]), seed=st.integers(0, 2 ** 16))
+    @example(sizes=[400, 1, 399, 400, 250], margin=0.0, mem_cap=30, seed=0)
+    @example(sizes=[11, 9, 11, 12, 20], margin=0.1, mem_cap=None, seed=0)
+    def test_one_formula_matches_the_two_branch_oracle(self, sizes, margin,
+                                                       mem_cap, seed):
+        rng = np.random.default_rng(seed)
+        eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=margin),
+                               PenaltySpec("roughness"),
+                               SchedulerConfig(mem_cap=mem_cap))
+        sketch, update, calls = eng.density, eng.density.update, []
+
+        def checked(start, sums, n_old, n_new):
+            want = update_theta_two_branch(sketch.theta, start, sums, n_old,
+                                           n_new)
+            update(start, sums, n_old, n_new)
+            assert sketch.theta.dtype == want.dtype
+            assert sketch.theta.tobytes() == want.tobytes()
+            calls.append(n_new)
+
+        sketch.update = checked
+        for size in sizes:
+            ts = rng.uniform(0.0, 1.0, size)
+            eng.ingest(ts, np.sin(5 * ts) + rng.normal(0.0, 0.3, size))
+        assert calls == list(np.cumsum(sizes))
 
     def test_replay_oracle_mixed_batches(self):
         rng = np.random.default_rng(3)

@@ -19,7 +19,7 @@ from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               batch_fit, normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
-from streamreg.scheduler import SchedulerConfig
+from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.service import ServiceConfig
 
 UNIT = BasisSpec(0.0, 1.0)
@@ -126,7 +126,7 @@ class TestIngest:
             tol = partition_tolerance(np.ones(n), a.start,
                                       a.density.basis.period, 3, *sizes)
             assert np.all(np.abs(a.density.theta - b.density.theta)
-                          <= tol / a.slot_counts())
+                          <= tol / slot_counts(a.start, a.n))
         for cut in range(1, len(parts[0])):
             resumed = OnePassRegressor.from_checkpoint(marks[cut - 1])
             for idx in parts[0][cut:]:
@@ -329,7 +329,7 @@ class TestSolve:
         H = (Q * np.geomspace(1.0, 1.0 / kappa, q)) @ Q.T
         H = 0.5 * (H + H.T)
         eng.gram = lambda q: (H, None)
-        rhs = eng.G / eng.slot_counts()
+        rhs = eng.G / slot_counts(eng.start, eng.n)
         for solve in (eng.solve_coefficients,
                       lambda rho: penalized_solve(H, np.eye(q), rho, rhs,
                                                   None)[0]):

@@ -251,6 +251,20 @@ class TestCompositeExperiments:
         with pytest.raises(ValueError, match="3 distinct checkpoints"):
             rate_experiment(sc, 1.0, [100, 100, 10_000])
 
+    @pytest.mark.parametrize("beta", [0.0, -0.5, float("nan"),
+                                      float("inf"), "1", True])
+    def test_rate_experiment_checks_beta_before_the_run(self, beta,
+                                                        monkeypatch):
+        # -beta / (2 beta + 1) divides by zero at beta = -0.5, and no beta
+        # <= 0 or non-finite gives a meaningful slope
+        def never(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", never)
+        sc = Scenario(target="m3", n=10_000, B=100)
+        with pytest.raises(ValueError, match="beta must be a finite number"):
+            rate_experiment(sc, beta, [100, 1000, 10_000])
+
     def test_rate_experiment_slope_sign(self):
         sc = Scenario(target="m3", n=10_000, B=100, seed=6, replicates=3)
         slope, hyp, rpt, skipped = rate_experiment(

@@ -141,13 +141,13 @@ class TestSingleBump:
         # block (of 64 batches), the last on a block boundary
         inst = HypercubeInstance(k=8, omega=(1, 0, 1, 1, 0, 0, 1, 0))
         rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-        got, got_units = alice_encode(inst, n, rng_a, mem_cap=mem_cap,
-                                      noise_sd=noise_sd)
+        got, got_units = alice_encode(inst, n, rng_a, mem_cap, noise_sd)
         want, want_units = alice_encode_per_batch(
             inst, n, rng_b, mem_cap=mem_cap, noise_sd=noise_sd)
         assert got_units == want_units
         assert rng_a.bit_generator.state == rng_b.bit_generator.state
-        assert bob_decode(got, inst.k) == bob_decode(want, inst.k)
+        assert bob_decode(got, inst.k, inst.beta, inst.c_K) == bob_decode(
+            want, inst.k, inst.beta, inst.c_K)
         a, b = json.loads(got), json.loads(want)
         G_a, G_b = np.array(a.pop("G")), np.array(b.pop("G"))
         assert a == b
@@ -197,14 +197,15 @@ class TestProtocolPieces:
     def test_decode_recovers_bits_without_noise(self):
         inst = HypercubeInstance(k=4, omega=(1, 0, 1, 1))
         rng = np.random.default_rng(0)
-        payload, units = alice_encode(inst, 20_000, rng, noise_sd=0.0)
-        assert bob_decode(payload, 4) == inst.omega
+        payload, units = alice_encode(inst, 20_000, rng, None, 0.0)
+        assert bob_decode(payload, 4, inst.beta, inst.c_K) == inst.omega
         assert units == len(json.loads(payload)["G"]) * 2 + 4
 
     def test_payload_units_match_footprint(self):
         inst = HypercubeInstance(k=2, omega=(0, 1))
         rng = np.random.default_rng(1)
-        payload, units = alice_encode(inst, 3000, rng)
+        payload, units = alice_encode(inst, 3000, rng, None,
+                                      DEFAULT_NOISE_SD)
         record = json.loads(payload)
         assert units == (len(record["G"]) + len(record["start"])
                          + len(record["theta"]) + len(record["theta_start"])
@@ -214,8 +215,8 @@ class TestProtocolPieces:
     def test_memory_cap_shrinks_payload(self):
         inst = HypercubeInstance(k=2, omega=(1, 1))
         rng = np.random.default_rng(2)
-        _, wide = alice_encode(inst, 10_000, rng)
-        _, narrow = alice_encode(inst, 10_000, rng, mem_cap=5)
+        _, wide = alice_encode(inst, 10_000, rng, None, DEFAULT_NOISE_SD)
+        _, narrow = alice_encode(inst, 10_000, rng, 5, DEFAULT_NOISE_SD)
         assert narrow < wide
         assert narrow == 2 * 1 + 4  # one slot survives a cap of 5
 
@@ -225,7 +226,7 @@ class TestProtocolPieces:
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="noise_sd"):
-            alice_encode(inst, 200, rng, noise_sd=noise_sd)
+            alice_encode(inst, 200, rng, None, noise_sd)
         with pytest.raises(ValueError, match="noise_sd"):
             run_protocol(k=2, n=200, trials=1, noise_sd=noise_sd)
         assert rng.bit_generator.state == state
@@ -237,12 +238,12 @@ class TestProtocolPieces:
         rng = np.random.default_rng(3)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="n must be an integer"):
-            alice_encode(inst, n, rng)
+            alice_encode(inst, n, rng, None, DEFAULT_NOISE_SD)
         assert rng.bit_generator.state == state
 
     def test_garbage_payload_raises(self):
         with pytest.raises(CheckpointError):
-            bob_decode("definitely not a checkpoint", 4)
+            bob_decode("definitely not a checkpoint", 4, 1.0, 0.1)
 
 
 class TestRunProtocol:

@@ -12,7 +12,7 @@ import pathlib
 
 import streamreg
 
-OPTION_LIMIT = 55
+OPTION_LIMIT = 49
 
 
 def _is_dataclass(node):

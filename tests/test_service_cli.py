@@ -431,7 +431,7 @@ class TestSocketService:
         server = StreamService(ServiceConfig(known_uniform_density=True))
         serve_background(server)
         try:
-            host, port = server.address
+            host, port = server.server_address
             client = ServiceClient(host, port)
             resp = client.request(op="ingest", stream_id="s",
                                   points=[[0.1, 1.0], [0.9, 1.0]])
@@ -447,7 +447,7 @@ class TestSocketService:
         server = StreamService(ServiceConfig(known_uniform_density=True))
         serve_background(server)
         try:
-            client = ServiceClient(*server.address)
+            client = ServiceClient(*server.server_address)
             bad = client.request(op="ingest", stream_id="s", points=[[0.5]])
             assert (bad["ok"], bad["error"]) == (False, "request")
             good = client.request(op="ingest", stream_id="s",
@@ -462,7 +462,7 @@ class TestSocketService:
         server = StreamService(ServiceConfig(known_uniform_density=True))
         serve_background(server)
         try:
-            with socket.create_connection(server.address) as sock:
+            with socket.create_connection(server.server_address) as sock:
                 fh = sock.makefile("rwb")
                 for line in (b"[1, 2]", b'"x"', b"1"):
                     fh.write(line + b"\n")
@@ -488,7 +488,7 @@ class TestSocketService:
         assert (len(too_long), len(longest)) == (MAX_LINE_BYTES + 1,
                                                  MAX_LINE_BYTES)
         try:
-            with socket.create_connection(server.address) as sock:
+            with socket.create_connection(server.server_address) as sock:
                 fh = sock.makefile("rwb")
                 for line, n in ((too_long, None), (ingest, 1),
                                 (too_long * 3, None), (longest, 2),
@@ -510,7 +510,7 @@ class TestSocketService:
         serve_background(server)
         rng = np.random.default_rng(21)
         try:
-            client = ServiceClient(*server.address)
+            client = ServiceClient(*server.server_address)
             fresh_batches = []
             # skewed data, so the sketch is clipped and the normalizer moves
             for size in (300, 700):
@@ -540,7 +540,7 @@ class TestSocketService:
             server = StreamService(ServiceConfig(known_uniform_density=known))
             serve_background(server)
             try:
-                client = ServiceClient(*server.address)
+                client = ServiceClient(*server.server_address)
                 for stream, draw in draws.items():
                     for _ in range(10):
                         ts = draw()
@@ -563,7 +563,7 @@ class TestSocketService:
         server = StreamService(ServiceConfig(known_uniform_density=True))
         serve_background(server)
         try:
-            with socket.create_connection(server.address) as sock:
+            with socket.create_connection(server.server_address) as sock:
                 fh = sock.makefile("rwb")
                 for request in (
                         {"op": "ingest", "stream_id": "s",
@@ -588,7 +588,7 @@ class TestSocketService:
         ingest = b'{"op": "ingest", "stream_id": %s, "points": [[0.5, 1.0]]}'
         stats = b'{"op": "query", "stream_id": %s, "kind": "stats"}'
         try:
-            with socket.create_connection(server.address) as sock:
+            with socket.create_connection(server.server_address) as sock:
                 fh = sock.makefile("rwb")
 
                 def send(line):
@@ -624,7 +624,7 @@ class TestSocketService:
         # handler thread's stack
         deep = b"[" * 300_000 + b"]" * 300_000
         try:
-            with socket.create_connection(server.address) as sock:
+            with socket.create_connection(server.server_address) as sock:
                 fh = sock.makefile("rwb")
 
                 def send(line):
@@ -665,7 +665,7 @@ class TestSocketService:
         server = StreamService(ServiceConfig())
         serve_background(server)
         try:
-            host, port = server.address
+            host, port = server.server_address
             with socket.create_connection((host, port)) as sock:
                 fh = sock.makefile("rwb")
                 fh.write(b"this is not json\n")
@@ -865,7 +865,9 @@ class TestCli:
         (["simulate", "--target", "m1", "--n", "2000", "--replicates", "1",
           "--checkpoints", "1000", "1000"], "checkpoints must be distinct"),
         (["rate", "--checkpoints", "100", "100", "10000"],
-         "3 distinct checkpoints")])
+         "3 distinct checkpoints"),
+        *[(["rate", "--beta", beta], "beta must be a finite number > 0")
+          for beta in ("0", "-0.5", "nan", "inf")]])
     def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "out.csv"

@@ -283,9 +283,21 @@ class TestSelect:
         ts, ys = noisy_sample(500, 9)
         grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.5,), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
-        with pytest.raises(TuningError):
+        # the screen, not the CV, emptied the grid, and the message says so
+        with pytest.raises(TuningError, match=(
+                "every grid point that cross-validated outgrows the "
+                "identifiable basis count by n_deploy = 100000 under "
+                "mem_cap = None")):
             cv_select(rows, spec, 100_000, None)
         assert np.isfinite(rows[0]["cv"])
+
+
+    def test_a_grid_that_failed_cross_validation_says_so(self):
+        rows = [{"C_rho": 1.0, "h": h, "rho": 1e-3, "cv": float("inf"),
+                 "se": 0.0} for h in (0.2, 0.25)]
+        with pytest.raises(TuningError,
+                           match="every grid point failed cross-validation"):
+            cv_select(rows, UNIT, 1000, None)
 
 
 class TestDeployable:
