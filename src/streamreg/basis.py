@@ -16,6 +16,7 @@ import cmath
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -221,16 +222,49 @@ def penalty_matrix(spec, penalty, q):
 SPLIT_MIN = 16
 
 
-def _powers(z, count):
-    """Rows z^0, ..., z^(count - 1): each row is the one above times z.
+# The largest power-table buffer kept for the next ``Powers`` (bytes): the
+# Monte Carlo path's tables reach 1.7 MB, and larger ones are not kept.
+SPARE_BYTES = 4 << 20
+
+# The spare: at most one buffer, held by no live ``Powers``.  A buffer is
+# taken from it under the lock and handed back when its tables are dropped,
+# so two live tables never share memory, in one thread or across threads.
+_spare = None
+_spare_lock = threading.Lock()
+
+
+def _take_buffer(count):
+    """A complex buffer of at least ``count`` elements: the spare if it is
+    large enough, otherwise a new one (the spare stays where it is)."""
+    global _spare
+    if 16 * count <= SPARE_BYTES:
+        with _spare_lock:
+            buf = _spare
+            if buf is not None and buf.size >= count:
+                _spare = None
+                return buf
+    return np.empty(count, dtype=complex)
+
+
+def _give_back(buf):
+    """Keep ``buf`` as the spare if it fits and is larger than the spare."""
+    global _spare
+    if buf.nbytes <= SPARE_BYTES:
+        with _spare_lock:
+            if _spare is None or _spare.size < buf.size:
+                _spare = buf
+
+
+def _powers(z, out):
+    """Rows z^0, ..., z^(len(out) - 1) of ``out``: each row is the one above
+    times z.
 
     One multiply per row: ``np.multiply.accumulate`` down the rows forms
     the same products but took up to 5 times as long (100 to 5000 points,
     3 to 17 rows) and rounded differently.
     """
-    out = np.empty((count, z.size), dtype=complex)
     out[0] = 1.0
-    for a in range(1, count):
+    for a in range(1, len(out)):
         np.multiply(out[a - 1], z, out=out[a])
     return out
 
@@ -246,6 +280,12 @@ class Powers:
     table at all.  Every power is a product of the one z per point, the way
     ``eval_matrix`` forms its columns.
 
+    Both tables are rows of one complex buffer.  Up to ``SPARE_BYTES`` it is
+    the process's spare buffer when that is free and large enough, so a
+    stream of same-sized batches maps no new memory for its tables; the
+    buffer goes back to the spare when the tables are dropped, at the last
+    read below or when the ``Powers`` is collected.
+
     The sums below build no array of the tables' size, so they read the
     tables in an order.  ``w`` None stands for unit weights (the density
     sketch's): their sums read the tables as they are and keep them.  The
@@ -259,6 +299,8 @@ class Powers:
     (``tests/oracles.moments_out_of_place``).
     """
 
+    _buf = None
+
     def __init__(self, spec, q, t):
         t = np.asarray(t, float)
         self.q, self.period, self.size = q, spec.period, t.size
@@ -267,14 +309,28 @@ class Powers:
         self.low = self.high = None
         if K == 0:
             return
-        z = (2j * np.pi / spec.period) * (t - spec.origin)
+        # z waits in the buffer's last row, which is written only when no
+        # power reads z any more: high's last row, or a row past low (a
+        # product written over its own operand may round otherwise)
+        rows = K + 2 if K < SPLIT_MIN else self.r + 1 + K // self.r + 1
+        self._buf = _take_buffer(rows * t.size)
+        tables = self._buf[:rows * t.size].reshape(rows, t.size)
+        z = tables[-1]
+        np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
         np.exp(z, out=z)
         if K < SPLIT_MIN:
-            self.low = _powers(z, K + 1)
+            self.low = _powers(z, tables[:-1])
         else:
-            self.low = _powers(z, self.r + 1)
-            del z  # high takes its z^r from low
-            self.high = _powers(self.low[self.r], K // self.r + 1)
+            self.low = _powers(z, tables[:self.r + 1])
+            self.high = _powers(self.low[self.r], tables[self.r + 1:])
+
+    def __del__(self):
+        self._drop()
+
+    def _drop(self):
+        buf, self._buf = self._buf, None
+        if buf is not None:
+            _give_back(buf)
 
     def moments(self, w):
         """Weighted moments mu_k = sum_i w_i z_i^k for k = 0..K; a w other
@@ -286,12 +342,16 @@ class Powers:
             return np.array([self.size if w is None else w.sum()],
                             dtype=complex)
         if high is None:
-            return low @ (np.ones(self.size) if w is None else w)
-        low = low[:self.r]
+            mu = low @ (np.ones(self.size) if w is None else w)
+        else:
+            low = low[:self.r]
+            if w is not None:
+                low *= w
+            # row b, column a of the product is mu_{a + r b}
+            mu = (high @ low.T).ravel()[:self.K + 1]
         if w is not None:
-            low *= w
-        # row b, column a of the product is mu_{a + r b}
-        return (high @ low.T).ravel()[:self.K + 1]
+            self._drop()
+        return mu
 
     def sums(self, w):
         """Per-function sums sum_i w_i phi_j(t_i) for j = 1..q: phi_1 from

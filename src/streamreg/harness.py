@@ -87,15 +87,28 @@ def m3(t):
     t = 1, the end values outside [0, 1]."""
     vals = _m3_interp_table()
     cells = vals.size - 1
-    x = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
+    # the same steps as the expression, written into five arrays of t's
+    # size (and two masks) in place: no other temporary of that size
+    x = np.array(t, dtype=float, ndmin=1)
+    np.clip(x, 0.0, 1.0, out=x)
     # NaN lands in the last cell and stays NaN
-    xj = np.floor(np.fmin(x * cells, cells - 1.0))
+    xj = np.multiply(x, cells)
+    np.fmin(xj, cells - 1.0, out=xj)
+    np.floor(xj, out=xj)
     j = xj.astype(np.intp)
     xj /= cells  # the node j/N, exact in binary
+    at_node, at_end = x == xj, x == 1.0
     yj = vals[j]
-    out = (vals[j + 1] - yj) / (1.0 / cells) * (x - xj) + yj
-    out = np.where(x == xj, yj, out)
-    return np.where(x == 1.0, vals[cells], out)
+    j += 1
+    out = vals[j]
+    out -= yj
+    out /= 1.0 / cells
+    np.subtract(x, xj, out=x)
+    out *= x
+    out += yj
+    np.copyto(out, yj, where=at_node)
+    out[at_end] = vals[cells]
+    return out.reshape(np.shape(t))
 
 
 TARGETS = {"m1": m1, "m2": m2, "m3": m3}

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSpec, PenaltySpec, is_count, is_real
+from .basis import BasisSpec, PenaltySpec, is_count, is_real, require
 from .engine import SCALAR_UNITS, OnePassRegressor
 from .scheduler import SchedulerConfig
 
@@ -52,12 +52,13 @@ class HypercubeInstance:
     c_K: float = 0.1
 
     def __post_init__(self):
+        require(is_count, "an integer", self, "k")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if len(self.omega) != self.k or any(b not in (0, 1) for b in self.omega):
             raise ValueError("omega must be a k-length bit vector")
-        if min(self.beta, self.c_K) <= 0:
-            raise ValueError("beta and c_K must be positive")
+        require(lambda v: is_real(v) and v > 0, "a finite number > 0", self,
+                "beta", "c_K")
 
     @property
     def centers(self):

@@ -2,7 +2,12 @@ import copy
 import functools
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,10 +16,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from streamreg.basis import (BasisSpec, PenaltySpec, Powers, eval_matrix,
-                             penalty_matrix)
-from oracles import (normal_equations_out_of_place, partition_tolerance,
-                     weighted_gram)
+import streamreg
+from streamreg import basis
+from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec, Powers,
+                             eval_matrix, penalty_matrix)
+from oracles import (moments_out_of_place, normal_equations_out_of_place,
+                     partition_tolerance, weighted_gram)
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               batch_fit, normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
@@ -158,6 +165,7 @@ class TestIngest:
         ts, ys = sample(100_000, 21, lambda t: np.sin(5 * t))
         feed(eng, ts[:-m], ys[:-m], batch=m)
         slots = eng.start.size
+        twin = OnePassRegressor.from_checkpoint(eng.checkpoint_json())
         peak = traced_peak(eng.ingest, ts[-m:], ys[-m:])
         s = eng.start.size
         assert (slots, s) == (261, 263)
@@ -172,6 +180,11 @@ class TestIngest:
         # 16 r m = 375 KiB, breaks the bound.
         beside = max(2 * 16 * m, 2 * 16 * np.getbufsize())
         assert peak <= table_bytes(spec, s, m) + beside + 4 * 8 * s
+        # the same call again finds the tables' buffer in the spare and
+        # allocates none of their bytes
+        again = traced_peak(twin.ingest, ts[-m:], ys[-m:])
+        assert again <= beside + 4 * 8 * s
+        assert twin.checkpoint_json() == eng.checkpoint_json()
 
     def test_domain_violation_is_atomic(self):
         eng = make_engine()
@@ -533,6 +546,121 @@ class TestMemory:
         feed(eng, ts, ys)
         assert eng.memory_footprint() <= 30 + 16
         assert eng.G.size <= 10
+
+
+class TestTableBuffer:
+    """The power tables' reused buffer (``basis.SPARE_BYTES``): held by one
+    live ``Powers`` at a time, and no larger than the constant."""
+
+    def test_live_tables_never_share_memory(self):
+        spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
+        ts, ys = sample(2000, 5, lambda t: np.sin(5 * t))
+
+        def tables(p):
+            return p.low, p.high
+
+        def address(p):
+            return p.low.__array_interface__["data"][0]
+
+        # read with unit weights only, the tables go back when collected
+        unit = Powers(spec, 92, ts)
+        unit.moments(None)
+        kept = address(unit)
+        del unit
+        first, second = Powers(spec, 92, ts), Powers(spec, 92, ts)
+        assert address(first) == kept
+        assert not any(np.shares_memory(a, b) for a in tables(first)
+                       for b in tables(second))
+        want = [moments_out_of_place(p, ys) for p in (first, second)]
+        assert first.moments(ys).tobytes() == want[0].tobytes()
+        # the first's weighted read gave its buffer back: the next tables
+        # take it, and still share nothing with the live second
+        third = Powers(spec, 92, ts)
+        assert address(third) == kept
+        assert not any(np.shares_memory(a, b) for a in tables(third)
+                       for b in tables(second))
+        assert second.moments(ys).tobytes() == want[1].tobytes()
+        assert third.moments(ys).tobytes() == want[0].tobytes()
+
+    def test_threads_ingesting_at_once_match_sequential_runs(self):
+        m, n = 2000, 30_000
+
+        def run(seed, barrier=None):
+            spec = BasisSpec(0.0, 1.0, extension_margin=0.1 * (seed % 2))
+            eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.4),
+                                   known_uniform_density=seed == 3)
+            ts, ys = sample(n, 40 + seed, lambda t: np.sin(5 * t) + seed)
+            if barrier is not None:
+                barrier.wait()
+            feed(eng, ts, ys, batch=m)
+            return eng.checkpoint_json()
+
+        want = [run(seed) for seed in range(4)]
+        got = [None] * 4
+        barrier = threading.Barrier(4)
+
+        def worker(seed):
+            got[seed] = run(seed, barrier)
+
+        threads = [threading.Thread(target=worker, args=(seed,))
+                   for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert got == want
+
+    def test_batch_fit_keeps_no_table_past_the_spare(self):
+        # n = 1e5, q = 92 builds 32 MiB of tables, more than the spare takes
+        n, q = 100_000, 92
+        ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
+        assert table_bytes(UNIT, 2 * q, n) > SPARE_BYTES
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch_fit(ts, ys, UNIT, q, 1e-6, ROUGH)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held <= SPARE_BYTES
+        assert basis._spare is None or basis._spare.nbytes <= SPARE_BYTES
+
+    def test_a_repeated_stream_maps_no_table_pages(self):
+        # With glibc's mmap threshold fixed at 128 KiB, as the benchmark
+        # fixes it, every fresh table buffer is a new mapping and faults in
+        # each page.  The second of two identical streams finds its buffer
+        # in the spare: fewer minor faults than the pages of one call's
+        # tables (9 000 when each call mapped its own).
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from streamreg.basis import BasisSpec, PenaltySpec\n"
+            "from streamreg.engine import OnePassRegressor\n"
+            "from streamreg.scheduler import SchedulerConfig\n"
+            "rng = np.random.default_rng(21)\n"
+            "ts = rng.uniform(0.0, 1.0, 100_000)\n"
+            "ys = np.sin(5 * ts)\n"
+            "def stream():\n"
+            "    eng = OnePassRegressor(BasisSpec(0.0, 1.0),\n"
+            "                           PenaltySpec('roughness'),\n"
+            "                           SchedulerConfig(h=0.4))\n"
+            "    for i in range(0, ts.size, 2000):\n"
+            "        eng.ingest(ts[i:i + 2000], ys[i:i + 2000])\n"
+            "    return eng.start.size\n"
+            "stream()\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "s = stream()\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "print(s, after - before)\n")
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(
+                   streamreg.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        s, faults = map(int, out.stdout.split())
+        assert s == 263
+        assert faults < table_bytes(UNIT, s, 2000) // resource.getpagesize()
 
 
 @functools.cache

@@ -47,6 +47,18 @@ class TestInstance:
         with pytest.raises(ValueError):
             HypercubeInstance(k=2, omega=(1,))
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"k": 2.0}, "k must be an integer"),
+        ({"k": True}, "k must be an integer"),
+        *[({name: bad}, f"{name} must be a finite number > 0")
+          for name in ("beta", "c_K")
+          for bad in (0.0, -1.0, np.inf, np.nan, "1")]])
+    def test_parameters_are_finite_and_positive(self, fields, message):
+        # beta = inf would encode a zero signal, and NaN an undecodable one
+        args = {"k": 2, "omega": (0, 1), **fields}
+        with pytest.raises(ValueError, match=message):
+            HypercubeInstance(**args)
+
 
 class TestEncodedFunction:
     def test_peaks_at_active_centers_only(self):

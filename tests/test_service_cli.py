@@ -867,7 +867,10 @@ class TestCli:
         (["rate", "--checkpoints", "100", "100", "10000"],
          "3 distinct checkpoints"),
         *[(["rate", "--beta", beta], "beta must be a finite number > 0")
-          for beta in ("0", "-0.5", "nan", "inf")]])
+          for beta in ("0", "-0.5", "nan", "inf")],
+        *[(["protocol", "--beta", beta], "beta must be a finite number > 0")
+          for beta in ("inf", "nan")],
+        (["protocol", "--c-K", "inf"], "c_K must be a finite number > 0")])
     def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "out.csv"
