@@ -215,20 +215,20 @@ def penalty_matrix(spec, penalty, q):
     return W
 
 
-# From K = SPLIT_MIN on, ``Powers`` keeps z^0..z^K as two tables of about
+# From K = SPLIT_MIN on, ``moments`` keeps z^0..z^K as two tables of about
 # sqrt(K) rows rather than one of K + 1 rows: below it the second table and
 # the complex matrix product cost more than they save (the crossover lay
 # between K = 10 and 24 at 100 and 1000 points).
 SPLIT_MIN = 16
 
 
-# The largest power-table buffer kept for the next ``Powers`` (bytes): the
-# Monte Carlo path's tables reach 1.7 MB, and larger ones are not kept.
+# The largest power-table buffer kept for the next ``moments`` call (bytes):
+# the Monte Carlo path's tables reach 1.7 MB, and larger ones are not kept.
 SPARE_BYTES = 4 << 20
 
-# The spare: at most one buffer, held by no live ``Powers``.  A buffer is
-# taken from it under the lock and handed back when its tables are dropped,
-# so two live tables never share memory, in one thread or across threads.
+# The spare: at most one buffer, held by no running ``moments`` call.  A
+# buffer is taken from it under the lock and handed back when the call ends,
+# so two calls' tables never share memory, in one thread or across threads.
 _spare = None
 _spare_lock = threading.Lock()
 
@@ -269,118 +269,101 @@ def _powers(z, out):
     return out
 
 
-class Powers:
-    """The powers z^k, k = 0..q // 2, of z = exp(2 pi i (t - origin) / P) at
-    the points t, enough for phi_1..phi_q; the points are not domain-checked.
+def _tables(spec, K, t, take):
+    """The power tables of z = exp(2 pi i (t - origin) / P) at the points
+    t, as (buf, low, high, r): rows of the complex buffer ``buf`` that
+    ``take(count)`` returns, and r, where z^(r-1) is the last row a weight
+    multiplies.
 
-    With K = q // 2 >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
+    With K >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
     z^a (z^r)^b, so two short tables hold every power: ``low``, rows z^a for
     a = 0..r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
-    ``low`` holds z^0..z^K and there is no ``high``; at K = 0 there is no
-    table at all.  Every power is a product of the one z per point, the way
-    ``eval_matrix`` forms its columns.
+    ``low`` holds z^0..z^K and ``high`` is None; at K = 0 both are None.
+    Every power is a product of the one z per point, the way ``eval_matrix``
+    forms its columns.
+    """
+    if K == 0:
+        return take(0), None, None, 1
+    r = K + 1 if K < SPLIT_MIN else math.isqrt(K) + 1
+    # z waits in the buffer's last row, which is written only when no power
+    # reads z any more: high's last row, or a row past low (a product
+    # written over its own operand may round otherwise)
+    rows = K + 2 if K < SPLIT_MIN else r + 1 + K // r + 1
+    buf = take(rows * t.size)
+    tables = buf[:rows * t.size].reshape(rows, t.size)
+    z = tables[-1]
+    np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
+    np.exp(z, out=z)
+    if K < SPLIT_MIN:
+        return buf, _powers(z, tables[:-1]), None, r
+    low = _powers(z, tables[:r + 1])
+    return buf, low, _powers(low[r], tables[r + 1:]), r
 
-    Both tables are rows of one complex buffer.  Up to ``SPARE_BYTES`` it is
-    the process's spare buffer when that is free and large enough, so a
-    stream of same-sized batches maps no new memory for its tables; the
-    buffer goes back to the spare when the tables are dropped, at the last
-    read below or when the ``Powers`` is collected.
 
-    The sums below build no array of the tables' size, so they read the
-    tables in an order.  ``w`` None stands for unit weights (the density
-    sketch's): their sums read the tables as they are and keep them.  The
-    ``moments`` or ``sums`` of any other weight vector is the tables' last
-    read, after every ``suffix_sum`` it needs: it weights the rows
-    z^0..z^(r-1) in place and drops both tables, so a later read fails
-    instead of reading weighted powers.  Either way the product gets the
+def moments(spec, K, t, weights, tails):
+    """Fourier moments of the points t, which are not domain-checked, under
+    each weight vector w of ``weights`` (None for unit weights): with
+    z = exp(2 pi i (t - origin) / P), mu_k = sum_i w_i z_i^k for k = 0..K,
+    then the tail moment sum_{i >= lo} w_i z_i^k of each (k, lo) in
+    ``tails``.  Returns one complex array of K + 1 + len(tails) entries per
+    weight.
+
+    The tables' buffer is the process's spare when that is free and large
+    enough, so a stream of same-sized batches maps no new memory for it,
+    and goes back to the spare when the call returns or raises.
+
+    No array of the tables' size is built beside them, so the weights read
+    them in an order.  A None weight reads them as they are.  An array
+    weight multiplies the rows z^0..z^(r-1) in place, so at most one weight
+    is an array, and it comes last.  Each weight's tail moments are read
+    before its whole-batch moments.  Either way the product gets the
     operands of ``high @ (low[:r] * w).T``: a row weighted in place has the
-    bits of a weighted copy, and a power times 1 keeps its bits.  So no sum
-    depends on what else the tables served
+    bits of a weighted copy, and a power times 1 keeps its bits
     (``tests/oracles.moments_out_of_place``).
     """
-
-    _buf = None
-
-    def __init__(self, spec, q, t):
-        t = np.asarray(t, float)
-        self.q, self.period, self.size = q, spec.period, t.size
-        self.K = K = q // 2
-        self.r = K + 1 if K < SPLIT_MIN else math.isqrt(K) + 1
-        self.low = self.high = None
-        if K == 0:
-            return
-        # z waits in the buffer's last row, which is written only when no
-        # power reads z any more: high's last row, or a row past low (a
-        # product written over its own operand may round otherwise)
-        rows = K + 2 if K < SPLIT_MIN else self.r + 1 + K // self.r + 1
-        self._buf = _take_buffer(rows * t.size)
-        tables = self._buf[:rows * t.size].reshape(rows, t.size)
-        z = tables[-1]
-        np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
-        np.exp(z, out=z)
-        if K < SPLIT_MIN:
-            self.low = _powers(z, tables[:-1])
-        else:
-            self.low = _powers(z, tables[:self.r + 1])
-            self.high = _powers(self.low[self.r], tables[self.r + 1:])
-
-    def __del__(self):
-        self._drop()
-
-    def _drop(self):
-        buf, self._buf = self._buf, None
-        if buf is not None:
-            _give_back(buf)
-
-    def moments(self, w):
-        """Weighted moments mu_k = sum_i w_i z_i^k for k = 0..K; a w other
-        than None is the tables' last read."""
-        low, high = self.low, self.high
-        if w is not None:
-            del self.low, self.high
-        if low is None:
-            return np.array([self.size if w is None else w.sum()],
-                            dtype=complex)
-        if high is None:
-            mu = low @ (np.ones(self.size) if w is None else w)
-        else:
-            low = low[:self.r]
-            if w is not None:
-                low *= w
-            # row b, column a of the product is mu_{a + r b}
-            mu = (high @ low.T).ravel()[:self.K + 1]
-        if w is not None:
-            self._drop()
-        return mu
-
-    def sums(self, w):
-        """Per-function sums sum_i w_i phi_j(t_i) for j = 1..q: phi_1 from
-        Re mu_0, and (phi_{2k}, phi_{2k+1}) from (Re mu_k, Im mu_k)."""
-        mu = self.moments(w)
-        out = np.empty(self.q)
-        out[0] = mu[0].real / math.sqrt(self.period)
-        np.multiply(mu[1:].view(float)[:self.q - 1],
-                    math.sqrt(2.0 / self.period), out=out[1:])
+    if any(w is not None for w in weights[:-1]):
+        raise ValueError("only the last weight may be an array")
+    t = np.asarray(t, float)
+    m = t.size
+    buf, low, high, r = _tables(spec, K, t, _take_buffer)
+    try:
+        out = []
+        for w in weights:
+            mu = np.empty(K + 1 + len(tails), dtype=complex)
+            for i, (k, lo) in enumerate(tails, K + 1):
+                if k == 0:
+                    mu[i] = max(m - lo, 0) if w is None else w[lo:].sum()
+                    continue
+                zk = low[k % r, lo:]
+                if high is not None:
+                    zk = zk * high[k // r, lo:]
+                # unit weights as the complex ones np.dot would cast them to
+                mu[i] = np.dot(zk, np.ones(zk.size, complex) if w is None
+                               else w[lo:])
+            if low is None:
+                mu[0] = m if w is None else w.sum()
+            elif high is None:
+                mu[:K + 1] = low @ (np.ones(m) if w is None else w)
+            else:
+                if w is not None:
+                    low[:r] *= w
+                # row b, column a of the product is mu_{a + r b}
+                mu[:K + 1] = (high @ low[:r].T).ravel()[:K + 1]
+            out.append(mu)
         return out
-
-    def suffix_sum(self, j, w, lo):
-        """Entry j of ``sums``, phi_{j+1}, over the points from index lo on."""
-        k = (j + 1) // 2
-        if k == 0:
-            total = max(self.size - lo, 0) if w is None else w[lo:].sum()
-            return total / math.sqrt(self.period)
-        zk = self.low[k % self.r, lo:]
-        if self.high is not None:
-            zk = zk * self.high[k // self.r, lo:]
-        # unit weights as the complex ones np.dot would cast them to
-        mu = np.dot(zk, np.ones(zk.size, complex) if w is None else w[lo:])
-        return math.sqrt(2.0 / self.period) * (mu.real if j % 2 else mu.imag)
+    finally:
+        _give_back(buf)
 
 
-def moments(spec, M, x, w):
-    """Weighted Fourier moments mu_m = sum_i w_i z_i^m for m = 0..M, with
-    z = exp(2 pi i (x - origin) / P); the points x are not domain-checked."""
-    return Powers(spec, 2 * M, x).moments(w)
+def sums_from_moments(spec, q, mu):
+    """Per-function sums sum_i w_i phi_j(t_i) for j = 1..q from the moments
+    mu_0..mu_{q // 2} of the same weights and points: phi_1 from Re mu_0,
+    and (phi_{2k}, phi_{2k+1}) from (Re mu_k, Im mu_k)."""
+    out = np.empty(q)
+    out[0] = mu[0].real / math.sqrt(spec.period)
+    np.multiply(mu[1:].view(float)[:q - 1], math.sqrt(2.0 / spec.period),
+                out=out[1:])
+    return out
 
 
 def gram_from_moments(spec, q, mu):

@@ -198,5 +198,5 @@ class DensityState:
             mu[0] = 1.0
         else:
             x, w, fx, z = self._clipped(quadrature.node_count(q, p))
-            mu = basis_mod.moments(reg_basis, M, x, w * fx / z)
+            mu, = basis_mod.moments(reg_basis, M, x, (w * fx / z,), ())
         return basis_mod.gram_from_moments(reg_basis, q, mu)

@@ -113,26 +113,23 @@ class OnePassRegressor:
 
         n_new = self.n + ts.size
         start = self.schedule.extend(self.start, n_new)
-        powers = basis_mod.Powers(self.reg_basis, start.size, ts)
-        theta_sums = None
-        if self.density is not None and self.density.basis == self.reg_basis:
-            # at margin 0 the sketch basis is the regression basis: the
-            # sketch's unit weights read the shared tables before G's fold
-            # weights them in place
-            theta_sums = fold(powers, None, start, self.n)
+        # at margin 0 the sketch's unit weights share G's tables
+        shared = (self.density is not None
+                  and self.density.basis == self.reg_basis)
         G = self.G
         if start.size > G.size:
             G = np.concatenate([G, np.zeros(start.size - G.size)])
         # a new array: self.G stays untouched until the overflow check passes
         with np.errstate(over="ignore", invalid="ignore"):
-            G = G + fold(powers, ys, start, self.n)
+            sums = fold(self.reg_basis, ts, (None, ys) if shared else (ys,),
+                        start, self.n)
+            G = G + sums[-1]
         if not np.isfinite(G).all():
             raise ValueError("batch overflows the summary statistics")
         if self.density is not None:
-            if theta_sums is None:
-                own = basis_mod.Powers(self.density.basis, start.size, ts)
-                theta_sums = fold(own, None, start, self.n)
-            self.density.update(start, theta_sums, self.n, n_new)
+            if not shared:
+                sums = fold(self.density.basis, ts, (None,), start, self.n)
+            self.density.update(start, sums[0], self.n, n_new)
         self.G, self.start, self.n = G, start, n_new
         if self.density is not None:
             self.density.active_count = self.active_count
@@ -311,19 +308,21 @@ def batch_fit(ts, ys, spec, q, rho, penalty):
 
 
 def normal_equations(spec, q, ts, ys):
-    """The batch system's n^-1 Phi'Phi and n^-1 Phi'Y from one ``Powers``
-    table of the sample, with no n x q basis matrix."""
+    """The batch system's n^-1 Phi'Phi and n^-1 Phi'Y from the sample's
+    Fourier moments, with no n x q basis matrix."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     n = ts.size
     if n < 1:
         raise ValueError("empty sample")
+    if ts.shape != ys.shape:
+        raise ValueError("t and y samples must have equal length")
     if q < 1:
         raise DomainError("basis count q must be >= 1")
-    powers = basis_mod.Powers(spec, 2 * q, basis_mod._check_points(spec, ts))
-    # the unit weights read the tables in place before ys weights them
-    H = basis_mod.gram_from_moments(spec, q, powers.moments(None))
-    return H / n, powers.sums(ys)[:q] / n
+    unit, weighted = basis_mod.moments(
+        spec, q, basis_mod._check_points(spec, ts), (None, ys), ())
+    H = basis_mod.gram_from_moments(spec, q, unit)
+    return H / n, basis_mod.sums_from_moments(spec, q, weighted) / n
 
 
 def _kappa_bound(spectrum, W, rho):

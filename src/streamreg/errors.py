@@ -29,5 +29,9 @@ class CheckpointError(StreamRegError, ValueError):
     """A checkpoint record is malformed or inconsistent."""
 
 
+class NotFoundError(StreamRegError, LookupError):
+    """A request names a stream the service does not hold."""
+
+
 class InputError(StreamRegError, ValueError):
     """A command's input file is malformed, or its flags contradict it."""

@@ -200,6 +200,14 @@ def _replicate_data(sc, replicate):
     return ts, ys
 
 
+def _counts(checkpoints):
+    """The checkpoints as sorted ints, each checked to be an integer."""
+    checkpoints = list(checkpoints)
+    if not all(map(is_count, checkpoints)):
+        raise ValueError(f"checkpoints must be integers, got {checkpoints!r}")
+    return sorted(map(int, checkpoints))
+
+
 def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
                    fixed_h=None):
     """Tune each replicate once, stream it once per memory cap, and record
@@ -218,7 +226,7 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
     """
     if method not in ("streaming", "batch_oracle"):
         raise ValueError(f"unknown method {method!r}")
-    checkpoints = sorted(int(c) for c in checkpoints)
+    checkpoints = _counts(checkpoints)
     if not checkpoints or checkpoints[-1] > sc.n:
         raise ValueError("checkpoints must be non-empty and <= n")
     if checkpoints[0] < 1:
@@ -313,7 +321,7 @@ def rate_experiment(sc, beta_hypothesis, checkpoints):
     if not (is_real(beta_hypothesis) and beta_hypothesis > 0):
         raise ValueError(f"beta must be a finite number > 0, got "
                          f"{beta_hypothesis!r}")
-    checkpoints = sorted(int(c) for c in checkpoints)
+    checkpoints = _counts(checkpoints)
     if len(set(checkpoints)) < 3 or checkpoints[-1] < 100 * checkpoints[0]:
         raise ValueError("need >= 3 distinct checkpoints over >= 2 decades")
     report = run_experiment(sc, checkpoints, fixed_h=RATE_H)

@@ -187,10 +187,11 @@ def run_protocol(k, n, trials, seed=0, beta=HypercubeInstance.beta,
     bit matches.  The transmitted unit count is constant across trials and
     is verified to equal the engine's memory footprint.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    for name, value in (("k", k), ("trials", trials)):
+        if not is_count(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1")
     rng = np.random.default_rng(seed)
     report = ProtocolReport()
     for trial in range(trials):

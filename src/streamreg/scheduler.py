@@ -17,15 +17,11 @@ theta, so it is written once, here:
 - ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0).
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
-  theta).  It reads the batch's Fourier power tables (``basis.Powers``),
-  never a basis matrix: a slot that opens mid-batch, tau_j > n_old + 1,
-  first takes its sum from its own tau_j onward, z^k for that suffix from
-  the tables; then every other slot takes its whole-batch sum from the
-  moments.  The sketch's unit weights read the tables as they are; G's
-  moments are the tables' last read and weight them by y in place.  So at
-  margin 0, where the two share one set of tables, the engine folds the
-  sketch first.  It extends the start vector once per batch and folds G
-  and the sketch from it, so both follow one ledger.
+  theta) from the batch's Fourier moments (``basis.moments``), never a basis
+  matrix: a slot that opens mid-batch, tau_j > n_old + 1, takes its sum from
+  its tail moment over its own tau_j onward, every other slot from the
+  whole-batch moments.  The engine extends the start vector once per batch
+  and folds G and the sketch from it, so both follow one ledger.
 """
 
 import math
@@ -33,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import is_count, is_real, require
+from .basis import is_count, is_real, moments, require, sums_from_moments
 
 # Guards floor() against representation error in x**(1/h) for exact powers.
 _FLOOR_EPS = 1e-9
@@ -156,19 +152,20 @@ def slot_counts(start, n):
     return np.maximum(n - start + 1, 0)
 
 
-def fold(powers, w, start, n_old):
-    """Per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i over one batch.
-
-    ``powers`` is the batch's ``basis.Powers`` for one slot per entry of
-    ``start``; the batch's i-th observation has stream index n_old + 1 + i.
-    ``w`` None stands for unit weights.  The slots that open mid-batch take
-    their suffix sums first, since a weight vector's whole-batch sums are
-    the tables' last read.
-    """
+def fold(spec, ts, weights, start, n_old):
+    """Per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i over one batch, the
+    points ``ts`` at stream indices n_old + 1, n_old + 2, ...: one vector
+    per weight vector w of ``weights``, as ``basis.moments`` takes them."""
     # start is non-decreasing, so the slots opening mid-batch are a suffix
-    first = start.searchsorted(n_old + 1, side="right")
-    suffix = [powers.suffix_sum(j, w, start[j] - n_old - 1)
-              for j in range(first, start.size)]
-    sums = powers.sums(w)
-    sums[first:] = suffix
-    return sums
+    opening = range(start.searchsorted(n_old + 1, side="right"), start.size)
+    tails = [((j + 1) // 2, start[j] - n_old - 1) for j in opening]
+    K = start.size // 2
+    P = spec.period
+    out = []
+    for mu in moments(spec, K, ts, weights, tails):
+        sums = sums_from_moments(spec, start.size, mu[:K + 1])
+        for j, tail in zip(opening, mu[K + 1:]):
+            sums[j] = tail.real / math.sqrt(P) if j == 0 else \
+                math.sqrt(2.0 / P) * (tail.real if j % 2 else tail.imag)
+        out.append(sums)
+    return out

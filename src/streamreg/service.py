@@ -33,10 +33,12 @@ round-trip formatting).  A reply that would hold NaN or inf, which JSON
 cannot, is sent as a ``non_finite`` error instead.
 
 A stream exists once its first batch has been accepted: a refused first
-ingest leaves no stream behind.  A request line longer than MAX_LINE_BYTES,
-or an ingest that would create a stream past MAX_STREAMS, gets a ``request``
-error, so the memory a client can make the process hold stays bounded; the
-connection and every existing stream keep being served.
+ingest leaves no stream behind, and a query of a stream that does not exist
+gets a ``not_found`` error.  A request that lacks a field its op needs
+(stream_id, points or kind) is a ``request`` error.  So is a request line
+longer than MAX_LINE_BYTES, or an ingest that would create a stream past
+MAX_STREAMS, so the memory a client can make the process hold stays
+bounded; the connection and every existing stream keep being served.
 """
 
 import json
@@ -50,7 +52,7 @@ import orjson
 
 from .basis import BasisSpec, PenaltySpec, is_real, require
 from .engine import OnePassRegressor
-from .errors import DomainError, StateError, StreamRegError
+from .errors import DomainError, NotFoundError, StateError, StreamRegError
 from .scheduler import SchedulerConfig
 from .tuning import rho_at
 
@@ -144,7 +146,7 @@ class StreamRegistry:
     def query(self, stream_id, kind, t):
         entry = self._engine(stream_id)
         if entry is None:
-            raise KeyError(f"unknown stream {stream_id!r}")
+            raise NotFoundError(f"unknown stream {stream_id!r}")
         reg, lock = entry
         with lock:
             if kind == "stats":
@@ -236,8 +238,11 @@ def handle_request(registry, request):
             # reprlib bounds the text of a long or deeply nested value
             raise ValueError(f"unknown op {reprlib.repr(op)}")
         return {"ok": True, **result}
-    except KeyError as exc:
+    except NotFoundError as exc:
         return {"ok": False, "error": "not_found", "message": str(exc)}
+    except KeyError as exc:
+        return {"ok": False, "error": "request",
+                "message": f"request lacks the field {exc}"}
     except DomainError as exc:
         return {"ok": False, "error": "validation", "message": str(exc)}
     except StateError as exc:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from streamreg import basis, quadrature
-from streamreg.basis import (Powers, _check_points, _curvature_factors,
+from streamreg.basis import (_check_points, _curvature_factors, _tables,
                              eval_matrix, gram_uniform, penalty_matrix)
 from streamreg.engine import batch_fit, normal_equations, penalized_solve
 from streamreg.errors import (DomainError, IllConditionedSystemError,
@@ -51,49 +51,71 @@ def fold(vals, w, start, n_old):
     return sums
 
 
-def moments_out_of_place(powers, w):
-    """``Powers.moments(w)`` from a weighted copy of the tables, as
-    ``high @ (low[:r] * w).T``: the tables are read, never written or
-    dropped, so any number of weights can share them."""
-    low, high = powers.low, powers.high
+class Tables:
+    """``basis.moments``'s power tables of z^0..z^K, K = q // 2, at the
+    points t, in a buffer of their own: read any number of times, never
+    written."""
+
+    def __init__(self, spec, q, t):
+        self.q, self.K, self.period = q, q // 2, spec.period
+        _, self.low, self.high, self.r = _tables(
+            spec, self.K, t, lambda count: np.empty(count, complex))
+
+
+def moments_out_of_place(tables, w):
+    """``basis.moments`` of the weight vector w from a weighted copy of the
+    tables, as ``high @ (low[:r] * w).T``."""
+    low, high = tables.low, tables.high
     if low is None:
         return np.array([w.sum()], dtype=complex)
     if high is None:
         return low @ w
-    return (high @ (low[:powers.r] * w).T).ravel()[:powers.K + 1]
+    return (high @ (low[:tables.r] * w).T).ravel()[:tables.K + 1]
 
 
-def sums_out_of_place(powers, w):
-    """``Powers.sums(w)`` from ``moments_out_of_place``."""
-    P = powers.period
-    if powers.low is None:
-        return np.array([w.sum() / math.sqrt(P)])
-    mu = moments_out_of_place(powers, w)
-    out = np.empty(powers.q)
+def sums_out_of_place(tables, w):
+    """``basis.sums_from_moments`` of ``moments_out_of_place``."""
+    P = tables.period
+    mu = moments_out_of_place(tables, w)
+    out = np.empty(tables.q)
     out[0] = mu[0].real / math.sqrt(P)
-    np.multiply(mu[1:].view(float)[:powers.q - 1], math.sqrt(2.0 / P),
+    np.multiply(mu[1:].view(float)[:tables.q - 1], math.sqrt(2.0 / P),
                 out=out[1:])
     return out
+
+
+def suffix_sum(tables, j, w, lo):
+    """Entry j of ``sums_out_of_place``, phi_{j+1}, over the points from
+    index lo on."""
+    k = (j + 1) // 2
+    if k == 0:
+        return w[lo:].sum() / math.sqrt(tables.period)
+    zk = tables.low[k % tables.r, lo:]
+    if tables.high is not None:
+        zk = zk * tables.high[k // tables.r, lo:]
+    mu = np.dot(zk, w[lo:])
+    return math.sqrt(2.0 / tables.period) * (mu.real if j % 2 else mu.imag)
 
 
 def normal_equations_out_of_place(spec, q, ts, ys):
     """``engine.normal_equations`` with the unit and the y weights each
     taking its moments from its own weighted copy of one set of tables."""
     n = ts.size
-    powers = Powers(spec, 2 * q, ts)
+    tables = Tables(spec, 2 * q, ts)
     H = basis.gram_from_moments(spec, q,
-                                moments_out_of_place(powers, np.ones(n)))
-    return H / n, sums_out_of_place(powers, ys)[:q] / n
+                                moments_out_of_place(tables, np.ones(n)))
+    return H / n, sums_out_of_place(tables, ys)[:q] / n
 
 
-def fold_scan(powers, w, start, n_old):
-    """``scheduler.fold`` with a full scan of ``start`` for the slots that
-    open mid-batch, for any start vector, monotone or not, and each weight
-    vector's whole-batch sums from a weighted copy of the tables
-    (``sums_out_of_place``), so it leaves ``powers`` as it found it."""
-    sums = sums_out_of_place(powers, w)
+def fold_scan(tables, w, start, n_old):
+    """``scheduler.fold`` of one weight vector w with a full scan of
+    ``start`` for the slots that open mid-batch, for any start vector,
+    monotone or not, and the whole-batch sums from a weighted copy of the
+    tables (``sums_out_of_place``), so it leaves ``tables`` as it found
+    them."""
+    sums = sums_out_of_place(tables, w)
     for j in (start > n_old + 1).nonzero()[0]:
-        sums[j] = powers.suffix_sum(j, w, start[j] - n_old - 1)
+        sums[j] = suffix_sum(tables, j, w, start[j] - n_old - 1)
     return sums
 
 
@@ -127,13 +149,12 @@ def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
     n, start, G, theta = state
     n_new = n + ts.size
     start = schedule.extend(start, n_new)
-    powers = Powers(reg_basis, start.size, ts)
     G = np.concatenate([G, np.zeros(start.size - G.size)]) \
-        + fold_scan(powers, ys, start, n)
+        + fold_scan(Tables(reg_basis, start.size, ts), ys, start, n)
     if theta is not None:
-        powers = Powers(density_basis, start.size, ts)
+        tables = Tables(density_basis, start.size, ts)
         theta = update_theta(theta, start,
-                             fold_scan(powers, np.ones(ts.size), start, n),
+                             fold_scan(tables, np.ones(ts.size), start, n),
                              n, n_new)
     return n_new, start, G, theta
 
@@ -156,7 +177,7 @@ def fold_rounding(sizes, slots, steps):
     the same elementwise expression.  m adds up, for a call of m_c points:
 
     - sqrt(5) K, K = slots // 2: z^k, k <= K, is a chain of at most K
-      complex products of z_i (``Powers``: z^a, (z^r)^b and their
+      complex products of z_i (``basis.moments``: z^a, (z^r)^b and their
       product), each within sqrt(5) u (Brent, Percival and Zimmermann,
       *Math. Comp.* 76, 2007);
     - 1 for the real product z^a w_i;

@@ -250,18 +250,24 @@ class TestMoments:
         m = np.arange(M + 1)
         direct = np.exp((2j * np.pi / spec.period)
                         * np.outer(m, x - spec.origin)) @ w
-        got = moments(spec, M, x, w)
+        unit, got = moments(spec, M, x, (None, w), ())
         assert got.shape == (M + 1,)
         assert np.max(np.abs(got - direct)) <= 1e-15 * (M + 1) * w.sum()
+        assert unit.tobytes() == moments(spec, M, x, (np.ones(x.size),),
+                                         ())[0].tobytes()
+        # an array weight writes into the tables, so it must come last
+        with pytest.raises(ValueError, match="last"):
+            moments(spec, M, x, (w, None), ())
 
     @pytest.mark.parametrize("q", [3, 92, 301])
     def test_node_order_does_not_matter(self, q):
         x, w = weighted_nodes(0.0, 1.0, q, q)
-        H = gram_from_moments(EXTENDED, q, moments(EXTENDED, 2 * (q // 2), x, w))
+        mu, = moments(EXTENDED, 2 * (q // 2), x, (w,), ())
+        H = gram_from_moments(EXTENDED, q, mu)
         for seed in range(3):
             order = np.random.default_rng(seed).permutation(x.size)
-            Hp = gram_from_moments(EXTENDED, q, moments(
-                EXTENDED, 2 * (q // 2), x[order], w[order]))
+            mu, = moments(EXTENDED, 2 * (q // 2), x[order], (w[order],), ())
+            Hp = gram_from_moments(EXTENDED, q, mu)
             assert np.max(np.abs(Hp - H)) <= 1e-15 * np.max(np.abs(H))
 
 
@@ -272,7 +278,8 @@ class TestGramFromMoments:
     def test_matches_dense_oracle(self, lo, hi, margin, q):
         spec = BasisSpec(lo, hi, extension_margin=margin)
         x, w = weighted_nodes(lo, hi, q, q)
-        H = gram_from_moments(spec, q, moments(spec, 2 * (q // 2), x, w))
+        mu, = moments(spec, 2 * (q // 2), x, (w,), ())
+        H = gram_from_moments(spec, q, mu)
         oracle = weighted_gram(spec, q, x, w)
         assert H.shape == (q, q)
         np.testing.assert_array_equal(H, H.T)

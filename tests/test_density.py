@@ -284,7 +284,8 @@ def quadrature_gram(state, q):
     p = state.active_count
     x, w = quadrature.rule(0.0, 1.0, quadrature.node_count(q, p))
     fx = np.maximum(state.evaluate(x), 0.0)
-    mu = moments(UNIT, 2 * (q // 2), x, w * fx / float(np.dot(w, fx)))
+    mu, = moments(UNIT, 2 * (q // 2), x, (w * fx / float(np.dot(w, fx)),),
+                  ())
     return gram_from_moments(UNIT, q, mu)
 
 

@@ -1,5 +1,6 @@
 import copy
 import functools
+import itertools
 import json
 import math
 import os
@@ -18,10 +19,10 @@ from scipy import linalg
 
 import streamreg
 from streamreg import basis
-from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec, Powers,
+from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec,
                              eval_matrix, penalty_matrix)
-from oracles import (moments_out_of_place, normal_equations_out_of_place,
-                     partition_tolerance, weighted_gram)
+from oracles import (normal_equations_out_of_place, partition_tolerance,
+                     weighted_gram)
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               batch_fit, normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
@@ -62,10 +63,11 @@ def traced_peak(fn, *args):
 
 
 def table_bytes(spec, q, m):
-    """Bytes of the two power tables ``Powers(spec, q, t)`` builds for m
-    points, K = q // 2 >= SPLIT_MIN."""
-    p = Powers(spec, q, np.zeros(0))
-    return 16 * m * (p.r + 1 + p.K // p.r + 1)
+    """Bytes of the buffer ``basis.moments`` takes for the power tables of
+    phi_1..phi_q at m points: m times their bytes at one point."""
+    buf = basis._tables(spec, q // 2, np.zeros(1),
+                        lambda count: np.empty(count, complex))[0]
+    return m * buf.nbytes
 
 
 class TestIngest:
@@ -171,7 +173,7 @@ class TestIngest:
         assert (slots, s) == (261, 263)
         # Beside one set of tables a call holds, at any one time, either
         # at most two complex m-vectors (z while the first table is built,
-        # as the second is built from the first; a suffix sum's z^k and
+        # as the second is built from the first; a tail moment's z^k and
         # its weights as complex) or, while G's weights go into the table
         # in place, numpy's ufunc buffers: one of np.getbufsize() elements
         # for y cast to complex and one for its broadcast over the rows.
@@ -550,37 +552,24 @@ class TestMemory:
 
 class TestTableBuffer:
     """The power tables' reused buffer (``basis.SPARE_BYTES``): held by one
-    live ``Powers`` at a time, and no larger than the constant."""
+    ``basis.moments`` call at a time, and no larger than the constant."""
 
-    def test_live_tables_never_share_memory(self):
+    def test_a_raising_read_gives_its_buffer_back(self):
+        # The buffer goes back when the call ends, also when a read raises
+        # (here y of the wrong length): while the exception and its
+        # traceback are still held, the next call of the same shape finds
+        # the buffer in the spare and allocates none of its bytes.
+        m, q = 10_000, 92
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
-        ts, ys = sample(2000, 5, lambda t: np.sin(5 * t))
-
-        def tables(p):
-            return p.low, p.high
-
-        def address(p):
-            return p.low.__array_interface__["data"][0]
-
-        # read with unit weights only, the tables go back when collected
-        unit = Powers(spec, 92, ts)
-        unit.moments(None)
-        kept = address(unit)
-        del unit
-        first, second = Powers(spec, 92, ts), Powers(spec, 92, ts)
-        assert address(first) == kept
-        assert not any(np.shares_memory(a, b) for a in tables(first)
-                       for b in tables(second))
-        want = [moments_out_of_place(p, ys) for p in (first, second)]
-        assert first.moments(ys).tobytes() == want[0].tobytes()
-        # the first's weighted read gave its buffer back: the next tables
-        # take it, and still share nothing with the live second
-        third = Powers(spec, 92, ts)
-        assert address(third) == kept
-        assert not any(np.shares_memory(a, b) for a in tables(third)
-                       for b in tables(second))
-        assert second.moments(ys).tobytes() == want[1].tobytes()
-        assert third.moments(ys).tobytes() == want[0].tobytes()
+        ts, ys = sample(m, 5, lambda t: np.sin(5 * t))
+        tables = table_bytes(spec, 2 * q, m)
+        assert tables <= SPARE_BYTES
+        normal_equations(spec, q, ts, ys)
+        for call in (lambda: normal_equations(spec, q, ts, ys[:-1]),
+                     lambda: basis.moments(spec, q, ts, (None, ys[:-1]), ())):
+            with pytest.raises(ValueError) as raised:  # held from here on
+                call()
+            assert traced_peak(normal_equations, spec, q, ts, ys) < tables / 2
 
     def test_threads_ingesting_at_once_match_sequential_runs(self):
         m, n = 2000, 30_000
@@ -1031,7 +1020,7 @@ class TestBatchFit:
             assert a.tobytes() == b.tobytes()
 
     def test_batch_fit_holds_one_set_of_tables(self):
-        # n = 1e5, q = 92: Powers(spec, 184) holds z^0..z^10 and
+        # n = 1e5, q = 92: the tables hold z^0..z^10 and
         # (z^10)^0..(z^10)^9, 32 MiB.  The only other n-length array held
         # beside them is z, while the first table is built; the unit
         # weights read the tables in place and the y weights go into them
@@ -1051,3 +1040,9 @@ class TestBatchFit:
         for t in (1.5, -0.1, math.nan):
             with pytest.raises(DomainError):
                 normal_equations(UNIT, 3, [0.5, t], [1.0, 1.0])
+        # one y was broadcast over every point from q = 16 on, fitting the
+        # constant 2 to the sample
+        ts, ys = sample(300, 8, lambda t: np.sin(5 * t))
+        for q, y in itertools.product((5, 20), ([2.0], ys[:-1], ys[:, None])):
+            with pytest.raises(ValueError, match="equal length"):
+                batch_fit(ts, y, UNIT, q, 1e-3, ROUGH)

@@ -188,6 +188,12 @@ class TestRunExperiment:
         # a repeated checkpoint would write the same row twice
         with pytest.raises(ValueError, match="checkpoints must be distinct"):
             run_experiment(sc, [500, 1000, 500])
+        # a checkpoint that is not an integer was truncated and reported
+        # as the n below it
+        for bad in ([500.5, 1000], [500, 1000.0], [True, 1000], ["500"]):
+            with pytest.raises(ValueError,
+                               match="checkpoints must be integers"):
+                run_experiment(sc, bad)
 
     def test_deterministic_given_seed(self):
         sc = Scenario(target="m2", n=1500, B=100, seed=4, replicates=2)
@@ -250,6 +256,8 @@ class TestCompositeExperiments:
         # three checkpoints but two distinct n: the fit would double a point
         with pytest.raises(ValueError, match="3 distinct checkpoints"):
             rate_experiment(sc, 1.0, [100, 100, 10_000])
+        with pytest.raises(ValueError, match="checkpoints must be integers"):
+            rate_experiment(sc, 1.0, [100, 1000.5, 10_000])
 
     @pytest.mark.parametrize("beta", [0.0, -0.5, float("nan"),
                                       float("inf"), "1", True])

@@ -272,6 +272,15 @@ class TestRunProtocol:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             run_protocol(k=2, n=100, trials=0)
+        # counts that are not integers are refused before the first draw,
+        # not by numpy or ``range``
+        for args, message in (({"k": 2.5}, "k must be an integer"),
+                              ({"k": True}, "k must be an integer"),
+                              ({"k": 0}, "k must be >= 1"),
+                              ({"trials": 1.5}, "trials must be an integer"),
+                              ({"trials": True}, "trials must be an integer")):
+            with pytest.raises(ValueError, match=message):
+                run_protocol(**{"k": 2, "n": 100, "trials": 1, **args})
 
     def test_report_csv(self, tmp_path):
         rpt = run_protocol(k=2, n=2000, trials=3, seed=5)

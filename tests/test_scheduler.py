@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fold as matrix_fold
-from oracles import fold_scan, ledger_step
-from streamreg.basis import (SPLIT_MIN, BasisSpec, PenaltySpec, Powers,
-                             eval_matrix)
+from oracles import Tables, fold_scan, ledger_step
+from streamreg.basis import SPLIT_MIN, BasisSpec, PenaltySpec, eval_matrix
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import CheckpointError
 from streamreg.scheduler import (MAX_INITIAL_SLOTS, NEVER, SchedulerConfig,
@@ -285,20 +284,16 @@ class TestFold:
         start = np.sort(np.where(rng.uniform(size=s) < opening,
                                  n_old + 1 + rng.integers(0, m + 2, s),
                                  rng.integers(1, n_old + 2, s)).astype(np.int64))
-        # a weight vector's fold is its tables' last read, so the oracle
-        # gets tables of its own
-        scan = fold_scan(Powers(spec, s, ts), w, start, n_old)
-        powers = Powers(spec, s, ts)
-        if unit_weight:
-            # unit weights (None) read the tables in place and keep them
-            assert fold(powers, None, start, n_old).tobytes() == scan.tobytes()
-        got = fold(powers, w, start, n_old)
+        # unit weights (None) read the tables as they are, then w weights
+        # them in place: each fold has the bits of its out-of-place oracle
+        tables = Tables(spec, s, ts)
+        unit, got = fold(spec, ts, (None, w), start, n_old)
+        assert unit.tobytes() == \
+            fold_scan(tables, np.ones(m), start, n_old).tobytes()
+        assert got.tobytes() == fold_scan(tables, w, start, n_old).tobytes()
         want = matrix_fold(eval_matrix(spec, s, ts), w, start, n_old)
         assert got.shape == (s,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert got.tobytes() == scan.tobytes()
-        with pytest.raises(AttributeError):
-            powers.sums(None)
 
 
 class TestLeanLedger:

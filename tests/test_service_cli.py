@@ -169,7 +169,17 @@ class TestRegistry:
     def test_error_kinds(self, registry):
         missing = handle_request(registry, {"op": "query", "stream_id": "x",
                                             "kind": "stats"})
-        assert (missing["ok"], missing["error"]) == (False, "not_found")
+        assert missing == {"ok": False, "error": "not_found",
+                           "message": "unknown stream 'x'"}
+        # a missing field is the request's fault, not an unknown stream
+        for request in ({"op": "ingest", "points": [[0.5, 1.0]]},
+                        {"op": "ingest", "stream_id": "a"},
+                        {"op": "query", "kind": "stats"},
+                        {"op": "query", "stream_id": "a", "t": 0.5}):
+            resp = handle_request(registry, request)
+            assert (resp["ok"], resp["error"]) == (False, "request"), request
+            assert "lacks the field" in resp["message"]
+        assert registry._streams == {}
         bad = handle_request(registry, {"op": "ingest", "stream_id": "a",
                                         "points": [[2.5, 1.0]]})
         assert bad["error"] == "validation"
