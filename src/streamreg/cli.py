@@ -1,8 +1,11 @@
 """Command-line entry points for experiments, tuning, ingestion and serving."""
 
 import argparse
+import contextlib
 import csv
 import math
+import os
+import secrets
 import signal
 import sys
 
@@ -182,10 +185,25 @@ def _cmd_ingest_csv(args):
                 batch = []
     if batch:
         _ingest_rows(reg, batch)
-    with open(args.checkpoint, "w") as fh:
-        fh.write(reg.checkpoint_json())
+    _replace_file(args.checkpoint, reg.checkpoint_json())
     print(f"ingested {reg.n} observations; checkpoint at {args.checkpoint}")
     return 0
+
+
+def _replace_file(path, text):
+    """Write ``text`` to a new file beside ``path``, then rename it over
+    ``path``: a write that fails leaves the previous file as it was (it may
+    be the checkpoint the run resumed from) and removes the new one."""
+    folder, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(folder, f".{name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _ingest_rows(reg, batch):

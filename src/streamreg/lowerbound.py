@@ -34,11 +34,24 @@ BLOCK_BATCHES = 64
 def bump_kernel(t):
     """Smooth bump supported on (-1/2, 1/2) with peak K(0) = 1."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 0.5
-    u = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
+    out = bump_kernel_into(t, np.empty_like(t))
     return out if out.ndim else float(out)
+
+
+def bump_kernel_into(t, out):
+    """``bump_kernel`` of the float array t written into ``out``, an array of
+    t's shape that is not t, and returned.  Each step of exp(1 - 1 / (1 -
+    4 t t)) is taken in place, in its order, at the points inside the
+    support, so every value keeps the expression's bits."""
+    inside = np.less(np.abs(t, out=out), 0.5)
+    np.multiply(4.0, t, out=out, where=inside)
+    np.multiply(out, t, out=out, where=inside)
+    np.subtract(1.0, out, out=out, where=inside)
+    np.divide(1.0, out, out=out, where=inside)
+    np.subtract(1.0, out, out=out, where=inside)
+    np.exp(out, out=out, where=inside)
+    np.copyto(out, 0.0, where=~inside)
+    return out
 
 
 @dataclass(frozen=True)
@@ -79,16 +92,42 @@ def build_m_omega(inst):
     and are not evaluated.  Near an interval edge every bump underflows to
     0, so the interval chosen for a t on the edge does not matter.
     """
+    into = build_m_omega_into(inst)
+
+    def m_omega(t):
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        return into(t, np.empty_like(t), np.empty((2,) + t.shape))
+
+    return m_omega
+
+
+def build_m_omega_into(inst):
+    """``build_m_omega``'s function as m_omega(t, out, work) for a float
+    array t: the values are written into ``out`` (t's shape) and returned,
+    and ``work`` (shape (2,) + t's shape) holds the cell index and the
+    kernel's argument, so a call allocates nothing of t's size.  Each step
+    of (amp K(k (t - c_j))) omega_j is taken in place, in its order."""
     k = inst.k
     amp = inst.peak
     omega = np.asarray(inst.omega, dtype=float)
     centers = inst.centers
 
-    def m_omega(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+    def m_omega(t, out, work):
+        x, j = work[0], work[1].view(np.intp)
         # fmax/fmin send NaN to bump 0, where it evaluates to 0 as before
-        j = np.fmin(np.fmax(np.floor(k * t), 0.0), k - 1.0).astype(np.intp)
-        return amp * bump_kernel(k * (t - centers[j])) * omega[j]
+        np.multiply(k, t, out=x)
+        np.floor(x, out=x)
+        np.fmax(x, 0.0, out=x)
+        np.fmin(x, k - 1.0, out=x)
+        np.copyto(j, x, casting="unsafe")
+        # j is in range, and take's "clip" mode writes out unbuffered
+        np.take(centers, j, out=x, mode="clip")
+        np.subtract(t, x, out=x)
+        np.multiply(k, x, out=x)
+        bump_kernel_into(x, out)
+        np.multiply(amp, out, out=out)
+        return np.multiply(out, np.take(omega, j, out=x, mode="clip"),
+                           out=out)
 
     return m_omega
 
@@ -112,10 +151,14 @@ def alice_encode(inst, n, rng, mem_cap, noise_sd):
     if not (is_real(noise_sd) and noise_sd >= 0):
         raise ValueError(
             f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
-    m = build_m_omega(inst)
+    m = build_m_omega_into(inst)
     reg = _protocol_engine(mem_cap)
     block = BLOCK_BATCHES * BATCH_SIZE
-    ts, noise = np.empty(min(n, block)), np.zeros(min(n, block))
+    # the points, their noise, the responses and m_omega's work space,
+    # each under glibc's mmap threshold, so reused from its heap
+    size = min(n, block)
+    ts, noise, ys = np.empty(size), np.zeros(size), np.empty(size)
+    work = np.empty((2, size))
     for first in range(0, n, block):
         t, e = ts[:n - first], noise[:n - first]
         # one batch's draws after another's, as when each batch is streamed
@@ -132,10 +175,11 @@ def alice_encode(inst, n, rng, mem_cap, noise_sd):
         # ledger is a function of n alone, so one ingest per block moves
         # only the rounding of G.  s z may be -0.0 where 0 + s z is +0.0;
         # adding it to m_omega >= +0 gives the same sum
-        ys = m(t)
+        y = m(t, ys[:t.size], work[:, :t.size])
         if noise_sd > 0:
-            ys += noise_sd * e
-        reg.ingest(t, ys)
+            np.multiply(noise_sd, e, out=e)
+            y += e
+        reg.ingest(t, y)
     return reg.checkpoint_json(), reg.memory_footprint()
 
 

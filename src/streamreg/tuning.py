@@ -97,6 +97,8 @@ def cv_table(ts, ys, grid, penalty, spec):
     """
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    if ts.shape != ys.shape:
+        raise ValueError("t and y samples must have equal length")
     if ts.size < grid.n0:
         raise ValueError(f"warm-up requires at least n0={grid.n0} observations")
     qs = [SchedulerConfig(h=h).active_count(grid.n0) for h in grid.h_grid]

@@ -250,6 +250,29 @@ def m3_partial_sum(t, k_max=M3_TERMS, chunk=4096):
     return out
 
 
+def m3_at_nodes(j, N, chunk=8):
+    """m3(j/N) for integer nodes j by the direct series in np.longdouble.
+
+    Each angle 2 pi k j / N is the integer (k j) mod N, an index into one
+    table of sin(2 pi r / N), r = 0..N-1 (the cosine reads it a quarter
+    turn on), so every term carries long-double precision."""
+    j = np.asarray(j, dtype=np.int64)
+    ks = np.arange(1, M3_TERMS // 2 + 1, dtype=np.int64)
+    two_ks = 2 * ks.astype(np.longdouble)
+    c_coef = two_ks ** np.longdouble(-1.5)
+    s_coef = np.where(2 * ks + 1 <= M3_TERMS,
+                      (two_ks + 1) ** np.longdouble(-1.5), 0)
+    sines = np.sin(2 * np.arccos(np.longdouble(-1)) / N * np.arange(N))
+    out = np.empty(j.size, dtype=np.longdouble)
+    for lo in range(0, j.size, chunk):
+        r = np.outer(j[lo:lo + chunk], ks) % N
+        out[lo:lo + chunk] = 1 + sines[r] @ s_coef
+        r += N // 4
+        r %= N
+        out[lo:lo + chunk] += sines[r] @ c_coef
+    return out
+
+
 def generate_stream(sc, rng=None):
     """Yield (t, y) batches of size B; deterministic given the seed."""
     if rng is None:
@@ -385,6 +408,17 @@ def holder_constant_estimate(inst):
     nu = int(np.ceil(inst.beta)) - 1
     d = np.diff(v, n=nu) / dt ** nu if nu > 0 else v
     return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))
+
+
+def bump_kernel_expression(t):
+    """``lowerbound.bump_kernel`` as one expression on the points inside,
+    written into a zeroed array."""
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 0.5
+    u = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
+    return out
 
 
 def build_m_omega_loop(inst):

@@ -823,6 +823,40 @@ class TestCli:
         assert full_ck.read_text() == part_ck.read_text()
         capsys.readouterr()
 
+    @pytest.mark.parametrize("fault", ["write", "replace"])
+    def test_a_failed_checkpoint_write_keeps_the_previous_file(
+            self, tmp_path, capsys, monkeypatch, fault):
+        # --resume and --checkpoint name one file: a write that raises
+        # must leave the checkpoint the run resumed from byte for byte,
+        # and no partial file beside it
+        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
+        write_stream_csv(data, n=50)
+        assert main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt)]) == 0
+        before, listing = ckpt.read_bytes(), sorted(os.listdir(tmp_path))
+        if fault == "write":
+            # a lone surrogate cannot be encoded, so the write itself raises
+            text = OnePassRegressor.checkpoint_json
+            monkeypatch.setattr(OnePassRegressor, "checkpoint_json",
+                                lambda reg: text(reg)[:40] + "\udc80")
+            error = UnicodeEncodeError
+        else:
+            def refuse(src, dst):
+                raise OSError("no space left")
+            monkeypatch.setattr(cli.os, "replace", refuse)
+            error = OSError
+        with pytest.raises(error):
+            main(["ingest-csv", "--input", str(data), "--resume", str(ckpt),
+                  "--checkpoint", str(ckpt)])
+        assert ckpt.read_bytes() == before
+        assert sorted(os.listdir(tmp_path)) == listing
+        monkeypatch.undo()
+        assert main(["ingest-csv", "--input", str(data), "--resume",
+                     str(ckpt), "--checkpoint", str(ckpt)]) == 0
+        assert json.loads(ckpt.read_text())["n"] == 100
+        assert sorted(os.listdir(tmp_path)) == listing
+        capsys.readouterr()
+
     def test_resume_rejects_engine_flags(self, tmp_path, capsys):
         # a resumed stream keeps the checkpoint's configuration, so a flag
         # that would change it is an error, not silently dropped

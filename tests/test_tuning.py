@@ -210,6 +210,16 @@ class TestCvTable:
         with pytest.raises(ValueError):
             cv_table(ts, ys, TuningGrid(n0=1000), ROUGH, UNIT)
 
+    @pytest.mark.parametrize("n_t, n_y", [(1000, 1500), (1500, 1000),
+                                          (50, 60)])
+    def test_unequal_lengths_rejected(self, n_t, n_y):
+        # both samples reach n0 in the first two cases, so slicing each to
+        # n0 would hide the mismatch from every fold
+        ts, _ = noisy_sample(n_t, 4)
+        _, ys = noisy_sample(n_y, 4)
+        with pytest.raises(ValueError, match="equal length"):
+            cv_table(ts, ys, TuningGrid(n0=1000), ROUGH, UNIT)
+
     def test_only_prefix_is_used(self):
         ts, ys = noisy_sample(400, 3)
         grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.25,), n0=300)
