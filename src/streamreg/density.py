@@ -35,6 +35,9 @@ class DensityState:
     batch (``update``) and sets ``active_count``."""
 
     def __init__(self, basis):
+        # running means estimate a density in a family orthonormal on [lo, hi]
+        if basis.extension_margin != 0:
+            raise ValueError("a density sketch's basis has no extension margin")
         self.basis = basis
         self.theta = np.zeros(0)
         self.active_count = 0  # slots in the estimate; set by the engine
@@ -93,9 +96,8 @@ class DensityState:
         """
         if self._certified is None:
             p = self.active_count
-            self._certified = bool(
-                p >= 1 and self.basis.extension_margin == 0.0
-                and (self._bounded_below(p) or self._nonnegative(p)))
+            self._certified = bool(p >= 1 and (self._bounded_below(p)
+                                               or self._nonnegative(p)))
         return self._certified
 
     def _coefficient_sums(self, p):

@@ -52,12 +52,13 @@ def _from_fields(cls, record):
     return cls(**{f.name: record[f.name] for f in dataclasses.fields(cls)})
 
 
-def _array(values, valid, dtype):
-    """A checkpoint vector: a list whose every entry passes ``valid``."""
-    if not isinstance(values, list) or not all(map(valid, values)):
-        raise CheckpointError(
-            "a vector holds a value of the wrong type or a non-finite one")
-    return np.array(values, dtype=dtype)
+def _same(a, b):
+    """Equal JSON values of equal types (for ==, 1 equals 1.0 and True)."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        return all(_same(a[key], b[key]) for key in a)
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return all(map(_same, a, b))
+    return type(a) is type(b) and a == b
 
 
 class OnePassRegressor:
@@ -78,12 +79,8 @@ class OnePassRegressor:
         self.n = 0
         self.G = np.zeros(0)
         self.start = np.zeros(0, dtype=np.int64)
-        # The density sketch runs in the unextended family: running means of
-        # basis evaluations estimate a density only when the family is
-        # orthonormal on the data domain itself.
-        density_basis = basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi)
         self.density = None if known_uniform_density else DensityState(
-            density_basis)
+            basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi))
         self._coef_cache = {}
         # for the ``stats`` query only; neither is checkpointed
         self.last_solve = None  # the gate record of the last solve
@@ -226,8 +223,7 @@ class OnePassRegressor:
             "format": CHECKPOINT_FORMAT,
             "n": self.n,
             "batch_size": self.batch_size,
-            # fixed_q is always null: the v1 format keeps the key, and
-            # from_checkpoint refuses any other value
+            # v1 keeps a fixed_q key, always null
             "config": {
                 "family": "fourier",
                 **dataclasses.asdict(self.reg_basis),
@@ -248,33 +244,25 @@ class OnePassRegressor:
 
     @classmethod
     def from_checkpoint(cls, record):
+        """The engine whose ``checkpoint()`` is ``record``, a dict or its
+        JSON text; any other record raises ``CheckpointError``."""
         if isinstance(record, (str, bytes)):
             try:
                 record = json.loads(record)
             except ValueError as exc:  # bad JSON or bytes that are not text
                 raise CheckpointError(f"unparseable checkpoint: {exc}") from exc
         try:
-            if record["format"] != CHECKPOINT_FORMAT:
-                raise CheckpointError(
-                    f"unknown checkpoint format {record.get('format')!r}")
             cfg = record["config"]
-            if cfg["family"] != "fourier" or cfg["fixed_q"] is not None:
-                raise CheckpointError(
-                    f"config family = {cfg['family']!r}, fixed_q = "
-                    f"{cfg['fixed_q']!r}: a v1 record holds 'fourier' and "
-                    f"null")
             # the constructors reject every value of a wrong type or range
-            schedule = _from_fields(SchedulerConfig, cfg)
             reg = cls(_from_fields(basis_mod.BasisSpec, cfg),
-                      basis_mod.PenaltySpec(cfg["penalty"]), schedule,
+                      basis_mod.PenaltySpec(cfg["penalty"]),
+                      _from_fields(SchedulerConfig, cfg),
                       batch_size=record["batch_size"],
                       known_uniform_density=cfg["known_uniform_density"])
             n = record["n"]
-            G = _array(record["G"], basis_mod.is_real, float)
-            start = _array(record["start"], basis_mod.is_count, np.int64)
-            theta = _array(record["theta"], basis_mod.is_real, float)
-            theta_start = _array(record["theta_start"], basis_mod.is_count,
-                                 np.int64)
+            G = np.array(record["G"], dtype=float)
+            theta = np.array(record["theta"], dtype=float)
+            slots = len(record["start"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointError(f"corrupt checkpoint record: {exc}") from exc
         # bool is an int subclass; n must fit the int64 slot arithmetic
@@ -282,21 +270,26 @@ class OnePassRegressor:
             raise CheckpointError(
                 f"checkpoint n must be an integer in [0, 2**63), got {n!r}")
         # compare sizes first, so a huge n never builds its tau list
-        no_slots = np.zeros(0, dtype=np.int64)
-        consistent = start.size == (schedule.slot_count(n) if n else 0) \
-            and np.array_equal(
-                start, schedule.extend(no_slots, n) if n else no_slots)
-        if not consistent:
+        if slots != (reg.schedule.slot_count(n) if n else 0):
             raise CheckpointError("checkpoint start does not match the schedule")
-        sketch = no_slots if reg.density is None else start
-        if (G.shape, theta.shape) != (start.shape, sketch.shape) \
-                or not np.array_equal(theta_start, sketch):
-            raise CheckpointError("checkpoint G, theta or theta_start do not "
-                                  "match the slots")
-        reg.n, reg.G, reg.start = n, G, start
+        reg.n, reg.start, reg.G = n, reg.schedule.extend(reg.start, n), G
+        # G and theta are written back as they are, so the round trip below
+        # sees neither a wrong length nor an inf
+        shapes = {G.shape, G.shape if reg.density is None else theta.shape}
+        finite = np.isfinite(G).all() and np.isfinite(theta).all()
+        if shapes != {reg.start.shape} or not finite:
+            raise CheckpointError("checkpoint G or theta is not finite or "
+                                  "does not match the slots")
         if reg.density is not None:
             reg.density.theta = theta
             reg.density.active_count = reg.active_count
+        written = reg.checkpoint()
+        same = {key for key, value in written.items()
+                if key in record and _same(value, record[key])}
+        differ = sorted((written.keys() | record.keys()) - same, key=str)
+        if differ:
+            raise CheckpointError(
+                f"checkpoint keys {differ} differ from what the engine writes")
         return reg
 
 

@@ -31,18 +31,12 @@ BATCH_SIZE = 100
 BLOCK_BATCHES = 64
 
 
-def bump_kernel(t):
-    """Smooth bump supported on (-1/2, 1/2) with peak K(0) = 1."""
-    t = np.asarray(t, dtype=float)
-    out = bump_kernel_into(t, np.empty_like(t))
-    return out if out.ndim else float(out)
-
-
 def bump_kernel_into(t, out):
-    """``bump_kernel`` of the float array t written into ``out``, an array of
-    t's shape that is not t, and returned.  Each step of exp(1 - 1 / (1 -
-    4 t t)) is taken in place, in its order, at the points inside the
-    support, so every value keeps the expression's bits."""
+    """The smooth bump K(t) = exp(1 - 1 / (1 - 4 t t)), supported on
+    (-1/2, 1/2) with peak K(0) = 1, of the float array t written into
+    ``out``, an array of t's shape that is not t, and returned.  Each step
+    of the expression is taken in place, in its order, at the points inside
+    the support, so every value keeps the expression's bits."""
     inside = np.less(np.abs(t, out=out), 0.5)
     np.multiply(4.0, t, out=out, where=inside)
     np.multiply(out, t, out=out, where=inside)
@@ -84,29 +78,16 @@ class HypercubeInstance:
         return self.c_K * self.k ** (-self.beta)
 
 
-def build_m_omega(inst):
-    """The encoded regression function t -> sum_j omega_j * scaled bump.
-
-    Bump j is supported inside [(j - 1)/k, j/k], so at each t only the bump
-    whose interval holds t can be non-zero; the others would add exact zeros
-    and are not evaluated.  Near an interval edge every bump underflows to
-    0, so the interval chosen for a t on the edge does not matter.
-    """
-    into = build_m_omega_into(inst)
-
-    def m_omega(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return into(t, np.empty_like(t), np.empty((2,) + t.shape))
-
-    return m_omega
-
-
 def build_m_omega_into(inst):
-    """``build_m_omega``'s function as m_omega(t, out, work) for a float
-    array t: the values are written into ``out`` (t's shape) and returned,
-    and ``work`` (shape (2,) + t's shape) holds the cell index and the
-    kernel's argument, so a call allocates nothing of t's size.  Each step
-    of (amp K(k (t - c_j))) omega_j is taken in place, in its order."""
+    """The encoded regression function t -> sum_j omega_j amp K(k (t - c_j))
+    as m_omega(t, out, work) for a float array t: the values are written
+    into ``out`` (t's shape) and returned, and ``work`` (shape (2,) + t's
+    shape) holds the cell index and the kernel's argument, so a call
+    allocates nothing of t's size.  Bump j is supported inside
+    [(j - 1)/k, j/k], so only the bump whose interval holds t is evaluated,
+    each step in place and in its order; near an interval edge every bump
+    underflows to 0, so the interval chosen for a t on the edge does not
+    matter."""
     k = inst.k
     amp = inst.peak
     omega = np.asarray(inst.omega, dtype=float)
@@ -243,10 +224,9 @@ def run_protocol(k, n, trials, seed=0, beta=HypercubeInstance.beta,
         j = int(rng.integers(0, k))
         inst = HypercubeInstance(k=k, omega=omega, beta=beta, c_K=c_K)
         payload, units = alice_encode(inst, n, rng, mem_cap, noise_sd)
-        record = json.loads(payload)
-        payload_units = (len(record["G"]) + len(record["start"])
-                         + len(record["theta"]) + len(record["theta_start"])
-                         + SCALAR_UNITS)
+        # the payload's reals: its vectors' entries and SCALAR_UNITS scalars
+        payload_units = SCALAR_UNITS + sum(
+            len(v) for v in json.loads(payload).values() if isinstance(v, list))
         if payload_units != units:
             raise RuntimeError("channel payload does not match footprint")
         decoded = bob_decode(payload, k, beta, c_K)

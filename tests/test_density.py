@@ -354,6 +354,9 @@ class TestCertificate:
     @given(p=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
            offset=st.one_of(st.floats(-1e-11, 1e-11), st.floats(-0.5, 0.5)),
            decay=st.booleans(), aligned=st.booleans())
+    # the bound's figure is positive but inside its slack, and f_hat
+    # evaluates to -1e-14 at lo: without the slack this sketch is certified
+    @example(p=64, seed=26, offset=3e-16, decay=False, aligned=True)
     def test_coefficient_bound_is_sound(self, p, seed, offset, decay,
                                         aligned):
         # theta_1 sits ``offset`` (relative) from the bound's threshold
@@ -389,6 +392,18 @@ class TestCertificate:
         assert not beta_sketch._bounded_below(p)
         assert not beta_sketch._nonnegative(p)
         assert beta_sketch.certified() is False
+
+    @pytest.mark.parametrize("first, certified", [(2.003072675002, False),
+                                                  (2.00307267501, True)])
+    def test_grid_test_keeps_its_rounding_allowance(self, first, certified):
+        # f_hat = first + 2 cos(2 pi t - pi/4), which the coefficient bound
+        # cannot certify: on the grid, its minimum first - 2 clears pi K / N
+        # times its maximum by 1e-12, inside the slack N eps (first + 2) =
+        # 3.6e-12 that covers the FFT's rounding, or by 1e-11, outside it
+        state = DensityState(UNIT)
+        state.theta, state.active_count = np.array([first, 1.0, 1.0]), 3
+        assert not state._bounded_below(3)
+        assert state.certified() is certified
 
     @settings(max_examples=200, deadline=None)
     @given(p=st.integers(1, 64), seed=st.integers(0, 2 ** 32 - 1),

@@ -23,8 +23,10 @@ from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec,
                              eval_matrix, penalty_matrix)
 from oracles import (normal_equations_out_of_place, partition_tolerance,
                      weighted_gram)
+from streamreg.density import DensityState
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
-                              batch_fit, normal_equations, penalized_solve)
+                              _kappa_bound, batch_fit, normal_equations,
+                              penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
 from streamreg.scheduler import SchedulerConfig, slot_counts
@@ -202,7 +204,8 @@ class TestIngest:
         eng.ingest([0.5, 0.25], [1.0, 2.0])
         before = eng.checkpoint_json()
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
+            # named as what it is, not as the overflow it would also cause
+            with pytest.raises(ValueError, match="non-finite y"):
                 eng.ingest([0.2, 0.7], [1.0, bad])
         assert eng.checkpoint_json() == before
 
@@ -516,6 +519,18 @@ class TestConditioningCertificate:
             if gate == "certificate":
                 assert q * record["kappa_bound"] < 1.0 / RCOND_FLOOR
                 assert record["kappa_bound"] >= 1.0 + W[-1, -1]
+
+    @pytest.mark.parametrize("q", [1, 5, 100])
+    def test_a_lower_end_within_rounding_proves_nothing(self, q):
+        # LAPACK factors the rounded H + rho W, whose eigenvalues may move by
+        # delta = 8 (q + 1)^2 u of the largest: an interval whose lower end
+        # is not above delta bounds no condition number
+        W = np.eye(q)
+        delta = 8 * (q + 1) ** 2 * np.finfo(float).eps
+        for lo in (1e-300, delta / 2, delta):
+            assert _kappa_bound((lo, 1.0), W, 0.0) == math.inf
+        assert _kappa_bound((2 * delta, 1.0), W, 0.0) == pytest.approx(
+            (1.0 + delta) / delta)
 
     def test_certificate_needs_margin_zero(self):
         eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
@@ -950,6 +965,46 @@ class TestCheckpoint:
         for record in (good, good_known, make_engine(known=False).checkpoint()):
             assert OnePassRegressor.from_checkpoint(record).checkpoint() \
                 == record
+        # a record loads only if it is what the engine writes: an extra key,
+        # top-level or in the config, is refused by name; key order is free
+        extra_config = {**good, "config": {**good["config"], "note": 1}}
+        for record, key in (({**good, "note": None}, "note"),
+                            (extra_config, "config")):
+            with pytest.raises(CheckpointError, match=f"'{key}'"):
+                OnePassRegressor.from_checkpoint(record)
+            with pytest.raises(CheckpointError, match=f"'{key}'"):
+                OnePassRegressor.from_checkpoint(json.dumps(record))
+        # G and theta hold floats, as the engine writes them: the same
+        # values as ints are refused
+        whole = [float(round(g)) for g in G]
+        assert OnePassRegressor.from_checkpoint(
+            {**good, "G": whole}).G.tolist() == whole
+        with pytest.raises(CheckpointError, match="'G'"):
+            OnePassRegressor.from_checkpoint(
+                {**good, "G": [int(g) for g in whole]})
+        reordered = {key: good[key] for key in reversed(good)}
+        reordered["config"] = dict(reversed(good["config"].items()))
+        assert list(reordered) != list(good)
+        assert OnePassRegressor.from_checkpoint(
+            json.dumps(reordered)).checkpoint_json() == sketch.checkpoint_json()
+
+    @pytest.mark.parametrize("fields", [dict(n=2 ** 62), dict(n=0),
+                                        dict(start=[1] * 6),
+                                        dict(start=[1] * 4)])
+    def test_start_of_the_wrong_length_opens_no_slot(self, monkeypatch,
+                                                     fields):
+        # the slot count is checked before any slot opens, so a record with
+        # a huge n never builds its start vector
+        eng = make_engine(known=False)
+        eng.ingest([0.5], [1.0])
+        assert eng.start.tolist() == [1] * 5
+
+        def extend(*args):
+            raise AssertionError("a slot opened")
+
+        monkeypatch.setattr(SchedulerConfig, "extend", extend)
+        with pytest.raises(CheckpointError, match="start"):
+            OnePassRegressor.from_checkpoint({**eng.checkpoint(), **fields})
 
 
 class TestConstructors:
@@ -965,6 +1020,9 @@ class TestConstructors:
     @example(case=(OnePassRegressor, "batch_size", 7.5))
     @example(case=(ServiceConfig, "C_rho", math.nan))
     @example(case=(BasisSpec, "hi", 10 ** 400))
+    # the sketch's family is the unextended one
+    @example(case=(DensityState, "basis",
+                   BasisSpec(0.0, 1.0, extension_margin=0.1)))
     def test_wrong_field_value_is_rejected(self, case):
         cls, field, value = case
         with pytest.raises((ValueError, TypeError)):

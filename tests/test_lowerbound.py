@@ -4,16 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (alice_encode_per_batch, build_m_omega_loop,
-                     bump_kernel_expression, holder_constant_estimate,
-                     partition_tolerance)
+from oracles import (alice_encode_per_batch, build_m_omega,
+                     build_m_omega_loop, bump_kernel, bump_kernel_expression,
+                     holder_constant_estimate, partition_tolerance)
 from streamreg import lowerbound, quadrature
 from streamreg.errors import CheckpointError
 from streamreg.lowerbound import (BATCH_SIZE, BLOCK_BATCHES,
                                   DEFAULT_NOISE_SD, HypercubeInstance,
-                                  alice_encode, bob_decode, build_m_omega,
-                                  build_m_omega_into, bump_kernel,
-                                  bump_kernel_into, run_protocol)
+                                  alice_encode, bob_decode,
+                                  build_m_omega_into, bump_kernel_into,
+                                  run_protocol)
 
 
 class TestBumpKernel:
