@@ -224,9 +224,10 @@ def run_protocol(k, n, trials, seed=0, beta=HypercubeInstance.beta,
         j = int(rng.integers(0, k))
         inst = HypercubeInstance(k=k, omega=omega, beta=beta, c_K=c_K)
         payload, units = alice_encode(inst, n, rng, mem_cap, noise_sd)
-        # the payload's reals: its vectors' entries and SCALAR_UNITS scalars
-        payload_units = SCALAR_UNITS + sum(
-            len(v) for v in json.loads(payload).values() if isinstance(v, list))
+        record = json.loads(payload)
+        payload_units = (len(record["G"]) + len(record["start"])
+                         + len(record["theta"]) + len(record["theta_start"])
+                         + SCALAR_UNITS)
         if payload_units != units:
             raise RuntimeError("channel payload does not match footprint")
         decoded = bob_decode(payload, k, beta, c_K)

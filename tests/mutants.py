@@ -1,17 +1,18 @@
 """Mutation gate: each mutant is one exact edit to a file of the package
 that named tests must catch.
 
-    python tests/mutants.py           # every mutant
-    python tests/mutants.py NAME ...  # the mutants whose names contain NAME
+    python tests/mutants.py
 
 For each mutant the script copies ``src/``, ``tests/`` and
 ``pyproject.toml`` to a temporary directory, applies the edit to the copy
 and runs the mutant's tests there, with ``PYTHONPATH`` pointing at the
 copy's ``src/``.  A mutant is killed when pytest reports a failed test.
-The script exits non-zero if a mutant survives, if its old text is not
-found exactly once, if its edit changes nothing, or if pytest ends any
-other way (no test collected, a usage error, a timeout).  Run it on a tree
-whose tests pass, as CI does after Tier-1.  The file has no ``test_``
+First every mutant's tests run together in an unmutated copy, with the
+same settings, and must pass: a test that fails there would count every
+mutant naming it as killed.  The script exits non-zero if that run does
+not pass, if a mutant survives, if its old text is not found exactly
+once, if its edit changes nothing, or if pytest ends any other way (no
+test collected, a usage error, a timeout).  The file has no ``test_``
 prefix, so pytest does not collect it.
 
 A change that moves or rewrites mutated code updates its mutants too.
@@ -164,9 +165,11 @@ def apply(tree, mutant):
     return None
 
 
-def run(mutant):
-    """(verdict, seconds, detail) for one mutant: verdict is "killed",
-    "SURVIVED" or "ERROR"."""
+def pytest_in_copy(tests, mutant=None):
+    """(returncode, seconds, output) of pytest on the node ids ``tests`` in
+    a fresh copy of the tree, with ``mutant`` applied when given.  The
+    returncode is None when the mutant cannot be applied or pytest timed
+    out, and the output then says why."""
     began = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp)
@@ -175,9 +178,9 @@ def run(mutant):
             shutil.copytree(ROOT / name, tree / name, ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", tree)
         (tree / "conftest.py").write_text(CONFTEST)
-        reason = apply(tree, mutant)
+        reason = None if mutant is None else apply(tree, mutant)
         if reason is not None:
-            return "ERROR", 0.0, reason
+            return None, 0.0, reason
         env = {**os.environ, "PYTHONPATH": str(tree / "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
         # hypothesis's pytest plugin, on a failing test, imports libcst to
@@ -187,38 +190,46 @@ def run(mutant):
             out = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "--no-header",
                  "-p", "no:cacheprovider", "-p", "no:hypothesispytest",
-                 "-o", "addopts=", *mutant.tests],
+                 "-o", "addopts=", *tests],
                 cwd=tree, env=env, capture_output=True, text=True,
                 timeout=TIMEOUT_S)
         except subprocess.TimeoutExpired:
-            return "ERROR", time.monotonic() - began, "timed out"
-    seconds = time.monotonic() - began
-    last = (out.stdout.strip().splitlines() or [""])[-1]
-    if out.returncode == 1:
+            return None, time.monotonic() - began, "timed out"
+    return out.returncode, time.monotonic() - began, out.stdout + out.stderr
+
+
+def run(mutant):
+    """(verdict, seconds, detail) for one mutant: verdict is "killed",
+    "SURVIVED" or "ERROR"."""
+    code, seconds, output = pytest_in_copy(mutant.tests, mutant)
+    last = (output.strip().splitlines() or [""])[-1]
+    if code == 1:
         return "killed", seconds, last
-    if out.returncode == 0:
+    if code == 0:
         return "SURVIVED", seconds, last
-    return "ERROR", seconds, (out.stdout + out.stderr)[-2000:]
+    return "ERROR", seconds, output[-2000:]
 
 
-def main(argv):
-    chosen = [m for m in MUTANTS
-              if not argv or any(word in m.name for word in argv)]
-    if not chosen:
-        print(f"no mutant matches {argv}")
-        return 2
+def main():
     began = time.monotonic()
+    named = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    code, seconds, output = pytest_in_copy(named)
+    if code != 0:
+        print(f"the mutants' tests do not pass unmutated:\n{output[-2000:]}")
+        return 1
+    print(f"baseline {seconds:5.1f} s  the mutants' {len(named)} test "
+          f"selections pass unmutated", flush=True)
     failed = 0
     with ThreadPoolExecutor(WORKERS) as pool:
         for mutant, (verdict, seconds, detail) in zip(
-                chosen, pool.map(run, chosen)):
+                MUTANTS, pool.map(run, MUTANTS)):
             failed += verdict != "killed"
             print(f"{verdict:8} {seconds:5.1f} s  {mutant.name}: {detail}",
                   flush=True)
-    print(f"{len(chosen) - failed} of {len(chosen)} mutants killed in "
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed in "
           f"{time.monotonic() - began:.1f} s")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
