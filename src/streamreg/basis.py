@@ -20,6 +20,7 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
 from .errors import DomainError
 
@@ -434,3 +435,35 @@ def gram_uniform(spec, q):
     mu[1:] = -np.sin((2.0 * np.pi * spec.extension_margin / spec.period) * m) \
         * (spec.period / (np.pi * length * m))
     return gram_from_moments(spec, q, mu)
+
+
+# Least eigenvalue of the uniform Gram, times hi - lo, at which a basis count
+# is still numerically identifiable (hi - lo scales the Gram's eigenvalues).
+GRAM_EIG_FLOOR = 1e-8
+
+# Largest count ``identifiable_count`` gives: its search costs O(q^3), and
+# only a margin below about 0.3% of hi - lo has a count past it.
+MAX_IDENTIFIABLE = 1 << 10
+
+
+@functools.lru_cache(maxsize=64)
+def identifiable_count(spec):
+    """The largest basis count q whose uniform Gram keeps its eigenvalues
+    above GRAM_EIG_FLOOR / (hi - lo), at most MAX_IDENTIFIABLE; None at
+    margin 0, where that Gram is I_q / (hi - lo).  Fourier extensions are
+    ill-conditioned frames past a fixed count (Adcock, Huybrechs and
+    Martin-Vaquero, *Found. Comput. Math.* 14, 2014): 39 at a margin of a
+    tenth of hi - lo.  The Gram of q functions leads that of Q > q, so a
+    Cholesky factorization of the larger minus the floor first fails at
+    order q + 1 (Sylvester's criterion); Q doubles from 64 until it does.
+    """
+    if spec.extension_margin == 0.0:
+        return None
+    Q = 64
+    while True:
+        A = gram_uniform(spec, Q)
+        A[np.diag_indices(Q)] -= GRAM_EIG_FLOOR / (spec.hi - spec.lo)
+        info = linalg.lapack.dpotrf(A, lower=1, clean=0)[1]
+        if info or Q == MAX_IDENTIFIABLE:
+            return info - 1 if info else Q
+        Q *= 2

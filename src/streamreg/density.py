@@ -25,6 +25,7 @@ import numpy as np
 from . import basis as basis_mod
 from . import quadrature
 from .errors import DegenerateDensityError, StateError
+from .scheduler import slot_counts
 
 _EPS = float(np.finfo(float).eps)
 
@@ -57,11 +58,10 @@ class DensityState:
             theta = np.concatenate([theta,
                                     np.zeros(start.size - theta.size)])
         # every open slot has tau_j <= n_new, so its new count is >= 1; a
-        # slot that opened past n_old + 1 has a negative old count, clamped
-        # to 0 so that its zero keeps the sign of its sum
-        counts_new = (n_new + 1) - start
-        self.theta = (np.maximum(counts_new - (n_new - n_old), 0) * theta
-                      + sums) / counts_new
+        # slot that opened past n_old + 1 has an old count of 0, so that its
+        # zero keeps the sign of its sum
+        self.theta = (slot_counts(start, n_old) * theta
+                      + sums) / slot_counts(start, n_new)
         self._z = self._certified = None
 
     def evaluate(self, t):
@@ -191,12 +191,9 @@ class DensityState:
         M = 2 * (q // 2)
         if reg_basis == self.basis and self.certified():
             K = min(p // 2, M)
-            theta = self.theta[:p]
-            sin = theta[2:2 * K + 1:2]  # one short of K when p is even
             mu = np.zeros(M + 1, dtype=complex)
-            mu.real[1:K + 1] = theta[1:2 * K + 1:2]
-            mu.imag[1:sin.size + 1] = sin
-            mu /= np.sqrt(2.0) * float(theta[0])
+            mu[1:K + 1] = basis_mod._packed(self.theta[:p])[1:K + 1]
+            mu /= np.sqrt(2.0) * float(self.theta[0])
             mu[0] = 1.0
         else:
             x, w, fx, z = self._clipped(quadrature.node_count(q, p))

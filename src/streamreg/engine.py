@@ -109,7 +109,8 @@ class OnePassRegressor:
             raise ValueError("batch contains non-finite y values")
 
         n_new = self.n + ts.size
-        start = self.schedule.extend(self.start, n_new)
+        start = self.schedule.extend(
+            self.start, n_new, basis_mod.identifiable_count(self.reg_basis))
         # at margin 0 the sketch's unit weights share G's tables
         shared = (self.density is not None
                   and self.density.basis == self.reg_basis)
@@ -270,9 +271,11 @@ class OnePassRegressor:
             raise CheckpointError(
                 f"checkpoint n must be an integer in [0, 2**63), got {n!r}")
         # compare sizes first, so a huge n never builds its tau list
-        if slots != (reg.schedule.slot_count(n) if n else 0):
+        q_id = basis_mod.identifiable_count(reg.reg_basis)
+        opened = reg.schedule.slot_count(n) if n else 0
+        if slots != (opened if q_id is None else min(opened, q_id)):
             raise CheckpointError("checkpoint start does not match the schedule")
-        reg.n, reg.start, reg.G = n, reg.schedule.extend(reg.start, n), G
+        reg.n, reg.G, reg.start = n, G, reg.schedule.extend(reg.start, n, q_id)
         # G and theta are written back as they are, so the round trip below
         # sees neither a wrong length nor an inf
         shapes = {G.shape, G.shape if reg.density is None else theta.shape}

@@ -11,9 +11,10 @@ theta, so it is written once, here:
 
 - ``SchedulerConfig.extend`` opens slots: it appends tau_j for every slot the
   schedule has opened by time n, giving a start vector of ``slot_count(n)``
-  entries.  Start vectors only grow.  Most batches open no slot: when the
-  vector is at the cap, or the next slot's tau lies past n, ``extend``
-  returns it unchanged after one ``tau`` lookup.
+  entries, or of a limit (the engine's is ``basis.identifiable_count``).
+  Start vectors only grow.  Most batches open no slot: when the vector is at
+  the cap or the limit, or the next slot's tau lies past n, ``extend``
+  returns it unchanged after at most one ``tau`` lookup.
 - ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0).
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
@@ -133,16 +134,17 @@ class SchedulerConfig:
             j = min(j, self.cap_q)
         return j
 
-    def extend(self, start, n):
-        """Start vector ``start`` extended by tau_j of the slots open at time n.
+    def extend(self, start, n, limit):
+        """Start vector ``start`` extended by tau_j of the slots open at time
+        n, to at most ``limit`` slots (None for no limit).
 
         ``start`` must be the start vector at some earlier time, so it is
-        returned as is when it has reached the cap or its next slot opens
-        after n.
+        returned as is when it has reached the cap or the limit, or its next
+        slot opens after n.
         """
-        if start.size == self.cap_q or self.tau(start.size + 1) > n:
+        if start.size in (self.cap_q, limit) or self.tau(start.size + 1) > n:
             return start
-        n_slots = self.slot_count(n)
+        n_slots = min(self.slot_count(n), NEVER if limit is None else limit)
         opened = [self.tau(j) for j in range(start.size + 1, n_slots + 1)]
         return np.concatenate([start, np.array(opened, dtype=np.int64)])
 

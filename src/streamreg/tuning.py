@@ -10,7 +10,6 @@ observations.
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,10 +21,6 @@ from .scheduler import SchedulerConfig
 
 DEFAULT_C_RHO_GRID = tuple(10.0 ** k for k in range(-3, 3))
 DEFAULT_H_GRID = (1 / 5, 1 / 4, 1 / 3, 2 / 5, 1 / 2)
-
-# Smallest design-Gram eigenvalue at which the deployed basis count is still
-# considered numerically identifiable (extension bases degenerate fast).
-GRAM_EIG_FLOOR = 1e-8
 
 
 def _entries(valid):
@@ -64,19 +59,12 @@ def rho_at(C_rho, h, n, zeta=4.0):
     return C_rho * float(n) ** (-exponent)
 
 
-@lru_cache(maxsize=64)
-def _min_gram_eigenvalue(spec, q):
-    if spec.extension_margin == 0.0:  # gram_uniform is I_q / (hi - lo)
-        return 1.0 / (spec.hi - spec.lo)
-    H = np.asarray(basis_mod.gram_uniform(spec, q))
-    return float(np.min(np.linalg.eigvalsh(H)))
-
-
 def deployable(spec, h, n, mem_cap):
     """Whether the basis count the schedule reaches by time n stays
-    numerically identifiable (design-Gram eigenvalues above the floor)."""
-    q = SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n)
-    return _min_gram_eigenvalue(spec, q) >= GRAM_EIG_FLOOR
+    within ``basis.identifiable_count``."""
+    q_id = basis_mod.identifiable_count(spec)
+    return q_id is None or \
+        SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n) <= q_id
 
 
 def cv_table(ts, ys, grid, penalty, spec):

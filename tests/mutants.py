@@ -61,6 +61,12 @@ CHECKPOINT = f"{ENGINE}::TestCheckpoint"
 CONDITIONING = f"{ENGINE}::TestConditioningCertificate"
 BUFFER = f"{ENGINE}::TestTableBuffer"
 CERTIFICATE = "tests/test_density.py::TestCertificate"
+COUNT = f"{ENGINE}::TestIdentifiableCount"
+SERVICE = "tests/test_service_cli.py"
+
+# the loader's size-first slot guard
+GUARD = ("        if slots != (opened if q_id is None "
+         "else min(opened, q_id)):\n")
 
 MUTANTS = [
     # the checkpoint loader
@@ -68,9 +74,11 @@ MUTANTS = [
            "        if differ:\n", "        if False:\n",
            (f"{CHECKPOINT}::test_corrupt_payload_raises",)),
     Mutant("loader: no size-first slot guard", "engine.py",
-           "        if slots != (reg.schedule.slot_count(n) if n else 0):\n",
-           "        if False:\n",
+           GUARD, "        if False:\n",
            (f"{CHECKPOINT}::test_start_of_the_wrong_length_opens_no_slot",)),
+    Mutant("loader: no identifiable count in the slot guard", "engine.py",
+           GUARD, "        if slots != opened:\n",
+           (f"{COUNT}::test_a_huge_n_opens_at_most_the_count",)),
     Mutant("loader: no G and theta shape check", "engine.py",
            "        if shapes != {reg.start.shape} or not finite:",
            "        if not finite:",
@@ -83,6 +91,11 @@ MUTANTS = [
            "                if key in record and _same(value, record[key])}",
            "                if key in record and value == record[key]}",
            (f"{CHECKPOINT}::test_single_field_mutation_is_rejected",)),
+    Mutant("ingest: no identifiable count", "engine.py",
+           "            self.start, n_new, "
+           "basis_mod.identifiable_count(self.reg_basis))",
+           "            self.start, n_new, None)",
+           (f"{COUNT}::test_an_extended_stream_stops_at_its_count",)),
     # the conditioning certificate
     Mutant("certificate: rho W left out of the kappa bound", "engine.py",
            "    hi = hi + rho * float(W.trace())", "    hi = hi",
@@ -123,9 +136,9 @@ MUTANTS = [
            "                               else w[lo:])",
            "mu[i] = zk.sum() if w is None else np.dot(zk, w[lo:])",
            ("tests/test_scheduler.py::TestFold",)),
-    Mutant("sketch: no clamp on a new slot's old count", "density.py",
-           "np.maximum(counts_new - (n_new - n_old), 0) * theta",
-           "(counts_new - (n_new - n_old)) * theta",
+    Mutant("sketch: no clamp on a new slot's old count", "scheduler.py",
+           "    return np.maximum(n - start + 1, 0)",
+           "    return n - start + 1",
            ("tests/test_density.py::TestUpdate",)),
     # the table buffer
     Mutant("buffer: no spare reuse", "basis.py",
@@ -148,7 +161,23 @@ MUTANTS = [
     Mutant("service: no depth scan", "service.py",
            "    if len(raw) > 2 * MAX_DEPTH and _nesting_depth(raw) > MAX_DEPTH:",
            "    if False:",
-           ("tests/test_service_cli.py::TestDecodeRequest",)),
+           (f"{SERVICE}::TestDecodeRequest",)),
+    Mutant("service: no number-type check on points", "service.py",
+           "    if not {*map(type, ts), *map(type, ys)} <= _NUMBERS:",
+           "    if False:",
+           (f"{SERVICE}::TestRegistry::test_non_numbers_in_points_rejected",)),
+    Mutant("service: a bool accepted as a stream id", "service.py",
+           "    if isinstance(stream_id, bool) or not isinstance(stream_id, "
+           "(str, int)):",
+           "    if not isinstance(stream_id, (str, int)):",
+           (f"{SERVICE}::TestSocketService::"
+            "test_stream_id_is_a_string_or_an_integer",)),
+    Mutant("cli: no domain check on a CSV row", "cli.py",
+           "        if not spec.lo <= t <= spec.hi:", "        if False:",
+           (f"{SERVICE}::TestCli::test_bad_row_reports_its_line",)),
+    Mutant("cli: no finiteness check on a CSV y", "cli.py",
+           "        if not math.isfinite(y):", "        if False:",
+           (f"{SERVICE}::TestCli::test_bad_row_reports_its_line",)),
 ]
 
 
@@ -184,8 +213,7 @@ def pytest_in_copy(tests, mutant=None):
         env = {**os.environ, "PYTHONPATH": str(tree / "src"),
                "PYTHONDONTWRITEBYTECODE": "1"}
         # hypothesis's pytest plugin, on a failing test, imports libcst to
-        # write a patch, and the DeprecationWarning that import raises is an
-        # error under pyproject's filters: pytest would end in INTERNALERROR
+        # write a patch of the failing example, which a mutant has no use for
         try:
             out = subprocess.run(
                 [sys.executable, "-m", "pytest", "-q", "-x", "--no-header",

@@ -148,7 +148,7 @@ def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
     batch."""
     n, start, G, theta = state
     n_new = n + ts.size
-    start = schedule.extend(start, n_new)
+    start = schedule.extend(start, n_new, basis.identifiable_count(reg_basis))
     G = np.concatenate([G, np.zeros(start.size - G.size)]) \
         + fold_scan(Tables(reg_basis, start.size, ts), ys, start, n)
     if theta is not None:

@@ -7,9 +7,11 @@ import oracles
 from oracles import (eval_basis, eval_matrix_trig, eval_vector,
                      projection_residual, roughness_penalty_dense,
                      sup_sum_squares, weighted_gram)
+from streamreg import basis
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
-                             gram_from_moments, gram_uniform, moments,
-                             penalty_matrix, series)
+                             gram_from_moments, gram_uniform,
+                             identifiable_count, moments, penalty_matrix,
+                             series)
 from streamreg.errors import DomainError
 from streamreg import quadrature
 
@@ -239,6 +241,53 @@ def weighted_nodes(lo, hi, q, seed):
     """The Gram quadrature's nodes on [lo, hi] with random positive weights."""
     x, w = quadrature.rule(lo, hi, quadrature.node_count(q, 0))
     return x, w * np.random.default_rng(seed).uniform(0.0, 2.0, w.size)
+
+
+class TestIdentifiableCount:
+    @pytest.mark.parametrize("lo, hi, margin", [
+        (0.0, 1.0, 0.1), (0.0, 100.0, 10.0), (0.0, 0.01, 0.001),
+        (-5.0, 5.0, 1.0)])
+    def test_a_margin_of_a_tenth_gives_39_in_any_units(self, lo, hi, margin):
+        assert identifiable_count(BasisSpec(lo, hi, margin)) == 39
+
+    @pytest.mark.parametrize("lo, hi, margin", [
+        (0.0, 1.0, 0.1), (0.0, 1.0, 0.3), (-1.0, 3.0, 0.3), (0.0, 1.0, 0.05),
+        (0.0, 1.0, 1.0), (0.0, 1.0, 10.0), (0.0, 100.0, 2.0)])
+    def test_count_is_the_last_q_above_the_floor(self, lo, hi, margin):
+        spec = BasisSpec(lo, hi, margin)
+        q = identifiable_count(spec)
+
+        def least(q):
+            return np.linalg.eigvalsh(gram_uniform(spec, q)).min() * (hi - lo)
+
+        assert least(q) >= basis.GRAM_EIG_FLOOR > least(q + 1)
+
+    def test_margin_zero_has_no_count(self):
+        assert identifiable_count(UNIT) is None
+        assert identifiable_count(BasisSpec(-3.0, 1e6)) is None
+
+    def test_count_is_computed_once_per_spec(self, monkeypatch):
+        spec = BasisSpec(0.0, 2.0, 0.4)
+        count = identifiable_count(spec)
+
+        def gram(*args):
+            raise AssertionError("a Gram was built")
+
+        monkeypatch.setattr(basis, "gram_uniform", gram)
+        assert identifiable_count(spec) == count
+
+    def test_search_stops_at_its_limit(self, monkeypatch):
+        # a margin of 1% of the domain has 349 identifiable functions
+        spec = BasisSpec(0.0, 1.0, 0.01)
+        identifiable_count.cache_clear()
+        monkeypatch.setattr(basis, "MAX_IDENTIFIABLE", 128)
+        try:
+            assert identifiable_count(spec) == 128
+            assert identifiable_count(EXTENDED) == 39
+        finally:
+            identifiable_count.cache_clear()
+        monkeypatch.undo()
+        assert identifiable_count(spec) == 349
 
 
 class TestMoments:

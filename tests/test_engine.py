@@ -30,7 +30,7 @@ from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
 from streamreg.scheduler import SchedulerConfig, slot_counts
-from streamreg.service import ServiceConfig
+from streamreg.service import ServiceConfig, StreamRegistry, handle_request
 
 UNIT = BasisSpec(0.0, 1.0)
 ROUGH = PenaltySpec("roughness")
@@ -161,7 +161,8 @@ class TestIngest:
     def test_one_call_allocates_only_its_tables(self, margin, sketch):
         # a 2000-point call at n = 98 000 under h = 0.4 folds 263 slots,
         # two of which open inside it; its tables z^0..z^12 and
-        # (z^12)^0..(z^12)^10 take 750 KiB
+        # (z^12)^0..(z^12)^10 take 750 KiB.  At margin 0.1 the stream
+        # stops at its identifiable count, 39 slots
         m = 2000
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.4),
@@ -172,7 +173,7 @@ class TestIngest:
         twin = OnePassRegressor.from_checkpoint(eng.checkpoint_json())
         peak = traced_peak(eng.ingest, ts[-m:], ys[-m:])
         s = eng.start.size
-        assert (slots, s) == (261, 263)
+        assert (slots, s) == ((261, 263) if margin == 0 else (39, 39))
         # Beside one set of tables a call holds, at any one time, either
         # at most two complex m-vectors (z while the first table is built,
         # as the second is built from the first; a tail moment's z^k and
@@ -239,9 +240,11 @@ class TestIngest:
 
     def test_shared_basis_leaves_the_sketch_unchanged(self):
         # at margin 0 the sketch folds the engine's own power tables; with a
-        # margin it must evaluate its unextended basis itself, to the same bits
+        # margin it must evaluate its unextended basis itself, to the same
+        # bits.  The cap of 117 // 3 = 39 slots is the extended basis's
+        # identifiable count, so both engines hold the same slots
         ts = np.random.default_rng(16).beta(2, 3, 9000)
-        shared = OnePassRegressor(UNIT, ROUGH, SchedulerConfig())
+        shared = OnePassRegressor(UNIT, ROUGH, SchedulerConfig(mem_cap=117))
         own = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
                                ROUGH, SchedulerConfig())
         # single points, then batches that open slots strictly inside
@@ -252,6 +255,7 @@ class TestIngest:
             np.testing.assert_array_equal(own.density.theta,
                                           shared.density.theta)
         assert own.start.size > opens and own.start[-1] > 900 + 1
+        assert own.start.size == shared.start.size == 39
 
     def test_length_mismatch_rejected(self):
         eng = make_engine()
@@ -563,6 +567,86 @@ class TestMemory:
         feed(eng, ts, ys)
         assert eng.memory_footprint() <= 30 + 16
         assert eng.G.size <= 10
+
+
+class TestIdentifiableCount:
+    """An extended basis opens no slot past ``basis.identifiable_count``
+    (39 at margin 0.1 on [0, 1]), for G and theta alike, in ``ingest`` and
+    in the loader."""
+
+    EXTENDED = BasisSpec(0.0, 1.0, extension_margin=0.1)
+
+    def engine(self, spec=EXTENDED):
+        return OnePassRegressor(spec, ROUGH, SchedulerConfig())
+
+    def test_an_extended_stream_answers_at_any_n(self):
+        # without the count this stream held 116 slots (468 units) and
+        # refused every estimate
+        registry = StreamRegistry(ServiceConfig(extension_margin=0.1))
+        rng = np.random.default_rng(28)
+        for _ in range(1000):
+            t = rng.uniform(0, 1, 100)
+            batch = np.column_stack([t, np.sin(6 * t)
+                                     + rng.normal(0, 0.3, 100)])
+            reply = handle_request(registry, {"op": "ingest", "stream_id": 1,
+                                              "points": batch.tolist()})
+            assert reply["ok"]
+        stats, estimate = (
+            handle_request(registry, {"op": "query", "stream_id": 1, **q})
+            for q in ({"kind": "stats"}, {"kind": "estimate", "t": 0.3}))
+        assert stats["n"] == 100_000
+        assert (stats["q_active"], stats["pending_slots"],
+                stats["memory_units"]) == (39, 0, 160)
+        assert estimate["ok"] and np.isfinite(estimate["value"])
+
+    def test_an_extended_stream_stops_at_its_count(self):
+        eng = self.engine()
+        feed(eng, *sample(9000, 41, np.sin))  # slot 39 opens at 3707
+        assert eng.start.tolist() == [eng.schedule.tau(j)
+                                      for j in range(1, 40)]
+        assert eng.G.size == eng.density.theta.size == eng.active_count == 39
+        assert eng.schedule.slot_count(eng.n) == 52
+
+    def test_a_stream_at_its_count_makes_no_slot_count_call(self,
+                                                            monkeypatch):
+        eng = self.engine()
+        feed(eng, *sample(4000, 42, np.sin))
+        assert eng.start.size == 39
+
+        def slot_count(*args):
+            raise AssertionError("slot_count called")
+
+        monkeypatch.setattr(SchedulerConfig, "slot_count", slot_count)
+        feed(eng, *sample(20_000, 43, np.sin), batch=1000)
+        assert eng.start.size == 39
+
+    def test_a_huge_n_opens_at_most_the_count(self, monkeypatch):
+        eng = self.engine()
+        feed(eng, *sample(4000, 44, np.sin))
+        record = {**eng.checkpoint(), "n": 2 ** 62}
+        taus = []
+        tau = SchedulerConfig.tau
+        monkeypatch.setattr(SchedulerConfig, "tau",
+                            lambda self, j: taus.append(j) or tau(self, j))
+        loaded = OnePassRegressor.from_checkpoint(record)
+        assert loaded.checkpoint() == record
+        # slot_count steps a few slots near its root, about 4.2e6 here;
+        # the start vector takes 39 more
+        assert loaded.start.size == 39 and len(taus) < 50
+
+    def test_a_record_past_the_count_is_refused(self):
+        # an engine before the count wrote 52 slots at n = 9000
+        eng = self.engine(UNIT)
+        feed(eng, *sample(9000, 45, np.sin))
+        record = eng.checkpoint()
+        assert len(record["start"]) == 52
+        record["config"]["extension_margin"] = 0.1
+        with pytest.raises(CheckpointError, match="start"):
+            OnePassRegressor.from_checkpoint(record)
+        capped = self.engine()
+        feed(capped, *sample(9000, 45, np.sin))
+        assert OnePassRegressor.from_checkpoint(
+            capped.checkpoint()).checkpoint() == capped.checkpoint()
 
 
 class TestTableBuffer:

@@ -199,10 +199,12 @@ class TestExtend:
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 200),
                                     st.integers(1, 200_000)),
-                          min_size=1, max_size=20))
-    def test_incremental_equals_one_shot(self, h, mem_cap, shape, sizes):
-        # extend's early return (at the cap, or next slot past n) must
-        # leave the same start vector as building it at once
+                          min_size=1, max_size=20),
+           limit=st.sampled_from([None, 3, 39]))
+    def test_incremental_equals_one_shot(self, h, mem_cap, shape, sizes,
+                                         limit):
+        # extend's early return (at the cap or the limit, or next slot past
+        # n) must leave the same start vector as building it at once
         C_q, c_circ, q0 = shape
         sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
                                 mem_cap=mem_cap)
@@ -210,8 +212,11 @@ class TestExtend:
         n = 0
         for size in sizes:
             n += size
-            start = sched.extend(start, n)
-            one_shot = [sched.tau(j) for j in range(1, sched.slot_count(n) + 1)]
+            start = sched.extend(start, n, limit)
+            count = sched.slot_count(n)
+            if limit is not None:
+                count = min(count, limit)
+            one_shot = [sched.tau(j) for j in range(1, count + 1)]
             assert start.dtype == np.int64
             np.testing.assert_array_equal(start, one_shot)
 

@@ -26,7 +26,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
 from oracles import ledger_step
-from streamreg.basis import BasisSpec
+from streamreg.basis import BasisSpec, identifiable_count
 from streamreg.engine import SCALAR_UNITS, OnePassRegressor
 from streamreg.service import ServiceConfig, StreamRegistry, handle_request
 
@@ -148,7 +148,8 @@ class StreamLife(RuleBasedStateMachine):
             assert self.engine(self.twin) is None
             return
         assert reg.n == self.n
-        start = reg.schedule.extend(np.zeros(0, dtype=np.int64), self.n)
+        start = reg.schedule.extend(np.zeros(0, dtype=np.int64), self.n,
+                                    identifiable_count(reg.reg_basis))
         _, model_start, G, theta = self.model
         for got, want in [(reg.start, start), (reg.start, model_start),
                           (reg.G, G)] + ([] if theta is None else

@@ -10,8 +10,10 @@ from oracles import cv_table_by_batch_fit, cv_tolerance
 from streamreg import basis, tuning
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.errors import TuningError
-from streamreg.tuning import (TuningGrid, cv_select, cv_table, deployable,
-                              rho_at, write_tuning_report)
+from streamreg.scheduler import SchedulerConfig
+from streamreg.tuning import (DEFAULT_H_GRID, TuningGrid, cv_select,
+                              cv_table, deployable, rho_at,
+                              write_tuning_report)
 
 UNIT = BasisSpec(0.0, 1.0)
 ROUGH = PenaltySpec("roughness")
@@ -313,11 +315,41 @@ class TestSelect:
 class TestDeployable:
     @pytest.mark.parametrize("length", [1e-3, 0.7, 1.0, 3.0, 2.5e4])
     def test_margin_zero_matches_the_gram_spectrum(self, length):
+        # no count limits a margin-0 basis: its uniform Gram's eigenvalues
+        # clear the floor at every q, on every domain length
         spec = BasisSpec(-0.5, -0.5 + length)
+        assert basis.identifiable_count(spec) is None
         for q in (1, 2, 3, 92, 633):
             H = basis.gram_uniform(spec, q)
-            assert tuning._min_gram_eigenvalue(spec, q) == \
-                np.min(np.linalg.eigvalsh(H))
+            assert np.min(np.linalg.eigvalsh(H)) * length \
+                >= basis.GRAM_EIG_FLOOR
+        assert deployable(spec, 0.5, 100_000, None)  # q = 632
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_unit_interval_keeps_the_eigenvalue_rule(self, margin):
+        # on [0, 1] the count gives the answers of the rule it replaced:
+        # the schedule's q is deployable when its uniform Gram's least
+        # eigenvalue is at least the floor
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        answers = set()
+        for h in DEFAULT_H_GRID:
+            for n in (1_000, 10_000, 100_000):
+                for mem_cap in (None, 30):
+                    q = SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n)
+                    least = np.linalg.eigvalsh(basis.gram_uniform(spec, q))
+                    rule = bool(least.min() >= basis.GRAM_EIG_FLOOR)
+                    assert deployable(spec, h, n, mem_cap) == rule
+                    answers.add(rule)
+        assert answers == ({True} if margin == 0 else {True, False})
+
+    def test_screen_does_not_depend_on_units(self):
+        unit = BasisSpec(0.0, 1.0, extension_margin=0.1)
+        for spec in (BasisSpec(0.0, 100.0, extension_margin=10.0),
+                     BasisSpec(0.0, 0.01, extension_margin=0.001)):
+            for h in DEFAULT_H_GRID:
+                for n in (1_000, 10_000, 100_000):
+                    assert deployable(spec, h, n, None) == \
+                        deployable(unit, h, n, None)
 
     def test_margin_zero_builds_no_gram(self):
         # h = 0.8 reaches q = 20 000 at n = 1e5: a 3.2 GB Gram if built
