@@ -43,7 +43,8 @@ def _scenario_from_args(args):
 
 
 def _add_scenario_args(p):
-    p.add_argument("--config", help="scenario key=value file")
+    p.add_argument("--config",
+                   help="scenario key=value file, each key at most once")
     p.add_argument("--target", default=Scenario.target,
                    choices=sorted(TARGETS))
     p.add_argument("--n", type=int, default=Scenario.n)

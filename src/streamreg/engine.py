@@ -93,9 +93,10 @@ class OnePassRegressor:
     def ingest(self, ts, ys):
         """Fold one batch of (t, y) pairs into the summary statistics.
 
-        Validation happens before any mutation: a batch with out-of-domain
-        predictors, non-finite responses, or responses so large that G
-        overflows is rejected atomically.
+        Validation happens before any mutation: a batch that is not
+        one-dimensional, or has out-of-domain predictors, non-finite
+        responses, or responses so large that G overflows, is rejected
+        atomically.
         """
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         ys = np.atleast_1d(np.asarray(ys, dtype=float))
@@ -103,6 +104,8 @@ class OnePassRegressor:
             raise ValueError("batch must be non-empty")
         if ts.shape != ys.shape:
             raise ValueError("t and y batches must have equal length")
+        if ts.ndim != 1:
+            raise ValueError("t and y batches must be one-dimensional")
         if not self.reg_basis.contains(ts):
             raise DomainError("batch contains t values outside the domain")
         if not np.isfinite(ys).all():
@@ -313,6 +316,8 @@ def normal_equations(spec, q, ts, ys):
         raise ValueError("empty sample")
     if ts.shape != ys.shape:
         raise ValueError("t and y samples must have equal length")
+    if ts.ndim != 1:
+        raise ValueError("t and y samples must be one-dimensional")
     if q < 1:
         raise DomainError("basis count q must be >= 1")
     unit, weighted = basis_mod.moments(

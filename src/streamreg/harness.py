@@ -257,8 +257,11 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
     points, snapshotting the estimate at every checkpoint; ``sc.B`` only
     fixes where checkpoints may fall.  ``method`` selects the
     streaming engine or the non-streaming baseline refit on all retained
-    data.  Rows are grouped by cap in the order given; a replicate whose
-    tuning or stream fails is counted under that cap.
+    data.  Rows are grouped by cap in the order given.  A replicate whose
+    tuning or stream fails keeps the checkpoints it reached before it
+    failed: each row's ``failures`` is the number of replicates missing
+    from that row, and the report's ``failures`` the number of (replicate,
+    cap) runs that failed anywhere.
     """
     if method not in ("streaming", "batch_oracle"):
         raise ValueError(f"unknown method {method!r}")
@@ -285,7 +288,7 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
     # (ISE, active count, memory units) of each replicate, per cap and
     # checkpoint
     fits = {(k, c): [] for k in range(len(caps)) for c in checkpoints}
-    failures = [0] * len(caps)
+    failures = 0
     t0 = time.perf_counter()
 
     for r in range(sc.replicates):
@@ -316,11 +319,11 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
                             lambda x: basis_mod.series(spec, coef, x),
                             sc.target), q, 0))
             except StreamRegError:
-                failures[k] += 1
+                failures += 1
 
     n_rows = len(caps) * len(checkpoints)
     wall_ms = round((time.perf_counter() - t0) * 1000.0 / n_rows, 3)
-    report = ExperimentReport(failures=sum(failures))
+    report = ExperimentReport(failures=failures)
     for k in range(len(caps)):
         for c in checkpoints:
             err, q, mem = (np.transpose(fits[k, c]) if fits[k, c]
@@ -328,7 +331,7 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
             report.add(method=method, target=sc.target, n=c,
                        rmise=rmise(err), q_mean=float(np.mean(q)),
                        mem_units_mean=float(np.mean(mem)), wall_ms=wall_ms,
-                       failures=failures[k])
+                       failures=sc.replicates - len(fits[k, c]))
     return report
 
 
@@ -373,7 +376,8 @@ SCENARIO_KEYS = {f.name: f.type for f in fields(Scenario)}
 
 
 def load_scenario(path):
-    """Read a scenario from a flat key-value text file (key = value lines)."""
+    """Read a scenario from a flat key-value text file (key = value lines);
+    a key may appear once."""
     values = {}
     with open(path) as fh:
         for line in fh:
@@ -384,5 +388,7 @@ def load_scenario(path):
             key = key.strip()
             if key not in SCENARIO_KEYS:
                 raise ValueError(f"unknown scenario key {key!r}")
+            if key in values:
+                raise ValueError(f"repeated scenario key {key!r}")
             values[key] = SCENARIO_KEYS[key](raw.strip())
     return Scenario(**values)

@@ -26,25 +26,18 @@ BATCH_SIZE = 100
 
 # Batches Alice draws before evaluating m_omega on all of their points and
 # folding them into the engine in one call: the fixed cost of an evaluation
-# and of an ``ingest`` is shared by this many batches, and her buffers stay
+# and of an ``ingest`` is shared by this many batches, and her arrays stay
 # this size whatever n is.
 BLOCK_BATCHES = 64
 
 
-def bump_kernel_into(t, out):
+def bump_kernel(t):
     """The smooth bump K(t) = exp(1 - 1 / (1 - 4 t t)), supported on
-    (-1/2, 1/2) with peak K(0) = 1, of the float array t written into
-    ``out``, an array of t's shape that is not t, and returned.  Each step
-    of the expression is taken in place, in its order, at the points inside
-    the support, so every value keeps the expression's bits."""
-    inside = np.less(np.abs(t, out=out), 0.5)
-    np.multiply(4.0, t, out=out, where=inside)
-    np.multiply(out, t, out=out, where=inside)
-    np.subtract(1.0, out, out=out, where=inside)
-    np.divide(1.0, out, out=out, where=inside)
-    np.subtract(1.0, out, out=out, where=inside)
-    np.exp(out, out=out, where=inside)
-    np.copyto(out, 0.0, where=~inside)
+    (-1/2, 1/2) with peak K(0) = 1, of the float array t."""
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 0.5
+    u = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
     return out
 
 
@@ -78,37 +71,21 @@ class HypercubeInstance:
         return self.c_K * self.k ** (-self.beta)
 
 
-def build_m_omega_into(inst):
+def build_m_omega(inst):
     """The encoded regression function t -> sum_j omega_j amp K(k (t - c_j))
-    as m_omega(t, out, work) for a float array t: the values are written
-    into ``out`` (t's shape) and returned, and ``work`` (shape (2,) + t's
-    shape) holds the cell index and the kernel's argument, so a call
-    allocates nothing of t's size.  Bump j is supported inside
-    [(j - 1)/k, j/k], so only the bump whose interval holds t is evaluated,
-    each step in place and in its order; near an interval edge every bump
-    underflows to 0, so the interval chosen for a t on the edge does not
-    matter."""
+    as m_omega(t) for a float array t.  Bump j is supported inside
+    [(j - 1)/k, j/k], so only the bump whose interval holds t is evaluated;
+    near an interval edge every bump underflows to 0, so the interval
+    chosen for a t on the edge does not matter."""
     k = inst.k
     amp = inst.peak
     omega = np.asarray(inst.omega, dtype=float)
     centers = inst.centers
 
-    def m_omega(t, out, work):
-        x, j = work[0], work[1].view(np.intp)
-        # fmax/fmin send NaN to bump 0, where it evaluates to 0 as before
-        np.multiply(k, t, out=x)
-        np.floor(x, out=x)
-        np.fmax(x, 0.0, out=x)
-        np.fmin(x, k - 1.0, out=x)
-        np.copyto(j, x, casting="unsafe")
-        # j is in range, and take's "clip" mode writes out unbuffered
-        np.take(centers, j, out=x, mode="clip")
-        np.subtract(t, x, out=x)
-        np.multiply(k, x, out=x)
-        bump_kernel_into(x, out)
-        np.multiply(amp, out, out=out)
-        return np.multiply(out, np.take(omega, j, out=x, mode="clip"),
-                           out=out)
+    def m_omega(t):
+        # fmax/fmin send NaN to bump 0, where it evaluates to 0
+        j = np.fmin(np.fmax(np.floor(k * t), 0.0), k - 1.0).astype(np.intp)
+        return amp * bump_kernel(k * (t - centers[j])) * omega[j]
 
     return m_omega
 
@@ -132,22 +109,18 @@ def alice_encode(inst, n, rng, mem_cap, noise_sd):
     if not (is_real(noise_sd) and noise_sd >= 0):
         raise ValueError(
             f"noise_sd must be a finite number >= 0, got {noise_sd!r}")
-    m = build_m_omega_into(inst)
+    m = build_m_omega(inst)
     reg = _protocol_engine(mem_cap)
     block = BLOCK_BATCHES * BATCH_SIZE
-    # the points, their noise, the responses and m_omega's work space,
-    # each under glibc's mmap threshold, so reused from its heap
-    size = min(n, block)
-    ts, noise, ys = np.empty(size), np.zeros(size), np.empty(size)
-    work = np.empty((2, size))
     for first in range(0, n, block):
-        t, e = ts[:n - first], noise[:n - first]
+        size = min(block, n - first)
+        t, e = np.empty(size), np.zeros(size)
         # one batch's draws after another's, as when each batch is streamed
         # as it is drawn: its points, then its noise.  uniform(0, 1) is
         # 0 + 1 u and normal(0, s) is 0 + s z, so drawing u and z in place
         # and scaling z once per block gives the same draws and bits
-        for lo in range(0, t.size, BATCH_SIZE):
-            hi = min(lo + BATCH_SIZE, t.size)
+        for lo in range(0, size, BATCH_SIZE):
+            hi = min(lo + BATCH_SIZE, size)
             rng.random(out=t[lo:hi])
             if noise_sd > 0:
                 rng.standard_normal(out=e[lo:hi])
@@ -156,10 +129,9 @@ def alice_encode(inst, n, rng, mem_cap, noise_sd):
         # ledger is a function of n alone, so one ingest per block moves
         # only the rounding of G.  s z may be -0.0 where 0 + s z is +0.0;
         # adding it to m_omega >= +0 gives the same sum
-        y = m(t, ys[:t.size], work[:, :t.size])
+        y = m(t)
         if noise_sd > 0:
-            np.multiply(noise_sd, e, out=e)
-            y += e
+            y += noise_sd * e
         reg.ingest(t, y)
     return reg.checkpoint_json(), reg.memory_footprint()
 

@@ -63,6 +63,7 @@ BUFFER = f"{ENGINE}::TestTableBuffer"
 CERTIFICATE = "tests/test_density.py::TestCertificate"
 COUNT = f"{ENGINE}::TestIdentifiableCount"
 SERVICE = "tests/test_service_cli.py"
+LOWERBOUND = "tests/test_lowerbound.py"
 
 # the loader's size-first slot guard
 GUARD = ("        if slots != (opened if q_id is None "
@@ -152,12 +153,37 @@ MUTANTS = [
     Mutant("buffer: no size cap on the spare", "basis.py",
            "    if buf.nbytes <= SPARE_BYTES:", "    if True:",
            (f"{BUFFER}::test_batch_fit_keeps_no_table_past_the_spare",)),
+    # the lower-bound protocol
+    Mutant("kernel: no abs in the support test", "lowerbound.py",
+           "    inside = np.abs(t) < 0.5", "    inside = t < 0.5",
+           (f"{LOWERBOUND}::TestBumpKernel::test_peak_and_support",)),
+    Mutant("m_omega: omega[j] factor dropped", "lowerbound.py",
+           "        return amp * bump_kernel(k * (t - centers[j])) * omega[j]",
+           "        return amp * bump_kernel(k * (t - centers[j]))",
+           (f"{LOWERBOUND}::TestEncodedFunction::"
+            "test_peaks_at_active_centers_only",)),
+    Mutant("m_omega: no upper clamp on the cell", "lowerbound.py",
+           "np.fmin(np.fmax(np.floor(k * t), 0.0), k - 1.0)",
+           "np.fmax(np.floor(k * t), 0.0)",
+           (f"{LOWERBOUND}::TestSingleBump::"
+            "test_edges_and_outside_points_match_the_bump_loop",)),
+    Mutant("protocol: no payload recount", "lowerbound.py",
+           "        if payload_units != units:", "        if False:",
+           (f"{LOWERBOUND}::TestRunProtocol::"
+            "test_a_payload_that_is_not_the_footprint_is_refused",)),
     # the boundaries
     Mutant("ingest: no finiteness check on y", "engine.py",
            "        if not np.isfinite(ys).all():\n"
            "            raise ValueError(\"batch contains non-finite y values\")\n",
            "",
            (f"{ENGINE}::TestIngest::test_non_finite_y_rejected_atomically",)),
+    Mutant("ingest: no one-dimensional check", "engine.py",
+           "        if ts.ndim != 1:\n"
+           "            raise ValueError(\"t and y batches must be "
+           "one-dimensional\")\n",
+           "",
+           (f"{ENGINE}::TestIngest::"
+            "test_a_batch_that_is_not_one_dimensional_is_refused",)),
     Mutant("service: no depth scan", "service.py",
            "    if len(raw) > 2 * MAX_DEPTH and _nesting_depth(raw) > MAX_DEPTH:",
            "    if False:",

@@ -16,7 +16,7 @@ from streamreg.errors import (DomainError, IllConditionedSystemError,
                               StreamRegError)
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
 from streamreg.lowerbound import (BATCH_SIZE, _protocol_engine,
-                                  build_m_omega_into, bump_kernel_into)
+                                  build_m_omega, bump_kernel)
 from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.tuning import rho_at
 
@@ -408,37 +408,6 @@ def holder_constant_estimate(inst):
     nu = int(np.ceil(inst.beta)) - 1
     d = np.diff(v, n=nu) / dt ** nu if nu > 0 else v
     return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))
-
-
-def bump_kernel(t):
-    """``lowerbound.bump_kernel_into`` into a new array; a float for a
-    scalar t."""
-    t = np.asarray(t, dtype=float)
-    out = bump_kernel_into(t, np.empty_like(t))
-    return out if out.ndim else float(out)
-
-
-def build_m_omega(inst):
-    """``lowerbound.build_m_omega_into``'s function as m_omega(t), which
-    makes its own output and work arrays."""
-    into = build_m_omega_into(inst)
-
-    def m_omega(t):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        return into(t, np.empty_like(t), np.empty((2,) + t.shape))
-
-    return m_omega
-
-
-def bump_kernel_expression(t):
-    """``bump_kernel`` as one expression on the points inside,
-    written into a zeroed array."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 0.5
-    u = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
-    return out
 
 
 def build_m_omega_loop(inst):

@@ -238,6 +238,24 @@ class TestIngest:
             assert eng.checkpoint_json() == before
             assert np.isfinite(eng.estimate(0.3, 1e-3))
 
+    def test_a_batch_that_is_not_one_dimensional_is_refused(self,
+                                                             monkeypatch):
+        # refused by its shape before any table is built, and not by
+        # numpy's broadcasting inside the fold
+        def never(*args):
+            raise AssertionError("a table was built")
+
+        for known in (True, False):
+            eng = make_engine(known=known)
+            eng.ingest([0.5, 0.25], [1.0, 2.0])
+            before = eng.checkpoint_json()
+            with monkeypatch.context() as patch:
+                patch.setattr(basis, "moments", never)
+                for shape in ((2, 3), (1, 1)):
+                    with pytest.raises(ValueError, match="one-dimensional"):
+                        eng.ingest(np.full(shape, 0.5), np.ones(shape))
+            assert eng.checkpoint_json() == before
+
     def test_shared_basis_leaves_the_sketch_unchanged(self):
         # at margin 0 the sketch folds the engine's own power tables; with a
         # margin it must evaluate its unextended basis itself, to the same
@@ -1188,3 +1206,13 @@ class TestBatchFit:
         for q, y in itertools.product((5, 20), ([2.0], ys[:-1], ys[:, None])):
             with pytest.raises(ValueError, match="equal length"):
                 batch_fit(ts, y, UNIT, q, 1e-3, ROUGH)
+
+    def test_normal_equations_refuse_a_sample_that_is_not_one_dimensional(
+            self, monkeypatch):
+        def never(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(basis, "moments", never)
+        for ts in (np.full((2, 3), 0.5), np.array(0.5)):
+            with pytest.raises(ValueError, match="one-dimensional"):
+                normal_equations(UNIT, 3, ts, np.ones_like(ts))

@@ -9,6 +9,8 @@ import pytest
 from oracles import generate_stream, m3_at_nodes, m3_partial_sum
 import streamreg
 from streamreg import harness, quadrature, tuning
+from streamreg.engine import OnePassRegressor
+from streamreg.errors import IllConditionedSystemError
 from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
                                m2, m3, noise_sigma,
@@ -147,6 +149,13 @@ class TestScenario:
         with pytest.raises(ValueError):
             load_scenario(path)
 
+    def test_load_scenario_refuses_a_repeated_key(self, tmp_path):
+        # the last value silently won
+        path = tmp_path / "scenario.txt"
+        path.write_text("n = 1000\nseed = 3\nn = 2000\n")
+        with pytest.raises(ValueError, match="repeated scenario key 'n'"):
+            load_scenario(path)
+
 
 class TestErrorMetrics:
     def test_ise_of_known_offset(self):
@@ -215,6 +224,30 @@ class TestRunExperiment:
             with pytest.raises(ValueError,
                                match="checkpoints must be integers"):
                 run_experiment(sc, bad)
+
+    def test_a_row_counts_the_replicates_missing_from_it(self, monkeypatch):
+        # replicate 0's estimate is refused at its second checkpoint: its
+        # first checkpoint's ISE stays in the first row, so only the second
+        # row misses it
+        sc = Scenario(target="m1", n=2000, B=100, seed=5, replicates=3)
+        whole = run_experiment(sc, [1000, 2000])
+        estimate = OnePassRegressor.estimate
+        refused = []
+
+        def refused_once_at_2000(self, t, rho):
+            if self.n == 2000 and not refused:
+                refused.append(self.n)
+                raise IllConditionedSystemError("refused")
+            return estimate(self, t, rho)
+
+        monkeypatch.setattr(OnePassRegressor, "estimate",
+                            refused_once_at_2000)
+        rpt = run_experiment(sc, [1000, 2000])
+        assert refused == [2000]
+        assert rpt.column("failures") == [0, 1]
+        assert rpt.failures == 1
+        assert rpt.rows[0]["rmise"] == whole.rows[0]["rmise"]
+        assert rpt.rows[1]["rmise"] != whole.rows[1]["rmise"]
 
     def test_deterministic_given_seed(self):
         sc = Scenario(target="m2", n=1500, B=100, seed=4, replicates=2)

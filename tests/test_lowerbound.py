@@ -4,49 +4,34 @@ import json
 import numpy as np
 import pytest
 
-from oracles import (alice_encode_per_batch, build_m_omega,
-                     build_m_omega_loop, bump_kernel, bump_kernel_expression,
+from oracles import (alice_encode_per_batch, build_m_omega_loop,
                      holder_constant_estimate, partition_tolerance)
 from streamreg import lowerbound, quadrature
 from streamreg.errors import CheckpointError
 from streamreg.lowerbound import (BATCH_SIZE, BLOCK_BATCHES,
                                   DEFAULT_NOISE_SD, HypercubeInstance,
-                                  alice_encode, bob_decode,
-                                  build_m_omega_into, bump_kernel_into,
-                                  run_protocol)
+                                  alice_encode, bob_decode, build_m_omega,
+                                  bump_kernel, run_protocol)
 
 
 class TestBumpKernel:
     def test_peak_and_support(self):
-        assert bump_kernel(0.0) == pytest.approx(1.0)
-        assert bump_kernel(0.5) == 0.0
-        assert bump_kernel(-0.7) == 0.0
+        # K(t) is exactly 1 where 1 - 4 t t rounds to 1, and +0.0 at 1/2's
+        # inner neighbour, where exp underflows, at 1/2 and outside
+        half = np.nextafter(0.5, 0.0)
+        t = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e-9, half, -half,
+                      0.5, -0.5, np.nextafter(0.5, 1.0), -0.7, 3.0, -np.inf,
+                      np.inf, np.nan])
+        assert_same_bytes(bump_kernel(t), np.array([1.0] * 6 + [0.0] * 10))
+        assert bump_kernel(np.array([0.25]))[0] == pytest.approx(
+            np.exp(-1.0 / 3.0))
         assert bump_kernel(np.array([0.49999]))[0] < 1e-6
 
     def test_scaling(self):
         # the encoded bump's peak is c_K k^-beta times the kernel's peak 1
         inst = HypercubeInstance(k=4, omega=(0, 1, 0, 0), beta=2.0, c_K=0.3)
         assert inst.peak == 0.3 * 4 ** -2.0
-        assert build_m_omega(inst)(inst.centers[1])[0] == inst.peak
-
-    def test_in_place_steps_keep_the_expression_bytes(self):
-        # each in-place step is one of the expression's operations, in its
-        # order, so every value keeps its bits, into a given buffer too
-        rng = np.random.default_rng(4)
-        half = np.nextafter(0.5, 0.0)
-        t = np.concatenate([
-            rng.uniform(-1.0, 1.0, 5000), rng.uniform(-0.5, 0.5, 5000),
-            [0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e-9, half, -half, 0.5,
-             -0.5, np.nextafter(0.5, 1.0), 3.0, -np.inf, np.inf, np.nan]])
-        want = bump_kernel_expression(t)
-        assert_same_bytes(bump_kernel(t), want)
-        out = np.full_like(t, np.nan)
-        assert bump_kernel_into(t, out) is out
-        assert_same_bytes(out, want)
-        for v in (0.0, 0.25, -0.49, 0.5, np.nan):
-            got = bump_kernel(v)
-            assert isinstance(got, float)
-            assert_same_bytes(np.array(got), bump_kernel_expression(v))
+        assert build_m_omega(inst)(inst.centers[1:2])[0] == inst.peak
 
     def test_symmetry_and_smooth_decay(self):
         t = np.linspace(0, 0.49, 50)
@@ -89,16 +74,6 @@ class TestEncodedFunction:
         active = np.asarray(inst.omega, dtype=bool)
         np.testing.assert_allclose(vals[active], inst.peak, rtol=1e-12)
         np.testing.assert_allclose(vals[~active], 0.0, atol=1e-15)
-
-    def test_writes_into_the_given_buffers(self):
-        # Alice's block path: values into ``out``, the cell index and the
-        # kernel's argument into ``work``, whatever the buffers held
-        inst = HypercubeInstance(k=8, omega=(1, 0, 1, 1, 0, 0, 1, 0))
-        t = np.random.default_rng(9).uniform(0.0, 1.0, 3000)
-        out, work = np.full(t.size, np.nan), np.full((2, t.size), np.inf)
-        assert build_m_omega_into(inst)(t, out, work) is out
-        assert_same_bytes(out, build_m_omega(inst)(t))
-        assert_same_bytes(out, build_m_omega_loop(inst)(t))
 
     def test_supports_are_disjoint(self):
         # each bump vanishes outside its own 1/k-interval
@@ -152,16 +127,16 @@ class TestSingleBump:
         trials = []  # [instance, evaluated point arrays] per encoder call
 
         def recording(inst):
-            m = build_m_omega_into(inst)
+            m = build_m_omega(inst)
             trials.append((inst, []))
 
-            def m_omega(t, out, work):
+            def m_omega(t):
                 trials[-1][1].append(np.array(t))
-                return m(t, out, work)
+                return m(t)
             return m_omega
 
         n = 2 * BLOCK_BATCHES * BATCH_SIZE + 250
-        monkeypatch.setattr(lowerbound, "build_m_omega_into", recording)
+        monkeypatch.setattr(lowerbound, "build_m_omega", recording)
         run_protocol(k=8, n=n, trials=3, seed=0)
         replayed = list(protocol_draws(8, n, 3, 0))
         assert len(trials) == len(replayed)
@@ -312,6 +287,19 @@ class TestRunProtocol:
                               ({"trials": True}, "trials must be an integer")):
             with pytest.raises(ValueError, match=message):
                 run_protocol(**{"k": 2, "n": 100, "trials": 1, **args})
+
+    def test_a_payload_that_is_not_the_footprint_is_refused(self,
+                                                             monkeypatch):
+        # the units are recounted from the record that crosses the channel
+        encode = lowerbound.alice_encode
+
+        def one_unit_more(*args):
+            payload, units = encode(*args)
+            return payload, units + 1
+
+        monkeypatch.setattr(lowerbound, "alice_encode", one_unit_more)
+        with pytest.raises(RuntimeError, match="does not match footprint"):
+            run_protocol(k=2, n=200, trials=1)
 
     def test_report_csv(self, tmp_path):
         rpt = run_protocol(k=2, n=2000, trials=3, seed=5)

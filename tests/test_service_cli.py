@@ -1169,6 +1169,17 @@ class TestCli:
         assert outs[0].read_bytes() != outs[2].read_bytes()
         capsys.readouterr()
 
+    def test_config_file_with_a_repeated_key_is_refused(self, tmp_path,
+                                                        capsys):
+        config = tmp_path / "scenario.txt"
+        config.write_text("n = 1000\nn = 2000\n")
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(config), "--checkpoints",
+                     "1000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == \
+            "error: repeated scenario key 'n'\n"
+        assert not out.exists()
+
     def test_simulate_command(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = main(["simulate", "--target", "m1", "--n", "1000",
