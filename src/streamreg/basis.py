@@ -223,8 +223,9 @@ def penalty_matrix(spec, penalty, q):
 SPLIT_MIN = 16
 
 
-# The largest power-table buffer kept for the next ``moments`` call (bytes):
-# the Monte Carlo path's tables reach 1.7 MB, and larger ones are not kept.
+# The most bytes of power tables one ``moments`` call holds, in chunks of
+# its points, and so the largest buffer kept for the next call: the Monte
+# Carlo path's tables reach 1.7 MB and fit in one chunk.
 SPARE_BYTES = 4 << 20
 
 # The spare: at most one buffer, held by no running ``moments`` call.  A
@@ -238,22 +239,22 @@ def _take_buffer(count):
     """A complex buffer of at least ``count`` elements: the spare if it is
     large enough, otherwise a new one (the spare stays where it is)."""
     global _spare
-    if 16 * count <= SPARE_BYTES:
-        with _spare_lock:
-            buf = _spare
-            if buf is not None and buf.size >= count:
-                _spare = None
-                return buf
+    with _spare_lock:
+        buf = _spare
+        if buf is not None and buf.size >= count:
+            _spare = None
+            return buf
     return np.empty(count, dtype=complex)
 
 
 def _give_back(buf):
-    """Keep ``buf`` as the spare if it fits and is larger than the spare."""
+    """Keep ``buf`` as the spare if it is larger than the spare.  A
+    ``moments`` call's buffer holds one chunk's tables, so the spare never
+    passes SPARE_BYTES."""
     global _spare
-    if buf.nbytes <= SPARE_BYTES:
-        with _spare_lock:
-            if _spare is None or _spare.size < buf.size:
-                _spare = buf
+    with _spare_lock:
+        if _spare is None or _spare.size < buf.size:
+            _spare = buf
 
 
 def _powers(z, out):
@@ -270,6 +271,18 @@ def _powers(z, out):
     return out
 
 
+def _table_shape(K):
+    """(r, rows) of the power tables at the call's K: z^(r-1) is the last
+    row a weight multiplies, and ``rows`` complex numbers per point make up
+    the tables and z (none at K = 0)."""
+    if K == 0:
+        return 1, 0
+    if K < SPLIT_MIN:
+        return K + 1, K + 2
+    r = math.isqrt(K) + 1
+    return r, r + 1 + K // r + 1
+
+
 def _tables(spec, K, t, take):
     """The power tables of z = exp(2 pi i (t - origin) / P) at the points
     t, as (buf, low, high, r): rows of the complex buffer ``buf`` that
@@ -283,13 +296,12 @@ def _tables(spec, K, t, take):
     Every power is a product of the one z per point, the way ``eval_matrix``
     forms its columns.
     """
+    r, rows = _table_shape(K)
     if K == 0:
-        return take(0), None, None, 1
-    r = K + 1 if K < SPLIT_MIN else math.isqrt(K) + 1
+        return take(0), None, None, r
     # z waits in the buffer's last row, which is written only when no power
     # reads z any more: high's last row, or a row past low (a product
     # written over its own operand may round otherwise)
-    rows = K + 2 if K < SPLIT_MIN else r + 1 + K // r + 1
     buf = take(rows * t.size)
     tables = buf[:rows * t.size].reshape(rows, t.size)
     z = tables[-1]
@@ -301,6 +313,44 @@ def _tables(spec, K, t, take):
     return buf, low, _powers(low[r], tables[r + 1:]), r
 
 
+def chunk_points(K):
+    """Most points of one ``moments`` chunk at K: as many as keep the
+    chunk's tables within SPARE_BYTES; None (no limit) at K = 0, which
+    builds no table."""
+    rows = _table_shape(K)[1]
+    return SPARE_BYTES // (16 * rows) if rows else None
+
+
+def _chunk_moments(spec, K, t, weights, tails, take):
+    """``moments`` of the points t, all in one set of tables."""
+    m = t.size
+    _, low, high, r = _tables(spec, K, t, take)
+    out = []
+    for w in weights:
+        mu = np.empty(K + 1 + len(tails), dtype=complex)
+        for i, (k, lo) in enumerate(tails, K + 1):
+            if k == 0:
+                mu[i] = max(m - lo, 0) if w is None else w[lo:].sum()
+                continue
+            zk = low[k % r, lo:]
+            if high is not None:
+                zk = zk * high[k // r, lo:]
+            # unit weights as the complex ones np.dot would cast them to
+            mu[i] = np.dot(zk, np.ones(zk.size, complex) if w is None
+                           else w[lo:])
+        if low is None:
+            mu[0] = m if w is None else w.sum()
+        elif high is None:
+            mu[:K + 1] = low @ (np.ones(m) if w is None else w)
+        else:
+            if w is not None:
+                low[:r] *= w
+            # row b, column a of the product is mu_{a + r b}
+            mu[:K + 1] = (high @ low[:r].T).ravel()[:K + 1]
+        out.append(mu)
+    return out
+
+
 def moments(spec, K, t, weights, tails):
     """Fourier moments of the points t, which are not domain-checked, under
     each weight vector w of ``weights`` (None for unit weights): with
@@ -308,6 +358,13 @@ def moments(spec, K, t, weights, tails):
     then the tail moment sum_{i >= lo} w_i z_i^k of each (k, lo) in
     ``tails``.  Returns one complex array of K + 1 + len(tails) entries per
     weight.
+
+    The points are folded in chunks of ``chunk_points(K)``, so a call's
+    tables never pass SPARE_BYTES whatever its size: each weight's moments
+    are the sums of its chunks' moments in chunk order, and a tail (k, lo)
+    reads each chunk from max(lo, chunk start).  A call whose tables fit
+    SPARE_BYTES is one chunk.  Chunk boundaries depend on the call and K
+    only, so a call's result does not depend on what came before it.
 
     The tables' buffer is the process's spare when that is free and large
     enough, so a stream of same-sized batches maps no new memory for it,
@@ -326,32 +383,27 @@ def moments(spec, K, t, weights, tails):
         raise ValueError("only the last weight may be an array")
     t = np.asarray(t, float)
     m = t.size
-    buf, low, high, r = _tables(spec, K, t, _take_buffer)
+    step = chunk_points(K) or m
+    buf = _take_buffer(_table_shape(K)[1] * min(m, step))
+    take = lambda count: buf
     try:
-        out = []
-        for w in weights:
-            mu = np.empty(K + 1 + len(tails), dtype=complex)
-            for i, (k, lo) in enumerate(tails, K + 1):
-                if k == 0:
-                    mu[i] = max(m - lo, 0) if w is None else w[lo:].sum()
-                    continue
-                zk = low[k % r, lo:]
-                if high is not None:
-                    zk = zk * high[k // r, lo:]
-                # unit weights as the complex ones np.dot would cast them to
-                mu[i] = np.dot(zk, np.ones(zk.size, complex) if w is None
-                               else w[lo:])
-            if low is None:
-                mu[0] = m if w is None else w.sum()
-            elif high is None:
-                mu[:K + 1] = low @ (np.ones(m) if w is None else w)
+        if m <= step:
+            return _chunk_moments(spec, K, t, weights, tails, take)
+        total = None
+        for s in range(0, m, step):
+            # the last chunk runs to the end of t and of each weight, so a
+            # weight of the wrong length fails as it does in one chunk
+            part = slice(s, s + step if s + step < m else None)
+            out = _chunk_moments(
+                spec, K, t[part],
+                [None if w is None else w[part] for w in weights],
+                [(k, max(lo - s, 0)) for k, lo in tails], take)
+            if total is None:
+                total = out
             else:
-                if w is not None:
-                    low[:r] *= w
-                # row b, column a of the product is mu_{a + r b}
-                mu[:K + 1] = (high @ low[:r].T).ravel()[:K + 1]
-            out.append(mu)
-        return out
+                for mu, chunk in zip(total, out):
+                    mu += chunk
+        return total
     finally:
         _give_back(buf)
 

@@ -34,24 +34,36 @@ def _from_input(build, *args, **kwargs):
         raise InputError(str(exc)) from None
 
 
+# Scenario flags: flag, Scenario field and argparse keywords.  A flag left
+# out is absent from the parsed arguments, and its field keeps the
+# ``Scenario`` default; a scenario file sets every field, so no flag may
+# come with one.
+SCENARIO_FLAGS = (
+    ("--target", "target", {"choices": sorted(TARGETS)}),
+    ("--n", "n", {"type": int}),
+    ("--batch-size", "B", {"type": int}),
+    ("--snr", "snr", {"type": float}),
+    ("--seed", "seed", {"type": int}),
+    ("--replicates", "replicates", {"type": int}),
+)
+
+
 def _scenario_from_args(args):
-    if getattr(args, "config", None):
-        return _from_input(load_scenario, args.config)
-    return _from_input(Scenario, target=args.target, n=args.n,
-                       B=args.batch_size, snr=args.snr, seed=args.seed,
-                       replicates=args.replicates)
+    given = {field: getattr(args, field) for _, field, _ in SCENARIO_FLAGS
+             if hasattr(args, field)}
+    if not args.config:
+        return _from_input(Scenario, **given)
+    if given:
+        flags = [flag for flag, field, _ in SCENARIO_FLAGS if field in given]
+        raise InputError(f"{', '.join(flags)} cannot be combined with "
+                         "--config: the file sets the scenario")
+    return _from_input(load_scenario, args.config)
 
 
 def _add_scenario_args(p):
     p.add_argument("--config",
                    help="scenario key=value file, each key at most once")
-    p.add_argument("--target", default=Scenario.target,
-                   choices=sorted(TARGETS))
-    p.add_argument("--n", type=int, default=Scenario.n)
-    p.add_argument("--batch-size", type=int, default=Scenario.B)
-    p.add_argument("--snr", type=float, default=Scenario.snr)
-    p.add_argument("--seed", type=int, default=Scenario.seed)
-    p.add_argument("--replicates", type=int, default=Scenario.replicates)
+    _add_flags(p, SCENARIO_FLAGS)
     p.add_argument("--checkpoints", type=int, nargs="+",
                    default=[1000, 10_000, 100_000])
     p.add_argument("--out", default="report.csv")
@@ -132,7 +144,9 @@ ENGINE_FLAGS = (
 )
 
 
-def _add_engine_args(p, flags):
+def _add_flags(p, flags):
+    """Add (flag, field, keywords) ``flags``: a flag left out is absent from
+    the parsed arguments."""
     for flag, field, kwargs in flags:
         p.add_argument(flag, dest=field, default=argparse.SUPPRESS, **kwargs)
 
@@ -305,7 +319,7 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--resume", help="resume from an existing checkpoint")
-    _add_engine_args(p, ENGINE_FLAGS)
+    _add_flags(p, ENGINE_FLAGS)
     p.set_defaults(func=_cmd_ingest_csv)
 
     p = sub.add_parser("query", help="evaluate a checkpoint on a grid")
@@ -320,7 +334,7 @@ def build_parser():
     p = sub.add_parser("serve", help="run the ndjson ingestion/query service")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7071)
-    _add_engine_args(p, ENGINE_FLAGS[:-1])
+    _add_flags(p, ENGINE_FLAGS[:-1])
     p.set_defaults(func=_cmd_serve)
 
     return parser

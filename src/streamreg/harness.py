@@ -60,6 +60,11 @@ RATE_H = 1 / 3
 # point, larger ones were no faster.
 STREAM_CALL = 2000
 
+# Points per chunk of a replicate's target and noise (``_replicate_data``):
+# each temporary of a chunk, 64 KiB, lies below glibc's mmap threshold, so
+# the chunks reuse heap memory rather than map fresh pages, whatever n is.
+REPLICATE_CHUNK = 1 << 13
+
 REPORT_COLUMNS = ("method", "target", "n", "rmise", "q_mean",
                   "mem_units_mean", "wall_ms", "failures")
 
@@ -70,14 +75,6 @@ def m1(t):
 
 def m2(t):
     return np.abs(np.asarray(t, dtype=float) - 0.4)
-
-
-# Slices of the m3 table transformed before one strided write into it (see
-# _m3_interp_table); it divides their number.  In fresh processes, four at a
-# time built the table as fast as one full-length transform (medians of 20
-# builds 72 and 74 ms, against 73 and 77) and held 4 MB of slices beside the
-# 16 MB table; one or two at a time were slower, eight at a time held 8 MB.
-_M3_SLICE_GROUP = 4
 
 
 @functools.cache
@@ -92,6 +89,13 @@ def _m3_interp_table():
     (exact for X_k = 0 at k >= M/2; see the module docstring).  X / L is
     the M-point spectrum of m3, exact because L is a power of two, and one
     buffer of it is turned in place from slice to slice by exp(2 pi i k / N).
+
+    One slice is transformed and written into the table at a time, so the
+    build holds one M-point slice, the spectrum and the twiddles beside the
+    table: 3.4 MiB by tracemalloc, against 6.4 MiB with four slices at a
+    time.  Each slice's strided write costs time: in 20 fresh processes on
+    one pinned core of a 2-vCPU VM, builds of one, two and four slices at a
+    time took medians of 77, 76 and 64 ms.
     """
     N = 1 << _M3_GRID_LOG2
     K = M3_TERMS // 2
@@ -106,12 +110,11 @@ def _m3_interp_table():
     twiddle = np.exp((2j * np.pi / N) * np.arange(M // 2 + 1))
     table = np.empty(N + 1)
     by_slice = table[:N].reshape(M, L)  # column a is slice a
-    group = np.empty((_M3_SLICE_GROUP, M))
-    for a in range(0, L, _M3_SLICE_GROUP):
-        for out in group:
-            np.fft.irfft(spectrum, M, out=out)
-            spectrum *= twiddle
-        by_slice[:, a:a + _M3_SLICE_GROUP] = group.T
+    piece = np.empty(M)
+    for a in range(L):
+        np.fft.irfft(spectrum, M, out=piece)
+        by_slice[:, a] = piece
+        spectrum *= twiddle
     table[N] = table[0]
     return table
 
@@ -230,9 +233,18 @@ class ExperimentReport:
 
 
 def _replicate_data(sc, replicate):
+    """The replicate's n design points and responses m(t) + noise.  The
+    target and the noise go in REPLICATE_CHUNK points at a time: the same
+    draws in the same order as one call at n, so the same bits, with no
+    temporary of n points beside t and y."""
     rng = np.random.default_rng(np.random.SeedSequence([sc.seed, replicate]))
     ts = rng.uniform(0.0, 1.0, sc.n)
-    ys = TARGETS[sc.target](ts) + rng.normal(0.0, noise_sigma(sc), sc.n)
+    ys = np.empty(sc.n)
+    target, sigma = TARGETS[sc.target], noise_sigma(sc)
+    for lo in range(0, sc.n, REPLICATE_CHUNK):
+        part = slice(lo, lo + REPLICATE_CHUNK)
+        ys[part] = target(ts[part])
+        ys[part] += rng.normal(0.0, sigma, ys[part].size)
     return ts, ys
 
 

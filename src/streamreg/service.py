@@ -39,6 +39,14 @@ gets a ``not_found`` error.  A request that lacks a field its op needs
 longer than MAX_LINE_BYTES, or an ingest that would create a stream past
 MAX_STREAMS, so the memory a client can make the process hold stays
 bounded; the connection and every existing stream keep being served.
+
+One request holds at most a line of MAX_LINE_BYTES, the objects it decodes
+to (about 9 times the line), and beyond them its t and y arrays and one
+chunk of power tables (``basis.moments``) of at most SPARE_BYTES with a few
+rows of the chunk's points.  A 1 002 717-byte line of 74 884 points
+decoded to 9.6 MB by tracemalloc; folded into a stream at n = 1e5 it peaked
+25.2 MB above its decoded objects when its tables were built in one piece,
+and peaks 6.0 MB above them in chunks.
 """
 
 import json

@@ -64,6 +64,7 @@ CERTIFICATE = "tests/test_density.py::TestCertificate"
 COUNT = f"{ENGINE}::TestIdentifiableCount"
 SERVICE = "tests/test_service_cli.py"
 LOWERBOUND = "tests/test_lowerbound.py"
+MOMENTS = "tests/test_basis.py::TestMoments"
 
 # the loader's size-first slot guard
 GUARD = ("        if slots != (opened if q_id is None "
@@ -134,7 +135,7 @@ MUTANTS = [
     # the fold
     Mutant("fold: zk.sum() for the unit tail sums", "basis.py",
            "mu[i] = np.dot(zk, np.ones(zk.size, complex) if w is None\n"
-           "                               else w[lo:])",
+           "                           else w[lo:])",
            "mu[i] = zk.sum() if w is None else np.dot(zk, w[lo:])",
            ("tests/test_scheduler.py::TestFold",)),
     Mutant("sketch: no clamp on a new slot's old count", "scheduler.py",
@@ -143,16 +144,31 @@ MUTANTS = [
            ("tests/test_density.py::TestUpdate",)),
     # the table buffer
     Mutant("buffer: no spare reuse", "basis.py",
-           "            if buf is not None and buf.size >= count:",
-           "            if False:",
+           "        if buf is not None and buf.size >= count:",
+           "        if False:",
            (BUFFER,)),
     Mutant("buffer: spare not cleared on hand-out", "basis.py",
-           "                _spare = None\n                return buf",
-           "                return buf",
+           "            _spare = None\n            return buf",
+           "            return buf",
            (BUFFER,)),
-    Mutant("buffer: no size cap on the spare", "basis.py",
-           "    if buf.nbytes <= SPARE_BYTES:", "    if True:",
-           (f"{BUFFER}::test_batch_fit_keeps_no_table_past_the_spare",)),
+    # the chunks, which keep every call's tables and the spare within
+    # SPARE_BYTES
+    Mutant("chunks: the divisor without its row count", "basis.py",
+           "    return SPARE_BYTES // (16 * rows) if rows else None",
+           "    return SPARE_BYTES // 16 if rows else None",
+           (f"{BUFFER}::test_batch_fit_keeps_no_table_past_the_spare",
+            f"{ENGINE}::TestBatchFit::test_batch_fit_holds_one_set_of_tables")),
+    Mutant("chunks: a tail read from each later chunk's start", "basis.py",
+           "[(k, max(lo - s, 0)) for k, lo in tails]",
+           "[(k, 0 if s else lo) for k, lo in tails]",
+           (f"{MOMENTS}::test_chunks_are_summed_in_chunk_order",
+            f"{MOMENTS}::test_chunks_stay_within_the_fold_rounding")),
+    # the Monte Carlo replicates
+    Mutant("replicate: the last noise chunk drawn at full size", "harness.py",
+           "        ys[part] += rng.normal(0.0, sigma, ys[part].size)",
+           "        ys[part] += rng.normal(0.0, sigma, REPLICATE_CHUNK)",
+           ("tests/test_harness.py::TestScenario::"
+            "test_replicate_has_the_bits_of_one_call_at_n",)),
     # the lower-bound protocol
     Mutant("kernel: no abs in the support test", "lowerbound.py",
            "    inside = np.abs(t) < 0.5", "    inside = t < 0.5",

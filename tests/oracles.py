@@ -1,10 +1,12 @@
 """Reference implementations that only the tests use.
 
 Each is a slow, direct form of something the package computes another way,
-kept here so the tests can compare against it.
+kept here so the tests can compare against it.  ``traced_peak`` is the
+tests' one memory measurement.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -19,6 +21,18 @@ from streamreg.lowerbound import (BATCH_SIZE, _protocol_engine,
                                   build_m_omega, bump_kernel)
 from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.tuning import rho_at
+
+
+def traced_peak(fn, *args):
+    """Most bytes that ``fn(*args)`` held at once beyond what was held
+    before it, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
 
 
 def eval_matrix_trig(spec, q, t):
@@ -271,6 +285,15 @@ def m3_at_nodes(j, N, chunk=8):
         r %= N
         out[lo:lo + chunk] += sines[r] @ c_coef
     return out
+
+
+def replicate_data_unchunked(sc, replicate):
+    """``harness._replicate_data`` in one call at n: the target at all n
+    points, plus all n noise draws."""
+    rng = np.random.default_rng(np.random.SeedSequence([sc.seed, replicate]))
+    ts = rng.uniform(0.0, 1.0, sc.n)
+    ys = TARGETS[sc.target](ts) + rng.normal(0.0, noise_sigma(sc), sc.n)
+    return ts, ys
 
 
 def generate_stream(sc, rng=None):

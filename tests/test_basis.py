@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -318,6 +320,64 @@ class TestMoments:
             mu, = moments(EXTENDED, 2 * (q // 2), x[order], (w[order],), ())
             Hp = gram_from_moments(EXTENDED, q, mu)
             assert np.max(np.abs(Hp - H)) <= 1e-15 * np.max(np.abs(H))
+
+
+    @pytest.mark.parametrize("K", [0, 5, 40])
+    def test_chunks_are_summed_in_chunk_order(self, K, monkeypatch):
+        # chunks of 7 points over 40: tails that open in the first chunk,
+        # on a chunk's first and last point, in the last chunk, at the end
+        # and past it; each chunk reads a tail from max(lo, its start)
+        m, chunk = 40, 7
+        rng = np.random.default_rng(K)
+        t, w = rng.uniform(0.0, 1.0, m), rng.normal(0.0, 1.0, m)
+        tails = [(k, lo) for k in {0, min(1, K), K}
+                 for lo in (3, 7, 13, 36, 40, 45)]
+        want = None
+        for s in range(0, m, chunk):
+            part = moments(EXTENDED, K, t[s:s + chunk], (None, w[s:s + chunk]),
+                           [(k, max(lo - s, 0)) for k, lo in tails])
+            if want is None:
+                want = part
+            else:
+                for mu, more in zip(want, part):
+                    mu += more
+        rows = basis._table_shape(K)[1]
+        monkeypatch.setattr(basis, "SPARE_BYTES", 16 * rows * chunk)
+        assert basis.chunk_points(K) == (chunk if K else None)
+        got = moments(EXTENDED, K, t, (None, w), tails)
+        if K == 0:  # no tables, so one chunk
+            want = moments(EXTENDED, K, t, (None, w), tails)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
+    def test_chunks_stay_within_the_fold_rounding(self, spec, monkeypatch):
+        # engine.normal_equations' moments at n = 1e5, q = 92 (its 32 MiB
+        # of tables are folded in chunks) against one chunk, with tails
+        # from several chunks: a moment summed in chunks c_1, c_2, ... is
+        # within fold_rounding(chunk sizes, 2K, 1) of its exact value,
+        # relative to sum |w_i| over its points, and the one-chunk moment
+        # within fold_rounding([n], 2K, 0)
+        n, K = 100_000, 92
+        rng = np.random.default_rng(9)
+        t = rng.uniform(0.0, 1.0, n)
+        y = np.sin(5 * t) + rng.normal(0.0, 0.3, n)
+        tails = [(k, lo) for k in (0, 1, 17, K) for lo in (5, 30_011, 99_999)]
+        chunked = moments(spec, K, t, (None, y), tails)
+        step = basis.chunk_points(K)
+        assert step < n
+        monkeypatch.setattr(basis, "SPARE_BYTES", 1 << 30)
+        whole = moments(spec, K, t, (None, y), tails)
+        sizes = [min(step, n - s) for s in range(0, n, step)]
+        gamma = (oracles.fold_rounding(sizes, 2 * K, 1)
+                 + oracles.fold_rounding([n], 2 * K, 0))
+        for w, a, b in zip((np.ones(n), y), chunked, whole):
+            abs_w = np.abs(w)
+            scale = np.array([math.fsum(abs_w)] * (K + 1)
+                             + [math.fsum(abs_w[lo:]) for _, lo in tails])
+            assert np.all(np.abs(a.real - b.real) <= gamma * scale)
+            assert np.all(np.abs(a.imag - b.imag) <= gamma * scale)
+            assert a.tobytes() != b.tobytes()
 
 
 class TestGramFromMoments:

@@ -22,7 +22,7 @@ from streamreg import basis
 from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec,
                              eval_matrix, penalty_matrix)
 from oracles import (normal_equations_out_of_place, partition_tolerance,
-                     weighted_gram)
+                     traced_peak, weighted_gram)
 from streamreg.density import DensityState
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               _kappa_bound, batch_fit, normal_equations,
@@ -30,7 +30,8 @@ from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
 from streamreg.scheduler import SchedulerConfig, slot_counts
-from streamreg.service import ServiceConfig, StreamRegistry, handle_request
+from streamreg.service import (MAX_LINE_BYTES, ServiceConfig, StreamRegistry,
+                               decode_request, handle_request)
 
 UNIT = BasisSpec(0.0, 1.0)
 ROUGH = PenaltySpec("roughness")
@@ -50,18 +51,6 @@ def sample(n, seed, fn):
     rng = np.random.default_rng(seed)
     ts = rng.uniform(0, 1, n)
     return ts, fn(ts)
-
-
-def traced_peak(fn, *args):
-    """Most bytes that ``fn(*args)`` held at once beyond what was held
-    before it, as tracemalloc counts them."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
 
 
 def table_bytes(spec, q, m):
@@ -716,20 +705,77 @@ class TestTableBuffer:
             t.join()
         assert got == want
 
-    def test_batch_fit_keeps_no_table_past_the_spare(self):
-        # n = 1e5, q = 92 builds 32 MiB of tables, more than the spare takes
+    def test_batch_fit_keeps_no_table_past_the_spare(self, monkeypatch):
+        # n = 1e5, q = 92 would build 32 MiB of tables in one chunk; the
+        # chunks' buffer, kept as the spare, fits SPARE_BYTES
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
         assert table_bytes(UNIT, 2 * q, n) > SPARE_BYTES
+        monkeypatch.setattr(basis, "_spare", None)
+        batch_fit(ts, ys, UNIT, q, 1e-6, ROUGH)
+        assert 0 < basis._spare.nbytes <= SPARE_BYTES
+
+    @staticmethod
+    def maximal_request(registry, stream_id):
+        """The bytes of an ingest line of 74 884 points, about as many as
+        MAX_LINE_BYTES admits for these numbers, after bringing the stream
+        to n = 1e5."""
+        rng = np.random.default_rng(31)
+        ts = rng.uniform(0.0, 1.0, 100_000)
+        for lo in range(0, ts.size, 5000):
+            t = ts[lo:lo + 5000]
+            assert handle_request(registry, {
+                "op": "ingest", "stream_id": stream_id,
+                "points": np.column_stack([t, np.sin(5 * t)]).tolist()})["ok"]
+        points = np.column_stack([np.round(rng.uniform(0.0, 1.0, 74_884), 4),
+                                  np.round(rng.uniform(-1.0, 1.0, 74_884), 1)])
+        raw = json.dumps({"op": "ingest", "stream_id": stream_id,
+                          "points": points.tolist()},
+                         separators=(",", ":")).encode()
+        assert len(raw) <= MAX_LINE_BYTES
+        return raw
+
+    def test_a_maximal_request_holds_one_chunk_of_tables(self, monkeypatch):
+        # Beside its decoded objects, the request holds its t and y arrays
+        # (16 bytes a point) and, per chunk, the tables in at most
+        # SPARE_BYTES and three rows of the chunk's points: t - origin, and
+        # a tail's product z^a (z^r)^b and the unit weights np.dot reads.
+        # Folded in one chunk, its tables took 20.4 MB.
+        registry = StreamRegistry(ServiceConfig())
+        raw = self.maximal_request(registry, "s")
+        monkeypatch.setattr(basis, "_spare", None)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            batch_fit(ts, ys, UNIT, q, 1e-6, ROUGH)
-            held = tracemalloc.get_traced_memory()[0] - before
+            request = decode_request(raw)
+            decoded = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            assert handle_request(registry, request) == {"ok": True,
+                                                         "n": 174_884}
+            peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert held <= SPARE_BYTES
-        assert basis._spare is None or basis._spare.nbytes <= SPARE_BYTES
+        K = registry._streams["s"][0].start.size // 2
+        assert table_bytes(UNIT, 2 * K, 74_884) > 4 * SPARE_BYTES
+        assert peak <= decoded + SPARE_BYTES + 16 * 74_884 \
+            + 3 * 16 * basis.chunk_points(K)
+
+    def test_a_repeated_maximal_request_maps_no_table_buffer(self,
+                                                             monkeypatch):
+        # the same request into a second stream in the same state takes
+        # every table buffer from the spare that the first one left
+        registry = StreamRegistry(ServiceConfig())
+        raws = [self.maximal_request(registry, sid) for sid in ("a", "b")]
+        handle_request(registry, decode_request(raws[0]))
+        spare, take_buffer, taken = basis._spare, basis._take_buffer, []
+
+        def take(count):
+            taken.append(take_buffer(count))
+            return taken[-1]
+
+        monkeypatch.setattr(basis, "_take_buffer", take)
+        handle_request(registry, decode_request(raws[1]))
+        assert taken and all(buf is spare for buf in taken)
 
     def test_a_repeated_stream_maps_no_table_pages(self):
         # With glibc's mmap threshold fixed at 128 KiB, as the benchmark
@@ -1179,18 +1225,22 @@ class TestBatchFit:
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 
-    def test_batch_fit_holds_one_set_of_tables(self):
-        # n = 1e5, q = 92: the tables hold z^0..z^10 and
-        # (z^10)^0..(z^10)^9, 32 MiB.  The only other n-length array held
-        # beside them is z, while the first table is built; the unit
+    def test_batch_fit_holds_one_set_of_tables(self, monkeypatch):
+        # n = 1e5, q = 92: the tables hold z^0..z^10, (z^10)^0..(z^10)^9
+        # and z, 32 MiB in one chunk, so the call folds them in chunks that
+        # fit SPARE_BYTES.  Beside a chunk's tables it holds t - origin,
+        # one row of the chunk, while the tables are built; the unit
         # weights read the tables in place and the y weights go into them
         # through numpy's ufunc buffers, two of np.getbufsize() complex
-        # elements, far less than z.  A weighted copy of z^0..z^9 beside
-        # them, 16 r n = 15 MiB, breaks the bound.
+        # elements.  Then come the Gram's assembly and the solve, four
+        # (q + 1) x (q + 1) matrices at most.  A weighted copy of z^0..z^9
+        # beside the tables, 16 r = 160 bytes a point, breaks the bound.
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
+        monkeypatch.setattr(basis, "_spare", None)
         peak = traced_peak(batch_fit, ts, ys, UNIT, q, 1e-6, ROUGH)
-        assert peak <= table_bytes(UNIT, 2 * q, n) + 16 * n
+        assert peak <= SPARE_BYTES + 16 * basis.chunk_points(q) \
+            + 32 * (q + 1) ** 2
 
     def test_normal_equations_reject_bad_input(self):
         with pytest.raises(ValueError, match="empty sample"):

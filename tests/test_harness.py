@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import generate_stream, m3_at_nodes, m3_partial_sum
+from oracles import (generate_stream, m3_at_nodes, m3_partial_sum,
+                     replicate_data_unchunked, traced_peak)
 import streamreg
 from streamreg import harness, quadrature, tuning
 from streamreg.engine import OnePassRegressor
@@ -77,12 +78,20 @@ class TestTargets:
         assert float(err.max()) <= 8.0
         assert vals[N] == vals[0]
 
+    def test_m3_table_build_holds_one_slice_beside_the_table(self):
+        # one 2**17-point slice, the spectrum of 2**16 + 1 complex numbers
+        # and its twiddles, 3 MiB, and the build's coefficient arrays of
+        # M3_TERMS / 2 numbers; four slices at a time took 6.4 MiB
+        table = harness._m3_interp_table()
+        peak = traced_peak(harness._m3_interp_table.__wrapped__)
+        assert peak <= table.nbytes + 3.5 * 2 ** 20
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads the peak RSS from /proc")
     def test_m3_table_build_stays_near_its_size(self):
         # the table is (2**21 + 1) float64s, 16 MB; the sliced build holds
-        # one 2**17-point spectrum, its twiddles and four slices besides
-        # (measured about 25 MB in all).  VmHWM is the peak RSS of the
+        # one 2**17-point slice, the spectrum and its twiddles besides
+        # (measured about 22 MB in all).  VmHWM is the peak RSS of the
         # process's own address space; getrusage's peak would start from
         # the forking test process's RSS and hide the growth.
         code = ("from streamreg import harness\n"
@@ -129,6 +138,27 @@ class TestScenario:
         for (ta, ya), (tb, yb) in zip(a, b):
             np.testing.assert_array_equal(ta, tb)
             np.testing.assert_array_equal(ya, yb)
+
+    @pytest.mark.parametrize("target", ["m1", "m2", "m3"])
+    def test_replicate_has_the_bits_of_one_call_at_n(self, target):
+        chunk = harness.REPLICATE_CHUNK
+        for n in (1, chunk, 3 * chunk + 17):
+            sc = Scenario(target=target, n=n, seed=5)
+            got = harness._replicate_data(sc, 2)
+            want = replicate_data_unchunked(sc, 2)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
+
+    def test_replicate_holds_its_arrays_and_one_chunk(self):
+        # t and y, 16 n bytes, and one chunk's temporaries: m3's copy of t,
+        # its node, index and result arrays, y_j and two masks (42 bytes a
+        # point), or the noise draw after it.  In one call at n, m3's
+        # temporaries took 3.4 MB at n = 1e5.
+        n = 100_000
+        sc = Scenario(target="m3", n=n)
+        noise_sigma(sc)  # builds the m3 table once, outside the bound
+        peak = traced_peak(harness._replicate_data, sc, 0)
+        assert peak <= 16 * n + 48 * harness.REPLICATE_CHUNK
 
     def test_invalid_scenarios_rejected(self):
         # out of range, then of the wrong type or not finite

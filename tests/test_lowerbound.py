@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import (alice_encode_per_batch, build_m_omega_loop,
-                     holder_constant_estimate, partition_tolerance)
-from streamreg import lowerbound, quadrature
+                     holder_constant_estimate, partition_tolerance,
+                     traced_peak)
+from streamreg import basis, lowerbound, quadrature
 from streamreg.errors import CheckpointError
 from streamreg.lowerbound import (BATCH_SIZE, BLOCK_BATCHES,
                                   DEFAULT_NOISE_SD, HypercubeInstance,
@@ -258,6 +259,29 @@ class TestProtocolPieces:
         with pytest.raises(ValueError, match="n must be an integer"):
             alice_encode(inst, n, rng, None, DEFAULT_NOISE_SD)
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("cap", [None, 5])
+    def test_alice_holds_the_same_memory_at_any_n(self, cap, monkeypatch):
+        # Her arrays hold one block of BLOCK_BATCHES batches whatever n is.
+        # The engine's tables grow with its slots: a call whose tables
+        # outgrow the spare holds the spare and a larger buffer, so the
+        # uncapped peak may grow by twice the last call's tables' growth
+        # (measured 0.77 MB).  16 KiB more covers the state and the
+        # payload, which grow with the slots too.
+        inst = HypercubeInstance(k=8, omega=(1, 0, 1, 1, 0, 0, 1, 0))
+        alice_encode(inst, 1000, np.random.default_rng(0), cap,
+                     DEFAULT_NOISE_SD)
+        peaks, rows = [], []
+        for n in (20_000, 100_000):
+            monkeypatch.setattr(basis, "_spare", None)
+            peaks.append(traced_peak(alice_encode, inst, n,
+                                     np.random.default_rng(1), cap,
+                                     DEFAULT_NOISE_SD))
+            eng = lowerbound._protocol_engine(cap)
+            slots = eng.schedule.extend(eng.start, n, None).size
+            rows.append(basis._table_shape(slots // 2)[1])
+        growth = 2 * 16 * BLOCK_BATCHES * BATCH_SIZE * (rows[1] - rows[0])
+        assert abs(peaks[1] - peaks[0]) <= growth + (16 << 10)
 
     def test_garbage_payload_raises(self):
         with pytest.raises(CheckpointError):

@@ -1180,6 +1180,26 @@ class TestCli:
             "error: repeated scenario key 'n'\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, named", [
+        (["--n", "500", "--target", "m3"], "--target, --n"),
+        # a flag at its default value is given all the same
+        (["--seed", "0"], "--seed"),
+        (["--batch-size", "100", "--snr", "2", "--replicates", "1"],
+         "--batch-size, --snr, --replicates"),
+    ])
+    def test_config_file_refuses_scenario_flags_beside_it(self, tmp_path,
+                                                          capsys, flags,
+                                                          named):
+        config = tmp_path / "scenario.txt"
+        config.write_text("target = m1\nn = 1000\nreplicates = 1\n")
+        out = tmp_path / "report.csv"
+        assert main(["simulate", "--config", str(config), *flags,
+                     "--checkpoints", "1000", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {named} cannot be combined with --config: the file "
+            f"sets the scenario\n")
+        assert not out.exists()
+
     def test_simulate_command(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = main(["simulate", "--target", "m1", "--n", "1000",
