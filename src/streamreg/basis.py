@@ -117,8 +117,6 @@ def eval_matrix(spec, q, t):
     sqrt(2/P) are (phi_{2k}, phi_{2k+1}).  Each row depends on its own t
     only, so the result does not depend on how points are batched.
     """
-    if q < 1:
-        raise DomainError("basis count q must be >= 1")
     t = _check_points(spec, t)
     P = spec.period
     out = np.empty((t.size, q))
@@ -192,26 +190,20 @@ def penalty_matrix(spec, penalty, q):
     Identity kind returns I_q.  Roughness kind returns the matrix of
     integrated products of second derivatives over the data domain.  Since
     phi_j'' = c_j phi_j with c_j = -(2 k pi / P)^2, that matrix is
-    (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix.  At
-    margin 0, H = I_q / (hi - lo) and W is diagonal; its diagonal is formed
-    with the same roundings as the dense product.
+    (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix, which is
+    I_q / (hi - lo) at margin 0.
 
     W depends on its arguments only, so the last 8 are kept: every solve
     after an ingest asks for the same one.  Callers build new arrays from
     W rather than writing into it.
     """
-    if q < 1:
-        raise DomainError("basis count q must be >= 1")
     if penalty.kind == "identity":
         W = np.eye(q)
     else:
         c = _curvature_factors(spec, q)
         length = spec.hi - spec.lo
-        if spec.extension_margin == 0.0:
-            W = np.diag(((length * c) * (1.0 / length)) * c)
-        else:
-            W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
-            W = 0.5 * (W + W.T)
+        W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
+        W = 0.5 * (W + W.T)
     W.flags.writeable = False
     return W
 
@@ -283,11 +275,11 @@ def _table_shape(K):
     return r, r + 1 + K // r + 1
 
 
-def _tables(spec, K, t, take):
+def _tables(spec, K, t, buf):
     """The power tables of z = exp(2 pi i (t - origin) / P) at the points
-    t, as (buf, low, high, r): rows of the complex buffer ``buf`` that
-    ``take(count)`` returns, and r, where z^(r-1) is the last row a weight
-    multiplies.
+    t, as (low, high, r): rows of the complex buffer ``buf``, which holds
+    at least ``_table_shape(K)[1] * t.size`` elements, and r, where z^(r-1)
+    is the last row a weight multiplies.
 
     With K >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
     z^a (z^r)^b, so two short tables hold every power: ``low``, rows z^a for
@@ -298,19 +290,18 @@ def _tables(spec, K, t, take):
     """
     r, rows = _table_shape(K)
     if K == 0:
-        return take(0), None, None, r
+        return None, None, r
     # z waits in the buffer's last row, which is written only when no power
     # reads z any more: high's last row, or a row past low (a product
     # written over its own operand may round otherwise)
-    buf = take(rows * t.size)
     tables = buf[:rows * t.size].reshape(rows, t.size)
     z = tables[-1]
     np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
     np.exp(z, out=z)
     if K < SPLIT_MIN:
-        return buf, _powers(z, tables[:-1]), None, r
+        return _powers(z, tables[:-1]), None, r
     low = _powers(z, tables[:r + 1])
-    return buf, low, _powers(low[r], tables[r + 1:]), r
+    return low, _powers(low[r], tables[r + 1:]), r
 
 
 def chunk_points(K):
@@ -321,10 +312,10 @@ def chunk_points(K):
     return SPARE_BYTES // (16 * rows) if rows else None
 
 
-def _chunk_moments(spec, K, t, weights, tails, take):
-    """``moments`` of the points t, all in one set of tables."""
+def _chunk_moments(spec, K, t, weights, tails, buf):
+    """``moments`` of the points t, all in one set of tables in ``buf``."""
     m = t.size
-    _, low, high, r = _tables(spec, K, t, take)
+    low, high, r = _tables(spec, K, t, buf)
     out = []
     for w in weights:
         mu = np.empty(K + 1 + len(tails), dtype=complex)
@@ -385,10 +376,9 @@ def moments(spec, K, t, weights, tails):
     m = t.size
     step = chunk_points(K) or m
     buf = _take_buffer(_table_shape(K)[1] * min(m, step))
-    take = lambda count: buf
     try:
         if m <= step:
-            return _chunk_moments(spec, K, t, weights, tails, take)
+            return _chunk_moments(spec, K, t, weights, tails, buf)
         total = None
         for s in range(0, m, step):
             # the last chunk runs to the end of t and of each weight, so a
@@ -397,7 +387,7 @@ def moments(spec, K, t, weights, tails):
             out = _chunk_moments(
                 spec, K, t[part],
                 [None if w is None else w[part] for w in weights],
-                [(k, max(lo - s, 0)) for k, lo in tails], take)
+                [(k, max(lo - s, 0)) for k, lo in tails], buf)
             if total is None:
                 total = out
             else:

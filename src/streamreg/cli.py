@@ -348,7 +348,7 @@ def main(argv=None):
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except StreamRegError as exc:
+    except (StreamRegError, OSError) as exc:  # OSError: a file it cannot open
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

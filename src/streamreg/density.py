@@ -181,13 +181,12 @@ class DensityState:
         is the sketch's own and the sketch is certified, mu_0 = 1 and
         mu_m = (theta_{2m} + i theta_{2m+1}) / (sqrt(2) theta_1) up to m = K,
         zero past it.  Otherwise a quadrature of the clipped normalized
-        density gives them, which keeps the result PSD.
+        density gives them, which keeps the result PSD.  A sketch with no
+        active slot is not certified, and its ``evaluate`` raises StateError.
         """
         if q < 1:
             raise ValueError("q must be >= 1")
         p = self.active_count
-        if p < 1:
-            raise StateError("density sketch has no active slot yet")
         M = 2 * (q // 2)
         if reg_basis == self.basis and self.certified():
             K = min(p // 2, M)

@@ -72,6 +72,10 @@ class OnePassRegressor:
         if not isinstance(known_uniform_density, bool):
             raise ValueError(f"known_uniform_density must be a bool, got "
                              f"{known_uniform_density!r}")
+        if basis_mod.identifiable_count(reg_basis) == 0:
+            raise ValueError(f"extension_margin "
+                             f"{reg_basis.extension_margin!r} leaves no "
+                             f"identifiable basis function")
         self.reg_basis = reg_basis
         self.penalty = penalty
         self.schedule = schedule

@@ -18,14 +18,16 @@ string or a boolean is a ``request`` error too, and the stream is left as it
 was.
 
 Responses carry {"ok": true, ...} or {"ok": false, "error": kind,
-"message": text}.  A ``stats`` reply holds n, q_active, p_active (the
-sketch's active slots; null for a known-uniform density), pending_slots
-(slots opened but not yet active), memory_units, rho, density_certified
-(whether the density sketch is proven non-negative, so that its queries
-need no quadrature; null for a known-uniform density), last_solve and
-coef_cache_hits.  last_solve is the gate record of the stream's last
-coefficient solve, {"gate": "certificate", "kappa_bound": x} or
-{"gate": "dpocon", "rcond": x}, or null before the first one;
+"message": text}.  The kinds are ``request`` (a request the service cannot
+read or act on), ``validation`` (a t outside the stream's domain),
+``not_found`` and ``non_finite``, described below.  A ``stats`` reply holds
+n, q_active, p_active (the sketch's active slots; null for a known-uniform
+density), pending_slots (slots opened but not yet active), memory_units,
+rho, density_certified (whether the density sketch is proven non-negative,
+so that its queries need no quadrature; null for a known-uniform density),
+last_solve and coef_cache_hits.  last_solve is the gate record of the
+stream's last coefficient solve, {"gate": "certificate", "kappa_bound": x}
+or {"gate": "dpocon", "rcond": x}, or null before the first one;
 coef_cache_hits counts the estimates answered from the coefficient cache.
 Neither is checkpointed.
 Numbers survive the wire bit-exactly (JSON floats are emitted with shortest
@@ -60,7 +62,7 @@ import orjson
 
 from .basis import BasisSpec, PenaltySpec, is_real, require
 from .engine import OnePassRegressor
-from .errors import DomainError, NotFoundError, StateError, StreamRegError
+from .errors import DomainError, NotFoundError, StreamRegError
 from .scheduler import SchedulerConfig
 from .tuning import rho_at
 
@@ -253,8 +255,6 @@ def handle_request(registry, request):
                 "message": f"request lacks the field {exc}"}
     except DomainError as exc:
         return {"ok": False, "error": "validation", "message": str(exc)}
-    except StateError as exc:
-        return {"ok": False, "error": "warm_up", "message": str(exc)}
     except (ValueError, TypeError, StreamRegError) as exc:
         return {"ok": False, "error": "request", "message": str(exc)}
 

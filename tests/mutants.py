@@ -65,6 +65,7 @@ COUNT = f"{ENGINE}::TestIdentifiableCount"
 SERVICE = "tests/test_service_cli.py"
 LOWERBOUND = "tests/test_lowerbound.py"
 MOMENTS = "tests/test_basis.py::TestMoments"
+ENGINE_FLAGS = f"{SERVICE}::TestCli::test_engine_flags_out_of_range_are_errors"
 
 # the loader's size-first slot guard
 GUARD = ("        if slots != (opened if q_id is None "
@@ -214,6 +215,36 @@ MUTANTS = [
            "    if not isinstance(stream_id, (str, int)):",
            (f"{SERVICE}::TestSocketService::"
             "test_stream_id_is_a_string_or_an_integer",)),
+    Mutant("basis: lo == hi accepted", "basis.py",
+           "        if not self.lo < self.hi:",
+           "        if not self.lo <= self.hi:",
+           (ENGINE_FLAGS,)),
+    Mutant("basis: a negative margin accepted", "basis.py",
+           "        if self.extension_margin < 0:", "        if False:",
+           (ENGINE_FLAGS,)),
+    Mutant("engine: a basis with no identifiable function accepted",
+           "engine.py",
+           "        if basis_mod.identifiable_count(reg_basis) == 0:",
+           "        if False:",
+           (f"{COUNT}::test_a_basis_with_no_identifiable_function_is_refused",
+            ENGINE_FLAGS)),
+    Mutant("service: C_rho = 0 accepted", "service.py",
+           "        if self.C_rho <= 0:", "        if self.C_rho < 0:",
+           (f"{SERVICE}::TestRegistry::test_c_rho_must_be_positive",)),
+    Mutant("service: an unknown query kind answered", "service.py",
+           "            raise ValueError(f\"unknown query kind "
+           "{reprlib.repr(kind)}\")",
+           "            return {}",
+           (f"{SERVICE}::TestRegistry::"
+            "test_unknown_query_kind_is_a_request_error",)),
+    Mutant("service: a blank line read as a request", "service.py",
+           "            elif not raw.strip():\n                continue\n",
+           "",
+           (f"{SERVICE}::TestSocketService::test_blank_lines_get_no_reply",)),
+    Mutant("cli: no catch of a file it cannot open", "cli.py",
+           "    except (StreamRegError, OSError) as exc:",
+           "    except StreamRegError as exc:",
+           (f"{SERVICE}::TestCli::test_a_missing_file_is_an_error",)),
     Mutant("cli: no domain check on a CSV row", "cli.py",
            "        if not spec.lo <= t <= spec.hi:", "        if False:",
            (f"{SERVICE}::TestCli::test_bad_row_reports_its_line",)),

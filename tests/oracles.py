@@ -11,8 +11,9 @@ import tracemalloc
 import numpy as np
 
 from streamreg import basis, quadrature
-from streamreg.basis import (_check_points, _curvature_factors, _tables,
-                             eval_matrix, gram_uniform, penalty_matrix)
+from streamreg.basis import (_check_points, _curvature_factors, _table_shape,
+                             _tables, eval_matrix, gram_uniform,
+                             penalty_matrix)
 from streamreg.engine import batch_fit, normal_equations, penalized_solve
 from streamreg.errors import (DomainError, IllConditionedSystemError,
                               StreamRegError)
@@ -72,8 +73,8 @@ class Tables:
 
     def __init__(self, spec, q, t):
         self.q, self.K, self.period = q, q // 2, spec.period
-        _, self.low, self.high, self.r = _tables(
-            spec, self.K, t, lambda count: np.empty(count, complex))
+        buf = np.empty(_table_shape(self.K)[1] * t.size, complex)
+        self.low, self.high, self.r = _tables(spec, self.K, t, buf)
 
 
 def moments_out_of_place(tables, w):
@@ -319,6 +320,15 @@ def roughness_penalty_dense(spec, q):
     c = _curvature_factors(spec, q)
     W = (spec.hi - spec.lo) * c[:, None] * gram_uniform(spec, q) * c[None, :]
     return 0.5 * (W + W.T)
+
+
+def roughness_penalty_diagonal(spec, q):
+    """The roughness W at margin 0, where H = I_q / (hi - lo), as the
+    diagonal ((hi - lo) c) (1 / (hi - lo)) c: the roundings of the dense
+    product's diagonal, with no q x q product."""
+    c = _curvature_factors(spec, q)
+    length = spec.hi - spec.lo
+    return np.diag(((length * c) * (1.0 / length)) * c)
 
 
 def second_derivative_matrix(spec, q, t):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import oracles
 from oracles import (eval_basis, eval_matrix_trig, eval_vector,
                      projection_residual, roughness_penalty_dense,
-                     sup_sum_squares, weighted_gram)
+                     roughness_penalty_diagonal, sup_sum_squares,
+                     weighted_gram)
 from streamreg import basis
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
                              gram_from_moments, gram_uniform,
@@ -130,12 +131,17 @@ class TestPenaltyMatrix:
     @pytest.mark.parametrize("spec", [UNIT, BasisSpec(-2.5, 7.3),
                                       BasisSpec(0.0, 0.3), EXTENDED])
     def test_roughness_matches_the_dense_product_to_the_bit(self, spec):
-        # at margin 0 the diagonal is formed without the q x q product
-        for q in range(1, 301) if spec.extension_margin == 0 else (1, 92):
+        # at margin 0 the dense product has the diagonal formula's bits,
+        # signed zeros too
+        margin_zero = spec.extension_margin == 0
+        for q in range(1, 301) if margin_zero else (1, 92):
             W = penalty_matrix(spec, PenaltySpec("roughness"), q)
             want = roughness_penalty_dense(spec, q)
             assert np.array_equal(W, want)
-            assert W.tobytes() == want.tobytes()  # signed zeros too
+            assert W.tobytes() == want.tobytes()
+            if margin_zero:
+                assert W.tobytes() == \
+                    roughness_penalty_diagonal(spec, q).tobytes()
 
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     @pytest.mark.parametrize("kind", ["identity", "roughness"])

@@ -253,6 +253,16 @@ class TestGram:
         oracle = V.T @ (w[:, None] * V)
         np.testing.assert_allclose(H, oracle, atol=1e-8)
 
+    def test_gram_needs_a_basis_count_and_an_active_slot(self):
+        with pytest.raises(ValueError, match="q must be >= 1"):
+            make_engine().density.gram(UNIT, 0)
+        # a sketch with no active slot is not certified, so the quadrature's
+        # evaluate refuses it
+        sketch = make_engine().density
+        assert not sketch.certified()
+        with pytest.raises(StateError, match="no active slot yet"):
+            sketch.gram(UNIT, 3)
+
     def test_gram_is_psd(self):
         rng = np.random.default_rng(9)
         eng = make_engine()

@@ -53,12 +53,10 @@ def sample(n, seed, fn):
     return ts, fn(ts)
 
 
-def table_bytes(spec, q, m):
+def table_bytes(q, m):
     """Bytes of the buffer ``basis.moments`` takes for the power tables of
     phi_1..phi_q at m points: m times their bytes at one point."""
-    buf = basis._tables(spec, q // 2, np.zeros(1),
-                        lambda count: np.empty(count, complex))[0]
-    return m * buf.nbytes
+    return m * 16 * basis._table_shape(q // 2)[1]
 
 
 class TestIngest:
@@ -173,7 +171,7 @@ class TestIngest:
         # call's per-slot sums.  A weighted copy of z^0..z^11,
         # 16 r m = 375 KiB, breaks the bound.
         beside = max(2 * 16 * m, 2 * 16 * np.getbufsize())
-        assert peak <= table_bytes(spec, s, m) + beside + 4 * 8 * s
+        assert peak <= table_bytes(s, m) + beside + 4 * 8 * s
         # the same call again finds the tables' buffer in the spare and
         # allocates none of their bytes
         again = traced_peak(twin.ingest, ts[-m:], ys[-m:])
@@ -641,6 +639,27 @@ class TestIdentifiableCount:
         # the start vector takes 39 more
         assert loaded.start.size == 39 and len(taus) < 50
 
+    def test_a_basis_with_no_identifiable_function_is_refused(self):
+        # phi_1's uniform Gram, 1/P, lies below the floor: without the
+        # refusal the first ingest raised IndexError, and a service stream
+        # closed its connection with no reply
+        spec = BasisSpec(0.0, 1.0, extension_margin=1e8)
+        assert basis.identifiable_count(spec) == 0
+        message = "leaves no identifiable basis function"
+        with pytest.raises(ValueError, match=message):
+            self.engine(spec)
+        with pytest.raises(ValueError, match=message):
+            ServiceConfig(extension_margin=1e8)
+        record = self.engine().checkpoint()  # n = 0: no slot to compare
+        record["config"]["extension_margin"] = 1e8
+        with pytest.raises(CheckpointError, match=message):
+            OnePassRegressor.from_checkpoint(record)
+        # one identifiable function is enough
+        eng = self.engine(BasisSpec(0.0, 1.0, extension_margin=1e3))
+        feed(eng, *sample(500, 46, np.sin))
+        assert eng.G.size == eng.active_count == 1
+        assert np.isfinite(eng.estimate(0.5, 1e-3))
+
     def test_a_record_past_the_count_is_refused(self):
         # an engine before the count wrote 52 slots at n = 9000
         eng = self.engine(UNIT)
@@ -668,7 +687,7 @@ class TestTableBuffer:
         m, q = 10_000, 92
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
         ts, ys = sample(m, 5, lambda t: np.sin(5 * t))
-        tables = table_bytes(spec, 2 * q, m)
+        tables = table_bytes(2 * q, m)
         assert tables <= SPARE_BYTES
         normal_equations(spec, q, ts, ys)
         for call in (lambda: normal_equations(spec, q, ts, ys[:-1]),
@@ -710,7 +729,7 @@ class TestTableBuffer:
         # chunks' buffer, kept as the spare, fits SPARE_BYTES
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
-        assert table_bytes(UNIT, 2 * q, n) > SPARE_BYTES
+        assert table_bytes(2 * q, n) > SPARE_BYTES
         monkeypatch.setattr(basis, "_spare", None)
         batch_fit(ts, ys, UNIT, q, 1e-6, ROUGH)
         assert 0 < basis._spare.nbytes <= SPARE_BYTES
@@ -756,7 +775,7 @@ class TestTableBuffer:
         finally:
             tracemalloc.stop()
         K = registry._streams["s"][0].start.size // 2
-        assert table_bytes(UNIT, 2 * K, 74_884) > 4 * SPARE_BYTES
+        assert table_bytes(2 * K, 74_884) > 4 * SPARE_BYTES
         assert peak <= decoded + SPARE_BYTES + 16 * 74_884 \
             + 3 * 16 * basis.chunk_points(K)
 
@@ -812,7 +831,7 @@ class TestTableBuffer:
                              timeout=120)
         s, faults = map(int, out.stdout.split())
         assert s == 263
-        assert faults < table_bytes(UNIT, s, 2000) // resource.getpagesize()
+        assert faults < table_bytes(s, 2000) // resource.getpagesize()
 
 
 @functools.cache

@@ -255,6 +255,13 @@ class TestRunExperiment:
                                match="checkpoints must be integers"):
                 run_experiment(sc, bad)
 
+    def test_method_and_caps_are_validated(self):
+        sc = Scenario(n=1000, B=100)
+        with pytest.raises(ValueError, match="unknown method 'oracle'"):
+            run_experiment(sc, [1000], method="oracle")
+        with pytest.raises(ValueError, match="mem_caps must be non-empty"):
+            run_experiment(sc, [1000], mem_caps=[])
+
     def test_a_row_counts_the_replicates_missing_from_it(self, monkeypatch):
         # replicate 0's estimate is refused at its second checkpoint: its
         # first checkpoint's ISE stays in the first row, so only the second

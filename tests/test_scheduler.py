@@ -51,6 +51,14 @@ class TestSchedule:
         assert sched.active_count(1) == 5
         assert SchedulerConfig(h=0.5).active_count(10_000) == 200
 
+    @pytest.mark.parametrize("at", [0, -1])
+    def test_slot_index_and_n_start_at_one(self, at):
+        sched = SchedulerConfig()
+        with pytest.raises(ValueError, match="slot index must be >= 1"):
+            sched.S(at)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            sched.active_count(at)
+
     def test_slot_count_exceeds_active_count(self):
         sched = SchedulerConfig()
         for n in (10, 1000, 50_000):

@@ -192,6 +192,18 @@ class TestRegistry:
                                          "kind": "estimate"})
         assert resp["error"] == "request"
 
+    def test_unknown_query_kind_is_a_request_error(self, registry):
+        ingest_points(registry, "a", 20)
+        resp = handle_request(registry, {"op": "query", "stream_id": "a",
+                                         "kind": "median", "t": 0.5})
+        assert resp == {"ok": False, "error": "request",
+                        "message": "unknown query kind 'median'"}
+
+    @pytest.mark.parametrize("C_rho", [0, 0.0, -1.0])
+    def test_c_rho_must_be_positive(self, C_rho):
+        with pytest.raises(ValueError, match="C_rho must be positive"):
+            ServiceConfig(C_rho=C_rho)
+
     def test_non_finite_y_rejected(self, registry):
         # strict JSON cannot carry a NaN, so it is sent in-process
         ingest_points(registry, "a", 20)
@@ -671,6 +683,21 @@ class TestSocketService:
             server.shutdown()
             server.server_close()
 
+    def test_blank_lines_get_no_reply(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        serve_background(server)
+        try:
+            with socket.create_connection(server.server_address) as sock:
+                fh = sock.makefile("rwb")
+                fh.write(b"\n  \t\n\r\n" + b'{"op": "ingest", "stream_id": '
+                         b'"s", "points": [[0.5, 1.0]]}\n')
+                fh.flush()
+                # the first reply is the ingest's
+                assert json.loads(fh.readline()) == {"ok": True, "n": 1}
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_malformed_line_reports_error(self):
         server = StreamService(ServiceConfig())
         serve_background(server)
@@ -834,25 +861,27 @@ class TestCli:
         assert main(["ingest-csv", "--input", str(data),
                      "--checkpoint", str(ckpt)]) == 0
         before, listing = ckpt.read_bytes(), sorted(os.listdir(tmp_path))
+        resume = ["ingest-csv", "--input", str(data), "--resume", str(ckpt),
+                  "--checkpoint", str(ckpt)]
+        capsys.readouterr()
         if fault == "write":
             # a lone surrogate cannot be encoded, so the write itself raises
             text = OnePassRegressor.checkpoint_json
             monkeypatch.setattr(OnePassRegressor, "checkpoint_json",
                                 lambda reg: text(reg)[:40] + "\udc80")
-            error = UnicodeEncodeError
+            with pytest.raises(UnicodeEncodeError):
+                main(resume)
         else:
             def refuse(src, dst):
                 raise OSError("no space left")
+            # an OSError is reported as for a file that cannot be opened
             monkeypatch.setattr(cli.os, "replace", refuse)
-            error = OSError
-        with pytest.raises(error):
-            main(["ingest-csv", "--input", str(data), "--resume", str(ckpt),
-                  "--checkpoint", str(ckpt)])
+            assert main(resume) == 1
+            assert capsys.readouterr().err == "error: no space left\n"
         assert ckpt.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == listing
         monkeypatch.undo()
-        assert main(["ingest-csv", "--input", str(data), "--resume",
-                     str(ckpt), "--checkpoint", str(ckpt)]) == 0
+        assert main(resume) == 0
         assert json.loads(ckpt.read_text())["n"] == 100
         assert sorted(os.listdir(tmp_path)) == listing
         capsys.readouterr()
@@ -891,6 +920,38 @@ class TestCli:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must ")
         assert not ckpt.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--lo", "1", "--hi", "0"], "domain requires lo < hi"),
+        (["--lo", "0.5", "--hi", "0.5"], "domain requires lo < hi"),
+        (["--margin", "-0.1"], "extension_margin must be >= 0"),
+        # phi_1's uniform Gram, 1/P, lies below the floor
+        (["--margin", "1e8"], "extension_margin 100000000.0 leaves no "
+                              "identifiable basis function")])
+    def test_engine_flags_out_of_range_are_errors(self, tmp_path, capsys,
+                                                  flags, message):
+        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
+        write_stream_csv(data, n=50)
+        assert main(["ingest-csv", "--input", str(data),
+                     "--checkpoint", str(ckpt), *flags]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--config", "{missing}"],
+        ["ingest-csv", "--input", "{missing}", "--checkpoint", "{out}"],
+        ["ingest-csv", "--input", "{data}", "--resume", "{missing}",
+         "--checkpoint", "{out}"],
+        ["query", "--checkpoint", "{missing}", "--out", "{out}"]])
+    def test_a_missing_file_is_an_error(self, tmp_path, capsys, argv):
+        data, missing, out = (tmp_path / name
+                              for name in ("s.csv", "missing", "out"))
+        write_stream_csv(data, n=50)
+        names = {"data": data, "missing": missing, "out": out}
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory")
+        assert str(missing) in err and not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["simulate", "--snr", "0"], "snr > 0"),
@@ -1104,6 +1165,23 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert [int(r["n"]) for r in rows] == [200, 2000, 20000]
         assert all(np.isfinite(float(r["rmise"])) for r in rows)
+
+    def test_rate_skips_the_slope_when_rmise_is_zero(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def exact(sc, checkpoints, **kwargs):
+            report = harness.ExperimentReport()
+            for n in checkpoints:
+                report.add(n=n, rmise=0.0)
+            return report
+
+        monkeypatch.setattr(harness, "run_experiment", exact)
+        out = tmp_path / "rate.csv"
+        assert main(["rate", "--checkpoints", "100", "1000", "10000",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            "slope test skipped: RMISE numerically zero, 0 failed "
+            "replicates\n")
+        assert out.exists()
 
     def test_rate_without_an_rmise_is_an_error(self, tmp_path, capsys):
         # at margin 0.1 the deployment screen refuses h = 1/3 once q passes
