@@ -14,15 +14,43 @@ longer orthonormal; downstream Gram reconstruction accounts for that.
 
 import cmath
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
+import scipy
 
 from .errors import DomainError
+
+
+def _load_flapack(paths):
+    """scipy's LAPACK wrapper extension ``_flapack``, found in the
+    directories ``paths`` and loaded on its own.
+
+    ``scipy.linalg.lapack`` re-exports this module's functions unchanged, so
+    its routines are the ones ``scipy.linalg.lapack`` would call.  Importing
+    ``scipy.linalg`` instead would run that package's ``__init__``, which
+    loads 75 more scipy modules (scipy 1.17) that the three routines the
+    package calls, dpotrf, dpocon and dpotrs, do not need: they cost a
+    service process about 19 MB and 0.13 s of start-up (README, Install).
+    """
+    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
+                                                    paths)
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no "
+                          f"scipy/linalg/_flapack module")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The package's one handle on LAPACK.
+lapack = _load_flapack([os.path.join(p, "linalg") for p in scipy.__path__])
 
 
 def is_real(v):
@@ -312,23 +340,42 @@ def chunk_points(K):
     return SPARE_BYTES // (16 * rows) if rows else None
 
 
-def _chunk_moments(spec, K, t, weights, tails, buf):
-    """``moments`` of the points t, all in one set of tables in ``buf``."""
-    m = t.size
-    low, high, r = _tables(spec, K, t, buf)
-    out = []
-    for w in weights:
-        mu = np.empty(K + 1 + len(tails), dtype=complex)
-        for i, (k, lo) in enumerate(tails, K + 1):
+def _tail_moments(low, high, r, m, weights, tails, out):
+    """Write into ``out[i]`` the tail moments of ``weights[i]``, one per
+    (k, lo) of ``tails``, from the tables as they are.
+
+    Whatever the number of tails and weights, this takes two rows of the
+    points from the first tail's start on, once: the weights as the complex
+    numbers np.dot would cast them to (ones for unit weights), and, with two
+    tables, each tail's products z^a (z^r)^b.  A tail reads both from its
+    own start.  No table means K = 0, where every tail is a plain sum."""
+    base = min(lo for _, lo in tails)
+    size = max(m - base, 0)
+    row = None if low is None else np.empty(size, complex)
+    prod = None if high is None else np.empty(size, complex)
+    for w, mu in zip(weights, out):
+        if row is not None:
+            row[:] = 1.0 if w is None else w[base:]
+        for i, (k, lo) in enumerate(tails):
             if k == 0:
                 mu[i] = max(m - lo, 0) if w is None else w[lo:].sum()
                 continue
             zk = low[k % r, lo:]
             if high is not None:
-                zk = zk * high[k // r, lo:]
-            # unit weights as the complex ones np.dot would cast them to
-            mu[i] = np.dot(zk, np.ones(zk.size, complex) if w is None
-                           else w[lo:])
+                zk = np.multiply(zk, high[k // r, lo:],
+                                 out=prod[lo - base:])
+            mu[i] = np.dot(zk, row[lo - base:])
+
+
+def _chunk_moments(spec, K, t, weights, tails, buf):
+    """``moments`` of the points t, all in one set of tables in ``buf``."""
+    m = t.size
+    low, high, r = _tables(spec, K, t, buf)
+    out = [np.empty(K + 1 + len(tails), dtype=complex) for _ in weights]
+    if tails:
+        _tail_moments(low, high, r, m, weights, tails,
+                      [mu[K + 1:] for mu in out])
+    for w, mu in zip(weights, out):
         if low is None:
             mu[0] = m if w is None else w.sum()
         elif high is None:
@@ -338,7 +385,6 @@ def _chunk_moments(spec, K, t, weights, tails, buf):
                 low[:r] *= w
             # row b, column a of the product is mu_{a + r b}
             mu[:K + 1] = (high @ low[:r].T).ravel()[:K + 1]
-        out.append(mu)
     return out
 
 
@@ -364,8 +410,8 @@ def moments(spec, K, t, weights, tails):
     No array of the tables' size is built beside them, so the weights read
     them in an order.  A None weight reads them as they are.  An array
     weight multiplies the rows z^0..z^(r-1) in place, so at most one weight
-    is an array, and it comes last.  Each weight's tail moments are read
-    before its whole-batch moments.  Either way the product gets the
+    is an array, and it comes last.  Every tail moment is read before the
+    whole-batch moments.  Either way the product gets the
     operands of ``high @ (low[:r] * w).T``: a row weighted in place has the
     bits of a weighted copy, and a power times 1 keeps its bits
     (``tests/oracles.moments_out_of_place``).
@@ -505,7 +551,7 @@ def identifiable_count(spec):
     while True:
         A = gram_uniform(spec, Q)
         A[np.diag_indices(Q)] -= GRAM_EIG_FLOOR / (spec.hi - spec.lo)
-        info = linalg.lapack.dpotrf(A, lower=1, clean=0)[1]
+        info = lapack.dpotrf(A, lower=1, clean=0)[1]
         if info or Q == MAX_IDENTIFIABLE:
             return info - 1 if info else Q
         Q *= 2

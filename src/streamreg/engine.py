@@ -17,9 +17,9 @@ import json
 import math
 
 import numpy as np
-from scipy import linalg
 
 from . import basis as basis_mod
+from .basis import lapack
 from .density import DensityState
 from .errors import CheckpointError, DomainError, IllConditionedSystemError
 from .scheduler import SchedulerConfig, fold, slot_counts
@@ -369,8 +369,9 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     refuses no system that dpocon accepts, and accepts none it refuses.
 
     A refusal reports dpotrf's failure or dpocon's estimate.  The LAPACK
-    routines are called directly, without scipy's checking wrappers, so a
-    non-finite system is refused here, before anything is factored."""
+    routines are called through ``basis.lapack``, scipy's Fortran wrappers,
+    with none of scipy.linalg's input checks, so a non-finite system is
+    refused here, before anything is factored."""
     A = np.multiply(W, rho)  # H + rho W with one temporary, to the bit
     A += H
     kappa = _kappa_bound(spectrum, W, rho)
@@ -385,18 +386,18 @@ def penalized_solve(H, W, rho, rhs, spectrum):
         finite = np.isfinite(anorm)
     if not (finite and np.isfinite(rhs).all()):
         raise ValueError("penalized system holds a NaN or inf")
-    c, info = linalg.lapack.dpotrf(A, lower=1, clean=0)
+    c, info = lapack.dpotrf(A, lower=1, clean=0)
     if info != 0:
         raise IllConditionedSystemError(
             "penalized Gram system is not positive definite")
     if certified:
         gate = {"gate": "certificate", "kappa_bound": kappa}
     else:
-        rcond = float(linalg.lapack.dpocon(c, anorm, uplo="L")[0])
+        rcond = float(lapack.dpocon(c, anorm, uplo="L")[0])
         # a NaN rcond fails the gate too
         if not rcond > RCOND_FLOOR:
             raise IllConditionedSystemError(
                 f"penalized Gram system is numerically singular "
                 f"(rcond {rcond:.3e} <= {RCOND_FLOOR:g})")
         gate = {"gate": "dpocon", "rcond": rcond}
-    return linalg.lapack.dpotrs(c, rhs, lower=1)[0], gate
+    return lapack.dpotrs(c, rhs, lower=1)[0], gate

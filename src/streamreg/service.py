@@ -30,6 +30,11 @@ stream's last coefficient solve, {"gate": "certificate", "kappa_bound": x}
 or {"gate": "dpocon", "rcond": x}, or null before the first one;
 coef_cache_hits counts the estimates answered from the coefficient cache.
 Neither is checkpointed.
+A request line ends at a newline or at the end of the client's stream: a
+last line sent without its newline, followed by a half-close
+(``shutdown(SHUT_WR)``), is handled as any other line, and its reply is
+sent before the connection closes (a ``request`` error, "bad JSON", if it
+does not parse).
 Numbers survive the wire bit-exactly (JSON floats are emitted with shortest
 round-trip formatting).  A reply that would hold NaN or inf, which JSON
 cannot, is sent as a ``non_finite`` error instead.

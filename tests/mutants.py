@@ -135,9 +135,12 @@ MUTANTS = [
            (f"{ENGINE}::TestConstructors",)),
     # the fold
     Mutant("fold: zk.sum() for the unit tail sums", "basis.py",
-           "mu[i] = np.dot(zk, np.ones(zk.size, complex) if w is None\n"
-           "                           else w[lo:])",
-           "mu[i] = zk.sum() if w is None else np.dot(zk, w[lo:])",
+           "mu[i] = np.dot(zk, row[lo - base:])",
+           "mu[i] = (zk.sum() if w is None\n"
+           "                     else np.dot(zk, row[lo - base:]))",
+           ("tests/test_scheduler.py::TestFold",)),
+    Mutant("fold: the tails' weight row keeps the unit weights", "basis.py",
+           "row[:] = 1.0 if w is None else w[base:]", "row[:] = 1.0",
            ("tests/test_scheduler.py::TestFold",)),
     Mutant("sketch: no clamp on a new slot's old count", "scheduler.py",
            "    return np.maximum(n - start + 1, 0)",

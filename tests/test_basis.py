@@ -1,4 +1,8 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import streamreg
 from oracles import (eval_basis, eval_matrix_trig, eval_vector,
                      projection_residual, roughness_penalty_dense,
                      roughness_penalty_diagonal, sup_sum_squares,
@@ -384,6 +389,55 @@ class TestMoments:
             assert np.all(np.abs(a.real - b.real) <= gamma * scale)
             assert np.all(np.abs(a.imag - b.imag) <= gamma * scale)
             assert a.tobytes() != b.tobytes()
+
+    def test_a_call_holds_two_rows_for_its_tails(self):
+        # The tail moments of both weights take two rows of the points,
+        # however many tails there are: 60 tails hold less than one row
+        # more than 1 tail
+        m, K = 2000, 40
+        t = np.random.default_rng(3).uniform(0.0, 1.0, m)
+        y = np.sin(5 * t)
+        moments(UNIT, K, t, (None, y), ())  # the spare takes the tables
+
+        def peak(count):
+            tails = [(1 + j % K, 7 * j) for j in range(count)]
+            return oracles.traced_peak(moments, UNIT, K, t, (None, y), tails)
+
+        none, one, many = peak(0), peak(1), peak(60)
+        assert one <= none + 2 * 16 * m + 2 * 16
+        assert many < one + 16 * m
+
+    def test_a_call_faults_in_the_same_pages_at_any_number_of_tails(self):
+        # With glibc's mmap threshold fixed at 128 KiB, as the benchmark
+        # fixes it, each row of 16 384 points is a mapping of its own whose
+        # pages fault in when written.  Rows taken per tail made the faults
+        # grow by about 256 a tail (293 at 1 tail, 10 265 at 40); rows
+        # taken per call fault in the same pages at 1 tail and at 40
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from streamreg.basis import BasisSpec, moments\n"
+            "m, K = 16_384, 40\n"
+            "t = np.random.default_rng(5).uniform(0.0, 1.0, m)\n"
+            "y = np.sin(5 * t)\n"
+            "def faults(count):\n"
+            "    tails = [(1 + j % K, 7 * j) for j in range(count)]\n"
+            "    moments(BasisSpec(0.0, 1.0), K, t, (None, y), tails)\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    moments(BasisSpec(0.0, 1.0), K, t, (None, y), tails)\n"
+            "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    return after - before\n"
+            "print(faults(1), faults(40))\n")
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+               "MALLOC_TRIM_THRESHOLD_": "67108864",
+               "PYTHONPATH": os.path.dirname(os.path.dirname(
+                   streamreg.__file__))}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        one, many = map(int, out.stdout.split())
+        row_pages = 16 * 16_384 // resource.getpagesize()
+        assert many < one + row_pages
 
 
 class TestGramFromMoments:

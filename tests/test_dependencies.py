@@ -1,16 +1,20 @@
-"""Every third-party package the source imports is a declared dependency.
+"""Every third-party package the source imports is a declared dependency,
+and importing the package loads no more of scipy than it uses.
 
-The test reads ``import`` statements from the source (it imports nothing), so
-a module that needs a package the machine happens to have, but
+The first tests read ``import`` statements from the source (they import
+nothing), so a module that needs a package the machine happens to have, but
 ``pyproject.toml`` does not list, fails here and not on a user's install.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
 import sys
 
 import pytest
+import scipy
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -52,3 +56,24 @@ def test_every_third_party_import_is_declared():
     assert third_party, "the reader found no third-party import"
     assert third_party <= declared_packages(), sorted(
         third_party - declared_packages())
+
+
+def test_the_package_does_not_import_scipy_linalg():
+    # streamreg reaches LAPACK through scipy's wrapper extension alone, so
+    # the scipy.linalg package never loads; cli imports every module of
+    # the package
+    code = ("import sys\n"
+            "import streamreg.cli\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=60)
+    assert out.stdout == "False\n"
+
+
+def test_a_missing_lapack_module_names_the_scipy_version(tmp_path):
+    from streamreg import basis
+
+    with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
+        basis._load_flapack([str(tmp_path)])

@@ -397,7 +397,9 @@ class TestSolve:
                 penalized_solve(np.eye(q), np.eye(q), 1e-3, rhs, spectrum)
 
     def test_nan_rcond_fails_the_gate(self, monkeypatch):
-        monkeypatch.setattr(linalg.lapack, "dpocon",
+        # the engine calls LAPACK through basis.lapack, so the patch goes
+        # there: on scipy.linalg.lapack it would not reach the solve
+        monkeypatch.setattr(basis.lapack, "dpocon",
                             lambda *args, **kwargs: (np.nan, 0))
         with pytest.raises(IllConditionedSystemError):
             penalized_solve(np.eye(3), np.eye(3), 0.0, np.ones(3), None)
@@ -509,10 +511,17 @@ class TestConditioningCertificate:
         theta = np.full(q, 0.3 / q)
         theta[0] = 1.0
         H, spectrum, W = certificate_system(known, kind, q, 0.0, 1.0, theta)
-        monkeypatch.setattr(linalg.lapack, "dpocon", None)  # not called
+        def dpocon(*args, **kwargs):
+            raise AssertionError("dpocon was called")
+
+        monkeypatch.setattr(basis.lapack, "dpocon", dpocon)
         coef, gate = penalized_solve(H, W, 1e-6, np.ones(q), spectrum)
         assert gate["gate"] == "certificate"
         assert gate["kappa_bound"] * q < 1.0 / RCOND_FLOOR
+        # the patched routine is the one the solve calls when it has no
+        # spectrum to certify
+        with pytest.raises(AssertionError, match="dpocon was called"):
+            penalized_solve(H, W, 1e-6, np.ones(q), None)
 
     @pytest.mark.parametrize("q", [1, 5, 100])
     def test_gate_threshold_is_q_kappa(self, q):
@@ -796,18 +805,28 @@ class TestTableBuffer:
         handle_request(registry, decode_request(raws[1]))
         assert taken and all(buf is spare for buf in taken)
 
-    def test_a_repeated_stream_maps_no_table_pages(self):
+    @staticmethod
+    def repeated_stream_faults(spare):
+        """(slots, minor faults) of the second of two identical streams
+        run in a fresh process, with or without the spare."""
         # With glibc's mmap threshold fixed at 128 KiB, as the benchmark
         # fixes it, every fresh table buffer is a new mapping and faults in
         # each page.  The second of two identical streams finds its buffer
         # in the spare: fewer minor faults than the pages of one call's
-        # tables (9 000 when each call mapped its own).
+        # tables.  Without the spare each call maps its own (8 157
+        # faults).  The trim threshold is fixed as well, so that glibc
+        # handing the top of a small heap back to the kernel when a block
+        # is freed, and faulting it in again later, cannot count against
+        # the tables.
         code = (
             "import resource\n"
             "import numpy as np\n"
+            "from streamreg import basis\n"
             "from streamreg.basis import BasisSpec, PenaltySpec\n"
             "from streamreg.engine import OnePassRegressor\n"
             "from streamreg.scheduler import SchedulerConfig\n"
+            f"if not {spare}:\n"
+            "    basis._give_back = lambda buf: None\n"
             "rng = np.random.default_rng(21)\n"
             "ts = rng.uniform(0.0, 1.0, 100_000)\n"
             "ys = np.sin(5 * ts)\n"
@@ -824,14 +843,24 @@ class TestTableBuffer:
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "print(s, after - before)\n")
         env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
+               "MALLOC_TRIM_THRESHOLD_": "67108864",
                "PYTHONPATH": os.path.dirname(os.path.dirname(
                    streamreg.__file__))}
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True,
                              timeout=120)
-        s, faults = map(int, out.stdout.split())
+        return tuple(map(int, out.stdout.split()))
+
+    def test_a_repeated_stream_maps_no_table_pages(self):
+        s, faults = self.repeated_stream_faults(spare=True)
         assert s == 263
         assert faults < table_bytes(s, 2000) // resource.getpagesize()
+
+    def test_without_the_spare_a_repeated_stream_maps_its_pages(self):
+        # the bound above is one the spare alone meets
+        s, faults = self.repeated_stream_faults(spare=False)
+        assert s == 263
+        assert faults > table_bytes(s, 2000) // resource.getpagesize()
 
 
 @functools.cache

@@ -698,6 +698,42 @@ class TestSocketService:
             server.shutdown()
             server.server_close()
 
+    @staticmethod
+    def half_closed(server, line):
+        """The replies to ``line`` sent with no newline and then a
+        half-close, read up to the end of the connection."""
+        with socket.create_connection(server.server_address) as sock:
+            sock.sendall(line)
+            sock.shutdown(socket.SHUT_WR)
+            with sock.makefile("rb") as fh:
+                return [json.loads(reply) for reply in fh]
+
+    def test_a_last_line_without_newline_is_handled(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        serve_background(server)
+        try:
+            assert self.half_closed(
+                server, b'{"op": "ingest", "stream_id": "s", '
+                        b'"points": [[0.1, 1.0], [0.9, 2.0]]}') == [
+                {"ok": True, "n": 2}]
+            reg = server.registry._engine("s")[0]
+            assert reg.n == 2
+        finally:
+            server.shutdown()
+            server.server_close()
+
+    def test_a_last_line_that_is_not_json_gets_its_error(self):
+        server = StreamService(ServiceConfig(known_uniform_density=True))
+        serve_background(server)
+        try:
+            [reply] = self.half_closed(server, b'{"op": "ingest", "stream')
+            assert (reply["ok"], reply["error"]) == (False, "request")
+            assert reply["message"].startswith("bad JSON")
+            assert server.registry._streams == {}
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_malformed_line_reports_error(self):
         server = StreamService(ServiceConfig())
         serve_background(server)
