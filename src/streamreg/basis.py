@@ -211,7 +211,7 @@ def _curvature_factors(spec, q):
     return -((2.0 * np.pi * k / spec.period) ** 2)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=16)
 def penalty_matrix(spec, penalty, q):
     """Penalty matrix W for the first q basis functions, read-only.
 
@@ -221,9 +221,9 @@ def penalty_matrix(spec, penalty, q):
     (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix, which is
     I_q / (hi - lo) at margin 0.
 
-    W depends on its arguments only, so the last 8 are kept: every solve
-    after an ingest asks for the same one.  Callers build new arrays from
-    W rather than writing into it.
+    W depends on its arguments only, so the last 16 are kept: every solve
+    after an ingest asks for the same one, and a Monte Carlo replicate for
+    10.  Callers build new arrays from W rather than writing into it.
     """
     if penalty.kind == "identity":
         W = np.eye(q)

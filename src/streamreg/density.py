@@ -6,7 +6,8 @@ The sketch keeps one running mean per basis slot,
 
 where slots beyond the initial q0 open at their scheduled pre-estimation
 time tau_j.  The density estimate at time n uses the active slots only:
-f_hat(t) = sum_{j<=p} theta_j psi_j(t).
+f_hat(t) = sum_{j<=p} theta_j psi_j(t).  The engine holds the ledger and
+hands ``DensityState.update`` each batch's slot sums and counts n_j.
 
 Queries use the clipped and renormalized max(0, f_hat) / z.  The sketch
 family is orthonormal on [lo, hi] (no extension margin), so every basis
@@ -25,15 +26,14 @@ import numpy as np
 from . import basis as basis_mod
 from . import quadrature
 from .errors import DegenerateDensityError, StateError
-from .scheduler import slot_counts
 
 _EPS = float(np.finfo(float).eps)
 
 
 class DensityState:
     """One-pass orthogonal-series sketch of the predictor density: theta
-    only.  The owning engine holds the slot ledger, validates and folds each
-    batch (``update``) and sets ``active_count``."""
+    only.  The owning engine holds the slot ledger, hands ``update`` each
+    batch's sums and counts and sets ``active_count``."""
 
     def __init__(self, basis):
         # running means estimate a density in a family orthonormal on [lo, hi]
@@ -46,22 +46,20 @@ class DensityState:
         # certificate, computed on first use after each update
         self._z = self._certified = None
 
-    def update(self, start, sums, n_old, n_new):
-        """Fold one batch's weight-1 slot sums into the running means.
+    def update(self, sums, counts, m):
+        """Fold one batch of ``m`` observations into the running means.
 
-        ``start`` is the engine's start vector at n_new, and ``sums`` the
-        batch's per-slot sums over observations n_old+1, ..., n_new
-        (``scheduler.fold``).
+        ``sums`` are the batch's weight-1 slot sums (``scheduler.fold``) and
+        ``counts`` the slot counts n_j after it, both from the engine.
         """
         theta = self.theta
-        if start.size > theta.size:
+        if counts.size > theta.size:
             theta = np.concatenate([theta,
-                                    np.zeros(start.size - theta.size)])
-        # every open slot has tau_j <= n_new, so its new count is >= 1; a
-        # slot that opened past n_old + 1 has an old count of 0, so that its
-        # zero keeps the sign of its sum
-        self.theta = (slot_counts(start, n_old) * theta
-                      + sums) / slot_counts(start, n_new)
+                                    np.zeros(counts.size - theta.size)])
+        # every open slot has tau_j <= n, so its new count is >= 1; a slot
+        # that opened inside the batch, past its first observation, has an
+        # old count of 0, so that its zero keeps the sign of its sum
+        self.theta = (np.maximum(counts - m, 0) * theta + sums) / counts
         self._z = self._certified = None
 
     def evaluate(self, t):

@@ -22,7 +22,7 @@ from . import basis as basis_mod
 from .basis import lapack
 from .density import DensityState
 from .errors import CheckpointError, DomainError, IllConditionedSystemError
-from .scheduler import SchedulerConfig, fold, slot_counts
+from .scheduler import C_CIRC, C_Q, SchedulerConfig, fold, slot_counts
 
 CHECKPOINT_FORMAT = "streamreg-checkpoint-v1"
 
@@ -134,7 +134,7 @@ class OnePassRegressor:
         if self.density is not None:
             if not shared:
                 sums = fold(self.density.basis, ts, (None,), start, self.n)
-            self.density.update(start, sums[0], self.n, n_new)
+            self.density.update(sums[0], slot_counts(start, n_new), ts.size)
         self.G, self.start, self.n = G, start, n_new
         if self.density is not None:
             self.density.active_count = self.active_count
@@ -231,12 +231,13 @@ class OnePassRegressor:
             "format": CHECKPOINT_FORMAT,
             "n": self.n,
             "batch_size": self.batch_size,
-            # v1 keeps a fixed_q key, always null
+            # v1 keeps the schedule's constants and a fixed_q key, always null
             "config": {
                 "family": "fourier",
                 **dataclasses.asdict(self.reg_basis),
                 "penalty": self.penalty.kind,
-                **dataclasses.asdict(self.schedule),
+                "h": self.schedule.h, "C_q": C_Q, "c_circ": C_CIRC,
+                "q0": self.schedule.q0, "mem_cap": self.schedule.mem_cap,
                 "fixed_q": None,
                 "known_uniform_density": self.density is None,
             },

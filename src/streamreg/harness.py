@@ -289,6 +289,8 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
     caps = list(mem_caps)
     if not caps:
         raise ValueError("mem_caps must be non-empty")
+    if len(set(caps)) < len(caps):
+        raise ValueError("mem_caps must be distinct")
     grid = TuningGrid(n0=min(1000, sc.n))
     if fixed_h is not None:
         grid = replace(grid, h_grid=(fixed_h,))

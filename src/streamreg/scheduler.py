@@ -1,10 +1,11 @@
 """Basis-activation schedule with pre-estimation start times, and the slot
 ledger that every per-slot running sum follows.
 
-Basis function j is first used in the estimate at time S(j) = floor((C_q*j)^(1/h)),
-but its summary slot starts accumulating earlier, at tau_j = floor(c_circ*S(j)),
-so that by activation it has seen at least (1 - c_circ)*n observations.  The
-first q0 slots are live from the first observation.
+Basis function j is first used in the estimate at time S(j) = floor((C_Q*j)^(1/h)),
+but its summary slot starts accumulating earlier, at tau_j = floor(C_CIRC*S(j)),
+so that by activation it has seen at least (1 - C_CIRC)*n observations.  The
+first q0 slots are live from the first observation.  C_Q and C_CIRC are
+constants; a configuration sets h, q0 and the memory cap.
 
 The ledger is the same for the regression sums G and the density sketch
 theta, so it is written once, here:
@@ -15,7 +16,8 @@ theta, so it is written once, here:
   Start vectors only grow.  Most batches open no slot: when the vector is at
   the cap or the limit, or the next slot's tau lies past n, ``extend``
   returns it unchanged after at most one ``tau`` lookup.
-- ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0).
+- ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0);
+  the engine takes them once per batch and hands them to the sketch.
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
   theta) from the batch's Fourier moments (``basis.moments``), never a basis
@@ -35,14 +37,16 @@ from .basis import is_count, is_real, moments, require, sums_from_moments
 # Guards floor() against representation error in x**(1/h) for exact powers.
 _FLOOR_EPS = 1e-9
 
+C_Q = C_CIRC = 0.5  # the constants of S(j) and tau_j above
+
 # Activation and start time of a slot that never opens: a slot whose
-# activation time (C_q*j)^(1/h) overflows a float or reaches 2**63 lies past
+# activation time (C_Q*j)^(1/h) overflows a float or reaches 2**63 lies past
 # every int64 stream position.
 NEVER = 2 ** 63
 
-# Most slots a configuration may open at n = 1.  A stream's state grows with
-# its slot count, so a C_q near zero, or a huge q0, would make the first
-# ingest allocate without bound (C_q = 1e-9 opens 1.6e9 slots).
+# Largest q0.  A stream's state grows with its slot count, so a huge q0
+# would make the first ingest allocate without bound.  The schedule opens at
+# most max(q0, 7) slots at n = 1, so this bounds those too.
 MAX_INITIAL_SLOTS = 1 << 16
 
 
@@ -55,34 +59,26 @@ class SchedulerConfig:
     """Activation schedule parameters and the memory cap."""
 
     h: float = 1.0 / 3.0
-    C_q: float = 0.5
-    c_circ: float = 0.5
     q0: int = 5
     mem_cap: int | None = None  # None means unconstrained
 
     def __post_init__(self):
-        require(is_real, "a finite number", self, "h", "C_q", "c_circ")
+        require(is_real, "a finite number", self, "h")
         require(is_count, "an integer", self, "q0")
         require(lambda v: v is None or is_count(v), "None or an integer",
                 self, "mem_cap")
         if not 0 < self.h < 1:
             raise ValueError("h must lie in (0, 1)")
-        if self.C_q <= 0:
-            raise ValueError("C_q must be positive")
-        # the slot count at n is about n^h / C_q; past 2**53 a float holds no
+        # the slot count at n is about n^h / C_Q; past 2**53 a float holds no
         # exact slot index, and ``slot_count``'s root guess overflows or lies
-        # too far off to step from
-        if not float(NEVER) ** self.h / self.C_q < 2.0 ** 53:
-            raise ValueError("C_q is so small that the slot count overflows")
-        if not 0 < self.c_circ < 1:
-            raise ValueError("c_circ must lie in (0, 1)")
-        if self.q0 < 1:
-            raise ValueError("q0 must be >= 1")
+        # too far off to step from.  By n = 2**63 that bounds h by 52/63.
+        if not float(NEVER) ** self.h / C_Q < 2.0 ** 53:
+            raise ValueError(f"h must be at most 52/63 (about 0.8254), past "
+                             f"which the slot count overflows; got {self.h!r}")
+        if not 1 <= self.q0 <= MAX_INITIAL_SLOTS:
+            raise ValueError(f"q0 must lie in [1, {MAX_INITIAL_SLOTS}]")
         if self.mem_cap is not None and self.mem_cap < 1:
             raise ValueError("mem_cap must be positive")
-        if self.slot_count(1) > MAX_INITIAL_SLOTS:
-            raise ValueError(
-                f"the schedule opens more than {MAX_INITIAL_SLOTS} slots at n = 1")
 
     @property
     def cap_q(self):
@@ -96,7 +92,7 @@ class SchedulerConfig:
         if j < 1:
             raise ValueError("slot index must be >= 1")
         try:
-            s = (self.C_q * j) ** (1.0 / self.h)
+            s = (C_Q * j) ** (1.0 / self.h)
         except OverflowError:
             return NEVER
         return NEVER if s >= NEVER else _floor(s)
@@ -107,13 +103,13 @@ class SchedulerConfig:
         if j <= self.q0:
             return 1
         s = self.S(j)
-        return NEVER if s == NEVER else max(1, _floor(self.c_circ * s))
+        return NEVER if s == NEVER else max(1, _floor(C_CIRC * s))
 
     def active_count(self, n):
         """Number of basis functions participating in the estimate at time n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        q = max(self.q0, _floor(n ** self.h / self.C_q))
+        q = max(self.q0, _floor(n ** self.h / C_Q))
         if self.cap_q is not None:
             q = min(q, self.cap_q)
         return max(1, q)
@@ -121,11 +117,11 @@ class SchedulerConfig:
     def slot_count(self, n):
         """Number of slots (active plus pre-estimating) open at time n: the
         largest j >= q0 with tau(j) <= n, capped."""
-        # tau(j) <= n roughly when (C_q*j)^(1/h) < (n + 1)/c_circ, and never
-        # past (C_q*j)^(1/h) = 2**63; step from that root to the exact answer,
+        # tau(j) <= n roughly when (C_Q*j)^(1/h) < (n + 1)/C_CIRC, and never
+        # past (C_Q*j)^(1/h) = 2**63; step from that root to the exact answer,
         # which tau being monotone makes unique
-        s = min((n + 1) / self.c_circ, float(NEVER))
-        j = max(self.q0, int(s ** self.h / self.C_q))
+        s = min((n + 1) / C_CIRC, float(NEVER))
+        j = max(self.q0, int(s ** self.h / C_Q))
         while self.tau(j + 1) <= n:
             j += 1
         while j > self.q0 and self.tau(j) > n:

@@ -41,9 +41,10 @@ class TuningGrid:
         require(_entries(lambda c: is_real(c) and c > 0),
                 "a non-empty sequence of finite numbers > 0", self,
                 "C_rho_grid")
-        require(_entries(lambda h: is_real(h) and 0 < h < 1),
-                "a non-empty sequence of finite numbers in (0, 1)", self,
-                "h_grid")
+        require(_entries(is_real), "a non-empty sequence of finite numbers",
+                self, "h_grid")
+        for h in self.h_grid:
+            SchedulerConfig(h=h)  # the schedule's own rule for h
         require(is_count, "an integer", self, "J", "n0")
         if self.J < 2:
             raise ValueError("J must be >= 2")

@@ -142,10 +142,10 @@ MUTANTS = [
     Mutant("fold: the tails' weight row keeps the unit weights", "basis.py",
            "row[:] = 1.0 if w is None else w[base:]", "row[:] = 1.0",
            ("tests/test_scheduler.py::TestFold",)),
-    Mutant("sketch: no clamp on a new slot's old count", "scheduler.py",
-           "    return np.maximum(n - start + 1, 0)",
-           "    return n - start + 1",
-           ("tests/test_density.py::TestUpdate",)),
+    Mutant("sketch: no clamp on a new slot's old count", "density.py",
+           "np.maximum(counts - m, 0) * theta", "(counts - m) * theta",
+           ("tests/test_density.py::TestUpdate::"
+            "test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum",)),
     # the table buffer
     Mutant("buffer: no spare reuse", "basis.py",
            "        if buf is not None and buf.size >= count:",
@@ -231,6 +231,11 @@ MUTANTS = [
            "        if False:",
            (f"{COUNT}::test_a_basis_with_no_identifiable_function_is_refused",
             ENGINE_FLAGS)),
+    Mutant("tuning: no schedule check of the grid's h", "tuning.py",
+           "            SchedulerConfig(h=h)  # the schedule's own rule for h",
+           "            pass",
+           ("tests/test_tuning.py::TestGridValidation::"
+            "test_each_h_passes_the_schedules_rule_at_construction",)),
     Mutant("service: C_rho = 0 accepted", "service.py",
            "        if self.C_rho <= 0:", "        if self.C_rho < 0:",
            (f"{SERVICE}::TestRegistry::test_c_rho_must_be_positive",)),

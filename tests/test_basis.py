@@ -162,12 +162,29 @@ class TestPenaltyMatrix:
             with pytest.raises(ValueError):
                 W += 0.0
 
-    def test_memo_holds_at_most_eight(self):
-        assert penalty_matrix.cache_info().maxsize == 8
+    def test_memo_holds_at_most_sixteen(self):
+        assert penalty_matrix.cache_info().maxsize == 16
         for q in range(1, 40):
             for spec in (UNIT, EXTENDED):
                 penalty_matrix(spec, PenaltySpec("roughness"), q)
-                assert penalty_matrix.cache_info().currsize <= 8
+                assert penalty_matrix.cache_info().currsize <= 16
+
+    # The keys one round of the benchmark's Monte Carlo workload asks for,
+    # in order: cross-validation at the five default h, the uncapped and
+    # capped streams at their two checkpoints, then the lower-bound protocol
+    # uncapped and at cap 5.
+    ROUND_KEYS = [*(("roughness", q) for q in (7, 11, 20, 31, 63, 79, 200,
+                                              10, 10)),
+                  *(("identity", q) for q in (92, 92, 1, 1))]
+
+    def test_memo_holds_a_monte_carlo_round(self):
+        penalty_matrix.cache_clear()
+        for _ in range(2):
+            misses = penalty_matrix.cache_info().misses
+            for kind, q in self.ROUND_KEYS:
+                penalty_matrix(UNIT, PenaltySpec(kind), q)
+        # the second pass rebuilds no W
+        assert penalty_matrix.cache_info().misses == misses
 
     @pytest.mark.parametrize("spec", [UNIT, EXTENDED])
     @pytest.mark.parametrize("kind", ["identity", "roughness"])

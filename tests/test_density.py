@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import update_theta_two_branch
-from streamreg import quadrature
+from streamreg import quadrature, scheduler
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
                              gram_from_moments, moments)
 from streamreg.density import DensityState
@@ -65,21 +65,31 @@ class TestUpdate:
         # the next 5: (10 * 0.4 + 6) / 15
         state = DensityState(UNIT)
         state.theta = np.array([0.4])
-        state.update(np.array([1], dtype=np.int64), np.array([6.0]), 10, 15)
+        state.update(np.array([6.0]), np.array([15], dtype=np.int64), 5)
         np.testing.assert_allclose(state.theta, [2.0 / 3.0], rtol=1e-15)
 
-    def test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum(self):
-        # slot 2 opens at tau = 13 inside a batch of observations 11..15:
+    def test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum(
+            self, monkeypatch):
+        # slot 6 opens at tau = 13 inside a batch of observations 11..15:
         # its old count is 0, not 10 - 13 + 1 = -2, so its zero adds to a
-        # -0.0 sum as +0.0, as the two-branch update gives
-        state = DensityState(UNIT)
-        state.theta = np.array([0.4])
-        args = (np.array([1, 13], dtype=np.int64), np.array([6.0, -0.0]),
-                10, 15)
-        want = update_theta_two_branch(state.theta, *args)
-        state.update(*args)
-        assert state.theta.tobytes() == want.tobytes()
-        assert str(state.theta[1]) == "0.0"
+        # -0.0 sum as +0.0, as the two-branch update gives.  The fold's dot
+        # products start from +0.0 and give no -0.0 sum, so one is put in.
+        def fold(*args):
+            sums = scheduler.fold(*args)
+            sums[0][5] = -0.0
+            return sums
+
+        eng = make_engine()
+        feed(eng, np.linspace(0.0, 1.0, 10))
+        before, n_old = eng.density.theta, eng.n
+        monkeypatch.setattr("streamreg.engine.fold", fold)
+        ts = np.linspace(0.1, 0.9, 5)
+        feed(eng, ts)
+        assert eng.start.tolist() == [1, 1, 1, 1, 1, 13]
+        sums = fold(UNIT, ts, (None,), eng.start, n_old)[0]
+        want = update_theta_two_branch(before, eng.start, sums, n_old, eng.n)
+        assert eng.density.theta.tobytes() == want.tobytes()
+        assert str(eng.density.theta[5]) == "0.0"
 
     # first batches, batches that open slots strictly inside them, and
     # batches at the cap of 30 units (10 slots), which open none
@@ -97,19 +107,22 @@ class TestUpdate:
                                SchedulerConfig(mem_cap=mem_cap))
         sketch, update, calls = eng.density, eng.density.update, []
 
-        def checked(start, sums, n_old, n_new):
-            want = update_theta_two_branch(sketch.theta, start, sums, n_old,
-                                           n_new)
-            update(start, sums, n_old, n_new)
-            assert sketch.theta.dtype == want.dtype
-            assert sketch.theta.tobytes() == want.tobytes()
-            calls.append(n_new)
+        def recorded(sums, counts, m):
+            calls.append((sketch.theta, sums))
+            update(sums, counts, m)
 
-        sketch.update = checked
+        sketch.update = recorded
         for size in sizes:
+            n_old = eng.n
             ts = rng.uniform(0.0, 1.0, size)
             eng.ingest(ts, np.sin(5 * ts) + rng.normal(0.0, 0.3, size))
-        assert calls == list(np.cumsum(sizes))
+            (before, sums), = calls
+            calls.clear()
+            # the oracle takes the engine's start vector, not its counts
+            want = update_theta_two_branch(before, eng.start, sums, n_old,
+                                           eng.n)
+            assert sketch.theta.dtype == want.dtype
+            assert sketch.theta.tobytes() == want.tobytes()
 
     def test_replay_oracle_mixed_batches(self):
         rng = np.random.default_rng(3)

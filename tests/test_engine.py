@@ -60,6 +60,25 @@ def table_bytes(q, m):
 
 
 class TestIngest:
+    @pytest.mark.parametrize("known", [False, True])
+    def test_a_sketched_ingest_takes_its_slot_counts_once(self, monkeypatch,
+                                                          known):
+        # the engine hands the sketch each batch's counts, so the sketch
+        # derives none; a known-uniform engine takes none while ingesting
+        calls = []
+
+        def counted(start, n):
+            calls.append(n)
+            return slot_counts(start, n)
+
+        monkeypatch.setattr("streamreg.engine.slot_counts", counted)
+        eng = make_engine(known=known)
+        sizes = [7, 60, 400, 1]
+        ts, ys = sample(sum(sizes), 3, np.cos)
+        for part in np.split(np.arange(ts.size), np.cumsum(sizes)[:-1]):
+            eng.ingest(ts[part], ys[part])
+        assert calls == ([] if known else np.cumsum(sizes).tolist())
+
     def test_replay_oracle(self):
         """The slot sums must match a from-scratch pass over the full stream."""
         ts, ys = sample(3000, 0, lambda t: np.sin(7 * t) + t)
@@ -926,8 +945,8 @@ CONFIG_KINDS = {"family": "text", "lo": "real", "hi": "real",
 # refused by the constructor itself, not first by a checkpoint loader
 FIELD_KINDS = {
     BasisSpec: {"lo": "real", "hi": "real", "extension_margin": "real"},
-    SchedulerConfig: {"h": "real", "C_q": "real", "c_circ": "real",
-                      "q0": "count", "mem_cap": "optional count"},
+    SchedulerConfig: {"h": "real", "q0": "count",
+                      "mem_cap": "optional count"},
     OnePassRegressor: {"batch_size": "count",
                        "known_uniform_density": "flag"},
     ServiceConfig: {"lo": "real", "hi": "real", "extension_margin": "real",
@@ -1076,7 +1095,7 @@ class TestCheckpoint:
         if json.dumps(bad) == json.dumps(record):
             return  # not a change
         schedule = SchedulerConfig(**{key: record["config"][key] for key in (
-            "h", "C_q", "c_circ", "q0", "mem_cap")})
+            "h", "q0", "mem_cap")})
         if path == ("n",) and type(value) is int and 0 < value < 2 ** 63 \
                 and schedule.slot_count(value) == len(record["start"]):
             return  # an n the schedule gives the same slots
@@ -1211,7 +1230,7 @@ class TestConstructors:
         for field, kind in kinds.items()]))
     # values that the constructors took before they checked types
     @example(case=(SchedulerConfig, "q0", 1e20))
-    @example(case=(SchedulerConfig, "C_q", math.inf))
+    @example(case=(SchedulerConfig, "h", math.inf))
     @example(case=(BasisSpec, "extension_margin", math.nan))
     @example(case=(OnePassRegressor, "batch_size", 7.5))
     @example(case=(ServiceConfig, "C_rho", math.nan))

@@ -13,8 +13,10 @@ from oracles import Tables, fold_scan, ledger_step
 from streamreg.basis import SPLIT_MIN, BasisSpec, PenaltySpec, eval_matrix
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import CheckpointError
-from streamreg.scheduler import (MAX_INITIAL_SLOTS, NEVER, SchedulerConfig,
-                                 _floor, fold)
+from streamreg.scheduler import (C_CIRC, C_Q, MAX_INITIAL_SLOTS, NEVER,
+                                 SchedulerConfig, _floor, fold)
+from streamreg.service import ServiceConfig
+from streamreg.tuning import TuningGrid
 
 UNIT = BasisSpec(0.0, 1.0)
 
@@ -98,8 +100,7 @@ class TestSchedule:
             assert sched.tau(last) <= n < sched.tau(last + 1) == NEVER
 
     def test_invalid_parameters_rejected(self):
-        for kwargs in (dict(h=0.0), dict(h=1.5), dict(C_q=0.0),
-                       dict(c_circ=-1.0), dict(q0=0), dict(mem_cap=0)):
+        for kwargs in (dict(h=0.0), dict(h=1.5), dict(q0=0), dict(mem_cap=0)):
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
 
@@ -110,31 +111,42 @@ class TestSchedule:
             with pytest.raises(ValueError):
                 SchedulerConfig(**kwargs)
 
-    def test_tiny_C_q_rejected_in_the_constructor(self):
-        # about (2**63)^h / C_q slots open by n = 2**63: with C_q = 1e-320
-        # that overflows a float, and with 1e-280 (or 1e-7 at h = 1/2) it is
-        # past 2**53, where slot_count's float root guess is off by more
-        # than it can step through
-        for h, C_q in ((1 / 3, 1e-320), (1 / 3, 1e-280), (0.5, 1e-7)):
-            with pytest.raises(ValueError):
-                SchedulerConfig(h=h, C_q=C_q)
-        # 2**21 / 1e-9 < 2**53 slots; uncapped, C_q = 1e-9 opens too many
-        # slots at n = 1 (test_huge_initial_slot_count_rejected)
-        sched = SchedulerConfig(C_q=1e-9, mem_cap=30)
-        assert sched.slot_count(1) == 10
+    def test_h_is_bounded_where_the_slot_count_overflows(self):
+        # about (2**63)^h / C_Q slots open by n = 2**63; past 2**53 a float
+        # holds no exact slot index, which bounds h by 52/63 = 0.8254
+        assert C_Q == C_CIRC == 0.5
+        assert SchedulerConfig(h=0.825).slot_count(2 ** 63 - 1) < 2 ** 53
+        # the schedule alone states the bound; the service's and the tuning
+        # grid's constructors raise its message
+        builds = (lambda h: SchedulerConfig(h=h), lambda h: ServiceConfig(h=h),
+                  lambda h: TuningGrid(h_grid=(h,)))
+        for build, h in itertools.product(builds, (0.826, 0.9, 0.99)):
+            with pytest.raises(ValueError) as raised:
+                build(h)
+            assert str(raised.value) == (
+                f"h must be at most 52/63 (about 0.8254), past which the "
+                f"slot count overflows; got {h!r}")
+        # outside (0, 1) the message is the plain range
+        for h in (0.0, -0.5, 1.0, 2.0):
+            with pytest.raises(ValueError, match=r"^h must lie in \(0, 1\)$"):
+                SchedulerConfig(h=h)
+
+    def test_initial_slots_are_bounded_by_q0(self):
+        # with C_Q and C_CIRC fixed the schedule opens at most max(q0, 7)
+        # slots at n = 1, so bounding q0 bounds them
+        for h in [*np.linspace(1e-3, 0.825, 1000), 1 / 3, 0.825]:
+            for q0 in (1, 2, 5, 7, 8, 100):
+                sched = SchedulerConfig(h=float(h), q0=q0)
+                assert sched.slot_count(1) <= max(q0, 7), (h, q0)
 
     def test_huge_initial_slot_count_rejected(self):
-        # C_q = 1e-9 opens 1 587 401 051 slots at n = 1; the first ingest
-        # would build a tau list that long
-        for kwargs in (dict(C_q=1e-9), dict(q0=10 ** 9),
-                       dict(q0=MAX_INITIAL_SLOTS + 1)):
-            with pytest.raises(ValueError):
+        # a huge q0 would make the first ingest build a tau list that long
+        for kwargs in (dict(q0=10 ** 9), dict(q0=MAX_INITIAL_SLOTS + 1)):
+            with pytest.raises(ValueError, match="q0 must lie in"):
                 SchedulerConfig(**kwargs)
         assert SchedulerConfig(
             q0=MAX_INITIAL_SLOTS,
             mem_cap=3 * MAX_INITIAL_SLOTS).slot_count(1) == MAX_INITIAL_SLOTS
-        # a cap bounds the slot count whatever C_q is
-        assert SchedulerConfig(C_q=1e-9, mem_cap=30).slot_count(1) == 10
 
     def test_huge_initial_slot_count_checkpoint_rejected(self):
         record = OnePassRegressor(UNIT, PenaltySpec("roughness"),
@@ -149,9 +161,8 @@ class TestSchedule:
     def test_test_configs_stay_below_the_bound(self):
         # every config the suite builds passes the constructor; these are
         # the largest initial slot counts among them
-        for h, mem_cap, (C_q, c_circ, q0) in TestSlotCountClosedForm.CONFIGS:
-            sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
-                                    mem_cap=mem_cap)
+        for h, mem_cap, shape in TestSlotCountClosedForm.CONFIGS:
+            sched = SchedulerConfig(h=h, mem_cap=mem_cap, **shape)
             assert sched.slot_count(1) <= MAX_INITIAL_SLOTS
 
 
@@ -176,13 +187,11 @@ def slot_count_oracle(sched, taus, n):
 
 class TestSlotCountClosedForm:
     CONFIGS = list(itertools.product(
-        (1 / 3, 0.4, 0.5), (None, 5, 30), ((0.5, 0.5, 5), (0.3, 0.8, 2))))
+        (1 / 3, 0.4, 0.5), (None, 5, 30), ({"q0": 5}, {"q0": 2})))
 
     @pytest.mark.parametrize("h, mem_cap, shape", CONFIGS)
     def test_agrees_with_tau_list(self, h, mem_cap, shape):
-        C_q, c_circ, q0 = shape
-        sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
-                                mem_cap=mem_cap)
+        sched = SchedulerConfig(h=h, mem_cap=mem_cap, **shape)
         taus = []
         while not taus or taus[-1] <= 2_000_000:
             taus.append(sched.tau(len(taus) + 1))
@@ -213,9 +222,7 @@ class TestExtend:
                                          limit):
         # extend's early return (at the cap or the limit, or next slot past
         # n) must leave the same start vector as building it at once
-        C_q, c_circ, q0 = shape
-        sched = SchedulerConfig(h=h, C_q=C_q, c_circ=c_circ, q0=q0,
-                                mem_cap=mem_cap)
+        sched = SchedulerConfig(h=h, mem_cap=mem_cap, **shape)
         start = np.zeros(0, dtype=np.int64)
         n = 0
         for size in sizes:

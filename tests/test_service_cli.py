@@ -25,6 +25,10 @@ from streamreg.service import (MAX_DEPTH, MAX_LINE_BYTES, MAX_STREAMS,
 from streamreg.errors import TuningError
 from streamreg.tuning import TuningGrid, cv_select, cv_table, rho_at
 
+# The schedule's message for an h in (0, 1) past its bound, h = 0.9.
+H_PAST_ITS_BOUND = ("h must be at most 52/63 (about 0.8254), past which the "
+                    "slot count overflows; got 0.9")
+
 
 class ServiceClient:
     """Minimal blocking ndjson client."""
@@ -963,7 +967,8 @@ class TestCli:
         (["--margin", "-0.1"], "extension_margin must be >= 0"),
         # phi_1's uniform Gram, 1/P, lies below the floor
         (["--margin", "1e8"], "extension_margin 100000000.0 leaves no "
-                              "identifiable basis function")])
+                              "identifiable basis function"),
+        (["--h", "0.9"], H_PAST_ITS_BOUND)])
     def test_engine_flags_out_of_range_are_errors(self, tmp_path, capsys,
                                                   flags, message):
         data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
@@ -1011,7 +1016,11 @@ class TestCli:
           for beta in ("0", "-0.5", "nan", "inf")],
         *[(["protocol", "--beta", beta], "beta must be a finite number > 0")
           for beta in ("inf", "nan")],
-        (["protocol", "--c-K", "inf"], "c_K must be a finite number > 0")])
+        (["protocol", "--c-K", "inf"], "c_K must be a finite number > 0"),
+        # 0 and -1 both mean uncapped, and the rows would repeat
+        (["phase", "--target", "m1", "--n", "1000", "--replicates", "1",
+          "--checkpoints", "1000", "--mem-caps", "0", "-1", "30", "30"],
+         "mem_caps must be distinct")])
     def test_invalid_experiment_flag_is_an_error(self, tmp_path, capsys, argv,
                                                  message):
         out = tmp_path / "out.csv"
@@ -1058,6 +1067,16 @@ class TestCli:
         monkeypatch.setattr(cli, "StreamService", bind)
         assert main(["serve", "--h", "2", "--port", "0"]) == 1
         assert capsys.readouterr().err == "error: h must lie in (0, 1)\n"
+
+    def test_serve_rejects_an_h_past_its_bound_before_binding(self,
+                                                              monkeypatch,
+                                                              capsys):
+        def bind(*args, **kwargs):
+            raise AssertionError("serve bound a port")
+
+        monkeypatch.setattr(cli, "StreamService", bind)
+        assert main(["serve", "--h", "0.9", "--port", "0"]) == 1
+        assert capsys.readouterr().err == f"error: {H_PAST_ITS_BOUND}\n"
 
     @pytest.mark.slow
     def test_serve_stops_on_sigint_when_started_ignoring_it(self):

@@ -103,6 +103,14 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             TuningGrid(**kwargs)
 
+    def test_each_h_passes_the_schedules_rule_at_construction(self):
+        # 0.9 lies in (0, 1) but past the schedule's bound: the grid is
+        # refused when built, not later inside cv_table
+        for h_grid in ((0.9,), (0.25, 0.826)):
+            with pytest.raises(ValueError, match="h must be at most 52/63"):
+                TuningGrid(h_grid=h_grid)
+        assert TuningGrid(h_grid=(0.825,)).h_grid == (0.825,)
+
 
 class TestCvTable:
     def test_table_covers_full_grid(self):
