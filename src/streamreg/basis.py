@@ -389,8 +389,8 @@ def _chunk_moments(spec, K, t, weights, tails, buf):
 
 
 def moments(spec, K, t, weights, tails):
-    """Fourier moments of the points t, which are not domain-checked, under
-    each weight vector w of ``weights`` (None for unit weights): with
+    """Fourier moments of the points t, at least one and not domain-checked,
+    under each weight vector w of ``weights`` (None for unit weights): with
     z = exp(2 pi i (t - origin) / P), mu_k = sum_i w_i z_i^k for k = 0..K,
     then the tail moment sum_{i >= lo} w_i z_i^k of each (k, lo) in
     ``tails``.  Returns one complex array of K + 1 + len(tails) entries per
@@ -423,8 +423,6 @@ def moments(spec, K, t, weights, tails):
     step = chunk_points(K) or m
     buf = _take_buffer(_table_shape(K)[1] * min(m, step))
     try:
-        if m <= step:
-            return _chunk_moments(spec, K, t, weights, tails, buf)
         total = None
         for s in range(0, m, step):
             # the last chunk runs to the end of t and of each weight, so a

@@ -240,7 +240,7 @@ def _cmd_query(args):
     spec = reg.reg_basis
     grid = np.linspace(spec.lo, spec.hi, args.grid)
     rho = args.rho if args.rho is not None else rho_at(
-        1.0, reg.schedule.h, max(reg.n, 1), reg.penalty.zeta)
+        ServiceConfig.C_rho, reg.schedule.h, max(reg.n, 1), reg.penalty.zeta)
     if args.kind == "estimate":
         values = reg.estimate(grid, rho)
     else:

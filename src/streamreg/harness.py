@@ -291,7 +291,7 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
         raise ValueError("mem_caps must be non-empty")
     if len(set(caps)) < len(caps):
         raise ValueError("mem_caps must be distinct")
-    grid = TuningGrid(n0=min(1000, sc.n))
+    grid = TuningGrid(n0=min(TuningGrid.n0, sc.n))
     if fixed_h is not None:
         grid = replace(grid, h_grid=(fixed_h,))
     spec = BasisSpec(0.0, 1.0, extension_margin=EXTENSION_MARGINS[sc.target])

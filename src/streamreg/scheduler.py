@@ -16,7 +16,7 @@ theta, so it is written once, here:
   Start vectors only grow.  Most batches open no slot: when the vector is at
   the cap or the limit, or the next slot's tau lies past n, ``extend``
   returns it unchanged after at most one ``tau`` lookup.
-- ``slot_counts`` gives the per-slot sample counts n_j = max(n - tau_j + 1, 0);
+- ``slot_counts`` gives the counts n_j = n - tau_j + 1 at an n >= every tau_j;
   the engine takes them once per batch and hands them to the sketch.
 - ``fold`` folds one batch holding observations n_old+1, ..., n_old+m into
   per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i (w = y for G, w = 1 for
@@ -110,9 +110,7 @@ class SchedulerConfig:
         if n < 1:
             raise ValueError("n must be >= 1")
         q = max(self.q0, _floor(n ** self.h / C_Q))
-        if self.cap_q is not None:
-            q = min(q, self.cap_q)
-        return max(1, q)
+        return q if self.cap_q is None else min(q, self.cap_q)
 
     def slot_count(self, n):
         """Number of slots (active plus pre-estimating) open at time n: the
@@ -146,8 +144,8 @@ class SchedulerConfig:
 
 
 def slot_counts(start, n):
-    """Per-slot sample counts n_j = max(n - tau_j + 1, 0) at time n."""
-    return np.maximum(n - start + 1, 0)
+    """Per-slot sample counts n_j = n - tau_j + 1 at an n >= every tau_j."""
+    return n - start + 1
 
 
 def fold(spec, ts, weights, start, n_old):

@@ -249,6 +249,10 @@ MUTANTS = [
            "            elif not raw.strip():\n                continue\n",
            "",
            (f"{SERVICE}::TestSocketService::test_blank_lines_get_no_reply",)),
+    Mutant("service: an over-long line's rest read as requests", "service.py",
+           "                self._skip_line()\n", "",
+           (f"{SERVICE}::TestSocketService::"
+            "test_long_line_keeps_connection_alive",)),
     Mutant("cli: no catch of a file it cannot open", "cli.py",
            "    except (StreamRegError, OSError) as exc:",
            "    except StreamRegError as exc:",

@@ -20,7 +20,7 @@ from streamreg.errors import (DomainError, IllConditionedSystemError,
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
 from streamreg.lowerbound import (BATCH_SIZE, _protocol_engine,
                                   build_m_omega, bump_kernel)
-from streamreg.scheduler import SchedulerConfig, slot_counts
+from streamreg.scheduler import SchedulerConfig
 from streamreg.tuning import rho_at
 
 
@@ -134,25 +134,31 @@ def fold_scan(tables, w, start, n_old):
     return sums
 
 
+def clamped_counts(start, n):
+    """Per-slot sample counts max(n - tau_j + 1, 0) at any time n, also
+    before a slot's tau_j."""
+    return np.maximum(n - start + 1, 0)
+
+
 def update_theta(theta, start, sums, n_old, n_new):
     """``DensityState.update`` as the general running-mean recursion, with
     both slot counts clamped whether or not a slot opened; returns theta."""
     if start.size > theta.size:
         theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
-    counts_new = np.maximum(slot_counts(start, n_new), 1)
-    return (slot_counts(start, n_old) * theta + sums) / counts_new
+    counts_new = np.maximum(clamped_counts(start, n_new), 1)
+    return (clamped_counts(start, n_old) * theta + sums) / counts_new
 
 
 def update_theta_two_branch(theta, start, sums, n_old, n_new):
     """``DensityState.update`` as two branches; returns theta.  When no slot
     opened, every tau_j <= n_old and both counts are unclamped; otherwise
-    theta is zero-padded and both counts are ``slot_counts``."""
+    theta is zero-padded and both counts are clamped."""
     if start.size == theta.size:
         counts_new = (n_new + 1) - start
         return ((counts_new - (n_new - n_old)) * theta + sums) / counts_new
     theta = np.concatenate([theta, np.zeros(start.size - theta.size)])
-    return (slot_counts(start, n_old) * theta
-            + sums) / slot_counts(start, n_new)
+    return (clamped_counts(start, n_old) * theta
+            + sums) / clamped_counts(start, n_new)
 
 
 def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):

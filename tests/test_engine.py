@@ -1072,6 +1072,7 @@ class TestCheckpoint:
                          batches[cut:])
         assert resumed.checkpoint_json() == full
 
+    @pytest.mark.slow
     @settings(max_examples=400, deadline=None)
     @given(base=st.sampled_from(["capped", "empty", "known", "sketch"]),
            mutation=MUTATIONS)

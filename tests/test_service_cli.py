@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import itertools
 import json
@@ -8,6 +9,7 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -30,29 +32,71 @@ H_PAST_ITS_BOUND = ("h must be at most 52/63 (about 0.8254), past which the "
                     "slot count overflows; got 0.9")
 
 
-class ServiceClient:
-    """Minimal blocking ndjson client."""
+# serve_forever's poll interval in ``running``: shutdown() waits up to one
+SERVE_POLL_S = 0.01
 
-    def __init__(self, host, port):
-        self._sock = socket.create_connection((host, port))
+# how long the handler threads of a ``running`` block may take to end once
+# the block has closed its connections
+THREAD_GRACE_S = 5.0
+
+
+class ServiceClient:
+    """Minimal blocking ndjson client; as a context manager it closes its
+    connection on exit."""
+
+    def __init__(self, address):
+        self._sock = socket.create_connection(address)
         self._file = self._sock.makefile("rwb")
 
-    def request(self, **payload):
-        self._file.write((json.dumps(payload) + "\n").encode())
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def send(self, line):
+        """Send the raw ``line`` and a newline; returns the decoded reply."""
+        self._file.write(line + b"\n")
         self._file.flush()
-        line = self._file.readline()
-        if not line:
+        reply = self._file.readline()
+        if not reply:
             raise ConnectionError("service closed the connection")
-        return json.loads(line)
+        return json.loads(reply)
+
+    def request(self, **payload):
+        return self.send(json.dumps(payload).encode())
 
     def close(self):
         self._file.close()
         self._sock.close()
 
 
-def serve_background(server):
-    """Run ``server.serve_forever`` on a daemon thread."""
-    threading.Thread(target=server.serve_forever, daemon=True).start()
+@contextlib.contextmanager
+def running(config):
+    """Serve ``StreamService(config)`` on port 0 for the block, which gets
+    the server.  On exit the server is shut down, its thread joined and its
+    socket closed.  A block that ends normally must also leave no thread
+    behind: within THREAD_GRACE_S, ``threading.active_count()`` returns to
+    its value at entry, or the block fails naming the threads left.  A
+    block that raises skips that check, so its own failure shows."""
+    before = set(threading.enumerate())
+    server = StreamService(config)
+    thread = threading.Thread(target=server.serve_forever,
+                              args=(SERVE_POLL_S,))
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        thread.join()
+        server.server_close()
+    deadline = time.monotonic() + THREAD_GRACE_S
+    while threading.active_count() > len(before):
+        if time.monotonic() > deadline:
+            left = sorted(t.name for t in threading.enumerate()
+                          if t not in before)
+            pytest.fail(f"threads left running: {', '.join(left)}")
+        time.sleep(SERVE_POLL_S)
 
 
 @pytest.fixture
@@ -454,58 +498,34 @@ class TestDecodeRequest:
 
 class TestSocketService:
     def test_round_trip_over_tcp(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
-            host, port = server.server_address
-            client = ServiceClient(host, port)
+        with (running(ServiceConfig(known_uniform_density=True)) as server,
+              ServiceClient(server.server_address) as client):
             resp = client.request(op="ingest", stream_id="s",
                                   points=[[0.1, 1.0], [0.9, 1.0]])
             assert resp == {"ok": True, "n": 2}
             stats = client.request(op="query", stream_id="s", kind="stats")
             assert stats["n"] == 2
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_short_point_keeps_connection_alive(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
-            client = ServiceClient(*server.server_address)
+        with (running(ServiceConfig(known_uniform_density=True)) as server,
+              ServiceClient(server.server_address) as client):
             bad = client.request(op="ingest", stream_id="s", points=[[0.5]])
             assert (bad["ok"], bad["error"]) == (False, "request")
             good = client.request(op="ingest", stream_id="s",
                                   points=[[0.5, 1.0]])
             assert good == {"ok": True, "n": 1}
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_non_object_line_keeps_connection_alive(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
-            with socket.create_connection(server.server_address) as sock:
-                fh = sock.makefile("rwb")
-                for line in (b"[1, 2]", b'"x"', b"1"):
-                    fh.write(line + b"\n")
-                    fh.flush()
-                    resp = json.loads(fh.readline())
-                    assert (resp["ok"], resp["error"]) == (False, "request")
-                fh.write(b'{"op": "ingest", "stream_id": "s", '
-                         b'"points": [[0.5, 1.0]]}\n')
-                fh.flush()
-                assert json.loads(fh.readline()) == {"ok": True, "n": 1}
-        finally:
-            server.shutdown()
-            server.server_close()
+        with (running(ServiceConfig(known_uniform_density=True)) as server,
+              ServiceClient(server.server_address) as client):
+            for line in (b"[1, 2]", b'"x"', b"1"):
+                resp = client.send(line)
+                assert (resp["ok"], resp["error"]) == (False, "request")
+            assert client.send(b'{"op": "ingest", "stream_id": "s", '
+                               b'"points": [[0.5, 1.0]]}') == {"ok": True,
+                                                               "n": 1}
 
     def test_long_line_keeps_connection_alive(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
         ingest = b'{"op": "ingest", "stream_id": "s", "points": [[0.5, 1.0]]}'
         # a valid request padded past the limit, and one just within it
         too_long = ingest[:-1] + b" " * (MAX_LINE_BYTES + 1 - len(ingest)) \
@@ -513,30 +533,21 @@ class TestSocketService:
         longest = ingest[:-1] + b" " * (MAX_LINE_BYTES - len(ingest)) + b"}"
         assert (len(too_long), len(longest)) == (MAX_LINE_BYTES + 1,
                                                  MAX_LINE_BYTES)
-        try:
-            with socket.create_connection(server.server_address) as sock:
-                fh = sock.makefile("rwb")
-                for line, n in ((too_long, None), (ingest, 1),
-                                (too_long * 3, None), (longest, 2),
-                                (b"\xff\xfe", None), (ingest, 3)):
-                    fh.write(line + b"\n")
-                    fh.flush()
-                    resp = json.loads(fh.readline())
-                    if n is None:
-                        assert (resp["ok"], resp["error"]) == (False,
-                                                               "request")
-                    else:
-                        assert resp == {"ok": True, "n": n}
-        finally:
-            server.shutdown()
-            server.server_close()
+        with (running(ServiceConfig(known_uniform_density=True)) as server,
+              ServiceClient(server.server_address) as client):
+            for line, n in ((too_long, None), (ingest, 1),
+                            (too_long * 3, None), (longest, 2),
+                            (b"\xff\xfe", None), (ingest, 3)):
+                resp = client.send(line)
+                if n is None:
+                    assert (resp["ok"], resp["error"]) == (False, "request")
+                else:
+                    assert resp == {"ok": True, "n": n}
 
     def test_density_follows_ingest_over_tcp(self):
-        server = StreamService(ServiceConfig())
-        serve_background(server)
         rng = np.random.default_rng(21)
-        try:
-            client = ServiceClient(*server.server_address)
+        with (running(ServiceConfig()) as server,
+              ServiceClient(server.server_address) as client):
             fresh_batches = []
             # skewed data, so the sketch is clipped and the normalizer moves
             for size in (300, 700):
@@ -552,10 +563,6 @@ class TestSocketService:
                 for batch in fresh_batches:
                     fresh.ingest(batch, np.sin(batch))
                 assert resp == {"ok": True, "value": fresh.density_at(0.3)}
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_stats_report_the_density_certificate(self):
         rng = np.random.default_rng(22)
@@ -563,10 +570,8 @@ class TestSocketService:
                  "beta": lambda: rng.beta(2, 3, 1000)}
         for known, want in ((False, {"uniform": True, "beta": False}),
                             (True, {"uniform": None, "beta": None})):
-            server = StreamService(ServiceConfig(known_uniform_density=known))
-            serve_background(server)
-            try:
-                client = ServiceClient(*server.server_address)
+            with (running(ServiceConfig(known_uniform_density=known))
+                  as server, ServiceClient(server.server_address) as client):
                 for stream, draw in draws.items():
                     for _ in range(10):
                         ts = draw()
@@ -576,21 +581,15 @@ class TestSocketService:
                                            kind="stats")
                     assert stats["n"] == 10_000
                     assert stats["density_certified"] is want[stream]
-                client.close()
-            finally:
-                server.shutdown()
-                server.server_close()
 
     def test_non_finite_reply_is_an_error(self, monkeypatch):
         # no input is known to make an estimate non-finite, so one is
         # injected; bare NaN is not JSON, so the reply names the error
         monkeypatch.setattr(OnePassRegressor, "estimate",
                             lambda self, t, rho: float("nan"))
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
-            with socket.create_connection(server.server_address) as sock:
-                fh = sock.makefile("rwb")
+        with running(ServiceConfig(known_uniform_density=True)) as server:
+            with (socket.create_connection(server.server_address) as sock,
+                  sock.makefile("rwb") as fh):
                 for request in (
                         {"op": "ingest", "stream_id": "s",
                          "points": [[0.5, 1.0]]},
@@ -604,103 +603,68 @@ class TestSocketService:
             reply = json.loads(estimate, parse_constant=pytest.fail)
             assert (reply["ok"], reply["error"]) == (False, "non_finite")
             assert json.loads(stats)["n"] == 1
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_stream_id_is_a_string_or_an_integer(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
         ingest = b'{"op": "ingest", "stream_id": %s, "points": [[0.5, 1.0]]}'
         stats = b'{"op": "query", "stream_id": %s, "kind": "stats"}'
-        try:
-            with socket.create_connection(server.server_address) as sock:
-                fh = sock.makefile("rwb")
-
-                def send(line):
-                    fh.write(line + b"\n")
-                    fh.flush()
-                    return json.loads(fh.readline())
-
-                # 2**64 and 2**64 + 1 decode to one float, so they would
-                # share a stream
-                for bad in (b"true", b"1.5", b"null", b"[1]",
-                            b"18446744073709551616", b"18446744073709551617"):
-                    for line in (ingest % bad, stats % bad):
-                        resp = send(line)
-                        assert (resp["ok"], resp["error"]) == (False,
-                                                               "request")
-                assert server.registry._streams == {}
-                good = (b"0", b"1023", b"-9223372036854775808",
-                        b"18446744073709551615", b'"1"')
-                for sid in good:
-                    assert send(ingest % sid) == {"ok": True, "n": 1}
-                    assert send(stats % sid)["n"] == 1
-                assert set(server.registry._streams) == {
-                    0, 1023, -2 ** 63, 2 ** 64 - 1, "1"}
-        finally:
-            server.shutdown()
-            server.server_close()
+        with (running(ServiceConfig(known_uniform_density=True)) as server,
+              ServiceClient(server.server_address) as client):
+            # 2**64 and 2**64 + 1 decode to one float, so they would share a
+            # stream
+            for bad in (b"true", b"1.5", b"null", b"[1]",
+                        b"18446744073709551616", b"18446744073709551617"):
+                for line in (ingest % bad, stats % bad):
+                    resp = client.send(line)
+                    assert (resp["ok"], resp["error"]) == (False, "request")
+            assert server.registry._streams == {}
+            good = (b"0", b"1023", b"-9223372036854775808",
+                    b"18446744073709551615", b'"1"')
+            for sid in good:
+                assert client.send(ingest % sid) == {"ok": True, "n": 1}
+                assert client.send(stats % sid)["n"] == 1
+            assert set(server.registry._streams) == {
+                0, 1023, -2 ** 63, 2 ** 64 - 1, "1"}
 
     def test_non_strict_json_is_a_request_error(self):
-        server = StreamService(ServiceConfig())
-        serve_background(server)
         ingest = b'{"op": "ingest", "stream_id": "s", "points": [[0.5, %s]]}'
         # past MAX_DEPTH, and deep enough that decoding it would exhaust the
         # handler thread's stack
         deep = b"[" * 300_000 + b"]" * 300_000
-        try:
-            with socket.create_connection(server.server_address) as sock:
-                fh = sock.makefile("rwb")
-
-                def send(line):
-                    fh.write(line + b"\n")
-                    fh.flush()
-                    return json.loads(fh.readline())
-
-                assert send(ingest % b"1.0") == {"ok": True, "n": 1}
-                reg = server.registry._engine("s")[0]
-                before = reg.checkpoint_json()
-                for line in (ingest % b"NaN", ingest % b"Infinity",
-                             ingest % b"-Infinity", ingest % b"1e400",
-                             b'{"op": "ingest", "stream_id": "\\ud800", '
-                             b'"points": [[0.5, 1.0]]}',
-                             ingest % deep):
-                    resp = send(line)
-                    assert (resp["ok"], resp["error"]) == (False, "request")
-                    assert resp["message"].startswith("bad JSON"), line[:80]
-                    assert reg.checkpoint_json() == before
-                # nested as deep as a request may be, a value is refused
-                # like any other bad field
-                op = b"[" * (MAX_DEPTH - 1) + b"]" * (MAX_DEPTH - 1)
-                resp = send(b'{"op": %s}' % op)
+        with (running(ServiceConfig()) as server,
+              ServiceClient(server.server_address) as client):
+            send = client.send
+            assert send(ingest % b"1.0") == {"ok": True, "n": 1}
+            reg = server.registry._engine("s")[0]
+            before = reg.checkpoint_json()
+            for line in (ingest % b"NaN", ingest % b"Infinity",
+                         ingest % b"-Infinity", ingest % b"1e400",
+                         b'{"op": "ingest", "stream_id": "\\ud800", '
+                         b'"points": [[0.5, 1.0]]}',
+                         ingest % deep):
+                resp = send(line)
                 assert (resp["ok"], resp["error"]) == (False, "request")
-                assert resp["message"].startswith("unknown op")
-                # so is such a kind on a query that lacks t
-                resp = send(b'{"op": "query", "stream_id": "s", "kind": %s}'
-                            % op)
-                assert (resp["ok"], resp["error"]) == (False, "request")
-                assert "requires t" in resp["message"]
-                assert set(server.registry._streams) == {"s"}
-                assert send(ingest % b"2.0") == {"ok": True, "n": 2}
-        finally:
-            server.shutdown()
-            server.server_close()
+                assert resp["message"].startswith("bad JSON"), line[:80]
+                assert reg.checkpoint_json() == before
+            # nested as deep as a request may be, a value is refused like
+            # any other bad field
+            op = b"[" * (MAX_DEPTH - 1) + b"]" * (MAX_DEPTH - 1)
+            resp = send(b'{"op": %s}' % op)
+            assert (resp["ok"], resp["error"]) == (False, "request")
+            assert resp["message"].startswith("unknown op")
+            # so is such a kind on a query that lacks t
+            resp = send(b'{"op": "query", "stream_id": "s", "kind": %s}' % op)
+            assert (resp["ok"], resp["error"]) == (False, "request")
+            assert "requires t" in resp["message"]
+            assert set(server.registry._streams) == {"s"}
+            assert send(ingest % b"2.0") == {"ok": True, "n": 2}
 
     def test_blank_lines_get_no_reply(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
-            with socket.create_connection(server.server_address) as sock:
-                fh = sock.makefile("rwb")
-                fh.write(b"\n  \t\n\r\n" + b'{"op": "ingest", "stream_id": '
-                         b'"s", "points": [[0.5, 1.0]]}\n')
-                fh.flush()
-                # the first reply is the ingest's
-                assert json.loads(fh.readline()) == {"ok": True, "n": 1}
-        finally:
-            server.shutdown()
-            server.server_close()
+        with (running(ServiceConfig(known_uniform_density=True)) as server,
+              ServiceClient(server.server_address) as client):
+            # the first reply is the ingest's
+            assert client.send(b"\n  \t\n\r\n" + b'{"op": "ingest", '
+                               b'"stream_id": "s", "points": [[0.5, 1.0]]}'
+                               ) == {"ok": True, "n": 1}
 
     @staticmethod
     def half_closed(server, line):
@@ -713,45 +677,38 @@ class TestSocketService:
                 return [json.loads(reply) for reply in fh]
 
     def test_a_last_line_without_newline_is_handled(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
+        with running(ServiceConfig(known_uniform_density=True)) as server:
             assert self.half_closed(
                 server, b'{"op": "ingest", "stream_id": "s", '
                         b'"points": [[0.1, 1.0], [0.9, 2.0]]}') == [
                 {"ok": True, "n": 2}]
             reg = server.registry._engine("s")[0]
             assert reg.n == 2
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_a_last_line_that_is_not_json_gets_its_error(self):
-        server = StreamService(ServiceConfig(known_uniform_density=True))
-        serve_background(server)
-        try:
+        with running(ServiceConfig(known_uniform_density=True)) as server:
             [reply] = self.half_closed(server, b'{"op": "ingest", "stream')
             assert (reply["ok"], reply["error"]) == (False, "request")
             assert reply["message"].startswith("bad JSON")
             assert server.registry._streams == {}
-        finally:
-            server.shutdown()
-            server.server_close()
 
     def test_malformed_line_reports_error(self):
-        server = StreamService(ServiceConfig())
-        serve_background(server)
-        try:
-            host, port = server.server_address
-            with socket.create_connection((host, port)) as sock:
-                fh = sock.makefile("rwb")
-                fh.write(b"this is not json\n")
-                fh.flush()
-                resp = json.loads(fh.readline())
-            assert resp["ok"] is False and resp["error"] == "request"
-        finally:
-            server.shutdown()
-            server.server_close()
+        with (running(ServiceConfig()) as server,
+              ServiceClient(server.server_address) as client):
+            resp = client.send(b"this is not json")
+        assert resp["ok"] is False and resp["error"] == "request"
+
+    def test_a_connection_left_open_fails_the_block(self, monkeypatch):
+        monkeypatch.setitem(globals(), "THREAD_GRACE_S", 0.05)
+        before = set(threading.enumerate())
+        with pytest.raises(pytest.fail.Exception,
+                           match="threads left running: .*process_request"):
+            with running(ServiceConfig()) as server:
+                client = ServiceClient(server.server_address)
+                assert client.send(b"[]")["ok"] is False
+        client.close()
+        for thread in set(threading.enumerate()) - before:
+            thread.join()
 
 
 def write_stream_csv(path, n=600, seed=0):
