@@ -19,6 +19,7 @@ A change that moves or rewrites mutated code updates its mutants too.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -35,6 +36,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKERS = 2
 
 TIMEOUT_S = 120
+
+# pytest's summary line, such as "1 failed in 2.31s" or "3 passed in 1.20s"
+SUMMARY = re.compile(r"\b\d+ (failed|passed)\b")
 
 # Loaded by pytest in the copy: a failing example ends a hypothesis test at
 # once, with no shrinking or explaining, and nothing is saved for later runs.
@@ -313,9 +317,12 @@ def pytest_in_copy(tests, mutant=None):
 
 def run(mutant):
     """(verdict, seconds, detail) for one mutant: verdict is "killed",
-    "SURVIVED" or "ERROR"."""
+    "SURVIVED" or "ERROR".  The detail of a kill or a survival is pytest's
+    summary line, not what a handler thread printed after it (such as
+    socketserver's traceback); that of an error is the output's end."""
     code, seconds, output = pytest_in_copy(mutant.tests, mutant)
-    last = (output.strip().splitlines() or [""])[-1]
+    last = ([line for line in output.splitlines() if SUMMARY.search(line)]
+            or [""])[-1]
     if code == 1:
         return "killed", seconds, last
     if code == 0:

@@ -1,20 +1,28 @@
-"""Reference implementations that only the tests use.
+"""Reference implementations and shared builders that only the tests use.
 
-Each is a slow, direct form of something the package computes another way,
-kept here so the tests can compare against it.  ``traced_peak`` is the
-tests' one memory measurement.
+Each reference is a slow, direct form of something the package computes
+another way, kept here so the tests can compare against it.  The builders
+(``UNIT``, ``ROUGH``, ``make_engine``, ``sample``, ``feed``) are the ones
+every test module but the acceptance suite takes.  ``replay_ledger`` is
+the tests' one replay of the ledger, ``run_fresh`` their one child
+interpreter and ``traced_peak`` their one memory measurement.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 
+import streamreg
 from streamreg import basis, quadrature
-from streamreg.basis import (_check_points, _curvature_factors, _table_shape,
-                             _tables, eval_matrix, gram_uniform,
-                             penalty_matrix)
-from streamreg.engine import batch_fit, normal_equations, penalized_solve
+from streamreg.basis import (BasisSpec, PenaltySpec, _check_points,
+                             _curvature_factors, _table_shape, _tables,
+                             eval_matrix, gram_uniform, penalty_matrix)
+from streamreg.engine import (OnePassRegressor, batch_fit, normal_equations,
+                              penalized_solve)
 from streamreg.errors import (DomainError, IllConditionedSystemError,
                               StreamRegError)
 from streamreg.harness import M3_TERMS, TARGETS, noise_sigma
@@ -22,6 +30,55 @@ from streamreg.lowerbound import (BATCH_SIZE, _protocol_engine,
                                   build_m_omega, bump_kernel)
 from streamreg.scheduler import SchedulerConfig
 from streamreg.tuning import rho_at
+
+UNIT = BasisSpec(0.0, 1.0)
+ROUGH = PenaltySpec("roughness")
+
+
+def make_engine(*, known, spec=UNIT, **sched_kwargs):
+    """An engine on ``spec`` with the roughness penalty and the schedule
+    ``SchedulerConfig(**sched_kwargs)``: with a known uniform density, or
+    with a sketch."""
+    return OnePassRegressor(spec, ROUGH, SchedulerConfig(**sched_kwargs),
+                            known_uniform_density=known)
+
+
+def sample(n, seed, fn, sigma=0.0):
+    """n uniform points on [0, 1] and fn at them, plus N(0, sigma^2) noise
+    drawn after the points when sigma > 0."""
+    rng = np.random.default_rng(seed)
+    ts = rng.uniform(0, 1, n)
+    ys = fn(ts)
+    if sigma:
+        ys = ys + rng.normal(0, sigma, n)
+    return ts, ys
+
+
+def feed(engine, ts, ys=None, batch=100):
+    """Ingest (ts, ys) in calls of ``batch`` points; ys = 0 when None, for
+    the sketch, which reads t only."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if ys is None:
+        ys = np.zeros(ts.size)
+    for i in range(0, ts.size, batch):
+        engine.ingest(ts[i:i + batch], ys[i:i + batch])
+
+
+def fresh_env(**env):
+    """The environment of a child interpreter: this one's, with ``env`` and
+    the imported streamreg's parent directory first on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(streamreg.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, **env, "PYTHONPATH": path}
+
+
+def run_fresh(code, *argv, **env):
+    """The stdout of ``python -c code *argv`` in ``fresh_env(**env)``.  A
+    non-zero exit raises ``CalledProcessError``, and a run past 300 s
+    ``TimeoutExpired``."""
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=fresh_env(**env), capture_output=True,
+                          text=True, check=True, timeout=300).stdout
 
 
 def traced_peak(fn, *args):
@@ -178,6 +235,28 @@ def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
                              fold_scan(tables, np.ones(ts.size), start, n),
                              n, n_new)
     return n_new, start, G, theta
+
+
+def replay_ledger(reg_basis, schedule, ts, ys):
+    """The ledger after one pass over all of (ts, ys), from the whole
+    retained stream: the start vector tau_1..tau_s, s = min(slot_count(n),
+    identifiable_count), the sums G_j = sum_{i >= tau_j} phi_j(t_i) y_i on
+    ``reg_basis`` and the sketch's slot means theta_j on its unextended
+    basis, both by ``eval_matrix_trig``.  Returns (start, G, theta)."""
+    n = ts.size
+    s = schedule.slot_count(n)
+    limit = basis.identifiable_count(reg_basis)
+    if limit is not None:
+        s = min(s, limit)
+    start = np.array([schedule.tau(j) for j in range(1, s + 1)],
+                     dtype=np.int64)
+    vals = eval_matrix_trig(reg_basis, s, ts)
+    dens = eval_matrix_trig(BasisSpec(reg_basis.lo, reg_basis.hi), s, ts)
+    G = np.array([vals[tau - 1:, j] @ ys[tau - 1:]
+                  for j, tau in enumerate(start)])
+    theta = np.array([dens[tau - 1:, j].sum() / (n - tau + 1)
+                      for j, tau in enumerate(start)])
+    return start, G, theta
 
 
 # unit roundoff of a float64

@@ -168,7 +168,6 @@ def test_criterion_04_memory_ledger():
     verdict(4, "memory ledger", ok)
 
 
-@pytest.mark.slow
 def test_criterion_05_consistency_and_efficiency():
     """Smooth target, SNR 2, batches of 100, 20 replicates: the streaming
     RMISE at n = 1e5 is at most a third of the value at n = 1e3, and at

@@ -1,8 +1,5 @@
 import math
-import os
 import resource
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -10,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-import streamreg
-from oracles import (eval_basis, eval_matrix_trig, eval_vector,
+from oracles import (ROUGH, UNIT, eval_basis, eval_matrix_trig, eval_vector,
                      projection_residual, roughness_penalty_dense,
-                     roughness_penalty_diagonal, sup_sum_squares,
+                     roughness_penalty_diagonal, run_fresh, sup_sum_squares,
                      weighted_gram)
 from streamreg import basis
 from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
@@ -23,7 +19,6 @@ from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
 from streamreg.errors import DomainError
 from streamreg import quadrature
 
-UNIT = BasisSpec(0.0, 1.0)
 EXTENDED = BasisSpec(0.0, 1.0, extension_margin=0.1)
 
 
@@ -114,13 +109,13 @@ class TestPenaltyMatrix:
             penalty_matrix(UNIT, PenaltySpec("identity"), 3), np.eye(3))
 
     def test_roughness_closed_form(self):
-        W = penalty_matrix(UNIT, PenaltySpec("roughness"), 3)
+        W = penalty_matrix(UNIT, ROUGH, 3)
         np.testing.assert_allclose(
             W, np.diag([0.0, (2 * np.pi) ** 4, (2 * np.pi) ** 4]), rtol=1e-12)
 
     def test_roughness_extended_matches_quadrature_oracle(self):
         q = 3
-        W = penalty_matrix(EXTENDED, PenaltySpec("roughness"), q)
+        W = penalty_matrix(EXTENDED, ROUGH, q)
         # independent oracle: 2048-node composite rule applied entrywise
         x, w = quadrature.rule(0.0, 1.0, 2048)
         P = EXTENDED.period
@@ -140,7 +135,7 @@ class TestPenaltyMatrix:
         # signed zeros too
         margin_zero = spec.extension_margin == 0
         for q in range(1, 301) if margin_zero else (1, 92):
-            W = penalty_matrix(spec, PenaltySpec("roughness"), q)
+            W = penalty_matrix(spec, ROUGH, q)
             want = roughness_penalty_dense(spec, q)
             assert np.array_equal(W, want)
             assert W.tobytes() == want.tobytes()
@@ -166,7 +161,7 @@ class TestPenaltyMatrix:
         assert penalty_matrix.cache_info().maxsize == 16
         for q in range(1, 40):
             for spec in (UNIT, EXTENDED):
-                penalty_matrix(spec, PenaltySpec("roughness"), q)
+                penalty_matrix(spec, ROUGH, q)
                 assert penalty_matrix.cache_info().currsize <= 16
 
     # The keys one round of the benchmark's Monte Carlo workload asks for,
@@ -445,14 +440,9 @@ class TestMoments:
             "    after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "    return after - before\n"
             "print(faults(1), faults(40))\n")
-        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
-               "MALLOC_TRIM_THRESHOLD_": "67108864",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(
-                   streamreg.__file__))}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        one, many = map(int, out.stdout.split())
+        out = run_fresh(code, MALLOC_MMAP_THRESHOLD_="131072",
+                        MALLOC_TRIM_THRESHOLD_="67108864")
+        one, many = map(int, out.split())
         row_pages = 16 * 16_384 // resource.getpagesize()
         assert many < one + row_pages
 
@@ -505,7 +495,7 @@ class TestGramFromMoments:
     @pytest.mark.parametrize("spec", [UNIT, EXTENDED, BasisSpec(-1.0, 3.0, 0.3)])
     def test_penalty_is_symmetric_to_the_bit(self, spec):
         for q in (1, 2, 7, 92, 93):
-            W = penalty_matrix(spec, PenaltySpec("roughness"), q)
+            W = penalty_matrix(spec, ROUGH, q)
             np.testing.assert_array_equal(W, W.T)
 
 

@@ -1,32 +1,16 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import update_theta_two_branch
+from oracles import (UNIT, feed, make_engine, replay_ledger, traced_peak,
+                     update_theta_two_branch)
 from streamreg import quadrature, scheduler
-from streamreg.basis import (BasisSpec, PenaltySpec, eval_matrix,
-                             gram_from_moments, moments)
+from streamreg.basis import BasisSpec, eval_matrix, gram_from_moments, moments
 from streamreg.density import DensityState
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import DegenerateDensityError, DomainError, StateError
 from streamreg.scheduler import SchedulerConfig
-
-UNIT = BasisSpec(0.0, 1.0)
-
-
-def make_engine(**sched_kwargs):
-    """An engine whose sketch the tests drive: the engine owns the ledger."""
-    return OnePassRegressor(UNIT, PenaltySpec("roughness"),
-                            SchedulerConfig(**sched_kwargs))
-
-
-def feed(eng, ts):
-    """Ingest the predictors ts with y = 0; the sketch reads t only."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    eng.ingest(ts, np.zeros(ts.size))
 
 
 def stub(evaluate):
@@ -41,22 +25,9 @@ def stub(evaluate):
     return state
 
 
-def replay_theta(eng, stream):
-    """Independent recomputation of every slot mean from the retained stream."""
-    ts = np.concatenate(stream)
-    n = ts.size
-    theta = eng.density.theta
-    vals = eval_matrix(eng.density.basis, theta.size, ts)
-    out = np.empty(theta.size)
-    for j in range(theta.size):
-        lo = eng.start[j] - 1
-        out[j] = vals[lo:, j].sum() / (n - lo)
-    return out
-
-
 class TestUpdate:
     def test_constant_slot_averages_to_one(self):
-        eng = make_engine(q0=1, mem_cap=3)
+        eng = make_engine(known=False, q0=1, mem_cap=3)
         feed(eng, [0.1, 0.5, 0.9, 0.3, 0.7])
         np.testing.assert_allclose(eng.density.theta, [1.0])
 
@@ -79,7 +50,7 @@ class TestUpdate:
             sums[0][5] = -0.0
             return sums
 
-        eng = make_engine()
+        eng = make_engine(known=False)
         feed(eng, np.linspace(0.0, 1.0, 10))
         before, n_old = eng.density.theta, eng.n
         monkeypatch.setattr("streamreg.engine.fold", fold)
@@ -102,9 +73,9 @@ class TestUpdate:
     def test_one_formula_matches_the_two_branch_oracle(self, sizes, margin,
                                                        mem_cap, seed):
         rng = np.random.default_rng(seed)
-        eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=margin),
-                               PenaltySpec("roughness"),
-                               SchedulerConfig(mem_cap=mem_cap))
+        eng = make_engine(known=False,
+                          spec=BasisSpec(0.0, 1.0, extension_margin=margin),
+                          mem_cap=mem_cap)
         sketch, update, calls = eng.density, eng.density.update, []
 
         def recorded(sums, counts, m):
@@ -126,18 +97,20 @@ class TestUpdate:
 
     def test_replay_oracle_mixed_batches(self):
         rng = np.random.default_rng(3)
-        eng = make_engine()
+        eng = make_engine(known=False)
         stream = []
         for _ in range(60):
             batch = rng.uniform(0, 1, rng.integers(1, 40))
             stream.append(batch)
             feed(eng, batch)
-        expected = replay_theta(eng, stream)
+        ts = np.concatenate(stream)
+        expected = replay_ledger(UNIT, SchedulerConfig(), ts,
+                                 np.zeros(ts.size))[2]
         np.testing.assert_allclose(eng.density.theta, expected, rtol=1e-10,
                                    atol=1e-12)
 
     def test_out_of_domain_batch_rejected_atomically(self):
-        eng = make_engine()
+        eng = make_engine(known=False)
         feed(eng, [0.2, 0.4])
         before = (eng.n, eng.density.theta.copy())
         with pytest.raises(DomainError):
@@ -147,7 +120,7 @@ class TestUpdate:
 
     def test_slot_count_stays_bounded(self):
         rng = np.random.default_rng(4)
-        eng = make_engine()
+        eng = make_engine(known=False)
         for _ in range(200):
             feed(eng, rng.uniform(0, 1, 50))
         p = eng.schedule.active_count(eng.n)
@@ -158,7 +131,7 @@ class TestUpdate:
 
 class TestEvaluate:
     def test_uniform_single_slot(self):
-        eng = make_engine(q0=1, mem_cap=3)
+        eng = make_engine(known=False, q0=1, mem_cap=3)
         feed(eng, np.linspace(0.05, 0.95, 19))
         for t in (0.0, 0.33, 1.0):
             assert eng.density.evaluate(t) == pytest.approx(1.0)
@@ -171,11 +144,11 @@ class TestEvaluate:
 
     def test_no_active_slot_errors(self):
         with pytest.raises(StateError):
-            make_engine().density.evaluate(0.5)
+            make_engine(known=False).density.evaluate(0.5)
 
     def test_uniform_density_sup_error(self):
         rng = np.random.default_rng(11)
-        eng = make_engine(q0=9, mem_cap=27)
+        eng = make_engine(known=False, q0=9, mem_cap=27)
         for _ in range(100):
             feed(eng, rng.uniform(0, 1, 100))
         grid = np.linspace(0, 1, 501)
@@ -184,7 +157,7 @@ class TestEvaluate:
 
 class TestNormalized:
     def test_already_a_density(self):
-        eng = make_engine(q0=1, mem_cap=3)
+        eng = make_engine(known=False, q0=1, mem_cap=3)
         feed(eng, np.linspace(0.01, 0.99, 50))
         assert eng.density.evaluate_normalized(0.4) == pytest.approx(1.0,
                                                                     abs=1e-9)
@@ -206,7 +179,7 @@ class TestNormalized:
 
     def test_integrates_to_one(self):
         rng = np.random.default_rng(5)
-        eng = make_engine()
+        eng = make_engine(known=False)
         for _ in range(30):
             feed(eng, rng.beta(2, 3, 100))
         total = quadrature.integrate(eng.density.evaluate_normalized, 0, 1,
@@ -217,8 +190,7 @@ class TestNormalized:
         # the live engine reuses its normalizer between ingests; a reloaded
         # copy computes it afresh
         rng = np.random.default_rng(12)
-        eng = OnePassRegressor(UNIT, PenaltySpec("roughness"),
-                               SchedulerConfig())
+        eng = make_engine(known=False)
         grid = np.array([0.0, 0.3, 0.77, 1.0])
         # 1-point batches, and batches that open slots strictly inside them
         for size in [1] * 8 + [500, 1, 2000, 1, 7000]:
@@ -233,24 +205,19 @@ class TestNormalized:
         # a (32768 x q) basis matrix at q = 92 alone takes 24 MB; Beta(2, 3)
         # data leave the sketch uncertified, so the quadrature runs
         rng = np.random.default_rng(13)
-        eng = make_engine()
+        eng = make_engine(known=False)
         for _ in range(100):
-            feed(eng, rng.beta(2, 3, 1000))
+            feed(eng, rng.beta(2, 3, 1000), batch=1000)
         assert eng.density.active_count == 92
         assert not eng.density.certified()
-        tracemalloc.start()
-        try:
-            eng.density.evaluate_normalized(0.5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(eng.density.evaluate_normalized, 0.5)
         assert peak < 8 * 2 ** 20
 
 
 class TestGram:
     def test_uniform_data_close_to_identity(self):
         rng = np.random.default_rng(8)
-        eng = make_engine()
+        eng = make_engine(known=False)
         for _ in range(200):
             feed(eng, rng.uniform(0, 1, 100))
         H = eng.density.gram(UNIT, 3)
@@ -268,17 +235,17 @@ class TestGram:
 
     def test_gram_needs_a_basis_count_and_an_active_slot(self):
         with pytest.raises(ValueError, match="q must be >= 1"):
-            make_engine().density.gram(UNIT, 0)
+            make_engine(known=False).density.gram(UNIT, 0)
         # a sketch with no active slot is not certified, so the quadrature's
         # evaluate refuses it
-        sketch = make_engine().density
+        sketch = make_engine(known=False).density
         assert not sketch.certified()
         with pytest.raises(StateError, match="no active slot yet"):
             sketch.gram(UNIT, 3)
 
     def test_gram_is_psd(self):
         rng = np.random.default_rng(9)
-        eng = make_engine()
+        eng = make_engine(known=False)
         for _ in range(20):
             feed(eng, rng.beta(0.5, 0.5, 50))
         for q in (2, 6, 11):
@@ -289,9 +256,9 @@ class TestGram:
 def sketch_of(draw, seed):
     """The sketch of a 1e5-point stream drawn 1000 points at a time."""
     rng = np.random.default_rng(seed)
-    eng = make_engine()
+    eng = make_engine(known=False)
     for _ in range(100):
-        feed(eng, draw(rng))
+        feed(eng, draw(rng), batch=1000)
     assert eng.density.active_count == 92
     return eng.density
 

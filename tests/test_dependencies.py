@@ -7,14 +7,14 @@ nothing), so a module that needs a package the machine happens to have, but
 """
 
 import ast
-import os
 import pathlib
 import re
-import subprocess
 import sys
 
 import pytest
 import scipy
+
+from oracles import run_fresh
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -65,11 +65,7 @@ def test_the_package_does_not_import_scipy_linalg():
     code = ("import sys\n"
             "import streamreg.cli\n"
             "print('scipy.linalg' in sys.modules)\n")
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True,
-                         timeout=60)
-    assert out.stdout == "False\n"
+    assert run_fresh(code) == "False\n"
 
 
 def test_a_missing_lapack_module_names_the_scipy_version(tmp_path):

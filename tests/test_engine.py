@@ -3,11 +3,8 @@ import functools
 import itertools
 import json
 import math
-import os
 import re
 import resource
-import subprocess
-import sys
 import threading
 import tracemalloc
 
@@ -17,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-import streamreg
 from streamreg import basis
 from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec,
                              eval_matrix, penalty_matrix)
-from oracles import (normal_equations_out_of_place, partition_tolerance,
-                     traced_peak, weighted_gram)
+from oracles import (ROUGH, UNIT, feed, make_engine,
+                     normal_equations_out_of_place, partition_tolerance,
+                     replay_ledger, run_fresh, sample, traced_peak,
+                     weighted_gram)
 from streamreg.density import DensityState
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
                               _kappa_bound, batch_fit, normal_equations,
@@ -32,26 +30,6 @@ from streamreg.errors import (CheckpointError, DomainError,
 from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.service import (MAX_LINE_BYTES, ServiceConfig, StreamRegistry,
                                decode_request, handle_request)
-
-UNIT = BasisSpec(0.0, 1.0)
-ROUGH = PenaltySpec("roughness")
-
-
-def make_engine(known=True, **sched_kwargs):
-    return OnePassRegressor(UNIT, ROUGH, SchedulerConfig(**sched_kwargs),
-                            known_uniform_density=known)
-
-
-def feed(engine, ts, ys, batch=100):
-    for i in range(0, len(ts), batch):
-        engine.ingest(ts[i:i + batch], ys[i:i + batch])
-
-
-def sample(n, seed, fn):
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0, 1, n)
-    return ts, fn(ts)
-
 
 def table_bytes(q, m):
     """Bytes of the buffer ``basis.moments`` takes for the power tables of
@@ -83,20 +61,16 @@ class TestIngest:
         """The slot sums must match a from-scratch pass over the full stream."""
         ts, ys = sample(3000, 0, lambda t: np.sin(7 * t) + t)
         ys += np.random.default_rng(1).normal(0, 0.3, ts.size)
-        eng = make_engine()
+        eng = make_engine(known=True)
         feed(eng, ts, ys, batch=37)
-        vals = eval_matrix(UNIT, eng.G.size, ts)
-        expected = np.array([
-            np.dot(vals[eng.start[j] - 1:, j], ys[eng.start[j] - 1:])
-            for j in range(eng.G.size)
-        ])
+        expected = replay_ledger(UNIT, SchedulerConfig(), ts, ys)[1]
         np.testing.assert_allclose(eng.G, expected, rtol=1e-10, atol=1e-12)
 
     def test_batch_split_invariance(self):
         """Regrouping the stream into different batches leaves G unchanged."""
         ts, ys = sample(2000, 2, lambda t: t ** 2)
-        a = make_engine()
-        b = make_engine()
+        a = make_engine(known=True)
+        b = make_engine(known=True)
         feed(a, ts, ys, batch=100)
         feed(b, ts, ys, batch=17)
         np.testing.assert_allclose(a.G, b.G, rtol=1e-12, atol=1e-12)
@@ -122,12 +96,8 @@ class TestIngest:
                  for _ in range(2)]
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
 
-        def engine():
-            return OnePassRegressor(spec, ROUGH,
-                                    SchedulerConfig(mem_cap=mem_cap),
-                                    known_uniform_density=not sketch)
-
-        a, b = engine(), engine()
+        a, b = (make_engine(known=not sketch, spec=spec, mem_cap=mem_cap)
+                for _ in range(2))
         marks = []  # a's checkpoint after each call
         for idx in parts[0]:
             a.ingest(ts[idx], ys[idx])
@@ -156,7 +126,7 @@ class TestIngest:
         sched = SchedulerConfig()
         assert sched.tau(6) == 13
         ts, ys = sample(20, 3, lambda t: 1.0 + t)
-        eng = make_engine()
+        eng = make_engine(known=True)
         eng.ingest(ts, ys)
         vals = eval_matrix(UNIT, eng.G.size, ts)
         assert eng.start[5] == 13
@@ -171,8 +141,7 @@ class TestIngest:
         # stops at its identifiable count, 39 slots
         m = 2000
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
-        eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.4),
-                               known_uniform_density=not sketch)
+        eng = make_engine(known=not sketch, spec=spec, h=0.4)
         ts, ys = sample(100_000, 21, lambda t: np.sin(5 * t))
         feed(eng, ts[:-m], ys[:-m], batch=m)
         slots = eng.start.size
@@ -198,7 +167,7 @@ class TestIngest:
         assert twin.checkpoint_json() == eng.checkpoint_json()
 
     def test_domain_violation_is_atomic(self):
-        eng = make_engine()
+        eng = make_engine(known=True)
         eng.ingest([0.5], [1.0])
         g_before = eng.G.copy()
         with pytest.raises(DomainError):
@@ -268,9 +237,9 @@ class TestIngest:
         # bits.  The cap of 117 // 3 = 39 slots is the extended basis's
         # identifiable count, so both engines hold the same slots
         ts = np.random.default_rng(16).beta(2, 3, 9000)
-        shared = OnePassRegressor(UNIT, ROUGH, SchedulerConfig(mem_cap=117))
-        own = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
-                               ROUGH, SchedulerConfig())
+        shared = make_engine(known=False, mem_cap=117)
+        own = make_engine(known=False,
+                          spec=BasisSpec(0.0, 1.0, extension_margin=0.1))
         # single points, then batches that open slots strictly inside
         for lo, hi in [(0, 1), (1, 2), (2, 40), (40, 900), (900, 9000)]:
             opens = own.start.size
@@ -282,12 +251,12 @@ class TestIngest:
         assert own.start.size == shared.start.size == 39
 
     def test_length_mismatch_rejected(self):
-        eng = make_engine()
+        eng = make_engine(known=True)
         with pytest.raises(ValueError):
             eng.ingest([0.1, 0.2], [1.0])
 
     def test_empty_batch_rejected(self):
-        eng = make_engine()
+        eng = make_engine(known=True)
         with pytest.raises(ValueError):
             eng.ingest([], [])
 
@@ -298,7 +267,7 @@ class TestSolve:
         # streaming statistics coincide with the batch moments exactly
         ts, ys = sample(500, 4, lambda t: np.exp(t))
         ys += np.random.default_rng(5).normal(0, 0.1, ts.size)
-        eng = make_engine(q0=5, mem_cap=15)
+        eng = make_engine(known=True, q0=5, mem_cap=15)
         feed(eng, ts, ys, batch=50)
         Phi = eval_matrix(UNIT, 5, ts)
         H = Phi.T @ Phi / ts.size
@@ -314,7 +283,7 @@ class TestSolve:
         # uniform Gram known, rho = 0 recovers it up to sampling error
         ts, _ = sample(5000, 6, lambda t: t)
         ys = np.sqrt(2.0) * np.cos(2 * np.pi * ts)
-        eng = make_engine(q0=5, mem_cap=15)
+        eng = make_engine(known=True, q0=5, mem_cap=15)
         feed(eng, ts, ys)
         coef = eng.solve_coefficients(0.0)
         grid = np.linspace(0, 1, 401)
@@ -325,14 +294,14 @@ class TestSolve:
 
     def test_penalty_shrinks_high_harmonics(self):
         ts, ys = sample(2000, 7, lambda t: np.sqrt(2) * np.cos(6 * np.pi * t))
-        eng = make_engine(q0=9, mem_cap=27)
+        eng = make_engine(known=True, q0=9, mem_cap=27)
         feed(eng, ts, ys)
         small = eng.solve_coefficients(1e-6)
         large = eng.solve_coefficients(1e-1)
         assert abs(large[5]) < abs(small[5])
 
     def test_singular_gram_raises_with_diagnostic(self):
-        eng = make_engine(q0=2, mem_cap=6)
+        eng = make_engine(known=True, q0=2, mem_cap=6)
         eng.ingest([0.1, 0.6], [1.0, 2.0])
         eng.gram = lambda q: (np.zeros((2, 2)), None)
         with pytest.raises(IllConditionedSystemError,
@@ -342,7 +311,7 @@ class TestSolve:
     def test_indefinite_gram_is_not_positive_definite(self):
         # Cholesky fails on an indefinite system, and the refusal says so
         # (q0 = 2 keeps the warm-up ridge out of A)
-        eng = make_engine(q0=2, mem_cap=6)
+        eng = make_engine(known=True, q0=2, mem_cap=6)
         eng.ingest([0.1, 0.6], [1.0, 2.0])
         eng.gram = lambda q: (np.diag([1.0, -0.5]), None)
         with pytest.raises(IllConditionedSystemError,
@@ -369,7 +338,7 @@ class TestSolve:
         # factor 100 from either kappa; the engine's solve and the batch
         # path's (the one batch_fit and the CV table make) gate alike
         q = 5
-        eng = make_engine(q0=q, mem_cap=3 * q)
+        eng = make_engine(known=True, q0=q, mem_cap=3 * q)
         feed(eng, *sample(50, 20, np.cos))
         Q = np.linalg.qr(np.random.default_rng(21).normal(size=(q, q)))[0]
         H = (Q * np.geomspace(1.0, 1.0 / kappa, q)) @ Q.T
@@ -395,7 +364,7 @@ class TestSolve:
         # refuses a NaN or inf in H or in the right-hand side itself, with
         # a ValueError and no coefficients
         q = 5
-        eng = make_engine(q0=q, mem_cap=3 * q)
+        eng = make_engine(known=True, q0=q, mem_cap=3 * q)
         feed(eng, *sample(50, 20, np.cos))
         H = np.eye(q)
         H[at] = H[at[::-1]] = bad
@@ -443,19 +412,19 @@ class TestSolve:
             assert got.tobytes() == want.tobytes()
 
     def test_negative_rho_rejected(self):
-        eng = make_engine(q0=2, mem_cap=6)
+        eng = make_engine(known=True, q0=2, mem_cap=6)
         eng.ingest([0.1], [1.0])
         with pytest.raises(ValueError):
             eng.solve_coefficients(-1.0)
 
     def test_query_before_data_raises(self):
-        eng = make_engine()
+        eng = make_engine(known=True)
         with pytest.raises(IllConditionedSystemError):
             eng.solve_coefficients(0.1)
 
     def test_cache_invalidated_by_ingest(self):
         ts, ys = sample(200, 8, lambda t: t)
-        eng = make_engine(q0=3, mem_cap=9)
+        eng = make_engine(known=True, q0=3, mem_cap=9)
         feed(eng, ts, ys)
         first = eng.estimate(0.5, 1e-3)
         eng.ingest([0.9, 0.1], [5.0, -5.0])
@@ -570,9 +539,8 @@ class TestConditioningCertificate:
             (1.0 + delta) / delta)
 
     def test_certificate_needs_margin_zero(self):
-        eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
-                               ROUGH, SchedulerConfig(),
-                               known_uniform_density=True)
+        eng = make_engine(known=True,
+                          spec=BasisSpec(0.0, 1.0, extension_margin=0.1))
         assert eng.gram(5)[1] is None
 
     def test_grid_certified_sketch_proves_no_spectrum(self):
@@ -610,7 +578,7 @@ class TestIdentifiableCount:
     EXTENDED = BasisSpec(0.0, 1.0, extension_margin=0.1)
 
     def engine(self, spec=EXTENDED):
-        return OnePassRegressor(spec, ROUGH, SchedulerConfig())
+        return make_engine(known=False, spec=spec)
 
     def test_an_extended_stream_answers_at_any_n(self):
         # without the count this stream held 116 slots (468 units) and
@@ -729,8 +697,7 @@ class TestTableBuffer:
 
         def run(seed, barrier=None):
             spec = BasisSpec(0.0, 1.0, extension_margin=0.1 * (seed % 2))
-            eng = OnePassRegressor(spec, ROUGH, SchedulerConfig(h=0.4),
-                                   known_uniform_density=seed == 3)
+            eng = make_engine(known=seed == 3, spec=spec, h=0.4)
             ts, ys = sample(n, 40 + seed, lambda t: np.sin(5 * t) + seed)
             if barrier is not None:
                 barrier.wait()
@@ -861,14 +828,9 @@ class TestTableBuffer:
             "s = stream()\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
             "print(s, after - before)\n")
-        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "131072",
-               "MALLOC_TRIM_THRESHOLD_": "67108864",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(
-                   streamreg.__file__))}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        return tuple(map(int, out.stdout.split()))
+        out = run_fresh(code, MALLOC_MMAP_THRESHOLD_="131072",
+                        MALLOC_TRIM_THRESHOLD_="67108864")
+        return tuple(map(int, out.split()))
 
     def test_a_repeated_stream_maps_no_table_pages(self):
         s, faults = self.repeated_stream_faults(spare=True)
@@ -887,8 +849,8 @@ def checkpoint_bases():
     """Valid records to mutate: with and without the sketch, with a margin
     and a memory cap, and before any data."""
     sketch, known = make_engine(known=False), make_engine(known=True)
-    capped = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1),
-                              ROUGH, SchedulerConfig(mem_cap=30))
+    capped = make_engine(known=False, mem_cap=30,
+                         spec=BasisSpec(0.0, 1.0, extension_margin=0.1))
     for eng in (sketch, known, capped):
         feed(eng, *sample(3000, 20, np.sin))
     return {"sketch": sketch.checkpoint(), "known": known.checkpoint(),
@@ -1009,8 +971,8 @@ GOLDEN_CHECKPOINT = (
 
 def golden_engine():
     rng = np.random.default_rng(1010)
-    eng = OnePassRegressor(BasisSpec(0.0, 1.0, extension_margin=0.1), ROUGH,
-                           SchedulerConfig(mem_cap=30))
+    eng = make_engine(known=False, mem_cap=30,
+                      spec=BasisSpec(0.0, 1.0, extension_margin=0.1))
     for size in (7, 60, 400):
         ts = rng.uniform(0, 1, size)
         eng.ingest(ts, np.sin(6 * ts) + rng.normal(0, 0.3, size))
@@ -1056,10 +1018,8 @@ class TestCheckpoint:
         batches = np.split(np.arange(ts.size), np.cumsum(sizes)[:-1])
 
         def engine():
-            return OnePassRegressor(
-                BasisSpec(0.0, 1.0, extension_margin=margin), ROUGH,
-                SchedulerConfig(mem_cap=mem_cap),
-                known_uniform_density=not sketch)
+            return make_engine(known=not sketch, mem_cap=mem_cap,
+                               spec=BasisSpec(0.0, 1.0, extension_margin=margin))
 
         def ingest(eng, part):
             for idx in part:
@@ -1138,7 +1098,7 @@ class TestCheckpoint:
         for garbage in (b"\xff", "null", "[]"):
             with pytest.raises(CheckpointError):
                 OnePassRegressor.from_checkpoint(garbage)
-        eng = make_engine(q0=2, mem_cap=6)
+        eng = make_engine(known=True, q0=2, mem_cap=6)
         eng.ingest([0.5], [1.0])
         record = eng.checkpoint()
         del record["G"]

@@ -1,14 +1,11 @@
 import csv
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
 from oracles import (generate_stream, m3_at_nodes, m3_partial_sum,
-                     replicate_data_unchunked, traced_peak)
-import streamreg
+                     replicate_data_unchunked, run_fresh, traced_peak)
 from streamreg import harness, quadrature, tuning
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import IllConditionedSystemError
@@ -102,13 +99,7 @@ class TestTargets:
                 "before = peak_kb()\n"
                 "harness._m3_interp_table()\n"
                 "print((peak_kb() - before) / 1024)\n")
-        env = {**os.environ, "NUMPY_MADVISE_HUGEPAGE": "0",
-               "PYTHONPATH": os.path.dirname(os.path.dirname(
-                   streamreg.__file__))}
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
-        assert float(out.stdout) <= 28.0
+        assert float(run_fresh(code, NUMPY_MADVISE_HUGEPAGE="0")) <= 28.0
 
     def test_m3_is_periodic(self):
         assert m3(0.0) == pytest.approx(m3(1.0), abs=1e-10)

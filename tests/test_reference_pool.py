@@ -13,10 +13,10 @@ only read.
 
 import json
 import os
-import subprocess
-import sys
 
 import pytest
+
+from oracles import run_fresh
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench")
@@ -47,10 +47,7 @@ print(json.dumps({"phase": len(ref["phase"]), "protocol": outputs,
 
 @pytest.mark.slow
 def test_every_pool_seed_matches_the_reference():
-    out = subprocess.run([sys.executable, "-c", CHECK_POOL, PERFBENCH],
-                         capture_output=True, text=True, check=True,
-                         timeout=300)
-    result = json.loads(out.stdout)
+    result = json.loads(run_fresh(CHECK_POOL, PERFBENCH))
     assert result["problems"] == []
     assert result["tol"] == 1e-10
     assert result["drift"] <= result["tol"]

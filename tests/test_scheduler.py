@@ -9,16 +9,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import fold as matrix_fold
-from oracles import Tables, fold_scan, ledger_step
-from streamreg.basis import SPLIT_MIN, BasisSpec, PenaltySpec, eval_matrix
+from oracles import (UNIT, Tables, fold_scan, ledger_step, make_engine,
+                     replay_ledger, sample)
+from streamreg.basis import SPLIT_MIN, BasisSpec, eval_matrix
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import CheckpointError
 from streamreg.scheduler import (C_CIRC, C_Q, MAX_INITIAL_SLOTS, NEVER,
                                  SchedulerConfig, _floor, fold)
 from streamreg.service import ServiceConfig
 from streamreg.tuning import TuningGrid
-
-UNIT = BasisSpec(0.0, 1.0)
 
 
 class TestFloor:
@@ -149,8 +148,7 @@ class TestSchedule:
             mem_cap=3 * MAX_INITIAL_SLOTS).slot_count(1) == MAX_INITIAL_SLOTS
 
     def test_huge_initial_slot_count_checkpoint_rejected(self):
-        record = OnePassRegressor(UNIT, PenaltySpec("roughness"),
-                                  SchedulerConfig()).checkpoint()
+        record = make_engine(known=False).checkpoint()
         for key, value in (("C_q", 1e-9), ("q0", 10 ** 9),
                            ("fixed_q", 10 ** 9)):
             bad = json.loads(json.dumps(record))
@@ -236,17 +234,6 @@ class TestExtend:
             np.testing.assert_array_equal(start, one_shot)
 
 
-def replay_ledger(sched, ts, ys):
-    """One-shot replay of the slot ledger over the whole retained stream."""
-    n = ts.size
-    start = np.array([sched.tau(j) for j in range(1, sched.slot_count(n) + 1)])
-    vals = eval_matrix(UNIT, start.size, ts)
-    G = np.array([vals[s - 1:, j] @ ys[s - 1:] for j, s in enumerate(start)])
-    theta = np.array([vals[s - 1:, j].sum() / (n - s + 1)
-                      for j, s in enumerate(start)])
-    return start, G, theta
-
-
 def assert_close_relative(actual, expected, rel):
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(actual - expected)) <= rel * scale
@@ -260,15 +247,13 @@ class TestLedger:
     # one batch of 500 opens slots 6..20 strictly inside it
     @example(sizes=[500], mem_cap=None, seed=0)
     def test_batches_match_one_shot_replay(self, sizes, mem_cap, seed):
-        rng = np.random.default_rng(seed)
-        ts = rng.uniform(0, 1, sum(sizes))
-        ys = np.sin(5 * ts) + rng.normal(0, 0.3, ts.size)
-        sched = SchedulerConfig(mem_cap=mem_cap)
-        eng = OnePassRegressor(UNIT, PenaltySpec("roughness"), sched)
+        ts, ys = sample(sum(sizes), seed, lambda t: np.sin(5 * t), 0.3)
+        eng = make_engine(known=False, mem_cap=mem_cap)
         edges = np.cumsum([0] + sizes)
         for lo, hi in zip(edges[:-1], edges[1:]):
             eng.ingest(ts[lo:hi], ys[lo:hi])
-        start, G, theta = replay_ledger(sched, ts, ys)
+        start, G, theta = replay_ledger(UNIT, SchedulerConfig(mem_cap=mem_cap),
+                                        ts, ys)
         record = eng.checkpoint()
         assert record["theta_start"] == record["start"]
         np.testing.assert_array_equal(eng.start, start)
@@ -328,8 +313,7 @@ class TestLeanLedger:
         rng = np.random.default_rng(seed)
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         sched = SchedulerConfig(h=h, mem_cap=mem_cap)
-        eng = OnePassRegressor(spec, PenaltySpec("roughness"), sched,
-                               known_uniform_density=not sketch)
+        eng = make_engine(known=not sketch, spec=spec, h=h, mem_cap=mem_cap)
         state = (0, np.zeros(0, dtype=np.int64), np.zeros(0),
                  np.zeros(0) if sketch else None)
         most = 0

@@ -15,12 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import fresh_env, make_engine, sample
 from streamreg import cli, harness, service
-from streamreg.basis import BasisSpec, PenaltySpec
+from streamreg.basis import BasisSpec
 from streamreg.cli import main
 from streamreg.engine import RCOND_FLOOR, OnePassRegressor
 from streamreg.harness import Scenario
-from streamreg.scheduler import SchedulerConfig
 from streamreg.service import (MAX_DEPTH, MAX_LINE_BYTES, MAX_STREAMS,
                                ServiceConfig, StreamRegistry, StreamService,
                                decode_request, handle_request)
@@ -206,8 +206,7 @@ class TestRegistry:
         ts = np.random.default_rng(3).uniform(0, 1, 500)
         handle_request(registry, {"op": "ingest", "stream_id": "a",
                                   "points": np.c_[ts, np.sin(ts)].tolist()})
-        reg = OnePassRegressor(BasisSpec(0.0, 1.0), PenaltySpec("roughness"),
-                               SchedulerConfig())
+        reg = make_engine(known=False)
         reg.ingest(ts, np.sin(ts))
         resp = handle_request(registry, {"op": "query", "stream_id": "a",
                                          "kind": "density", "t": 0.3})
@@ -557,9 +556,7 @@ class TestSocketService:
                 fresh_batches.append(ts)
                 resp = client.request(op="query", stream_id="s",
                                       kind="density", t=0.3)
-                fresh = OnePassRegressor(BasisSpec(0.0, 1.0),
-                                         PenaltySpec("roughness"),
-                                         SchedulerConfig())
+                fresh = make_engine(known=False)
                 for batch in fresh_batches:
                     fresh.ingest(batch, np.sin(batch))
                 assert resp == {"ok": True, "value": fresh.density_at(0.3)}
@@ -711,16 +708,18 @@ class TestSocketService:
             thread.join()
 
 
-def write_stream_csv(path, n=600, seed=0):
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0, 1, n)
-    ys = np.sin(2 * np.pi * ts) + rng.normal(0, 0.1, n)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "y"])
-        for t, y in zip(ts, ys):
-            writer.writerow([repr(float(t)), repr(float(y))])
-    return ts, ys
+def ingest_csv(tmp_path, *flags, n=600, text=None):
+    """The exit code of ``ingest-csv`` with ``flags`` from tmp_path/s.csv
+    into tmp_path/c.json.  The CSV holds ``text`` or, by default, n points
+    of a stream seeded at 0: y = sin(2 pi t) + N(0, 0.1^2)."""
+    if text is None:
+        ts, ys = sample(n, 0, lambda t: np.sin(2 * np.pi * t), 0.1)
+        text = "t,y\n" + "".join(f"{t!r},{y!r}\n" for t, y in
+                                 zip(ts.tolist(), ys.tolist()))
+    data = tmp_path / "s.csv"
+    data.write_text(text)
+    return main(["ingest-csv", "--input", str(data),
+                 "--checkpoint", str(tmp_path / "c.json"), *flags])
 
 
 class TestCli:
@@ -730,12 +729,8 @@ class TestCli:
         capsys.readouterr()
 
     def test_ingest_query_pipeline(self, tmp_path, capsys):
-        data = tmp_path / "stream.csv"
-        ckpt = tmp_path / "state.json"
-        out = tmp_path / "fit.csv"
-        write_stream_csv(data)
-        assert main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)]) == 0
+        ckpt, out = tmp_path / "c.json", tmp_path / "fit.csv"
+        assert ingest_csv(tmp_path) == 0
         assert json.loads(ckpt.read_text())["n"] == 600
         assert main(["query", "--checkpoint", str(ckpt), "--grid", "11",
                      "--out", str(out)]) == 0
@@ -746,11 +741,8 @@ class TestCli:
         capsys.readouterr()
 
     def test_query_rho_follows_the_penalty(self, tmp_path, capsys):
-        data, ckpt, out = (tmp_path / name
-                           for name in ("s.csv", "c.json", "q.csv"))
-        write_stream_csv(data, n=1000)
-        assert main(["ingest-csv", "--input", str(data), "--checkpoint",
-                     str(ckpt), "--penalty", "identity"]) == 0
+        ckpt, out = tmp_path / "c.json", tmp_path / "q.csv"
+        assert ingest_csv(tmp_path, "--penalty", "identity", n=1000) == 0
         assert main(["query", "--checkpoint", str(ckpt), "--grid", "11",
                      "--out", str(out)]) == 0
         with open(out) as fh:
@@ -763,11 +755,8 @@ class TestCli:
     def test_default_ingest_stays_solvable(self, tmp_path, capsys):
         # past n = 2e4 the active q passes 50, where an extended basis
         # makes the penalized system singular; the default margin is 0
-        data, ckpt, out = (tmp_path / name
-                           for name in ("s.csv", "c.json", "q.csv"))
-        write_stream_csv(data, n=20_000)
-        assert main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)]) == 0
+        ckpt, out = tmp_path / "c.json", tmp_path / "q.csv"
+        assert ingest_csv(tmp_path, n=20_000) == 0
         assert main(["query", "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 0
         with open(out) as fh:
@@ -784,10 +773,8 @@ class TestCli:
                 == ServiceConfig()
 
     def test_query_density_of_sketch(self, tmp_path, capsys):
-        data, ckpt, out = (tmp_path / name
-                           for name in ("s.csv", "c.json", "d.csv"))
-        write_stream_csv(data)
-        main(["ingest-csv", "--input", str(data), "--checkpoint", str(ckpt)])
+        ckpt, out = tmp_path / "c.json", tmp_path / "d.csv"
+        ingest_csv(tmp_path)
         assert main(["query", "--checkpoint", str(ckpt), "--kind", "density",
                      "--grid", "11", "--out", str(out)]) == 0
         with open(out) as fh:
@@ -799,8 +786,7 @@ class TestCli:
 
     def test_query_density_known_uniform(self, tmp_path, capsys):
         ckpt, out = tmp_path / "c.json", tmp_path / "d.csv"
-        reg = OnePassRegressor(BasisSpec(-1.0, 3.0), PenaltySpec("roughness"),
-                               SchedulerConfig(), known_uniform_density=True)
+        reg = make_engine(known=True, spec=BasisSpec(-1.0, 3.0))
         reg.ingest(np.linspace(-1.0, 3.0, 50), np.ones(50))
         ckpt.write_text(reg.checkpoint_json())
         assert main(["query", "--checkpoint", str(ckpt), "--kind", "density",
@@ -811,10 +797,8 @@ class TestCli:
         capsys.readouterr()
 
     def test_query_output_is_deterministic(self, tmp_path, capsys):
-        data = tmp_path / "stream.csv"
-        ckpt = tmp_path / "state.json"
-        write_stream_csv(data)
-        main(["ingest-csv", "--input", str(data), "--checkpoint", str(ckpt)])
+        ckpt = tmp_path / "c.json"
+        ingest_csv(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         main(["query", "--checkpoint", str(ckpt), "--out", str(out1)])
         main(["query", "--checkpoint", str(ckpt), "--out", str(out2)])
@@ -822,29 +806,16 @@ class TestCli:
         capsys.readouterr()
 
     def test_resume_matches_single_pass(self, tmp_path, capsys):
-        rng = np.random.default_rng(42)
-        ts = rng.uniform(0, 1, 400)
-        ys = ts ** 2
-
-        def dump(path, idx):
-            with open(path, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(["t", "y"])
-                for i in idx:
-                    w.writerow([repr(float(ts[i])), repr(float(ys[i]))])
-
-        full_csv, a_csv, b_csv = (tmp_path / f"{s}.csv" for s in "fab")
-        dump(full_csv, range(400))
-        dump(a_csv, range(200))
-        dump(b_csv, range(200, 400))
-        full_ck, part_ck = tmp_path / "full.json", tmp_path / "part.json"
-        main(["ingest-csv", "--input", str(full_csv),
-              "--checkpoint", str(full_ck)])
-        main(["ingest-csv", "--input", str(a_csv),
-              "--checkpoint", str(part_ck)])
-        main(["ingest-csv", "--input", str(b_csv), "--resume", str(part_ck),
-              "--checkpoint", str(part_ck)])
-        assert full_ck.read_text() == part_ck.read_text()
+        ts = np.random.default_rng(42).uniform(0, 1, 400)
+        rows = [f"{t!r},{y!r}\n" for t, y in zip(ts.tolist(),
+                                                 (ts ** 2).tolist())]
+        ckpt = tmp_path / "c.json"
+        ingest_csv(tmp_path, text="t,y\n" + "".join(rows))
+        full = ckpt.read_text()
+        ingest_csv(tmp_path, text="t,y\n" + "".join(rows[:200]))
+        ingest_csv(tmp_path, "--resume", str(ckpt),
+                   text="t,y\n" + "".join(rows[200:]))
+        assert ckpt.read_text() == full
         capsys.readouterr()
 
     @pytest.mark.parametrize("fault", ["write", "replace"])
@@ -853,13 +824,13 @@ class TestCli:
         # --resume and --checkpoint name one file: a write that raises
         # must leave the checkpoint the run resumed from byte for byte,
         # and no partial file beside it
-        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
-        write_stream_csv(data, n=50)
-        assert main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)]) == 0
+        ckpt = tmp_path / "c.json"
+        assert ingest_csv(tmp_path, n=50) == 0
         before, listing = ckpt.read_bytes(), sorted(os.listdir(tmp_path))
-        resume = ["ingest-csv", "--input", str(data), "--resume", str(ckpt),
-                  "--checkpoint", str(ckpt)]
+
+        def resume():
+            return ingest_csv(tmp_path, "--resume", str(ckpt), n=50)
+
         capsys.readouterr()
         if fault == "write":
             # a lone surrogate cannot be encoded, so the write itself raises
@@ -867,18 +838,18 @@ class TestCli:
             monkeypatch.setattr(OnePassRegressor, "checkpoint_json",
                                 lambda reg: text(reg)[:40] + "\udc80")
             with pytest.raises(UnicodeEncodeError):
-                main(resume)
+                resume()
         else:
             def refuse(src, dst):
                 raise OSError("no space left")
             # an OSError is reported as for a file that cannot be opened
             monkeypatch.setattr(cli.os, "replace", refuse)
-            assert main(resume) == 1
+            assert resume() == 1
             assert capsys.readouterr().err == "error: no space left\n"
         assert ckpt.read_bytes() == before
         assert sorted(os.listdir(tmp_path)) == listing
         monkeypatch.undo()
-        assert main(resume) == 0
+        assert resume() == 0
         assert json.loads(ckpt.read_text())["n"] == 100
         assert sorted(os.listdir(tmp_path)) == listing
         capsys.readouterr()
@@ -886,22 +857,19 @@ class TestCli:
     def test_resume_rejects_engine_flags(self, tmp_path, capsys):
         # a resumed stream keeps the checkpoint's configuration, so a flag
         # that would change it is an error, not silently dropped
-        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
-        write_stream_csv(data, n=50)
-        assert main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)]) == 0
+        ckpt = tmp_path / "c.json"
+        assert ingest_csv(tmp_path, n=50) == 0
         before = ckpt.read_text()
         capsys.readouterr()
         for flags in (["--penalty", "identity", "--margin", "0.1",
                        "--batch-size", "7"], ["--lo", "0.0"],
                       ["--mem-cap", "30"]):
-            assert main(["ingest-csv", "--input", str(data), "--resume",
-                         str(ckpt), "--checkpoint", str(ckpt), *flags]) == 1
+            assert ingest_csv(tmp_path, "--resume", str(ckpt), *flags,
+                              n=50) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and flags[0] in err
             assert ckpt.read_text() == before
-        assert main(["ingest-csv", "--input", str(data), "--resume",
-                     str(ckpt), "--checkpoint", str(ckpt)]) == 0
+        assert ingest_csv(tmp_path, "--resume", str(ckpt), n=50) == 0
         assert json.loads(ckpt.read_text())["n"] == 100
         capsys.readouterr()
 
@@ -910,13 +878,9 @@ class TestCli:
         ("--lo", "inf", "lo"), ("--batch-size", "0", "batch_size")])
     def test_invalid_engine_flag_is_an_error(self, tmp_path, capsys, flag,
                                              value, field):
-        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
-        write_stream_csv(data, n=50)
-        code = main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt), flag, value])
-        assert code == 1
+        assert ingest_csv(tmp_path, flag, value, n=50) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must ")
-        assert not ckpt.exists()
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("flags, message", [
         (["--lo", "1", "--hi", "0"], "domain requires lo < hi"),
@@ -928,12 +892,9 @@ class TestCli:
         (["--h", "0.9"], H_PAST_ITS_BOUND)])
     def test_engine_flags_out_of_range_are_errors(self, tmp_path, capsys,
                                                   flags, message):
-        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
-        write_stream_csv(data, n=50)
-        assert main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt), *flags]) == 1
+        assert ingest_csv(tmp_path, *flags, n=50) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not ckpt.exists()
+        assert not (tmp_path / "c.json").exists()
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--config", "{missing}"],
@@ -944,7 +905,7 @@ class TestCli:
     def test_a_missing_file_is_an_error(self, tmp_path, capsys, argv):
         data, missing, out = (tmp_path / name
                               for name in ("s.csv", "missing", "out"))
-        write_stream_csv(data, n=50)
+        data.write_text("t,y\n0.5,1.0\n")
         names = {"data": data, "missing": missing, "out": out}
         assert main([arg.format(**names) for arg in argv]) == 1
         err = capsys.readouterr().err
@@ -994,11 +955,8 @@ class TestCli:
         (["--rho", "inf"], "--rho must be a finite number >= 0")])
     def test_invalid_query_flag_is_an_error(self, tmp_path, capsys, flags,
                                             message):
-        data, ckpt, out = (tmp_path / name
-                           for name in ("s.csv", "c.json", "q.csv"))
-        write_stream_csv(data, n=200)
-        assert main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)]) == 0
+        ckpt, out = tmp_path / "c.json", tmp_path / "q.csv"
+        assert ingest_csv(tmp_path, n=200) == 0
         capsys.readouterr()
         assert main(["query", "--checkpoint", str(ckpt), *flags,
                      "--out", str(out)]) == 1
@@ -1039,9 +997,6 @@ class TestCli:
     def test_serve_stops_on_sigint_when_started_ignoring_it(self):
         # a non-interactive shell starts a background job with SIGINT
         # ignored, and an ignored signal stays ignored across exec
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         launch = ("import os, signal, sys; "
                   "signal.signal(signal.SIGINT, signal.SIG_IGN); "
                   "os.execv(sys.executable, [sys.executable, '-m', "
@@ -1049,8 +1004,8 @@ class TestCli:
         # a SIGINT sent the moment the banner arrives must still stop the
         # server cleanly; repeat, since a race shows only now and then
         for _ in range(5):
-            proc = subprocess.Popen([sys.executable, "-c", launch], env=env,
-                                    stdout=subprocess.PIPE,
+            proc = subprocess.Popen([sys.executable, "-c", launch],
+                                    env=fresh_env(), stdout=subprocess.PIPE,
                                     stderr=subprocess.DEVNULL)
             try:
                 # the banner reaches a pipe without -u
@@ -1070,30 +1025,20 @@ class TestCli:
         ("0.5,-inf", "not finite"), ("1.5,1", "outside the domain"),
         ("nan,1", "outside the domain")])
     def test_bad_row_reports_its_line(self, tmp_path, capsys, row, message):
-        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
-        data.write_text(f"t,y\n0.1,2.0\n\n{row}\n0.2,1.0\n")
-        code = main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)])
+        code = ingest_csv(tmp_path, text=f"t,y\n0.1,2.0\n\n{row}\n0.2,1.0\n")
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: line 4: ") and message in err
-        assert not ckpt.exists()
+        assert not (tmp_path / "c.json").exists()
 
     def test_overflowing_batch_reports_its_lines(self, tmp_path, capsys):
-        data, ckpt = tmp_path / "s.csv", tmp_path / "c.json"
-        data.write_text("t,y\n" + "0.5,1e308\n" * 3)
-        code = main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(ckpt)])
+        code = ingest_csv(tmp_path, text="t,y\n" + "0.5,1e308\n" * 3)
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("error: lines 2-4: ")
-        assert not ckpt.exists()
+        assert not (tmp_path / "c.json").exists()
 
     def test_bad_header_fails(self, tmp_path, capsys):
-        data = tmp_path / "bad.csv"
-        data.write_text("x,y\n0.1,2.0\n")
-        code = main(["ingest-csv", "--input", str(data),
-                     "--checkpoint", str(tmp_path / "c.json")])
-        assert code == 1
+        assert ingest_csv(tmp_path, text="x,y\n0.1,2.0\n") == 1
         capsys.readouterr()
 
     def test_protocol_command(self, tmp_path, capsys):

@@ -1,12 +1,12 @@
 import copy
 import csv
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import cv_table_by_batch_fit, cv_tolerance
+from oracles import (ROUGH, UNIT, cv_table_by_batch_fit, cv_tolerance,
+                     sample, traced_peak)
 from streamreg import basis, tuning
 from streamreg.basis import BasisSpec, PenaltySpec
 from streamreg.errors import TuningError
@@ -15,16 +15,11 @@ from streamreg.tuning import (DEFAULT_H_GRID, TuningGrid, cv_select,
                               cv_table, deployable, rho_at,
                               write_tuning_report)
 
-UNIT = BasisSpec(0.0, 1.0)
-ROUGH = PenaltySpec("roughness")
 IDENT = PenaltySpec("identity")
 
 
-def noisy_sample(n, seed, sigma=0.3):
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0, 1, n)
-    ys = np.sqrt(2) * np.cos(2 * np.pi * ts) + rng.normal(0, sigma, n)
-    return ts, ys
+def cosine(t):
+    return np.sqrt(2) * np.cos(2 * np.pi * t)
 
 
 def picked(rows, spec, n_deploy):
@@ -114,7 +109,7 @@ class TestGridValidation:
 
 class TestCvTable:
     def test_table_covers_full_grid(self):
-        ts, ys = noisy_sample(300, 0)
+        ts, ys = sample(300, 0, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25, 1 / 3), n0=300)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         assert len(rows) == 4
@@ -128,7 +123,7 @@ class TestCvTable:
         from streamreg.basis import eval_matrix
         from streamreg.scheduler import _floor
 
-        ts, ys = noisy_sample(200, 1)
+        ts, ys = sample(200, 1, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(0.5,), h_grid=(0.25,), J=4, n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         q = max(5, _floor(200 ** 0.25 / 0.5))
@@ -142,7 +137,7 @@ class TestCvTable:
         assert rows[0]["cv"] == pytest.approx(cv, rel=1e-12)
 
     def test_rho_follows_the_penalty_exponent(self):
-        ts, ys = noisy_sample(300, 4)
+        ts, ys = sample(300, 4, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25, 1 / 3), n0=300)
         for pen, zeta in ((ROUGH, 4.0), (IDENT, 0.0)):
             for r in cv_table(ts, ys, grid, pen, UNIT):
@@ -154,7 +149,7 @@ class TestCvTable:
         # fold sums and leading blocks move only the rounding; the grids
         # repeat entries, which rows must keep apart by position
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
-        ts, ys = noisy_sample(300, 8)
+        ts, ys = sample(300, 8, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(1e-3, 0.1, 1e-3, 10.0),
                           h_grid=(0.25, 0.4, 0.25), J=4, n0=300)
         rows = assert_matches_oracle(ts, ys, grid, penalty, spec)
@@ -174,7 +169,7 @@ class TestCvTable:
         # grids up to h = 0.8 on 20 points reach q past n_t, so some rows
         # are refused and must be refused alike
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
-        ts, ys = noisy_sample(n0, seed)
+        ts, ys = sample(n0, seed, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=C_rho_grid, h_grid=h_grid, J=J, n0=n0)
         assert_matches_oracle(ts, ys, grid, penalty, spec)
 
@@ -194,7 +189,7 @@ class TestCvTable:
                                     tuning.normal_equations))
         monkeypatch.setattr(basis, "eval_matrix",
                             counted("eval_matrix", basis.eval_matrix))
-        ts, ys = noisy_sample(1000, 10)
+        ts, ys = sample(1000, 10, cosine, 0.3)
         rows = cv_table(ts, ys, TuningGrid(), ROUGH, UNIT)
         assert len(rows) == 30
         assert calls == {"normal_equations": 5, "eval_matrix": 0}
@@ -216,7 +211,7 @@ class TestCvTable:
         assert rows[1]["se"] == rows[3]["se"] == 0.0
 
     def test_short_sample_rejected(self):
-        ts, ys = noisy_sample(50, 2)
+        ts, ys = sample(50, 2, cosine, 0.3)
         with pytest.raises(ValueError):
             cv_table(ts, ys, TuningGrid(n0=1000), ROUGH, UNIT)
 
@@ -225,13 +220,13 @@ class TestCvTable:
     def test_unequal_lengths_rejected(self, n_t, n_y):
         # both samples reach n0 in the first two cases, so slicing each to
         # n0 would hide the mismatch from every fold
-        ts, _ = noisy_sample(n_t, 4)
-        _, ys = noisy_sample(n_y, 4)
+        ts, _ = sample(n_t, 4, cosine, 0.3)
+        _, ys = sample(n_y, 4, cosine, 0.3)
         with pytest.raises(ValueError, match="equal length"):
             cv_table(ts, ys, TuningGrid(n0=1000), ROUGH, UNIT)
 
     def test_only_prefix_is_used(self):
-        ts, ys = noisy_sample(400, 3)
+        ts, ys = sample(400, 3, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.25,), n0=300)
         rows_a = cv_table(ts, ys, grid, ROUGH, UNIT)
         ys2 = ys.copy()
@@ -244,7 +239,7 @@ class TestSelect:
     def test_prefers_good_fit(self):
         # a smooth low-frequency target under moderate noise should not pick
         # the most aggressive penalty in the grid
-        ts, ys = noisy_sample(1000, 4, sigma=0.2)
+        ts, ys = sample(1000, 4, cosine, 0.2)
         grid = TuningGrid(C_rho_grid=(1e-3, 1e2), h_grid=(0.25,))
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         pick = cv_select(rows, UNIT, 1000, None)  # margin 0 admits every row
@@ -257,7 +252,7 @@ class TestSelect:
     def test_tie_breaks_toward_more_regularization(self):
         # duplicated grid entries produce exact ties; the larger rho wins,
         # then the smaller h
-        ts, ys = noisy_sample(200, 5)
+        ts, ys = sample(200, 5, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(1.0, 1.0), h_grid=(0.25, 0.25), n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         cvs = [r["cv"] for r in rows]
@@ -266,7 +261,7 @@ class TestSelect:
         assert (pick["C_rho"], pick["h"]) == (1.0, 0.25)
 
     def test_report_round_trips(self, tmp_path):
-        ts, ys = noisy_sample(200, 6)
+        ts, ys = sample(200, 6, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25,), n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         pick = cv_select(rows, UNIT, 200, None)
@@ -287,7 +282,7 @@ class TestSelect:
         # and none under a 30-unit cap, nor (q <= 20) at n = 100; the rows
         # must serve every screen
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
-        ts, ys = noisy_sample(500, 9)
+        ts, ys = sample(500, 9, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(1e-3, 1.0), h_grid=(0.2, 0.5), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         before = copy.deepcopy(rows)
@@ -300,7 +295,7 @@ class TestSelect:
 
     def test_nothing_deployable_is_a_tuning_error(self):
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
-        ts, ys = noisy_sample(500, 9)
+        ts, ys = sample(500, 9, cosine, 0.3)
         grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.5,), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         # the screen, not the CV, emptied the grid, and the message says so
@@ -361,10 +356,5 @@ class TestDeployable:
 
     def test_margin_zero_builds_no_gram(self):
         # h = 0.8 reaches q = 20 000 at n = 1e5: a 3.2 GB Gram if built
-        tracemalloc.start()
-        try:
-            assert deployable(UNIT, 0.8, 100_000, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert traced_peak(deployable, UNIT, 0.8, 100_000, None) < 1 << 20
+        assert deployable(UNIT, 0.8, 100_000, None)
