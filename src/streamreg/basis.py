@@ -52,6 +52,11 @@ def _load_flapack(paths):
 # The package's one handle on LAPACK.
 lapack = _load_flapack([os.path.join(p, "linalg") for p in scipy.__path__])
 
+# No limit: a count past every slot count and int64 stream position, so that
+# min(count, NEVER) is the count.  It is also the activation and start time
+# of a slot that never opens (``scheduler``).
+NEVER = 2 ** 63
+
 
 def is_real(v):
     """A finite real number: an int or a float, not a bool.  An int past the
@@ -334,10 +339,10 @@ def _tables(spec, K, t, buf):
 
 def chunk_points(K):
     """Most points of one ``moments`` chunk at K: as many as keep the
-    chunk's tables within SPARE_BYTES; None (no limit) at K = 0, which
+    chunk's tables within SPARE_BYTES; NEVER (no limit) at K = 0, which
     builds no table."""
     rows = _table_shape(K)[1]
-    return SPARE_BYTES // (16 * rows) if rows else None
+    return SPARE_BYTES // (16 * rows) if rows else NEVER
 
 
 def _tail_moments(low, high, r, m, weights, tails, out):
@@ -420,8 +425,8 @@ def moments(spec, K, t, weights, tails):
         raise ValueError("only the last weight may be an array")
     t = np.asarray(t, float)
     m = t.size
-    step = chunk_points(K) or m
-    buf = _take_buffer(_table_shape(K)[1] * min(m, step))
+    step = min(chunk_points(K), m)
+    buf = _take_buffer(_table_shape(K)[1] * step)
     try:
         total = None
         for s in range(0, m, step):
@@ -535,16 +540,17 @@ MAX_IDENTIFIABLE = 1 << 10
 @functools.lru_cache(maxsize=64)
 def identifiable_count(spec):
     """The largest basis count q whose uniform Gram keeps its eigenvalues
-    above GRAM_EIG_FLOOR / (hi - lo), at most MAX_IDENTIFIABLE; None at
-    margin 0, where that Gram is I_q / (hi - lo).  Fourier extensions are
-    ill-conditioned frames past a fixed count (Adcock, Huybrechs and
-    Martin-Vaquero, *Found. Comput. Math.* 14, 2014): 39 at a margin of a
-    tenth of hi - lo.  The Gram of q functions leads that of Q > q, so a
-    Cholesky factorization of the larger minus the floor first fails at
-    order q + 1 (Sylvester's criterion); Q doubles from 64 until it does.
+    above GRAM_EIG_FLOOR / (hi - lo), at most MAX_IDENTIFIABLE; NEVER (no
+    limit) at margin 0, where that Gram is I_q / (hi - lo).  Fourier
+    extensions are ill-conditioned frames past a fixed count (Adcock,
+    Huybrechs and Martin-Vaquero, *Found. Comput. Math.* 14, 2014): 39 at a
+    margin of a tenth of hi - lo.  The Gram of q functions leads that of
+    Q > q, so a Cholesky factorization of the larger minus the floor first
+    fails at order q + 1 (Sylvester's criterion); Q doubles from 64 until it
+    does.
     """
     if spec.extension_margin == 0.0:
-        return None
+        return NEVER
     Q = 64
     while True:
         A = gram_uniform(spec, Q)

@@ -208,17 +208,26 @@ def _cmd_ingest_csv(args):
 def _replace_file(path, text):
     """Write ``text`` to a new file beside ``path``, then rename it over
     ``path``: a write that fails leaves the previous file as it was (it may
-    be the checkpoint the run resumed from) and removes the new one."""
+    be the checkpoint the run resumed from) and removes the new one.  The
+    new file is synced before the rename and its folder after it, so a crash
+    leaves the old file or the whole new one at ``path``."""
     folder, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(folder, f".{name}.{secrets.token_hex(8)}.tmp")
     try:
         with open(tmp, "x") as fh:
             fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
             os.remove(tmp)
         raise
+    folder_fd = os.open(folder, os.O_RDONLY)
+    try:
+        os.fsync(folder_fd)
+    finally:
+        os.close(folder_fd)
 
 
 def _ingest_rows(reg, batch):

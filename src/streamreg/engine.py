@@ -281,7 +281,7 @@ class OnePassRegressor:
         # compare sizes first, so a huge n never builds its tau list
         q_id = basis_mod.identifiable_count(reg.reg_basis)
         opened = reg.schedule.slot_count(n) if n else 0
-        if slots != (opened if q_id is None else min(opened, q_id)):
+        if slots != min(opened, q_id):
             raise CheckpointError("checkpoint start does not match the schedule")
         reg.n, reg.G, reg.start = n, G, reg.schedule.extend(reg.start, n, q_id)
         # G and theta are written back as they are, so the round trip below

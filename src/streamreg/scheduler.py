@@ -32,17 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import is_count, is_real, moments, require, sums_from_moments
+from .basis import (NEVER, is_count, is_real, moments, require,
+                    sums_from_moments)
 
 # Guards floor() against representation error in x**(1/h) for exact powers.
 _FLOOR_EPS = 1e-9
 
 C_Q = C_CIRC = 0.5  # the constants of S(j) and tau_j above
-
-# Activation and start time of a slot that never opens: a slot whose
-# activation time (C_Q*j)^(1/h) overflows a float or reaches 2**63 lies past
-# every int64 stream position.
-NEVER = 2 ** 63
 
 # Largest q0.  A stream's state grows with its slot count, so a huge q0
 # would make the first ingest allocate without bound.  The schedule opens at
@@ -82,13 +78,14 @@ class SchedulerConfig:
 
     @property
     def cap_q(self):
-        """Largest slot index the memory cap allows (q = min(s/3, ...))."""
-        if self.mem_cap is None:
-            return None
-        return max(1, self.mem_cap // 3)
+        """Largest slot index the memory cap allows (q = min(s/3, ...));
+        NEVER with no cap."""
+        return NEVER if self.mem_cap is None else max(1, self.mem_cap // 3)
 
     def S(self, j):
-        """Activation time of basis function j (``NEVER`` past 2**63)."""
+        """Activation time of basis function j: ``NEVER`` when
+        (C_Q*j)^(1/h) overflows a float or reaches 2**63, past every int64
+        stream position."""
         if j < 1:
             raise ValueError("slot index must be >= 1")
         try:
@@ -109,8 +106,7 @@ class SchedulerConfig:
         """Number of basis functions participating in the estimate at time n."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        q = max(self.q0, _floor(n ** self.h / C_Q))
-        return q if self.cap_q is None else min(q, self.cap_q)
+        return min(max(self.q0, _floor(n ** self.h / C_Q)), self.cap_q)
 
     def slot_count(self, n):
         """Number of slots (active plus pre-estimating) open at time n: the
@@ -124,13 +120,11 @@ class SchedulerConfig:
             j += 1
         while j > self.q0 and self.tau(j) > n:
             j -= 1
-        if self.cap_q is not None:
-            j = min(j, self.cap_q)
-        return j
+        return min(j, self.cap_q)
 
     def extend(self, start, n, limit):
         """Start vector ``start`` extended by tau_j of the slots open at time
-        n, to at most ``limit`` slots (None for no limit).
+        n, to at most ``limit`` slots (``NEVER`` for no limit).
 
         ``start`` must be the start vector at some earlier time, so it is
         returned as is when it has reached the cap or the limit, or its next
@@ -138,7 +132,7 @@ class SchedulerConfig:
         """
         if start.size in (self.cap_q, limit) or self.tau(start.size + 1) > n:
             return start
-        n_slots = min(self.slot_count(n), NEVER if limit is None else limit)
+        n_slots = min(self.slot_count(n), limit)
         opened = [self.tau(j) for j in range(start.size + 1, n_slots + 1)]
         return np.concatenate([start, np.array(opened, dtype=np.int64)])
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 import numpy as np
 import orjson
 
-from .basis import BasisSpec, PenaltySpec, is_real, require
+from .basis import BasisSpec, PenaltySpec, is_real
 from .engine import OnePassRegressor
 from .errors import DomainError, NotFoundError, StreamRegError
 from .scheduler import SchedulerConfig
@@ -103,16 +103,13 @@ class ServiceConfig:
     extension_margin: float = BasisSpec.extension_margin
     penalty: str = PenaltySpec.kind
     h: float = SchedulerConfig.h
-    C_rho: float = 1.0
+    C_rho = 1.0  # not a field: the penalty constant of every rho served
     mem_cap: int | None = SchedulerConfig.mem_cap
     known_uniform_density: bool = False
     batch_size: int = 100
 
     def __post_init__(self):
-        require(is_real, "a finite number", self, "C_rho")
-        if self.C_rho <= 0:
-            raise ValueError("C_rho must be positive")
-        self.engine()  # the engine's constructors check every other field
+        self.engine()  # the engine's constructors check every field
 
     def engine(self):
         """A fresh engine with this configuration."""

@@ -5,7 +5,7 @@ where zeta is the growth exponent of the penalty's spectrum, taken from
 ``PenaltySpec.zeta``: the Fourier roughness penalty has zeta = 4, giving
 C_rho * n^(-(7h+1)/2), and the identity has zeta = 0.  The pair (C_rho, h) is
 chosen by J-fold cross-validation of the non-streaming fit on the first n0
-observations.
+observations, with J = FOLDS.
 """
 
 import csv
@@ -19,36 +19,26 @@ from .basis import is_count, is_real, require
 from .errors import IllConditionedSystemError, TuningError
 from .scheduler import SchedulerConfig
 
-DEFAULT_C_RHO_GRID = tuple(10.0 ** k for k in range(-3, 3))
+# The C_rho values and the fold count J of every CV table; ``cv_table``
+# reads both when it runs.
+C_RHO_GRID = tuple(10.0 ** k for k in range(-3, 3))
+FOLDS = 5
 DEFAULT_H_GRID = (1 / 5, 1 / 4, 1 / 3, 2 / 5, 1 / 2)
-
-
-def _entries(valid):
-    """Test that a grid is a non-empty tuple or list of entries that pass
-    ``valid``."""
-    return lambda grid: (isinstance(grid, (tuple, list)) and len(grid) > 0
-                         and all(map(valid, grid)))
 
 
 @dataclass(frozen=True)
 class TuningGrid:
-    C_rho_grid: tuple = DEFAULT_C_RHO_GRID
     h_grid: tuple = DEFAULT_H_GRID
-    J: int = 5
     n0: int = 1000
 
     def __post_init__(self):
-        require(_entries(lambda c: is_real(c) and c > 0),
-                "a non-empty sequence of finite numbers > 0", self,
-                "C_rho_grid")
-        require(_entries(is_real), "a non-empty sequence of finite numbers",
-                self, "h_grid")
+        require(lambda g: isinstance(g, (tuple, list)) and len(g) > 0
+                and all(map(is_real, g)),
+                "a non-empty sequence of finite numbers", self, "h_grid")
         for h in self.h_grid:
             SchedulerConfig(h=h)  # the schedule's own rule for h
-        require(is_count, "an integer", self, "J", "n0")
-        if self.J < 2:
-            raise ValueError("J must be >= 2")
-        if self.n0 < self.J:
+        require(is_count, "an integer", self, "n0")
+        if self.n0 < FOLDS:
             raise ValueError("warm-up size must be at least J")
 
 
@@ -63,9 +53,8 @@ def rho_at(C_rho, h, n, zeta=4.0):
 def deployable(spec, h, n, mem_cap):
     """Whether the basis count the schedule reaches by time n stays
     within ``basis.identifiable_count``."""
-    q_id = basis_mod.identifiable_count(spec)
-    return q_id is None or \
-        SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n) <= q_id
+    return SchedulerConfig(h=h, mem_cap=mem_cap).active_count(n) \
+        <= basis_mod.identifiable_count(spec)
 
 
 def cv_table(ts, ys, grid, penalty, spec):
@@ -75,7 +64,7 @@ def cv_table(ts, ys, grid, penalty, spec):
     reproducible without storing a permutation.  A grid point with a fold
     system that ``penalized_solve`` refuses, as the engine would, is
     assigned +inf.  Each row also carries the fold-to-fold standard error of
-    the CV sum.  Rows run over C_rho, then h, in grid order.
+    the CV sum.  Rows run over C_RHO_GRID, then the grid's h, in order.
 
     Each fold is reduced once, at the grid's largest q, to its size and its
     unscaled Phi'Phi, Phi'y and y'y; a smaller q reads the leading blocks.
@@ -91,7 +80,7 @@ def cv_table(ts, ys, grid, penalty, spec):
     if ts.size < grid.n0:
         raise ValueError(f"warm-up requires at least n0={grid.n0} observations")
     qs = [SchedulerConfig(h=h).active_count(grid.n0) for h in grid.h_grid]
-    Q, J = max(qs), grid.J
+    Q, J = max(qs), FOLDS
     m, yy = np.empty(J), np.empty(J)
     A, b = np.empty((J, Q, Q)), np.empty((J, Q))
     for j in range(J):
@@ -105,7 +94,7 @@ def cv_table(ts, ys, grid, penalty, spec):
     Ws = [basis_mod.penalty_matrix(spec, penalty, q) for q in qs]
 
     rows = []
-    for C_rho in grid.C_rho_grid:
+    for C_rho in C_RHO_GRID:
         for h, q, W in zip(grid.h_grid, qs, Ws):
             rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
             try:
@@ -116,7 +105,7 @@ def cv_table(ts, ys, grid, penalty, spec):
                     cvs.append(float(yy[j] - 2.0 * (a @ b[j, :q])
                                      + a @ A[j, :q, :q] @ a))
                 cv = sum(cvs)
-                se = float(np.std(cvs, ddof=1) * np.sqrt(grid.J))
+                se = float(np.std(cvs, ddof=1) * np.sqrt(J))
             except IllConditionedSystemError:
                 cv, se = float("inf"), 0.0
             rows.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,

@@ -72,8 +72,7 @@ MOMENTS = "tests/test_basis.py::TestMoments"
 ENGINE_FLAGS = f"{SERVICE}::TestCli::test_engine_flags_out_of_range_are_errors"
 
 # the loader's size-first slot guard
-GUARD = ("        if slots != (opened if q_id is None "
-         "else min(opened, q_id)):\n")
+GUARD = "        if slots != min(opened, q_id):\n"
 
 MUTANTS = [
     # the checkpoint loader
@@ -101,7 +100,7 @@ MUTANTS = [
     Mutant("ingest: no identifiable count", "engine.py",
            "            self.start, n_new, "
            "basis_mod.identifiable_count(self.reg_basis))",
-           "            self.start, n_new, None)",
+           "            self.start, n_new, basis_mod.NEVER)",
            (f"{COUNT}::test_an_extended_stream_stops_at_its_count",)),
     # the conditioning certificate
     Mutant("certificate: rho W left out of the kappa bound", "engine.py",
@@ -162,8 +161,8 @@ MUTANTS = [
     # the chunks, which keep every call's tables and the spare within
     # SPARE_BYTES
     Mutant("chunks: the divisor without its row count", "basis.py",
-           "    return SPARE_BYTES // (16 * rows) if rows else None",
-           "    return SPARE_BYTES // 16 if rows else None",
+           "    return SPARE_BYTES // (16 * rows) if rows else NEVER",
+           "    return SPARE_BYTES // 16 if rows else NEVER",
            (f"{BUFFER}::test_batch_fit_keeps_no_table_past_the_spare",
             f"{ENGINE}::TestBatchFit::test_batch_fit_holds_one_set_of_tables")),
     Mutant("chunks: a tail read from each later chunk's start", "basis.py",
@@ -240,9 +239,6 @@ MUTANTS = [
            "            pass",
            ("tests/test_tuning.py::TestGridValidation::"
             "test_each_h_passes_the_schedules_rule_at_construction",)),
-    Mutant("service: C_rho = 0 accepted", "service.py",
-           "        if self.C_rho <= 0:", "        if self.C_rho < 0:",
-           (f"{SERVICE}::TestRegistry::test_c_rho_must_be_positive",)),
     Mutant("service: an unknown query kind answered", "service.py",
            "            raise ValueError(f\"unknown query kind "
            "{reprlib.repr(kind)}\")",
@@ -257,6 +253,10 @@ MUTANTS = [
            "                self._skip_line()\n", "",
            (f"{SERVICE}::TestSocketService::"
             "test_long_line_keeps_connection_alive",)),
+    Mutant("cli: no fsync of the new checkpoint before its rename", "cli.py",
+           "            os.fsync(fh.fileno())\n", "",
+           (f"{SERVICE}::TestCli::"
+            "test_a_checkpoint_is_synced_before_and_after_its_rename",)),
     Mutant("cli: no catch of a file it cannot open", "cli.py",
            "    except (StreamRegError, OSError) as exc:",
            "    except StreamRegError as exc:",

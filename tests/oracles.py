@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 
 import streamreg
-from streamreg import basis, quadrature
+from streamreg import basis, quadrature, tuning
 from streamreg.basis import (BasisSpec, PenaltySpec, _check_points,
                              _curvature_factors, _table_shape, _tables,
                              eval_matrix, gram_uniform, penalty_matrix)
@@ -244,10 +244,7 @@ def replay_ledger(reg_basis, schedule, ts, ys):
     ``reg_basis`` and the sketch's slot means theta_j on its unextended
     basis, both by ``eval_matrix_trig``.  Returns (start, G, theta)."""
     n = ts.size
-    s = schedule.slot_count(n)
-    limit = basis.identifiable_count(reg_basis)
-    if limit is not None:
-        s = min(s, limit)
+    s = min(schedule.slot_count(n), basis.identifiable_count(reg_basis))
     start = np.array([schedule.tau(j) for j in range(1, s + 1)],
                      dtype=np.int64)
     vals = eval_matrix_trig(reg_basis, s, ts)
@@ -546,30 +543,33 @@ def build_m_omega_loop(inst):
 
 
 def cv_table_by_batch_fit(ts, ys, grid, penalty, spec):
-    """``tuning.cv_table`` with one ``batch_fit`` per grid point and fold."""
+    """``tuning.cv_table`` with one ``batch_fit`` per grid point and fold,
+    over ``tuning.C_RHO_GRID`` and ``tuning.FOLDS`` as they are when it
+    runs."""
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if ts.size < grid.n0:
         raise ValueError(f"warm-up requires at least n0={grid.n0} observations")
     ts = ts[: grid.n0]
     ys = ys[: grid.n0]
-    folds = np.arange(grid.n0) % grid.J
+    J = tuning.FOLDS
+    folds = np.arange(grid.n0) % J
 
     rows = []
-    for C_rho in grid.C_rho_grid:
+    for C_rho in tuning.C_RHO_GRID:
         for h in grid.h_grid:
             q = SchedulerConfig(h=h).active_count(grid.n0)
             rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
             fold_cv = []
             try:
-                for j in range(grid.J):
+                for j in range(J):
                     train = folds != j
                     coef = batch_fit(ts[train], ys[train], spec, q, rho, penalty)
                     V = eval_matrix(spec, q, ts[~train])
                     resid = ys[~train] - V @ coef
                     fold_cv.append(float(np.dot(resid, resid)))
                 cv = sum(fold_cv)
-                se = float(np.std(fold_cv, ddof=1) * np.sqrt(grid.J))
+                se = float(np.std(fold_cv, ddof=1) * np.sqrt(J))
             except IllConditionedSystemError:
                 cv, se = float("inf"), 0.0
             rows.append({"C_rho": C_rho, "h": h, "rho": rho, "cv": cv,
@@ -631,14 +631,14 @@ def cv_tolerance(ts, ys, grid, penalty, spec):
     """
     ts = np.asarray(ts, dtype=float)[:grid.n0]
     ys = np.asarray(ys, dtype=float)[:grid.n0]
-    J = grid.J
+    J = tuning.FOLDS
     folds = np.arange(grid.n0) % J
     qs = [SchedulerConfig(h=h).active_count(grid.n0) for h in grid.h_grid]
     Q = max(qs)
     s = math.sqrt(2.0 / spec.period)
     eps = gamma(math.sqrt(5.0) * Q + 2 * grid.n0 + J + 8)
     tols = []
-    for C_rho in grid.C_rho_grid:
+    for C_rho in tuning.C_RHO_GRID:
         for h, q in zip(grid.h_grid, qs):
             rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
             W = penalty_matrix(spec, penalty, q)

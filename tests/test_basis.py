@@ -288,8 +288,8 @@ class TestIdentifiableCount:
         assert least(q) >= basis.GRAM_EIG_FLOOR > least(q + 1)
 
     def test_margin_zero_has_no_count(self):
-        assert identifiable_count(UNIT) is None
-        assert identifiable_count(BasisSpec(-3.0, 1e6)) is None
+        assert identifiable_count(UNIT) == basis.NEVER
+        assert identifiable_count(BasisSpec(-3.0, 1e6)) == basis.NEVER
 
     def test_count_is_computed_once_per_spec(self, monkeypatch):
         spec = BasisSpec(0.0, 2.0, 0.4)
@@ -366,7 +366,7 @@ class TestMoments:
                     mu += more
         rows = basis._table_shape(K)[1]
         monkeypatch.setattr(basis, "SPARE_BYTES", 16 * rows * chunk)
-        assert basis.chunk_points(K) == (chunk if K else None)
+        assert basis.chunk_points(K) == (chunk if K else basis.NEVER)
         got = moments(EXTENDED, K, t, (None, w), tails)
         if K == 0:  # no tables, so one chunk
             want = moments(EXTENDED, K, t, (None, w), tails)

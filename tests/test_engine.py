@@ -912,7 +912,7 @@ FIELD_KINDS = {
     OnePassRegressor: {"batch_size": "count",
                        "known_uniform_density": "flag"},
     ServiceConfig: {"lo": "real", "hi": "real", "extension_margin": "real",
-                    "penalty": "text", "h": "real", "C_rho": "real",
+                    "penalty": "text", "h": "real",
                     "mem_cap": "optional count",
                     "known_uniform_density": "flag", "batch_size": "count"},
 }
@@ -1194,7 +1194,6 @@ class TestConstructors:
     @example(case=(SchedulerConfig, "h", math.inf))
     @example(case=(BasisSpec, "extension_margin", math.nan))
     @example(case=(OnePassRegressor, "batch_size", 7.5))
-    @example(case=(ServiceConfig, "C_rho", math.nan))
     @example(case=(BasisSpec, "hi", 10 ** 400))
     # the sketch's family is the unextended one
     @example(case=(DensityState, "basis",

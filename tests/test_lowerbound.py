@@ -278,7 +278,7 @@ class TestProtocolPieces:
                                      np.random.default_rng(1), cap,
                                      DEFAULT_NOISE_SD))
             eng = lowerbound._protocol_engine(cap)
-            slots = eng.schedule.extend(eng.start, n, None).size
+            slots = eng.schedule.extend(eng.start, n, basis.NEVER).size
             rows.append(basis._table_shape(slots // 2)[1])
         growth = 2 * 16 * BLOCK_BATCHES * BATCH_SIZE * (rows[1] - rows[0])
         assert abs(peaks[1] - peaks[0]) <= growth + (16 << 10)

@@ -13,7 +13,7 @@ import pathlib
 
 import streamreg
 
-OPTION_LIMIT = 47
+OPTION_LIMIT = 44
 
 
 def _is_dataclass(node):

@@ -1,14 +1,20 @@
-"""The montecarlo benchmark's seed pool, replayed at the benchmark's
-tolerances.
+"""What the benchmark reads from the package: the montecarlo seed pool,
+replayed at the benchmark's tolerances, and the service workloads' replay.
 
 ``perfbench/reference_montecarlo.json`` records the output of every phase
 and protocol seed in the benchmark's pool.  A benchmark run checks only the
-seeds it draws; this test runs all of them through the benchmark's own
-``phase``, ``protocol`` and checks: RMISE within ``REL_TOL`` relative, and
-q_mean, memory units, failures and protocol rows exact.  It runs in a
-child process because importing the benchmark pins BLAS threads and
-allocator settings for the process that imports it.  The reference is
-only read.
+seeds it draws; the first test runs all of them through the benchmark's
+own ``phase``, ``protocol`` and checks: RMISE within ``REL_TOL`` relative,
+and q_mean, memory units, failures and protocol rows exact.  The reference
+is only read.
+
+The service workloads check every reply against ``service_bench.Replay``,
+an engine built from ``ServiceConfig``'s fields, and read ``C_rho`` and the
+sketch's active count there; the second test runs that replay, so a change
+to what it reads fails here rather than in a benchmark run.
+
+Both run in a child process because importing the benchmark pins BLAS
+threads and allocator settings for the process that imports it.
 """
 
 import json
@@ -53,3 +59,33 @@ def test_every_pool_seed_matches_the_reference():
     assert result["drift"] <= result["tol"]
     # 32 phase seeds, and 32 protocol seeds at two caps
     assert (result["phase"], result["protocol"]) == (32, 64)
+
+
+CHECK_REPLAY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import service_bench as sb
+from streamreg.service import ServiceConfig
+from streamreg.tuning import rho_at
+replay = sb.Replay()
+rng = np.random.default_rng(0)
+for _ in range(2):
+    t = rng.uniform(0.0, 1.0, 100)
+    replay.ingest(t, np.sin(2 * np.pi * t))
+snap = replay.snapshot()
+print(json.dumps({
+    "n": snap.n, "tol": sb.REL_TOL,
+    "rho": [replay.rho(), rho_at(ServiceConfig.C_rho, replay.cfg.h, snap.n)],
+    "density": [sb.density_value(snap, 0.3),
+                float(snap.density.evaluate_normalized(0.3))]}))
+"""
+
+
+def test_the_service_replay_reads_the_package():
+    result = json.loads(run_fresh(CHECK_REPLAY, PERFBENCH))
+    assert result["n"] == 200
+    rho, want = result["rho"]
+    assert rho == want > 0
+    value, want = result["density"]
+    assert abs(value - want) <= result["tol"] * abs(want)

@@ -180,7 +180,7 @@ class TauList:
 def slot_count_oracle(sched, taus, n):
     """max{j >= q0 : tau(j) <= n} from a tau list, capped."""
     j = max(sched.q0, bisect.bisect_right(taus, n))
-    return j if sched.cap_q is None else min(j, sched.cap_q)
+    return min(j, sched.cap_q)
 
 
 class TestSlotCountClosedForm:
@@ -215,7 +215,7 @@ class TestExtend:
     @given(sizes=st.lists(st.one_of(st.integers(1, 3), st.integers(1, 200),
                                     st.integers(1, 200_000)),
                           min_size=1, max_size=20),
-           limit=st.sampled_from([None, 3, 39]))
+           limit=st.sampled_from([NEVER, 3, 39]))
     def test_incremental_equals_one_shot(self, h, mem_cap, shape, sizes,
                                          limit):
         # extend's early return (at the cap or the limit, or next slot past
@@ -226,9 +226,7 @@ class TestExtend:
         for size in sizes:
             n += size
             start = sched.extend(start, n, limit)
-            count = sched.slot_count(n)
-            if limit is not None:
-                count = min(count, limit)
+            count = min(sched.slot_count(n), limit)
             one_shot = [sched.tau(j) for j in range(1, count + 1)]
             assert start.dtype == np.int64
             np.testing.assert_array_equal(start, one_shot)

@@ -105,9 +105,7 @@ def registry():
 
 
 def ingest_points(registry, stream_id, n, seed=0, fn=np.sin):
-    rng = np.random.default_rng(seed)
-    ts = rng.uniform(0, 1, n)
-    points = [[float(t), float(fn(t))] for t in ts]
+    points = np.column_stack(sample(n, seed, fn)).tolist()
     return handle_request(registry, {"op": "ingest", "stream_id": stream_id,
                                      "points": points})
 
@@ -245,11 +243,6 @@ class TestRegistry:
                                          "kind": "median", "t": 0.5})
         assert resp == {"ok": False, "error": "request",
                         "message": "unknown query kind 'median'"}
-
-    @pytest.mark.parametrize("C_rho", [0, 0.0, -1.0])
-    def test_c_rho_must_be_positive(self, C_rho):
-        with pytest.raises(ValueError, match="C_rho must be positive"):
-            ServiceConfig(C_rho=C_rho)
 
     def test_non_finite_y_rejected(self, registry):
         # strict JSON cannot carry a NaN, so it is sent in-process
@@ -854,6 +847,34 @@ class TestCli:
         assert sorted(os.listdir(tmp_path)) == listing
         capsys.readouterr()
 
+    def test_a_checkpoint_is_synced_before_and_after_its_rename(
+            self, tmp_path, capsys, monkeypatch):
+        # the new file, all of it, reaches the disk before the rename makes
+        # it the checkpoint, and the folder's new entry after the rename
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def synced(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", st.st_ino, st.st_size))
+            fsync(fd)
+
+        def renamed(src, dst):
+            st = os.stat(src)
+            calls.append(("replace", st.st_ino, st.st_size))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "fsync", synced)
+        monkeypatch.setattr(cli.os, "replace", renamed)
+        assert ingest_csv(tmp_path, n=50) == 0
+        ckpt = (tmp_path / "c.json").stat()
+        written = (ckpt.st_ino, ckpt.st_size)
+        assert [call[:2] for call in calls] == [
+            ("fsync", ckpt.st_ino), ("replace", ckpt.st_ino),
+            ("fsync", tmp_path.stat().st_ino)]
+        assert calls[0][1:] == calls[1][1:] == written
+        capsys.readouterr()
+
     def test_resume_rejects_engine_flags(self, tmp_path, capsys):
         # a resumed stream keeps the checkpoint's configuration, so a flag
         # that would change it is an error, not silently dropped
@@ -993,7 +1014,6 @@ class TestCli:
         assert main(["serve", "--h", "0.9", "--port", "0"]) == 1
         assert capsys.readouterr().err == f"error: {H_PAST_ITS_BOUND}\n"
 
-    @pytest.mark.slow
     def test_serve_stops_on_sigint_when_started_ignoring_it(self):
         # a non-interactive shell starts a background job with SIGINT
         # ignored, and an ignored signal stays ignored across exec

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, initialize, invariant,
                                  precondition, rule)
 
-from oracles import ledger_step
+from oracles import ledger_step, sample
 from streamreg.basis import BasisSpec, identifiable_count
 from streamreg.engine import SCALAR_UNITS, OnePassRegressor
 from streamreg.service import ServiceConfig, StreamRegistry, handle_request
@@ -49,9 +49,8 @@ UNSAVED = ("last_solve", "coef_cache_hits")
 
 
 def points(size, seed):
-    rng = np.random.default_rng(seed)
-    return np.column_stack([rng.uniform(0.0, 1.0, size),
-                            rng.normal(0.0, 1.0, size)]).tolist()
+    """``size`` [t, y] pairs: uniform t and y = N(0, 1) noise."""
+    return np.column_stack(sample(size, seed, np.zeros_like, 1.0)).tolist()
 
 
 class StreamLife(RuleBasedStateMachine):

@@ -22,6 +22,13 @@ def cosine(t):
     return np.sqrt(2) * np.cos(2 * np.pi * t)
 
 
+def narrow(monkeypatch, C_rho_grid, J=tuning.FOLDS):
+    """Set the C_rho values and the fold count of the CV tables this test
+    builds; ``monkeypatch`` restores them when it ends."""
+    monkeypatch.setattr(tuning, "C_RHO_GRID", tuple(C_rho_grid))
+    monkeypatch.setattr(tuning, "FOLDS", J)
+
+
 def picked(rows, spec, n_deploy):
     """Position of ``cv_select``'s uncapped pick, None if it refuses."""
     try:
@@ -73,25 +80,25 @@ class TestRhoSchedule:
 class TestGridValidation:
     def test_defaults_are_valid(self):
         grid = TuningGrid()
-        assert grid.J == 5 and grid.n0 == 1000
-        assert len(grid.C_rho_grid) == 6 and len(grid.h_grid) == 5
+        assert tuning.FOLDS == 5 and grid.n0 == 1000
+        assert len(tuning.C_RHO_GRID) == 6 and len(grid.h_grid) == 5
 
     @pytest.mark.parametrize("kwargs", [
-        dict(C_rho_grid=()),
-        dict(C_rho_grid=(0.0, 1.0)),
+        dict(h_grid=()),
+        dict(h_grid=0.25),
         dict(h_grid=(0.0, 0.5)),
         dict(h_grid=(1.5,)),
-        dict(J=1),
-        dict(n0=3, J=5),
-        dict(C_rho_grid=(float("nan"),)),
-        dict(C_rho_grid=(1.0, float("inf"))),
-        dict(C_rho_grid=("1.0",)),
-        dict(C_rho_grid=1.0),
+        dict(n0=4),
+        dict(n0=3),
+        dict(h_grid=(0.25, float("inf"))),
+        dict(h_grid=(-0.25,)),
+        dict(h_grid=(1.0,)),
+        dict(h_grid="0.25"),
         dict(h_grid=(float("nan"),)),
         dict(h_grid=(0.25, "0.5")),
         dict(h_grid=(True,)),
-        dict(J=2.5),
-        dict(J="5"),
+        dict(n0=True),
+        dict(n0="1000"),
         dict(n0=1000.0),
     ])
     def test_bad_grids_rejected(self, kwargs):
@@ -108,23 +115,25 @@ class TestGridValidation:
 
 
 class TestCvTable:
-    def test_table_covers_full_grid(self):
+    def test_table_covers_full_grid(self, monkeypatch):
         ts, ys = sample(300, 0, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25, 1 / 3), n0=300)
+        narrow(monkeypatch, (0.1, 1.0))
+        grid = TuningGrid(h_grid=(0.25, 1 / 3), n0=300)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         assert len(rows) == 4
         assert {(r["C_rho"], r["h"]) for r in rows} == {
             (0.1, 0.25), (0.1, 1 / 3), (1.0, 0.25), (1.0, 1 / 3)}
         assert all(r["cv"] >= 0 for r in rows)
 
-    def test_cv_matches_hand_rolled_folds(self):
+    def test_cv_matches_hand_rolled_folds(self, monkeypatch):
         """Independent recomputation of one grid point with explicit folds."""
         from streamreg.engine import batch_fit
         from streamreg.basis import eval_matrix
         from streamreg.scheduler import _floor
 
         ts, ys = sample(200, 1, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(0.5,), h_grid=(0.25,), J=4, n0=200)
+        narrow(monkeypatch, (0.5,), J=4)
+        grid = TuningGrid(h_grid=(0.25,), n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         q = max(5, _floor(200 ** 0.25 / 0.5))
         rho = 0.5 * 200 ** (-(7 * 0.25 + 1) / 2)
@@ -136,22 +145,24 @@ class TestCvTable:
             cv += resid @ resid
         assert rows[0]["cv"] == pytest.approx(cv, rel=1e-12)
 
-    def test_rho_follows_the_penalty_exponent(self):
+    def test_rho_follows_the_penalty_exponent(self, monkeypatch):
         ts, ys = sample(300, 4, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25, 1 / 3), n0=300)
+        narrow(monkeypatch, (0.1, 1.0))
+        grid = TuningGrid(h_grid=(0.25, 1 / 3), n0=300)
         for pen, zeta in ((ROUGH, 4.0), (IDENT, 0.0)):
             for r in cv_table(ts, ys, grid, pen, UNIT):
                 assert r["rho"] == rho_at(r["C_rho"], r["h"], 300, zeta)
 
     @pytest.mark.parametrize("margin", [0.0, 0.1])
     @pytest.mark.parametrize("penalty", [ROUGH, IDENT])
-    def test_rows_equal_one_batch_fit_per_grid_point(self, margin, penalty):
+    def test_rows_equal_one_batch_fit_per_grid_point(self, margin, penalty,
+                                                     monkeypatch):
         # fold sums and leading blocks move only the rounding; the grids
         # repeat entries, which rows must keep apart by position
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         ts, ys = sample(300, 8, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(1e-3, 0.1, 1e-3, 10.0),
-                          h_grid=(0.25, 0.4, 0.25), J=4, n0=300)
+        narrow(monkeypatch, (1e-3, 0.1, 1e-3, 10.0), J=4)
+        grid = TuningGrid(h_grid=(0.25, 0.4, 0.25), n0=300)
         rows = assert_matches_oracle(ts, ys, grid, penalty, spec)
         assert all(np.isfinite(r["cv"]) for r in rows)
 
@@ -170,8 +181,10 @@ class TestCvTable:
         # are refused and must be refused alike
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         ts, ys = sample(n0, seed, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=C_rho_grid, h_grid=h_grid, J=J, n0=n0)
-        assert_matches_oracle(ts, ys, grid, penalty, spec)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            narrow(monkeypatch, C_rho_grid, J)
+            grid = TuningGrid(h_grid=h_grid, n0=n0)
+            assert_matches_oracle(ts, ys, grid, penalty, spec)
 
     def test_each_fold_is_reduced_once(self, monkeypatch):
         # the default grid on a 1000-point warm-up: one normal_equations
@@ -194,7 +207,7 @@ class TestCvTable:
         assert len(rows) == 30
         assert calls == {"normal_equations": 5, "eval_matrix": 0}
 
-    def test_failed_fold_gives_inf_row(self):
+    def test_failed_fold_gives_inf_row(self, monkeypatch):
         # 10 training points for 21 extended-basis functions (h = 0.8): with
         # the smallest rho a fold's Cholesky fails, with C_rho = 1e-6 both
         # fold systems factor but have rcond below RCOND_FLOOR (about 7e-14),
@@ -203,8 +216,8 @@ class TestCvTable:
         rng = np.random.default_rng(7)
         ts = rng.uniform(0, 1, 20)
         ys = np.sin(6 * ts) + rng.normal(0, 0.3, 20)
-        grid = TuningGrid(C_rho_grid=(1e-12, 1e-6, 1.0), h_grid=(0.5, 0.8),
-                          J=2, n0=20)
+        narrow(monkeypatch, (1e-12, 1e-6, 1.0), J=2)
+        grid = TuningGrid(h_grid=(0.5, 0.8), n0=20)
         rows = assert_matches_oracle(ts, ys, grid, ROUGH, spec)
         assert [np.isinf(r["cv"]) for r in rows] == [
             False, True, False, True, False, False]
@@ -225,9 +238,10 @@ class TestCvTable:
         with pytest.raises(ValueError, match="equal length"):
             cv_table(ts, ys, TuningGrid(n0=1000), ROUGH, UNIT)
 
-    def test_only_prefix_is_used(self):
+    def test_only_prefix_is_used(self, monkeypatch):
         ts, ys = sample(400, 3, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.25,), n0=300)
+        narrow(monkeypatch, (1.0,))
+        grid = TuningGrid(h_grid=(0.25,), n0=300)
         rows_a = cv_table(ts, ys, grid, ROUGH, UNIT)
         ys2 = ys.copy()
         ys2[300:] = 99.0
@@ -236,11 +250,12 @@ class TestCvTable:
 
 
 class TestSelect:
-    def test_prefers_good_fit(self):
+    def test_prefers_good_fit(self, monkeypatch):
         # a smooth low-frequency target under moderate noise should not pick
         # the most aggressive penalty in the grid
         ts, ys = sample(1000, 4, cosine, 0.2)
-        grid = TuningGrid(C_rho_grid=(1e-3, 1e2), h_grid=(0.25,))
+        narrow(monkeypatch, (1e-3, 1e2))
+        grid = TuningGrid(h_grid=(0.25,))
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         pick = cv_select(rows, UNIT, 1000, None)  # margin 0 admits every row
         assert pick["h"] == 0.25
@@ -249,20 +264,22 @@ class TestSelect:
         assert light["cv"] < heavy["cv"]
         assert pick is light
 
-    def test_tie_breaks_toward_more_regularization(self):
+    def test_tie_breaks_toward_more_regularization(self, monkeypatch):
         # duplicated grid entries produce exact ties; the larger rho wins,
         # then the smaller h
         ts, ys = sample(200, 5, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(1.0, 1.0), h_grid=(0.25, 0.25), n0=200)
+        narrow(monkeypatch, (1.0, 1.0))
+        grid = TuningGrid(h_grid=(0.25, 0.25), n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         cvs = [r["cv"] for r in rows]
         assert max(cvs) - min(cvs) == 0.0
         pick = cv_select(rows, UNIT, 200, None)
         assert (pick["C_rho"], pick["h"]) == (1.0, 0.25)
 
-    def test_report_round_trips(self, tmp_path):
+    def test_report_round_trips(self, tmp_path, monkeypatch):
         ts, ys = sample(200, 6, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(0.1, 1.0), h_grid=(0.25,), n0=200)
+        narrow(monkeypatch, (0.1, 1.0))
+        grid = TuningGrid(h_grid=(0.25,), n0=200)
         rows = cv_table(ts, ys, grid, ROUGH, UNIT)
         pick = cv_select(rows, UNIT, 200, None)
         path = tmp_path / "tuning.csv"
@@ -276,14 +293,15 @@ class TestSelect:
         assert [float(r["se"]) for r in records] == [r["se"] for r in rows]
         assert [r["deployable"] for r in records] == ["1", "1"]
 
-    def test_screen_leaves_the_rows_unchanged(self):
+    def test_screen_leaves_the_rows_unchanged(self, monkeypatch):
         # at margin 0.1 the design Gram degenerates once q passes about 39,
         # so deploying to n = 1e5 screens out every h above 0.2 uncapped
         # and none under a 30-unit cap, nor (q <= 20) at n = 100; the rows
         # must serve every screen
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
         ts, ys = sample(500, 9, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(1e-3, 1.0), h_grid=(0.2, 0.5), n0=500)
+        narrow(monkeypatch, (1e-3, 1.0))
+        grid = TuningGrid(h_grid=(0.2, 0.5), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         before = copy.deepcopy(rows)
         admit_all = cv_select(rows, spec, 100, None)
@@ -293,10 +311,11 @@ class TestSelect:
         assert cv_select(rows, spec, 100_000, 30) is admit_all
         assert rows == before
 
-    def test_nothing_deployable_is_a_tuning_error(self):
+    def test_nothing_deployable_is_a_tuning_error(self, monkeypatch):
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
         ts, ys = sample(500, 9, cosine, 0.3)
-        grid = TuningGrid(C_rho_grid=(1.0,), h_grid=(0.5,), n0=500)
+        narrow(monkeypatch, (1.0,))
+        grid = TuningGrid(h_grid=(0.5,), n0=500)
         rows = cv_table(ts, ys, grid, ROUGH, spec)
         # the screen, not the CV, emptied the grid, and the message says so
         with pytest.raises(TuningError, match=(
@@ -321,7 +340,7 @@ class TestDeployable:
         # no count limits a margin-0 basis: its uniform Gram's eigenvalues
         # clear the floor at every q, on every domain length
         spec = BasisSpec(-0.5, -0.5 + length)
-        assert basis.identifiable_count(spec) is None
+        assert basis.identifiable_count(spec) == basis.NEVER
         for q in (1, 2, 3, 92, 633):
             H = basis.gram_uniform(spec, q)
             assert np.min(np.linalg.eigvalsh(H)) * length \
