@@ -5,7 +5,6 @@ import contextlib
 import csv
 import math
 import os
-import secrets
 import signal
 import sys
 
@@ -212,7 +211,7 @@ def _replace_file(path, text):
     new file is synced before the rename and its folder after it, so a crash
     leaves the old file or the whole new one at ``path``."""
     folder, name = os.path.split(os.path.abspath(path))
-    tmp = os.path.join(folder, f".{name}.{secrets.token_hex(8)}.tmp")
+    tmp = os.path.join(folder, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "x") as fh:
             fh.write(text)

@@ -4,11 +4,18 @@ Trigonometric integrands need node counts proportional to the highest
 frequency involved, so callers size the rule via ``node_count``.
 """
 
+import functools
+
 import numpy as np
 
 NODES_PER_PANEL = 16
 
-_REF_X, _REF_W = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+
+@functools.cache
+def _reference():
+    """The ``NODES_PER_PANEL``-point Gauss-Legendre nodes and weights on
+    [-1, 1], built on first use: ``numpy.polynomial`` loads only then."""
+    return np.polynomial.legendre.leggauss(NODES_PER_PANEL)
 
 
 def rule(lo, hi, n_nodes):
@@ -22,8 +29,9 @@ def rule(lo, hi, n_nodes):
     edges = np.linspace(lo, hi, n_panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    x = (mid[:, None] + half[:, None] * _REF_X[None, :]).ravel()
-    w = (half[:, None] * _REF_W[None, :]).ravel()
+    ref_x, ref_w = _reference()
+    x = (mid[:, None] + half[:, None] * ref_x[None, :]).ravel()
+    w = (half[:, None] * ref_w[None, :]).ravel()
     return x, w
 
 

@@ -70,6 +70,8 @@ SERVICE = "tests/test_service_cli.py"
 LOWERBOUND = "tests/test_lowerbound.py"
 MOMENTS = "tests/test_basis.py::TestMoments"
 ENGINE_FLAGS = f"{SERVICE}::TestCli::test_engine_flags_out_of_range_are_errors"
+BUDGET = ("tests/test_dependencies.py::"
+          "test_importing_the_cli_loads_no_unserved_module")
 
 # the loader's size-first slot guard
 GUARD = "        if slots != min(opened, q_id):\n"
@@ -257,6 +259,22 @@ MUTANTS = [
            "            os.fsync(fh.fileno())\n", "",
            (f"{SERVICE}::TestCli::"
             "test_a_checkpoint_is_synced_before_and_after_its_rename",)),
+    # the import budget
+    Mutant("basis: LAPACK's path from an imported scipy", "basis.py",
+           "lapack = _load_flapack([os.path.join(p, \"linalg\") for p in "
+           "_scipy_dirs()])",
+           "import scipy\n"
+           "lapack = _load_flapack([os.path.join(p, \"linalg\") for p in "
+           "scipy.__path__])",
+           (BUDGET,)),
+    Mutant("quadrature: the reference rule built at import", "quadrature.py",
+           "    return np.polynomial.legendre.leggauss(NODES_PER_PANEL)\n",
+           "    return np.polynomial.legendre.leggauss(NODES_PER_PANEL)\n"
+           "\n\n_reference()\n",
+           (BUDGET,)),
+    Mutant("cli: secrets imported for a temp-file name", "cli.py",
+           "import signal\n", "import secrets\nimport signal\n",
+           (BUDGET,)),
     Mutant("cli: no catch of a file it cannot open", "cli.py",
            "    except (StreamRegError, OSError) as exc:",
            "    except StreamRegError as exc:",

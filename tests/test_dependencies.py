@@ -1,5 +1,5 @@
 """Every third-party package the source imports is a declared dependency,
-and importing the package loads no more of scipy than it uses.
+and importing the package loads no module that it does not serve with.
 
 The first tests read ``import`` statements from the source (they import
 nothing), so a module that needs a package the machine happens to have, but
@@ -7,6 +7,7 @@ nothing), so a module that needs a package the machine happens to have, but
 """
 
 import ast
+import importlib.util
 import pathlib
 import re
 import sys
@@ -58,14 +59,20 @@ def test_every_third_party_import_is_declared():
         third_party - declared_packages())
 
 
-def test_the_package_does_not_import_scipy_linalg():
-    # streamreg reaches LAPACK through scipy's wrapper extension alone, so
-    # the scipy.linalg package never loads; cli imports every module of
-    # the package
+# Modules that ``import streamreg.cli`` must not load.  LAPACK comes from
+# scipy's wrapper extension alone, found without running scipy's or
+# scipy.linalg's ``__init__``; the Gauss-Legendre reference rule, and with it
+# numpy.polynomial, is built on first use; and a temp-file name needs no
+# ``secrets``, which would bring hashlib and OpenSSL.
+UNSERVED = ("scipy", "scipy.linalg", "numpy.polynomial", "hashlib", "secrets")
+
+
+def test_importing_the_cli_loads_no_unserved_module():
+    # cli imports every module of the package
     code = ("import sys\n"
             "import streamreg.cli\n"
-            "print('scipy.linalg' in sys.modules)\n")
-    assert run_fresh(code) == "False\n"
+            f"print([m for m in {UNSERVED!r} if m in sys.modules])\n")
+    assert run_fresh(code) == "[]\n"
 
 
 def test_a_missing_lapack_module_names_the_scipy_version(tmp_path):
@@ -73,3 +80,13 @@ def test_a_missing_lapack_module_names_the_scipy_version(tmp_path):
 
     with pytest.raises(ImportError, match=f"scipy {scipy.__version__} has no"):
         basis._load_flapack([str(tmp_path)])
+
+
+def test_a_missing_scipy_is_an_import_error_that_names_it(monkeypatch):
+    from streamreg import basis
+
+    find_spec = importlib.util.find_spec
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name, *args: (
+        None if name == "scipy" else find_spec(name, *args)))
+    with pytest.raises(ImportError, match="scipy is not installed"):
+        basis._scipy_dirs()
