@@ -48,10 +48,8 @@ def _load_flapack(paths):
     package calls, dpotrf, dpocon and dpotrs, do not need: they cost a
     service process about 19 MB and 0.13 s of start-up.  Not even
     ``scipy``'s own ``__init__`` runs: without it LAPACK loads in 2.8-3.1 ms
-    instead of 10.8-17.1 ms (after numpy, one core).  With the package's
-    other deferred imports (README, Install), a fresh ``import
-    streamreg.cli`` holds 33.0 MiB of RSS instead of 39.2 MiB, and a
-    ``perfbench`` ingest server peaks at 42.2 MB instead of 44.2 MB.
+    instead of 10.8-17.1 ms (after numpy, one core).  README, Install,
+    gives the footprint of the package's deferred imports.
     """
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack",
                                                     paths)
@@ -115,19 +113,18 @@ class BasisSpec:
         if self.extension_margin < 0:
             raise ValueError("extension_margin must be >= 0")
 
-    @property
+    @functools.cached_property
     def period(self):
         return (self.hi - self.lo) + 2.0 * self.extension_margin
 
-    @property
+    @functools.cached_property
     def origin(self):
         """Left endpoint of the extended period."""
         return self.lo - self.extension_margin
 
     def contains(self, t):
-        """Whether every point of t lies in [lo, hi]: true for no points,
-        false for NaN (which np.min and np.max propagate)."""
-        t = np.asarray(t)
+        """Whether every point of the array t lies in [lo, hi]: true for no
+        points, false for NaN (which np.min and np.max propagate)."""
         return t.size == 0 or bool(self.lo <= t.min() and t.max() <= self.hi)
 
 
@@ -305,16 +302,19 @@ def _powers(z, out):
     the same products but took up to 5 times as long (100 to 5000 points,
     3 to 17 rows) and rounded differently.
     """
-    out[0] = 1.0
-    for a in range(1, len(out)):
-        np.multiply(out[a - 1], z, out=out[a])
+    prev = out[0]
+    prev[:] = 1.0
+    for row in out[1:]:
+        np.multiply(prev, z, row)
+        prev = row
     return out
 
 
+@functools.lru_cache(maxsize=64)
 def _table_shape(K):
     """(r, rows) of the power tables at the call's K: z^(r-1) is the last
     row a weight multiplies, and ``rows`` complex numbers per point make up
-    the tables and z (none at K = 0)."""
+    the tables and z (none at K = 0); read three times per ``moments``."""
     if K == 0:
         return 1, 0
     if K < SPLIT_MIN:
@@ -331,7 +331,7 @@ def _tables(spec, K, t, buf):
 
     With K >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
     z^a (z^r)^b, so two short tables hold every power: ``low``, rows z^a for
-    a = 0..r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
+    a < r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
     ``low`` holds z^0..z^K and ``high`` is None; at K = 0 both are None.
     Every power is a product of the one z per point, the way ``eval_matrix``
     forms its columns.
@@ -349,7 +349,7 @@ def _tables(spec, K, t, buf):
     if K < SPLIT_MIN:
         return _powers(z, tables[:-1]), None, r
     low = _powers(z, tables[:r + 1])
-    return low, _powers(low[r], tables[r + 1:]), r
+    return low[:r], _powers(low[r], tables[r + 1:]), r
 
 
 def chunk_points(K):
@@ -402,9 +402,9 @@ def _chunk_moments(spec, K, t, weights, tails, buf):
             mu[:K + 1] = low @ (np.ones(m) if w is None else w)
         else:
             if w is not None:
-                low[:r] *= w
+                low *= w
             # row b, column a of the product is mu_{a + r b}
-            mu[:K + 1] = (high @ low[:r].T).ravel()[:K + 1]
+            mu[:K + 1] = (high @ low.T).ravel()[:K + 1]
     return out
 
 
@@ -413,8 +413,8 @@ def moments(spec, K, t, weights, tails):
     under each weight vector w of ``weights`` (None for unit weights): with
     z = exp(2 pi i (t - origin) / P), mu_k = sum_i w_i z_i^k for k = 0..K,
     then the tail moment sum_{i >= lo} w_i z_i^k of each (k, lo) in
-    ``tails``.  Returns one complex array of K + 1 + len(tails) entries per
-    weight.
+    ``tails``, lo >= 0.  Returns one complex array of K + 1 + len(tails)
+    entries per weight.
 
     The points are folded in chunks of ``chunk_points(K)``, so a call's
     tables never pass SPARE_BYTES whatever its size: each weight's moments
@@ -443,7 +443,8 @@ def moments(spec, K, t, weights, tails):
     step = min(chunk_points(K), m)
     buf = _take_buffer(_table_shape(K)[1] * step)
     try:
-        total = None
+        if step == m:
+            return _chunk_moments(spec, K, t, weights, tails, buf)
         for s in range(0, m, step):
             # the last chunk runs to the end of t and of each weight, so a
             # weight of the wrong length fails as it does in one chunk
@@ -452,11 +453,7 @@ def moments(spec, K, t, weights, tails):
                 spec, K, t[part],
                 [None if w is None else w[part] for w in weights],
                 [(k, max(lo - s, 0)) for k, lo in tails], buf)
-            if total is None:
-                total = out
-            else:
-                for mu, chunk in zip(total, out):
-                    mu += chunk
+            total = out if s == 0 else [a + b for a, b in zip(total, out)]
         return total
     finally:
         _give_back(buf)
@@ -466,10 +463,10 @@ def sums_from_moments(spec, q, mu):
     """Per-function sums sum_i w_i phi_j(t_i) for j = 1..q from the moments
     mu_0..mu_{q // 2} of the same weights and points: phi_1 from Re mu_0,
     and (phi_{2k}, phi_{2k+1}) from (Re mu_k, Im mu_k)."""
+    parts = mu.view(float)  # Re mu_0, Im mu_0, Re mu_1, Im mu_1, ...
     out = np.empty(q)
-    out[0] = mu[0].real / math.sqrt(spec.period)
-    np.multiply(mu[1:].view(float)[:q - 1], math.sqrt(2.0 / spec.period),
-                out=out[1:])
+    out[0] = parts[0] / math.sqrt(spec.period)
+    np.multiply(parts[2:q + 1], math.sqrt(2.0 / spec.period), out[1:])
     return out
 
 
@@ -552,7 +549,6 @@ GRAM_EIG_FLOOR = 1e-8
 MAX_IDENTIFIABLE = 1 << 10
 
 
-@functools.lru_cache(maxsize=64)
 def identifiable_count(spec):
     """The largest basis count q whose uniform Gram keeps its eigenvalues
     above GRAM_EIG_FLOOR / (hi - lo), at most MAX_IDENTIFIABLE; NEVER (no
@@ -562,10 +558,13 @@ def identifiable_count(spec):
     margin of a tenth of hi - lo.  The Gram of q functions leads that of
     Q > q, so a Cholesky factorization of the larger minus the floor first
     fails at order q + 1 (Sylvester's criterion); Q doubles from 64 until it
-    does.
+    does.  The last 64 margins' counts are kept (``_extended_count``).
     """
-    if spec.extension_margin == 0.0:
-        return NEVER
+    return NEVER if spec.extension_margin == 0.0 else _extended_count(spec)
+
+
+@functools.lru_cache(maxsize=64)
+def _extended_count(spec):
     Q = 64
     while True:
         A = gram_uniform(spec, Q)

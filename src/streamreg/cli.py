@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import itertools
 import math
 import os
 import signal
@@ -191,14 +192,9 @@ def _cmd_ingest_csv(args):
     else:
         reg = _engine_config(args).engine()
     with open(args.input, newline="") as fh:
-        batch = []
-        for point in _csv_points(fh, reg.reg_basis):
-            batch.append(point)
-            if len(batch) == reg.batch_size:
-                _ingest_rows(reg, batch)
-                batch = []
-    if batch:
-        _ingest_rows(reg, batch)
+        points = _csv_points(fh, reg.reg_basis)
+        while batch := list(itertools.islice(points, reg.batch_size)):
+            _ingest_rows(reg, batch)
     _replace_file(args.checkpoint, reg.checkpoint_json())
     print(f"ingested {reg.n} observations; checkpoint at {args.checkpoint}")
     return 0

@@ -84,7 +84,8 @@ class OnePassRegressor:
         self.G = np.zeros(0)
         self.start = np.zeros(0, dtype=np.int64)
         self.density = None if known_uniform_density else DensityState(
-            basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi))
+            reg_basis if reg_basis.extension_margin == 0
+            else basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi))
         self._coef_cache = {}
         # for the ``stats`` query only; neither is checkpointed
         self.last_solve = None  # the gate record of the last solve
@@ -97,47 +98,47 @@ class OnePassRegressor:
     def ingest(self, ts, ys):
         """Fold one batch of (t, y) pairs into the summary statistics.
 
-        Validation happens before any mutation: a batch that is not
-        one-dimensional, or has out-of-domain predictors, non-finite
-        responses, or responses so large that G overflows, is rejected
-        atomically.
+        Scalar t and y are a batch of one.  Validation happens before any
+        mutation: a batch that is not one-dimensional, or has out-of-domain
+        predictors, non-finite responses, or responses so large that G
+        overflows, is rejected atomically.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
+        ts = np.array(ts, float, copy=None, ndmin=1)
+        ys = np.array(ys, float, copy=None, ndmin=1)
         if ts.size == 0:
             raise ValueError("batch must be non-empty")
         if ts.shape != ys.shape:
             raise ValueError("t and y batches must have equal length")
         if ts.ndim != 1:
             raise ValueError("t and y batches must be one-dimensional")
-        if not self.reg_basis.contains(ts):
+        spec, density, n_old = self.reg_basis, self.density, self.n
+        if not spec.contains(ts):
             raise DomainError("batch contains t values outside the domain")
         if not np.isfinite(ys).all():
             raise ValueError("batch contains non-finite y values")
 
-        n_new = self.n + ts.size
+        n_new = n_old + ts.size
         start = self.schedule.extend(
-            self.start, n_new, basis_mod.identifiable_count(self.reg_basis))
-        # at margin 0 the sketch's unit weights share G's tables
-        shared = (self.density is not None
-                  and self.density.basis == self.reg_basis)
+            self.start, n_new, basis_mod.identifiable_count(spec))
+        # at margin 0 the sketch holds this very basis and shares G's tables
+        shared = density is not None and density.basis is spec
         G = self.G
         if start.size > G.size:
             G = np.concatenate([G, np.zeros(start.size - G.size)])
         # a new array: self.G stays untouched until the overflow check passes
         with np.errstate(over="ignore", invalid="ignore"):
-            sums = fold(self.reg_basis, ts, (None, ys) if shared else (ys,),
-                        start, self.n)
+            sums = fold(spec, ts, (None, ys) if shared else (ys,), start,
+                        n_old)
             G = G + sums[-1]
         if not np.isfinite(G).all():
             raise ValueError("batch overflows the summary statistics")
-        if self.density is not None:
+        if density is not None:
             if not shared:
-                sums = fold(self.density.basis, ts, (None,), start, self.n)
-            self.density.update(sums[0], slot_counts(start, n_new), ts.size)
+                sums = fold(density.basis, ts, (None,), start, n_old)
+            density.update(sums[0], slot_counts(start, n_new), ts.size)
         self.G, self.start, self.n = G, start, n_new
-        if self.density is not None:
-            self.density.active_count = self.active_count
+        if density is not None:
+            density.active_count = self.active_count
         self._coef_cache.clear()
 
     # ------------------------------------------------------------------

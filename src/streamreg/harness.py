@@ -315,10 +315,8 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
                 sched = SchedulerConfig(h=h, mem_cap=cap)
                 if method == "streaming":
                     reg = OnePassRegressor(spec, PENALTY, sched)
-                    lo = 0
-                    for hi in ends:
+                    for lo, hi in zip([0, *ends], ends):
                         reg.ingest(ts[lo:hi], ys[lo:hi])
-                        lo = hi
                         if hi in marks:
                             rho = rho_at(C_rho, h, reg.n, PENALTY.zeta)
                             fits[k, reg.n].append((integrated_squared_error(

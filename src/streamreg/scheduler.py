@@ -146,10 +146,14 @@ def fold(spec, ts, weights, start, n_old):
     """Per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i over one batch, the
     points ``ts`` at stream indices n_old + 1, n_old + 2, ...: one vector
     per weight vector w of ``weights``, as ``basis.moments`` takes them."""
-    # start is non-decreasing, so the slots opening mid-batch are a suffix
-    opening = range(start.searchsorted(n_old + 1, side="right"), start.size)
-    tails = [((j + 1) // 2, start[j] - n_old - 1) for j in opening]
     K = start.size // 2
+    # start is non-decreasing, so the slots opening mid-batch are a suffix,
+    # empty when the last slot opens by the batch's first point
+    if start[-1] <= n_old + 1:
+        return [sums_from_moments(spec, start.size, mu)
+                for mu in moments(spec, K, ts, weights, ())]
+    opening = range(start[:-1].searchsorted(n_old + 1, "right"), start.size)
+    tails = [((j + 1) // 2, start[j] - n_old - 1) for j in opening]
     P = spec.period
     out = []
     for mu in moments(spec, K, ts, weights, tails):

@@ -51,9 +51,8 @@ One request holds at most a line of MAX_LINE_BYTES, the objects it decodes
 to (about 9 times the line), and beyond them its t and y arrays and one
 chunk of power tables (``basis.moments``) of at most SPARE_BYTES with a few
 rows of the chunk's points.  A 1 002 717-byte line of 74 884 points
-decoded to 9.6 MB by tracemalloc; folded into a stream at n = 1e5 it peaked
-25.2 MB above its decoded objects when its tables were built in one piece,
-and peaks 6.0 MB above them in chunks.
+decoded to 9.6 MB by tracemalloc; folded into a stream at n = 1e5 it peaks
+6.0 MB above its decoded objects.
 """
 
 import json
@@ -91,6 +90,9 @@ _DEPTH_STEP[list(b"]}")] = -1
 
 # The types of a JSON number once decoded; bool, a subclass of int, is not one.
 _NUMBERS = frozenset((int, float))
+
+# json.dumps(..., allow_nan=False) would build this encoder for every reply
+_REPLY = json.JSONEncoder(allow_nan=False)
 
 
 @dataclass(frozen=True)
@@ -290,7 +292,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 else:
                     response = handle_request(self.server.registry, request)
             try:
-                line = json.dumps(response, allow_nan=False)
+                line = _REPLY.encode(response)
             except ValueError:  # NaN or inf, which JSON cannot hold
                 line = json.dumps({"ok": False, "error": "non_finite",
                                    "message": "the reply holds a non-finite "

@@ -100,8 +100,7 @@ MUTANTS = [
            "                if key in record and value == record[key]}",
            (f"{CHECKPOINT}::test_single_field_mutation_is_rejected",)),
     Mutant("ingest: no identifiable count", "engine.py",
-           "            self.start, n_new, "
-           "basis_mod.identifiable_count(self.reg_basis))",
+           "            self.start, n_new, basis_mod.identifiable_count(spec))",
            "            self.start, n_new, basis_mod.NEVER)",
            (f"{COUNT}::test_an_extended_stream_stops_at_its_count",)),
     # the conditioning certificate
@@ -139,6 +138,11 @@ MUTANTS = [
            "        if False:",
            (f"{ENGINE}::TestConstructors",)),
     # the fold
+    Mutant("fold: a slot starting on the batch's first point read as a tail",
+           "scheduler.py",
+           "    if start[-1] <= n_old + 1:", "    if start[-1] < n_old + 1:",
+           ("tests/test_scheduler.py::TestFold::"
+            "test_matches_the_basis_matrix_fold",)),
     Mutant("fold: zk.sum() for the unit tail sums", "basis.py",
            "mu[i] = np.dot(zk, row[lo - base:])",
            "mu[i] = (zk.sum() if w is None\n"

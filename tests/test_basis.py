@@ -304,13 +304,13 @@ class TestIdentifiableCount:
     def test_search_stops_at_its_limit(self, monkeypatch):
         # a margin of 1% of the domain has 349 identifiable functions
         spec = BasisSpec(0.0, 1.0, 0.01)
-        identifiable_count.cache_clear()
+        basis._extended_count.cache_clear()
         monkeypatch.setattr(basis, "MAX_IDENTIFIABLE", 128)
         try:
             assert identifiable_count(spec) == 128
             assert identifiable_count(EXTENDED) == 39
         finally:
-            identifiable_count.cache_clear()
+            basis._extended_count.cache_clear()
         monkeypatch.undo()
         assert identifiable_count(spec) == 349
 

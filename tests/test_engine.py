@@ -231,6 +231,21 @@ class TestIngest:
                         eng.ingest(np.full(shape, 0.5), np.ones(shape))
             assert eng.checkpoint_json() == before
 
+    @pytest.mark.parametrize("known", [False, True])
+    def test_a_scalar_point_is_a_batch_of_one(self, known):
+        # 0-d t and y make one point, and a 0-d t beside two y values is
+        # refused with the state as it was
+        scalar, listed = make_engine(known=known), make_engine(known=known)
+        scalar.ingest(0.5, 1.0)
+        listed.ingest([0.5], [1.0])
+        scalar.ingest(np.float64(0.25), np.array(-2.0))
+        listed.ingest(np.array([0.25]), [-2.0])
+        before = listed.checkpoint_json()
+        assert scalar.checkpoint_json() == before
+        with pytest.raises(ValueError, match="equal length"):
+            scalar.ingest(0.5, [1.0, 2.0])
+        assert scalar.checkpoint_json() == before
+
     def test_shared_basis_leaves_the_sketch_unchanged(self):
         # at margin 0 the sketch folds the engine's own power tables; with a
         # margin it must evaluate its unextended basis itself, to the same

@@ -274,6 +274,12 @@ class TestFold:
              seed=0)
     @example(s=400, m=1000, margin=0.1, unit_weight=False, n_old=7,
              opening=0.5, seed=1)
+    # the last slot starts on the batch's first point, so every sum is a
+    # whole-batch sum, and one point later, so its sum alone is a tail
+    @example(s=400, m=1000, margin=0.1, unit_weight=False, n_old=1000,
+             opening=0.0, seed=1)
+    @example(s=64, m=200, margin=0.0, unit_weight=False, n_old=1000,
+             opening=0.02, seed=4)
     def test_matches_the_basis_matrix_fold(self, s, m, margin, unit_weight,
                                            n_old, opening, seed):
         # a share ``opening`` of the slots, slot 1 among them when all
