@@ -248,7 +248,7 @@ def _cmd_query(args):
     if args.kind == "estimate":
         values = reg.estimate(grid, rho)
     else:
-        values = reg.density_at(grid)
+        values = reg.density.evaluate_normalized(grid)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", args.kind])

@@ -17,6 +17,10 @@ the Fourier moments of the normalized density are read off theta.  The
 proof is O(p) for a near-uniform sketch, whose constant term outweighs the
 l1 norm of the others; an FFT grid test decides the rest.  An uncertified
 sketch integrates max(0, f_hat) by quadrature.
+
+A design density known to be uniform is the sketch's peer,
+``UniformDensity``: it answers the same queries in closed form, and holds
+and folds nothing.
 """
 
 import math
@@ -196,3 +200,36 @@ class DensityState:
             x, w, fx, z = self._clipped(quadrature.node_count(q, p))
             mu, = basis_mod.moments(reg_basis, M, x, (w * fx / z,), ())
         return basis_mod.gram_from_moments(reg_basis, q, mu)
+
+
+class UniformDensity:
+    """The design density known to be uniform on [lo, hi]: 1/(hi - lo).
+
+    It answers the queries the engine and the service make of a
+    ``DensityState`` in closed form.  It holds no theta and no active slot,
+    folds no sums (its sum ``basis`` is None) and proves nothing about a
+    sketch (``certified`` is None)."""
+
+    basis = active_count = None
+
+    def __init__(self, domain):
+        self.domain = domain  # a BasisSpec for [lo, hi]
+        self.value = 1.0 / (domain.hi - domain.lo)
+        self.theta = np.zeros(0)
+
+    def certified(self):
+        return None
+
+    def bounds(self):
+        """The density's least and greatest value on [lo, hi]."""
+        return self.value, self.value
+
+    def evaluate_normalized(self, t):
+        """1/(hi - lo) at t (scalar or array), for t in [lo, hi]."""
+        t = np.asarray(t, dtype=float)
+        basis_mod._check_points(self.domain, t)
+        return self.value if t.ndim == 0 else np.full(t.shape, self.value)
+
+    def gram(self, reg_basis, q):
+        """Gram matrix H_q of the regression basis under the density."""
+        return basis_mod.gram_uniform(reg_basis, q)

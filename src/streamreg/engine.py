@@ -1,11 +1,12 @@
 """Space-saving one-pass regressor.
 
 The state carried across batches is one real per summary slot: the vector G
-with G_j = sum_{i >= tau_j} phi_j(T_i) * Y_i, the slot start times, and (when
-the predictor density is unknown) the density sketch theta.  G and theta
-share one slot ledger (n, the start vector), which the engine alone holds.
-At query time the Gram matrix is rebuilt on the fly from the sketch and the
-penalized system
+with G_j = sum_{i >= tau_j} phi_j(T_i) * Y_i, the slot start times, and the
+design density's own state: the sketch theta when the predictor density is
+unknown (``DensityState``), nothing when it is known to be uniform
+(``UniformDensity``).  G and theta share one slot ledger (n, the start
+vector), which the engine alone holds.  At query time the Gram matrix is
+rebuilt on the fly from the design density and the penalized system
 
     (H_q + rho*W) a = N_q^{-1} G_q,       N_q = diag(n_1, ..., n_q)
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import basis as basis_mod
 from .basis import lapack
-from .density import DensityState
+from .density import DensityState, UniformDensity
 from .errors import CheckpointError, DomainError, IllConditionedSystemError
 from .scheduler import C_CIRC, C_Q, SchedulerConfig, fold, slot_counts
 
@@ -83,9 +84,9 @@ class OnePassRegressor:
         self.n = 0
         self.G = np.zeros(0)
         self.start = np.zeros(0, dtype=np.int64)
-        self.density = None if known_uniform_density else DensityState(
-            reg_basis if reg_basis.extension_margin == 0
-            else basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi))
+        self.density = UniformDensity(reg_basis) if known_uniform_density \
+            else DensityState(basis_mod.BasisSpec(reg_basis.lo, reg_basis.hi)
+                              if reg_basis.extension_margin else reg_basis)
         self._coef_cache = {}
         # for the ``stats`` query only; neither is checkpointed
         self.last_solve = None  # the gate record of the last solve
@@ -103,25 +104,16 @@ class OnePassRegressor:
         predictors, non-finite responses, or responses so large that G
         overflows, is rejected atomically.
         """
-        ts = np.array(ts, float, copy=None, ndmin=1)
-        ys = np.array(ys, float, copy=None, ndmin=1)
-        if ts.size == 0:
-            raise ValueError("batch must be non-empty")
-        if ts.shape != ys.shape:
-            raise ValueError("t and y batches must have equal length")
-        if ts.ndim != 1:
-            raise ValueError("t and y batches must be one-dimensional")
         spec, density, n_old = self.reg_basis, self.density, self.n
-        if not spec.contains(ts):
-            raise DomainError("batch contains t values outside the domain")
-        if not np.isfinite(ys).all():
-            raise ValueError("batch contains non-finite y values")
-
+        ts, ys = _read_batch(spec, ts, ys)
         n_new = n_old + ts.size
         start = self.schedule.extend(
             self.start, n_new, basis_mod.identifiable_count(spec))
-        # at margin 0 the sketch holds this very basis and shares G's tables
-        shared = density is not None and density.basis is spec
+        # the basis of the design's unit-weight sums: a sketch's own, which
+        # at margin 0 is this very one and shares G's tables; None for a
+        # known density, which folds none
+        unit_basis = density.basis
+        shared = unit_basis is spec
         G = self.G
         if start.size > G.size:
             G = np.concatenate([G, np.zeros(start.size - G.size)])
@@ -132,12 +124,12 @@ class OnePassRegressor:
             G = G + sums[-1]
         if not np.isfinite(G).all():
             raise ValueError("batch overflows the summary statistics")
-        if density is not None:
+        if unit_basis is not None:
             if not shared:
-                sums = fold(density.basis, ts, (None,), start, n_old)
+                sums = fold(unit_basis, ts, (None,), start, n_old)
             density.update(sums[0], slot_counts(start, n_new), ts.size)
         self.G, self.start, self.n = G, start, n_new
-        if density is not None:
+        if unit_basis is not None:
             density.active_count = self.active_count
         self._coef_cache.clear()
 
@@ -160,18 +152,12 @@ class OnePassRegressor:
         H = int phi phi^T f, and by the Rayleigh quotient its eigenvalues lie
         between the least and the greatest value of the design density f
         (Grenander and Szego, *Toeplitz Forms and Their Applications*,
-        1958): 1/(hi - lo) when f is known to be uniform, and
-        ``DensityState.bounds`` for a sketch.  The interval goes with the H
-        it describes to ``penalized_solve``.
+        1958), the design's ``bounds``.  The interval goes with the H it
+        describes to ``penalized_solve``.
         """
-        spec = self.reg_basis
-        margin_zero = spec.extension_margin == 0.0
-        if self.density is None:
-            f = 1.0 / (spec.hi - spec.lo)
-            return (basis_mod.gram_uniform(spec, q),
-                    (f, f) if margin_zero else None)
-        return (self.density.gram(spec, q),
-                self.density.bounds() if margin_zero else None)
+        spec, design = self.reg_basis, self.density
+        return (design.gram(spec, q),
+                design.bounds() if spec.extension_margin == 0.0 else None)
 
     def solve_coefficients(self, rho):
         """Solve the penalized system for the currently active slots."""
@@ -203,24 +189,12 @@ class OnePassRegressor:
         """Evaluate the current regression estimate at t (scalar or array)."""
         return basis_mod.series(self.reg_basis, self.coefficients(rho), t)
 
-    def density_at(self, t):
-        """Predictor density at t (scalar or array): 1/(hi - lo) when it is
-        known to be uniform, the normalized sketch otherwise."""
-        if self.density is not None:
-            return self.density.evaluate_normalized(t)
-        spec = self.reg_basis
-        t = np.asarray(t, dtype=float)
-        basis_mod._check_points(spec, t)
-        value = 1.0 / (spec.hi - spec.lo)
-        return value if t.ndim == 0 else np.full(t.shape, value)
-
     def memory_footprint(self):
         """Exact count of the reals in the v1 checkpoint record: G, start,
-        theta, theta_start (the sketch's copy of start) and SCALAR_UNITS."""
-        units = self.G.size + self.start.size + SCALAR_UNITS
-        if self.density is not None:
-            units += self.density.theta.size + self.start.size
-        return int(units)
+        theta, theta_start (the sketch's copy of start, as long as theta) and
+        SCALAR_UNITS."""
+        return int(self.G.size + self.start.size + 2 * self.density.theta.size
+                   + SCALAR_UNITS)
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -228,6 +202,7 @@ class OnePassRegressor:
 
     def checkpoint(self):
         """Serializable record sufficient to resume ingestion bit-exactly."""
+        theta = self.density.theta
         return {
             "format": CHECKPOINT_FORMAT,
             "n": self.n,
@@ -240,13 +215,13 @@ class OnePassRegressor:
                 "h": self.schedule.h, "C_q": C_Q, "c_circ": C_CIRC,
                 "q0": self.schedule.q0, "mem_cap": self.schedule.mem_cap,
                 "fixed_q": None,
-                "known_uniform_density": self.density is None,
+                "known_uniform_density": isinstance(self.density,
+                                                    UniformDensity),
             },
             "G": self.G.tolist(),
             "start": self.start.tolist(),
-            "theta": [] if self.density is None else self.density.theta.tolist(),
-            "theta_start": [] if self.density is None
-            else self.start.tolist(),
+            "theta": theta.tolist(),
+            "theta_start": self.start[:theta.size].tolist(),
         }
 
     def checkpoint_json(self):
@@ -286,13 +261,15 @@ class OnePassRegressor:
             raise CheckpointError("checkpoint start does not match the schedule")
         reg.n, reg.G, reg.start = n, G, reg.schedule.extend(reg.start, n, q_id)
         # G and theta are written back as they are, so the round trip below
-        # sees neither a wrong length nor an inf
-        shapes = {G.shape, G.shape if reg.density is None else theta.shape}
+        # sees neither a wrong length nor an inf.  A sketch holds one theta
+        # per slot, a known density none: its theta is left to the round trip
+        per_slot = reg.density.basis is not None
+        shapes = {G.shape, theta.shape if per_slot else G.shape}
         finite = np.isfinite(G).all() and np.isfinite(theta).all()
         if shapes != {reg.start.shape} or not finite:
             raise CheckpointError("checkpoint G or theta is not finite or "
                                   "does not match the slots")
-        if reg.density is not None:
+        if per_slot:
             reg.density.theta = theta
             reg.density.active_count = reg.active_count
         written = reg.checkpoint()
@@ -305,6 +282,25 @@ class OnePassRegressor:
         return reg
 
 
+def _read_batch(spec, ts, ys):
+    """The t and y arrays of a non-empty one-dimensional batch of (t, y)
+    pairs with t in [lo, hi] and y finite; scalar t and y are a batch of
+    one.  ValueError (DomainError for a t outside [lo, hi]) for any other."""
+    ts = np.array(ts, float, copy=None, ndmin=1)
+    ys = np.array(ys, float, copy=None, ndmin=1)
+    if ts.size == 0:
+        raise ValueError("batch must be non-empty")
+    if ts.shape != ys.shape:
+        raise ValueError("t and y batches must have equal length")
+    if ts.ndim != 1:
+        raise ValueError("t and y batches must be one-dimensional")
+    if not spec.contains(ts):
+        raise DomainError("batch contains t values outside the domain")
+    if not np.isfinite(ys).all():
+        raise ValueError("batch contains non-finite y values")
+    return ts, ys
+
+
 def batch_fit(ts, ys, spec, q, rho, penalty):
     """Non-streaming baseline: (n^-1 Phi'Phi + rho W)^-1 (n^-1 Phi'Y)."""
     H, rhs = normal_equations(spec, q, ts, ys)
@@ -314,20 +310,13 @@ def batch_fit(ts, ys, spec, q, rho, penalty):
 
 def normal_equations(spec, q, ts, ys):
     """The batch system's n^-1 Phi'Phi and n^-1 Phi'Y from the sample's
-    Fourier moments, with no n x q basis matrix."""
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    n = ts.size
-    if n < 1:
-        raise ValueError("empty sample")
-    if ts.shape != ys.shape:
-        raise ValueError("t and y samples must have equal length")
-    if ts.ndim != 1:
-        raise ValueError("t and y samples must be one-dimensional")
+    Fourier moments, with no n x q basis matrix.  The sample is read as
+    ``ingest`` reads a batch."""
+    ts, ys = _read_batch(spec, ts, ys)
     if q < 1:
         raise DomainError("basis count q must be >= 1")
-    unit, weighted = basis_mod.moments(
-        spec, q, basis_mod._check_points(spec, ts), (None, ys), ())
+    n = ts.size
+    unit, weighted = basis_mod.moments(spec, q, ts, (None, ys), ())
     H = basis_mod.gram_from_moments(spec, q, unit)
     return H / n, basis_mod.sums_from_moments(spec, q, weighted) / n
 

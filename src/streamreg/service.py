@@ -165,14 +165,11 @@ class StreamRegistry:
         with lock:
             if kind == "stats":
                 rho = self._rho(reg)
-                sketch = reg.density
                 return {"n": reg.n, "q_active": reg.active_count,
-                        "p_active": None if sketch is None
-                        else sketch.active_count,
+                        "p_active": reg.density.active_count,
                         "pending_slots": reg.G.size - reg.active_count,
                         "memory_units": reg.memory_footprint(), "rho": rho,
-                        "density_certified": None if sketch is None
-                        else sketch.certified(),
+                        "density_certified": reg.density.certified(),
                         "last_solve": reg.last_solve and dict(reg.last_solve),
                         "coef_cache_hits": reg.coef_cache_hits}
             if not is_real(t):
@@ -181,7 +178,7 @@ class StreamRegistry:
             if kind == "estimate":
                 return {"value": reg.estimate(float(t), self._rho(reg))}
             if kind == "density":
-                return {"value": reg.density_at(float(t))}
+                return {"value": reg.density.evaluate_normalized(float(t))}
             raise ValueError(f"unknown query kind {reprlib.repr(kind)}")
 
     def _rho(self, reg):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import normal_equations, penalized_solve
+from .engine import _read_batch, normal_equations, penalized_solve
 from . import basis as basis_mod
 from .basis import is_count, is_real, require
 from .errors import IllConditionedSystemError, TuningError
@@ -71,12 +71,10 @@ def cv_table(ts, ys, grid, penalty, spec):
     A grid point fits each fold's complement on the other folds' summed
     system over their size, the system ``batch_fit`` solves, and scores the
     held-out fold from its own sums as y'y - 2 a'Phi'y + a'Phi'Phi a, so no
-    basis matrix is built.
+    basis matrix is built.  The whole sample is read as ``ingest`` reads a
+    batch.
     """
-    ts = np.asarray(ts, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if ts.shape != ys.shape:
-        raise ValueError("t and y samples must have equal length")
+    ts, ys = _read_batch(spec, ts, ys)
     if ts.size < grid.n0:
         raise ValueError(f"warm-up requires at least n0={grid.n0} observations")
     qs = [SchedulerConfig(h=h).active_count(grid.n0) for h in grid.h_grid]

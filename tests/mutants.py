@@ -90,7 +90,9 @@ MUTANTS = [
     Mutant("loader: no G and theta shape check", "engine.py",
            "        if shapes != {reg.start.shape} or not finite:",
            "        if not finite:",
-           (f"{CHECKPOINT}::test_corrupt_payload_raises",)),
+           (f"{CHECKPOINT}::test_corrupt_payload_raises",
+            f"{ENGINE}::TestDesignRecord::"
+            "test_a_sketch_record_holds_one_theta_per_slot")),
     Mutant("loader: no finiteness check on G and theta", "engine.py",
            "        finite = np.isfinite(G).all() and np.isfinite(theta).all()",
            "        finite = True",
@@ -118,8 +120,8 @@ MUTANTS = [
            "        finite = np.isfinite(A).all()", "        finite = True",
            (f"{ENGINE}::TestSolve::test_non_finite_system_is_refused",)),
     Mutant("certificate: interval kept at a margin", "engine.py",
-           "        margin_zero = spec.extension_margin == 0.0",
-           "        margin_zero = True",
+           "design.bounds() if spec.extension_margin == 0.0 else None)",
+           "design.bounds())",
            (f"{CONDITIONING}::test_certificate_needs_margin_zero",)),
     Mutant("certificate: no rounding allowance in the kappa bound",
            "engine.py",
@@ -201,18 +203,26 @@ MUTANTS = [
            (f"{LOWERBOUND}::TestRunProtocol::"
             "test_a_payload_that_is_not_the_footprint_is_refused",)),
     # the boundaries
-    Mutant("ingest: no finiteness check on y", "engine.py",
-           "        if not np.isfinite(ys).all():\n"
-           "            raise ValueError(\"batch contains non-finite y values\")\n",
+    Mutant("batch reader: no finiteness check on y", "engine.py",
+           "    if not np.isfinite(ys).all():\n"
+           "        raise ValueError(\"batch contains non-finite y values\")\n",
            "",
-           (f"{ENGINE}::TestIngest::test_non_finite_y_rejected_atomically",)),
-    Mutant("ingest: no one-dimensional check", "engine.py",
-           "        if ts.ndim != 1:\n"
-           "            raise ValueError(\"t and y batches must be "
+           (f"{ENGINE}::TestIngest::test_non_finite_y_rejected_atomically",
+            f"{ENGINE}::TestBatchFit::"
+            "test_a_non_finite_y_is_refused_before_the_solve")),
+    Mutant("batch reader: no one-dimensional check", "engine.py",
+           "    if ts.ndim != 1:\n"
+           "        raise ValueError(\"t and y batches must be "
            "one-dimensional\")\n",
            "",
            (f"{ENGINE}::TestIngest::"
-            "test_a_batch_that_is_not_one_dimensional_is_refused",)),
+            "test_a_batch_that_is_not_one_dimensional_is_refused",
+            f"{ENGINE}::TestBatchFit::"
+            "test_normal_equations_refuse_a_sample_that_is_not_one_dimensional"
+            )),
+    Mutant("uniform design: no domain check", "density.py",
+           "        basis_mod._check_points(self.domain, t)\n", "",
+           (f"{SERVICE}::TestRegistry::test_density_query_known_uniform",)),
     Mutant("service: no depth scan", "service.py",
            "    if len(raw) > 2 * MAX_DEPTH and _nesting_depth(raw) > MAX_DEPTH:",
            "    if False:",

@@ -3,11 +3,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (UNIT, feed, make_engine, replay_ledger, traced_peak,
-                     update_theta_two_branch)
-from streamreg import quadrature, scheduler
+from oracles import (UNIT, feed, make_engine, replay_ledger, sample,
+                     traced_peak, update_theta_two_branch)
+from streamreg import basis, quadrature, scheduler
 from streamreg.basis import BasisSpec, eval_matrix, gram_from_moments, moments
-from streamreg.density import DensityState
+from streamreg.density import DensityState, UniformDensity
 from streamreg.engine import OnePassRegressor
 from streamreg.errors import DegenerateDensityError, DomainError, StateError
 from streamreg.scheduler import SchedulerConfig
@@ -129,6 +129,45 @@ class TestUpdate:
         assert eng.density.theta.size == eng.start.size
 
 
+class TestUniformDensity:
+    """The known-uniform design answers the sketch's queries in closed form
+    and holds nothing."""
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    def test_answers_in_closed_form(self, margin):
+        spec = BasisSpec(-1.0, 3.0, extension_margin=margin)
+        design = make_engine(known=True, spec=spec).density
+        assert isinstance(design, UniformDensity)
+        assert (design.basis, design.active_count, design.certified()) \
+            == (None, None, None)
+        assert design.theta.size == 0
+        assert design.bounds() == (0.25, 0.25)
+        assert design.gram(spec, 7).tobytes() \
+            == basis.gram_uniform(spec, 7).tobytes()
+        value = design.evaluate_normalized(0.5)
+        assert type(value) is float and value == 0.25
+        grid = np.array([[-1.0, 0.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(design.evaluate_normalized(grid),
+                                      np.full((2, 2), 0.25))
+        for t in (3.5, np.nan, [0.0, -2.0]):
+            with pytest.raises(DomainError):
+                design.evaluate_normalized(t)
+
+    def test_a_known_ingest_folds_only_the_responses(self, monkeypatch):
+        # the engine asks the design for a basis of unit-weight sums, and a
+        # known density has none, so every fold weights the y alone
+        calls = []
+
+        def counted(spec, K, ts, weights, tails):
+            calls.append(len(weights))
+            return basis.moments(spec, K, ts, weights, tails)
+
+        monkeypatch.setattr("streamreg.scheduler.moments", counted)
+        eng = make_engine(known=True)
+        feed(eng, *sample(500, 40, np.sin), batch=70)
+        assert calls == [1] * 8
+
+
 class TestEvaluate:
     def test_uniform_single_slot(self):
         eng = make_engine(known=False, q0=1, mem_cap=3)
@@ -196,10 +235,12 @@ class TestNormalized:
         for size in [1] * 8 + [500, 1, 2000, 1, 7000]:
             eng.ingest(rng.beta(2, 3, size), rng.normal(size=size))
             copy = OnePassRegressor.from_checkpoint(eng.checkpoint_json())
+            live, loaded = eng.density, copy.density
             for _ in range(2):
-                np.testing.assert_array_equal(eng.density_at(grid),
-                                              copy.density_at(grid))
-                assert eng.density_at(0.3) == copy.density_at(0.3)
+                np.testing.assert_array_equal(live.evaluate_normalized(grid),
+                                              loaded.evaluate_normalized(grid))
+                assert live.evaluate_normalized(0.3) \
+                    == loaded.evaluate_normalized(0.3)
 
     def test_normalizer_builds_no_basis_matrix(self):
         # a (32768 x q) basis matrix at q = 92 alone takes 24 MB; Beta(2, 3)

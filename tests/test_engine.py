@@ -30,6 +30,7 @@ from streamreg.errors import (CheckpointError, DomainError,
 from streamreg.scheduler import SchedulerConfig, slot_counts
 from streamreg.service import (MAX_LINE_BYTES, ServiceConfig, StreamRegistry,
                                decode_request, handle_request)
+from streamreg.tuning import TuningGrid, cv_table
 
 def table_bytes(q, m):
     """Bytes of the buffer ``basis.moments`` takes for the power tables of
@@ -216,7 +217,9 @@ class TestIngest:
     def test_a_batch_that_is_not_one_dimensional_is_refused(self,
                                                              monkeypatch):
         # refused by its shape before any table is built, and not by
-        # numpy's broadcasting inside the fold
+        # numpy's broadcasting inside the fold.  The fold looks ``moments``
+        # up in the scheduler, so the patch goes there, where a valid batch
+        # shows that it bites
         def never(*args):
             raise AssertionError("a table was built")
 
@@ -225,10 +228,12 @@ class TestIngest:
             eng.ingest([0.5, 0.25], [1.0, 2.0])
             before = eng.checkpoint_json()
             with monkeypatch.context() as patch:
-                patch.setattr(basis, "moments", never)
+                patch.setattr("streamreg.scheduler.moments", never)
                 for shape in ((2, 3), (1, 1)):
                     with pytest.raises(ValueError, match="one-dimensional"):
                         eng.ingest(np.full(shape, 0.5), np.ones(shape))
+                with pytest.raises(AssertionError, match="a table was built"):
+                    eng.ingest([0.5], [1.0])
             assert eng.checkpoint_json() == before
 
     @pytest.mark.parametrize("known", [False, True])
@@ -554,9 +559,18 @@ class TestConditioningCertificate:
             (1.0 + delta) / delta)
 
     def test_certificate_needs_margin_zero(self):
-        eng = make_engine(known=True,
-                          spec=BasisSpec(0.0, 1.0, extension_margin=0.1))
-        assert eng.gram(5)[1] is None
+        # at a margin the family is not orthonormal on [lo, hi], so no
+        # design's bounds bound the Gram's spectrum: neither the known
+        # density's nor those of a sketch certified by its coefficients
+        spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
+        known, sketch = make_engine(known=True, spec=spec), \
+            make_engine(known=False, spec=spec)
+        sketch.density.theta = np.array([1.0, 0.1, 0.0, 0.05, 0.0])
+        sketch.density.active_count = 5
+        assert sketch.density.certified()
+        assert sketch.density.bounds() is not None
+        for eng in (known, sketch):
+            assert eng.gram(5)[1] is None
 
     def test_grid_certified_sketch_proves_no_spectrum(self):
         # a bump whose coefficient bound fails but the grid test passes
@@ -1198,6 +1212,20 @@ class TestCheckpoint:
             OnePassRegressor.from_checkpoint({**eng.checkpoint(), **fields})
 
 
+class TestDesignRecord:
+    def test_a_sketch_record_holds_one_theta_per_slot(self):
+        # the record's theta_start runs as far as its theta, so a theta and
+        # a theta_start one entry short agree with each other, and only the
+        # loader's shape check refuses them
+        eng = make_engine(known=False)
+        feed(eng, *sample(700, 41, np.sin))
+        good = eng.checkpoint()
+        short = {**good, "theta": good["theta"][:-1],
+                 "theta_start": good["theta_start"][:-1]}
+        with pytest.raises(CheckpointError, match="does not match"):
+            OnePassRegressor.from_checkpoint(short)
+
+
 class TestConstructors:
     @settings(max_examples=300, deadline=None)
     @given(case=st.one_of(*[
@@ -1285,7 +1313,7 @@ class TestBatchFit:
             + 32 * (q + 1) ** 2
 
     def test_normal_equations_reject_bad_input(self):
-        with pytest.raises(ValueError, match="empty sample"):
+        with pytest.raises(ValueError, match="non-empty"):
             normal_equations(UNIT, 3, [], [])
         with pytest.raises(DomainError):
             normal_equations(UNIT, 0, [0.5], [1.0])
@@ -1304,7 +1332,30 @@ class TestBatchFit:
         def never(*args):
             raise AssertionError("a table was built")
 
+        # a 0-d sample is a sample of one, as a 0-d batch is in ``ingest``
+        want = normal_equations(UNIT, 3, [0.5], [1.0])
+        for got, one in zip(normal_equations(UNIT, 3, np.array(0.5), 1.0),
+                            want):
+            assert got.tobytes() == one.tobytes()
         monkeypatch.setattr(basis, "moments", never)
-        for ts in (np.full((2, 3), 0.5), np.array(0.5)):
-            with pytest.raises(ValueError, match="one-dimensional"):
-                normal_equations(UNIT, 3, ts, np.ones_like(ts))
+        ts = np.full((2, 3), 0.5)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            normal_equations(UNIT, 3, ts, np.ones_like(ts))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_y_is_refused_before_the_solve(self, monkeypatch,
+                                                        bad):
+        # the batch fit and every fold of the CV table read their sample as
+        # ``ingest`` reads a batch, so a NaN or inf y is named as what it
+        # is, not as a penalized system that holds one
+        def never(*args):
+            raise AssertionError("a system was solved")
+
+        ts, ys = sample(1000, 23, np.cos)
+        ys[17] = bad
+        for module in ("engine", "tuning"):
+            monkeypatch.setattr(f"streamreg.{module}.penalized_solve", never)
+        with pytest.raises(ValueError, match="non-finite y"):
+            batch_fit(ts, ys, UNIT, 5, 1e-3, ROUGH)
+        with pytest.raises(ValueError, match="non-finite y"):
+            cv_table(ts, ys, TuningGrid(n0=1000), ROUGH, UNIT)

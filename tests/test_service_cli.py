@@ -552,7 +552,8 @@ class TestSocketService:
                 fresh = make_engine(known=False)
                 for batch in fresh_batches:
                     fresh.ingest(batch, np.sin(batch))
-                assert resp == {"ok": True, "value": fresh.density_at(0.3)}
+                assert resp == {"ok": True, "value":
+                                fresh.density.evaluate_normalized(0.3)}
 
     def test_stats_report_the_density_certificate(self):
         rng = np.random.default_rng(22)
