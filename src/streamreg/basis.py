@@ -230,23 +230,31 @@ def _curvature_factors(spec, q):
 
 @functools.lru_cache(maxsize=16)
 def penalty_matrix(spec, penalty, q):
-    """Penalty matrix W for the first q basis functions, read-only.
+    """Penalty matrix W for the first q basis functions, read-only: at
+    margin 0 its diagonal w, a vector of q, and otherwise the q x q matrix.
 
-    Identity kind returns I_q.  Roughness kind returns the matrix of
-    integrated products of second derivatives over the data domain.  Since
+    Identity kind is I_q.  Roughness kind is the matrix of integrated
+    products of second derivatives over the data domain.  Since
     phi_j'' = c_j phi_j with c_j = -(2 k pi / P)^2, that matrix is
     (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix, which is
-    I_q / (hi - lo) at margin 0.
+    I_q / (hi - lo) at margin 0.  So at margin 0 W is diagonal for both
+    kinds, and w = (hi - lo) c (1 / (hi - lo)) c has the bits of the dense
+    product's diagonal; every entry off it is +0.0.  Only the solve
+    (``engine._system``) reads W's shape.
 
     W depends on its arguments only, so the last 16 are kept: every solve
     after an ingest asks for the same one, and a Monte Carlo replicate for
-    10.  Callers build new arrays from W rather than writing into it.
+    10.  At margin 0 each holds O(q) bytes.  Callers build new arrays from
+    W rather than writing into it.
     """
-    if penalty.kind == "identity":
+    length = spec.hi - spec.lo
+    c = _curvature_factors(spec, q)
+    if spec.extension_margin == 0.0:
+        W = np.ones(q) if penalty.kind == "identity" \
+            else length * c * (1.0 / length) * c
+    elif penalty.kind == "identity":
         W = np.eye(q)
     else:
-        c = _curvature_factors(spec, q)
-        length = spec.hi - spec.lo
         W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
         W = 0.5 * (W + W.T)
     W.flags.writeable = False
@@ -492,6 +500,13 @@ def gram_from_moments(spec, q, mu):
     scalings, as in the complex assembly.  A difference is the sum with the
     negated term, and negation is exact, so every entry has the complex
     assembly's bits (``tests/oracles.gram_from_moments``).
+
+    Rows and columns 1..q of the bordered matrix go straight into H, and
+    row 0, which gives the corner and the border, is summed on its own, so
+    H is the only q x q array the call builds.  numpy gives every operand
+    of a ufunc that is not contiguous a buffer of up to 8192 elements, so
+    one parity's rows are summed in a contiguous block, which a copy (no
+    buffer) places in H.
     """
     K = q // 2
     n = 2 * K + 1
@@ -505,18 +520,24 @@ def gram_from_moments(spec, q, mu):
     V[3].real, V[3].imag = mu[:n].imag, -mu[:n].real  # (Im Hk, -Re Hk)
     V = V.reshape(-1).view(float)
     e = V.itemsize
-    full = np.empty((q + 1, q + 1))
-    for r in (0, 1):
-        # row 2k + r reads V[r] from 2 (K - k) and V[2 + r] from 2k
+    H = np.empty((q, q))
+    block = np.empty(((q + 1) // 2, q))
+    for r in (1, 0):
+        # row 2k + r reads V[r] from 2 (K - k) and V[2 + r] from 2k; it is
+        # row 2k + r - 1 of H, except row 0
         rows = (q - r) // 2 + 1
         T = np.ndarray((rows, q + 1), float, V, (2 * n * r + 2 * K) * e,
                        (-2 * e, e))
         Hk = np.ndarray((rows, q + 1), float, V, 2 * n * (2 + r) * e,
                         (2 * e, e))
-        np.add(T, Hk, out=full[r::2])
-    H = full[1:, 1:] / P
-    H[0, 0] = 0.5 * full[0, 0] / P
-    H[0, 1:] = H[1:, 0] = np.sqrt(0.5) * full[0, 2:] / P
+        sums = block[:rows - 1 + r]
+        np.copyto(sums, T[1 - r:, 1:])
+        sums += Hk[1 - r:, 1:]
+        H[1 - r::2] = sums
+    top = T[0] + Hk[0]  # row 0, from the last pass (r = 0)
+    H /= P
+    H[0, 0] = 0.5 * top[0] / P
+    H[0, 1:] = H[1:, 0] = np.sqrt(0.5) * top[2:] / P
     return H
 
 

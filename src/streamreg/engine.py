@@ -321,18 +321,33 @@ def normal_equations(spec, q, ts, ys):
     return H / n, basis_mod.sums_from_moments(spec, q, weighted) / n
 
 
-def _kappa_bound(spectrum, W, rho):
+def _kappa_bound(spectrum, w, rho):
     """An upper bound on kappa_2(H + rho W) as LAPACK sees it, from an
-    interval (lo, hi) holding the eigenvalues of H, for a PSD W; inf when
-    there is no interval or it proves nothing."""
+    interval (lo, hi) holding the eigenvalues of H, for a PSD W of diagonal
+    w (W itself at margin 0, where it is diagonal); inf when there is no
+    interval or it proves nothing."""
     if spectrum is None or not rho >= 0.0:
         return math.inf
     lo, hi = spectrum
-    hi = hi + rho * float(W.trace())  # lambda_max(W) <= tr W, W being PSD
+    hi = hi + rho * float(w.sum())  # lambda_max(W) <= tr W, W being PSD
     # the rounding of H, A and the interval, dpotrf's backward error and
     # that of the solves in dpocon: each under 2 q (q + 1) u ||A||_2
-    delta = 8 * (W.shape[0] + 1) ** 2 * _EPS * hi
+    delta = 8 * (w.size + 1) ** 2 * _EPS * hi
     return (hi + delta) / (lo - delta) if lo > delta else math.inf
+
+
+def _system(A, H, W, rho):
+    """Write H + rho W into A, to the bit, and return W's diagonal.  At
+    margin 0 W is its diagonal w: A is then H plus rho w on the diagonal,
+    and its zeros off it get, from the added rho * 0.0, the signs that
+    H + rho W gives them."""
+    if W.ndim == 1:
+        np.add(H, rho * 0.0, out=A)
+        A[np.diag_indices(A.shape[0])] += rho * W
+        return W
+    np.multiply(W, rho, out=A)
+    A += H
+    return W.diagonal()
 
 
 def penalized_solve(H, W, rho, rhs, spectrum):
@@ -362,22 +377,32 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     A refusal reports dpotrf's failure or dpocon's estimate.  The LAPACK
     routines are called through ``basis.lapack``, scipy's Fortran wrappers,
     with none of scipy.linalg's input checks, so a non-finite system is
-    refused here, before anything is factored."""
-    A = np.multiply(W, rho)  # H + rho W with one temporary, to the bit
-    A += H
-    kappa = _kappa_bound(spectrum, W, rho)
+    refused here, before anything is factored.
+
+    W is a q x q matrix or, at margin 0, its diagonal w (``penalty_matrix``);
+    ``_system`` is the one reader of its shape.  H must be symmetric to the
+    bit, as every Gram matrix the package builds is: A = H + rho W is then
+    symmetric too, so its C-order buffer, read as A.T, is the Fortran array
+    dpotrf factors in place.  A is the only q x q array the solve builds,
+    so a solve holds H and A; dpocon's 1-norm is summed in A's own buffer,
+    which is then formed again."""
+    A = np.empty(H.shape)
+    w = _system(A, H, W, rho)
+    kappa = _kappa_bound(spectrum, w, rho)
     certified = A.shape[0] * kappa < 1.0 / RCOND_FLOOR
     if certified:
-        finite = np.isfinite(A).all()
+        # a NaN shows in the least and greatest entries, as an inf does
+        finite = np.isfinite((A.min(), A.max())).all()
     else:
-        anorm = np.abs(A).sum(0).max()  # np.linalg.norm(A, 1)
+        anorm = np.abs(A, out=A).sum(0).max()  # np.linalg.norm(A, 1)
         # a NaN or inf in A makes its 1-norm NaN or inf (as does a finite A
         # too large for its 1-norm to be a double, which no Cholesky would
         # survive)
         finite = np.isfinite(anorm)
+        _system(A, H, W, rho)
     if not (finite and np.isfinite(rhs).all()):
         raise ValueError("penalized system holds a NaN or inf")
-    c, info = lapack.dpotrf(A, lower=1, clean=0)
+    c, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise IllConditionedSystemError(
             "penalized Gram system is not positive definite")

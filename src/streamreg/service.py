@@ -52,7 +52,10 @@ to (about 9 times the line), and beyond them its t and y arrays and one
 chunk of power tables (``basis.moments``) of at most SPARE_BYTES with a few
 rows of the chunk's points.  A 1 002 717-byte line of 74 884 points
 decoded to 9.6 MB by tracemalloc; folded into a stream at n = 1e5 it peaks
-6.0 MB above its decoded objects.
+6.0 MB above its decoded objects.  On the query side, a cold estimate at
+margin 0 holds two q x q arrays, the Gram matrix H and the system it
+factors in place, beside O(q) for the penalty, which is diagonal there and
+kept as its diagonal (``engine.penalized_solve``).
 """
 
 import json

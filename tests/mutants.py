@@ -73,6 +73,9 @@ ENGINE_FLAGS = f"{SERVICE}::TestCli::test_engine_flags_out_of_range_are_errors"
 BUDGET = ("tests/test_dependencies.py::"
           "test_importing_the_cli_loads_no_unserved_module")
 
+# the CLI's test of CSV rows at t = lo and t = hi
+ENDS = f"{SERVICE}::TestCli::test_rows_at_both_ends_of_the_domain_are_data"
+
 # the loader's size-first slot guard
 GUARD = "        if slots != min(opened, q_id):\n"
 
@@ -107,7 +110,7 @@ MUTANTS = [
            (f"{COUNT}::test_an_extended_stream_stops_at_its_count",)),
     # the conditioning certificate
     Mutant("certificate: rho W left out of the kappa bound", "engine.py",
-           "    hi = hi + rho * float(W.trace())", "    hi = hi",
+           "    hi = hi + rho * float(w.sum())", "    hi = hi",
            (CONDITIONING,)),
     Mutant("certificate: sqrt(2) dropped from bounds", "density.py",
            "        spread = math.sqrt(2.0) * rest", "        spread = rest",
@@ -117,7 +120,8 @@ MUTANTS = [
            "    certified = kappa < 1.0 / RCOND_FLOOR",
            (f"{CONDITIONING}::test_gate_threshold_is_q_kappa",)),
     Mutant("certificate: no finiteness check on its path", "engine.py",
-           "        finite = np.isfinite(A).all()", "        finite = True",
+           "        finite = np.isfinite((A.min(), A.max())).all()",
+           "        finite = True",
            (f"{ENGINE}::TestSolve::test_non_finite_system_is_refused",)),
     Mutant("certificate: interval kept at a margin", "engine.py",
            "design.bounds() if spec.extension_margin == 0.0 else None)",
@@ -125,9 +129,30 @@ MUTANTS = [
            (f"{CONDITIONING}::test_certificate_needs_margin_zero",)),
     Mutant("certificate: no rounding allowance in the kappa bound",
            "engine.py",
-           "    delta = 8 * (W.shape[0] + 1) ** 2 * _EPS * hi",
+           "    delta = 8 * (w.size + 1) ** 2 * _EPS * hi",
            "    delta = 0.0",
            (f"{CONDITIONING}::test_a_lower_end_within_rounding_proves_nothing",)),
+    # the margin-0 system: W as its diagonal, A factored where it is formed
+    Mutant("penalty: dense W at margin 0", "basis.py",
+           "        W = np.ones(q) if penalty.kind == \"identity\" \\\n"
+           "            else length * c * (1.0 / length) * c\n",
+           "        W = np.diag(np.ones(q) if penalty.kind == \"identity\"\n"
+           "                    else length * c * (1.0 / length) * c)\n",
+           (f"{ENGINE}::TestMemory::"
+            "test_a_margin_zero_cold_solve_holds_two_systems",)),
+    Mutant("solve: dpotrf on a copy", "engine.py",
+           "    c, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)",
+           "    c, info = lapack.dpotrf(A.T, lower=1, clean=0)",
+           (f"{ENGINE}::TestMemory::"
+            "test_a_margin_zero_cold_solve_holds_two_systems",)),
+    Mutant("solve: the zeros off the diagonal lose their sign", "engine.py",
+           "        np.add(H, rho * 0.0, out=A)",
+           "        np.add(H, 0.0, out=A)",
+           (f"{ENGINE}::TestSolve::test_system_has_the_bits_of_h_plus_rho_w",)),
+    Mutant("solve: |A| left in the system after its 1-norm", "engine.py",
+           "        finite = np.isfinite(anorm)\n        _system(A, H, W, rho)\n",
+           "        finite = np.isfinite(anorm)\n",
+           (f"{ENGINE}::TestSolve::test_system_has_the_bits_of_h_plus_rho_w",)),
     Mutant("sketch: no slack in the coefficient bound", "density.py",
            "        slack = 8 * p * _EPS * (abs(first) + rest)",
            "        slack = 0.0",
@@ -296,6 +321,32 @@ MUTANTS = [
     Mutant("cli: no domain check on a CSV row", "cli.py",
            "        if not spec.lo <= t <= spec.hi:", "        if False:",
            (f"{SERVICE}::TestCli::test_bad_row_reports_its_line",)),
+    # the extreme value each boundary accepts
+    Mutant("loader: n = 2**63 accepted", "engine.py",
+           "    if type(n) is not int or not 0 <= n < 2 ** 63:",
+           "    if type(n) is not int or not 0 <= n <= 2 ** 63:",
+           (f"{CHECKPOINT}::test_n_past_the_int64_range_is_refused_at_once",)),
+    Mutant("scheduler: mem_cap = 1 refused", "scheduler.py",
+           "        if self.mem_cap is not None and self.mem_cap < 1:",
+           "        if self.mem_cap is not None and self.mem_cap <= 1:",
+           (f"{ENGINE}::TestMemory::"
+            "test_the_least_memory_cap_keeps_one_slot",)),
+    Mutant("cli: a CSV row at t = lo refused", "cli.py",
+           "        if not spec.lo <= t <= spec.hi:",
+           "        if not spec.lo < t <= spec.hi:",
+           (ENDS,)),
+    Mutant("cli: a CSV row at t = hi refused", "cli.py",
+           "        if not spec.lo <= t <= spec.hi:",
+           "        if not spec.lo <= t < spec.hi:",
+           (ENDS,)),
+    Mutant("cli: a query grid of one point refused", "cli.py",
+           "    if args.grid < 1:", "    if args.grid <= 1:",
+           (f"{SERVICE}::TestCli::test_a_grid_of_one_point_writes_one_row",)),
+    Mutant("cli: a query at rho = 0 refused", "cli.py",
+           "    if args.rho is not None and not 0 <= args.rho < math.inf:",
+           "    if args.rho is not None and not 0 < args.rho < math.inf:",
+           (f"{SERVICE}::TestCli::"
+            "test_query_at_rho_zero_solves_the_unpenalized_system",)),
     Mutant("cli: no finiteness check on a CSV y", "cli.py",
            "        if not math.isfinite(y):", "        if False:",
            (f"{SERVICE}::TestCli::test_bad_row_reports_its_line",)),

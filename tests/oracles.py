@@ -5,11 +5,14 @@ another way, kept here so the tests can compare against it.  The builders
 (``UNIT``, ``ROUGH``, ``make_engine``, ``sample``, ``feed``) are the ones
 every test module but the acceptance suite takes.  ``replay_ledger`` is
 the tests' one replay of the ledger, ``run_fresh`` their one child
-interpreter and ``traced_peak`` their one memory measurement.
+interpreter, ``traced_peak`` their one memory measurement and ``within``
+their one time limit.
 """
 
+import contextlib
 import math
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -79,6 +82,25 @@ def run_fresh(code, *argv, **env):
     return subprocess.run([sys.executable, "-c", code, *argv],
                           env=fresh_env(**env), capture_output=True,
                           text=True, check=True, timeout=300).stdout
+
+
+@contextlib.contextmanager
+def within(seconds):
+    """Fail the block with TimeoutError once it has run ``seconds`` of real
+    time, so that a hang is a failure rather than a stuck suite.  SIGALRM
+    interrupts Python code only between bytecodes, so the block must not
+    wait inside one C call; it runs in the main thread, as pytest's tests
+    do."""
+    def expire(signum, frame):
+        raise TimeoutError(f"the block ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def traced_peak(fn, *args):
@@ -405,12 +427,18 @@ def roughness_penalty_dense(spec, q):
 
 
 def roughness_penalty_diagonal(spec, q):
-    """The roughness W at margin 0, where H = I_q / (hi - lo), as the
-    diagonal ((hi - lo) c) (1 / (hi - lo)) c: the roundings of the dense
-    product's diagonal, with no q x q product."""
+    """The roughness W's diagonal at margin 0, where H = I_q / (hi - lo):
+    ((hi - lo) c) (1 / (hi - lo)) c, the roundings of the dense product's
+    diagonal, with no q x q product."""
     c = _curvature_factors(spec, q)
     length = spec.hi - spec.lo
-    return np.diag(((length * c) * (1.0 / length)) * c)
+    return ((length * c) * (1.0 / length)) * c
+
+
+def penalty_as_matrix(W):
+    """A ``penalty_matrix`` result as the q x q matrix W: at margin 0 it is
+    W's diagonal, and every entry off it is +0.0."""
+    return np.diag(W) if W.ndim == 1 else W
 
 
 def second_derivative_matrix(spec, q, t):
@@ -642,18 +670,20 @@ def cv_tolerance(ts, ys, grid, penalty, spec):
         for h, q in zip(grid.h_grid, qs):
             rho = rho_at(C_rho, h, grid.n0, penalty.zeta)
             W = penalty_matrix(spec, penalty, q)
+            W_dense = penalty_as_matrix(W)
             per_fold, cvs = [], []
             try:
                 for j in range(J):
                     train = folds != j
                     H, rhs = normal_equations(spec, q, ts[train], ys[train])
                     a = penalized_solve(H, W, rho, rhs, None)[0]
-                    M = H + rho * W
+                    M = H + rho * W_dense
                     lam = np.linalg.eigvalsh(M)
                     n_t = np.count_nonzero(train)
                     dM = (q * eps * s * s * grid.n0 / n_t
                           + gamma(2) * np.linalg.norm(np.abs(H)
-                                                      + rho * np.abs(W), 2)
+                                                      + rho * np.abs(W_dense),
+                                                      2)
                           + gamma(3 * q + 1) * q * lam[-1])
                     e = math.sqrt(q) * eps * s * np.abs(ys).sum() / n_t
                     growth = dM / lam[0] if lam[0] > 0 else math.inf

@@ -19,12 +19,12 @@ from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec,
                              eval_matrix, penalty_matrix)
 from oracles import (ROUGH, UNIT, feed, make_engine,
                      normal_equations_out_of_place, partition_tolerance,
-                     replay_ledger, run_fresh, sample, traced_peak,
-                     weighted_gram)
+                     penalty_as_matrix, replay_ledger, run_fresh, sample,
+                     traced_peak, weighted_gram, within)
 from streamreg.density import DensityState
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
-                              _kappa_bound, batch_fit, normal_equations,
-                              penalized_solve)
+                              _kappa_bound, _system, batch_fit,
+                              normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
 from streamreg.scheduler import SchedulerConfig, slot_counts
@@ -414,19 +414,30 @@ class TestSolve:
 
     @pytest.mark.parametrize("q", [1, 92, 200])
     def test_system_has_the_bits_of_h_plus_rho_w(self, q):
-        # H with signed zeros off the diagonal: A = rho W, then A += H,
-        # must factor the matrix H + rho W gives, to the bit
+        # H with signed zeros off the diagonal: the solve must form and
+        # factor the matrix H + rho W gives, to the bit, signed zeros too
+        # (rho = -0.0 makes rho W's zeros negative)
         rng = np.random.default_rng(q)
         B = rng.normal(size=(q, q))
-        H = B @ B.T / q + np.eye(q)
-        H[rng.uniform(size=(q, q)) < 0.2] = 0.0
-        H = np.where(rng.uniform(size=(q, q)) < 0.5, H, -H)
-        H = np.triu(H) + np.triu(H, 1).T + q * np.eye(q)
+        H = B @ B.T / q + (q + 1) * np.eye(q)
+
+        def pairs(p):  # a symmetric mask off the diagonal
+            upper = np.triu(rng.uniform(size=(q, q)) < p, 1)
+            return upper | upper.T
+
+        H[pairs(0.2)] *= 0.0  # zeros with the entries' signs
+        H[pairs(0.5)] *= -1.0
+        assert q == 1 or np.signbit(H[H == 0.0]).any()
         rhs = rng.normal(size=q)
         for W, rho in ((penalty_matrix(UNIT, ROUGH, q), 1e-7),
+                       (penalty_matrix(UNIT, ROUGH, q), -0.0),
                        (penalty_matrix(BasisSpec(0.0, 1.0, 0.1), ROUGH, q),
                         1e-9), (np.eye(q), 0.0)):
-            c = linalg.lapack.dpotrf(H + rho * W, lower=1, clean=0)[0]
+            A = H + rho * penalty_as_matrix(W)
+            formed = np.empty((q, q))
+            _system(formed, H, W, rho)
+            assert formed.tobytes() == A.tobytes()
+            c = linalg.lapack.dpotrf(A, lower=1, clean=0)[0]
             want = linalg.lapack.dpotrs(c, rhs, lower=1)[0]
             got = penalized_solve(H, W, rho, rhs, None)[0]
             assert got.tobytes() == want.tobytes()
@@ -508,7 +519,7 @@ class TestConditioningCertificate:
         gated, record = penalized_solve(H, W, rho, rhs, None)
         assert record["rcond"] > RCOND_FLOOR
         assert gated.tobytes() == coef.tobytes()
-        lam = np.linalg.eigvalsh(H + rho * W)
+        lam = np.linalg.eigvalsh(H + rho * penalty_as_matrix(W))
         assert 0.0 < lam[0] and lam[-1] / lam[0] <= gate["kappa_bound"]
 
     @pytest.mark.parametrize("known", [True, False])
@@ -551,11 +562,11 @@ class TestConditioningCertificate:
         # LAPACK factors the rounded H + rho W, whose eigenvalues may move by
         # delta = 8 (q + 1)^2 u of the largest: an interval whose lower end
         # is not above delta bounds no condition number
-        W = np.eye(q)
+        w = np.ones(q)  # the diagonal of W = I_q
         delta = 8 * (q + 1) ** 2 * np.finfo(float).eps
         for lo in (1e-300, delta / 2, delta):
-            assert _kappa_bound((lo, 1.0), W, 0.0) == math.inf
-        assert _kappa_bound((2 * delta, 1.0), W, 0.0) == pytest.approx(
+            assert _kappa_bound((lo, 1.0), w, 0.0) == math.inf
+        assert _kappa_bound((2 * delta, 1.0), w, 0.0) == pytest.approx(
             (1.0 + delta) / delta)
 
     def test_certificate_needs_margin_zero(self):
@@ -597,6 +608,39 @@ class TestMemory:
         feed(eng, ts, ys)
         assert eng.memory_footprint() <= 30 + 16
         assert eng.G.size <= 10
+
+    def test_the_least_memory_cap_keeps_one_slot(self):
+        # mem_cap = 1 is the least cap the schedule accepts: one slot, and
+        # the stream still answers
+        schedule = SchedulerConfig(mem_cap=1)
+        assert schedule.cap_q == 1
+        eng = OnePassRegressor(UNIT, ROUGH, schedule)
+        ts, ys = sample(2000, 12, lambda t: 1.0 + t)
+        feed(eng, ts, ys)
+        assert eng.G.size == eng.density.theta.size == eng.active_count == 1
+        np.testing.assert_allclose(eng.estimate(0.5, 1e-3), ys.mean(),
+                                   rtol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["identity", "roughness"])
+    def test_a_margin_zero_cold_solve_holds_two_systems(self, kind):
+        # at q = 1024 a q x q array takes 8 MiB.  At margin 0 the penalty is
+        # its diagonal, the Gram is built with no bordered scratch, and the
+        # system is factored where it was formed, so a cold certificate-path
+        # estimate holds H and A and nothing else of their size
+        q = 1024
+        W = penalty_matrix(UNIT, PenaltySpec(kind), q)
+        assert W.nbytes == 8 * q
+        mu = np.zeros(2 * (q // 2) + 1, dtype=complex)
+        mu[0], mu[1] = 1.0, 0.1  # the design density 1 + 0.2 cos(2 pi t)
+        gates = []
+
+        def cold_solve():
+            H = basis.gram_from_moments(UNIT, q, mu)
+            gates.append(penalized_solve(H, W, 1e-12, np.ones(q),
+                                         (0.8, 1.2))[1]["gate"])
+
+        assert traced_peak(cold_solve) <= 2 * 8 * q * q + (64 << 10)
+        assert gates == ["certificate"]
 
 
 class TestIdentifiableCount:
@@ -1089,10 +1133,37 @@ class TestCheckpoint:
         if path == ("n",) and type(value) is int and 0 < value < 2 ** 63 \
                 and schedule.slot_count(value) == len(record["start"]):
             return  # an n the schedule gives the same slots
-        with pytest.raises(CheckpointError):
+        # a loader that let n = 2**63 through would search for its slots
+        # forever: the limit turns that hang into a failure
+        with within(10.0), pytest.raises(CheckpointError):
             OnePassRegressor.from_checkpoint(bad)
-        with pytest.raises(CheckpointError):
+        with within(10.0), pytest.raises(CheckpointError):
             OnePassRegressor.from_checkpoint(json.dumps(bad))
+
+    @pytest.mark.parametrize("base", ["sketch", "known", "capped", "empty"])
+    def test_n_past_the_int64_range_is_refused_at_once(self, base):
+        # at n = 2**63 every slot past the last has tau = NEVER = n, so a
+        # search for its slots would never end: the range check refuses the
+        # record first, within a second
+        record = {**checkpoint_bases()[base], "n": 2 ** 63}
+        with within(1.0), pytest.raises(CheckpointError,
+                                        match=r"\[0, 2\*\*63\)"):
+            OnePassRegressor.from_checkpoint(record)
+
+    def test_the_largest_n_is_read(self):
+        # n = 2**63 - 1 passes the range check.  A stream at its memory cap
+        # holds the slots of every later n, so that record loads; the
+        # uncapped one's slots do not match, and the size-first guard says
+        # so before any start time is built
+        bases = checkpoint_bases()
+        capped = {**bases["capped"], "n": 2 ** 63 - 1}
+        with within(1.0):
+            reg = OnePassRegressor.from_checkpoint(capped)
+        assert reg.checkpoint() == capped
+        with within(1.0), pytest.raises(CheckpointError,
+                                        match="does not match the schedule"):
+            OnePassRegressor.from_checkpoint({**bases["sketch"],
+                                              "n": 2 ** 63 - 1})
 
     def test_small_h_runs_on_its_initial_slots(self):
         # with h = 0.001 the activation time (C_q*j)^(1/h) of every slot past

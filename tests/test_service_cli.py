@@ -799,6 +799,42 @@ class TestCli:
         assert out1.read_bytes() == out2.read_bytes()
         capsys.readouterr()
 
+    def test_rows_at_both_ends_of_the_domain_are_data(self, tmp_path, capsys):
+        # the domain is closed: a row at t = lo or t = hi is folded like any
+        # other, into the checkpoint an in-process stream writes
+        assert ingest_csv(tmp_path, "--lo", "-1.0", "--hi", "3.0",
+                          text="t,y\n-1.0,2.0\n0.5,0.0\n3.0,1.0\n") == 0
+        reg = ServiceConfig(lo=-1.0, hi=3.0).engine()
+        reg.ingest([-1.0, 0.5, 3.0], [2.0, 0.0, 1.0])
+        assert (tmp_path / "c.json").read_text() == reg.checkpoint_json()
+        capsys.readouterr()
+
+    def test_a_grid_of_one_point_writes_one_row(self, tmp_path, capsys):
+        ckpt, out = tmp_path / "c.json", tmp_path / "q.csv"
+        assert ingest_csv(tmp_path) == 0
+        assert main(["query", "--checkpoint", str(ckpt), "--grid", "1",
+                     "--out", str(out)]) == 0
+        assert "(1 rows)" in capsys.readouterr().out
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        reg = OnePassRegressor.from_checkpoint(ckpt.read_text())
+        rho = rho_at(1.0, 1 / 3, 600, 4.0)
+        assert rows == [{"t": "0.0",
+                         "estimate": repr(float(
+                             reg.estimate(np.zeros(1), rho)[0]))}]
+
+    def test_query_at_rho_zero_solves_the_unpenalized_system(self, tmp_path,
+                                                              capsys):
+        ckpt, out = tmp_path / "c.json", tmp_path / "q.csv"
+        assert ingest_csv(tmp_path) == 0
+        assert main(["query", "--checkpoint", str(ckpt), "--rho", "0",
+                     "--grid", "11", "--out", str(out)]) == 0
+        with open(out) as fh:
+            rows = [float(r["estimate"]) for r in csv.DictReader(fh)]
+        reg = OnePassRegressor.from_checkpoint(ckpt.read_text())
+        assert rows == reg.estimate(np.linspace(0.0, 1.0, 11), 0.0).tolist()
+        capsys.readouterr()
+
     def test_resume_matches_single_pass(self, tmp_path, capsys):
         ts = np.random.default_rng(42).uniform(0, 1, 400)
         rows = [f"{t!r},{y!r}\n" for t, y in zip(ts.tolist(),
