@@ -258,22 +258,25 @@ def _counts(checkpoints):
 
 def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
                    fixed_h=None):
-    """Tune each replicate once, stream it once per memory cap, and record
-    RMISE at each checkpoint.
+    """Tune each replicate once, stream it once per distinct picked h, and
+    record RMISE at each checkpoint under every memory cap.
 
     Every replicate builds one CV table on its warm-up prefix (one pass
     total: the warm-up observations are streamed as well).  For each cap in
     ``mem_caps`` (None = unconstrained) it selects (C_rho, h) from that
-    table under the cap's deployability screen and ingests the full stream
+    table under the cap's deployability screen.  The caps that picked the
+    same h share one stream (``_stream``), which ingests the full replicate
     in calls that end on every checkpoint and otherwise every STREAM_CALL
-    points, snapshotting the estimate at every checkpoint; ``sc.B`` only
-    fixes where checkpoints may fall.  ``method`` selects the
+    points, and snapshots each cap's estimate at every checkpoint; ``sc.B``
+    only fixes where checkpoints may fall.  ``method`` selects the
     streaming engine or the non-streaming baseline refit on all retained
     data.  Rows are grouped by cap in the order given.  A replicate whose
     tuning or stream fails keeps the checkpoints it reached before it
     failed: each row's ``failures`` is the number of replicates missing
     from that row, and the report's ``failures`` the number of (replicate,
-    cap) runs that failed anywhere.
+    cap) runs that failed anywhere.  A cap's rows are those of a run with
+    that cap alone, but for the rounding of G and theta when a larger cap
+    shares its h (RMISE within 1e-12 relative).
     """
     if method not in ("streaming", "batch_oracle"):
         raise ValueError(f"unknown method {method!r}")
@@ -308,30 +311,34 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
     for r in range(sc.replicates):
         ts, ys = _replicate_data(sc, r)
         rows = cv_table(ts, ys, grid, PENALTY, spec)
+        # (C_rho, schedule) of each cap whose selection succeeded
+        picks = {}
         for k, cap in enumerate(caps):
             try:
                 pick = cv_select(rows, spec, n_deploy=sc.n, mem_cap=cap)
-                C_rho, h = pick["C_rho"], pick["h"]
-                sched = SchedulerConfig(h=h, mem_cap=cap)
-                if method == "streaming":
-                    reg = OnePassRegressor(spec, PENALTY, sched)
-                    for lo, hi in zip([0, *ends], ends):
-                        reg.ingest(ts[lo:hi], ys[lo:hi])
-                        if hi in marks:
-                            rho = rho_at(C_rho, h, reg.n, PENALTY.zeta)
-                            fits[k, reg.n].append((integrated_squared_error(
-                                lambda x: reg.estimate(x, rho), sc.target),
-                                reg.active_count, reg.memory_footprint()))
-                else:
+            except StreamRegError:
+                failures += 1
+                continue
+            picks[k] = (pick["C_rho"],
+                        SchedulerConfig(h=pick["h"], mem_cap=cap))
+        if method == "streaming":
+            for h in dict.fromkeys(sched.h for _, sched in picks.values()):
+                failures += _stream(sc, spec, ts, ys, ends, marks, {
+                    k: pick for k, pick in picks.items() if pick[1].h == h},
+                    fits)
+        else:
+            for k, (C_rho, sched) in picks.items():
+                try:
                     for c in checkpoints:
                         q = sched.active_count(c)
-                        rho = rho_at(C_rho, h, c, PENALTY.zeta)
-                        coef = batch_fit(ts[:c], ys[:c], spec, q, rho, PENALTY)
+                        rho = rho_at(C_rho, sched.h, c, PENALTY.zeta)
+                        coef = batch_fit(ts[:c], ys[:c], spec, q, rho,
+                                         PENALTY)
                         fits[k, c].append((integrated_squared_error(
                             lambda x: basis_mod.series(spec, coef, x),
                             sc.target), q, 0))
-            except StreamRegError:
-                failures += 1
+                except StreamRegError:
+                    failures += 1
 
     n_rows = len(caps) * len(checkpoints)
     wall_ms = round((time.perf_counter() - t0) * 1000.0 / n_rows, 3)
@@ -345,6 +352,58 @@ def run_experiment(sc, checkpoints, method="streaming", mem_caps=(None,),
                        mem_units_mean=float(np.mean(mem)), wall_ms=wall_ms,
                        failures=sc.replicates - len(fits[k, c]))
     return report
+
+
+def _stream(sc, spec, ts, ys, ends, marks, picks, fits):
+    """Stream one replicate once for ``picks``, {cap index: (C_rho,
+    schedule)} of caps whose schedules share one h, and append each cap's
+    (ISE, active count, memory units) at every checkpoint c to
+    ``fits[k, c]``, c in ``marks``.  Returns the number of caps that failed.
+
+    Under one h a capped schedule opens the first cap_q slots of the
+    uncapped one, at the same times, so G and theta of a capped stream are
+    the leading slots of a larger cap's, up to their rounding.  The stream
+    runs at the largest cap_q; at each checkpoint every other cap's engine
+    is the stream's checkpoint cut to that cap (``_leading_slots``).  A
+    refused estimate drops that cap's later checkpoints; a refused ingest
+    fails every cap still live.
+    """
+    lead = max(picks, key=lambda k: picks[k][1].cap_q)
+    reg = OnePassRegressor(spec, PENALTY, picks[lead][1])
+    live = dict(picks)
+    for lo, hi in zip([0, *ends], ends):
+        try:
+            reg.ingest(ts[lo:hi], ys[lo:hi])
+        except StreamRegError:
+            return len(picks)
+        if hi not in marks:
+            continue
+        record = reg.checkpoint() if live.keys() - {lead} else None
+        for k, (C_rho, sched) in list(live.items()):
+            engine = reg if k == lead else _leading_slots(record, sched)
+            try:
+                rho = rho_at(C_rho, sched.h, hi, PENALTY.zeta)
+                fits[k, hi].append((integrated_squared_error(
+                    lambda x: engine.estimate(x, rho), sc.target),
+                    engine.active_count, engine.memory_footprint()))
+            except StreamRegError:
+                del live[k]
+        if not live:
+            break
+    return len(picks) - len(live)
+
+
+def _leading_slots(record, sched):
+    """The engine under ``sched`` of the stream whose checkpoint is
+    ``record``, taken at the same h and a cap_q at least sched's: the
+    record's first cap_q slots under sched's memory cap.  The loader checks
+    the cut ledger against sched's schedule."""
+    q = sched.cap_q
+    cut = {key: record[key][:q] for key in ("G", "start", "theta",
+                                            "theta_start")}
+    return OnePassRegressor.from_checkpoint(
+        {**record, **cut,
+         "config": {**record["config"], "mem_cap": sched.mem_cap}})
 
 
 def phase_transition_experiment(sc, mem_caps, checkpoints):

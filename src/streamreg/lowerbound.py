@@ -33,12 +33,11 @@ BLOCK_BATCHES = 64
 
 def bump_kernel(t):
     """The smooth bump K(t) = exp(1 - 1 / (1 - 4 t t)), supported on
-    (-1/2, 1/2) with peak K(0) = 1, of the float array t."""
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 0.5
-    u = t[inside]
-    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
-    return out
+    (-1/2, 1/2) with peak K(0) = 1, of the float array t.  fmax clamps
+    1 - 4 t t at +0, where |t| >= 1/2 and for a NaN or infinite t, and
+    exp(1 - 1/+0) = 0, so no point is masked out."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(1.0 - 1.0 / np.fmax(1.0 - 4.0 * t * t, 0.0))
 
 
 @dataclass(frozen=True)

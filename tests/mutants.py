@@ -69,6 +69,7 @@ COUNT = f"{ENGINE}::TestIdentifiableCount"
 SERVICE = "tests/test_service_cli.py"
 LOWERBOUND = "tests/test_lowerbound.py"
 MOMENTS = "tests/test_basis.py::TestMoments"
+COMPOSITE = "tests/test_harness.py::TestCompositeExperiments"
 ENGINE_FLAGS = f"{SERVICE}::TestCli::test_engine_flags_out_of_range_are_errors"
 BUDGET = ("tests/test_dependencies.py::"
           "test_importing_the_cli_loads_no_unserved_module")
@@ -209,10 +210,33 @@ MUTANTS = [
            "        ys[part] += rng.normal(0.0, sigma, REPLICATE_CHUNK)",
            ("tests/test_harness.py::TestScenario::"
             "test_replicate_has_the_bits_of_one_call_at_n",)),
+    # the caps that share a stream
+    Mutant("shared stream: one slot kept past cap_q", "harness.py",
+           "    q = sched.cap_q\n", "    q = sched.cap_q + 1\n",
+           (f"{COMPOSITE}::test_a_derived_engine_is_the_capped_stream",)),
+    Mutant("shared stream: the stream's own mem_cap left in the record",
+           "harness.py",
+           "        {**record, **cut,\n"
+           "         \"config\": {**record[\"config\"], "
+           "\"mem_cap\": sched.mem_cap}})",
+           "        {**record, **cut})",
+           (f"{COMPOSITE}::test_a_derived_engine_is_the_capped_stream",)),
+    Mutant("shared stream: streamed at the group's smallest cap",
+           "harness.py",
+           "    lead = max(picks, key=lambda k: picks[k][1].cap_q)",
+           "    lead = min(picks, key=lambda k: picks[k][1].cap_q)",
+           (f"{COMPOSITE}::test_a_shared_stream_gives_each_cap_its_lone_rows",
+            )),
     # the lower-bound protocol
-    Mutant("kernel: no abs in the support test", "lowerbound.py",
-           "    inside = np.abs(t) < 0.5", "    inside = t < 0.5",
-           (f"{LOWERBOUND}::TestBumpKernel::test_peak_and_support",)),
+    Mutant("kernel: no clamp of 1 - 4 t t", "lowerbound.py",
+           "np.fmax(1.0 - 4.0 * t * t, 0.0)", "(1.0 - 4.0 * t * t)",
+           (f"{LOWERBOUND}::TestBumpKernel::"
+            "test_has_the_bits_of_the_masked_kernel",)),
+    Mutant("kernel: maximum for fmax, so NaN leaks", "lowerbound.py",
+           "np.fmax(1.0 - 4.0 * t * t, 0.0)",
+           "np.maximum(1.0 - 4.0 * t * t, 0.0)",
+           (f"{LOWERBOUND}::TestBumpKernel::"
+            "test_has_the_bits_of_the_masked_kernel",)),
     Mutant("m_omega: omega[j] factor dropped", "lowerbound.py",
            "        return amp * bump_kernel(k * (t - centers[j])) * omega[j]",
            "        return amp * bump_kernel(k * (t - centers[j]))",

@@ -553,6 +553,16 @@ def holder_constant_estimate(inst):
     return float(np.max(np.abs(np.diff(d))) / dt ** (inst.beta - nu))
 
 
+def bump_kernel_masked(t):
+    """``lowerbound.bump_kernel`` evaluated only where |t| < 1/2, and 0
+    elsewhere."""
+    out = np.zeros_like(t)
+    inside = np.abs(t) < 0.5
+    u = t[inside]
+    out[inside] = np.exp(1.0 - 1.0 / (1.0 - 4.0 * u * u))
+    return out
+
+
 def build_m_omega_loop(inst):
     """``build_m_omega`` summing every active bump at every point."""
     amp = inst.c_K * inst.k ** (-inst.beta)

@@ -7,13 +7,34 @@ import pytest
 from oracles import (generate_stream, m3_at_nodes, m3_partial_sum,
                      replicate_data_unchunked, run_fresh, traced_peak)
 from streamreg import harness, quadrature, tuning
+from streamreg.basis import BasisSpec
 from streamreg.engine import OnePassRegressor
-from streamreg.errors import IllConditionedSystemError
+from streamreg.errors import DomainError, IllConditionedSystemError
 from streamreg.harness import (ExperimentReport, Scenario,
                                integrated_squared_error, load_scenario, m1,
                                m2, m3, noise_sigma,
                                phase_transition_experiment, rate_experiment,
                                rmise, run_experiment, signal_power)
+from streamreg.scheduler import SchedulerConfig
+
+
+def count_ingests(monkeypatch):
+    """A list that grows by one at each ``OnePassRegressor.ingest`` call."""
+    calls = []
+    ingest = OnePassRegressor.ingest
+
+    def counted(self, ts, ys):
+        calls.append(self.schedule.mem_cap)
+        return ingest(self, ts, ys)
+
+    monkeypatch.setattr(OnePassRegressor, "ingest", counted)
+    return calls
+
+
+def rows_without_wall(report):
+    """The report's rows without their run-dependent ``wall_ms``."""
+    return [{k: v for k, v in r.items() if k != "wall_ms"}
+            for r in report.rows]
 
 
 class TestTargets:
@@ -277,6 +298,26 @@ class TestRunExperiment:
         assert rpt.rows[0]["rmise"] == whole.rows[0]["rmise"]
         assert rpt.rows[1]["rmise"] != whole.rows[1]["rmise"]
 
+    def test_a_refused_batch_fit_keeps_the_checkpoints_before_it(
+            self, monkeypatch):
+        # the baseline refits at each checkpoint: replicate 0's refit at
+        # the second is refused, so only the second row misses it
+        sc = Scenario(target="m1", n=2000, B=100, seed=2, replicates=2)
+        batch_fit = harness.batch_fit
+        refused = []
+
+        def refused_once_at_2000(ts, ys, *args):
+            if ts.size == 2000 and not refused:
+                refused.append(ts.size)
+                raise IllConditionedSystemError("refused")
+            return batch_fit(ts, ys, *args)
+
+        monkeypatch.setattr(harness, "batch_fit", refused_once_at_2000)
+        rpt = run_experiment(sc, [1000, 2000], method="batch_oracle")
+        assert refused == [2000]
+        assert rpt.column("failures") == [0, 1]
+        assert rpt.failures == 1
+
     def test_deterministic_given_seed(self):
         sc = Scenario(target="m2", n=1500, B=100, seed=4, replicates=2)
         a = run_experiment(sc, [1500])
@@ -312,24 +353,141 @@ class TestCompositeExperiments:
             + ["streaming_cap30"] * 2
 
     @pytest.mark.parametrize("caps", [[None, 30], [30, None]])
-    def test_caps_share_a_table_without_sharing_a_screen(self, caps):
+    def test_caps_share_a_table_without_sharing_a_screen(self, caps,
+                                                         monkeypatch):
         # at margin 0.1 and n = 2e4 the uncapped screen removes h >= 1/3
         # and the cap-30 screen removes nothing; both replicates of this
         # seed pick h = 1/3 under the cap, so a screen that leaked from one
-        # cap into the next would change the cap-30 rows
+        # cap into the next would change the cap-30 rows.  The picks
+        # differ, so each cap streams each replicate itself: 10 calls
+        # (every 2000 points) per cap and replicate
         sc = Scenario(target="m1", n=20_000, B=100, seed=2, replicates=2)
+        calls = count_ingests(monkeypatch)
         both = run_experiment(sc, [2000, 20_000], mem_caps=caps)
-
-        def rows(report):
-            return [{k: v for k, v in r.items() if k != "wall_ms"}
-                    for r in report.rows]
-
-        alone = [rows(run_experiment(sc, [2000, 20_000], mem_caps=[cap]))
+        assert len(calls) == 2 * 2 * 10
+        alone = [rows_without_wall(run_experiment(sc, [2000, 20_000],
+                                                  mem_caps=[cap]))
                  for cap in caps]
-        assert rows(both) == alone[0] + alone[1]
+        assert rows_without_wall(both) == alone[0] + alone[1]
         assert both.failures == 0
         by_cap = dict(zip(caps, alone))
         assert by_cap[30][1]["q_mean"] != by_cap[None][1]["q_mean"]
+
+    def test_caps_that_pick_one_h_stream_once(self, monkeypatch):
+        # criterion 8's shape: at margin 0 every cap picks the same h, so
+        # the replicate is streamed once, at the uncapped schedule, in 50
+        # calls (every 2000 points to 1e5); the cap-30 engine is read off
+        # that stream
+        sc = Scenario(target="m3", n=100_000, B=100, snr=20.0, seed=0,
+                      replicates=1)
+        calls = count_ingests(monkeypatch)
+        rpt = phase_transition_experiment(sc, [None, 30], [10_000, 100_000])
+        assert calls == [None] * 50
+        assert rpt.failures == 0
+        assert rpt.rows[3]["q_mean"] == 10.0 < rpt.rows[1]["q_mean"]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_shared_stream_gives_each_cap_its_lone_rows(self, seed):
+        # every cap of the joint run picks one h (margin 0): the uncapped
+        # rows are those of a lone uncapped run to the bit, and the capped
+        # ones differ from a lone capped run only in the rounding of G and
+        # theta, each folded at the stream's own slot count
+        sc = Scenario(target="m3", n=20_000, B=100, snr=20.0, seed=seed,
+                      replicates=2)
+        caps, marks = [None, 60, 30], [2000, 20_000]
+        both = rows_without_wall(run_experiment(sc, marks, mem_caps=caps))
+        alone = [row for cap in caps for row in rows_without_wall(
+            run_experiment(sc, marks, mem_caps=[cap]))]
+        assert both[:2] == alone[:2]
+        for got, want in zip(both, alone):
+            assert got["rmise"] == pytest.approx(want["rmise"], rel=1e-12,
+                                                 abs=0.0)
+            assert {**got, "rmise": 0} == {**want, "rmise": 0}
+        # both caps bind by n = 2e4, so each derived engine is a proper cut
+        assert both[1]["q_mean"] > both[3]["q_mean"] == 20.0
+        assert both[5]["q_mean"] == 10.0
+
+    @pytest.mark.parametrize("margin", [0.0, 0.1])
+    @pytest.mark.parametrize("lead_cap", [None, 90])
+    def test_a_derived_engine_is_the_capped_stream(self, margin, lead_cap):
+        # the leading slots of a larger cap's checkpoint, loaded under a
+        # cap of 30, against a stream run at that cap: the same ledger and
+        # footprint, and G and theta within a few ulp of their largest
+        # entry (at most 2 measured), from before the cap binds to after
+        spec = BasisSpec(0.0, 1.0, extension_margin=margin)
+        rng = np.random.default_rng(4)
+        ts = rng.uniform(0.0, 1.0, 20_000)
+        ys = m3(ts) + rng.normal(0.0, 0.1, ts.size)
+        capped = SchedulerConfig(h=0.4, mem_cap=30)
+        lead = OnePassRegressor(spec, harness.PENALTY,
+                                SchedulerConfig(h=0.4, mem_cap=lead_cap))
+        direct = OnePassRegressor(spec, harness.PENALTY, capped)
+        # 8 slots are open at n = 20, 10 by n = 100
+        ends = (20, 100, 2000, 4000, 12_000, 20_000)
+        slots = []
+        for lo, hi in zip((0, *ends), ends):
+            lead.ingest(ts[lo:hi], ys[lo:hi])
+            direct.ingest(ts[lo:hi], ys[lo:hi])
+            derived = harness._leading_slots(lead.checkpoint(), capped)
+            assert derived.schedule == capped
+            assert derived.n == direct.n
+            assert derived.start.tobytes() == direct.start.tobytes()
+            assert derived.active_count == direct.active_count
+            assert derived.memory_footprint() == direct.memory_footprint()
+            slots.append(derived.start.size)
+            for a, b in ((derived.G, direct.G),
+                         (derived.density.theta, direct.density.theta)):
+                assert a.shape == b.shape
+                assert np.abs(a - b).max() <= 4 * np.spacing(np.abs(b).max())
+        assert slots[:2] == [8, 10] and lead.start.size > 10
+
+    def test_a_refused_uncapped_estimate_leaves_the_capped_rows(
+            self, monkeypatch):
+        # the stream's own cap is refused at the first checkpoint: its rows
+        # lose the replicate, and the cap-30 rows, read off the same
+        # stream, keep it
+        sc = Scenario(target="m3", n=20_000, B=100, snr=20.0, seed=1,
+                      replicates=2)
+        marks = [2000, 20_000]
+        whole = run_experiment(sc, marks, mem_caps=[None, 30])
+        estimate = OnePassRegressor.estimate
+        refused = []
+
+        def refused_uncapped_once(self, t, rho):
+            if self.schedule.mem_cap is None and not refused:
+                refused.append(self.n)
+                raise IllConditionedSystemError("refused")
+            return estimate(self, t, rho)
+
+        monkeypatch.setattr(OnePassRegressor, "estimate",
+                            refused_uncapped_once)
+        rpt = run_experiment(sc, marks, mem_caps=[None, 30])
+        assert refused == [2000]
+        assert rpt.column("failures") == [1, 1, 0, 0]
+        assert rpt.failures == 1
+        assert rows_without_wall(rpt)[2:] == rows_without_wall(whole)[2:]
+
+    def test_a_refused_ingest_fails_every_cap_of_its_stream(self,
+                                                            monkeypatch):
+        # replicate 0's stream is refused past the first checkpoint: both
+        # caps keep its first checkpoint and lose its second
+        sc = Scenario(target="m3", n=20_000, B=100, snr=20.0, seed=1,
+                      replicates=2)
+        ingest = OnePassRegressor.ingest
+        refused = []
+
+        def refused_once_past_2000(self, ts, ys):
+            if self.n >= 2000 and not refused:
+                refused.append(self.n)
+                raise DomainError("refused")
+            return ingest(self, ts, ys)
+
+        monkeypatch.setattr(OnePassRegressor, "ingest",
+                            refused_once_past_2000)
+        rpt = run_experiment(sc, [2000, 20_000], mem_caps=[None, 30])
+        assert refused == [2000]
+        assert rpt.column("failures") == [0, 1, 0, 1]
+        assert rpt.failures == 2
 
     def test_rate_experiment_validates_span(self):
         sc = Scenario(target="m3", n=10_000, B=100)

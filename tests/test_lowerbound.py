@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from oracles import (alice_encode_per_batch, build_m_omega_loop,
-                     holder_constant_estimate, partition_tolerance,
-                     traced_peak)
+                     bump_kernel_masked, holder_constant_estimate,
+                     partition_tolerance, traced_peak)
 from streamreg import basis, lowerbound, quadrature
 from streamreg.errors import CheckpointError
 from streamreg.lowerbound import (BATCH_SIZE, BLOCK_BATCHES,
@@ -27,6 +27,21 @@ class TestBumpKernel:
         assert bump_kernel(np.array([0.25]))[0] == pytest.approx(
             np.exp(-1.0 / 3.0))
         assert bump_kernel(np.array([0.49999]))[0] < 1e-6
+
+    def test_has_the_bits_of_the_masked_kernel(self):
+        # the clamp at +0 in place of the support mask: the same bytes on
+        # draws over and past the support, and at the values where the
+        # clamp decides: +-0, +-1/2 and the floats beside them, NaN, +-inf
+        # and magnitudes whose square overflows or underflows (a
+        # RuntimeWarning fails the test)
+        edges = np.array([0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0)])
+        special = np.concatenate([edges, -edges, [
+            0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e300, -1e300,
+            1e-300, -1e-300, 5e-324, -5e-324]])
+        rng = np.random.default_rng(8)
+        for t in [special, *(rng.uniform(-0.75, 0.75, 6400)
+                             for _ in range(100))]:
+            assert_same_bytes(bump_kernel(t), bump_kernel_masked(t))
 
     def test_scaling(self):
         # the encoded bump's peak is c_K k^-beta times the kernel's peak 1
