@@ -230,33 +230,35 @@ def _curvature_factors(spec, q):
 
 @functools.lru_cache(maxsize=16)
 def penalty_matrix(spec, penalty, q):
-    """Penalty matrix W for the first q basis functions, read-only: at
-    margin 0 its diagonal w, a vector of q, and otherwise the q x q matrix.
+    """Penalty matrix W for the first q basis functions, read-only: its
+    diagonal w, a vector of q, where W is diagonal, and otherwise the q x q
+    matrix.
 
-    Identity kind is I_q.  Roughness kind is the matrix of integrated
-    products of second derivatives over the data domain.  Since
-    phi_j'' = c_j phi_j with c_j = -(2 k pi / P)^2, that matrix is
-    (hi - lo) * diag(c) H diag(c) with H the uniform Gram matrix, which is
-    I_q / (hi - lo) at margin 0.  So at margin 0 W is diagonal for both
-    kinds, and w = (hi - lo) c (1 / (hi - lo)) c has the bits of the dense
-    product's diagonal; every entry off it is +0.0.  Only the solve
-    (``engine._system``) reads W's shape.
+    Identity kind is I_q, so w is q ones at every margin.  Roughness kind
+    is the matrix of integrated products of second derivatives over the
+    data domain.  Since phi_j'' = c_j phi_j with c_j = -(2 k pi / P)^2,
+    that matrix is (hi - lo) * diag(c) H diag(c) with H the uniform Gram
+    matrix, which is I_q / (hi - lo) at margin 0.  So at margin 0 it is
+    diagonal too, and w = (hi - lo) c (1 / (hi - lo)) c has the bits of the
+    dense product's diagonal; every entry off it is +0.0.  Only roughness
+    at a positive margin is dense.  Only the solve (``engine._system``)
+    reads W's shape.
 
     W depends on its arguments only, so the last 16 are kept: every solve
     after an ingest asks for the same one, and a Monte Carlo replicate for
-    10.  At margin 0 each holds O(q) bytes.  Callers build new arrays from
-    W rather than writing into it.
+    10.  A diagonal W holds O(q) bytes.  Callers build new arrays from W
+    rather than writing into it.
     """
-    length = spec.hi - spec.lo
-    c = _curvature_factors(spec, q)
-    if spec.extension_margin == 0.0:
-        W = np.ones(q) if penalty.kind == "identity" \
-            else length * c * (1.0 / length) * c
-    elif penalty.kind == "identity":
-        W = np.eye(q)
+    if penalty.kind == "identity":
+        W = np.ones(q)
     else:
-        W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
-        W = 0.5 * (W + W.T)
+        length = spec.hi - spec.lo
+        c = _curvature_factors(spec, q)
+        if spec.extension_margin == 0.0:
+            W = length * c * (1.0 / length) * c
+        else:
+            W = length * c[:, None] * gram_uniform(spec, q) * c[None, :]
+            W = 0.5 * (W + W.T)
     W.flags.writeable = False
     return W
 
@@ -322,9 +324,8 @@ def _powers(z, out):
 def _table_shape(K):
     """(r, rows) of the power tables at the call's K: z^(r-1) is the last
     row a weight multiplies, and ``rows`` complex numbers per point make up
-    the tables and z (none at K = 0); read three times per ``moments``."""
-    if K == 0:
-        return 1, 0
+    the tables and z (at K = 0 the row of ones z^0 and z's row, which
+    ``_tables`` leaves unwritten); read three times per ``moments``."""
     if K < SPLIT_MIN:
         return K + 1, K + 2
     r = math.isqrt(K) + 1
@@ -340,20 +341,20 @@ def _tables(spec, K, t, buf):
     With K >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
     z^a (z^r)^b, so two short tables hold every power: ``low``, rows z^a for
     a < r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
-    ``low`` holds z^0..z^K and ``high`` is None; at K = 0 both are None.
-    Every power is a product of the one z per point, the way ``eval_matrix``
-    forms its columns.
+    ``low`` holds z^0..z^K, at K = 0 the row of ones alone, and ``high``
+    is None.  Every power is a product of the one z per point, the way
+    ``eval_matrix`` forms its columns.
     """
     r, rows = _table_shape(K)
-    if K == 0:
-        return None, None, r
     # z waits in the buffer's last row, which is written only when no power
     # reads z any more: high's last row, or a row past low (a product
-    # written over its own operand may round otherwise)
+    # written over its own operand may round otherwise).  At K = 0 no power
+    # reads z, and its complex exp would be most of the call's time.
     tables = buf[:rows * t.size].reshape(rows, t.size)
     z = tables[-1]
-    np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
-    np.exp(z, out=z)
+    if K:
+        np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
+        np.exp(z, out=z)
     if K < SPLIT_MIN:
         return _powers(z, tables[:-1]), None, r
     low = _powers(z, tables[:r + 1])
@@ -362,10 +363,8 @@ def _tables(spec, K, t, buf):
 
 def chunk_points(K):
     """Most points of one ``moments`` chunk at K: as many as keep the
-    chunk's tables within SPARE_BYTES; NEVER (no limit) at K = 0, which
-    builds no table."""
-    rows = _table_shape(K)[1]
-    return SPARE_BYTES // (16 * rows) if rows else NEVER
+    chunk's tables within SPARE_BYTES."""
+    return SPARE_BYTES // (16 * _table_shape(K)[1])
 
 
 def _tail_moments(low, high, r, m, weights, tails, out):
@@ -376,18 +375,13 @@ def _tail_moments(low, high, r, m, weights, tails, out):
     points from the first tail's start on, once: the weights as the complex
     numbers np.dot would cast them to (ones for unit weights), and, with two
     tables, each tail's products z^a (z^r)^b.  A tail reads both from its
-    own start.  No table means K = 0, where every tail is a plain sum."""
+    own start; at k = 0 it reads the row of ones z^0, as any k reads z^k."""
     base = min(lo for _, lo in tails)
-    size = max(m - base, 0)
-    row = None if low is None else np.empty(size, complex)
-    prod = None if high is None else np.empty(size, complex)
+    row = np.empty(max(m - base, 0), complex)
+    prod = None if high is None else np.empty(row.size, complex)
     for w, mu in zip(weights, out):
-        if row is not None:
-            row[:] = 1.0 if w is None else w[base:]
+        row[:] = 1.0 if w is None else w[base:]
         for i, (k, lo) in enumerate(tails):
-            if k == 0:
-                mu[i] = max(m - lo, 0) if w is None else w[lo:].sum()
-                continue
             zk = low[k % r, lo:]
             if high is not None:
                 zk = np.multiply(zk, high[k // r, lo:],
@@ -404,9 +398,7 @@ def _chunk_moments(spec, K, t, weights, tails, buf):
         _tail_moments(low, high, r, m, weights, tails,
                       [mu[K + 1:] for mu in out])
     for w, mu in zip(weights, out):
-        if low is None:
-            mu[0] = m if w is None else w.sum()
-        elif high is None:
+        if high is None:
             mu[:K + 1] = low @ (np.ones(m) if w is None else w)
         else:
             if w is not None:
@@ -422,7 +414,8 @@ def moments(spec, K, t, weights, tails):
     z = exp(2 pi i (t - origin) / P), mu_k = sum_i w_i z_i^k for k = 0..K,
     then the tail moment sum_{i >= lo} w_i z_i^k of each (k, lo) in
     ``tails``, lo >= 0.  Returns one complex array of K + 1 + len(tails)
-    entries per weight.
+    entries per weight.  K = 0 and a k = 0 tail are no special case: z^0 is
+    the tables' row of ones, read like any other power.
 
     The points are folded in chunks of ``chunk_points(K)``, so a call's
     tables never pass SPARE_BYTES whatever its size: each weight's moments

@@ -19,9 +19,8 @@ from .harness import (EXTENSION_MARGINS, PENALTY, TARGETS, Scenario,
                       phase_transition_experiment, rate_experiment,
                       run_experiment)
 from .lowerbound import DEFAULT_NOISE_SD, HypercubeInstance, run_protocol
-from .service import ServiceConfig, StreamService
-from .tuning import (TuningGrid, cv_select, cv_table, rho_at,
-                     write_tuning_report)
+from .service import ServiceConfig, StreamService, served_rho
+from .tuning import TuningGrid, cv_select, cv_table, write_tuning_report
 
 USAGE_ERROR = 2
 
@@ -243,8 +242,7 @@ def _cmd_query(args):
         reg = OnePassRegressor.from_checkpoint(fh.read())
     spec = reg.reg_basis
     grid = np.linspace(spec.lo, spec.hi, args.grid)
-    rho = args.rho if args.rho is not None else rho_at(
-        ServiceConfig.C_rho, reg.schedule.h, max(reg.n, 1), reg.penalty.zeta)
+    rho = args.rho if args.rho is not None else served_rho(reg)
     if args.kind == "estimate":
         values = reg.estimate(grid, rho)
     else:

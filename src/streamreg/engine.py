@@ -324,8 +324,8 @@ def normal_equations(spec, q, ts, ys):
 def _kappa_bound(spectrum, w, rho):
     """An upper bound on kappa_2(H + rho W) as LAPACK sees it, from an
     interval (lo, hi) holding the eigenvalues of H, for a PSD W of diagonal
-    w (W itself at margin 0, where it is diagonal); inf when there is no
-    interval or it proves nothing."""
+    w (W itself, where it is diagonal); inf when there is no interval or it
+    proves nothing."""
     if spectrum is None or not rho >= 0.0:
         return math.inf
     lo, hi = spectrum
@@ -337,8 +337,9 @@ def _kappa_bound(spectrum, w, rho):
 
 
 def _system(A, H, W, rho):
-    """Write H + rho W into A, to the bit, and return W's diagonal.  At
-    margin 0 W is its diagonal w: A is then H plus rho w on the diagonal,
+    """Write H + rho W into A, to the bit, and return W's diagonal.  A
+    diagonal W comes as its diagonal w (``penalty_matrix``: the identity,
+    and roughness at margin 0): A is then H plus rho w on the diagonal,
     and its zeros off it get, from the added rho * 0.0, the signs that
     H + rho W gives them."""
     if W.ndim == 1:
@@ -379,13 +380,13 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     with none of scipy.linalg's input checks, so a non-finite system is
     refused here, before anything is factored.
 
-    W is a q x q matrix or, at margin 0, its diagonal w (``penalty_matrix``);
-    ``_system`` is the one reader of its shape.  H must be symmetric to the
-    bit, as every Gram matrix the package builds is: A = H + rho W is then
-    symmetric too, so its C-order buffer, read as A.T, is the Fortran array
-    dpotrf factors in place.  A is the only q x q array the solve builds,
-    so a solve holds H and A; dpocon's 1-norm is summed in A's own buffer,
-    which is then formed again."""
+    W is a q x q matrix or, where it is diagonal, its diagonal w
+    (``penalty_matrix``); ``_system`` is the one reader of its shape.  H
+    must be symmetric to the bit, as every Gram matrix the package builds
+    is: A = H + rho W is then symmetric too, so its C-order buffer, read
+    as A.T, is the Fortran array dpotrf factors in place.  A is the only
+    q x q array the solve builds, so a solve holds H and A; dpocon's
+    1-norm is summed in A's own buffer, which is then formed again."""
     A = np.empty(H.shape)
     w = _system(A, H, W, rho)
     kappa = _kappa_bound(spectrum, w, rho)

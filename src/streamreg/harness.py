@@ -194,10 +194,10 @@ def rmise(ise_values):
 
 
 def integrated_squared_error(predict, target):
-    """int_0^1 (m - m_hat)^2 by quadrature; ``predict`` maps t-array to values."""
+    """int_0^1 (m - m_hat)^2 by quadrature for the target named ``target``
+    (a key of ``TARGETS``); ``predict`` maps t-array to values."""
     x, w = quadrature.rule(0.0, 1.0, 2048)
-    fn = TARGETS[target] if isinstance(target, str) else target
-    diff = fn(x) - predict(x)
+    diff = TARGETS[target](x) - predict(x)
     return float(np.dot(w, diff * diff))
 
 

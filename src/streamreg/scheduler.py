@@ -145,20 +145,22 @@ def slot_counts(start, n):
 def fold(spec, ts, weights, start, n_old):
     """Per-slot sums sum_{i >= tau_j} phi_j(t_i) w_i over one batch, the
     points ``ts`` at stream indices n_old + 1, n_old + 2, ...: one vector
-    per weight vector w of ``weights``, as ``basis.moments`` takes them."""
+    per weight vector w of ``weights``, as ``basis.moments`` takes them.
+    A slot that opens after the batch's first point, slot 1 too, reads a
+    tail moment from its start.  start is non-decreasing, so those slots
+    are a suffix: none in most batches, when the last slot opens by the
+    batch's first point, and otherwise found by one search."""
     K = start.size // 2
-    # start is non-decreasing, so the slots opening mid-batch are a suffix,
-    # empty when the last slot opens by the batch's first point
-    if start[-1] <= n_old + 1:
-        return [sums_from_moments(spec, start.size, mu)
-                for mu in moments(spec, K, ts, weights, ())]
-    opening = range(start[:-1].searchsorted(n_old + 1, "right"), start.size)
-    tails = [((j + 1) // 2, start[j] - n_old - 1) for j in opening]
+    first = start.size if start[-1] <= n_old + 1 else \
+        start[:-1].searchsorted(n_old + 1, "right")
+    tails = [((j + 1) // 2, start[j] - n_old - 1)
+             for j in range(first, start.size)]
     P = spec.period
     out = []
     for mu in moments(spec, K, ts, weights, tails):
-        sums = sums_from_moments(spec, start.size, mu[:K + 1])
-        for j, tail in zip(opening, mu[K + 1:]):
+        # reads mu_0..mu_K only, not the tails after them
+        sums = sums_from_moments(spec, start.size, mu)
+        for j, tail in enumerate(mu[K + 1:], first):
             sums[j] = tail.real / math.sqrt(P) if j == 0 else \
                 math.sqrt(2.0 / P) * (tail.real if j % 2 else tail.imag)
         out.append(sums)

@@ -167,7 +167,7 @@ class StreamRegistry:
         reg, lock = entry
         with lock:
             if kind == "stats":
-                rho = self._rho(reg)
+                rho = served_rho(reg)
                 return {"n": reg.n, "q_active": reg.active_count,
                         "p_active": reg.density.active_count,
                         "pending_slots": reg.G.size - reg.active_count,
@@ -179,14 +179,17 @@ class StreamRegistry:
                 raise ValueError(f"query kind {reprlib.repr(kind)} requires "
                                  f"t, a finite number")
             if kind == "estimate":
-                return {"value": reg.estimate(float(t), self._rho(reg))}
+                return {"value": reg.estimate(float(t), served_rho(reg))}
             if kind == "density":
                 return {"value": reg.density.evaluate_normalized(float(t))}
             raise ValueError(f"unknown query kind {reprlib.repr(kind)}")
 
-    def _rho(self, reg):
-        return rho_at(self.config.C_rho, self.config.h, reg.n,
-                      reg.penalty.zeta)
+
+def served_rho(reg):
+    """The rho of ``estimate``, ``stats`` and ``streamreg query`` for the
+    engine ``reg``, at its n (1 before its first point)."""
+    return rho_at(ServiceConfig.C_rho, reg.schedule.h, max(reg.n, 1),
+                  reg.penalty.zeta)
 
 
 def _columns(points):

@@ -133,14 +133,18 @@ MUTANTS = [
            "    delta = 8 * (w.size + 1) ** 2 * _EPS * hi",
            "    delta = 0.0",
            (f"{CONDITIONING}::test_a_lower_end_within_rounding_proves_nothing",)),
-    # the margin-0 system: W as its diagonal, A factored where it is formed
+    # a diagonal W as its diagonal, A factored where it is formed
     Mutant("penalty: dense W at margin 0", "basis.py",
-           "        W = np.ones(q) if penalty.kind == \"identity\" \\\n"
-           "            else length * c * (1.0 / length) * c\n",
-           "        W = np.diag(np.ones(q) if penalty.kind == \"identity\"\n"
-           "                    else length * c * (1.0 / length) * c)\n",
+           "            W = length * c * (1.0 / length) * c\n",
+           "            W = np.diag(length * c * (1.0 / length) * c)\n",
            (f"{ENGINE}::TestMemory::"
             "test_a_margin_zero_cold_solve_holds_two_systems",)),
+    Mutant("penalty: identity penalty dense at a margin", "basis.py",
+           "        W = np.ones(q)\n",
+           "        W = np.ones(q) if spec.extension_margin == 0.0 "
+           "else np.eye(q)\n",
+           (f"{ENGINE}::TestMemory::"
+            "test_an_identity_cold_solve_at_a_margin_holds_two_systems",)),
     Mutant("solve: dpotrf on a copy", "engine.py",
            "    c, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)",
            "    c, info = lapack.dpotrf(A.T, lower=1, clean=0)",
@@ -168,7 +172,8 @@ MUTANTS = [
     # the fold
     Mutant("fold: a slot starting on the batch's first point read as a tail",
            "scheduler.py",
-           "    if start[-1] <= n_old + 1:", "    if start[-1] < n_old + 1:",
+           "    first = start.size if start[-1] <= n_old + 1 else",
+           "    first = start.size if start[-1] < n_old + 1 else",
            ("tests/test_scheduler.py::TestFold::"
             "test_matches_the_basis_matrix_fold",)),
     Mutant("fold: zk.sum() for the unit tail sums", "basis.py",
@@ -183,6 +188,11 @@ MUTANTS = [
            "np.maximum(counts - m, 0) * theta", "(counts - m) * theta",
            ("tests/test_density.py::TestUpdate::"
             "test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum",)),
+    # the tables
+    Mutant("tables: z formed at K = 0, where no power reads it", "basis.py",
+           "    if K:\n        np.multiply(2j * np.pi",
+           "    if True:\n        np.multiply(2j * np.pi",
+           (f"{MOMENTS}::test_k_zero_forms_no_power_of_z",)),
     # the table buffer
     Mutant("buffer: no spare reuse", "basis.py",
            "        if buf is not None and buf.size >= count:",
@@ -195,8 +205,8 @@ MUTANTS = [
     # the chunks, which keep every call's tables and the spare within
     # SPARE_BYTES
     Mutant("chunks: the divisor without its row count", "basis.py",
-           "    return SPARE_BYTES // (16 * rows) if rows else NEVER",
-           "    return SPARE_BYTES // 16 if rows else NEVER",
+           "    return SPARE_BYTES // (16 * _table_shape(K)[1])",
+           "    return SPARE_BYTES // 16",
            (f"{BUFFER}::test_batch_fit_keeps_no_table_past_the_spare",
             f"{ENGINE}::TestBatchFit::test_batch_fit_holds_one_set_of_tables")),
     Mutant("chunks: a tail read from each later chunk's start", "basis.py",

@@ -160,8 +160,6 @@ def moments_out_of_place(tables, w):
     """``basis.moments`` of the weight vector w from a weighted copy of the
     tables, as ``high @ (low[:r] * w).T``."""
     low, high = tables.low, tables.high
-    if low is None:
-        return np.array([w.sum()], dtype=complex)
     if high is None:
         return low @ w
     return (high @ (low[:tables.r] * w).T).ravel()[:tables.K + 1]
@@ -182,12 +180,12 @@ def suffix_sum(tables, j, w, lo):
     """Entry j of ``sums_out_of_place``, phi_{j+1}, over the points from
     index lo on."""
     k = (j + 1) // 2
-    if k == 0:
-        return w[lo:].sum() / math.sqrt(tables.period)
     zk = tables.low[k % tables.r, lo:]
     if tables.high is not None:
         zk = zk * tables.high[k // tables.r, lo:]
     mu = np.dot(zk, w[lo:])
+    if j == 0:
+        return mu.real / math.sqrt(tables.period)
     return math.sqrt(2.0 / tables.period) * (mu.real if j % 2 else mu.imag)
 
 

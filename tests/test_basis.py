@@ -347,6 +347,23 @@ class TestMoments:
             assert np.max(np.abs(Hp - H)) <= 1e-15 * np.max(np.abs(H))
 
 
+    def test_k_zero_forms_no_power_of_z(self):
+        # at K = 0 the tables are the row of ones alone: z's row is left as
+        # it was, so the call takes no complex exp, and the moments are
+        # the weights' sums as a dot product with that row
+        m = 1000
+        t = np.random.default_rng(4).uniform(0.0, 1.0, m)
+        w = np.cos(3 * t)
+        buf = np.full(basis._table_shape(0)[1] * m, 7.0 + 7.0j)
+        low, high, r = basis._tables(UNIT, 0, t, buf)
+        assert (low.shape, high, r) == ((1, m), None, 1)
+        assert np.all(low == 1.0) and np.all(buf[m:] == 7.0 + 7.0j)
+        unit, got = moments(UNIT, 0, t, (None, w), [(0, 0), (0, 600)])
+        assert unit.tolist() == [m, m, m - 600]
+        mu0 = (low @ w)[0]
+        assert got.tobytes() == np.array(
+            [mu0, np.dot(low[0], w), np.dot(low[0, 600:], w[600:])]).tobytes()
+
     @pytest.mark.parametrize("K", [0, 5, 40])
     def test_chunks_are_summed_in_chunk_order(self, K, monkeypatch):
         # chunks of 7 points over 40: tails that open in the first chunk,
@@ -368,10 +385,8 @@ class TestMoments:
                     mu += more
         rows = basis._table_shape(K)[1]
         monkeypatch.setattr(basis, "SPARE_BYTES", 16 * rows * chunk)
-        assert basis.chunk_points(K) == (chunk if K else basis.NEVER)
+        assert basis.chunk_points(K) == chunk
         got = moments(EXTENDED, K, t, (None, w), tails)
-        if K == 0:  # no tables, so one chunk
-            want = moments(EXTENDED, K, t, (None, w), tails)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
 

@@ -642,6 +642,23 @@ class TestMemory:
         assert traced_peak(cold_solve) <= 2 * 8 * q * q + (64 << 10)
         assert gates == ["certificate"]
 
+    def test_an_identity_cold_solve_at_a_margin_holds_two_systems(self):
+        # the identity penalty is its diagonal at every margin, so a cold
+        # solve at a positive margin (dpocon's gate) that builds its W holds
+        # H and A and nothing else of their size: a dense I_q is a third
+        q, spec = 400, BasisSpec(0.0, 1.0, extension_margin=0.001)
+        penalty_matrix.cache_clear()
+        gates = []
+
+        def cold_solve():
+            W = penalty_matrix(spec, PenaltySpec("identity"), q)
+            H = basis.gram_uniform(spec, q)
+            gates.append(penalized_solve(H, W, 1e-3, np.ones(q),
+                                         None)[1]["gate"])
+
+        assert traced_peak(cold_solve) <= 2 * 8 * q * q + (64 << 10)
+        assert gates == ["dpocon"]
+
 
 class TestIdentifiableCount:
     """An extended basis opens no slot past ``basis.identifiable_count``

@@ -260,8 +260,9 @@ class TestLedger:
 
 
 class TestFold:
-    # slot counts at the table boundaries: K = 0 (no table), the last K with
-    # one table and the first with two, and K = r^2 - 1, r^2 where r steps
+    # slot counts at the table boundaries: K = 0 (the row of ones alone),
+    # the last K with one table and the first with two, and K = r^2 - 1,
+    # r^2 where r steps
     BOUNDARY_S = (1, 2 * SPLIT_MIN - 1, 2 * SPLIT_MIN, 2 * SPLIT_MIN + 1,
                   48, 49, 50, 51, 2 * 99, 2 * 100 + 1)
 
