@@ -44,9 +44,9 @@ def _load_flapack(paths):
     ``scipy.linalg.lapack`` re-exports this module's functions unchanged, so
     its routines are the ones ``scipy.linalg.lapack`` would call.  Importing
     ``scipy.linalg`` instead would run that package's ``__init__``, which
-    loads 75 more scipy modules (scipy 1.17) that the three routines the
-    package calls, dpotrf, dpocon and dpotrs, do not need: they cost a
-    service process about 19 MB and 0.13 s of start-up.  Not even
+    loads 75 more scipy modules (scipy 1.17) that the four routines the
+    package calls, dlange, dpotrf, dpocon and dpotrs, do not need: they
+    cost a service process about 19 MB and 0.13 s of start-up.  Not even
     ``scipy``'s own ``__init__`` runs: without it LAPACK loads in 2.8-3.1 ms
     instead of 10.8-17.1 ms (after numpy, one core).  README, Install,
     gives the footprint of the package's deferred imports.
@@ -241,8 +241,8 @@ def penalty_matrix(spec, penalty, q):
     matrix, which is I_q / (hi - lo) at margin 0.  So at margin 0 it is
     diagonal too, and w = (hi - lo) c (1 / (hi - lo)) c has the bits of the
     dense product's diagonal; every entry off it is +0.0.  Only roughness
-    at a positive margin is dense.  Only the solve (``engine._system``)
-    reads W's shape.
+    at a positive margin is dense.  Only the solve
+    (``engine.penalized_solve``) reads W's shape.
 
     W depends on its arguments only, so the last 16 are kept: every solve
     after an ingest asks for the same one, and a Monte Carlo replicate for

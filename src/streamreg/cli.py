@@ -63,9 +63,14 @@ def _add_scenario_args(p):
     p.add_argument("--config",
                    help="scenario key=value file, each key at most once")
     _add_flags(p, SCENARIO_FLAGS)
+    p.add_argument("--out", default="report.csv")
+
+
+def _add_experiment_args(p):
+    """The scenario's flags and the checkpoints an experiment reports at."""
+    _add_scenario_args(p)
     p.add_argument("--checkpoints", type=int, nargs="+",
                    default=[1000, 10_000, 100_000])
-    p.add_argument("--out", default="report.csv")
 
 
 def _cmd_simulate(args):
@@ -283,18 +288,18 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthetic-stream RMISE experiment")
-    _add_scenario_args(p)
+    _add_experiment_args(p)
     p.add_argument("--method", default="streaming",
                    choices=["streaming", "batch_oracle"])
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("rate", help="log-log convergence-rate slope")
-    _add_scenario_args(p)
+    _add_experiment_args(p)
     p.add_argument("--beta", type=float, default=1.0)
     p.set_defaults(func=_cmd_rate)
 
     p = sub.add_parser("phase", help="memory-cap phase-transition curves")
-    _add_scenario_args(p)
+    _add_experiment_args(p)
     p.add_argument("--mem-caps", type=int, nargs="+", default=[30, 0],
                    help="memory caps; <= 0 means unconstrained")
     p.set_defaults(func=_cmd_phase)

@@ -336,21 +336,6 @@ def _kappa_bound(spectrum, w, rho):
     return (hi + delta) / (lo - delta) if lo > delta else math.inf
 
 
-def _system(A, H, W, rho):
-    """Write H + rho W into A, to the bit, and return W's diagonal.  A
-    diagonal W comes as its diagonal w (``penalty_matrix``: the identity,
-    and roughness at margin 0): A is then H plus rho w on the diagonal,
-    and its zeros off it get, from the added rho * 0.0, the signs that
-    H + rho W gives them."""
-    if W.ndim == 1:
-        np.add(H, rho * 0.0, out=A)
-        A[np.diag_indices(A.shape[0])] += rho * W
-        return W
-    np.multiply(W, rho, out=A)
-    A += H
-    return W.diagonal()
-
-
 def penalized_solve(H, W, rho, rhs, spectrum):
     """(H + rho W)^-1 rhs by Cholesky, for the engine, batch and CV fits,
     and the record of the gate that admitted the system.
@@ -368,12 +353,12 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     solves inside dpocon.  Then kappa = (hi + rho tr W + delta) / (lo -
     delta) bounds kappa_2 of the matrix LAPACK factors.  dpocon's estimate
     never undershoots 1/kappa_1 >= 1/(q kappa_2) (Higham, ch. 15), so when
-    q kappa < 1 / RCOND_FLOOR it could not refuse the system: it is skipped
-    with the 1-norm it needs, and the record is
-    {"gate": "certificate", "kappa_bound": kappa}.  Otherwise LAPACK's
-    estimate of the reciprocal 1-norm condition number gates the solve, and
-    the record is {"gate": "dpocon", "rcond": rcond}.  So the certificate
-    refuses no system that dpocon accepts, and accepts none it refuses.
+    q kappa < 1 / RCOND_FLOOR it could not refuse the system: it is
+    skipped, and the record is {"gate": "certificate", "kappa_bound":
+    kappa}.  Otherwise LAPACK's estimate of the reciprocal 1-norm condition
+    number gates the solve, and the record is {"gate": "dpocon", "rcond":
+    rcond}.  So the certificate refuses no system that dpocon accepts, and
+    accepts none it refuses.
 
     A refusal reports dpotrf's failure or dpocon's estimate.  The LAPACK
     routines are called through ``basis.lapack``, scipy's Fortran wrappers,
@@ -381,33 +366,35 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     refused here, before anything is factored.
 
     W is a q x q matrix or, where it is diagonal, its diagonal w
-    (``penalty_matrix``); ``_system`` is the one reader of its shape.  H
-    must be symmetric to the bit, as every Gram matrix the package builds
-    is: A = H + rho W is then symmetric too, so its C-order buffer, read
-    as A.T, is the Fortran array dpotrf factors in place.  A is the only
-    q x q array the solve builds, so a solve holds H and A; dpocon's
-    1-norm is summed in A's own buffer, which is then formed again."""
+    (``penalty_matrix``): A is then H plus rho w on the diagonal, and its
+    zeros off it get, from the added rho * 0.0, the signs that H + rho W
+    gives them.  H must be symmetric to the bit, as every Gram matrix the
+    package builds is: A = H + rho W is then symmetric too, so its C-order
+    buffer, read as A.T, is the Fortran array dpotrf factors in place.  A
+    is formed once and is the only q x q array the solve builds, so a
+    solve holds H and A.  LAPACK's dlange reads A's 1-norm without writing
+    to it, and that one norm is both gates' finiteness test and the norm
+    dpocon needs."""
     A = np.empty(H.shape)
-    w = _system(A, H, W, rho)
-    kappa = _kappa_bound(spectrum, w, rho)
-    certified = A.shape[0] * kappa < 1.0 / RCOND_FLOOR
-    if certified:
-        # a NaN shows in the least and greatest entries, as an inf does
-        finite = np.isfinite((A.min(), A.max())).all()
+    if W.ndim == 1:
+        np.add(H, rho * 0.0, out=A)
+        A[np.diag_indices(A.shape[0])] += rho * W
+        w = W
     else:
-        anorm = np.abs(A, out=A).sum(0).max()  # np.linalg.norm(A, 1)
-        # a NaN or inf in A makes its 1-norm NaN or inf (as does a finite A
-        # too large for its 1-norm to be a double, which no Cholesky would
-        # survive)
-        finite = np.isfinite(anorm)
-        _system(A, H, W, rho)
-    if not (finite and np.isfinite(rhs).all()):
+        np.multiply(W, rho, out=A)
+        A += H
+        w = W.diagonal()
+    # a NaN or inf in A makes its 1-norm NaN or inf, and so does a finite A
+    # too large for its 1-norm to be a double, which dpocon could not gate
+    anorm = lapack.dlange("1", A.T)
+    if not (np.isfinite(anorm) and np.isfinite(rhs).all()):
         raise ValueError("penalized system holds a NaN or inf")
     c, info = lapack.dpotrf(A.T, lower=1, clean=0, overwrite_a=1)
     if info != 0:
         raise IllConditionedSystemError(
             "penalized Gram system is not positive definite")
-    if certified:
+    kappa = _kappa_bound(spectrum, w, rho)
+    if A.shape[0] * kappa < 1.0 / RCOND_FLOOR:
         gate = {"gate": "certificate", "kappa_bound": kappa}
     else:
         rcond = float(lapack.dpocon(c, anorm, uplo="L")[0])

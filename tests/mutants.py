@@ -117,12 +117,12 @@ MUTANTS = [
            "        spread = math.sqrt(2.0) * rest", "        spread = rest",
            (CONDITIONING,)),
     Mutant("certificate: factor q dropped from the threshold", "engine.py",
-           "    certified = A.shape[0] * kappa < 1.0 / RCOND_FLOOR",
-           "    certified = kappa < 1.0 / RCOND_FLOOR",
+           "    if A.shape[0] * kappa < 1.0 / RCOND_FLOOR:",
+           "    if kappa < 1.0 / RCOND_FLOOR:",
            (f"{CONDITIONING}::test_gate_threshold_is_q_kappa",)),
-    Mutant("certificate: no finiteness check on its path", "engine.py",
-           "        finite = np.isfinite((A.min(), A.max())).all()",
-           "        finite = True",
+    Mutant("solve: no finiteness check on the system", "engine.py",
+           "    if not (np.isfinite(anorm) and np.isfinite(rhs).all()):",
+           "    if not np.isfinite(rhs).all():",
            (f"{ENGINE}::TestSolve::test_non_finite_system_is_refused",)),
     Mutant("certificate: interval kept at a margin", "engine.py",
            "design.bounds() if spec.extension_margin == 0.0 else None)",
@@ -154,10 +154,11 @@ MUTANTS = [
            "        np.add(H, rho * 0.0, out=A)",
            "        np.add(H, 0.0, out=A)",
            (f"{ENGINE}::TestSolve::test_system_has_the_bits_of_h_plus_rho_w",)),
-    Mutant("solve: |A| left in the system after its 1-norm", "engine.py",
-           "        finite = np.isfinite(anorm)\n        _system(A, H, W, rho)\n",
-           "        finite = np.isfinite(anorm)\n",
-           (f"{ENGINE}::TestSolve::test_system_has_the_bits_of_h_plus_rho_w",)),
+    Mutant("solve: max-abs norm for the 1-norm", "engine.py",
+           '    anorm = lapack.dlange("1", A.T)',
+           '    anorm = lapack.dlange("M", A.T)',
+           (f"{ENGINE}::TestSolve::"
+            "test_dpocon_reads_the_1_norm_of_the_system",)),
     Mutant("sketch: no slack in the coefficient bound", "density.py",
            "        slack = 8 * p * _EPS * (abs(first) + rest)",
            "        slack = 0.0",

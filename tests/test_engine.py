@@ -23,7 +23,7 @@ from oracles import (ROUGH, UNIT, feed, make_engine,
                      traced_peak, weighted_gram, within)
 from streamreg.density import DensityState
 from streamreg.engine import (RCOND_FLOOR, OnePassRegressor, SCALAR_UNITS,
-                              _kappa_bound, _system, batch_fit,
+                              _kappa_bound, batch_fit,
                               normal_equations, penalized_solve)
 from streamreg.errors import (CheckpointError, DomainError,
                               IllConditionedSystemError)
@@ -281,6 +281,24 @@ class TestIngest:
             eng.ingest([], [])
 
 
+def signed_zero_system(q):
+    """An SPD H of order q with signed zeros off its diagonal, symmetric to
+    the bit, and a right-hand side for it."""
+    rng = np.random.default_rng(q)
+    B = rng.normal(size=(q, q))
+    H = B @ B.T / q + (q + 1) * np.eye(q)
+
+    def pairs(p):  # a symmetric mask off the diagonal
+        upper = np.triu(rng.uniform(size=(q, q)) < p, 1)
+        return upper | upper.T
+
+    H[pairs(0.2)] *= 0.0  # zeros with the entries' signs
+    H[pairs(0.5)] *= -1.0
+    if q > 1:  # one negative zero at least
+        H[0, 1] = H[1, 0] = -0.0
+    return H, rng.normal(size=q)
+
+
 class TestSolve:
     def test_matches_batch_fit_when_all_slots_full(self):
         # with the cap at q0 every slot starts at observation 1, so the
@@ -413,34 +431,73 @@ class TestSolve:
             penalized_solve(np.eye(3), np.eye(3), 0.0, np.ones(3), None)
 
     @pytest.mark.parametrize("q", [1, 92, 200])
-    def test_system_has_the_bits_of_h_plus_rho_w(self, q):
-        # H with signed zeros off the diagonal: the solve must form and
-        # factor the matrix H + rho W gives, to the bit, signed zeros too
-        # (rho = -0.0 makes rho W's zeros negative)
-        rng = np.random.default_rng(q)
-        B = rng.normal(size=(q, q))
-        H = B @ B.T / q + (q + 1) * np.eye(q)
+    def test_system_has_the_bits_of_h_plus_rho_w(self, monkeypatch, q):
+        # the solve must form and factor the matrix H + rho W gives, to the
+        # bit, signed zeros too (rho = -0.0 makes rho W's zeros negative)
+        H, rhs = signed_zero_system(q)
+        factored = []
+        dpotrf = basis.lapack.dpotrf
 
-        def pairs(p):  # a symmetric mask off the diagonal
-            upper = np.triu(rng.uniform(size=(q, q)) < p, 1)
-            return upper | upper.T
+        def recorded(a, **kwargs):
+            factored.append(a.T.copy())  # a is A.T, and dpotrf overwrites it
+            return dpotrf(a, **kwargs)
 
-        H[pairs(0.2)] *= 0.0  # zeros with the entries' signs
-        H[pairs(0.5)] *= -1.0
-        assert q == 1 or np.signbit(H[H == 0.0]).any()
-        rhs = rng.normal(size=q)
+        monkeypatch.setattr(basis.lapack, "dpotrf", recorded)
         for W, rho in ((penalty_matrix(UNIT, ROUGH, q), 1e-7),
                        (penalty_matrix(UNIT, ROUGH, q), -0.0),
                        (penalty_matrix(BasisSpec(0.0, 1.0, 0.1), ROUGH, q),
                         1e-9), (np.eye(q), 0.0)):
             A = H + rho * penalty_as_matrix(W)
-            formed = np.empty((q, q))
-            _system(formed, H, W, rho)
-            assert formed.tobytes() == A.tobytes()
+            factored.clear()
+            got = penalized_solve(H, W, rho, rhs, None)[0]
+            assert [a.tobytes() for a in factored] == [A.tobytes()]
             c = linalg.lapack.dpotrf(A, lower=1, clean=0)[0]
             want = linalg.lapack.dpotrs(c, rhs, lower=1)[0]
-            got = penalized_solve(H, W, rho, rhs, None)[0]
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("q", [1, 2, 39, 92, 200])
+    def test_dpocon_reads_the_1_norm_of_the_system(self, monkeypatch, q):
+        # the norm dpocon takes has the bits of the greatest column sum of
+        # |H + rho W|, for a diagonal W given as its diagonal and a dense
+        # one, and with signed zeros in H and in rho W
+        H, rhs = signed_zero_system(q)
+        norms = []
+        dpocon = basis.lapack.dpocon
+
+        def recorded(c, anorm, **kwargs):
+            norms.append(anorm)
+            return dpocon(c, anorm, **kwargs)
+
+        monkeypatch.setattr(basis.lapack, "dpocon", recorded)
+        for W, rho in itertools.product(
+                (penalty_matrix(UNIT, ROUGH, q),
+                 penalty_matrix(BasisSpec(0.0, 1.0, 0.1), ROUGH, q)),
+                (1e-7, -0.0)):
+            norms.clear()
+            assert penalized_solve(H, W, rho, rhs, None)[1]["gate"] == \
+                "dpocon"
+            want = np.abs(H + rho * penalty_as_matrix(W)).sum(0).max()
+            assert [np.float64(a).tobytes() for a in norms] == \
+                [want.tobytes()]
+
+    def test_a_finite_system_whose_1_norm_overflows_is_refused(self):
+        # A = c (3 I + S), S the symmetric 4 x 4 Hadamard matrix (S^2 = 4 I):
+        # its eigenvalues c and 5 c are doubles and Cholesky factors it, but
+        # at c = 3e307 its 1-norm 7 c is not.  Both gates then refuse it as
+        # non-finite, the certificate's (from the true spectrum) as dpocon's;
+        # at half that scale both solve it
+        S = linalg.hadamard(4).astype(float)
+        for c, refused in ((1.5e307, False), (3e307, True)):
+            A = c * (3.0 * np.eye(4) + S)
+            for spectrum, gate in (((c, 5.0 * c), "certificate"),
+                                   (None, "dpocon")):
+                solve = functools.partial(penalized_solve, A, np.zeros(4),
+                                          0.0, np.ones(4), spectrum)
+                if refused:
+                    with pytest.raises(ValueError, match="NaN or inf"):
+                        solve()
+                else:
+                    assert solve()[1]["gate"] == gate
 
     def test_negative_rho_rejected(self):
         eng = make_engine(known=True, q0=2, mem_cap=6)

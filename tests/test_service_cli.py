@@ -1032,6 +1032,15 @@ class TestCli:
         assert main(["serve", "--batch-size", "7", "--port", "0"]) == 2
         assert "--batch-size" in capsys.readouterr().err
 
+    def test_tune_takes_no_checkpoints(self, monkeypatch, capsys):
+        # the CV table reports at no checkpoint, so tune would ignore them
+        def tune(*args, **kwargs):
+            raise AssertionError("tune ran")
+
+        monkeypatch.setattr(cli, "cv_table", tune)
+        assert main(["tune", "--checkpoints", "10"]) == 2
+        assert "--checkpoints" in capsys.readouterr().err
+
     def test_serve_rejects_an_invalid_flag_before_binding(self, monkeypatch,
                                                           capsys):
         def bind(*args, **kwargs):
