@@ -153,14 +153,99 @@ def _check_points(spec, t):
     return t
 
 
+# Points from which ``_unit_roots`` reads z off the table of roots of unity
+# rather than taking numpy's complex exp per point.  The map's numpy calls
+# cost about 10 us before its first point and 7 ns a point, exp 22 ns a
+# point: they crossed between 600 and 700 points in four runs (one core of
+# a 2-vCPU VM).  A 100-point ingest batch stays on exp.
+MAP_MIN = 700
+
+# N, the number of roots of unity in ``_unit_roots``' table: z is the root
+# T_j = exp(2 pi i j / N) nearest it times e^{i phi}, |phi| <= pi / N.
+ROOTS = 4096
+
+
+@functools.cache
+def _root_table():
+    """The N roots of unity exp(2 pi i j / N), j = 0..N-1, read-only.
+
+    The sines of the first quadrant are taken in long double and rounded
+    once; every other part is one of them, swapped or negated, so each
+    root is within 1 ulp in each part, and the roots at multiples of pi / 2
+    are exact.  ``0.0 - x`` negates without making a zero negative."""
+    quarter = ROOTS // 4
+    pi = np.longdouble(math.pi) + np.longdouble(1.2246467991473532e-16)
+    s = np.sin(np.arange(quarter + 1, dtype=np.longdouble)
+               * (2 * pi / ROOTS)).astype(float)
+    table = np.empty(ROOTS, dtype=complex)
+    table[:quarter + 1].real, table[:quarter + 1].imag = s[::-1], s
+    table[quarter:2 * quarter + 1].real = 0.0 - s
+    table[quarter:2 * quarter + 1].imag = s[::-1]
+    table[2 * quarter:] = 0.0 - table[:2 * quarter]
+    table.flags.writeable = False
+    return table
+
+
+def _unit_roots(spec, t, z, scratch):
+    """z = exp(2 pi i (t - origin) / P) at the points t, a flat float
+    array, written into the complex row ``z``, which is returned.
+    ``scratch`` is two complex rows of t's size that the map may
+    overwrite, or None, and the map makes them.
+
+    Below MAP_MIN points z is numpy's complex exp.  From MAP_MIN on it is
+    read off the table of roots (Tang, ACM TOMS 15(2), 1989): with
+    s = (t - origin) N / P rounded to the nearest integer j and
+    phi = (s - j) 2 pi / N, z = T_(j mod N) + T_(j mod N) d, where
+    d = (-phi^2/2 + phi^4/24) + i (phi - phi^3/6) is e^{i phi} - 1 to
+    within phi^5 / 120, under 0.03 u at |phi| <= pi / N.  The map's
+    arrays are ``scratch`` and z, so it builds none of t's size.  Both
+    forms are periodic in t, the map for |s| < 2^63, where j fits an
+    index, so t need not lie in the domain.  Both are elementwise, so a
+    point's z depends on it and on which side of MAP_MIN its call lies,
+    not on the other points.
+    """
+    if t.size < MAP_MIN:
+        np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
+        return np.exp(z, out=z)
+    m = t.size
+    if scratch is None:
+        scratch = np.empty((2, m), dtype=complex)
+    s = scratch[0].view(float)[:m]
+    index = scratch[0].view(float)[m:].view(np.intp)
+    j = scratch[1].view(float)[:m]
+    np.subtract(t, spec.origin, s)
+    np.multiply(s, ROOTS / spec.period, s)
+    np.rint(s, j)
+    np.subtract(s, j, s)
+    np.copyto(index, j, casting="unsafe")
+    np.bitwise_and(index, ROOTS - 1, index)
+    phi = np.multiply(s, 2 * math.pi / ROOTS, s)
+    # the index is in range: "clip" only spares take a buffered copy of out
+    roots = _root_table().take(index, out=scratch[1], mode="clip")
+    # d in z: Re d = p (p / 24 - 1/2) and Im d = phi (1 - p / 6), p = phi^2;
+    # phi's row takes p / 24 - 1/2 once Im d has read phi
+    re, im = z.real, z.imag
+    np.multiply(phi, phi, re)
+    np.multiply(re, 1.0 / 6.0, im)
+    np.subtract(1.0, im, im)
+    im *= phi
+    np.multiply(re, 1.0 / 24.0, phi)
+    phi -= 0.5
+    re *= phi
+    z *= roots
+    z += roots
+    return z
+
+
 def eval_matrix(spec, q, t):
     """Evaluate phi_1..phi_q at the points t; returns an (len(t), q) array.
 
-    The trig columns come from one complex exponential per point: with
-    z = exp(2 pi i (t - origin) / P), the powers z^k, k = 1..q/2, are a
-    cumulative product along the row, and (Re z^k, Im z^k) scaled by
-    sqrt(2/P) are (phi_{2k}, phi_{2k+1}).  Each row depends on its own t
-    only, so the result does not depend on how points are batched.
+    The trig columns come from one z = exp(2 pi i (t - origin) / P) per
+    point (``_unit_roots``): the powers z^k, k = 1..q/2, are a cumulative
+    product along the row, and (Re z^k, Im z^k) scaled by sqrt(2/P) are
+    (phi_{2k}, phi_{2k+1}).  A row depends on its own t and on whether the
+    call has MAP_MIN points or more, so batches on the same side of
+    MAP_MIN give a point the same row.
     """
     t = _check_points(spec, t)
     P = spec.period
@@ -168,7 +253,8 @@ def eval_matrix(spec, q, t):
     out[:, 0] = 1.0 / np.sqrt(P)
     if q > 1:
         zk = np.empty((t.size, q // 2), dtype=complex)
-        zk[:] = np.exp((2j * np.pi / P) * (t - spec.origin))[:, None]
+        z = _unit_roots(spec, t, np.empty(t.size, dtype=complex), None)
+        zk[:] = z[:, None]
         np.multiply.accumulate(zk, axis=1, out=zk)
         # viewed as reals, a row of zk reads Re z, Im z, Re z^2, Im z^2, ...
         np.multiply(zk.view(float)[:, :q - 1], np.sqrt(2.0 / P),
@@ -214,7 +300,9 @@ def series(spec, coef, t):
         return math.sqrt(2.0 / spec.period) * acc.real
     t = _check_points(spec, t)
     c = _packed(coef)
-    w = np.exp((-2j * np.pi / spec.period) * (t - spec.origin))
+    w = _unit_roots(spec, t.reshape(-1), np.empty(t.size, dtype=complex),
+                    None)
+    w = np.conjugate(w, out=w).reshape(t.shape)
     acc = np.full(t.shape, c[-1])
     for ck in c[-2::-1]:
         acc *= w
@@ -272,7 +360,8 @@ SPLIT_MIN = 16
 
 # The most bytes of power tables one ``moments`` call holds, in chunks of
 # its points, and so the largest buffer kept for the next call: the Monte
-# Carlo path's tables reach 1.7 MB and fit in one chunk.
+# Carlo path's tables reach 1.7 MB and fit in one chunk.  z's map from the
+# table of roots works inside these bytes (``_tables``), so it adds none.
 SPARE_BYTES = 4 << 20
 
 # The spare: at most one buffer, held by no running ``moments`` call.  A
@@ -325,10 +414,12 @@ def _table_shape(K):
     """(r, rows) of the power tables at the call's K: z^(r-1) is the last
     row a weight multiplies, and ``rows`` complex numbers per point make up
     the tables and z (at K = 0 the row of ones z^0 and z's row, which
-    ``_tables`` leaves unwritten); read three times per ``moments``."""
+    ``_tables`` leaves unwritten); read three times per ``moments``.  From
+    SPLIT_MIN on r = 4 max(1, (isqrt(K) + 2) // 4), a multiple of 4 near
+    sqrt(K) (``_tables``)."""
     if K < SPLIT_MIN:
         return K + 1, K + 2
-    r = math.isqrt(K) + 1
+    r = 4 * max(1, (math.isqrt(K) + 2) // 4)
     return r, r + 1 + K // r + 1
 
 
@@ -338,23 +429,26 @@ def _tables(spec, K, t, buf):
     at least ``_table_shape(K)[1] * t.size`` elements, and r, where z^(r-1)
     is the last row a weight multiplies.
 
-    With K >= ``SPLIT_MIN`` and r = isqrt(K) + 1, z^(a + r b) =
-    z^a (z^r)^b, so two short tables hold every power: ``low``, rows z^a for
-    a < r, and ``high``, rows (z^r)^b for b = 0..K // r.  For smaller K,
-    ``low`` holds z^0..z^K, at K = 0 the row of ones alone, and ``high``
-    is None.  Every power is a product of the one z per point, the way
+    With K >= ``SPLIT_MIN``, z^(a + r b) = z^a (z^r)^b, so two short
+    tables hold every power: ``low``, rows z^a for a < r, and ``high``,
+    rows (z^r)^b for b = 0..K // r.  r is a multiple of 4 near sqrt(K):
+    the product ``high @ low.T`` that reads the tables ran up to twice as
+    fast per multiply-add at r = 4, 8 or 12 as at the odd r between them
+    (OpenBLAS zgemm, 6400 points).  For smaller K, ``low``
+    holds z^0..z^K, at K = 0 the row of ones alone, and ``high`` is None.
+    Every power is a product of the one z per point, the way
     ``eval_matrix`` forms its columns.
     """
     r, rows = _table_shape(K)
     # z waits in the buffer's last row, which is written only when no power
     # reads z any more: high's last row, or a row past low (a product
-    # written over its own operand may round otherwise).  At K = 0 no power
-    # reads z, and its complex exp would be most of the call's time.
+    # written over its own operand may round otherwise).  z's map works in
+    # the first two rows, which the powers overwrite later.  At K = 0 no
+    # power reads z, and forming it would be most of the call's time.
     tables = buf[:rows * t.size].reshape(rows, t.size)
     z = tables[-1]
     if K:
-        np.multiply(2j * np.pi / spec.period, t - spec.origin, out=z)
-        np.exp(z, out=z)
+        _unit_roots(spec, t, z, tables[:2])
     if K < SPLIT_MIN:
         return _powers(z, tables[:-1]), None, r
     low = _powers(z, tables[:r + 1])

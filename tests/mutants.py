@@ -69,6 +69,7 @@ COUNT = f"{ENGINE}::TestIdentifiableCount"
 SERVICE = "tests/test_service_cli.py"
 LOWERBOUND = "tests/test_lowerbound.py"
 MOMENTS = "tests/test_basis.py::TestMoments"
+UNIT_ROOTS = "tests/test_basis.py::TestUnitRoots"
 COMPOSITE = "tests/test_harness.py::TestCompositeExperiments"
 ENGINE_FLAGS = f"{SERVICE}::TestCli::test_engine_flags_out_of_range_are_errors"
 BUDGET = ("tests/test_dependencies.py::"
@@ -191,9 +192,22 @@ MUTANTS = [
             "test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum",)),
     # the tables
     Mutant("tables: z formed at K = 0, where no power reads it", "basis.py",
-           "    if K:\n        np.multiply(2j * np.pi",
-           "    if True:\n        np.multiply(2j * np.pi",
+           "    if K:\n        _unit_roots(spec, t, z, tables[:2])",
+           "    if True:\n        _unit_roots(spec, t, z, tables[:2])",
            (f"{MOMENTS}::test_k_zero_forms_no_power_of_z",)),
+    # z from the table of roots of unity
+    Mutant("map: phi^4 term dropped", "basis.py",
+           "np.multiply(re, 1.0 / 24.0, phi)", "np.multiply(re, 0.0, phi)",
+           (f"{UNIT_ROOTS}::test_within_the_rounding_of_its_angle",)),
+    Mutant("map: index not taken mod N", "basis.py",
+           "    np.bitwise_and(index, ROOTS - 1, index)\n", "",
+           (f"{UNIT_ROOTS}::test_within_the_rounding_of_its_angle",)),
+    Mutant("selection: map below MAP_MIN", "basis.py",
+           "    if t.size < MAP_MIN:\n", "    if False:\n",
+           (f"{CHECKPOINT}::test_golden_checkpoint_is_byte_exact",)),
+    Mutant("selection: np.exp at every size", "basis.py",
+           "    if t.size < MAP_MIN:\n", "    if True:\n",
+           (f"{UNIT_ROOTS}::test_map_from_map_min_on_and_exp_below",)),
     # the table buffer
     Mutant("buffer: no spare reuse", "basis.py",
            "        if buf is not None and buf.size >= count:",

@@ -134,6 +134,32 @@ def eval_matrix_trig(spec, q, t):
     return out
 
 
+def unit_roots_map(spec, t):
+    """``basis._unit_roots``' map from the table of roots at any number of
+    points, each step a new array: z = T_j d + T_j."""
+    s = (t - spec.origin) * (basis.ROOTS / spec.period)
+    j = np.rint(s)
+    phi = (s - j) * (2 * math.pi / basis.ROOTS)
+    roots = basis._root_table()[j.astype(np.intp) & (basis.ROOTS - 1)]
+    p = phi * phi
+    d = np.empty(t.size, dtype=complex)
+    d.real = p * (p * (1.0 / 24.0) - 0.5)
+    d.imag = phi * (1.0 - p * (1.0 / 6.0))
+    return d * roots + roots
+
+
+# pi in long double: the double nearest pi and the remainder
+PI_LONG = np.longdouble(math.pi) + np.longdouble(1.2246467991473532e-16)
+
+
+def unit_roots_long_double(spec, t):
+    """(angle, cos, sin) of z = exp(2 pi i (t - origin) / P) in long double,
+    the doubles t, origin and P read as exact."""
+    angle = (2 * PI_LONG / np.longdouble(spec.period)) \
+        * (t.astype(np.longdouble) - np.longdouble(spec.origin))
+    return angle, np.cos(angle), np.sin(angle)
+
+
 def fold(vals, w, start, n_old):
     """``scheduler.fold`` from the batch's basis matrix: row i of ``vals``
     holds phi_j(t_i) at stream index n_old + 1 + i, column j the slot that

@@ -1,5 +1,6 @@
 import math
 import resource
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -86,6 +87,106 @@ class TestEvalMatrix:
         batch = eval_matrix(spec, q, t)
         alone = np.vstack([eval_matrix(spec, q, x) for x in t])
         assert batch.tobytes() == alone.tobytes()
+        # from MAP_MIN points on z comes from the table of roots: a batch
+        # gives the rows of its halves, which are as long
+        t = np.random.default_rng(q + 1).uniform(spec.lo, spec.hi,
+                                                 2 * basis.MAP_MIN)
+        halves = np.vstack([eval_matrix(spec, q, t[:basis.MAP_MIN]),
+                            eval_matrix(spec, q, t[basis.MAP_MIN:])])
+        assert eval_matrix(spec, q, t).tobytes() == halves.tobytes()
+
+
+def unit_roots(spec, t):
+    """``basis._unit_roots`` at the points t, into a row of its own."""
+    return basis._unit_roots(spec, t, np.empty(t.size, dtype=complex), None)
+
+
+def decimal_cos_sin(x):
+    """cos x and sin x, x a Decimal in [0, pi / 2), by Taylor sums in the
+    current decimal context."""
+    term, c, s, n = Decimal(1), Decimal(0), Decimal(0), 0
+    while abs(term) > Decimal(10) ** -45:
+        if n % 2:
+            s += term if n % 4 == 1 else -term
+        else:
+            c += term if n % 4 == 0 else -term
+        n += 1
+        term = term * x / n
+    return c, s
+
+
+class TestUnitRoots:
+    """z = exp(2 pi i (t - origin) / P): numpy's exp below MAP_MIN points,
+    the table of roots of unity from MAP_MIN on."""
+
+    def test_every_table_root_is_within_one_ulp(self):
+        # each part against 45-digit Taylor sums of the angle 2 pi k / N in
+        # the root's quadrant, turned by a quarter per quadrant; an exact 0
+        # must be 0
+        N = basis.ROOTS
+        table = basis._root_table()
+        assert table.shape == (N,) and not table.flags.writeable
+        pi = Decimal("3.14159265358979323846264338327950288419716939937511")
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for j, root in enumerate(table.tolist()):
+                quadrant, k = divmod(j, N // 4)
+                c, s = decimal_cos_sin(2 * pi * k / N)
+                for _ in range(quadrant):
+                    c, s = -s, c
+                for got, want in ((root.real, c), (root.imag, s)):
+                    assert abs(Decimal(got) - want) \
+                        <= Decimal(math.ulp(abs(float(want)))), j
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-1.0, 3.0), (2.5, 2.75)])
+    @pytest.mark.parametrize("margin", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("side", ["exp", "map"])
+    def test_within_the_rounding_of_its_angle(self, lo, hi, margin, side):
+        # The angle theta = 2 pi (t - origin) / P takes three roundings,
+        # each within u theta (t - origin, the scale N / P or 2 pi / P, the
+        # product; numpy's exp a fourth, 2 pi's own, within 0.35 u theta),
+        # and the parts of z one or two more (the root and the sum T + T d,
+        # or sin and cos): |z - exact| <= (3.5 theta + 3) u to first order.
+        # Both forms measured within 0.77 of (2 theta + 3) u, the bound
+        # asserted: up to 11.3 u for exp and 9.7 u for the map at theta
+        # near 2 pi.  On (0, 1) and (2.5, 2.75) at margin 0, t - origin and
+        # N / P are exact, so the map's angle is, and only the root and the
+        # sum round.  On the map the same points moved by a period either
+        # way keep the bound, |theta| for theta (measured within 0.81 of
+        # it): moments' points are not domain-checked, and the map takes
+        # j mod N
+        spec = BasisSpec(lo, hi, extension_margin=margin)
+        m = basis.MAP_MIN - 1 if side == "exp" else 20_000
+        rng = np.random.default_rng(m)
+        t = np.concatenate([[lo, hi], rng.uniform(lo, hi, m - 2)])
+        far = t + spec.period * rng.integers(-1, 2, m)
+        for points in (t, far) if side == "map" else (t,):
+            z = unit_roots(spec, points)
+            angle, cos, sin = oracles.unit_roots_long_double(spec, points)
+            err = np.hypot(z.real - cos, z.imag - sin).astype(float)
+            theta = np.abs(angle.astype(float))
+            assert np.all(err <= (2.0 * theta + 3.0) * oracles.U)
+            if points is t and side == "map" and margin == 0.0 \
+                    and lo in (0.0, 2.5):
+                assert np.all(err <= 3.0 * oracles.U)
+
+    @pytest.mark.parametrize("spec", [UNIT, EXTENDED,
+                                      BasisSpec(2.5, 2.75, 0.3)])
+    def test_map_from_map_min_on_and_exp_below(self, spec):
+        # from MAP_MIN on the bits of the out-of-place map, also as the
+        # tables' row z^1, whose map works in the rows the powers fill
+        # later; below it numpy's exp, as before the map
+        for m in (1, 100, basis.MAP_MIN - 1, basis.MAP_MIN, 6400):
+            t = np.random.default_rng(m).uniform(spec.lo, spec.hi, m)
+            if m < basis.MAP_MIN:
+                want = np.exp((2j * np.pi / spec.period) * (t - spec.origin))
+            else:
+                want = oracles.unit_roots_map(spec, t)
+            assert unit_roots(spec, t).tobytes() == want.tobytes()
+            for K in (1, 5, 46):
+                buf = np.empty(basis._table_shape(K)[1] * m, dtype=complex)
+                low = basis._tables(spec, K, t, buf)[0]
+                assert low[1].tobytes() == want.tobytes()
 
 
 class TestOrthonormality:
@@ -346,6 +447,15 @@ class TestMoments:
             Hp = gram_from_moments(EXTENDED, q, mu)
             assert np.max(np.abs(Hp - H)) <= 1e-15 * np.max(np.abs(H))
 
+
+    def test_the_split_tables_step_by_a_multiple_of_four(self):
+        # every power z^(a + r b), a < r, b <= K // r, with r a multiple
+        # of 4 and at most one row more than with r = isqrt(K) + 1
+        for K in range(basis.SPLIT_MIN, 5000):
+            r, rows = basis._table_shape(K)
+            assert r % 4 == 0 and r * (K // r) + r - 1 >= K
+            old = math.isqrt(K) + 1
+            assert rows == r + 1 + K // r + 1 <= old + 1 + K // old + 2
 
     def test_k_zero_forms_no_power_of_z(self):
         # at K = 0 the tables are the row of ones alone: z's row is left as

@@ -839,6 +839,19 @@ class TestTableBuffer:
                 call()
             assert traced_peak(normal_equations, spec, q, ts, ys) < tables / 2
 
+    def test_a_taken_buffer_is_not_handed_out_again(self, monkeypatch):
+        # while one call holds the spare, the next call gets a buffer of
+        # its own, whatever the threads' timing; given back, the larger
+        # buffer stays the spare
+        monkeypatch.setattr(basis, "_spare", None)
+        basis._give_back(np.empty(100, dtype=complex))
+        held = basis._take_buffer(100)
+        other = basis._take_buffer(100)
+        assert other is not held and not np.shares_memory(other, held)
+        basis._give_back(held)
+        basis._give_back(other)
+        assert basis._spare is held
+
     def test_threads_ingesting_at_once_match_sequential_runs(self):
         m, n = 2000, 30_000
 
@@ -1441,15 +1454,15 @@ class TestBatchFit:
             assert a.tobytes() == b.tobytes()
 
     def test_batch_fit_holds_one_set_of_tables(self, monkeypatch):
-        # n = 1e5, q = 92: the tables hold z^0..z^10, (z^10)^0..(z^10)^9
+        # n = 1e5, q = 92: the tables hold z^0..z^8, (z^8)^0..(z^8)^11
         # and z, 32 MiB in one chunk, so the call folds them in chunks that
         # fit SPARE_BYTES.  Beside a chunk's tables it holds t - origin,
         # one row of the chunk, while the tables are built; the unit
         # weights read the tables in place and the y weights go into them
         # through numpy's ufunc buffers, two of np.getbufsize() complex
         # elements.  Then come the Gram's assembly and the solve, four
-        # (q + 1) x (q + 1) matrices at most.  A weighted copy of z^0..z^9
-        # beside the tables, 16 r = 160 bytes a point, breaks the bound.
+        # (q + 1) x (q + 1) matrices at most.  A weighted copy of z^0..z^7
+        # beside the tables, 16 r = 128 bytes a point, breaks the bound.
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
         monkeypatch.setattr(basis, "_spare", None)
