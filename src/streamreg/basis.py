@@ -351,7 +351,7 @@ def penalty_matrix(spec, penalty, q):
     return W
 
 
-# From K = SPLIT_MIN on, ``moments`` keeps z^0..z^K as two tables of about
+# From K = SPLIT_MIN on, ``moments`` keeps z^0..z^K as tables of about
 # sqrt(K) rows rather than one of K + 1 rows: below it the second table and
 # the complex matrix product cost more than they save (the crossover lay
 # between K = 10 and 24 at 100 and 1000 points).
@@ -360,7 +360,7 @@ SPLIT_MIN = 16
 
 # The most bytes of power tables one ``moments`` call holds, in chunks of
 # its points, and so the largest buffer kept for the next call: the Monte
-# Carlo path's tables reach 1.7 MB and fit in one chunk.  z's map from the
+# Carlo path's tables reach 1.8 MB and fit in one chunk.  z's map from the
 # table of roots works inside these bytes (``_tables``), so it adds none.
 SPARE_BYTES = 4 << 20
 
@@ -373,13 +373,15 @@ _spare_lock = threading.Lock()
 
 def _take_buffer(count):
     """A complex buffer of at least ``count`` elements: the spare if it is
-    large enough, otherwise a new one (the spare stays where it is)."""
+    large enough, otherwise a new one.  A spare too small is dropped before
+    the new one is made, which replaces it when handed back, so growing
+    tables hold one buffer, not two."""
     global _spare
     with _spare_lock:
-        buf = _spare
-        if buf is not None and buf.size >= count:
-            _spare = None
-            return buf
+        buf, _spare = _spare, None
+    if buf is not None and buf.size >= count:
+        return buf
+    del buf
     return np.empty(count, dtype=complex)
 
 
@@ -394,15 +396,15 @@ def _give_back(buf):
 
 
 def _powers(z, out):
-    """Rows z^0, ..., z^(len(out) - 1) of ``out``: each row is the one above
-    times z.
+    """Rows 1.. of ``out``, each the row above times z: with row 0 set
+    to ones, z^0, ..., z^(len(out) - 1); with row 0 set to a weight w,
+    w z^0, ..., w z^(len(out) - 1).
 
     One multiply per row: ``np.multiply.accumulate`` down the rows forms
     the same products but took up to 5 times as long (100 to 5000 points,
     3 to 17 rows) and rounded differently.
     """
     prev = out[0]
-    prev[:] = 1.0
     for row in out[1:]:
         np.multiply(prev, z, row)
         prev = row
@@ -410,95 +412,118 @@ def _powers(z, out):
 
 
 @functools.lru_cache(maxsize=64)
-def _table_shape(K):
-    """(r, rows) of the power tables at the call's K: z^(r-1) is the last
-    row a weight multiplies, and ``rows`` complex numbers per point make up
-    the tables and z (at K = 0 the row of ones z^0 and z's row, which
-    ``_tables`` leaves unwritten); read three times per ``moments``.  From
-    SPLIT_MIN on r = 4 max(1, (isqrt(K) + 2) // 4), a multiple of 4 near
-    sqrt(K) (``_tables``)."""
+def _table_shape(K, count):
+    """(r, rows) of the power tables at the call's K and its number of
+    weights, ``count``: ``rows`` complex numbers per point make up the
+    tables and z, read three times per ``moments``.  Below SPLIT_MIN, r =
+    K + 1 rows z^0..z^K and z's row (none at K = 0, where no power reads
+    z).  From SPLIT_MIN on, r = 4 max(1, (isqrt(K) + 2) // 4), a multiple
+    of 4 near sqrt(K), and the rows are one block of r per weight and
+    (z^r)^0..(z^r)^(K // r), whose last row holds z until the end
+    (``_tables``)."""
     if K < SPLIT_MIN:
-        return K + 1, K + 2
+        return K + 1, K + 2 if K else 1
     r = 4 * max(1, (math.isqrt(K) + 2) // 4)
-    return r, r + 1 + K // r + 1
+    return r, count * r + K // r + 1
 
 
-def _tables(spec, K, t, buf):
+def _tables(spec, K, t, weights, buf):
     """The power tables of z = exp(2 pi i (t - origin) / P) at the points
     t, as (low, high, r): rows of the complex buffer ``buf``, which holds
-    at least ``_table_shape(K)[1] * t.size`` elements, and r, where z^(r-1)
-    is the last row a weight multiplies.
+    at least ``_table_shape(K, len(weights))[1] * t.size`` elements.
 
-    With K >= ``SPLIT_MIN``, z^(a + r b) = z^a (z^r)^b, so two short
-    tables hold every power: ``low``, rows z^a for a < r, and ``high``,
-    rows (z^r)^b for b = 0..K // r.  r is a multiple of 4 near sqrt(K):
-    the product ``high @ low.T`` that reads the tables ran up to twice as
-    fast per multiply-add at r = 4, 8 or 12 as at the odd r between them
-    (OpenBLAS zgemm, 6400 points).  For smaller K, ``low``
-    holds z^0..z^K, at K = 0 the row of ones alone, and ``high`` is None.
+    For K < ``SPLIT_MIN``, ``low`` holds z^0..z^K, at K = 0 the row of
+    ones alone, which every weight reads, and ``high`` is None.  From
+    SPLIT_MIN on, z^(a + r b) = z^a (z^r)^b, so short tables hold every
+    power: ``low`` is a block of r rows w z^a, a < r, per weight w of
+    ``weights`` (ones for None), in their order, and ``high`` the rows
+    (z^r)^b for b = 0..K // r.  A block's first row is its weight, and
+    each row after it the one above times z, so no weighting pass follows.
+    z^r is the first unit block's z^(r-1) times z, or, in a call with no
+    unit weight, z^(r/4) squared twice.  r is a multiple of 4 near
+    sqrt(K): the product ``high @ low.T`` that reads the tables ran up to
+    twice as fast per multiply-add at r = 4, 8 or 12 as at the odd r
+    between them (OpenBLAS zgemm, 6400 points).
     Every power is a product of the one z per point, the way
     ``eval_matrix`` forms its columns.
     """
-    r, rows = _table_shape(K)
+    r, rows = _table_shape(K, len(weights))
+    tables = buf[:rows * t.size].reshape(rows, -1)
     # z waits in the buffer's last row, which is written only when no power
     # reads z any more: high's last row, or a row past low (a product
-    # written over its own operand may round otherwise).  z's map works in
-    # the first two rows, which the powers overwrite later.  At K = 0 no
-    # power reads z, and forming it would be most of the call's time.
-    tables = buf[:rows * t.size].reshape(rows, t.size)
-    z = tables[-1]
+    # written over its own operand may round otherwise: numpy's product of
+    # one point in place is not always its product into another row).  z's
+    # map works in the first two rows, which the powers overwrite later.  At
+    # K = 0 the tables are the row of ones alone: no power reads z, and
+    # forming it would be most of the call's time.
     if K:
-        _unit_roots(spec, t, z, tables[:2])
+        z = _unit_roots(spec, t, tables[-1], tables[:2])
     if K < SPLIT_MIN:
-        return _powers(z, tables[:-1]), None, r
-    low = _powers(z, tables[:r + 1])
-    return low[:r], _powers(low[r], tables[r + 1:]), r
+        tables[0] = 1.0
+        return _powers(tables[-1], tables[:K + 1]), None, r
+    low, high = tables[:len(weights) * r], tables[len(weights) * r:]
+    # z^r, in a row apart from z's as K // r >= 2
+    zr = high[1]
+    unit = next((i for i, w in enumerate(weights) if w is None), None)
+    if unit is None:
+        # z^(r/4) squared twice, in the first block's rows before the block
+        # is formed; no product is written over its operand
+        c = r // 4
+        low[0] = z
+        _powers(z, low[:c])
+        np.multiply(low[c - 1], low[c - 1], low[c])
+        np.multiply(low[c], low[c], zr)
+    for i, w in enumerate(weights):
+        block = low[r * i:r * (i + 1)]
+        block[0] = 1.0 if w is None else w
+        _powers(z, block)
+    if unit is not None:
+        np.multiply(low[r * unit + r - 1], z, zr)
+    high[0] = 1.0
+    _powers(zr, high[1:])
+    return low, high, r
 
 
-def chunk_points(K):
-    """Most points of one ``moments`` chunk at K: as many as keep the
-    chunk's tables within SPARE_BYTES."""
-    return SPARE_BYTES // (16 * _table_shape(K)[1])
+def chunk_points(K, count):
+    """Most points of one ``moments`` chunk at K with ``count`` weights: as
+    many as keep the chunk's tables within SPARE_BYTES."""
+    return SPARE_BYTES // (16 * _table_shape(K, count)[1])
 
 
-def _tail_moments(low, high, r, m, weights, tails, out):
+def _tail_moments(low, m, weights, tails, out):
     """Write into ``out[i]`` the tail moments of ``weights[i]``, one per
-    (k, lo) of ``tails``, from the tables as they are.
+    (k, lo) of ``tails``, from the one table z^0..z^K.
 
-    Whatever the number of tails and weights, this takes two rows of the
-    points from the first tail's start on, once: the weights as the complex
-    numbers np.dot would cast them to (ones for unit weights), and, with two
-    tables, each tail's products z^a (z^r)^b.  A tail reads both from its
-    own start; at k = 0 it reads the row of ones z^0, as any k reads z^k."""
+    Whatever the number of tails and weights, this takes one row of the
+    points from the first tail's start on: the weights as the complex
+    numbers np.dot would cast them to (ones for unit weights).  A tail
+    reads it from its own start; at k = 0 it reads the row of ones z^0, as
+    any k reads z^k."""
     base = min(lo for _, lo in tails)
     row = np.empty(max(m - base, 0), complex)
-    prod = None if high is None else np.empty(row.size, complex)
     for w, mu in zip(weights, out):
         row[:] = 1.0 if w is None else w[base:]
         for i, (k, lo) in enumerate(tails):
-            zk = low[k % r, lo:]
-            if high is not None:
-                zk = np.multiply(zk, high[k // r, lo:],
-                                 out=prod[lo - base:])
-            mu[i] = np.dot(zk, row[lo - base:])
+            mu[i] = np.dot(low[k, lo:], row[lo - base:])
 
 
 def _chunk_moments(spec, K, t, weights, tails, buf):
     """``moments`` of the points t, all in one set of tables in ``buf``."""
     m = t.size
-    low, high, r = _tables(spec, K, t, buf)
+    low, high, r = _tables(spec, K, t, weights, buf)
     out = [np.empty(K + 1 + len(tails), dtype=complex) for _ in weights]
-    if tails:
-        _tail_moments(low, high, r, m, weights, tails,
-                      [mu[K + 1:] for mu in out])
-    for w, mu in zip(weights, out):
-        if high is None:
+    if high is None:
+        if tails:
+            _tail_moments(low, m, weights, tails, [mu[K + 1:] for mu in out])
+        for w, mu in zip(weights, out):
             mu[:K + 1] = low @ (np.ones(m) if w is None else w)
-        else:
-            if w is not None:
-                low *= w
-            # row b, column a of the product is mu_{a + r b}
-            mu[:K + 1] = (high @ low.T).ravel()[:K + 1]
+        return out
+    # row b, column r i + a of the product is mu_{a + r b} of weight i
+    whole = high @ low.T
+    for i, mu in enumerate(out):
+        mu[:K + 1] = whole[:, r * i:r * (i + 1)].ravel()[:K + 1]
+        for j, (k, lo) in enumerate(tails, K + 1):
+            mu[j] = np.dot(low[r * i + k % r, lo:], high[k // r, lo:])
     return out
 
 
@@ -511,32 +536,32 @@ def moments(spec, K, t, weights, tails):
     entries per weight.  K = 0 and a k = 0 tail are no special case: z^0 is
     the tables' row of ones, read like any other power.
 
-    The points are folded in chunks of ``chunk_points(K)``, so a call's
-    tables never pass SPARE_BYTES whatever its size: each weight's moments
-    are the sums of its chunks' moments in chunk order, and a tail (k, lo)
-    reads each chunk from max(lo, chunk start).  A call whose tables fit
-    SPARE_BYTES is one chunk.  Chunk boundaries depend on the call and K
-    only, so a call's result does not depend on what came before it.
+    The points are folded in chunks of ``chunk_points(K, len(weights))``,
+    so a call's tables never pass SPARE_BYTES whatever its size: each
+    weight's moments are the sums of its chunks' moments in chunk order,
+    and a tail (k, lo) reads each chunk from max(lo, chunk start).  A call
+    whose tables fit SPARE_BYTES is one chunk.  Chunk boundaries depend on
+    the call, K and its number of weights only, so a call's result does
+    not depend on what came before it.
 
     The tables' buffer is the process's spare when that is free and large
     enough, so a stream of same-sized batches maps no new memory for it,
     and goes back to the spare when the call returns or raises.
 
-    No array of the tables' size is built beside them, so the weights read
-    them in an order.  A None weight reads them as they are.  An array
-    weight multiplies the rows z^0..z^(r-1) in place, so at most one weight
-    is an array, and it comes last.  Every tail moment is read before the
-    whole-batch moments.  Either way the product gets the
-    operands of ``high @ (low[:r] * w).T``: a row weighted in place has the
-    bits of a weighted copy, and a power times 1 keeps its bits
-    (``tests/oracles.moments_out_of_place``).
+    From K = SPLIT_MIN on, each weight forms its own block of rows
+    w z^a, a < r (``_tables``): one product ``high @ low.T`` gives every
+    weight's moments, and a tail (k, lo) is one dot product of the weight's
+    row w z^(k mod r) with the row (z^r)^(k // r), from lo on.  So no array
+    of the tables' size is built beside them, and the weights come in any
+    order.  A weight's moments depend on the other weights only through
+    z^r, which a unit weight's block supplies (``_tables``), and through
+    the product's width (``tests/oracles.Tables``).  Below SPLIT_MIN every
+    weight reads the one table z^0..z^K as it is.
     """
-    if any(w is not None for w in weights[:-1]):
-        raise ValueError("only the last weight may be an array")
     t = np.asarray(t, float)
     m = t.size
-    step = min(chunk_points(K), m)
-    buf = _take_buffer(_table_shape(K)[1] * step)
+    step = min(chunk_points(K, len(weights)), m)
+    buf = _take_buffer(_table_shape(K, len(weights))[1] * step)
     try:
         if step == m:
             return _chunk_moments(spec, K, t, weights, tails, buf)

@@ -378,7 +378,7 @@ def penalized_solve(H, W, rho, rhs, spectrum):
     A = np.empty(H.shape)
     if W.ndim == 1:
         np.add(H, rho * 0.0, out=A)
-        A[np.diag_indices(A.shape[0])] += rho * W
+        A.reshape(-1)[::A.shape[0] + 1] += rho * W  # A's diagonal, a view
         w = W
     else:
         np.multiply(W, rho, out=A)

@@ -9,8 +9,9 @@ One request per line, one JSON response per line.  Requests:
 Requests must be strict JSON (RFC 8259), decoded by orjson: ``NaN``,
 ``Infinity``, a number that overflows a double, bytes that are not UTF-8, a
 lone surrogate and nesting deeper than MAX_DEPTH levels are ``request``
-errors ("bad JSON").  A stream_id is a string or an integer (not a bool);
-anything else is a ``request`` error before any stream is read or created.
+errors ("bad JSON").  A stream_id is a string of at most MAX_ID_CHARS
+characters or an integer (not a bool); anything else is a ``request`` error
+before any stream is read or created.
 Integers outside [-2**63, 2**64) decode as floats, so they are refused as
 ids rather than sharing a stream with a nearby float.  The entries of each
 [t, y] pair and a query's t must be JSON numbers, and t a finite one: a
@@ -49,10 +50,14 @@ bounded; the connection and every existing stream keep being served.
 
 One request holds at most a line of MAX_LINE_BYTES, the objects it decodes
 to (about 9 times the line), and beyond them its t and y arrays and one
-chunk of power tables (``basis.moments``) of at most SPARE_BYTES with a few
-rows of the chunk's points.  A 1 002 717-byte line of 74 884 points
-decoded to 9.6 MB by tracemalloc; folded into a stream at n = 1e5 it peaks
-6.0 MB above its decoded objects.  On the query side, a cold estimate at
+chunk of power tables (``basis.moments``) of at most SPARE_BYTES with O(q)
+arrays beside it.  A 1 002 717-byte line of 74 884 points decoded to
+9.6 MB by tracemalloc; folded into a stream at n = 1e5 it peaks 6.0 MB
+above its decoded objects while its pairs become columns, and its ingest
+4.2 MB above the columns it was given.  Between requests a stream retains
+8 memory_units bytes of state, its id and at most 4 KiB more (2.2 KB
+measured, sketch or known design, margin 0 or 0.1), and a service holds
+at most MAX_STREAMS streams.  On the query side, a cold estimate at
 margin 0 holds two q x q arrays, the Gram matrix H and the system it
 factors in place, beside O(q) for the penalty, which is diagonal there and
 kept as its diagonal (``engine.penalized_solve``).
@@ -79,6 +84,11 @@ MAX_LINE_BYTES = 1 << 20
 
 # Most streams one service holds.
 MAX_STREAMS = 1024
+
+# Longest string stream id, in characters.  A str holds at most 4 bytes a
+# character, so the registry keeps at most 4 MAX_ID_CHARS bytes and a
+# header of 76 for an id (1.1 KB); an integer id takes at most 36 bytes.
+MAX_ID_CHARS = 256
 
 # Deepest array or object nesting a request line may have.  orjson builds the
 # decoded objects recursively, so a deeper valid line would exhaust the
@@ -163,7 +173,7 @@ class StreamRegistry:
     def query(self, stream_id, kind, t):
         entry = self._engine(stream_id)
         if entry is None:
-            raise NotFoundError(f"unknown stream {stream_id!r}")
+            raise NotFoundError(f"unknown stream {reprlib.repr(stream_id)}")
         reg, lock = entry
         with lock:
             if kind == "stats":
@@ -237,6 +247,9 @@ def _stream_id(request):
     if isinstance(stream_id, bool) or not isinstance(stream_id, (str, int)):
         raise ValueError(f"stream_id must be a string or an integer, not "
                          f"{type(stream_id).__name__}")
+    if isinstance(stream_id, str) and len(stream_id) > MAX_ID_CHARS:
+        raise ValueError(f"stream_id must be at most {MAX_ID_CHARS} "
+                         f"characters, got {len(stream_id)}")
     return stream_id
 
 

@@ -179,22 +179,45 @@ MUTANTS = [
            ("tests/test_scheduler.py::TestFold::"
             "test_matches_the_basis_matrix_fold",)),
     Mutant("fold: zk.sum() for the unit tail sums", "basis.py",
-           "mu[i] = np.dot(zk, row[lo - base:])",
-           "mu[i] = (zk.sum() if w is None\n"
-           "                     else np.dot(zk, row[lo - base:]))",
+           "mu[i] = np.dot(low[k, lo:], row[lo - base:])",
+           "mu[i] = (low[k, lo:].sum() if w is None\n"
+           "                     else np.dot(low[k, lo:], row[lo - base:]))",
            ("tests/test_scheduler.py::TestFold",)),
     Mutant("fold: the tails' weight row keeps the unit weights", "basis.py",
            "row[:] = 1.0 if w is None else w[base:]", "row[:] = 1.0",
            ("tests/test_scheduler.py::TestFold",)),
+    Mutant("taus: np.power's floors without the scalar fallback",
+           "scheduler.py",
+           "        for i in np.flatnonzero(scalar & (j > self.q0)):\n"
+           "            out[i] = self.tau(int(j[i]))\n", "",
+           ("tests/test_scheduler.py::TestTaus::"
+            "test_past_two_to_the_52_at_h_a_quarter",)),
     Mutant("sketch: no clamp on a new slot's old count", "density.py",
            "np.maximum(counts - m, 0) * theta", "(counts - m) * theta",
            ("tests/test_density.py::TestUpdate::"
             "test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum",)),
     # the tables
-    Mutant("tables: z formed at K = 0, where no power reads it", "basis.py",
-           "    if K:\n        _unit_roots(spec, t, z, tables[:2])",
-           "    if True:\n        _unit_roots(spec, t, z, tables[:2])",
+    Mutant("tables: a row for z at K = 0, where no power reads it",
+           "basis.py",
+           "        return K + 1, K + 2 if K else 1",
+           "        return K + 1, K + 2",
            (f"{MOMENTS}::test_k_zero_forms_no_power_of_z",)),
+    Mutant("blocks: every weight's rows formed from ones", "basis.py",
+           "        block[0] = 1.0 if w is None else w",
+           "        block[0] = 1.0",
+           (f"{MOMENTS}::test_matches_direct_sum",)),
+    Mutant("blocks: z^r squared beside a unit weight too", "basis.py",
+           "    unit = next((i for i, w in enumerate(weights) if w is None), "
+           "None)",
+           "    unit = None",
+           ("tests/test_scheduler.py::TestFold::"
+            "test_matches_the_basis_matrix_fold",)),
+    Mutant("blocks: a tail read from the first weight's block", "basis.py",
+           "            mu[j] = np.dot(low[r * i + k % r, lo:], "
+           "high[k // r, lo:])",
+           "            mu[j] = np.dot(low[k % r, lo:], high[k // r, lo:])",
+           (f"{MOMENTS}::test_within_the_fold_rounding_of_a_long_double_sum",
+            )),
     # z from the table of roots of unity
     Mutant("map: phi^4 term dropped", "basis.py",
            "np.multiply(re, 1.0 / 24.0, phi)", "np.multiply(re, 0.0, phi)",
@@ -210,17 +233,23 @@ MUTANTS = [
            (f"{UNIT_ROOTS}::test_map_from_map_min_on_and_exp_below",)),
     # the table buffer
     Mutant("buffer: no spare reuse", "basis.py",
-           "        if buf is not None and buf.size >= count:",
-           "        if False:",
+           "    if buf is not None and buf.size >= count:",
+           "    if False:",
            (BUFFER,)),
     Mutant("buffer: spare not cleared on hand-out", "basis.py",
-           "            _spare = None\n            return buf",
-           "            return buf",
+           "        buf, _spare = _spare, None\n",
+           "        buf = _spare\n",
            (BUFFER,)),
+    Mutant("buffer: a spare too small held beside the new buffer",
+           "basis.py",
+           "    del buf\n    return np.empty(count, dtype=complex)",
+           "    new = np.empty(count, dtype=complex)\n    del buf\n"
+           "    return new",
+           (f"{BUFFER}::test_growing_tables_hold_one_buffer",)),
     # the chunks, which keep every call's tables and the spare within
     # SPARE_BYTES
     Mutant("chunks: the divisor without its row count", "basis.py",
-           "    return SPARE_BYTES // (16 * _table_shape(K)[1])",
+           "    return SPARE_BYTES // (16 * _table_shape(K, count)[1])",
            "    return SPARE_BYTES // 16",
            (f"{BUFFER}::test_batch_fit_keeps_no_table_past_the_spare",
             f"{ENGINE}::TestBatchFit::test_batch_fit_holds_one_set_of_tables")),
@@ -311,6 +340,13 @@ MUTANTS = [
            "    if not isinstance(stream_id, (str, int)):",
            (f"{SERVICE}::TestSocketService::"
             "test_stream_id_is_a_string_or_an_integer",)),
+    Mutant("service: a stream id of any length", "service.py",
+           "    if isinstance(stream_id, str) and len(stream_id) > "
+           "MAX_ID_CHARS:",
+           "    if False:",
+           (f"{SERVICE}::TestRegistry::"
+            "test_an_id_of_max_id_chars_is_a_stream_and_one_more_is_refused",
+            )),
     Mutant("basis: lo == hi accepted", "basis.py",
            "        if not self.lo < self.hi:",
            "        if not self.lo <= self.hi:",

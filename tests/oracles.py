@@ -22,8 +22,8 @@ import numpy as np
 import streamreg
 from streamreg import basis, quadrature, tuning
 from streamreg.basis import (BasisSpec, PenaltySpec, _check_points,
-                             _curvature_factors, _table_shape, _tables,
-                             eval_matrix, gram_uniform, penalty_matrix)
+                             _curvature_factors, _table_shape, eval_matrix,
+                             gram_uniform, penalty_matrix)
 from streamreg.engine import (OnePassRegressor, batch_fit, normal_equations,
                               penalized_solve)
 from streamreg.errors import (DomainError, IllConditionedSystemError,
@@ -172,29 +172,60 @@ def fold(vals, w, start, n_old):
 
 
 class Tables:
-    """``basis.moments``'s power tables of z^0..z^K, K = q // 2, at the
-    points t, in a buffer of their own: read any number of times, never
-    written."""
+    """``basis.moments``' tables and whole-batch moments for a call with
+    the weights ``weights`` (None for unit weights) at the points t,
+    K = q // 2, built out of place, each row a new array.
 
-    def __init__(self, spec, q, t):
+    Below SPLIT_MIN ``low`` holds z^0..z^K and every weight reads it.  From
+    SPLIT_MIN on weight i has the block ``blocks[i]`` of rows w z^a, a < r,
+    each the row above times z, and ``high`` holds (z^r)^b, b <= K // r,
+    where z^r is the first unit block's z^(r-1) times z, or z^(r/4) squared
+    twice in a call with no unit weight.  One product of ``high`` and every
+    block gives ``mu[i]``, as in the call: OpenBLAS's zgemm may round a
+    column otherwise in a product of another width (17 rows of 177 points
+    times 12 and 24 columns)."""
+
+    def __init__(self, spec, q, t, weights):
         self.q, self.K, self.period = q, q // 2, spec.period
-        buf = np.empty(_table_shape(self.K)[1] * t.size, complex)
-        self.low, self.high, self.r = _tables(spec, self.K, t, buf)
+        self.r = _table_shape(self.K, 1)[0]
+        self.weights = [np.ones(t.size) if w is None else w for w in weights]
+        self.z = basis._unit_roots(spec, t, np.empty(t.size, complex), None)
+        ones = np.ones(t.size, complex)
+        if self.K < basis.SPLIT_MIN:
+            self.low, self.high = self.chain(ones, self.K + 1), None
+            self.mu = [self.low @ w for w in self.weights]
+            return
+        r = self.r
+        self.blocks = [self.chain(w.astype(complex), r) for w in self.weights]
+        units = [i for i, w in enumerate(weights) if w is None]
+        if units:
+            zr = self.blocks[units[0]][-1] * self.z
+        else:
+            zr = self.z
+            for _ in range(r // 4 - 1):
+                zr = zr * self.z
+            zr = zr * zr
+            zr = zr * zr
+        high = [ones, zr]
+        for _ in range(self.K // r - 1):
+            high.append(high[-1] * zr)
+        self.high = np.array(high)
+        whole = self.high @ np.concatenate(self.blocks).T
+        self.mu = [whole[:, r * i:r * (i + 1)].ravel()[:self.K + 1]
+                   for i in range(len(weights))]
+
+    def chain(self, first, rows):
+        """``rows`` rows: ``first``, then each the row above times z."""
+        out = [first]
+        for _ in range(rows - 1):
+            out.append(out[-1] * self.z)
+        return np.array(out)
 
 
-def moments_out_of_place(tables, w):
-    """``basis.moments`` of the weight vector w from a weighted copy of the
-    tables, as ``high @ (low[:r] * w).T``."""
-    low, high = tables.low, tables.high
-    if high is None:
-        return low @ w
-    return (high @ (low[:tables.r] * w).T).ravel()[:tables.K + 1]
-
-
-def sums_out_of_place(tables, w):
-    """``basis.sums_from_moments`` of ``moments_out_of_place``."""
+def sums_out_of_place(tables, i):
+    """``basis.sums_from_moments`` of weight i's whole-batch moments."""
     P = tables.period
-    mu = moments_out_of_place(tables, w)
+    mu = tables.mu[i]
     out = np.empty(tables.q)
     out[0] = mu[0].real / math.sqrt(P)
     np.multiply(mu[1:].view(float)[:tables.q - 1], math.sqrt(2.0 / P),
@@ -202,38 +233,38 @@ def sums_out_of_place(tables, w):
     return out
 
 
-def suffix_sum(tables, j, w, lo):
-    """Entry j of ``sums_out_of_place``, phi_{j+1}, over the points from
-    index lo on."""
+def suffix_sum(tables, j, i, lo):
+    """Entry j of ``sums_out_of_place`` of weight i, phi_{j+1}, over the
+    points from index lo on: the dot product of z^k with w, or of w's row
+    w z^(k mod r) with (z^r)^(k // r)."""
     k = (j + 1) // 2
-    zk = tables.low[k % tables.r, lo:]
-    if tables.high is not None:
-        zk = zk * tables.high[k // tables.r, lo:]
-    mu = np.dot(zk, w[lo:])
+    if tables.high is None:
+        mu = np.dot(tables.low[k, lo:], tables.weights[i][lo:])
+    else:
+        mu = np.dot(tables.blocks[i][k % tables.r, lo:],
+                    tables.high[k // tables.r, lo:])
     if j == 0:
         return mu.real / math.sqrt(tables.period)
     return math.sqrt(2.0 / tables.period) * (mu.real if j % 2 else mu.imag)
 
 
 def normal_equations_out_of_place(spec, q, ts, ys):
-    """``engine.normal_equations`` with the unit and the y weights each
-    taking its moments from its own weighted copy of one set of tables."""
+    """``engine.normal_equations`` from the out-of-place tables of its call
+    with the unit and the y weights."""
     n = ts.size
-    tables = Tables(spec, 2 * q, ts)
-    H = basis.gram_from_moments(spec, q,
-                                moments_out_of_place(tables, np.ones(n)))
-    return H / n, sums_out_of_place(tables, ys)[:q] / n
+    tables = Tables(spec, 2 * q, ts, (None, ys))
+    H = basis.gram_from_moments(spec, q, tables.mu[0])
+    return H / n, sums_out_of_place(tables, 1)[:q] / n
 
 
-def fold_scan(tables, w, start, n_old):
-    """``scheduler.fold`` of one weight vector w with a full scan of
+def fold_scan(tables, i, start, n_old):
+    """``scheduler.fold`` of weight i of ``tables`` with a full scan of
     ``start`` for the slots that open mid-batch, for any start vector,
-    monotone or not, and the whole-batch sums from a weighted copy of the
-    tables (``sums_out_of_place``), so it leaves ``tables`` as it found
-    them."""
-    sums = sums_out_of_place(tables, w)
+    monotone or not, and the whole-batch sums from the out-of-place tables
+    (``sums_out_of_place``)."""
+    sums = sums_out_of_place(tables, i)
     for j in (start > n_old + 1).nonzero()[0]:
-        sums[j] = suffix_sum(tables, j, w, start[j] - n_old - 1)
+        sums[j] = suffix_sum(tables, j, i, start[j] - n_old - 1)
     return sums
 
 
@@ -266,19 +297,23 @@ def update_theta_two_branch(theta, start, sums, n_old, n_new):
 
 def ledger_step(reg_basis, density_basis, schedule, state, ts, ys):
     """``OnePassRegressor.ingest`` of one valid batch by ``fold_scan`` and
-    ``update_theta``: G first, then the sketch's unit weights, each from
-    its own weighted copy of the tables.  ``state`` is (n, start, G,
+    ``update_theta``: G first, then the sketch's unit weights, from
+    out-of-place tables of the engine's calls.  When the sketch's basis is
+    G's, one call takes both weights, (None, y); otherwise G's call takes
+    y alone and the sketch's the unit weights.  ``state`` is (n, start, G,
     theta), theta None without a sketch; returns the state after the
     batch."""
     n, start, G, theta = state
     n_new = n + ts.size
     start = schedule.extend(start, n_new, basis.identifiable_count(reg_basis))
+    shared = theta is not None and density_basis == reg_basis
+    tables = Tables(reg_basis, start.size, ts, (None, ys) if shared else (ys,))
     G = np.concatenate([G, np.zeros(start.size - G.size)]) \
-        + fold_scan(Tables(reg_basis, start.size, ts), ys, start, n)
+        + fold_scan(tables, len(tables.weights) - 1, start, n)
     if theta is not None:
-        tables = Tables(density_basis, start.size, ts)
-        theta = update_theta(theta, start,
-                             fold_scan(tables, np.ones(ts.size), start, n),
+        if not shared:
+            tables = Tables(density_basis, start.size, ts, (None,))
+        theta = update_theta(theta, start, fold_scan(tables, 0, start, n),
                              n, n_new)
     return n_new, start, G, theta
 
@@ -320,10 +355,10 @@ def fold_rounding(sizes, slots, steps):
     the same elementwise expression.  m adds up, for a call of m_c points:
 
     - sqrt(5) K, K = slots // 2: z^k, k <= K, is a chain of at most K
-      complex products of z_i (``basis.moments``: z^a, (z^r)^b and their
-      product), each within sqrt(5) u (Brent, Percival and Zimmermann,
-      *Math. Comp.* 76, 2007);
-    - 1 for the real product z^a w_i;
+      complex products of z_i (``basis.moments``: w_i z^a, (z^r)^b and
+      their product), each within sqrt(5) u (Brent, Percival and
+      Zimmermann, *Math. Comp.* 76, 2007);
+    - 1 for the real product of w_i, its first row's w_i z_i;
     - 2 m_c for the sum: each real part of a complex dot product of m_c
       terms is a sum of 2 m_c real products, whatever their order;
     - 1 for the scale sqrt(2/P) or 1/sqrt(P);

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -184,8 +184,8 @@ class TestUnitRoots:
                 want = oracles.unit_roots_map(spec, t)
             assert unit_roots(spec, t).tobytes() == want.tobytes()
             for K in (1, 5, 46):
-                buf = np.empty(basis._table_shape(K)[1] * m, dtype=complex)
-                low = basis._tables(spec, K, t, buf)[0]
+                buf = np.empty(basis._table_shape(K, 1)[1] * m, dtype=complex)
+                low = basis._tables(spec, K, t, (None,), buf)[0]
                 assert low[1].tobytes() == want.tobytes()
 
 
@@ -430,11 +430,15 @@ class TestMoments:
         unit, got = moments(spec, M, x, (None, w), ())
         assert got.shape == (M + 1,)
         assert np.max(np.abs(got - direct)) <= 1e-15 * (M + 1) * w.sum()
-        assert unit.tobytes() == moments(spec, M, x, (np.ones(x.size),),
-                                         ())[0].tobytes()
-        # an array weight writes into the tables, so it must come last
-        with pytest.raises(ValueError, match="last"):
-            moments(spec, M, x, (w, None), ())
+        # the weights come in any order, and beside a unit weight, which
+        # gives z^r, a weight of ones has its bits: each weight forms its
+        # own rows, and their products have the bits of the same rows in
+        # the other order
+        first, last = moments(spec, M, x, (w, None), ())
+        assert first.tobytes() == got.tobytes()
+        assert last.tobytes() == unit.tobytes()
+        ones = moments(spec, M, x, (None, np.ones(x.size)), ())[1]
+        assert ones.tobytes() == unit.tobytes()
 
     @pytest.mark.parametrize("q", [3, 92, 301])
     def test_node_order_does_not_matter(self, q):
@@ -450,22 +454,27 @@ class TestMoments:
 
     def test_the_split_tables_step_by_a_multiple_of_four(self):
         # every power z^(a + r b), a < r, b <= K // r, with r a multiple
-        # of 4 and at most one row more than with r = isqrt(K) + 1
+        # of 4: r rows per weight and K // r + 1 rows of (z^r)^b, the last
+        # of which holds z.  K // r >= 2, so z^r's row is not z's
         for K in range(basis.SPLIT_MIN, 5000):
-            r, rows = basis._table_shape(K)
-            assert r % 4 == 0 and r * (K // r) + r - 1 >= K
-            old = math.isqrt(K) + 1
-            assert rows == r + 1 + K // r + 1 <= old + 1 + K // old + 2
+            for count in (1, 2, 3):
+                r, rows = basis._table_shape(K, count)
+                assert r % 4 == 0 and r * (K // r) + r - 1 >= K
+                assert K // r >= 2
+                assert rows == count * r + K // r + 1
 
     def test_k_zero_forms_no_power_of_z(self):
-        # at K = 0 the tables are the row of ones alone: z's row is left as
-        # it was, so the call takes no complex exp, and the moments are
-        # the weights' sums as a dot product with that row
+        # at K = 0 the tables are the row of ones alone, with no row for z:
+        # the call takes no complex exp, a chunk holds twice the points of
+        # one with z's row, and the moments are the weights' sums as a dot
+        # product with that row
         m = 1000
         t = np.random.default_rng(4).uniform(0.0, 1.0, m)
         w = np.cos(3 * t)
-        buf = np.full(basis._table_shape(0)[1] * m, 7.0 + 7.0j)
-        low, high, r = basis._tables(UNIT, 0, t, buf)
+        assert basis._table_shape(0, 2) == (1, 1)
+        assert basis.chunk_points(0, 2) == basis.SPARE_BYTES // 16
+        buf = np.full(2 * m, 7.0 + 7.0j)
+        low, high, r = basis._tables(UNIT, 0, t, (None, w), buf)
         assert (low.shape, high, r) == ((1, m), None, 1)
         assert np.all(low == 1.0) and np.all(buf[m:] == 7.0 + 7.0j)
         unit, got = moments(UNIT, 0, t, (None, w), [(0, 0), (0, 600)])
@@ -493,9 +502,9 @@ class TestMoments:
             else:
                 for mu, more in zip(want, part):
                     mu += more
-        rows = basis._table_shape(K)[1]
+        rows = basis._table_shape(K, 2)[1]
         monkeypatch.setattr(basis, "SPARE_BYTES", 16 * rows * chunk)
-        assert basis.chunk_points(K) == chunk
+        assert basis.chunk_points(K, 2) == chunk
         got = moments(EXTENDED, K, t, (None, w), tails)
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -514,7 +523,7 @@ class TestMoments:
         y = np.sin(5 * t) + rng.normal(0.0, 0.3, n)
         tails = [(k, lo) for k in (0, 1, 17, K) for lo in (5, 30_011, 99_999)]
         chunked = moments(spec, K, t, (None, y), tails)
-        step = basis.chunk_points(K)
+        step = basis.chunk_points(K, 2)
         assert step < n
         monkeypatch.setattr(basis, "SPARE_BYTES", 1 << 30)
         whole = moments(spec, K, t, (None, y), tails)
@@ -529,11 +538,72 @@ class TestMoments:
             assert np.all(np.abs(a.imag - b.imag) <= gamma * scale)
             assert a.tobytes() != b.tobytes()
 
-    def test_a_call_holds_two_rows_for_its_tails(self):
-        # The tail moments of both weights take two rows of the points,
-        # however many tails there are: 60 tails hold less than one row
-        # more than 1 tail
-        m, K = 2000, 40
+    @settings(max_examples=40, deadline=None)
+    @given(K=st.sampled_from([5, 16, 46, 100]), m=st.integers(1, 2500),
+           weights=st.sampled_from(["y", "1", "y1", "1y", "yv"]),
+           chunk=st.integers(1, 3000),
+           tails=st.lists(st.tuples(st.integers(0, 1000),
+                                    st.integers(0, 2600)), max_size=6),
+           margin=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 16))
+    # an array weight first, two array weights, K = 100 in chunks of 700
+    # points across the map's threshold, tails on both sides of a chunk's
+    # first point
+    @example(K=100, m=2000, weights="yv", chunk=700,
+             tails=[(100, 699), (0, 700), (37, 1999), (99, 1400)],
+             margin=0.1, seed=0)
+    @example(K=46, m=1500, weights="y1", chunk=800,
+             tails=[(46, 799), (45, 801), (0, 0)], margin=0.0, seed=1)
+    def test_within_the_fold_rounding_of_a_long_double_sum(
+            self, K, m, weights, chunk, tails, margin, seed):
+        # Each moment and tail moment, folded in chunks of ``chunk``
+        # points, lies within fold_rounding of its sum in long double
+        # over the same computed z_i, relative to sum |w_i| over its points
+        spec = BasisSpec(-1.0, 3.0, extension_margin=margin)
+        rng = np.random.default_rng(seed)
+        t = rng.uniform(-1.0, 3.0, m)
+        arrays = {"1": np.ones(m),
+                  "y": np.sin(5 * t) + rng.normal(0.0, 0.3, m),
+                  "v": rng.normal(0.0, 1.0, m)}
+        ws = tuple(None if c == "1" else arrays[c] for c in weights)
+        tails = [(k % (K + 1), lo) for k, lo in tails]
+        rows = basis._table_shape(K, len(ws))[1]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basis, "SPARE_BYTES", 16 * rows * chunk)
+            got = moments(spec, K, t, ws, tails)
+        step = min(chunk, m)
+        sizes = [min(step, m - s) for s in range(0, m, step)]
+        gamma = oracles.fold_rounding(sizes, 2 * K, 1)
+        # z as each chunk computes it, on either side of MAP_MIN
+        z = np.concatenate([
+            basis._unit_roots(spec, t[s:s + step], np.empty(size, complex),
+                              None) for s, size in zip(range(0, m, step),
+                                                       sizes)])
+        zl = z.astype(np.clongdouble)
+        for c, mu in zip(weights, got):
+            w = arrays[c].astype(np.longdouble)
+            power = np.ones(m, dtype=np.clongdouble)
+            exact = np.empty(K + 1 + len(tails), dtype=np.clongdouble)
+            for k in range(K + 1):
+                term = w * power
+                exact[k] = term.sum()
+                for i, (kt, lo) in enumerate(tails):
+                    if kt == k:
+                        exact[K + 1 + i] = term[lo:].sum()
+                power *= zl
+            abs_w = np.abs(arrays[c])
+            scale = np.array([math.fsum(abs_w)] * (K + 1)
+                             + [math.fsum(abs_w[lo:]) for _, lo in tails])
+            err = mu.astype(np.clongdouble) - exact
+            assert np.all(np.abs(err.real) <= gamma * scale)
+            assert np.all(np.abs(err.imag) <= gamma * scale)
+
+    @pytest.mark.parametrize("K", [5, 40])
+    def test_a_call_holds_at_most_one_row_for_its_tails(self, K):
+        # Below SPLIT_MIN the tail moments of both weights take one row of
+        # the points, the weights as complex, however many tails there
+        # are; from it on a tail is a dot product of two table rows and
+        # takes none.  60 tails hold less than one row more than 1 tail.
+        m = 2000
         t = np.random.default_rng(3).uniform(0.0, 1.0, m)
         y = np.sin(5 * t)
         moments(UNIT, K, t, (None, y), ())  # the spare takes the tables
@@ -543,8 +613,36 @@ class TestMoments:
             return oracles.traced_peak(moments, UNIT, K, t, (None, y), tails)
 
         none, one, many = peak(0), peak(1), peak(60)
-        assert one <= none + 2 * 16 * m + 2 * 16
-        assert many < one + 16 * m
+        row = 16 * m if K < basis.SPLIT_MIN else 0
+        assert one <= none + row + 2 * 16 + 256
+        assert many < one + 16 * m // 4
+
+    @pytest.mark.parametrize("K", [16, 46, 100])
+    @pytest.mark.parametrize("weights", ["y", "1y", "y1", "yy"])
+    def test_an_array_weight_allocates_nothing_beside_its_tables(self, K,
+                                                                 weights):
+        # Each weight forms its own rows in the tables' buffer, so beside
+        # it a call holds only the product of the tables, (K // r + 1) x
+        # (count r), a copy of its columns per weight, and the moments:
+        # no weighted copy of z^0..z^(r-1) (16 r m bytes) and no ufunc
+        # buffer of a broadcast weighting (about 150 KB at 1 552 points),
+        # nor a row of the points (24.8 KB)
+        m = 1552
+        t = np.random.default_rng(K).uniform(0.0, 1.0, m)
+        y = np.sin(5 * t)
+        ws = tuple(None if c == "1" else y for c in weights)
+        tails = [(k, 500) for k in range(K + 1)]
+        r, rows = basis._table_shape(K, len(ws))
+        moments(UNIT, K, t, ws, tails)  # the spare takes the tables
+        peak = oracles.traced_peak(moments, UNIT, K, t, ws, tails)
+        product = 16 * (K // r + 1) * len(ws) * r
+        out = 16 * len(ws) * (K + 1 + len(tails))
+        # 4 KiB for Python's objects: the lists and tuples of the call
+        assert peak <= 2 * product + out + 4096
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basis, "_spare", None)
+            peak = oracles.traced_peak(moments, UNIT, K, t, ws, tails)
+        assert peak <= 16 * rows * m + 2 * product + out + 4096
 
     def test_a_call_faults_in_the_same_pages_at_any_number_of_tails(self):
         # With glibc's mmap threshold fixed at 128 KiB, as the benchmark

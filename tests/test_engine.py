@@ -32,10 +32,11 @@ from streamreg.service import (MAX_LINE_BYTES, ServiceConfig, StreamRegistry,
                                decode_request, handle_request)
 from streamreg.tuning import TuningGrid, cv_table
 
-def table_bytes(q, m):
+def table_bytes(q, m, count):
     """Bytes of the buffer ``basis.moments`` takes for the power tables of
-    phi_1..phi_q at m points: m times their bytes at one point."""
-    return m * 16 * basis._table_shape(q // 2)[1]
+    phi_1..phi_q at m points and ``count`` weights: m times their bytes at
+    one point."""
+    return m * 16 * basis._table_shape(q // 2, count)[1]
 
 
 class TestIngest:
@@ -137,9 +138,11 @@ class TestIngest:
     @pytest.mark.parametrize("sketch", [True, False])
     def test_one_call_allocates_only_its_tables(self, margin, sketch):
         # a 2000-point call at n = 98 000 under h = 0.4 folds 263 slots,
-        # two of which open inside it; its tables z^0..z^12 and
-        # (z^12)^0..(z^12)^10 take 750 KiB.  At margin 0.1 the stream
-        # stops at its identifiable count, 39 slots
+        # two of which open inside it; its tables, z^0..z^11 for each of
+        # the unit and the y weights with a sketch (for y alone without)
+        # and (z^12)^0..(z^12)^10, take 1.1 MB (0.7 MB).  At margin 0.1
+        # the stream stops at its identifiable count, 39 slots, and G and
+        # the sketch fold in calls of one weight each
         m = 2000
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         eng = make_engine(known=not sketch, spec=spec, h=0.4)
@@ -150,21 +153,22 @@ class TestIngest:
         peak = traced_peak(eng.ingest, ts[-m:], ys[-m:])
         s = eng.start.size
         assert (slots, s) == ((261, 263) if margin == 0 else (39, 39))
-        # Beside one set of tables a call holds, at any one time, either
-        # at most two complex m-vectors (z while the first table is built,
-        # as the second is built from the first; a tail moment's z^k and
-        # its weights as complex) or, while G's weights go into the table
-        # in place, numpy's ufunc buffers: one of np.getbufsize() elements
-        # for y cast to complex and one for its broadcast over the rows.
-        # The rest is O(s): the new start vector, G, the sketch's and the
-        # call's per-slot sums.  A weighted copy of z^0..z^11,
-        # 16 r m = 375 KiB, breaks the bound.
-        beside = max(2 * 16 * m, 2 * 16 * np.getbufsize())
-        assert peak <= table_bytes(s, m) + beside + 4 * 8 * s
+        # Each weight forms its rows in the tables, and a tail is a dot
+        # product of two of their rows, so beside one set of tables a call
+        # holds O(s) arrays only: the new start vector, G, the sketch's
+        # and the call's per-slot sums, the moments and the product of the
+        # tables, (K // r + 1) x (count r).  That is less than one complex
+        # row of the points, 16 m = 31 KiB; a weighted copy of z^0..z^11,
+        # 16 r m = 375 KiB, or the ufunc buffers of a broadcast weighting,
+        # 2 x 16 np.getbufsize() = 256 KiB, break the bound.
+        count = 2 if sketch and margin == 0 else 1
+        beside = 80 * s + 4096
+        assert beside < 16 * m
+        assert peak <= table_bytes(s, m, count) + beside
         # the same call again finds the tables' buffer in the spare and
         # allocates none of their bytes
         again = traced_peak(twin.ingest, ts[-m:], ys[-m:])
-        assert again <= beside + 4 * 8 * s
+        assert again <= beside
         assert twin.checkpoint_json() == eng.checkpoint_json()
 
     def test_domain_violation_is_atomic(self):
@@ -827,10 +831,10 @@ class TestTableBuffer:
         # (here y of the wrong length): while the exception and its
         # traceback are still held, the next call of the same shape finds
         # the buffer in the spare and allocates none of its bytes.
-        m, q = 10_000, 92
+        m, q = 9_000, 92
         spec = BasisSpec(0.0, 1.0, extension_margin=0.1)
         ts, ys = sample(m, 5, lambda t: np.sin(5 * t))
-        tables = table_bytes(2 * q, m)
+        tables = table_bytes(2 * q, m, 2)
         assert tables <= SPARE_BYTES
         normal_equations(spec, q, ts, ys)
         for call in (lambda: normal_equations(spec, q, ts, ys[:-1]),
@@ -851,6 +855,24 @@ class TestTableBuffer:
         basis._give_back(held)
         basis._give_back(other)
         assert basis._spare is held
+
+    def test_growing_tables_hold_one_buffer(self, monkeypatch):
+        # a spare too small for the call is dropped before the larger
+        # buffer is made, so the two are never held at once; the larger
+        # becomes the spare
+        monkeypatch.setattr(basis, "_spare", None)
+        small, large = 100_000, 150_000
+        tracemalloc.start()
+        try:
+            basis._give_back(np.empty(small, dtype=complex))
+            tracemalloc.reset_peak()
+            buf = basis._take_buffer(large)
+            peak = tracemalloc.get_traced_memory()[1]
+            basis._give_back(buf)
+        finally:
+            tracemalloc.stop()
+        assert buf.size == large and basis._spare is buf
+        assert peak <= 16 * large + 4096
 
     def test_threads_ingesting_at_once_match_sequential_runs(self):
         m, n = 2000, 30_000
@@ -884,7 +906,7 @@ class TestTableBuffer:
         # chunks' buffer, kept as the spare, fits SPARE_BYTES
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
-        assert table_bytes(2 * q, n) > SPARE_BYTES
+        assert table_bytes(2 * q, n, 2) > SPARE_BYTES
         monkeypatch.setattr(basis, "_spare", None)
         batch_fit(ts, ys, UNIT, q, 1e-6, ROUGH)
         assert 0 < basis._spare.nbytes <= SPARE_BYTES
@@ -910,29 +932,33 @@ class TestTableBuffer:
         return raw
 
     def test_a_maximal_request_holds_one_chunk_of_tables(self, monkeypatch):
-        # Beside its decoded objects, the request holds its t and y arrays
-        # (16 bytes a point) and, per chunk, the tables in at most
-        # SPARE_BYTES and three rows of the chunk's points: t - origin, and
-        # a tail's product z^a (z^r)^b and the unit weights np.dot reads.
-        # Folded in one chunk, its tables took 20.4 MB.
+        # The request's ingest holds, beside the t and y arrays it is
+        # given, one chunk's tables in at most SPARE_BYTES and O(s) arrays:
+        # each weight forms its rows in the tables and a tail reads two of
+        # their rows, so it holds no row of the chunk's points (168 KB).
+        # Folded in one chunk, its tables would take 30 MB.
         registry = StreamRegistry(ServiceConfig())
         raw = self.maximal_request(registry, "s")
         monkeypatch.setattr(basis, "_spare", None)
+        ingest, held = OnePassRegressor.ingest, []
+
+        def traced_ingest(eng, ts, ys):
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ingest(eng, ts, ys)
+            held.append(tracemalloc.get_traced_memory()[1] - start)
+
+        monkeypatch.setattr(OnePassRegressor, "ingest", traced_ingest)
         tracemalloc.start()
         try:
-            before = tracemalloc.get_traced_memory()[0]
-            request = decode_request(raw)
-            decoded = tracemalloc.get_traced_memory()[0] - before
-            tracemalloc.reset_peak()
-            assert handle_request(registry, request) == {"ok": True,
-                                                         "n": 174_884}
-            peak = tracemalloc.get_traced_memory()[1] - before
+            assert handle_request(registry, decode_request(raw)) == {
+                "ok": True, "n": 174_884}
         finally:
             tracemalloc.stop()
         K = registry._streams["s"][0].start.size // 2
-        assert table_bytes(2 * K, 74_884) > 4 * SPARE_BYTES
-        assert peak <= decoded + SPARE_BYTES + 16 * 74_884 \
-            + 3 * 16 * basis.chunk_points(K)
+        assert table_bytes(2 * K, 74_884, 2) > 4 * SPARE_BYTES
+        assert 16 * basis.chunk_points(K, 2) > 64 << 10
+        assert held[0] <= SPARE_BYTES + (64 << 10)
 
     def test_a_repeated_maximal_request_maps_no_table_buffer(self,
                                                              monkeypatch):
@@ -995,13 +1021,13 @@ class TestTableBuffer:
     def test_a_repeated_stream_maps_no_table_pages(self):
         s, faults = self.repeated_stream_faults(spare=True)
         assert s == 263
-        assert faults < table_bytes(s, 2000) // resource.getpagesize()
+        assert faults < table_bytes(s, 2000, 2) // resource.getpagesize()
 
     def test_without_the_spare_a_repeated_stream_maps_its_pages(self):
         # the bound above is one the spare alone meets
         s, faults = self.repeated_stream_faults(spare=False)
         assert s == 263
-        assert faults > table_bytes(s, 2000) // resource.getpagesize()
+        assert faults > table_bytes(s, 2000, 2) // resource.getpagesize()
 
 
 @functools.cache
@@ -1454,20 +1480,18 @@ class TestBatchFit:
             assert a.tobytes() == b.tobytes()
 
     def test_batch_fit_holds_one_set_of_tables(self, monkeypatch):
-        # n = 1e5, q = 92: the tables hold z^0..z^8, (z^8)^0..(z^8)^11
-        # and z, 32 MiB in one chunk, so the call folds them in chunks that
-        # fit SPARE_BYTES.  Beside a chunk's tables it holds t - origin,
-        # one row of the chunk, while the tables are built; the unit
-        # weights read the tables in place and the y weights go into them
-        # through numpy's ufunc buffers, two of np.getbufsize() complex
-        # elements.  Then come the Gram's assembly and the solve, four
+        # n = 1e5, q = 92: the tables hold z^0..z^7 for each of the unit
+        # and the y weights and (z^8)^0..(z^8)^11, 43 MiB in one chunk, so
+        # the call folds them in chunks that fit SPARE_BYTES.  Beside a
+        # chunk's tables, in which each weight forms its own rows, it holds
+        # O(q) arrays; then come the Gram's assembly and the solve, four
         # (q + 1) x (q + 1) matrices at most.  A weighted copy of z^0..z^7
         # beside the tables, 16 r = 128 bytes a point, breaks the bound.
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
         monkeypatch.setattr(basis, "_spare", None)
         peak = traced_peak(batch_fit, ts, ys, UNIT, q, 1e-6, ROUGH)
-        assert peak <= SPARE_BYTES + 16 * basis.chunk_points(q) \
+        assert peak <= SPARE_BYTES + 16 * basis.chunk_points(q, 2) \
             + 32 * (q + 1) ** 2
 
     def test_normal_equations_reject_bad_input(self):

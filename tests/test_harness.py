@@ -359,12 +359,14 @@ class TestCompositeExperiments:
         # and the cap-30 screen removes nothing; both replicates of this
         # seed pick h = 1/3 under the cap, so a screen that leaked from one
         # cap into the next would change the cap-30 rows.  The picks
-        # differ, so each cap streams each replicate itself: 10 calls
-        # (every 2000 points) per cap and replicate
+        # differ, so each cap streams each replicate itself: 8 calls
+        # (ending at the checkpoint 2000 and every STREAM_CALL = 3200
+        # points) per cap and replicate
         sc = Scenario(target="m1", n=20_000, B=100, seed=2, replicates=2)
         calls = count_ingests(monkeypatch)
         both = run_experiment(sc, [2000, 20_000], mem_caps=caps)
-        assert len(calls) == 2 * 2 * 10
+        assert harness.STREAM_CALL == 3200
+        assert len(calls) == 2 * 2 * 8
         alone = [rows_without_wall(run_experiment(sc, [2000, 20_000],
                                                   mem_caps=[cap]))
                  for cap in caps]
@@ -375,14 +377,16 @@ class TestCompositeExperiments:
 
     def test_caps_that_pick_one_h_stream_once(self, monkeypatch):
         # criterion 8's shape: at margin 0 every cap picks the same h, so
-        # the replicate is streamed once, at the uncapped schedule, in 50
-        # calls (every 2000 points to 1e5); the cap-30 engine is read off
-        # that stream
+        # the replicate is streamed once, at the uncapped schedule, in 33
+        # calls (ending every STREAM_CALL = 3200 points and at the
+        # checkpoints 1e4 and 1e5); the cap-30 engine is read off that
+        # stream
         sc = Scenario(target="m3", n=100_000, B=100, snr=20.0, seed=0,
                       replicates=1)
         calls = count_ingests(monkeypatch)
         rpt = phase_transition_experiment(sc, [None, 30], [10_000, 100_000])
-        assert calls == [None] * 50
+        assert harness.STREAM_CALL == 3200
+        assert calls == [None] * 33
         assert rpt.failures == 0
         assert rpt.rows[3]["q_mean"] == 10.0 < rpt.rows[1]["q_mean"]
 

@@ -279,10 +279,10 @@ class TestProtocolPieces:
     def test_alice_holds_the_same_memory_at_any_n(self, cap, monkeypatch):
         # Her arrays hold one block of BLOCK_BATCHES batches whatever n is.
         # The engine's tables grow with its slots: a call whose tables
-        # outgrow the spare holds the spare and a larger buffer, so the
-        # uncapped peak may grow by twice the last call's tables' growth
-        # (measured 0.77 MB).  16 KiB more covers the state and the
-        # payload, which grow with the slots too.
+        # outgrow the spare drops it for a larger buffer, and the uncapped
+        # peak grew by 0.41 MB from n = 2e4 to 1e5, where the tables grew
+        # by 0.31 MB; twice the tables' growth bounds it.  16 KiB more
+        # covers the state and the payload, which grow with the slots too.
         inst = HypercubeInstance(k=8, omega=(1, 0, 1, 1, 0, 0, 1, 0))
         alice_encode(inst, 1000, np.random.default_rng(0), cap,
                      DEFAULT_NOISE_SD)
@@ -294,7 +294,7 @@ class TestProtocolPieces:
                                      DEFAULT_NOISE_SD))
             eng = lowerbound._protocol_engine(cap)
             slots = eng.schedule.extend(eng.start, n, basis.NEVER).size
-            rows.append(basis._table_shape(slots // 2)[1])
+            rows.append(basis._table_shape(slots // 2, 1)[1])
         growth = 2 * 16 * BLOCK_BATCHES * BATCH_SIZE * (rows[1] - rows[0])
         assert abs(peaks[1] - peaks[0]) <= growth + (16 << 10)
 

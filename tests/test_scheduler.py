@@ -208,6 +208,52 @@ class TestSlotCountClosedForm:
             assert sched.slot_count(n) == slot_count_oracle(sched, lazy, n), n
 
 
+class TestTaus:
+    """``SchedulerConfig.taus`` against the scalar ``tau``, the reference,
+    to the byte."""
+
+    @staticmethod
+    def check(sched, j0, j1):
+        got = sched.taus(j0, j1)
+        want = np.array([sched.tau(j) for j in range(j0, j1)], dtype=np.int64)
+        assert got.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("h, mem_cap, shape",
+                             TestSlotCountClosedForm.CONFIGS)
+    def test_the_closed_form_configurations(self, h, mem_cap, shape):
+        # from the first slot, and the last slots that open before 2**63
+        sched = SchedulerConfig(h=h, mem_cap=mem_cap, **shape)
+        top = SchedulerConfig(h=h, **shape).slot_count(2 ** 63 - 1)
+        self.check(sched, 1, 3000)
+        self.check(sched, top - 2000, top + 1)
+
+    def test_past_two_to_the_52_at_h_a_quarter(self):
+        # S passes 2**52 at j = 16 384, where one ulp is 1: np.power's
+        # floors alone differ from tau at 128 of these 4000 slots.  At
+        # h = 1/5, S is near 3e14 at j = 1599, where one ulp is 1/16
+        self.check(SchedulerConfig(h=0.25), 16_000, 20_000)
+        self.check(SchedulerConfig(h=0.2), 1_500, 1_700)
+
+    @pytest.mark.parametrize("j0, j1", [(0, 3), (3, 3), (5, 2), (1, 19),
+                                        (1, 20), (4, 30), (6, 30)])
+    def test_short_and_initial_ranges(self, j0, j1):
+        # ranges shorter than TAUS_MIN, empty ones and ones that begin
+        # among the q0 initial slots, tau = 1
+        self.check(SchedulerConfig(q0=5), j0, j1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.floats(0.01, 52 / 63), q0=st.integers(1, 100),
+           at=st.floats(0.0, 1.0), size=st.integers(0, 400))
+    @example(h=1 / 3, q0=5, at=0.0, size=400)
+    def test_equals_the_scalar_tau(self, h, q0, at, size):
+        # any range of slots that open before n = 2**63
+        sched = SchedulerConfig(h=h, q0=q0)
+        top = sched.slot_count(2 ** 63 - 1)
+        j0 = int(at * top)
+        self.check(sched, j0, min(j0 + size, top + 1))
+
+
 class TestExtend:
     @pytest.mark.parametrize("h, mem_cap, shape",
                              TestSlotCountClosedForm.CONFIGS)
@@ -273,6 +319,9 @@ class TestFold:
            opening=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
     @example(s=1, m=1, margin=0.0, unit_weight=False, n_old=0, opening=1.0,
              seed=0)
+    # every slot opens inside the batch, all in the one table z^0..z^15
+    @example(s=2 * SPLIT_MIN - 1, m=500, margin=0.0, unit_weight=False,
+             n_old=0, opening=1.0, seed=2)
     @example(s=400, m=1000, margin=0.1, unit_weight=False, n_old=7,
              opening=0.5, seed=1)
     # the last slot starts on the batch's first point, so every sum is a
@@ -294,13 +343,12 @@ class TestFold:
         start = np.sort(np.where(rng.uniform(size=s) < opening,
                                  n_old + 1 + rng.integers(0, m + 2, s),
                                  rng.integers(1, n_old + 2, s)).astype(np.int64))
-        # unit weights (None) read the tables as they are, then w weights
-        # them in place: each fold has the bits of its out-of-place oracle
-        tables = Tables(spec, s, ts)
+        # each weight forms its own rows in the call's tables: each fold
+        # has the bits of its out-of-place oracle
+        tables = Tables(spec, s, ts, (None, w))
         unit, got = fold(spec, ts, (None, w), start, n_old)
-        assert unit.tobytes() == \
-            fold_scan(tables, np.ones(m), start, n_old).tobytes()
-        assert got.tobytes() == fold_scan(tables, w, start, n_old).tobytes()
+        assert unit.tobytes() == fold_scan(tables, 0, start, n_old).tobytes()
+        assert got.tobytes() == fold_scan(tables, 1, start, n_old).tobytes()
         want = matrix_fold(eval_matrix(spec, s, ts), w, start, n_old)
         assert got.shape == (s,)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -349,9 +397,9 @@ class TestLeanLedger:
                                           mem_cap, seed):
         self.mid_batch_openings(sizes, margin, sketch, mem_cap, seed)
 
-    # The engine folds G and the sketch from tables it reads in place and
-    # weights in place; the ledger folds each weight from its own weighted
-    # copy (``oracles.sums_out_of_place``).  Calls of up to 3000 points
+    # The engine folds G and the sketch from rows each weight forms in one
+    # buffer; the ledger folds them from tables built out of place
+    # (``oracles.Tables``).  Calls of up to 3000 points
     # under h = 0.4 pass K = SPLIT_MIN uncapped (a first call of 3000
     # points ends with 64 slots, K = 32) and stay below it at cap 30
     # (10 slots, K = 5).

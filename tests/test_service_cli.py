@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import gc
 import itertools
 import json
 import os
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,9 +23,9 @@ from streamreg.basis import BasisSpec
 from streamreg.cli import main
 from streamreg.engine import RCOND_FLOOR, OnePassRegressor
 from streamreg.harness import Scenario
-from streamreg.service import (MAX_DEPTH, MAX_LINE_BYTES, MAX_STREAMS,
-                               ServiceConfig, StreamRegistry, StreamService,
-                               decode_request, handle_request)
+from streamreg.service import (MAX_DEPTH, MAX_ID_CHARS, MAX_LINE_BYTES,
+                               MAX_STREAMS, ServiceConfig, StreamRegistry,
+                               StreamService, decode_request, handle_request)
 from streamreg.errors import TuningError
 from streamreg.tuning import TuningGrid, cv_select, cv_table, rho_at
 
@@ -111,6 +113,71 @@ def ingest_points(registry, stream_id, n, seed=0, fn=np.sin):
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("char", ["s", "\u00e9", "\U0001f600"])
+    def test_an_id_of_max_id_chars_is_a_stream_and_one_more_is_refused(
+            self, registry, char):
+        # one, two and four bytes of UTF-8 a character: the id is counted
+        # in characters.  A longer one is refused before any stream is read
+        # or created, and every stream keeps its checkpoint
+        assert ingest_points(registry, "a", 50)["ok"]
+        before = registry._engine("a")[0].checkpoint_json()
+        sid = char * MAX_ID_CHARS
+        assert ingest_points(registry, sid, 20) == {"ok": True, "n": 20}
+        assert handle_request(registry, {"op": "query", "stream_id": sid,
+                                         "kind": "stats"})["n"] == 20
+        kept = registry._engine(sid)[0].checkpoint_json()
+        for request in ({"op": "ingest", "points": [[0.5, 1.0]]},
+                        {"op": "query", "kind": "stats"}):
+            reply = handle_request(registry,
+                                   {**request, "stream_id": sid + char})
+            assert (reply["ok"], reply["error"]) == (False, "request")
+            assert str(MAX_ID_CHARS) in reply["message"]
+        assert set(registry._streams) == {"a", sid}
+        assert registry._engine("a")[0].checkpoint_json() == before
+        assert registry._engine(sid)[0].checkpoint_json() == kept
+
+    def test_an_unknown_id_is_named_in_a_few_characters(self, registry):
+        reply = handle_request(registry, {"op": "query", "kind": "stats",
+                                          "stream_id": "x" * MAX_ID_CHARS})
+        assert reply["error"] == "not_found"
+        assert len(reply["message"]) < 60
+
+    @pytest.mark.parametrize("config", [
+        ServiceConfig(), ServiceConfig(known_uniform_density=True),
+        ServiceConfig(extension_margin=0.1),
+        ServiceConfig(extension_margin=0.1, known_uniform_density=True)])
+    def test_a_stream_retains_its_units_its_id_and_4_kib(self, config):
+        # Four streams grown to n = 2e4 and queried retain, after
+        # gc.collect(), at most 8 memory_units bytes, their id and 4 KiB
+        # each (2.2 KB measured).  A twin registry fed the same requests
+        # first fills the process's caches (the tables' spare, the penalty
+        # memo), which no stream holds
+        ids = ["\u00e9" * MAX_ID_CHARS, 7, "s", "\U0001f600" * MAX_ID_CHARS]
+
+        def grow(registry):
+            for k, sid in enumerate(ids):
+                for seed in range(20):
+                    assert ingest_points(registry, sid, 1000,
+                                         seed=100 * k + seed)["ok"]
+                for kind in ("estimate", "density", "stats"):
+                    assert handle_request(registry, {
+                        "op": "query", "stream_id": sid, "kind": kind,
+                        "t": 0.3})["ok"]
+            return registry
+
+        grow(StreamRegistry(config))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            registry = grow(StreamRegistry(config))
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept <= sum(8 * registry._engine(sid)[0].memory_footprint()
+                           + sys.getsizeof(sid) + 4096 for sid in ids)
+
     def test_ingest_then_stats(self, registry):
         resp = ingest_points(registry, "a", 50)
         assert resp == {"ok": True, "n": 50}
