@@ -417,14 +417,14 @@ def _table_shape(K, count):
     weights, ``count``: ``rows`` complex numbers per point make up the
     tables and z, read three times per ``moments``.  Below SPLIT_MIN, r =
     K + 1 rows z^0..z^K and z's row (none at K = 0, where no power reads
-    z).  From SPLIT_MIN on, r = 4 max(1, (isqrt(K) + 2) // 4), a multiple
-    of 4 near sqrt(K), and the rows are one block of r per weight and
-    (z^r)^0..(z^r)^(K // r), whose last row holds z until the end
-    (``_tables``)."""
+    z).  From SPLIT_MIN on, r is the least multiple of 4 whose square is
+    at least K, so a block of K // r + 1 rows is no longer than r + 1, and
+    the rows are z^0..z^(r-1), z^r and one block per weight, whose last row
+    holds z until the end (``_tables``)."""
     if K < SPLIT_MIN:
         return K + 1, K + 2 if K else 1
-    r = 4 * max(1, (math.isqrt(K) + 2) // 4)
-    return r, count * r + K // r + 1
+    r = 4 * ((math.isqrt(K - 1) + 4) // 4)
+    return r, r + 1 + count * (K // r + 1)
 
 
 def _tables(spec, K, t, weights, buf):
@@ -434,53 +434,39 @@ def _tables(spec, K, t, weights, buf):
 
     For K < ``SPLIT_MIN``, ``low`` holds z^0..z^K, at K = 0 the row of
     ones alone, which every weight reads, and ``high`` is None.  From
-    SPLIT_MIN on, z^(a + r b) = z^a (z^r)^b, so short tables hold every
-    power: ``low`` is a block of r rows w z^a, a < r, per weight w of
-    ``weights`` (ones for None), in their order, and ``high`` the rows
-    (z^r)^b for b = 0..K // r.  A block's first row is its weight, and
-    each row after it the one above times z, so no weighting pass follows.
-    z^r is the first unit block's z^(r-1) times z, or, in a call with no
-    unit weight, z^(r/4) squared twice.  r is a multiple of 4 near
-    sqrt(K): the product ``high @ low.T`` that reads the tables ran up to
-    twice as fast per multiply-add at r = 4, 8 or 12 as at the odd r
-    between them (OpenBLAS zgemm, 6400 points).
-    Every power is a product of the one z per point, the way
-    ``eval_matrix`` forms its columns.
+    SPLIT_MIN on, w z^(a + r b) = z^a (w (z^r)^b), so short tables hold
+    every weighted power: ``low`` the rows z^a for a < r, which every
+    weight reads, and ``high`` one block of K // r + 1 rows w (z^r)^b per
+    weight w of ``weights`` (ones for None), in their order.  Each row of
+    ``low`` is the row above times z, and each row of a block the row above
+    times z^r, which is z^(r-1) times z; a block's first row is its weight,
+    so no weighting pass follows.  r is a multiple of 4 near sqrt(K): the
+    product ``high @ low.T`` that reads the tables ran up to twice as fast
+    per multiply-add at r = 4, 8 or 12 as at the odd r between them
+    (OpenBLAS zgemm, 6400 points).  Every power is a product of the one z
+    per point, the way ``eval_matrix`` forms its columns.
     """
     r, rows = _table_shape(K, len(weights))
     tables = buf[:rows * t.size].reshape(rows, -1)
     # z waits in the buffer's last row, which is written only when no power
-    # reads z any more: high's last row, or a row past low (a product
-    # written over its own operand may round otherwise: numpy's product of
-    # one point in place is not always its product into another row).  z's
-    # map works in the first two rows, which the powers overwrite later.  At
-    # K = 0 the tables are the row of ones alone: no power reads z, and
-    # forming it would be most of the call's time.
+    # reads z any more: the last block's last row, or a row past low.  No
+    # product is written over its own operand, which may round otherwise:
+    # numpy's product of one point in place is not always its product into
+    # another row.  z's map works in the first two rows, which the powers
+    # overwrite later.  At K = 0 the tables are the row of ones alone: no
+    # power reads z, and forming it would be most of the call's time.
     if K:
         z = _unit_roots(spec, t, tables[-1], tables[:2])
     if K < SPLIT_MIN:
         tables[0] = 1.0
         return _powers(tables[-1], tables[:K + 1]), None, r
-    low, high = tables[:len(weights) * r], tables[len(weights) * r:]
-    # z^r, in a row apart from z's as K // r >= 2
-    zr = high[1]
-    unit = next((i for i, w in enumerate(weights) if w is None), None)
-    if unit is None:
-        # z^(r/4) squared twice, in the first block's rows before the block
-        # is formed; no product is written over its operand
-        c = r // 4
-        low[0] = z
-        _powers(z, low[:c])
-        np.multiply(low[c - 1], low[c - 1], low[c])
-        np.multiply(low[c], low[c], zr)
-    for i, w in enumerate(weights):
-        block = low[r * i:r * (i + 1)]
+    low, zr, high = tables[:r], tables[r], tables[r + 1:]
+    low[0] = 1.0
+    _powers(z, low)
+    np.multiply(low[-1], z, zr)
+    for block, w in zip(high.reshape(len(weights), K // r + 1, -1), weights):
         block[0] = 1.0 if w is None else w
-        _powers(z, block)
-    if unit is not None:
-        np.multiply(low[r * unit + r - 1], z, zr)
-    high[0] = 1.0
-    _powers(zr, high[1:])
+        _powers(zr, block)
     return low, high, r
 
 
@@ -518,12 +504,14 @@ def _chunk_moments(spec, K, t, weights, tails, buf):
         for w, mu in zip(weights, out):
             mu[:K + 1] = low @ (np.ones(m) if w is None else w)
         return out
-    # row b, column r i + a of the product is mu_{a + r b} of weight i
+    # row (K // r + 1) i + b, column a of the product is mu_{a + r b} of
+    # weight i
     whole = high @ low.T
+    rows = K // r + 1
     for i, mu in enumerate(out):
-        mu[:K + 1] = whole[:, r * i:r * (i + 1)].ravel()[:K + 1]
+        mu[:K + 1] = whole[rows * i:rows * (i + 1)].ravel()[:K + 1]
         for j, (k, lo) in enumerate(tails, K + 1):
-            mu[j] = np.dot(low[r * i + k % r, lo:], high[k // r, lo:])
+            mu[j] = np.dot(low[k % r, lo:], high[rows * i + k // r, lo:])
     return out
 
 
@@ -548,15 +536,14 @@ def moments(spec, K, t, weights, tails):
     enough, so a stream of same-sized batches maps no new memory for it,
     and goes back to the spare when the call returns or raises.
 
-    From K = SPLIT_MIN on, each weight forms its own block of rows
-    w z^a, a < r (``_tables``): one product ``high @ low.T`` gives every
-    weight's moments, and a tail (k, lo) is one dot product of the weight's
-    row w z^(k mod r) with the row (z^r)^(k // r), from lo on.  So no array
-    of the tables' size is built beside them, and the weights come in any
-    order.  A weight's moments depend on the other weights only through
-    z^r, which a unit weight's block supplies (``_tables``), and through
-    the product's width (``tests/oracles.Tables``).  Below SPLIT_MIN every
-    weight reads the one table z^0..z^K as it is.
+    From K = SPLIT_MIN on, each weight has its own block of rows
+    w (z^r)^b, b <= K // r (``_tables``): one product ``high @ low.T``
+    gives every weight's moments, and a tail (k, lo) is one dot product of
+    the row z^(k mod r) with the weight's row w (z^r)^(k // r), from lo
+    on.  So no array of the tables' size is built beside them, and the
+    weights come in any order.  A weight's moments depend on the other
+    weights only through the product's height (``tests/oracles.Tables``).
+    Below SPLIT_MIN every weight reads the one table z^0..z^K as it is.
     """
     t = np.asarray(t, float)
     m = t.size

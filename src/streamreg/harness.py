@@ -56,8 +56,8 @@ RATE_H = 1 / 3
 # Points per engine call on the streaming path, between checkpoints.  The
 # engine's ledger depends on n alone, so the call size moves only the
 # rounding of G and theta.  Streaming 1e5 points into a margin-0 sketch at
-# h = 0.4, as a phase replicate does, took 19.4, 14.6, 13.7, 13.7, 13.0 and
-# 14.2 ms in calls of 1000, 2000, 2800, 3200, 4000 and 8000 points (medians
+# h = 0.4, as a phase replicate does, took 18.4, 14.0, 13.3, 12.8, 12.8 and
+# 13.7 ms in calls of 1000, 2000, 2800, 3200, 4000 and 8000 points (best
 # of 12, one core).  At 3200 the stream's tables, 35 rows at its last K =
 # 131, take 1.8 MB; the Monte Carlo workload's peak RSS was 0.4 MB higher
 # at 4000 than at 3200.

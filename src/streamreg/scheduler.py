@@ -11,8 +11,7 @@ The ledger is the same for the regression sums G and the density sketch
 theta, so it is written once, here:
 
 - ``SchedulerConfig.extend`` opens slots: it appends tau_j for every slot the
-  schedule has opened by time n (``taus``, the array of the scalar ``tau``'s
-  values), giving a start vector of ``slot_count(n)``
+  schedule has opened by time n, giving a start vector of ``slot_count(n)``
   entries, or of a limit (the engine's is ``basis.identifiable_count``).
   Start vectors only grow.  Most batches open no slot: when the vector is at
   the cap or the limit, or the next slot's tau lies past n, ``extend``
@@ -40,13 +39,6 @@ from .basis import (NEVER, is_count, is_real, moments, require,
 _FLOOR_EPS = 1e-9
 
 C_Q = C_CIRC = 0.5  # the constants of S(j) and tau_j above
-
-# Slots from which ``SchedulerConfig.taus`` takes np.power for the range
-# rather than one scalar ``tau`` per slot: its numpy calls cost about 30 us
-# whatever the count, a scalar ``tau`` 1.4 us, and the two crossed between
-# 16 and 24 slots (h = 1/3 and 0.4).  A batch opens a few slots, a
-# checkpoint's load rebuilds them all.
-TAUS_MIN = 20
 
 # Largest q0.  A stream's state grows with its slot count, so a huge q0
 # would make the first ingest allocate without bound.  The schedule opens at
@@ -110,34 +102,6 @@ class SchedulerConfig:
         s = self.S(j)
         return NEVER if s == NEVER else max(1, _floor(C_CIRC * s))
 
-    def taus(self, j0, j1):
-        """tau_j for j in [j0, j1), as an int64 array: the values of
-        ``tau``, which stays the reference.
-
-        S(j) comes from np.power, which differs from Python's ``**`` by up
-        to 1 ulp (in 10 of 11 h tried, up to j = 2e5), so a slot whose
-        S + _FLOOR_EPS lies within 4 ulp of S of an integer, every S from
-        2**52 on among them, or that overflows, takes the scalar ``tau``:
-        there a different last bit could move a floor.  Those slots are
-        few, but at h = 1/5 they begin by j = 1599 (S near 3e14, where one
-        ulp is 1/16).  Fewer than TAUS_MIN slots take ``tau`` each."""
-        if j1 - j0 < TAUS_MIN:
-            return np.array([self.tau(j) for j in range(j0, j1)],
-                            dtype=np.int64)
-        j = np.arange(j0, j1)
-        # quiet: a slot whose S overflows, or passes int64, is scalar
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.power(C_Q * j, 1.0 / self.h)
-            shifted = s + _FLOOR_EPS
-            scalar = ~(s < 2.0 ** 52) | (
-                np.abs(shifted - np.rint(shifted)) <= 4 * np.spacing(s))
-            out = np.maximum(1.0, np.floor(C_CIRC * np.floor(shifted)
-                                           + _FLOOR_EPS)).astype(np.int64)
-        out[j <= self.q0] = 1
-        for i in np.flatnonzero(scalar & (j > self.q0)):
-            out[i] = self.tau(int(j[i]))
-        return out
-
     def active_count(self, n):
         """Number of basis functions participating in the estimate at time n."""
         if n < 1:
@@ -169,7 +133,8 @@ class SchedulerConfig:
         if start.size in (self.cap_q, limit) or self.tau(start.size + 1) > n:
             return start
         n_slots = min(self.slot_count(n), limit)
-        return np.concatenate([start, self.taus(start.size + 1, n_slots + 1)])
+        opened = [self.tau(j) for j in range(start.size + 1, n_slots + 1)]
+        return np.concatenate([start, np.array(opened, dtype=np.int64)])
 
 
 def slot_counts(start, n):

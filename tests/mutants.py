@@ -186,12 +186,6 @@ MUTANTS = [
     Mutant("fold: the tails' weight row keeps the unit weights", "basis.py",
            "row[:] = 1.0 if w is None else w[base:]", "row[:] = 1.0",
            ("tests/test_scheduler.py::TestFold",)),
-    Mutant("taus: np.power's floors without the scalar fallback",
-           "scheduler.py",
-           "        for i in np.flatnonzero(scalar & (j > self.q0)):\n"
-           "            out[i] = self.tau(int(j[i]))\n", "",
-           ("tests/test_scheduler.py::TestTaus::"
-            "test_past_two_to_the_52_at_h_a_quarter",)),
     Mutant("sketch: no clamp on a new slot's old count", "density.py",
            "np.maximum(counts - m, 0) * theta", "(counts - m) * theta",
            ("tests/test_density.py::TestUpdate::"
@@ -206,16 +200,11 @@ MUTANTS = [
            "        block[0] = 1.0 if w is None else w",
            "        block[0] = 1.0",
            (f"{MOMENTS}::test_matches_direct_sum",)),
-    Mutant("blocks: z^r squared beside a unit weight too", "basis.py",
-           "    unit = next((i for i, w in enumerate(weights) if w is None), "
-           "None)",
-           "    unit = None",
-           ("tests/test_scheduler.py::TestFold::"
-            "test_matches_the_basis_matrix_fold",)),
+    Mutant("blocks: z^(r-1) taken for z^r", "basis.py",
+           "    np.multiply(low[-1], z, zr)", "    zr[:] = low[-1]",
+           (f"{MOMENTS}::test_matches_direct_sum",)),
     Mutant("blocks: a tail read from the first weight's block", "basis.py",
-           "            mu[j] = np.dot(low[r * i + k % r, lo:], "
-           "high[k // r, lo:])",
-           "            mu[j] = np.dot(low[k % r, lo:], high[k // r, lo:])",
+           "high[rows * i + k // r, lo:]", "high[k // r, lo:]",
            (f"{MOMENTS}::test_within_the_fold_rounding_of_a_long_double_sum",
             )),
     # z from the table of roots of unity

@@ -177,13 +177,13 @@ class Tables:
     K = q // 2, built out of place, each row a new array.
 
     Below SPLIT_MIN ``low`` holds z^0..z^K and every weight reads it.  From
-    SPLIT_MIN on weight i has the block ``blocks[i]`` of rows w z^a, a < r,
-    each the row above times z, and ``high`` holds (z^r)^b, b <= K // r,
-    where z^r is the first unit block's z^(r-1) times z, or z^(r/4) squared
-    twice in a call with no unit weight.  One product of ``high`` and every
-    block gives ``mu[i]``, as in the call: OpenBLAS's zgemm may round a
-    column otherwise in a product of another width (17 rows of 177 points
-    times 12 and 24 columns)."""
+    SPLIT_MIN on ``low`` holds the rows z^a, a < r, each the row above
+    times z, and weight i has the block ``blocks[i]`` of rows w (z^r)^b,
+    b <= K // r: w as complex, then each row the one above times z^r,
+    which is z^(r-1) times z.  One product of every block and ``low``
+    gives ``mu[i]``, as in the call: OpenBLAS's zgemm may round a row
+    otherwise in a product of another height (17 rows of 177 points times
+    12 and 24 columns)."""
 
     def __init__(self, spec, q, t, weights):
         self.q, self.K, self.period = q, q // 2, spec.period
@@ -192,33 +192,25 @@ class Tables:
         self.z = basis._unit_roots(spec, t, np.empty(t.size, complex), None)
         ones = np.ones(t.size, complex)
         if self.K < basis.SPLIT_MIN:
-            self.low, self.high = self.chain(ones, self.K + 1), None
+            self.low, self.high = self.chain(ones, self.z, self.K + 1), None
             self.mu = [self.low @ w for w in self.weights]
             return
-        r = self.r
-        self.blocks = [self.chain(w.astype(complex), r) for w in self.weights]
-        units = [i for i, w in enumerate(weights) if w is None]
-        if units:
-            zr = self.blocks[units[0]][-1] * self.z
-        else:
-            zr = self.z
-            for _ in range(r // 4 - 1):
-                zr = zr * self.z
-            zr = zr * zr
-            zr = zr * zr
-        high = [ones, zr]
-        for _ in range(self.K // r - 1):
-            high.append(high[-1] * zr)
-        self.high = np.array(high)
-        whole = self.high @ np.concatenate(self.blocks).T
-        self.mu = [whole[:, r * i:r * (i + 1)].ravel()[:self.K + 1]
+        r, rows = self.r, self.K // self.r + 1
+        self.low = self.chain(ones, self.z, r)
+        zr = self.low[-1] * self.z
+        self.blocks = [self.chain(w.astype(complex), zr, rows)
+                       for w in self.weights]
+        self.high = np.concatenate(self.blocks)
+        whole = self.high @ self.low.T
+        self.mu = [whole[rows * i:rows * (i + 1)].ravel()[:self.K + 1]
                    for i in range(len(weights))]
 
-    def chain(self, first, rows):
+    @staticmethod
+    def chain(first, z, rows):
         """``rows`` rows: ``first``, then each the row above times z."""
         out = [first]
         for _ in range(rows - 1):
-            out.append(out[-1] * self.z)
+            out.append(out[-1] * z)
         return np.array(out)
 
 
@@ -235,14 +227,14 @@ def sums_out_of_place(tables, i):
 
 def suffix_sum(tables, j, i, lo):
     """Entry j of ``sums_out_of_place`` of weight i, phi_{j+1}, over the
-    points from index lo on: the dot product of z^k with w, or of w's row
-    w z^(k mod r) with (z^r)^(k // r)."""
+    points from index lo on: the dot product of z^k with w, or of
+    z^(k mod r) with w's row w (z^r)^(k // r)."""
     k = (j + 1) // 2
     if tables.high is None:
         mu = np.dot(tables.low[k, lo:], tables.weights[i][lo:])
     else:
-        mu = np.dot(tables.blocks[i][k % tables.r, lo:],
-                    tables.high[k // tables.r, lo:])
+        mu = np.dot(tables.low[k % tables.r, lo:],
+                    tables.blocks[i][k // tables.r, lo:])
     if j == 0:
         return mu.real / math.sqrt(tables.period)
     return math.sqrt(2.0 / tables.period) * (mu.real if j % 2 else mu.imag)
@@ -355,10 +347,10 @@ def fold_rounding(sizes, slots, steps):
     the same elementwise expression.  m adds up, for a call of m_c points:
 
     - sqrt(5) K, K = slots // 2: z^k, k <= K, is a chain of at most K
-      complex products of z_i (``basis.moments``: w_i z^a, (z^r)^b and
+      complex products of z_i (``basis.moments``: z^a, w_i (z^r)^b and
       their product), each within sqrt(5) u (Brent, Percival and
       Zimmermann, *Math. Comp.* 76, 2007);
-    - 1 for the real product of w_i, its first row's w_i z_i;
+    - 1 for the real product of w_i, a block's second row w_i z_i^r;
     - 2 m_c for the sum: each real part of a complex dot product of m_c
       terms is a sum of 2 m_c real products, whatever their order;
     - 1 for the scale sqrt(2/P) or 1/sqrt(P);

@@ -430,15 +430,18 @@ class TestMoments:
         unit, got = moments(spec, M, x, (None, w), ())
         assert got.shape == (M + 1,)
         assert np.max(np.abs(got - direct)) <= 1e-15 * (M + 1) * w.sum()
-        # the weights come in any order, and beside a unit weight, which
-        # gives z^r, a weight of ones has its bits: each weight forms its
-        # own rows, and their products have the bits of the same rows in
-        # the other order
+        # the weights come in any order, and a weight of ones has the bits
+        # of a unit weight, alone or beside another weight: every block
+        # is the unit rows z^a times its weight, and the product has the
+        # bits of the same rows in the other order
         first, last = moments(spec, M, x, (w, None), ())
         assert first.tobytes() == got.tobytes()
         assert last.tobytes() == unit.tobytes()
-        ones = moments(spec, M, x, (None, np.ones(x.size)), ())[1]
+        ones, again = moments(spec, M, x, (np.ones(x.size), w), ())
         assert ones.tobytes() == unit.tobytes()
+        assert again.tobytes() == got.tobytes()
+        assert moments(spec, M, x, (np.ones(x.size),), ())[0].tobytes() \
+            == moments(spec, M, x, (None,), ())[0].tobytes()
 
     @pytest.mark.parametrize("q", [3, 92, 301])
     def test_node_order_does_not_matter(self, q):
@@ -453,15 +456,17 @@ class TestMoments:
 
 
     def test_the_split_tables_step_by_a_multiple_of_four(self):
-        # every power z^(a + r b), a < r, b <= K // r, with r a multiple
-        # of 4: r rows per weight and K // r + 1 rows of (z^r)^b, the last
-        # of which holds z.  K // r >= 2, so z^r's row is not z's
+        # every power z^(a + r b), a < r, b <= K // r, with r the least
+        # multiple of 4 whose square is at least K: r rows of z^a, z^r's
+        # row and K // r + 1 <= r + 1 rows of w (z^r)^b per weight, the
+        # last of which holds z
         for K in range(basis.SPLIT_MIN, 5000):
             for count in (1, 2, 3):
                 r, rows = basis._table_shape(K, count)
-                assert r % 4 == 0 and r * (K // r) + r - 1 >= K
-                assert K // r >= 2
-                assert rows == count * r + K // r + 1
+                assert r % 4 == 0 and r * r >= K
+                assert r == 4 or (r - 4) ** 2 < K
+                assert r * (K // r) + r - 1 >= K and K // r <= r
+                assert rows == r + 1 + count * (K // r + 1)
 
     def test_k_zero_forms_no_power_of_z(self):
         # at K = 0 the tables are the row of ones alone, with no row for z:
@@ -622,11 +627,11 @@ class TestMoments:
     def test_an_array_weight_allocates_nothing_beside_its_tables(self, K,
                                                                  weights):
         # Each weight forms its own rows in the tables' buffer, so beside
-        # it a call holds only the product of the tables, (K // r + 1) x
-        # (count r), a copy of its columns per weight, and the moments:
-        # no weighted copy of z^0..z^(r-1) (16 r m bytes) and no ufunc
-        # buffer of a broadcast weighting (about 150 KB at 1 552 points),
-        # nor a row of the points (24.8 KB)
+        # it a call holds only the product of the tables, count (K // r +
+        # 1) x r, whose rows each weight reads in place, and the moments:
+        # no weighted copy of a table (16 (K // r + 1) m bytes or more),
+        # no ufunc buffer of a broadcast weighting (about 150 KB at 1 552
+        # points), nor a row of the points (24.8 KB)
         m = 1552
         t = np.random.default_rng(K).uniform(0.0, 1.0, m)
         y = np.sin(5 * t)
@@ -638,11 +643,11 @@ class TestMoments:
         product = 16 * (K // r + 1) * len(ws) * r
         out = 16 * len(ws) * (K + 1 + len(tails))
         # 4 KiB for Python's objects: the lists and tuples of the call
-        assert peak <= 2 * product + out + 4096
+        assert peak <= product + out + 4096
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(basis, "_spare", None)
             peak = oracles.traced_peak(moments, UNIT, K, t, ws, tails)
-        assert peak <= 16 * rows * m + 2 * product + out + 4096
+        assert peak <= 16 * rows * m + product + out + 4096
 
     def test_a_call_faults_in_the_same_pages_at_any_number_of_tails(self):
         # With glibc's mmap threshold fixed at 128 KiB, as the benchmark

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import linalg
 
-from streamreg import basis
+from streamreg import basis, service
 from streamreg.basis import (SPARE_BYTES, BasisSpec, PenaltySpec,
                              eval_matrix, penalty_matrix)
 from oracles import (ROUGH, UNIT, feed, make_engine,
@@ -138,11 +138,11 @@ class TestIngest:
     @pytest.mark.parametrize("sketch", [True, False])
     def test_one_call_allocates_only_its_tables(self, margin, sketch):
         # a 2000-point call at n = 98 000 under h = 0.4 folds 263 slots,
-        # two of which open inside it; its tables, z^0..z^11 for each of
-        # the unit and the y weights with a sketch (for y alone without)
-        # and (z^12)^0..(z^12)^10, take 1.1 MB (0.7 MB).  At margin 0.1
-        # the stream stops at its identifiable count, 39 slots, and G and
-        # the sketch fold in calls of one weight each
+        # two of which open inside it; its tables, z^0..z^12 and
+        # (z^12)^0..(z^12)^10 times each of the unit and the y weights with
+        # a sketch (the y alone without), take 1.1 MB (0.8 MB).  At margin
+        # 0.1 the stream stops at its identifiable count, 39 slots, and G
+        # and the sketch fold in calls of one weight each
         m = 2000
         spec = BasisSpec(0.0, 1.0, extension_margin=margin)
         eng = make_engine(known=not sketch, spec=spec, h=0.4)
@@ -157,10 +157,11 @@ class TestIngest:
         # product of two of their rows, so beside one set of tables a call
         # holds O(s) arrays only: the new start vector, G, the sketch's
         # and the call's per-slot sums, the moments and the product of the
-        # tables, (K // r + 1) x (count r).  That is less than one complex
-        # row of the points, 16 m = 31 KiB; a weighted copy of z^0..z^11,
-        # 16 r m = 375 KiB, or the ufunc buffers of a broadcast weighting,
-        # 2 x 16 np.getbufsize() = 256 KiB, break the bound.
+        # tables, count (K // r + 1) x r.  That is less than one complex
+        # row of the points, 16 m = 31 KiB; a weighted copy of a weight's
+        # rows, 16 (K // r + 1) m = 344 KiB, or the ufunc buffers of a
+        # broadcast weighting, 2 x 16 np.getbufsize() = 256 KiB, break the
+        # bound.
         count = 2 if sketch and margin == 0 else 1
         beside = 80 * s + 4096
         assert beside < 16 * m
@@ -932,33 +933,58 @@ class TestTableBuffer:
         return raw
 
     def test_a_maximal_request_holds_one_chunk_of_tables(self, monkeypatch):
-        # The request's ingest holds, beside the t and y arrays it is
-        # given, one chunk's tables in at most SPARE_BYTES and O(s) arrays:
-        # each weight forms its rows in the tables and a tail reads two of
-        # their rows, so it holds no row of the chunk's points (168 KB).
-        # Folded in one chunk, its tables would take 30 MB.
+        # Beside its decoded objects the request peaks either while its
+        # pairs become columns or in its ingest.  The columns' conversion
+        # holds the pairs' argument tuple, a list iterator per pair and the
+        # columns as tuples, then as arrays: 80 bytes a point, 6.0 MB.  The
+        # ingest holds, beside the t and y arrays it is given (16 bytes a
+        # point), one chunk's tables in at most SPARE_BYTES and O(s)
+        # arrays: each weight forms its rows in the tables and a tail reads
+        # two of their rows, so it holds no row of the chunk's points
+        # (168 KB).  Folded in one chunk, its tables would take 30 MB.
         registry = StreamRegistry(ServiceConfig())
         raw = self.maximal_request(registry, "s")
         monkeypatch.setattr(basis, "_spare", None)
-        ingest, held = OnePassRegressor.ingest, []
+        peaks, held = [], {}
 
-        def traced_ingest(eng, ts, ys):
-            start = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            ingest(eng, ts, ys)
-            held.append(tracemalloc.get_traced_memory()[1] - start)
+        def traced(name, call):
+            # the peak of ``call`` above the memory at its start; the
+            # request's peak so far is kept before it is reset
+            def run(*args):
+                start = tracemalloc.get_traced_memory()[0]
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.reset_peak()
+                out = call(*args)
+                held[name] = tracemalloc.get_traced_memory()[1] - start
+                return out
+            return run
 
-        monkeypatch.setattr(OnePassRegressor, "ingest", traced_ingest)
+        monkeypatch.setattr(OnePassRegressor, "ingest",
+                            traced("ingest", OnePassRegressor.ingest))
+        monkeypatch.setattr(service, "_columns",
+                            traced("columns", service._columns))
         tracemalloc.start()
         try:
-            assert handle_request(registry, decode_request(raw)) == {
-                "ok": True, "n": 174_884}
+            before = tracemalloc.get_traced_memory()[0]
+            request = decode_request(raw)
+            decoded = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            assert handle_request(registry, request) == {"ok": True,
+                                                         "n": 174_884}
+            peak = max(peaks[1:] + [tracemalloc.get_traced_memory()[1]]) \
+                - before
         finally:
             tracemalloc.stop()
+        m = 74_884
         K = registry._streams["s"][0].start.size // 2
-        assert table_bytes(2 * K, 74_884, 2) > 4 * SPARE_BYTES
+        assert table_bytes(2 * K, m, 2) > 4 * SPARE_BYTES
         assert 16 * basis.chunk_points(K, 2) > 64 << 10
-        assert held[0] <= SPARE_BYTES + (64 << 10)
+        assert held["columns"] <= 96 * m
+        assert held["ingest"] <= SPARE_BYTES + (64 << 10)
+        assert peak <= decoded + (64 << 10) + max(
+            held["columns"], 16 * m + held["ingest"])
+        assert peak <= decoded + (64 << 10) + max(
+            96 * m, 16 * m + SPARE_BYTES + (64 << 10))
 
     def test_a_repeated_maximal_request_maps_no_table_buffer(self,
                                                              monkeypatch):
@@ -1480,13 +1506,14 @@ class TestBatchFit:
             assert a.tobytes() == b.tobytes()
 
     def test_batch_fit_holds_one_set_of_tables(self, monkeypatch):
-        # n = 1e5, q = 92: the tables hold z^0..z^7 for each of the unit
-        # and the y weights and (z^8)^0..(z^8)^11, 43 MiB in one chunk, so
-        # the call folds them in chunks that fit SPARE_BYTES.  Beside a
-        # chunk's tables, in which each weight forms its own rows, it holds
-        # O(q) arrays; then come the Gram's assembly and the solve, four
-        # (q + 1) x (q + 1) matrices at most.  A weighted copy of z^0..z^7
-        # beside the tables, 16 r = 128 bytes a point, breaks the bound.
+        # n = 1e5, q = 92: the tables hold z^0..z^12 and
+        # (z^12)^0..(z^12)^7 times each of the unit and the y weights,
+        # 44 MiB in one chunk, so the call folds them in chunks that fit
+        # SPARE_BYTES.  Beside a chunk's tables, in which each weight forms
+        # its own rows, it holds O(q) arrays; then come the Gram's assembly
+        # and the solve, four (q + 1) x (q + 1) matrices at most.  A copy
+        # of a weight's rows beside the tables, 16 x 8 = 128 bytes a point,
+        # breaks the bound.
         n, q = 100_000, 92
         ts, ys = sample(n, 22, lambda t: np.sin(5 * t))
         monkeypatch.setattr(basis, "_spare", None)

@@ -208,52 +208,6 @@ class TestSlotCountClosedForm:
             assert sched.slot_count(n) == slot_count_oracle(sched, lazy, n), n
 
 
-class TestTaus:
-    """``SchedulerConfig.taus`` against the scalar ``tau``, the reference,
-    to the byte."""
-
-    @staticmethod
-    def check(sched, j0, j1):
-        got = sched.taus(j0, j1)
-        want = np.array([sched.tau(j) for j in range(j0, j1)], dtype=np.int64)
-        assert got.dtype == np.int64
-        assert got.tobytes() == want.tobytes()
-
-    @pytest.mark.parametrize("h, mem_cap, shape",
-                             TestSlotCountClosedForm.CONFIGS)
-    def test_the_closed_form_configurations(self, h, mem_cap, shape):
-        # from the first slot, and the last slots that open before 2**63
-        sched = SchedulerConfig(h=h, mem_cap=mem_cap, **shape)
-        top = SchedulerConfig(h=h, **shape).slot_count(2 ** 63 - 1)
-        self.check(sched, 1, 3000)
-        self.check(sched, top - 2000, top + 1)
-
-    def test_past_two_to_the_52_at_h_a_quarter(self):
-        # S passes 2**52 at j = 16 384, where one ulp is 1: np.power's
-        # floors alone differ from tau at 128 of these 4000 slots.  At
-        # h = 1/5, S is near 3e14 at j = 1599, where one ulp is 1/16
-        self.check(SchedulerConfig(h=0.25), 16_000, 20_000)
-        self.check(SchedulerConfig(h=0.2), 1_500, 1_700)
-
-    @pytest.mark.parametrize("j0, j1", [(0, 3), (3, 3), (5, 2), (1, 19),
-                                        (1, 20), (4, 30), (6, 30)])
-    def test_short_and_initial_ranges(self, j0, j1):
-        # ranges shorter than TAUS_MIN, empty ones and ones that begin
-        # among the q0 initial slots, tau = 1
-        self.check(SchedulerConfig(q0=5), j0, j1)
-
-    @settings(max_examples=60, deadline=None)
-    @given(h=st.floats(0.01, 52 / 63), q0=st.integers(1, 100),
-           at=st.floats(0.0, 1.0), size=st.integers(0, 400))
-    @example(h=1 / 3, q0=5, at=0.0, size=400)
-    def test_equals_the_scalar_tau(self, h, q0, at, size):
-        # any range of slots that open before n = 2**63
-        sched = SchedulerConfig(h=h, q0=q0)
-        top = sched.slot_count(2 ** 63 - 1)
-        j0 = int(at * top)
-        self.check(sched, j0, min(j0 + size, top + 1))
-
-
 class TestExtend:
     @pytest.mark.parametrize("h, mem_cap, shape",
                              TestSlotCountClosedForm.CONFIGS)
