@@ -351,10 +351,11 @@ def penalty_matrix(spec, penalty, q):
     return W
 
 
-# From K = SPLIT_MIN on, ``moments`` keeps z^0..z^K as tables of about
-# sqrt(K) rows rather than one of K + 1 rows: below it the second table and
-# the complex matrix product cost more than they save (the crossover lay
-# between K = 10 and 24 at 100 and 1000 points).
+# From K = SPLIT_MIN on, ``moments`` splits z^0..z^K at r near sqrt(K)
+# (``_table_shape``); below it r = K + 1, so each weight's block is one row,
+# the weight: there a second table and the longer product cost more than
+# they save (the crossover lay between K = 10 and 24 at 100 and 1000
+# points).
 SPLIT_MIN = 16
 
 
@@ -415,15 +416,13 @@ def _powers(z, out):
 def _table_shape(K, count):
     """(r, rows) of the power tables at the call's K and its number of
     weights, ``count``: ``rows`` complex numbers per point make up the
-    tables and z, read three times per ``moments``.  Below SPLIT_MIN, r =
-    K + 1 rows z^0..z^K and z's row (none at K = 0, where no power reads
-    z).  From SPLIT_MIN on, r is the least multiple of 4 whose square is
-    at least K, so a block of K // r + 1 rows is no longer than r + 1, and
-    the rows are z^0..z^(r-1), z^r and one block per weight, whose last row
-    holds z until the end (``_tables``)."""
-    if K < SPLIT_MIN:
-        return K + 1, K + 2 if K else 1
-    r = 4 * ((math.isqrt(K - 1) + 4) // 4)
+    tables and z, read three times per ``moments``.  The rows are
+    z^0..z^(r-1), z^r and one block of K // r + 1 rows per weight, whose
+    last row holds z until the end (``_tables``).  Below SPLIT_MIN r =
+    K + 1, so each block is one row.  From SPLIT_MIN on r is the least
+    multiple of 4 whose square is at least K, so a block is no longer
+    than r + 1 rows."""
+    r = K + 1 if K < SPLIT_MIN else 4 * ((math.isqrt(K - 1) + 4) // 4)
     return r, r + 1 + count * (K // r + 1)
 
 
@@ -432,41 +431,37 @@ def _tables(spec, K, t, weights, buf):
     t, as (low, high, r): rows of the complex buffer ``buf``, which holds
     at least ``_table_shape(K, len(weights))[1] * t.size`` elements.
 
-    For K < ``SPLIT_MIN``, ``low`` holds z^0..z^K, at K = 0 the row of
-    ones alone, which every weight reads, and ``high`` is None.  From
-    SPLIT_MIN on, w z^(a + r b) = z^a (w (z^r)^b), so short tables hold
-    every weighted power: ``low`` the rows z^a for a < r, which every
-    weight reads, and ``high`` one block of K // r + 1 rows w (z^r)^b per
-    weight w of ``weights`` (ones for None), in their order.  Each row of
-    ``low`` is the row above times z, and each row of a block the row above
-    times z^r, which is z^(r-1) times z; a block's first row is its weight,
-    so no weighting pass follows.  r is a multiple of 4 near sqrt(K): the
-    product ``high @ low.T`` that reads the tables ran up to twice as fast
-    per multiply-add at r = 4, 8 or 12 as at the odd r between them
-    (OpenBLAS zgemm, 6400 points).  Every power is a product of the one z
-    per point, the way ``eval_matrix`` forms its columns.
+    w z^(a + r b) = z^a (w (z^r)^b), so short tables hold every weighted
+    power: ``low`` the rows z^a for a < r, which every weight reads, and
+    ``high`` one block of K // r + 1 rows w (z^r)^b per weight w of
+    ``weights`` (ones for None), in their order.  Each row of ``low`` is
+    the row above times z, and each row of a block the row above times
+    z^r, which is z^(r-1) times z; a block's first row is its weight, so
+    no weighting pass follows.  Below SPLIT_MIN, r = K + 1: ``low`` is
+    z^0..z^K and each block the weight alone.  From SPLIT_MIN on r is a
+    multiple of 4 near sqrt(K): the product ``high @ low.T`` that reads
+    the tables ran up to twice as fast per multiply-add at r = 4, 8 or 12
+    as at the odd r between them (OpenBLAS zgemm, 6400 points).  Every
+    power is a product of the one z per point, the way ``eval_matrix``
+    forms its columns.
     """
     r, rows = _table_shape(K, len(weights))
     tables = buf[:rows * t.size].reshape(rows, -1)
+    low, high = tables[:r], tables[r + 1:]
     # z waits in the buffer's last row, which is written only when no power
-    # reads z any more: the last block's last row, or a row past low.  No
-    # product is written over its own operand, which may round otherwise:
-    # numpy's product of one point in place is not always its product into
-    # another row.  z's map works in the first two rows, which the powers
-    # overwrite later.  At K = 0 the tables are the row of ones alone: no
-    # power reads z, and forming it would be most of the call's time.
-    if K:
-        z = _unit_roots(spec, t, tables[-1], tables[:2])
-    if K < SPLIT_MIN:
-        tables[0] = 1.0
-        return _powers(tables[-1], tables[:K + 1]), None, r
-    low, zr, high = tables[:r], tables[r], tables[r + 1:]
+    # reads z any more: the last block's last row.  No product is written
+    # over its own operand, which may round otherwise: numpy's product of
+    # one point in place is not always its product into another row.  z's
+    # map works in rows 1 and 2, which z^1 and the next power fill later.
+    # At K = 0 no power reads z or z^r, and forming them would be most of
+    # the call's time.
     low[0] = 1.0
-    _powers(z, low)
-    np.multiply(low[-1], z, zr)
+    if K:
+        z = _unit_roots(spec, t, tables[-1], tables[1:3])
+        _powers(z, tables[:r + 1])  # z^0..z^(r-1) and z^r
     for block, w in zip(high.reshape(len(weights), K // r + 1, -1), weights):
         block[0] = 1.0 if w is None else w
-        _powers(zr, block)
+        _powers(tables[r], block)
     return low, high, r
 
 
@@ -476,34 +471,10 @@ def chunk_points(K, count):
     return SPARE_BYTES // (16 * _table_shape(K, count)[1])
 
 
-def _tail_moments(low, m, weights, tails, out):
-    """Write into ``out[i]`` the tail moments of ``weights[i]``, one per
-    (k, lo) of ``tails``, from the one table z^0..z^K.
-
-    Whatever the number of tails and weights, this takes one row of the
-    points from the first tail's start on: the weights as the complex
-    numbers np.dot would cast them to (ones for unit weights).  A tail
-    reads it from its own start; at k = 0 it reads the row of ones z^0, as
-    any k reads z^k."""
-    base = min(lo for _, lo in tails)
-    row = np.empty(max(m - base, 0), complex)
-    for w, mu in zip(weights, out):
-        row[:] = 1.0 if w is None else w[base:]
-        for i, (k, lo) in enumerate(tails):
-            mu[i] = np.dot(low[k, lo:], row[lo - base:])
-
-
 def _chunk_moments(spec, K, t, weights, tails, buf):
     """``moments`` of the points t, all in one set of tables in ``buf``."""
-    m = t.size
     low, high, r = _tables(spec, K, t, weights, buf)
     out = [np.empty(K + 1 + len(tails), dtype=complex) for _ in weights]
-    if high is None:
-        if tails:
-            _tail_moments(low, m, weights, tails, [mu[K + 1:] for mu in out])
-        for w, mu in zip(weights, out):
-            mu[:K + 1] = low @ (np.ones(m) if w is None else w)
-        return out
     # row (K // r + 1) i + b, column a of the product is mu_{a + r b} of
     # weight i
     whole = high @ low.T
@@ -536,14 +507,14 @@ def moments(spec, K, t, weights, tails):
     enough, so a stream of same-sized batches maps no new memory for it,
     and goes back to the spare when the call returns or raises.
 
-    From K = SPLIT_MIN on, each weight has its own block of rows
-    w (z^r)^b, b <= K // r (``_tables``): one product ``high @ low.T``
-    gives every weight's moments, and a tail (k, lo) is one dot product of
-    the row z^(k mod r) with the weight's row w (z^r)^(k // r), from lo
-    on.  So no array of the tables' size is built beside them, and the
-    weights come in any order.  A weight's moments depend on the other
-    weights only through the product's height (``tests/oracles.Tables``).
-    Below SPLIT_MIN every weight reads the one table z^0..z^K as it is.
+    At every K each weight has its own block of rows w (z^r)^b,
+    b <= K // r (``_tables``; below SPLIT_MIN the weight alone): one
+    product ``high @ low.T`` gives every weight's moments, and a tail
+    (k, lo) is one dot product of the row z^(k mod r) with the weight's
+    row w (z^r)^(k // r), from lo on.  So no array of the points' size is
+    built beside the tables, and the weights come in any order.  A
+    weight's moments depend on the other weights only through the
+    product's height (``tests/oracles.Tables``).
     """
     t = np.asarray(t, float)
     m = t.size

@@ -178,30 +178,22 @@ MUTANTS = [
            "    first = start.size if start[-1] < n_old + 1 else",
            ("tests/test_scheduler.py::TestFold::"
             "test_matches_the_basis_matrix_fold",)),
-    Mutant("fold: zk.sum() for the unit tail sums", "basis.py",
-           "mu[i] = np.dot(low[k, lo:], row[lo - base:])",
-           "mu[i] = (low[k, lo:].sum() if w is None\n"
-           "                     else np.dot(low[k, lo:], row[lo - base:]))",
-           ("tests/test_scheduler.py::TestFold",)),
-    Mutant("fold: the tails' weight row keeps the unit weights", "basis.py",
-           "row[:] = 1.0 if w is None else w[base:]", "row[:] = 1.0",
-           ("tests/test_scheduler.py::TestFold",)),
     Mutant("sketch: no clamp on a new slot's old count", "density.py",
            "np.maximum(counts - m, 0) * theta", "(counts - m) * theta",
            ("tests/test_density.py::TestUpdate::"
             "test_a_slot_opening_mid_batch_keeps_the_sign_of_its_sum",)),
     # the tables
-    Mutant("tables: a row for z at K = 0, where no power reads it",
-           "basis.py",
-           "        return K + 1, K + 2 if K else 1",
-           "        return K + 1, K + 2",
+    Mutant("tables: z formed at K = 0", "basis.py",
+           "    if K:\n        z = _unit_roots(",
+           "    if True:\n        z = _unit_roots(",
            (f"{MOMENTS}::test_k_zero_forms_no_power_of_z",)),
     Mutant("blocks: every weight's rows formed from ones", "basis.py",
            "        block[0] = 1.0 if w is None else w",
            "        block[0] = 1.0",
            (f"{MOMENTS}::test_matches_direct_sum",)),
     Mutant("blocks: z^(r-1) taken for z^r", "basis.py",
-           "    np.multiply(low[-1], z, zr)", "    zr[:] = low[-1]",
+           "        _powers(tables[r], block)",
+           "        _powers(tables[r - 1], block)",
            (f"{MOMENTS}::test_matches_direct_sum",)),
     Mutant("blocks: a tail read from the first weight's block", "basis.py",
            "high[rows * i + k // r, lo:]", "high[k // r, lo:]",

@@ -176,14 +176,14 @@ class Tables:
     the weights ``weights`` (None for unit weights) at the points t,
     K = q // 2, built out of place, each row a new array.
 
-    Below SPLIT_MIN ``low`` holds z^0..z^K and every weight reads it.  From
-    SPLIT_MIN on ``low`` holds the rows z^a, a < r, each the row above
-    times z, and weight i has the block ``blocks[i]`` of rows w (z^r)^b,
-    b <= K // r: w as complex, then each row the one above times z^r,
-    which is z^(r-1) times z.  One product of every block and ``low``
-    gives ``mu[i]``, as in the call: OpenBLAS's zgemm may round a row
-    otherwise in a product of another height (17 rows of 177 points times
-    12 and 24 columns)."""
+    ``low`` holds the rows z^a, a < r, each the row above times z, and
+    weight i has the block ``blocks[i]`` of rows w (z^r)^b, b <= K // r:
+    w as complex, then each row the one above times z^r, which is z^(r-1)
+    times z.  Below SPLIT_MIN r = K + 1, so ``low`` is z^0..z^K and each
+    block the weight alone.  One product of every block and ``low`` gives
+    ``mu[i]``, as in the call: OpenBLAS's zgemm may round a row otherwise
+    in a product of another height (17 rows of 177 points times 12 and 24
+    columns, and a two-row product below SPLIT_MIN against one row)."""
 
     def __init__(self, spec, q, t, weights):
         self.q, self.K, self.period = q, q // 2, spec.period
@@ -191,10 +191,6 @@ class Tables:
         self.weights = [np.ones(t.size) if w is None else w for w in weights]
         self.z = basis._unit_roots(spec, t, np.empty(t.size, complex), None)
         ones = np.ones(t.size, complex)
-        if self.K < basis.SPLIT_MIN:
-            self.low, self.high = self.chain(ones, self.z, self.K + 1), None
-            self.mu = [self.low @ w for w in self.weights]
-            return
         r, rows = self.r, self.K // self.r + 1
         self.low = self.chain(ones, self.z, r)
         zr = self.low[-1] * self.z
@@ -227,14 +223,11 @@ def sums_out_of_place(tables, i):
 
 def suffix_sum(tables, j, i, lo):
     """Entry j of ``sums_out_of_place`` of weight i, phi_{j+1}, over the
-    points from index lo on: the dot product of z^k with w, or of
-    z^(k mod r) with w's row w (z^r)^(k // r)."""
+    points from index lo on: the dot product of z^(k mod r) with w's row
+    w (z^r)^(k // r)."""
     k = (j + 1) // 2
-    if tables.high is None:
-        mu = np.dot(tables.low[k, lo:], tables.weights[i][lo:])
-    else:
-        mu = np.dot(tables.low[k % tables.r, lo:],
-                    tables.blocks[i][k // tables.r, lo:])
+    mu = np.dot(tables.low[k % tables.r, lo:],
+                tables.blocks[i][k // tables.r, lo:])
     if j == 0:
         return mu.real / math.sqrt(tables.period)
     return math.sqrt(2.0 / tables.period) * (mu.real if j % 2 else mu.imag)

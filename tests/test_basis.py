@@ -468,25 +468,33 @@ class TestMoments:
                 assert r * (K // r) + r - 1 >= K and K // r <= r
                 assert rows == r + 1 + count * (K // r + 1)
 
-    def test_k_zero_forms_no_power_of_z(self):
-        # at K = 0 the tables are the row of ones alone, with no row for z:
-        # the call takes no complex exp, a chunk holds twice the points of
-        # one with z's row, and the moments are the weights' sums as a dot
-        # product with that row
+    def test_k_zero_forms_no_power_of_z(self, monkeypatch):
+        # at K = 0 r = 1: low is the row of ones z^0 and each weight's
+        # block one row, the weight, beside z^r's row, which stays
+        # unwritten.  The call forms no z, by complex exp or by the map,
+        # and the moments are the product of the blocks with the row of
+        # ones, a tail the dot product of that row with its weight's row
         m = 1000
         t = np.random.default_rng(4).uniform(0.0, 1.0, m)
         w = np.cos(3 * t)
-        assert basis._table_shape(0, 2) == (1, 1)
-        assert basis.chunk_points(0, 2) == basis.SPARE_BYTES // 16
-        buf = np.full(2 * m, 7.0 + 7.0j)
+        assert basis._table_shape(0, 2) == (1, 4)
+        assert basis.chunk_points(0, 2) == basis.SPARE_BYTES // (16 * 4)
+
+        def unit_roots(*args):
+            raise AssertionError("z was formed")
+
+        monkeypatch.setattr(basis, "_unit_roots", unit_roots)
+        buf = np.full(4 * m, 7.0 + 7.0j)
         low, high, r = basis._tables(UNIT, 0, t, (None, w), buf)
-        assert (low.shape, high, r) == ((1, m), None, 1)
-        assert np.all(low == 1.0) and np.all(buf[m:] == 7.0 + 7.0j)
+        assert (low.shape, high.shape, r) == ((1, m), (2, m), 1)
+        assert np.all(low == 1.0) and np.all(buf[m:2 * m] == 7.0 + 7.0j)
+        assert np.all(high[0] == 1.0) and np.all(high[1] == w)
         unit, got = moments(UNIT, 0, t, (None, w), [(0, 0), (0, 600)])
         assert unit.tolist() == [m, m, m - 600]
-        mu0 = (low @ w)[0]
+        mu0 = (high @ low.T)[1, 0]
         assert got.tobytes() == np.array(
-            [mu0, np.dot(low[0], w), np.dot(low[0, 600:], w[600:])]).tobytes()
+            [mu0, np.dot(low[0], high[1]),
+             np.dot(low[0, 600:], high[1, 600:])]).tobytes()
 
     @pytest.mark.parametrize("K", [0, 5, 40])
     def test_chunks_are_summed_in_chunk_order(self, K, monkeypatch):
@@ -552,12 +560,15 @@ class TestMoments:
            margin=st.sampled_from([0.0, 0.1]), seed=st.integers(0, 2 ** 16))
     # an array weight first, two array weights, K = 100 in chunks of 700
     # points across the map's threshold, tails on both sides of a chunk's
-    # first point
+    # first point, and a unit weight first below SPLIT_MIN, where each
+    # weight's block is one row
     @example(K=100, m=2000, weights="yv", chunk=700,
              tails=[(100, 699), (0, 700), (37, 1999), (99, 1400)],
              margin=0.1, seed=0)
     @example(K=46, m=1500, weights="y1", chunk=800,
              tails=[(46, 799), (45, 801), (0, 0)], margin=0.0, seed=1)
+    @example(K=5, m=900, weights="1y", chunk=400,
+             tails=[(5, 399), (0, 401), (3, 0)], margin=0.1, seed=2)
     def test_within_the_fold_rounding_of_a_long_double_sum(
             self, K, m, weights, chunk, tails, margin, seed):
         # Each moment and tail moment, folded in chunks of ``chunk``
@@ -603,11 +614,12 @@ class TestMoments:
             assert np.all(np.abs(err.imag) <= gamma * scale)
 
     @pytest.mark.parametrize("K", [5, 40])
-    def test_a_call_holds_at_most_one_row_for_its_tails(self, K):
-        # Below SPLIT_MIN the tail moments of both weights take one row of
-        # the points, the weights as complex, however many tails there
-        # are; from it on a tail is a dot product of two table rows and
-        # takes none.  60 tails hold less than one row more than 1 tail.
+    def test_a_call_holds_no_row_for_its_tails(self, K):
+        # at every K a tail is a dot product of two table rows, z^(k mod r)
+        # and its weight's row w (z^r)^(k // r): no row of the points (32 KB
+        # here) is taken for the weights, however many tails there are.
+        # Beside its tables, a call with 60 tails holds less than a quarter
+        # of a row
         m = 2000
         t = np.random.default_rng(3).uniform(0.0, 1.0, m)
         y = np.sin(5 * t)
@@ -618,11 +630,10 @@ class TestMoments:
             return oracles.traced_peak(moments, UNIT, K, t, (None, y), tails)
 
         none, one, many = peak(0), peak(1), peak(60)
-        row = 16 * m if K < basis.SPLIT_MIN else 0
-        assert one <= none + row + 2 * 16 + 256
-        assert many < one + 16 * m // 4
+        assert one <= none + 2 * 16 + 256
+        assert many < 16 * m // 4
 
-    @pytest.mark.parametrize("K", [16, 46, 100])
+    @pytest.mark.parametrize("K", [0, 5, 16, 46, 100])
     @pytest.mark.parametrize("weights", ["y", "1y", "y1", "yy"])
     def test_an_array_weight_allocates_nothing_beside_its_tables(self, K,
                                                                  weights):

@@ -257,21 +257,37 @@ class TestIngest:
         assert scalar.checkpoint_json() == before
 
     def test_shared_basis_leaves_the_sketch_unchanged(self):
-        # at margin 0 the sketch folds the engine's own power tables; with a
-        # margin it must evaluate its unextended basis itself, to the same
-        # bits.  The cap of 117 // 3 = 39 slots is the extended basis's
-        # identifiable count, so both engines hold the same slots
+        # at margin 0 the sketch folds the engine's own power tables, beside
+        # y's block; with a margin it must evaluate its unextended basis
+        # itself, alone.  The cap of 117 // 3 = 39 slots is the extended
+        # basis's identifiable count, so both engines hold the same slots.
+        # Below K = SPLIT_MIN the shared call's product has two rows and
+        # the sketch's own one, which OpenBLAS may round otherwise, so theta
+        # agrees within the fold's rounding; from SPLIT_MIN on a batch
+        # folded from a common state has the same bits
         ts = np.random.default_rng(16).beta(2, 3, 9000)
         shared = make_engine(known=False, mem_cap=117)
         own = make_engine(known=False,
                           spec=BasisSpec(0.0, 1.0, extension_margin=0.1))
         # single points, then batches that open slots strictly inside
-        for lo, hi in [(0, 1), (1, 2), (2, 40), (40, 900), (900, 9000)]:
-            opens = own.start.size
+        sizes = []
+        for lo, hi in [(0, 1), (1, 2), (2, 40), (40, 900)]:
             shared.ingest(ts[lo:hi], np.zeros(hi - lo))
             own.ingest(ts[lo:hi], np.zeros(hi - lo))
-            np.testing.assert_array_equal(own.density.theta,
-                                          shared.density.theta)
+            np.testing.assert_array_equal(own.start, shared.start)
+            sizes.append(hi - lo)
+            tol = partition_tolerance(np.ones(hi), own.start, 1.0, 3, sizes,
+                                      sizes)
+            assert np.all(np.abs(own.density.theta - shared.density.theta)
+                          <= tol / slot_counts(own.start, hi))
+        assert own.start.size // 2 < basis.SPLIT_MIN
+        opens = own.start.size
+        own.density.theta = shared.density.theta.copy()
+        shared.ingest(ts[900:], np.zeros(8100))
+        own.ingest(ts[900:], np.zeros(8100))
+        assert own.start.size // 2 >= basis.SPLIT_MIN
+        np.testing.assert_array_equal(own.density.theta,
+                                      shared.density.theta)
         assert own.start.size > opens and own.start[-1] > 900 + 1
         assert own.start.size == shared.start.size == 39
 

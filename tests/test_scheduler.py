@@ -260,9 +260,9 @@ class TestLedger:
 
 
 class TestFold:
-    # slot counts at the table boundaries: K = 0 (the row of ones alone),
-    # the last K with one table and the first with two, and K = r^2 - 1,
-    # r^2 where r steps
+    # slot counts at the table boundaries: K = 0 (no z formed), the last K
+    # with r = K + 1 and the first with r a multiple of 4 near sqrt(K), and
+    # K = r^2 - 1, r^2 where r steps
     BOUNDARY_S = (1, 2 * SPLIT_MIN - 1, 2 * SPLIT_MIN, 2 * SPLIT_MIN + 1,
                   48, 49, 50, 51, 2 * 99, 2 * 100 + 1)
 
@@ -273,7 +273,7 @@ class TestFold:
            opening=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 16))
     @example(s=1, m=1, margin=0.0, unit_weight=False, n_old=0, opening=1.0,
              seed=0)
-    # every slot opens inside the batch, all in the one table z^0..z^15
+    # every slot opens inside the batch, all in the table z^0..z^15
     @example(s=2 * SPLIT_MIN - 1, m=500, margin=0.0, unit_weight=False,
              n_old=0, opening=1.0, seed=2)
     @example(s=400, m=1000, margin=0.1, unit_weight=False, n_old=7,
